@@ -243,18 +243,21 @@ impl LaneConfig {
 /// Full overload-control configuration for a service front door.
 #[derive(Debug, Clone)]
 pub struct OverloadConfig {
-    /// Connection-servicing worker threads in the wire server. Workers
-    /// multiplex over all live connections (one scheduling turn per
-    /// connection, then requeue), so this bounds *parallelism*, not the
-    /// number of concurrent or persistent clients.
+    /// Connection-servicing worker threads in the wire server. The
+    /// workers wait together on kernel readiness for every live
+    /// connection, and the one a connection's bytes wake serves that
+    /// request, so this bounds *parallelism*, not the number of concurrent
+    /// or persistent clients: an idle connection occupies no worker.
     pub workers: usize,
-    /// Bound on connections parked in the worker rotation; beyond it new
-    /// connections are dropped at accept time.
+    /// Bound on connections parked in the wire server (open, not in a
+    /// worker's hands); beyond it new connections are dropped at accept
+    /// time.
     pub accept_queue: usize,
     /// Close a connection that has been idle (no frame read or written)
-    /// for this many clock ms, freeing its rotation slot. `0` disables
-    /// the timeout. Live peers are expected to heartbeat (`Ping`) well
-    /// within the window.
+    /// for this many clock ms, freeing its slot. `0` disables the
+    /// timeout. Live peers are expected to heartbeat (`Ping`) well within
+    /// the window. An idle server wakes for this deadline and for nothing
+    /// else.
     pub idle_conn_ms: u64,
     /// When false the controller admits everything immediately (emulating
     /// the legacy unbounded server) while still tracking stats and

@@ -4,6 +4,7 @@
 //! bytes of JSON. Frames are capped at [`MAX_FRAME`] to keep a misbehaving
 //! peer from ballooning server memory.
 
+use std::fmt::Write as _;
 use std::io::{Read, Write};
 
 use oasis_json::{FromJson, Json, ToJson};
@@ -12,6 +13,29 @@ use crate::error::WireError;
 
 /// Maximum frame payload size (16 MiB).
 pub const MAX_FRAME: usize = 16 * 1024 * 1024;
+
+/// Serialises `message` into one frame: header and payload in one buffer,
+/// so a frame is one `write` and, with `TCP_NODELAY`, one segment.
+///
+/// # Errors
+///
+/// [`WireError::FrameTooLarge`] for oversized messages.
+pub fn encode_frame<M: ToJson>(message: &M) -> Result<Vec<u8>, WireError> {
+    // Formatted as a `String` (the fast path of `fmt`) behind four
+    // placeholder bytes that become the length.
+    let mut frame = String::from("\0\0\0\0");
+    write!(frame, "{}", message.to_json()).expect("formatting into a String cannot fail");
+    let mut frame = frame.into_bytes();
+    let len = frame.len() - 4;
+    if len > MAX_FRAME {
+        return Err(WireError::FrameTooLarge {
+            got: len,
+            limit: MAX_FRAME,
+        });
+    }
+    frame[..4].copy_from_slice(&(len as u32).to_be_bytes());
+    Ok(frame)
+}
 
 /// Serialises `message` and writes one frame.
 ///
@@ -24,15 +48,7 @@ where
     W: Write,
     M: ToJson,
 {
-    let payload = message.to_json().to_string().into_bytes();
-    if payload.len() > MAX_FRAME {
-        return Err(WireError::FrameTooLarge {
-            got: payload.len(),
-            limit: MAX_FRAME,
-        });
-    }
-    writer.write_all(&(payload.len() as u32).to_be_bytes())?;
-    writer.write_all(&payload)?;
+    writer.write_all(&encode_frame(message)?)?;
     writer.flush()?;
     Ok(())
 }
@@ -69,10 +85,61 @@ where
             std::io::ErrorKind::UnexpectedEof => WireError::Closed,
             _ => WireError::Io(e),
         })?;
-    let text = std::str::from_utf8(&payload)
+    decode_payload(&payload).map(Some)
+}
+
+fn decode_payload<M: FromJson>(payload: &[u8]) -> Result<M, WireError> {
+    let text = std::str::from_utf8(payload)
         .map_err(|_| WireError::Malformed(oasis_json::JsonError::new("frame is not utf-8")))?;
-    let value = Json::parse(text)?;
-    Ok(Some(M::from_json(&value)?))
+    Ok(M::from_json(&Json::parse(text)?)?)
+}
+
+/// Incremental frame decoder for non-blocking reads: bytes go in as the
+/// socket yields them, complete frames come out. Holds no allocation while
+/// empty, so an idle connection costs nothing.
+#[derive(Default)]
+pub(crate) struct FrameBuf(Vec<u8>);
+
+impl FrameBuf {
+    /// Whether no byte of an unfinished frame is buffered.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    pub(crate) fn extend(&mut self, bytes: &[u8]) {
+        self.0.extend_from_slice(bytes);
+    }
+
+    /// Removes and decodes the first frame if all of it has arrived. An
+    /// oversized length is refused from its four header bytes, whatever
+    /// follows them.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError::FrameTooLarge`] or [`WireError::Malformed`]; the
+    /// stream cannot be resynchronised after either.
+    pub(crate) fn next_frame<M: FromJson>(&mut self) -> Result<Option<M>, WireError> {
+        let Some(header) = self.0.first_chunk::<4>() else {
+            return Ok(None);
+        };
+        let len = u32::from_be_bytes(*header) as usize;
+        if len > MAX_FRAME {
+            return Err(WireError::FrameTooLarge {
+                got: len,
+                limit: MAX_FRAME,
+            });
+        }
+        let Some(payload) = self.0.get(4..4 + len) else {
+            return Ok(None);
+        };
+        let message = decode_payload(payload);
+        if self.0.len() == 4 + len {
+            self.0 = Vec::new();
+        } else {
+            self.0.drain(..4 + len);
+        }
+        message.map(Some)
+    }
 }
 
 #[cfg(test)]
@@ -121,6 +188,67 @@ mod tests {
         let buf = u32::MAX.to_be_bytes().to_vec();
         let err = read_frame::<_, String>(&mut buf.as_slice()).unwrap_err();
         assert!(matches!(err, WireError::FrameTooLarge { .. }));
+    }
+
+    #[test]
+    fn frame_is_one_write() {
+        struct CountingWriter(Vec<Vec<u8>>);
+        impl Write for CountingWriter {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.0.push(buf.to_vec());
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut writer = CountingWriter(Vec::new());
+        write_frame(&mut writer, &"héllo".to_string()).unwrap();
+        assert_eq!(writer.0.len(), 1, "header and payload leave together");
+        let got: Option<String> = read_frame(&mut writer.0[0].as_slice()).unwrap();
+        assert_eq!(got.as_deref(), Some("héllo"));
+    }
+
+    #[test]
+    fn frame_buf_yields_only_complete_frames_and_releases_its_buffer() {
+        let mut wire = encode_frame(&"first".to_string()).unwrap();
+        wire.extend(encode_frame(&vec![1u32, 2]).unwrap());
+        let mut buf = FrameBuf::default();
+        // One byte at a time: nothing comes out before a frame's last byte.
+        let mut out = Vec::new();
+        for byte in &wire[..wire.len() - 1] {
+            buf.extend(&[*byte]);
+            if let Some(s) = buf.next_frame::<String>().unwrap() {
+                out.push(s);
+                assert!(buf.is_empty());
+                assert_eq!(buf.0.capacity(), 0, "drained buffer is released");
+            }
+        }
+        assert_eq!(out, ["first"]);
+        assert!(!buf.is_empty());
+        buf.extend(&wire[wire.len() - 1..]);
+        // Two frames in one read: both come out, in order.
+        buf.extend(&wire);
+        assert_eq!(buf.next_frame::<Vec<u32>>().unwrap(), Some(vec![1, 2]));
+        assert_eq!(
+            buf.next_frame::<String>().unwrap().as_deref(),
+            Some("first")
+        );
+        assert_eq!(buf.next_frame::<Vec<u32>>().unwrap(), Some(vec![1, 2]));
+        assert!(buf.next_frame::<String>().unwrap().is_none() && buf.is_empty());
+    }
+
+    #[test]
+    fn frame_buf_refuses_oversized_header_and_garbage() {
+        let mut buf = FrameBuf::default();
+        buf.extend(&u32::MAX.to_be_bytes());
+        let err = buf.next_frame::<String>().unwrap_err();
+        assert!(matches!(err, WireError::FrameTooLarge { .. }));
+        let mut buf = FrameBuf::default();
+        buf.extend(&3u32.to_be_bytes());
+        buf.extend(b"{{{");
+        let err = buf.next_frame::<String>().unwrap_err();
+        assert!(matches!(err, WireError::Malformed(_)));
     }
 
     #[test]

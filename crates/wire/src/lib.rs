@@ -4,11 +4,12 @@
 //! a length-prefixed JSON protocol over TCP exposing the four operations
 //! of Fig 2 — role activation, invocation, validation callback, and
 //! revocation — so that an OASIS session genuinely crosses process and
-//! host boundaries. The transport is synchronous (a bounded worker pool
-//! of blocking connections), matching the synchronous engine whose
-//! validation callbacks run inline. The server admits every request
-//! through priority lanes with bounded queues and propagated deadlines
-//! (see [`server`](WireServer) and `oasis_core::overload`), so a
+//! host boundaries. The transport is synchronous (blocking clients; a
+//! bounded server worker pool that waits on epoll readiness for all its
+//! connections, so the server is Linux-only), matching the synchronous
+//! engine whose validation callbacks run inline. The server admits every
+//! request through priority lanes with bounded queues and propagated
+//! deadlines (see [`server`](WireServer) and `oasis_core::overload`), so a
 //! validation flood is shed before it can starve revocation traffic.
 //!
 //! * [`frame`] — the wire framing (u32 length prefix, JSON payload).
@@ -33,6 +34,7 @@
 #![warn(missing_docs)]
 
 mod client;
+mod conns;
 mod error;
 pub mod frame;
 pub mod proto;

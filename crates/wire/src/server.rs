@@ -1,68 +1,70 @@
 //! The server side: an [`OasisService`] behind a TCP listener, with
 //! overload control.
 //!
-//! # Overload behaviour
+//! # Connections
 //!
-//! Connections are accepted into a bounded rotation and *multiplexed*
-//! across a fixed worker pool (no thread-per-connection: a connection
-//! flood cannot exhaust threads). A worker takes one scheduling turn per
-//! connection — check for a readable frame, serve at most one request (or
-//! make one non-blocking admission poll for a request queued in its
-//! lane) — then parks the connection back in the rotation. No worker is
-//! ever pinned to a connection or blocked on lane admission, so any
-//! number of long-lived idle connections share the pool and a revocation
-//! arriving on the Nth persistent connection is read within one rotation
-//! even when far more clients than workers are connected. When
-//! the rotation is at its bound ([`OverloadConfig::accept_queue`]), new
-//! connections are dropped at accept time and counted in
+//! Connections are *multiplexed* across a fixed worker pool by kernel
+//! readiness (no thread-per-connection: a connection flood cannot exhaust
+//! threads). Every open connection is registered, one-shot, with one epoll
+//! instance, and the workers themselves block in `epoll_wait` (the
+//! connection table, `conns.rs`). The worker that wakes owns that
+//! connection: it reads what has arrived (non-blocking, into the
+//! connection's own buffer), serves the request if the frame is complete,
+//! writes the answer and re-arms the descriptor — no dispatcher thread, no
+//! hand-off. A parked connection costs a table slot and nothing else (no
+//! thread, timer, buffer or periodic syscall), so a revocation arriving on
+//! the Nth persistent connection is read as soon as a worker is free,
+//! however many idle connections surround it. A peer that sends part of a
+//! frame and stalls holds its buffer, not a worker, and is closed after
+//! 5 s (`{id}.wire.stalled_closed`). When
+//! [`OverloadConfig::accept_queue`] connections are already parked, new
+//! ones are dropped at accept time and counted in
 //! [`OverloadStats::conns_shed`](oasis_core::OverloadStats); connections
 //! idle past [`OverloadConfig::idle_conn_ms`] are closed to reclaim their
-//! slot (`conns_idle_closed`).
+//! slot (`conns_idle_closed`). Linux only (epoll).
 //!
-//! Every request then passes the service's
-//! [`AdmissionController`]: it is classified into a priority lane
-//! ([`Request::lane`]) — revocation/resync/ping above validation above
-//! issuance — and either granted an execution permit, queued in its
-//! lane's bounded queue, shed with [`Response::Overloaded`] carrying a
-//! `retry_after_ms` hint, or dropped with [`Response::DeadlineExceeded`]
-//! if its propagated deadline passed first. A request is *never* executed
-//! after its deadline. A connection that has never sent a deadline
-//! envelope is assumed to predate the overload protocol and is shed with
-//! the legacy [`Response::Error`] shape instead of `Overloaded`, which
-//! its parser would reject as malformed.
+//! # Overload behaviour
+//!
+//! Every request passes the service's [`AdmissionController`]: it is
+//! classified into a priority lane ([`Request::lane`]) —
+//! revocation/resync/ping above validation above issuance — and either
+//! granted an execution permit, queued in its lane's bounded queue, shed
+//! with [`Response::Overloaded`] carrying a `retry_after_ms` hint, or
+//! dropped with [`Response::DeadlineExceeded`] if its propagated deadline
+//! passed first. A request is *never* executed after its deadline, and no
+//! worker ever blocks on lane admission: the connection of a queued
+//! request is parked unarmed, and its ticket is polled by every worker
+//! that finishes a turn and, every 2 ms, by an idle one. A connection that
+//! has never sent a deadline envelope is assumed to predate the overload
+//! protocol and is shed with the legacy [`Response::Error`] shape instead
+//! of `Overloaded`, which its parser would reject as malformed.
 //!
 //! Transient `accept()` failures (connection resets, fd exhaustion) are
 //! retried with capped backoff and recorded through the audit hook
 //! (`transport_fault` entries); only fatal listener errors stop the serve
 //! loop.
 
-use std::collections::VecDeque;
 use std::io::ErrorKind;
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpListener;
+use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
 use std::sync::Arc;
-use std::time::Duration;
+use std::thread::{Builder, Scope};
+use std::time::{Duration, Instant};
 
 use oasis_core::{
     AdmissionController, AuditKind, CertId, Deadline, EnvContext, OasisService, OverloadConfig,
-    Permit, PollOutcome, RoleName, Submission, Ticket,
+    Permit, PollOutcome, RoleName, Submission,
 };
 use oasis_store::ReplicaNode;
-use parking_lot::{Condvar, Mutex};
 
+use crate::conns::{Conn, ConnTable, PendingRequest};
 use crate::error::WireError;
-use crate::frame::{read_frame, write_frame};
+use crate::frame::encode_frame;
 use crate::proto::{Envelope, Request, Response};
 
-/// How long a worker's readiness probe blocks on an idle connection (and
-/// how long it pauses before re-polling a queued admission ticket). Bounds
-/// each connection's share of a worker turn, so rotation latency across N
-/// parked connections is ~`N * POLL_SLICE / workers`.
-const POLL_SLICE: Duration = Duration::from_millis(2);
-
-/// Per-read/-write socket deadline once a frame has started arriving (or a
-/// response is being written). A peer that starts a frame and stalls loses
-/// its connection rather than a worker.
-const FRAME_IO_TIMEOUT: Duration = Duration::from_secs(5);
+/// Bytes asked of the socket per `read`, into a buffer on each worker's
+/// stack; a request is a few hundred.
+const READ_CHUNK: usize = 4096;
 
 /// Builds the evaluation context for a given client-supplied virtual
 /// time. Servers install ambient values and custom predicates here.
@@ -165,90 +167,38 @@ impl WireServer {
         Ok(self.listener.local_addr()?)
     }
 
-    /// Accepts and serves connections until a fatal listener error.
-    /// Connections enter a bounded rotation multiplexed across a fixed
-    /// worker pool; a protocol error terminates only its own connection.
-    /// Transient `accept` failures are retried with capped backoff and
-    /// audited; only fatal errors return.
+    /// Accepts and serves connections until a fatal listener error, then
+    /// stops its threads and returns. Connections are multiplexed across
+    /// a fixed, named worker pool (`oasis-wire-worker-N`, plus
+    /// `oasis-wire-ticker` on a replica); a protocol error terminates
+    /// only its own connection. Transient `accept` failures are retried
+    /// with capped backoff and audited; only fatal errors return.
     ///
     /// # Errors
     ///
-    /// [`WireError::Io`] carrying the fatal `accept` error.
+    /// [`WireError::Io`] carrying the fatal `accept` error, or the failure
+    /// to create the poller or a thread.
     pub fn serve(self) -> Result<(), WireError> {
-        let config = self.controller.config().clone();
-        let rotation = Arc::new(Rotation::new());
-        if let Some(node) = &self.replica {
-            // Heartbeats (as leader) and election timeouts (as follower)
-            // both key off tick(); half the heartbeat interval keeps the
-            // jitter of a sleeping thread well inside the election
-            // timeout. The ticker dies with the process — no shutdown
-            // plumbing needed.
-            let node = Arc::clone(node);
-            let controller = Arc::clone(&self.controller);
-            let pace = Duration::from_millis(node.config().heartbeat_ms.max(2) / 2);
-            std::thread::spawn(move || loop {
-                node.tick(controller.now_ms());
-                std::thread::sleep(pace);
-            });
-        }
-        let obs = WireObs::attach(&self.service);
-        for _ in 0..config.workers.max(1) {
-            let rotation = Arc::clone(&rotation);
-            let service = Arc::clone(&self.service);
-            let context = Arc::clone(&self.context);
-            let controller = Arc::clone(&self.controller);
-            let replica = self.replica.clone();
-            let config = config.clone();
-            let obs = obs.clone();
-            std::thread::spawn(move || {
-                worker_loop(
-                    &rotation,
-                    &service,
-                    &context,
-                    &controller,
-                    &replica,
-                    &config,
-                    &obs,
-                );
-            });
-        }
-
-        let mut consecutive_errors: u32 = 0;
-        let result = loop {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    consecutive_errors = 0;
-                    stream.set_nodelay(true).ok();
-                    stream.set_write_timeout(Some(FRAME_IO_TIMEOUT)).ok();
-                    let conn = Conn {
-                        stream,
-                        envelope_seen: false,
-                        last_active_ms: self.controller.now_ms(),
-                        pending: None,
-                    };
-                    // Rotation at its bound: shed the whole connection
-                    // rather than buffering unboundedly.
-                    if rotation.push_new(conn, config.accept_queue.max(1)) {
-                        self.controller.note_conn_accepted();
-                    } else {
-                        self.controller.note_conn_shed();
-                    }
-                }
-                Err(e) if transient_accept_error(&e) => {
-                    self.audit_fault("accept", &e);
-                    let backoff =
-                        Duration::from_millis((1u64 << consecutive_errors.min(7)).min(100));
-                    consecutive_errors = consecutive_errors.saturating_add(1);
-                    std::thread::sleep(backoff);
-                }
-                Err(e) => {
-                    self.audit_fault("accept-fatal", &e);
-                    break Err(WireError::Io(e));
-                }
-            }
+        let recorder = self.service.obs_recorder();
+        let id = self.service.id().as_str();
+        let pool = Pool {
+            table: ConnTable::new(&self.service, Arc::clone(&self.controller))?,
+            requests: recorder.counter(&format!("{id}.wire.requests")),
+            handle_us: recorder.histogram(&format!("{id}.wire.handle_us")),
+            service: self.service,
+            context: self.context,
+            controller: self.controller,
+            replica: self.replica,
+            open: AtomicBool::new(true),
         };
-        rotation.close();
-        result
+        std::thread::scope(|scope| {
+            let result = pool.run(scope, &self.listener);
+            // Workers leave their wait one after another (each passes the
+            // wake-up on); the scope joins them and the ticker.
+            pool.open.store(false, SeqCst);
+            pool.table.wake();
+            result
+        })
     }
 
     /// Spawns [`serve`](Self::serve) on a background thread and returns
@@ -263,16 +213,6 @@ impl WireServer {
             let _ = self.serve();
         });
         Ok(addr)
-    }
-
-    fn audit_fault(&self, op: &str, error: &std::io::Error) {
-        self.service.audit().record(
-            self.service.last_seen_now(),
-            AuditKind::TransportFault {
-                op: op.to_string(),
-                detail: error.to_string(),
-            },
-        );
     }
 }
 
@@ -296,349 +236,265 @@ fn transient_accept_error(e: &std::io::Error) -> bool {
     matches!(e.raw_os_error(), Some(12) | Some(23) | Some(24) | Some(105))
 }
 
-/// A connection parked in the rotation between worker turns.
-struct Conn {
-    stream: TcpStream,
-    /// Whether this connection has ever sent a deadline envelope. Only
-    /// envelope-aware clients understand [`Response::Overloaded`]; legacy
-    /// clients are shed with the [`Response::Error`] shape they predate
-    /// the overload protocol with.
-    envelope_seen: bool,
-    /// Controller-clock timestamp of the last frame read or written.
-    last_active_ms: u64,
-    /// A request admitted into a lane queue, awaiting its permit. While
-    /// set, no further frames are read from this connection (the protocol
-    /// is call/return, so the client is waiting on this answer anyway).
-    pending: Option<PendingRequest>,
-}
-
-struct PendingRequest {
-    ticket: Ticket,
-    deadline: Deadline,
-    request: Request,
-    trace: Option<oasis_obs::TraceCtx>,
-}
-
-/// Wire-side instrumentation handles, resolved once per server from the
-/// service's installed recorder (no-op handles when none is installed,
-/// so the uninstrumented server pays only an atomic no-op per request).
-/// Wall-clock durations are recorded *only* here — core and store record
-/// virtual time, keeping conformance snapshots deterministic.
-#[derive(Clone)]
-struct WireObs {
+/// Everything the acceptor, the workers and the ticker share while
+/// [`WireServer::serve`] runs.
+struct Pool {
+    service: Arc<OasisService>,
+    context: ContextFactory,
+    controller: Arc<AdmissionController>,
+    replica: Option<Arc<ReplicaNode>>,
+    table: ConnTable,
+    // Wire-side instrumentation, resolved once from the service's recorder
+    // (no-op handles when none is installed: an atomic no-op per event).
+    // Wall-clock durations are recorded *only* in this crate — core and
+    // store record virtual time, keeping conformance snapshots
+    // deterministic. With the table's `conns_open`/`wakeups` and the lane
+    // stats they tell a parked connection from a queued request from an
+    // executing one.
     requests: oasis_obs::Counter,
-    handle_ms: oasis_obs::Histo,
+    handle_us: oasis_obs::Histo,
+    open: AtomicBool,
 }
 
-impl WireObs {
-    fn attach(service: &OasisService) -> Self {
-        let recorder = service.obs_recorder();
-        let id = service.id().as_str().to_string();
-        Self {
-            requests: recorder.counter(&format!("{id}.wire.requests")),
-            handle_ms: recorder.histogram(&format!("{id}.wire.handle_ms")),
+impl Pool {
+    /// Starts the ticker and the workers, then accepts until a fatal error.
+    fn run<'s>(
+        &'s self,
+        scope: &'s Scope<'s, '_>,
+        listener: &TcpListener,
+    ) -> Result<(), WireError> {
+        if let Some(node) = &self.replica {
+            // Heartbeats (as leader) and election timeouts (as follower)
+            // both key off tick(); half the heartbeat interval keeps the
+            // jitter of a sleeping thread well inside the election timeout.
+            let pace = Duration::from_millis(node.config().heartbeat_ms.max(2) / 2);
+            Builder::new()
+                .name("oasis-wire-ticker".into())
+                .spawn_scoped(scope, move || {
+                    while self.open.load(SeqCst) {
+                        node.tick(self.controller.now_ms());
+                        std::thread::sleep(pace);
+                    }
+                })?;
         }
-    }
-}
-
-/// The shared pool of parked connections. Workers pop a connection, take
-/// one scheduling turn on it, and push it back — so the pool's workers
-/// multiplex over every live connection instead of pinning one each.
-struct Rotation {
-    state: Mutex<RotationState>,
-    ready: Condvar,
-}
-
-struct RotationState {
-    conns: VecDeque<Conn>,
-    open: bool,
-}
-
-impl Rotation {
-    fn new() -> Self {
-        Self {
-            state: Mutex::new(RotationState {
-                conns: VecDeque::new(),
-                open: true,
-            }),
-            ready: Condvar::new(),
+        for n in 0..self.controller.config().workers.max(1) {
+            Builder::new()
+                .name(format!("oasis-wire-worker-{n}"))
+                .spawn_scoped(scope, || self.worker())?;
         }
-    }
 
-    /// Admit a newly accepted connection, unless the rotation already
-    /// holds `cap` parked connections.
-    fn push_new(&self, conn: Conn, cap: usize) -> bool {
-        let mut state = self.state.lock();
-        if state.conns.len() >= cap {
-            return false;
-        }
-        state.conns.push_back(conn);
-        drop(state);
-        self.ready.notify_one();
-        true
-    }
-
-    /// Re-park a connection after a worker turn. Never bounded: the
-    /// connection was already admitted.
-    fn push_back(&self, conn: Conn) {
-        self.state.lock().conns.push_back(conn);
-        self.ready.notify_one();
-    }
-
-    /// Next connection to service; blocks while the rotation is empty.
-    /// `None` once the acceptor has shut the rotation down.
-    fn pop(&self) -> Option<Conn> {
-        let mut state = self.state.lock();
+        let mut consecutive_errors: u32 = 0;
         loop {
-            if let Some(conn) = state.conns.pop_front() {
-                return Some(conn);
+            match listener.accept() {
+                // Table at its bound: shed the whole connection rather
+                // than buffering unboundedly.
+                Ok((stream, _)) => {
+                    consecutive_errors = 0;
+                    if self.table.admit(stream) {
+                        self.controller.note_conn_accepted();
+                    } else {
+                        self.controller.note_conn_shed();
+                    }
+                }
+                Err(e) if transient_accept_error(&e) => {
+                    self.audit_fault("accept", &e);
+                    let backoff =
+                        Duration::from_millis((1u64 << consecutive_errors.min(7)).min(100));
+                    consecutive_errors = consecutive_errors.saturating_add(1);
+                    std::thread::sleep(backoff);
+                }
+                Err(e) => {
+                    self.audit_fault("accept-fatal", &e);
+                    return Err(WireError::Io(e));
+                }
             }
-            if !state.open {
-                return None;
-            }
-            self.ready.wait(&mut state);
         }
     }
 
-    fn close(&self) {
-        self.state.lock().open = false;
-        self.ready.notify_all();
+    fn audit_fault(&self, op: &str, error: &std::io::Error) {
+        self.service.audit().record(
+            self.service.last_seen_now(),
+            AuditKind::TransportFault {
+                op: op.to_string(),
+                detail: error.to_string(),
+            },
+        );
     }
-}
 
-/// What one readiness probe of a parked connection found.
-enum Readiness {
-    /// At least one byte of a frame is waiting.
-    Ready,
-    /// Nothing to read within the poll slice.
-    Idle,
-    /// EOF or a socket error: the connection is done.
-    Closed,
-}
-
-fn readiness(stream: &TcpStream) -> Readiness {
-    stream.set_read_timeout(Some(POLL_SLICE)).ok();
-    let mut byte = [0u8; 1];
-    match stream.peek(&mut byte) {
-        Ok(0) => Readiness::Closed,
-        Ok(_) => Readiness::Ready,
-        Err(e)
-            if matches!(
-                e.kind(),
-                ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
-            ) =>
-        {
-            Readiness::Idle
-        }
-        Err(_) => Readiness::Closed,
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn worker_loop(
-    rotation: &Rotation,
-    service: &Arc<OasisService>,
-    context: &ContextFactory,
-    controller: &Arc<AdmissionController>,
-    replica: &Option<Arc<ReplicaNode>>,
-    config: &OverloadConfig,
-    obs: &WireObs,
-) {
-    while let Some(mut conn) = rotation.pop() {
-        if service_turn(
-            &mut conn, service, context, controller, replica, config, obs,
-        ) {
-            rotation.push_back(conn);
-        }
-        // else: the connection is dropped here (hangup, error, idle-out).
-    }
-}
-
-/// One scheduling turn for one connection. Returns whether the connection
-/// stays in the rotation. Never blocks beyond [`POLL_SLICE`] except while
-/// actually transferring a frame or executing a granted request.
-#[allow(clippy::too_many_arguments)]
-fn service_turn(
-    conn: &mut Conn,
-    service: &Arc<OasisService>,
-    context: &ContextFactory,
-    controller: &Arc<AdmissionController>,
-    replica: &Option<Arc<ReplicaNode>>,
-    config: &OverloadConfig,
-    obs: &WireObs,
-) -> bool {
-    // A request already queued in its lane: one non-blocking poll. The
-    // worker is never parked on lane admission — that would pin it just
-    // like thread-per-connection did.
-    if let Some(pending) = conn.pending.take() {
-        return match controller.poll(&pending.ticket) {
-            PollOutcome::Waiting => {
-                conn.pending = Some(pending);
-                // Pace the retry so a lone waiting connection does not
-                // spin through the pool.
-                std::thread::sleep(POLL_SLICE);
-                true
+    /// One worker: wait for a readable connection, own it for one turn,
+    /// put it back; then poll the tickets queued in the lanes, which this
+    /// turn's permit may have unblocked.
+    fn worker(&self) {
+        let mut scratch = [0u8; READ_CHUNK];
+        while self.open.load(SeqCst) {
+            let Ok(woke) = self.table.next() else {
+                break;
+            };
+            if let Some((token, conn)) = woke {
+                self.run_turn(token, conn, &mut scratch);
             }
-            PollOutcome::Expired => respond(conn, controller, &Response::DeadlineExceeded),
-            PollOutcome::Ready(permit) => {
-                let response = execute(
-                    service,
-                    context,
-                    controller,
-                    permit,
-                    pending.deadline,
-                    pending.request,
-                    pending.trace,
-                    obs,
-                );
-                respond(conn, controller, &response)
+            for token in self.table.queued() {
+                if let Some(conn) = self.table.take(token) {
+                    self.run_turn(token, conn, &mut scratch);
+                }
             }
-        };
+        }
+        self.table.wake(); // the next worker's turn to notice the shutdown
     }
 
-    match readiness(&conn.stream) {
-        Readiness::Closed => false,
-        Readiness::Idle => {
-            let now = controller.now_ms();
-            if config.idle_conn_ms > 0
-                && now.saturating_sub(conn.last_active_ms) >= config.idle_conn_ms
-            {
-                controller.note_conn_idle_closed();
+    fn run_turn(&self, token: usize, mut conn: Conn, scratch: &mut [u8]) {
+        let keep = self.turn(&mut conn, scratch);
+        self.table.put_back(token, conn, keep);
+    }
+
+    /// Serves what can be served on one connection without blocking on
+    /// the peer or on lane admission. Returns whether the connection
+    /// stays open.
+    fn turn(&self, conn: &mut Conn, scratch: &mut [u8]) -> bool {
+        let mut served = false;
+        if let Some(pending) = conn.pending.take() {
+            let response = match self.controller.poll(&pending.ticket) {
+                PollOutcome::Waiting => {
+                    conn.pending = Some(pending);
+                    return true;
+                }
+                PollOutcome::Expired => Response::DeadlineExceeded,
+                PollOutcome::Ready(permit) => {
+                    self.execute(permit, pending.deadline, pending.request, pending.trace)
+                }
+            };
+            if !self.respond(conn, &response) {
                 return false;
             }
-            true
+            served = true;
         }
-        Readiness::Ready => {
-            conn.stream.set_read_timeout(Some(FRAME_IO_TIMEOUT)).ok();
-            let envelope = match read_frame::<_, Envelope>(&mut conn.stream) {
-                Ok(Some(envelope)) => envelope,
-                // Clean disconnect, or a peer that broke mid-frame.
-                Ok(None) | Err(_) => return false,
-            };
-            conn.last_active_ms = controller.now_ms();
-            conn.envelope_seen |= envelope.deadline_ms.is_some();
-            admit_one(conn, service, context, controller, replica, envelope, obs)
-        }
-    }
-}
-
-/// Admission gate for one freshly read request: compute the absolute
-/// deadline at read time (so queueing counts against the client's budget),
-/// classify into a lane, and execute, park, or shed.
-#[allow(clippy::too_many_arguments)]
-fn admit_one(
-    conn: &mut Conn,
-    service: &Arc<OasisService>,
-    context: &ContextFactory,
-    controller: &Arc<AdmissionController>,
-    replica: &Option<Arc<ReplicaNode>>,
-    envelope: Envelope,
-    obs: &WireObs,
-) -> bool {
-    // Observability probes bypass lane admission, deadline accounting,
-    // and leader gating: the snapshot that explains a flood must be
-    // answerable by any node exactly while the lanes are saturated, and
-    // a follower's registry is as interesting as the leader's.
-    if matches!(envelope.request, Request::Metrics) {
-        // A no-op recorder has nothing to snapshot; `null` is still a
-        // well-formed answer.
-        let snapshot = service
-            .obs_recorder()
-            .snapshot_json()
-            .unwrap_or_else(|| "null".to_string());
-        return respond(conn, controller, &Response::Metrics { snapshot });
-    }
-    if let Some(node) = replica {
-        // Replication traffic bypasses admission entirely: a heartbeat
-        // shed under load reads as a dead leader and forces an election
-        // at the worst possible moment. Peer frames are small, cheap,
-        // and bounded by cluster size, not client load.
-        if let Request::Peer { req } = &envelope.request {
-            let reply = node.handle(req, controller.now_ms());
-            return respond(conn, controller, &Response::PeerAck { reply });
-        }
-        // Followers hold journal replicas, not live service state:
-        // everything except liveness checks must go to the leader. A
-        // *fenced* leader (quorum lease lapsed during an asymmetric
-        // partition) is gated the same way, with no hint — it cannot
-        // know who, if anyone, succeeded it, and a stale read served
-        // here could contradict the majority side.
-        if !matches!(envelope.request, Request::Ping) {
-            if !node.is_leader() {
-                let response = Response::NotLeader {
-                    hint: node.leader_hint(),
-                };
-                return respond(conn, controller, &response);
+        loop {
+            loop {
+                match conn.next_frame::<Envelope>(self.controller.now_ms()) {
+                    Ok(Some(envelope)) => {
+                        conn.envelope_seen |= envelope.deadline_ms.is_some();
+                        if !self.admit_one(conn, envelope) {
+                            return false;
+                        }
+                        if conn.pending.is_some() {
+                            return true;
+                        }
+                        served = true;
+                    }
+                    Ok(None) => break,
+                    // Oversized or malformed: the stream cannot be trusted.
+                    Err(_) => return false,
+                }
             }
-            if node.is_fenced(controller.now_ms()) {
-                let response = Response::NotLeader { hint: None };
-                return respond(conn, controller, &response);
+            // One read's worth of requests a turn, so a pipelining peer
+            // cannot keep the worker. Re-arming reports whatever has
+            // arrived meanwhile, which also saves the `read` that would
+            // say "nothing".
+            if served {
+                return true;
+            }
+            match conn.fill(scratch, self.controller.now_ms()) {
+                Ok(true) => {}
+                Ok(false) => return true,
+                Err(_) => return false,
             }
         }
     }
-    let lane = envelope.request.lane();
-    let deadline = Deadline::from_budget(controller.now_ms(), envelope.deadline_ms);
-    match controller.submit(lane, deadline) {
-        Submission::Admitted(permit) => {
-            let response = execute(
-                service,
-                context,
-                controller,
-                permit,
-                deadline,
-                envelope.request,
-                envelope.trace,
-                obs,
-            );
-            respond(conn, controller, &response)
-        }
-        Submission::Queued(ticket) => {
-            conn.pending = Some(PendingRequest {
-                ticket,
-                deadline,
-                request: envelope.request,
-                trace: envelope.trace,
-            });
-            true
-        }
-        Submission::Shed { retry_after_ms } => {
-            let response = shed_response(conn.envelope_seen, retry_after_ms);
-            respond(conn, controller, &response)
-        }
-        Submission::Expired => respond(conn, controller, &Response::DeadlineExceeded),
-    }
-}
 
-/// Run a granted request, re-checking the deadline so no request ever
-/// executes past it — the permit may have been granted in the same instant
-/// the deadline lapsed.
-#[allow(clippy::too_many_arguments)]
-fn execute(
-    service: &Arc<OasisService>,
-    context: &ContextFactory,
-    controller: &Arc<AdmissionController>,
-    permit: Permit,
-    deadline: Deadline,
-    request: Request,
-    trace: Option<oasis_obs::TraceCtx>,
-    obs: &WireObs,
-) -> Response {
-    if deadline.expired(controller.now_ms()) {
-        controller.note_expired_after_admit(permit.lane());
+    /// Admission gate for one freshly read request: compute the absolute
+    /// deadline at read time (so queueing counts against the client's
+    /// budget), classify into a lane, and execute, park, or shed.
+    fn admit_one(&self, conn: &mut Conn, envelope: Envelope) -> bool {
+        // Observability probes bypass lane admission, deadline accounting,
+        // and leader gating: the snapshot that explains a flood must be
+        // answerable by any node exactly while the lanes are saturated, and
+        // a follower's registry is as interesting as the leader's.
+        if matches!(envelope.request, Request::Metrics) {
+            let response = handle_request(&self.service, &self.context, Request::Metrics);
+            return self.respond(conn, &response);
+        }
+        if let Some(node) = &self.replica {
+            // Replication traffic bypasses admission entirely: a heartbeat
+            // shed under load reads as a dead leader and forces an election
+            // at the worst possible moment. Peer frames are small, cheap,
+            // and bounded by cluster size, not client load.
+            if let Request::Peer { req } = &envelope.request {
+                let reply = node.handle(req, self.controller.now_ms());
+                return self.respond(conn, &Response::PeerAck { reply });
+            }
+            // Followers hold journal replicas, not live service state:
+            // everything except liveness checks must go to the leader. A
+            // *fenced* leader (quorum lease lapsed during an asymmetric
+            // partition) is gated the same way, with no hint — it cannot
+            // know who, if anyone, succeeded it, and a stale read served
+            // here could contradict the majority side.
+            if !matches!(envelope.request, Request::Ping) {
+                if !node.is_leader() {
+                    let response = Response::NotLeader {
+                        hint: node.leader_hint(),
+                    };
+                    return self.respond(conn, &response);
+                }
+                if node.is_fenced(self.controller.now_ms()) {
+                    return self.respond(conn, &Response::NotLeader { hint: None });
+                }
+            }
+        }
+        let lane = envelope.request.lane();
+        let deadline = Deadline::from_budget(self.controller.now_ms(), envelope.deadline_ms);
+        let response = match self.controller.submit(lane, deadline) {
+            Submission::Admitted(permit) => {
+                self.execute(permit, deadline, envelope.request, envelope.trace)
+            }
+            Submission::Queued(ticket) => {
+                conn.pending = Some(PendingRequest {
+                    ticket,
+                    deadline,
+                    request: envelope.request,
+                    trace: envelope.trace,
+                });
+                return true;
+            }
+            Submission::Shed { retry_after_ms } => {
+                shed_response(conn.envelope_seen, retry_after_ms)
+            }
+            Submission::Expired => Response::DeadlineExceeded,
+        };
+        self.respond(conn, &response)
+    }
+
+    /// Run a granted request, re-checking the deadline so no request ever
+    /// executes past it — the permit may have been granted in the same
+    /// instant the deadline lapsed.
+    fn execute(
+        &self,
+        permit: Permit,
+        deadline: Deadline,
+        request: Request,
+        trace: Option<oasis_obs::TraceCtx>,
+    ) -> Response {
+        if deadline.expired(self.controller.now_ms()) {
+            self.controller.note_expired_after_admit(permit.lane());
+            return Response::DeadlineExceeded;
+        }
+        // Re-establish the client's causal context for the duration of the
+        // request: service-side spans (svc.activate, svc.revoke, civ.*)
+        // parent onto the client's span through the ambient scope.
+        let _trace_scope = trace.map(oasis_obs::scope);
+        self.requests.inc();
+        let started = Instant::now();
+        let response = handle_request(&self.service, &self.context, request);
+        self.handle_us.observe(started.elapsed().as_micros() as u64);
         drop(permit);
-        return Response::DeadlineExceeded;
+        response
     }
-    // Re-establish the client's causal context for the duration of the
-    // request: service-side spans (svc.activate, svc.revoke, civ.*)
-    // parent onto the client's span through the ambient scope.
-    let _trace_scope = trace.map(oasis_obs::scope);
-    obs.requests.inc();
-    let started_ms = controller.now_ms();
-    let response = handle_request(service, context, request);
-    obs.handle_ms
-        .observe(controller.now_ms().saturating_sub(started_ms));
-    drop(permit);
-    response
+
+    /// Write one response; a connection we cannot write to is closed.
+    fn respond(&self, conn: &mut Conn, response: &Response) -> bool {
+        let sent = encode_frame(response).is_ok_and(|frame| conn.send(&frame).is_ok());
+        conn.last_active_ms = self.controller.now_ms();
+        sent
+    }
 }
 
 /// The shed answer a connection can actually parse: envelope-aware clients
@@ -653,18 +509,6 @@ fn shed_response(envelope_seen: bool, retry_after_ms: u64) -> Response {
         Response::Error {
             message: format!("overloaded: lane saturated, retry after {retry_after_ms} ms"),
         }
-    }
-}
-
-/// Write one response; a connection we cannot write to leaves the
-/// rotation.
-fn respond(conn: &mut Conn, controller: &Arc<AdmissionController>, response: &Response) -> bool {
-    match write_frame(&mut conn.stream, response) {
-        Ok(()) => {
-            conn.last_active_ms = controller.now_ms();
-            true
-        }
-        Err(_) => false,
     }
 }
 
@@ -740,8 +584,8 @@ fn handle_request(
         Request::Peer { .. } => Response::Error {
             message: "replication is not enabled on this node".into(),
         },
-        // Normally short-circuited in `admit_one` (admission bypass);
-        // kept here so the match stays exhaustive if that path changes.
+        // Called straight from `admit_one` (admission bypass). A no-op
+        // recorder has nothing to snapshot; `null` is still well-formed.
         Request::Metrics => Response::Metrics {
             snapshot: service
                 .obs_recorder()
