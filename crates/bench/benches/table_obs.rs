@@ -9,9 +9,12 @@
 //!   on a fresh world, so allocator state and record growth cancel.
 //! * **Cascade**: one traced revocation against a 3-node replicated CIV
 //!   with a live bus subscriber produces a causally-linked span chain —
-//!   client → `svc.revoke` → `civ.append` → `civ.commit` +
-//!   `civ.follower_ack` → `svc.cascade` — spanning ≥ 4 distinct hop
-//!   depths under a single trace id. The per-hop latency breakdown is
+//!   client → `svc.revoke` → `svc.cascade` (one per subscriber) and
+//!   `civ.append` → `civ.follower_ack` ×2 + `civ.commit` — spanning ≥ 4
+//!   distinct hop depths under a single trace id. Everything the
+//!   cascade journals rides one quorum round flushed under
+//!   `svc.revoke`, so the trace carries exactly one append/commit pair
+//!   (8 spans) however many records that is. The per-hop latency breakdown is
 //!   measured differentially: plain revoke, CIV-journaled revoke, and
 //!   CIV + subscriber revoke isolate what each stage adds.
 //!
@@ -439,6 +442,12 @@ fn obs_table() -> (String, Vec<String>) {
             cascade.ops
         );
     }
+    let rounds = cascade
+        .spans
+        .iter()
+        .filter(|l| span_str(l, "op") == "civ.append")
+        .count();
+    assert_eq!(rounds, 1, "one revocation, one quorum round");
 
     let ops_json = cascade
         .ops

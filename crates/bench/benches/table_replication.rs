@@ -19,15 +19,34 @@
 //!   commit quorum ≠ ∅) makes this provably zero; the bench asserts
 //!   it stays zero across every trial.
 //!
+//! * **rounds per cascade revoke** — quorum rounds one revocation of a
+//!   login with 1/4/16 chained dependents costs on a 3-node cluster. A
+//!   revocation scope flushes everything the cascade journals as one
+//!   batch, so the bench asserts exactly 1 whatever the depth.
+//! * **fan-out** — one quorum append over three real `WireServer`s on
+//!   loopback, with the pipelined [`WireTransport`] round (the frame
+//!   goes to every peer before the first reply is read) against the
+//!   trait's sequential default over the same sockets.
+//!
 //! Reported (also emitted to `BENCH_replication.json`): append p50/p99
-//! per cluster size, failover p50/max, and the gap.
+//! per cluster size, failover p50/max, the gap, rounds and records per
+//! cascade, and the two fan-out round times.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use oasis::store::{LocalMesh, ReplicaConfig, ReplicaNode, ReplicatedStore, StorageBackend};
+use oasis::core::{
+    Atom, Credential, EnvContext, OasisService, PrincipalId, RoleName, ServiceConfig,
+    ServiceJournal,
+};
+use oasis::facts::FactStore;
+use oasis::store::{
+    LocalMesh, PeerReply, PeerRequest, ReplicaConfig, ReplicaNode, ReplicatedStore,
+    ReplicationTransport, StorageBackend, StoreError,
+};
+use oasis::wire::{WireServer, WireTransport};
 use oasis_bench::{percentile, table_header};
 
 /// Fixed record size so the journal length counts acked entries.
@@ -366,12 +385,195 @@ fn repair_table() -> String {
     )
 }
 
+/// A login issuer journalling through `leader`, with `depth` roles
+/// chained under the initial role `r0`, each retaining its prerequisite.
+fn chained_issuer(leader: &Arc<ReplicaNode>, depth: usize) -> Arc<OasisService> {
+    let journal: Arc<dyn StorageBackend> = Arc::new(leader.replicated("journal"));
+    let snapshot: Arc<dyn StorageBackend> = Arc::new(leader.replicated("snapshot"));
+    let store = ServiceJournal::open(journal, snapshot).expect("replicated journal opens");
+    let svc = OasisService::new(
+        ServiceConfig::new("login")
+            .with_journal(store)
+            .with_revocation_retention(64),
+        Arc::new(FactStore::new()),
+    );
+    svc.define_role("r0", &[], true).unwrap();
+    svc.add_activation_rule("r0", vec![], vec![], vec![])
+        .unwrap();
+    for i in 1..=depth {
+        svc.define_role(format!("r{i}"), &[], false).unwrap();
+        svc.add_activation_rule(
+            format!("r{i}"),
+            vec![],
+            vec![Atom::prereq(format!("r{}", i - 1), vec![])],
+            vec![0],
+        )
+        .unwrap();
+    }
+    svc
+}
+
+/// TAB-H addendum — quorum rounds per cascade revocation. Returns the
+/// JSON fragment spliced into `BENCH_replication.json`.
+fn cascade_rounds_table() -> String {
+    const TRIALS: usize = 25;
+
+    table_header(
+        "TAB-H addendum: quorum rounds per cascade revoke (3 replicas)",
+        "a revocation is one round whatever it collapses",
+        " depth  records  rounds  revoke p50",
+    );
+    let alice = PrincipalId::new("alice");
+    let ctx = EnvContext::new(1);
+    let mut rows = Vec::new();
+    for depth in [1usize, 4, 16] {
+        let (_mesh, leader, _) = leader_store(3);
+        let svc = chained_issuer(&leader, depth);
+        let mut lat = Vec::with_capacity(TRIALS);
+        let (mut records, mut rounds) = (0, 0);
+        for _ in 0..TRIALS {
+            let mut rmc = svc
+                .activate_role(&alice, &RoleName::new("r0"), &[], &[], &ctx)
+                .expect("login");
+            let root = rmc.crr.cert_id;
+            for i in 1..=depth {
+                rmc = svc
+                    .activate_role(
+                        &alice,
+                        &RoleName::new(format!("r{i}")),
+                        &[],
+                        &[Credential::Rmc(rmc)],
+                        &ctx,
+                    )
+                    .expect("chained role");
+            }
+            let rounds_before = leader.stats().committed;
+            let records_before = svc.journal_stats().expect("journalled").appended;
+            let start = Instant::now();
+            assert!(svc.revoke_certificate(root, "logout", 2));
+            lat.push(start.elapsed().as_nanos() as u64);
+            assert_eq!(svc.record_stats().0, 0, "the whole chain collapsed");
+            rounds = leader.stats().committed - rounds_before;
+            assert_eq!(
+                rounds, 1,
+                "depth {depth}: a cascade revoke must cost exactly one quorum round"
+            );
+            records = svc.journal_stats().expect("journalled").appended - records_before;
+        }
+        lat.sort_unstable();
+        let p50_us = percentile(&lat, 50.0) as f64 / 1_000.0;
+        println!("{depth:>6} {records:>8} {rounds:>7} {p50_us:>9.1}us");
+        rows.push(format!(
+            "    {{\"depth\": {depth}, \"records\": {records}, \"rounds\": {rounds}, \
+             \"revoke_p50_us\": {p50_us:.2}, \"trials\": {TRIALS}}}"
+        ));
+    }
+    format!("  \"cascade_rounds\": [\n{}\n  ]", rows.join(",\n"))
+}
+
+/// [`ReplicationTransport::call_all`]'s sequential default over the
+/// same sockets as the pipelined [`WireTransport`].
+struct SequentialFanOut(WireTransport);
+
+impl ReplicationTransport for SequentialFanOut {
+    fn call(&self, peer: &str, req: &PeerRequest) -> Result<PeerReply, StoreError> {
+        self.0.call(peer, req)
+    }
+}
+
+/// Three replicas behind real `WireServer`s on loopback; returns the
+/// elected leader. The servers run until the process exits.
+fn tcp_leader(pipelined: bool) -> Arc<ReplicaNode> {
+    let addrs: Vec<std::net::SocketAddr> = {
+        let reserved: Vec<std::net::TcpListener> = (0..3)
+            .map(|_| std::net::TcpListener::bind("127.0.0.1:0").expect("reserve port"))
+            .collect();
+        reserved
+            .iter()
+            .map(|l| l.local_addr().expect("addr"))
+            .collect()
+    };
+    let ids: Vec<String> = (0..3).map(|i| format!("civ{i}")).collect();
+    let nodes: Vec<Arc<ReplicaNode>> = ids
+        .iter()
+        .zip(&addrs)
+        .map(|(id, addr)| {
+            let peers = ids.iter().filter(|p| *p != id).cloned().collect();
+            let directory = ids
+                .iter()
+                .zip(&addrs)
+                .filter(|(p, _)| *p != id)
+                .map(|(p, a)| (p.clone(), *a));
+            let wire = WireTransport::new(directory);
+            let transport: Arc<dyn ReplicationTransport> = if pipelined {
+                Arc::new(wire)
+            } else {
+                Arc::new(SequentialFanOut(wire))
+            };
+            let cfg = ReplicaConfig::new(id.clone(), peers, addr.to_string());
+            let node = Arc::new(ReplicaNode::new(cfg, transport));
+            let host = OasisService::new(ServiceConfig::new("host"), Arc::new(FactStore::new()));
+            WireServer::bind(host, &addr.to_string())
+                .expect("server binds")
+                .with_replica(Arc::clone(&node))
+                .serve_in_background()
+                .expect("server serves");
+            node
+        })
+        .collect();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let leaders: Vec<&Arc<ReplicaNode>> = nodes.iter().filter(|n| n.is_leader()).collect();
+        if let [leader] = leaders.as_slice() {
+            return Arc::clone(leader);
+        }
+        assert!(Instant::now() < deadline, "no unique leader within 10 s");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+}
+
+/// TAB-H addendum — one quorum round over real sockets, pipelined
+/// against sequential. Returns the JSON fragment spliced into
+/// `BENCH_replication.json`.
+fn fan_out_table() -> String {
+    const APPENDS: usize = 400;
+
+    table_header(
+        "TAB-H addendum: fan-out round over loopback TCP (3 replicas)",
+        "a round costs the slowest follower's round trip, not the sum",
+        "fan-out      append p50  append p99",
+    );
+    let mut fields = Vec::new();
+    for (name, pipelined) in [("sequential", false), ("pipelined", true)] {
+        let leader = tcp_leader(pipelined);
+        let store = leader.replicated("journal");
+        let mut lat: Vec<u64> = (0..APPENDS)
+            .map(|_| {
+                let start = Instant::now();
+                store.append(RECORD).expect("append commits");
+                start.elapsed().as_nanos() as u64
+            })
+            .collect();
+        lat.sort_unstable();
+        let p50 = percentile(&lat, 50.0) as f64 / 1_000.0;
+        let p99 = percentile(&lat, 99.0) as f64 / 1_000.0;
+        println!("{name:<12} {p50:>8.1}us {p99:>9.1}us");
+        fields.push(format!(
+            "\"{name}_p50_us\": {p50:.1}, \"{name}_p99_us\": {p99:.1}"
+        ));
+    }
+    format!(
+        "  \"wire_fan_out\": {{\"replicas\": 3, \"appends\": {APPENDS}, {}}}",
+        fields.join(", ")
+    )
+}
+
 fn bench_replication(c: &mut Criterion) {
     let json = replication_table();
-    let repair = repair_table();
+    let addenda = [repair_table(), cascade_rounds_table(), fan_out_table()].join(",\n");
     let json = json.replacen(
         "\n  \"series\": [",
-        &format!("\n{repair},\n  \"series\": ["),
+        &format!("\n{addenda},\n  \"series\": ["),
         1,
     );
     let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_replication.json");

@@ -8,7 +8,14 @@
 //! [`oasis_store::DurableStore`]:
 //!
 //! * every state change is appended (and synced) *before* it is
-//!   acknowledged to the caller — write-ahead journalling;
+//!   acknowledged to the caller. Issuance is write-ahead: one append,
+//!   then the in-memory apply. Revocation, expiry, delivery watermarks
+//!   and retained publications are applied as the cascade runs and
+//!   buffered in a per-service, per-thread *revocation scope* that
+//!   the outermost operation flushes as **one** append before it
+//!   returns — a cascade of N certificates is one quorum round on a
+//!   replicated journal, not 2N. A crash inside that window loses
+//!   nothing that was acknowledged: it is a crash before the append;
 //! * [`OasisService::recover`](crate::OasisService::recover) rebuilds
 //!   the full record/dependency/cache state by loading the latest
 //!   [`ServiceSnapshot`] and replaying the journal suffix idempotently;
@@ -21,6 +28,8 @@
 //! The `oasis-store` crate stays generic (bytes, frames, checksums);
 //! the *meaning* of a journal record — what replaying it does to a
 //! service — is defined here.
+
+use std::cell::RefCell;
 
 use oasis_events::{DeliveredEvent, Topic};
 use oasis_json::{FromJson, Json, JsonError, ToJson};
@@ -240,6 +249,55 @@ pub struct CatchUpReport {
 
 /// The concrete journal + snapshot store an `OasisService` recovers from.
 pub type ServiceJournal = DurableStore<SecurityEvent, ServiceSnapshot>;
+
+thread_local! {
+    /// The revocation scopes open on this thread: `(owner, events
+    /// buffered so far)`, one entry per service. Ambient (like
+    /// [`oasis_obs::scope`]) because a cascade re-enters the service
+    /// through synchronous bus callbacks; more than one entry only when
+    /// the cascade crosses services sharing a bus, each with its own
+    /// journal.
+    static SCOPES: RefCell<Vec<(usize, Vec<SecurityEvent>)>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Opens `owner`'s revocation scope on this thread. Returns `false`,
+/// changing nothing, when one is open already: only the caller that got
+/// `true` may [`close_scope`].
+pub(crate) fn open_scope(owner: usize) -> bool {
+    SCOPES.with(|scopes| {
+        let mut scopes = scopes.borrow_mut();
+        let outermost = scopes.iter().all(|(o, _)| *o != owner);
+        if outermost {
+            scopes.push((owner, Vec::new()));
+        }
+        outermost
+    })
+}
+
+/// Buffers `event` in `owner`'s open scope. Hands the event back when
+/// this thread has no scope open for `owner`.
+pub(crate) fn buffer_in_scope(owner: usize, event: SecurityEvent) -> Option<SecurityEvent> {
+    SCOPES.with(
+        |scopes| match scopes.borrow_mut().iter_mut().find(|(o, _)| *o == owner) {
+            Some((_, events)) => {
+                events.push(event);
+                None
+            }
+            None => Some(event),
+        },
+    )
+}
+
+/// Closes `owner`'s scope and returns what it buffered, in order.
+pub(crate) fn close_scope(owner: usize) -> Vec<SecurityEvent> {
+    SCOPES.with(|scopes| {
+        let mut scopes = scopes.borrow_mut();
+        match scopes.iter().position(|(o, _)| *o == owner) {
+            Some(at) => scopes.remove(at).1,
+            None => Vec::new(),
+        }
+    })
+}
 
 impl ToJson for SecurityEvent {
     fn to_json(&self) -> Json {

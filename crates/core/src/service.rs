@@ -68,8 +68,8 @@ use crate::cert::{
     Credential, CredentialKind, Crr, Rmc,
 };
 use crate::durable::{
-    CatchUpReport, RecoveryReport, RetainedEntry, SecurityEvent, ServiceJournal, ServiceSnapshot,
-    SnapshotRecord, Watermark,
+    self, CatchUpReport, RecoveryReport, RetainedEntry, SecurityEvent, ServiceJournal,
+    ServiceSnapshot, SnapshotRecord, Watermark,
 };
 use crate::env::EnvContext;
 use crate::error::OasisError;
@@ -253,10 +253,11 @@ struct Durable {
     /// snapshots only).
     snapshot_every: Option<u64>,
     appends_since_snapshot: AtomicU64,
-    /// Held (shared) across every journal-append → in-memory-apply
+    /// Held (shared) across issuance's journal-append → in-memory-apply
     /// window, and exclusively by [`OasisService::snapshot`], so a
     /// snapshot's `covered_seq` never claims an event whose effect is
-    /// not yet applied.
+    /// not yet applied. Revocation-side events need no guard: a
+    /// revocation scope appends them only after they are applied.
     commit: RwLock<()>,
     /// True while [`OasisService::recover`] replays: suppresses
     /// journalling (replay must not re-journal itself) and bus
@@ -278,6 +279,29 @@ struct Durable {
     /// replica-promoted) node rebuilds the retained ring with its
     /// original sequence numbers and keeps serving gap-free catch-ups.
     retain_publishes: bool,
+}
+
+/// Guard for a service's open revocation scope (see
+/// [`OasisService::revocation_scope`]): dropping it flushes.
+struct RevocationScope<'a> {
+    service: &'a OasisService,
+    durable: &'a Durable,
+}
+
+impl Drop for RevocationScope<'_> {
+    fn drop(&mut self) {
+        let events = durable::close_scope(self.service.scope_owner());
+        // A journal failure does NOT undo a revocation: losing the
+        // entries risks resurrecting a certificate on recovery, but
+        // refusing to revoke would keep live authority standing —
+        // strictly worse. The append error is deliberately dropped.
+        if self.durable.store.append_batch(&events).is_ok() {
+            self.durable
+                .appends_since_snapshot
+                .fetch_add(events.len() as u64, Ordering::Relaxed);
+        }
+        self.service.maybe_autosnapshot();
+    }
 }
 
 /// Configuration for constructing an [`OasisService`].
@@ -943,26 +967,63 @@ impl OasisService {
     // Durability: write-ahead journal, snapshots, recovery, catch-up
     // ------------------------------------------------------------------
 
-    /// Appends `event` to the journal (no-op without a journal, or
-    /// while recovery is replaying).
+    /// Journals `event` (no-op without a journal, or while recovery is
+    /// replaying): buffered when this thread has a revocation scope open
+    /// for this service — the scope's flush appends it — and appended
+    /// right away otherwise.
     ///
     /// # Errors
     ///
-    /// [`OasisError::Journal`] when the backing store rejects the
-    /// append — the caller decides whether that aborts the operation
-    /// (issuance: yes) or merely loses durability (revocation: no).
-    fn journal(&self, event: &SecurityEvent) -> Result<(), OasisError> {
+    /// [`OasisError::Journal`] when the backing store rejects an
+    /// immediate append — the caller decides whether that aborts the
+    /// operation (issuance: yes) or merely loses durability
+    /// (validation memo, epoch marker: no). Buffering cannot fail.
+    fn journal(&self, event: SecurityEvent) -> Result<(), OasisError> {
         let Some(d) = &self.durable else {
             return Ok(());
         };
         if d.replaying.load(Ordering::Relaxed) {
             return Ok(());
         }
+        let Some(event) = durable::buffer_in_scope(self.scope_owner(), event) else {
+            return Ok(());
+        };
         d.store
-            .append(event)
+            .append(&event)
             .map_err(|e| OasisError::Journal(e.to_string()))?;
         d.appends_since_snapshot.fetch_add(1, Ordering::Relaxed);
         Ok(())
+    }
+
+    /// This service's key in the per-thread revocation-scope table.
+    fn scope_owner(&self) -> usize {
+        std::ptr::from_ref(self).addr()
+    }
+
+    /// Opens this service's *revocation scope* on the calling thread,
+    /// unless it is open already (`None`: the caller runs inside an
+    /// outer operation's scope). Until the returned guard drops, every
+    /// [`OasisService::journal`] call on this thread buffers; the drop
+    /// appends the buffer as one batch — sequence numbers are assigned
+    /// there, never while buffering — and then takes a due
+    /// auto-snapshot. Every operation that revokes opens one, so the
+    /// outermost flushes the whole cascade once, before it returns and
+    /// hence before anything is acknowledged.
+    ///
+    /// Declare the guard *after* any `oasis_obs` scope guard: locals
+    /// drop in reverse order, and the flush must still see the
+    /// operation's trace context.
+    ///
+    /// Issuance never runs inside a scope (nothing a cascade calls
+    /// issues a certificate), so its append stays write-ahead.
+    fn revocation_scope(&self) -> Option<RevocationScope<'_>> {
+        let durable = self.durable.as_ref()?;
+        // Lazily: a guard built for a nested call would flush the outer
+        // operation's buffer when it dropped.
+        durable::open_scope(self.scope_owner()).then(|| RevocationScope {
+            service: self,
+            durable,
+        })
     }
 
     /// True exactly once after [`OasisService::chaos_arm_crash_after_journal`]:
@@ -991,7 +1052,7 @@ impl OasisService {
 
     /// Takes an automatic snapshot when the configured append budget is
     /// spent. Called from mutating operations *after* their in-memory
-    /// apply, with no lock held.
+    /// apply (revocations: after the scope's flush), with no lock held.
     fn maybe_autosnapshot(&self) {
         let Some(d) = &self.durable else {
             return;
@@ -1010,7 +1071,7 @@ impl OasisService {
     fn remember_validation(&self, crr: &Crr, presenter: &PrincipalId, now: u64) {
         if let Some(cache) = &self.vcache {
             cache.store(crr.clone(), presenter.clone(), now);
-            let _ = self.journal(&SecurityEvent::ValidationGranted {
+            let _ = self.journal(SecurityEvent::ValidationGranted {
                 crr: crr.clone(),
                 presenter: presenter.clone(),
                 at: now,
@@ -1025,7 +1086,7 @@ impl OasisService {
     pub fn rotate_secret(&self, now: u64) -> SecretEpoch {
         self.last_now.store(now, Ordering::Relaxed);
         let epoch = self.secret.rotate();
-        let _ = self.journal(&SecurityEvent::EpochChanged {
+        let _ = self.journal(SecurityEvent::EpochChanged {
             epoch: epoch.0,
             at: now,
         });
@@ -1448,6 +1509,7 @@ impl OasisService {
         complete: bool,
         now: u64,
     ) -> CatchUpReport {
+        let _batch = self.revocation_scope();
         self.last_now.store(now, Ordering::Relaxed);
         let mut report = CatchUpReport {
             replayed: events.len() as u64,
@@ -1510,6 +1572,7 @@ impl OasisService {
         } else {
             None
         };
+        let _batch = self.revocation_scope();
         if let Some(cache) = &self.vcache {
             cache.invalidate(&event.payload.crr);
         }
@@ -1518,8 +1581,7 @@ impl OasisService {
             .as_ref()
             .filter(|_| event.topic != revocation_topic(&self.id))
         {
-            let _commit = d.commit.read();
-            let _ = self.journal(&SecurityEvent::RevocationApplied {
+            let _ = self.journal(SecurityEvent::RevocationApplied {
                 topic: event.topic.as_str().to_string(),
                 topic_seq: event.topic_seq,
                 global_seq: event.global_seq,
@@ -1529,10 +1591,8 @@ impl OasisService {
             let entry = wm.entry(event.topic.as_str().to_string()).or_insert((0, 0));
             entry.0 = entry.0.max(event.topic_seq);
             entry.1 = entry.1.max(event.global_seq);
-            drop(wm);
         }
         self.handle_revocation_event(&event.payload);
-        self.maybe_autosnapshot();
     }
 
     /// Publishes on this service's own revocation topic and — when the
@@ -1545,16 +1605,15 @@ impl OasisService {
         let topic = revocation_topic(&self.id);
         let (topic_seq, global_seq, _delivered) =
             self.bus.publish_at_tracked(&topic, event.clone(), now);
-        if let Some(d) = self
+        if self
             .durable
             .as_ref()
-            .filter(|d| d.retain_publishes && !d.replaying.load(Ordering::Relaxed))
+            .is_some_and(|d| d.retain_publishes && !d.replaying.load(Ordering::Relaxed))
         {
-            let _commit = d.commit.read();
             // Best-effort, like the CertRevoked append itself: losing
             // the ring entry degrades catch-up completeness, never
             // blocks the revocation.
-            let _ = self.journal(&SecurityEvent::RetainedPublished {
+            let _ = self.journal(SecurityEvent::RetainedPublished {
                 entry: RetainedEntry {
                     topic: topic.as_str().to_string(),
                     topic_seq,
@@ -1705,6 +1764,7 @@ impl OasisService {
     /// by `issuer` (the fail-safe degradation step). Cascades collapse
     /// transitive dependents as for any other revocation.
     fn deactivate_issuer_dependents(&self, issuer: &ServiceId, now: u64) -> Vec<Crr> {
+        let _batch = self.revocation_scope();
         let mut victims: Vec<Crr> = Vec::new();
         // Ascending shard order, one lock at a time.
         for shard in &self.shards {
@@ -2327,7 +2387,7 @@ impl OasisService {
         let retained_creds = depends_on.clone();
         {
             let _commit = self.durable.as_ref().map(|d| d.commit.read());
-            self.journal(&SecurityEvent::CertIssued {
+            self.journal(SecurityEvent::CertIssued {
                 record: record.clone(),
                 depends_on: depends_on.clone(),
                 retained_checks: retained_checks.clone(),
@@ -2579,7 +2639,7 @@ impl OasisService {
         };
         {
             let _commit = self.durable.as_ref().map(|d| d.commit.read());
-            self.journal(&SecurityEvent::CertIssued {
+            self.journal(SecurityEvent::CertIssued {
                 record: record.clone(),
                 depends_on: Vec::new(),
                 retained_checks: Vec::new(),
@@ -2635,6 +2695,7 @@ impl OasisService {
         } else {
             None
         };
+        let _batch = self.revocation_scope();
         let revoked = self.revoke_certificate_inner(cert_id, reason, now);
         if revoked {
             revocations.inc();
@@ -2644,9 +2705,8 @@ impl OasisService {
 
     fn revoke_certificate_inner(&self, cert_id: CertId, reason: &str, now: u64) -> bool {
         self.last_now.store(now, Ordering::Relaxed);
-        // Check without mutating first: the journal entry must precede
-        // the in-memory change, and must only be written for a
-        // revocation that will actually happen.
+        // Check without mutating first: the journal entry must only be
+        // written for a revocation that will actually happen.
         {
             let shard = self.record_shard(cert_id).lock();
             match shard.records.get(&cert_id) {
@@ -2655,16 +2715,13 @@ impl OasisService {
             }
         }
         let crr = {
-            let _commit = self.durable.as_ref().map(|d| d.commit.read());
-            // A journal failure does NOT abort a revocation: losing the
-            // entry risks resurrecting the certificate on recovery, but
-            // refusing to revoke would keep live authority standing —
-            // strictly worse. The append error is deliberately dropped.
-            let _ = self.journal(&SecurityEvent::CertRevoked {
+            let _ = self.journal(SecurityEvent::CertRevoked {
                 cert_id,
                 reason: reason.to_string(),
                 at: now,
             });
+            // The scope still flushes on the way out: journalled, not
+            // applied.
             if self.chaos_crash_pending() {
                 return false;
             }
@@ -2702,7 +2759,6 @@ impl OasisService {
             },
             now,
         );
-        self.maybe_autosnapshot();
         true
     }
 
@@ -2714,6 +2770,7 @@ impl OasisService {
     /// certificates are *not* touched — their lifetime is independent of
     /// sessions. Returns how many certificates were revoked directly.
     pub fn end_session(&self, principal: &PrincipalId, reason: &str, now: u64) -> usize {
+        let _batch = self.revocation_scope();
         let mut to_revoke: Vec<CertId> = Vec::new();
         // Ascending shard order, one lock at a time.
         for shard in &self.shards {
@@ -2743,6 +2800,7 @@ impl OasisService {
     /// Marks a certificate expired and collapses its dependents, exactly
     /// like a revocation but recorded as expiry.
     fn expire_certificate(&self, cert_id: CertId, now: u64) {
+        let _batch = self.revocation_scope();
         {
             let shard = self.record_shard(cert_id).lock();
             match shard.records.get(&cert_id) {
@@ -2751,10 +2809,7 @@ impl OasisService {
             }
         }
         let crr = {
-            let _commit = self.durable.as_ref().map(|d| d.commit.read());
-            // As with revocation, a journal failure loses durability
-            // but never blocks the expiry itself.
-            let _ = self.journal(&SecurityEvent::CertExpired { cert_id, at: now });
+            let _ = self.journal(SecurityEvent::CertExpired { cert_id, at: now });
             if self.chaos_crash_pending() {
                 return;
             }
@@ -2779,13 +2834,13 @@ impl OasisService {
             },
             now,
         );
-        self.maybe_autosnapshot();
     }
 
     /// Proactively expires every appointment certificate past its deadline
     /// at `now`; returns how many lapsed. (Expiry is otherwise noticed
     /// lazily at validation time.)
     pub fn expire_certificates(&self, now: u64) -> usize {
+        let _batch = self.revocation_scope();
         let mut due: Vec<CertId> = Vec::new();
         for shard in &self.shards {
             let shard = shard.lock();
@@ -2838,6 +2893,7 @@ impl OasisService {
     /// retained the fact (positively or negatively) are revoked when the
     /// fact flips.
     fn handle_fact_change(&self, change: &FactChange<Value>) {
+        let _batch = self.revocation_scope();
         let expected_present = match change {
             FactChange::Retracted { .. } => true,
             FactChange::Inserted { .. } => false,
@@ -2917,6 +2973,7 @@ impl OasisService {
     }
 
     fn recheck(&self, ctx: &EnvContext, roles: Option<&HashSet<RoleName>>) -> Vec<Crr> {
+        let _batch = self.revocation_scope();
         self.last_now.store(ctx.now(), Ordering::Relaxed);
         // Epoch read *before* collecting: a fact change racing the sweep
         // lands at a higher epoch than the watermark we store, forcing

@@ -192,21 +192,30 @@ impl fmt::Display for Json {
     }
 }
 
+/// Writes `s` as a JSON string literal. Bytes that need no escape leave
+/// in runs, one `write_str` per run; every escaped byte is ASCII, so a run
+/// always ends on a character boundary.
 fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
     f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            '\u{08}' => f.write_str("\\b")?,
-            '\u{0C}' => f.write_str("\\f")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => f.write_fmt(format_args!("{c}"))?,
+    let mut run_start = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
         }
+        f.write_str(&s[run_start..i])?;
+        match b {
+            b'"' => f.write_str("\\\"")?,
+            b'\\' => f.write_str("\\\\")?,
+            b'\n' => f.write_str("\\n")?,
+            b'\r' => f.write_str("\\r")?,
+            b'\t' => f.write_str("\\t")?,
+            0x08 => f.write_str("\\b")?,
+            0x0C => f.write_str("\\f")?,
+            _ => write!(f, "\\u{b:04x}")?,
+        }
+        run_start = i + 1;
     }
+    f.write_str(&s[run_start..])?;
     f.write_str("\"")
 }
 
@@ -724,6 +733,58 @@ mod tests {
         assert_eq!(Json::parse(&text).unwrap(), Json::Str(ugly.into()));
     }
 
+    /// The printer this crate shipped before strings left in runs: one
+    /// `write` per character. Kept as the reference the run-wise writer
+    /// must match byte for byte (journal frames and wire frames are
+    /// compared across versions).
+    fn escaped_per_char(s: &str) -> String {
+        let mut out = String::from("\"");
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                '\u{08}' => out.push_str("\\b"),
+                '\u{0C}' => out.push_str("\\f"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    #[test]
+    fn run_wise_escaping_matches_the_per_character_writer() {
+        let every_control: String = (0u8..0x20).map(char::from).collect();
+        for s in [
+            "",
+            "plain ascii run",
+            "\"",
+            "\\",
+            "\"\"\\\\",
+            "ends with quote\"",
+            "\"starts with quote",
+            "line\nfeed\rreturn\ttab\u{08}bs\u{0C}ff",
+            every_control.as_str(),
+            "\u{7f}del is not escaped",
+            "é☃😀 multi-byte",
+            "☃\"☃\\☃\n☃\u{1}☃",
+            "\u{0}\u{1f}é\u{0}",
+        ] {
+            assert_eq!(to_string(s), escaped_per_char(s), "{s:?}");
+            assert_eq!(Json::parse(&to_string(s)).unwrap(), Json::str(s), "{s:?}");
+        }
+        // Keys go through the same writer.
+        let obj = Json::obj(vec![("k\"\n☃", Json::Null)]);
+        assert_eq!(
+            obj.to_string(),
+            format!("{{{}:null}}", escaped_per_char("k\"\n☃"))
+        );
+    }
+
     #[test]
     fn unicode_escapes_parse() {
         assert_eq!(Json::parse("\"\\u2603\"").unwrap(), Json::Str("☃".into()));
@@ -800,6 +861,7 @@ mod tests {
             #[test]
             fn arbitrary_strings_round_trip(s in ".*") {
                 let text = Json::Str(s.clone()).to_string();
+                prop_assert_eq!(&text, &escaped_per_char(&s));
                 prop_assert_eq!(Json::parse(&text).unwrap(), Json::Str(s));
             }
 

@@ -52,7 +52,8 @@ pub struct TailReport {
 /// Counters for one journal handle (shared across clones).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct JournalStats {
-    /// Records appended through this handle's shared state.
+    /// Records appended through this handle's shared state — records,
+    /// not backend appends: a batch of four counts four.
     pub appended: u64,
     /// Payload + framing bytes written by appends.
     pub bytes_written: u64,
@@ -104,13 +105,13 @@ fn checksum(seq: u64, payload: &[u8]) -> u64 {
     u64::from_le_bytes(digest[..8].try_into().expect("8-byte prefix"))
 }
 
-fn frame(seq: u64, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER + payload.len());
+/// Appends one frame to `out`.
+fn push_frame(out: &mut Vec<u8>, seq: u64, payload: &[u8]) {
+    out.reserve(HEADER + payload.len());
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     out.extend_from_slice(&seq.to_le_bytes());
     out.extend_from_slice(&checksum(seq, payload).to_le_bytes());
     out.extend_from_slice(payload);
-    out
 }
 
 /// One raw frame recovered by the scanner.
@@ -200,15 +201,30 @@ impl<T: ToJson + FromJson> Journal<T> {
     /// have reached the backend. Nothing is acknowledged before the
     /// backend accepts the write.
     pub fn append(&self, record: &T) -> Result<u64, StoreError> {
-        let payload = oasis_json::to_string(record).into_bytes();
+        self.append_batch(std::slice::from_ref(record))
+    }
+
+    /// Appends `records` as consecutive frames in **one** backend
+    /// append — over a replicated backend, one quorum round — and
+    /// returns the last sequence number assigned (the current
+    /// [`Journal::last_seq`] for an empty batch, which writes nothing).
+    /// The region bytes equal those of appending the records one at a
+    /// time; all of them are acknowledged together or none is.
+    pub fn append_batch(&self, records: &[T]) -> Result<u64, StoreError> {
+        let payloads: Vec<String> = records.iter().map(|r| oasis_json::to_string(r)).collect();
         let mut state = self.state.lock();
-        let seq = state.next_seq;
-        let framed = frame(seq, &payload);
+        if payloads.is_empty() {
+            return Ok(state.next_seq - 1);
+        }
+        let mut framed = Vec::new();
+        for (seq, payload) in (state.next_seq..).zip(&payloads) {
+            push_frame(&mut framed, seq, payload.as_bytes());
+        }
         self.backend.append(&framed)?;
-        state.next_seq = seq + 1;
-        state.stats.appended += 1;
+        state.next_seq += payloads.len() as u64;
+        state.stats.appended += payloads.len() as u64;
         state.stats.bytes_written += framed.len() as u64;
-        Ok(seq)
+        Ok(state.next_seq - 1)
     }
 
     /// Reads and decodes every valid record, tolerating (and
@@ -246,7 +262,7 @@ impl<T: ToJson + FromJson> Journal<T> {
         let mut dropped = 0u64;
         for f in &frames {
             if f.seq > through {
-                kept.extend_from_slice(&frame(f.seq, f.payload));
+                push_frame(&mut kept, f.seq, f.payload);
             } else {
                 dropped += 1;
             }
@@ -343,6 +359,88 @@ mod tests {
                 assert!(loaded.records.iter().all(|(s, _)| *s >= 1), "cut {cut}");
             }
         }
+    }
+
+    /// Counts the writes that reach the wrapped region.
+    struct CountingBackend {
+        inner: MemBackend,
+        appends: std::sync::atomic::AtomicUsize,
+    }
+
+    impl StorageBackend for CountingBackend {
+        fn read(&self) -> Result<Vec<u8>, StoreError> {
+            self.inner.read()
+        }
+        fn append(&self, bytes: &[u8]) -> Result<(), StoreError> {
+            self.appends
+                .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            self.inner.append(bytes)
+        }
+        fn replace(&self, bytes: &[u8]) -> Result<(), StoreError> {
+            self.inner.replace(bytes)
+        }
+    }
+
+    fn notes(names: &[&str]) -> Vec<Note> {
+        names.iter().map(|n| Note((*n).to_string())).collect()
+    }
+
+    #[test]
+    fn batch_is_one_backend_append_with_consecutive_seqs() {
+        let backend = Arc::new(CountingBackend {
+            inner: MemBackend::new(),
+            appends: Default::default(),
+        });
+        let (j, _) =
+            Journal::<Note>::open(Arc::clone(&backend) as Arc<dyn StorageBackend>).unwrap();
+        assert_eq!(j.append(&Note("first".into())).unwrap(), 1);
+        assert_eq!(j.append_batch(&notes(&["a", "b", "c"])).unwrap(), 4);
+        assert_eq!(backend.appends.load(std::sync::atomic::Ordering::SeqCst), 2);
+        assert_eq!(j.stats().appended, 4, "records, not backend appends");
+
+        // An empty batch writes nothing and burns no sequence number.
+        assert_eq!(j.append_batch(&[]).unwrap(), 4);
+        assert_eq!(backend.appends.load(std::sync::atomic::Ordering::SeqCst), 2);
+        assert_eq!(j.append(&Note("last".into())).unwrap(), 5);
+
+        // The region is what one-at-a-time appends write.
+        let (one_by_one, plain) = mem_journal();
+        for note in notes(&["first", "a", "b", "c", "last"]) {
+            one_by_one.append(&note).unwrap();
+        }
+        assert_eq!(backend.read().unwrap(), plain.read().unwrap());
+        let seqs: Vec<u64> = j.load().unwrap().records.iter().map(|(s, _)| *s).collect();
+        assert_eq!(seqs, vec![1, 2, 3, 4, 5]);
+    }
+
+    #[test]
+    fn failed_batch_acknowledges_nothing() {
+        let (j, backend) = mem_journal();
+        j.append(&Note("kept".into())).unwrap();
+        backend.poison("disk full");
+        assert!(j.append_batch(&notes(&["x", "y"])).is_err());
+        backend.heal();
+        assert_eq!(j.last_seq(), 1);
+        assert_eq!(j.append_batch(&notes(&["x", "y"])).unwrap(), 3);
+    }
+
+    #[test]
+    fn tear_inside_a_batch_heals_to_the_last_whole_frame() {
+        let (j, backend) = mem_journal();
+        j.append_batch(&notes(&["one", "two", "three", "four"]))
+            .unwrap();
+        let whole = backend.read().unwrap();
+        let frame_len = |text: &str| HEADER + text.len() + 2; // JSON quotes
+        let two_frames = frame_len("one") + frame_len("two");
+        // Crash mid-write: the region ends a few bytes into frame 3.
+        let torn = MemBackend::new();
+        torn.append_garbage(&whole[..two_frames + HEADER + 2]);
+        let (reopened, tail) = Journal::<Note>::open(Arc::new(torn.clone())).unwrap();
+        assert!(tail.torn);
+        assert_eq!(tail.torn_bytes as usize, HEADER + 2);
+        assert_eq!(torn.len(), two_frames, "healed to the 2-frame boundary");
+        assert_eq!(reopened.load().unwrap().records.len(), 2);
+        assert_eq!(reopened.append(&Note("next".into())).unwrap(), 3);
     }
 
     #[test]

@@ -130,6 +130,13 @@ where
         self.journal.append(event)
     }
 
+    /// Appends `events` in one backend append (see
+    /// [`Journal::append_batch`]); returns the last sequence number
+    /// assigned.
+    pub fn append_batch(&self, events: &[E]) -> Result<u64, StoreError> {
+        self.journal.append_batch(events)
+    }
+
     /// Loads the snapshot (if valid) and every journal record after
     /// it, tolerating a torn journal tail and a corrupt snapshot.
     pub fn load(&self) -> Result<Recovered<E, S>, StoreError> {

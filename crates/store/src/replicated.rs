@@ -609,6 +609,17 @@ impl FromJson for PeerReply {
 pub trait ReplicationTransport: Send + Sync {
     /// Delivers `req` to `peer` and returns its reply.
     fn call(&self, peer: &str, req: &PeerRequest) -> Result<PeerReply, StoreError>;
+
+    /// One fan-out round: delivers `req` to every peer and returns the
+    /// replies in `peers` order. Every peer is contacted before any
+    /// reply is acted on. The default calls the peers one after the
+    /// other, in order — what a deterministic in-process transport
+    /// wants; a networked transport overrides it to put the frame on
+    /// every link before it waits for the first reply, so a round costs
+    /// the slowest peer's round trip, not the sum of them.
+    fn call_all(&self, peers: &[String], req: &PeerRequest) -> Vec<Result<PeerReply, StoreError>> {
+        peers.iter().map(|peer| self.call(peer, req)).collect()
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -680,7 +691,9 @@ impl ReplicaConfig {
 /// Counters exposed for tests, benches, and chaos traces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ReplicaStats {
-    /// Entries this node replicated as leader with quorum ack.
+    /// Quorum rounds this node committed as leader — rounds, not
+    /// records: one [`RegionOp`] is one round however many journal
+    /// frames its bytes hold.
     pub committed: u64,
     /// Writes rejected because quorum was not reached.
     pub no_quorum: u64,
@@ -1209,13 +1222,14 @@ impl ReplicaNode {
         };
         let mut acks = 1usize; // self
         let mut contacts = 1usize; // peers that answered at our term
-        for peer in &self.config.peers {
+        let replies = self.transport.call_all(&self.config.peers, &msg);
+        for (peer, reply) in self.config.peers.iter().zip(replies) {
             if let Ok(PeerReply::ReplicateAck {
                 term: t,
                 ok,
                 last_index: peer_index,
                 log_hash: peer_hash,
-            }) = self.transport.call(peer, &msg)
+            }) = reply
             {
                 if t > term {
                     self.step_down(t);
@@ -1928,8 +1942,8 @@ impl ReplicaNode {
             last_term,
         };
         let mut grants = 1usize; // own vote
-        for peer in &self.config.peers {
-            if let Ok(PeerReply::Vote { term: t, granted }) = self.transport.call(peer, &msg) {
+        for reply in self.transport.call_all(&self.config.peers, &msg) {
+            if let Ok(PeerReply::Vote { term: t, granted }) = reply {
                 if t > term {
                     self.step_down(t);
                     return false;
@@ -1978,9 +1992,8 @@ impl ReplicaNode {
             last_term,
         };
         let mut grants = 1usize; // would vote for ourselves
-        for peer in &self.config.peers {
-            if let Ok(PeerReply::PreVoteAck { term: t, granted }) = self.transport.call(peer, &msg)
-            {
+        for reply in self.transport.call_all(&self.config.peers, &msg) {
+            if let Ok(PeerReply::PreVoteAck { term: t, granted }) = reply {
                 if t > current {
                     self.step_down(t);
                     self.stats.lock().pre_votes_blocked += 1;
@@ -2025,13 +2038,14 @@ impl ReplicaNode {
             entries: Vec::new(),
         };
         let mut contacts = 1usize;
-        for peer in &self.config.peers {
+        let replies = self.transport.call_all(&self.config.peers, &msg);
+        for (peer, reply) in self.config.peers.iter().zip(replies) {
             if let Ok(PeerReply::ReplicateAck {
                 term: t,
                 ok,
                 last_index: peer_index,
                 log_hash: peer_hash,
-            }) = self.transport.call(peer, &msg)
+            }) = reply
             {
                 if t > term {
                     self.step_down(t);

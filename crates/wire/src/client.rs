@@ -1,5 +1,6 @@
 //! The client side: a call/return connection to a [`WireServer`](crate::WireServer).
 
+use std::io::Write;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -10,7 +11,7 @@ use oasis_core::{CertEvent, Credential, Crr, OasisService, PrincipalId, Value};
 use oasis_events::DeliveredEvent;
 
 use crate::error::WireError;
-use crate::frame::{read_frame, write_frame};
+use crate::frame::{encode_frame, read_frame};
 use crate::proto::{Envelope, Request, Response};
 
 /// Deadlines for the blocking client's socket operations. `None` means
@@ -228,19 +229,48 @@ impl WireClient {
         request: &Request,
         deadline_ms: Option<u64>,
     ) -> Result<Response, WireError> {
-        match (deadline_ms, self.trace) {
+        self.send(request, deadline_ms)?;
+        self.recv()
+    }
+
+    /// The first half of an exchange: writes `request` as one frame and
+    /// returns without waiting for the answer, which the next
+    /// [`WireClient::recv`] reads. A caller with several connections
+    /// sends on all of them before it receives on any.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError::FrameTooLarge`], or transport errors
+    /// ([`WireError::TimedOut`] when the write deadline expires).
+    pub fn send(&mut self, request: &Request, deadline_ms: Option<u64>) -> Result<(), WireError> {
+        let frame = match (deadline_ms, self.trace) {
             // Bare request: byte-identical to the pre-deadline format.
-            (None, None) => write_frame(&mut self.stream, request),
-            (deadline_ms, trace) => write_frame(
-                &mut self.stream,
-                &Envelope {
-                    deadline_ms,
-                    request: request.clone(),
-                    trace,
-                },
-            ),
-        }
-        .map_err(|e| e.normalise_timeout("write"))?;
+            (None, None) => encode_frame(request),
+            (deadline_ms, trace) => encode_frame(&Envelope {
+                deadline_ms,
+                request: request.clone(),
+                trace,
+            }),
+        }?;
+        self.send_frame(&frame)
+    }
+
+    /// Writes an already encoded request frame (see
+    /// [`encode_frame`]): a frame bound for several peers is encoded
+    /// once.
+    pub(crate) fn send_frame(&mut self, frame: &[u8]) -> Result<(), WireError> {
+        self.stream
+            .write_all(frame)
+            .map_err(|e| WireError::Io(e).normalise_timeout("write"))
+    }
+
+    /// The second half of an exchange: reads the answer to the oldest
+    /// request sent and not yet answered.
+    ///
+    /// # Errors
+    ///
+    /// As [`WireClient::call`].
+    pub fn recv(&mut self) -> Result<Response, WireError> {
         match read_frame::<_, Response>(&mut self.stream)
             .map_err(|e| e.normalise_timeout("read"))?
         {

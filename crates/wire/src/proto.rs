@@ -369,6 +369,16 @@ impl FromJson for RetainedEvent {
     }
 }
 
+/// [`Request::Peer`] by reference: encodes the same frame without owning
+/// (or cloning) the replication message.
+pub(crate) struct PeerFrame<'a>(pub(crate) &'a PeerRequest);
+
+impl ToJson for PeerFrame<'_> {
+    fn to_json(&self) -> Json {
+        tagged("Peer", vec![("req", self.0.to_json())])
+    }
+}
+
 impl ToJson for Request {
     fn to_json(&self) -> Json {
         match self {
@@ -438,7 +448,7 @@ impl ToJson for Request {
                     ("after_topic_seq", after_topic_seq.to_json()),
                 ],
             ),
-            Request::Peer { req } => tagged("Peer", vec![("req", req.to_json())]),
+            Request::Peer { req } => PeerFrame(req).to_json(),
             Request::Ping => Json::Str("Ping".into()),
             Request::Metrics => Json::Str("Metrics".into()),
         }

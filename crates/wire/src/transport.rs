@@ -29,11 +29,18 @@ use oasis_store::{PeerReply, PeerRequest, ReplicationTransport, StoreError};
 
 use crate::client::{WireClient, WireTimeouts};
 use crate::error::WireError;
-use crate::proto::{Request, Response};
+use crate::frame::encode_frame;
+use crate::proto::{PeerFrame, Request, Response};
 
 /// [`ReplicationTransport`] over TCP: resolves peer node ids to
 /// addresses through a static directory and keeps one cached
 /// [`WireClient`] per peer.
+///
+/// A fan-out round ([`ReplicationTransport::call_all`]) is pipelined:
+/// the [`Request::Peer`](crate::proto::Request::Peer) frame is encoded
+/// once and written to every peer before the first reply is read, so a
+/// round costs the slowest peer's round trip rather than the sum. A
+/// single [`ReplicationTransport::call`] is a round of one.
 ///
 /// A transport error drops the cached connection (the peer may be
 /// restarting) and surfaces as [`StoreError::Io`]; the replication core
@@ -43,6 +50,9 @@ use crate::proto::{Request, Response};
 /// would slow every peer behind the broken one.
 pub struct WireTransport {
     peers: HashMap<String, SocketAddr>,
+    /// Idle connections. A round checks its peers' connections out and
+    /// returns the ones that still work, so this lock is never held
+    /// across socket I/O or a dial.
     connections: Mutex<HashMap<String, WireClient>>,
     timeouts: WireTimeouts,
 }
@@ -76,37 +86,79 @@ impl WireTransport {
         }
     }
 
-    fn try_call(
+    /// Writes `frame` to `peer`, on `cached` when the round found an
+    /// idle connection and on a fresh dial otherwise.
+    fn send(
         &self,
         peer: &str,
-        addr: SocketAddr,
-        req: &PeerRequest,
-    ) -> Result<PeerReply, WireError> {
-        let mut connections = self.connections.lock();
-        let client = match connections.entry(peer.to_string()) {
-            std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(WireClient::connect_with(addr, self.timeouts)?)
+        cached: Option<WireClient>,
+        frame: &[u8],
+    ) -> Result<WireClient, StoreError> {
+        let mut client = match cached {
+            Some(client) => client,
+            None => {
+                let addr = self
+                    .peers
+                    .get(peer)
+                    .ok_or_else(|| StoreError::Io(format!("unknown peer `{peer}`")))?;
+                WireClient::connect_with(addr, self.timeouts).map_err(|e| peer_error(peer, &e))?
             }
         };
-        match client.call(&Request::Peer { req: req.clone() }) {
-            Ok(Response::PeerAck { reply }) => Ok(reply),
-            Ok(other) => Err(WireError::UnexpectedResponse(format!("{other:?}"))),
-            Err(e) => Err(e),
-        }
+        client.send_frame(frame).map_err(|e| peer_error(peer, &e))?;
+        Ok(client)
     }
+}
+
+fn peer_error(peer: &str, e: &WireError) -> StoreError {
+    StoreError::Io(format!("peer `{peer}`: {e}"))
 }
 
 impl ReplicationTransport for WireTransport {
     fn call(&self, peer: &str, req: &PeerRequest) -> Result<PeerReply, StoreError> {
-        let Some(addr) = self.peers.get(peer).copied() else {
-            return Err(StoreError::Io(format!("unknown peer `{peer}`")));
+        self.call_all(&[peer.to_string()], req)
+            .pop()
+            .expect("one reply per peer")
+    }
+
+    fn call_all(&self, peers: &[String], req: &PeerRequest) -> Vec<Result<PeerReply, StoreError>> {
+        let frame = match encode_frame(&PeerFrame(req)) {
+            Ok(frame) => frame,
+            Err(e) => return peers.iter().map(|peer| Err(peer_error(peer, &e))).collect(),
         };
-        self.try_call(peer, addr, req).map_err(|e| {
-            // Whatever went wrong, the cached stream is suspect.
-            self.connections.lock().remove(peer);
-            StoreError::Io(format!("peer `{peer}`: {e}"))
-        })
+        let cached: Vec<Option<WireClient>> = {
+            let mut idle = self.connections.lock();
+            peers.iter().map(|peer| idle.remove(peer)).collect()
+        };
+        // Connected peers first: a peer that must be dialled may be dead,
+        // and its dial may take the whole connect deadline — the live
+        // peers' frames are on the wire before that wait starts.
+        let mut sent: Vec<Option<Result<WireClient, StoreError>>> = cached
+            .into_iter()
+            .zip(peers)
+            .map(|(cached, peer)| cached.map(|client| self.send(peer, Some(client), &frame)))
+            .collect();
+        for (slot, peer) in sent.iter_mut().zip(peers) {
+            slot.get_or_insert_with(|| self.send(peer, None, &frame));
+        }
+        // Whatever went wrong with a peer, its stream is suspect: only a
+        // connection that answered goes back to the cache.
+        sent.into_iter()
+            .zip(peers)
+            .map(|(link, peer)| {
+                let mut client = link.expect("every peer was sent to")?;
+                match client.recv() {
+                    Ok(Response::PeerAck { reply }) => {
+                        self.connections.lock().insert(peer.clone(), client);
+                        Ok(reply)
+                    }
+                    Ok(other) => Err(peer_error(
+                        peer,
+                        &WireError::UnexpectedResponse(format!("{other:?}")),
+                    )),
+                    Err(e) => Err(peer_error(peer, &e)),
+                }
+            })
+            .collect()
     }
 }
 

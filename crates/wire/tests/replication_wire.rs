@@ -11,7 +11,9 @@
 //!   followers' regions;
 //! * after a deposition, the promoted node recovers from its replicated
 //!   journal and serves a gap-free resync of revocations it never saw
-//!   in memory.
+//!   in memory;
+//! * a cascade revocation is one quorum round, and a round commits at
+//!   quorum while one peer refuses connections.
 
 use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
@@ -20,11 +22,12 @@ use std::time::{Duration, Instant};
 use oasis_core::overload::AdmissionController;
 use oasis_core::retry::RetryPolicy;
 use oasis_core::{
-    Atom, OasisService, PrincipalId, ServiceConfig, ServiceJournal, Term, Value, ValueType,
+    Atom, Credential, OasisService, PrincipalId, ServiceConfig, ServiceJournal, Term, Value,
+    ValueType,
 };
 use oasis_crypto::{IssuerSecret, SecretKey};
 use oasis_facts::FactStore;
-use oasis_store::{ReplicaConfig, ReplicaNode, StorageBackend};
+use oasis_store::{MemBackend, ReplicaConfig, ReplicaNode, StorageBackend};
 use oasis_wire::{FailoverClient, WireClient, WireError, WireServer, WireTransport};
 
 fn alice() -> PrincipalId {
@@ -72,6 +75,14 @@ fn durable_login(node: &Arc<ReplicaNode>) -> Arc<OasisService> {
         vec![0],
     )
     .unwrap();
+    svc.define_role("desk", &[], false).unwrap();
+    svc.add_activation_rule(
+        "desk",
+        vec![],
+        vec![Atom::prereq("logged_in", vec![Term::var("U")])],
+        vec![0],
+    )
+    .unwrap();
     svc
 }
 
@@ -83,12 +94,21 @@ struct Cluster {
 }
 
 fn start_cluster(n: usize) -> Cluster {
+    start_cluster_without(n, &[])
+}
+
+/// An `n`-node cluster whose `dead` members are configured everywhere
+/// but never started: their addresses refuse connections.
+fn start_cluster_without(n: usize, dead: &[usize]) -> Cluster {
     let addrs = free_addrs(n);
     let ids: Vec<String> = (0..n).map(|i| format!("civ{i}")).collect();
     let mut nodes = Vec::new();
     let mut services = Vec::new();
     let mut controllers = Vec::new();
     for (i, id) in ids.iter().enumerate() {
+        if dead.contains(&i) {
+            continue;
+        }
         let peers: Vec<String> = ids.iter().filter(|p| *p != id).cloned().collect();
         let directory: Vec<(String, SocketAddr)> = ids
             .iter()
@@ -120,6 +140,28 @@ fn start_cluster(n: usize) -> Cluster {
         nodes,
         services,
         controllers,
+    }
+}
+
+/// Waits until every other node's `region` holds the leader's bytes.
+fn await_convergence(cluster: &Cluster, leader: usize, region: &str) -> Vec<u8> {
+    let golden = cluster.nodes[leader].region(region).read().unwrap();
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        let caught_up = cluster
+            .nodes
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| *i != leader)
+            .all(|(_, n)| n.region(region).read().unwrap() == golden);
+        if caught_up {
+            return golden;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "followers must converge within 5s"
+        );
+        std::thread::sleep(Duration::from_millis(20));
     }
 }
 
@@ -176,25 +218,8 @@ fn cluster_elects_replicates_and_fails_over_on_tcp() {
 
     // The issuance journalled through the quorum path: both followers'
     // journal regions converge to the leader's bytes.
-    let leader_journal = cluster.nodes[leader].region("journal").read().unwrap();
+    let leader_journal = await_convergence(&cluster, leader, "journal");
     assert!(!leader_journal.is_empty(), "issuance was journalled");
-    let deadline = Instant::now() + Duration::from_secs(5);
-    loop {
-        let caught_up = cluster
-            .nodes
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| *i != leader)
-            .all(|(_, n)| n.region("journal").read().unwrap() == leader_journal);
-        if caught_up {
-            break;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "followers must converge within 5s"
-        );
-        std::thread::sleep(Duration::from_millis(20));
-    }
 
     // Depose the leader: a follower stands for a higher term (its log
     // is complete, so the election restriction lets it win) and the old
@@ -237,4 +262,81 @@ fn cluster_elects_replicates_and_fails_over_on_tcp() {
     assert!(complete, "promoted ring replays complete");
     assert_eq!(events.len(), 1);
     assert_eq!(events[0].payload.crr.cert_id, rmc.crr.cert_id);
+}
+
+/// A login revocation with one dependent journals four records
+/// (`CertRevoked`×2, `RetainedPublished`×2). They reach the followers as
+/// one `RegionOp::Append`: one quorum round, committed before the ack.
+#[test]
+fn cascade_revoke_is_one_quorum_round_over_tcp() {
+    let cluster = start_cluster(3);
+    let leader = await_leader(&cluster);
+    let mut client = WireClient::connect(cluster.addrs[leader]).unwrap();
+    let login = client
+        .activate(&alice(), "logged_in", vec![Value::id("alice")], vec![], 1)
+        .expect("login");
+    let desk = client
+        .activate(
+            &alice(),
+            "desk",
+            vec![],
+            vec![Credential::Rmc(login.clone())],
+            2,
+        )
+        .expect("dependent role");
+
+    let rounds_before = cluster.nodes[leader].stats().committed;
+    assert!(client.revoke(login.crr.cert_id.0, "logout", 3).unwrap());
+    assert_eq!(
+        cluster.nodes[leader].stats().committed,
+        rounds_before + 1,
+        "the whole cascade is one round"
+    );
+    assert!(!cluster.services[leader]
+        .record(desk.crr.cert_id)
+        .unwrap()
+        .status
+        .is_active());
+
+    // Both followers hold the leader's journal, byte for byte, and it
+    // decodes to the two issuances plus the cascade's four records.
+    let journal = await_convergence(&cluster, leader, "journal");
+    let backend = MemBackend::new();
+    backend.append(&journal).unwrap();
+    let replayed = ServiceJournal::open(Arc::new(backend), Arc::new(MemBackend::new()))
+        .unwrap()
+        .load()
+        .unwrap();
+    assert!(!replayed.tail.torn);
+    assert_eq!(replayed.events.len(), 6);
+}
+
+/// One of the two followers was never started: its address refuses
+/// connections, and it comes first in the others' peer order. Rounds
+/// still commit at quorum 2, and the live follower has the bytes when
+/// the write returns.
+#[test]
+fn round_commits_at_quorum_while_one_peer_refuses_connections() {
+    let cluster = start_cluster_without(3, &[0]);
+    let leader = await_leader(&cluster);
+    let node = &cluster.nodes[leader];
+    assert_eq!(
+        node.config().peers[0],
+        "civ0",
+        "the dead peer is tried first"
+    );
+
+    let store = node.replicated("scratch");
+    for chunk in [b"one".as_slice(), b"two", b"three"] {
+        store.append(chunk).expect("quorum of two commits");
+    }
+    let stats = node.stats();
+    assert_eq!(stats.committed, 3);
+    assert_eq!(stats.no_quorum, 0);
+    let follower = &cluster.nodes[1 - leader];
+    assert_eq!(
+        follower.region("scratch").read().unwrap(),
+        b"onetwothree",
+        "acked means the live follower already holds it"
+    );
 }
