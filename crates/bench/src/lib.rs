@@ -267,3 +267,32 @@ pub fn table_header(experiment: &str, claim: &str, columns: &str) {
     println!("claim: {claim}");
     println!("{columns}");
 }
+
+/// The fields every `BENCH_*.json` opens with, so a table can be traced
+/// to the tree and the machine that produced it: the bench's name, the
+/// commit (`git rev-parse HEAD`, `-dirty` appended when the working tree
+/// differs from it, `unknown` outside a checkout), the CPU count, and how
+/// many rounds of how many iterations each reading is the median of.
+/// Returned without the enclosing braces, to splice in.
+pub fn provenance_fields(bench: &str, iterations: usize, rounds: usize) -> String {
+    let git = |args: &[&str]| {
+        std::process::Command::new("git")
+            .args(args)
+            .output()
+            .ok()
+            .filter(|out| out.status.success())
+            .and_then(|out| String::from_utf8(out.stdout).ok())
+    };
+    let commit = match git(&["rev-parse", "HEAD"]) {
+        Some(hash) => {
+            let clean = git(&["status", "--porcelain"]).is_some_and(|s| s.is_empty());
+            format!("{}{}", hash.trim(), if clean { "" } else { "-dirty" })
+        }
+        None => "unknown".to_string(),
+    };
+    let nproc = std::thread::available_parallelism().map_or(1, usize::from);
+    format!(
+        "\"bench\": \"{bench}\", \"commit\": \"{commit}\", \"nproc\": {nproc}, \
+         \"iterations\": {iterations}, \"rounds\": {rounds}, \"reading\": \"median of rounds\""
+    )
+}

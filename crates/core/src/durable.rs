@@ -32,7 +32,7 @@
 use std::cell::RefCell;
 
 use oasis_events::{DeliveredEvent, Topic};
-use oasis_json::{FromJson, Json, JsonError, ToJson};
+use oasis_json::{json_enum, json_struct, FromJson, JsonError, Reader, ToJson};
 use oasis_store::DurableStore;
 
 use crate::cert::{CertEvent, CredRecord, Crr};
@@ -299,206 +299,55 @@ pub(crate) fn close_scope(owner: usize) -> Vec<SecurityEvent> {
     })
 }
 
-impl ToJson for SecurityEvent {
-    fn to_json(&self) -> Json {
-        match self {
-            SecurityEvent::CertIssued {
-                record,
-                depends_on,
-                retained_checks,
-            } => Json::obj(vec![(
-                "CertIssued",
-                Json::obj(vec![
-                    ("record", record.to_json()),
-                    ("depends_on", depends_on.to_json()),
-                    ("retained_checks", retained_checks.to_json()),
-                ]),
-            )]),
-            SecurityEvent::ValidationGranted { crr, presenter, at } => Json::obj(vec![(
-                "ValidationGranted",
-                Json::obj(vec![
-                    ("crr", crr.to_json()),
-                    ("presenter", presenter.to_json()),
-                    ("at", at.to_json()),
-                ]),
-            )]),
-            SecurityEvent::CertRevoked {
-                cert_id,
-                reason,
-                at,
-            } => Json::obj(vec![(
-                "CertRevoked",
-                Json::obj(vec![
-                    ("cert_id", cert_id.to_json()),
-                    ("reason", reason.to_json()),
-                    ("at", at.to_json()),
-                ]),
-            )]),
-            SecurityEvent::CertExpired { cert_id, at } => Json::obj(vec![(
-                "CertExpired",
-                Json::obj(vec![("cert_id", cert_id.to_json()), ("at", at.to_json())]),
-            )]),
-            SecurityEvent::RevocationApplied {
-                topic,
-                topic_seq,
-                global_seq,
-                crr,
-            } => Json::obj(vec![(
-                "RevocationApplied",
-                Json::obj(vec![
-                    ("topic", topic.to_json()),
-                    ("topic_seq", topic_seq.to_json()),
-                    ("global_seq", global_seq.to_json()),
-                    ("crr", crr.to_json()),
-                ]),
-            )]),
-            SecurityEvent::EpochChanged { epoch, at } => Json::obj(vec![(
-                "EpochChanged",
-                Json::obj(vec![("epoch", epoch.to_json()), ("at", at.to_json())]),
-            )]),
-            SecurityEvent::RetainedPublished { entry } => Json::obj(vec![(
-                "RetainedPublished",
-                Json::obj(vec![("entry", entry.to_json())]),
-            )]),
-        }
-    }
-}
-
-impl FromJson for SecurityEvent {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        let pairs = json
-            .as_obj()
-            .ok_or_else(|| JsonError::expected("SecurityEvent object"))?;
-        let [(tag, payload)] = pairs else {
-            return Err(JsonError::expected("single-variant SecurityEvent object"));
-        };
-        match tag.as_str() {
-            "CertIssued" => Ok(SecurityEvent::CertIssued {
-                record: FromJson::from_json(payload.field("record")?)?,
-                depends_on: FromJson::from_json(payload.field("depends_on")?)?,
-                retained_checks: FromJson::from_json(payload.field("retained_checks")?)?,
-            }),
-            "ValidationGranted" => Ok(SecurityEvent::ValidationGranted {
-                crr: FromJson::from_json(payload.field("crr")?)?,
-                presenter: FromJson::from_json(payload.field("presenter")?)?,
-                at: FromJson::from_json(payload.field("at")?)?,
-            }),
-            "CertRevoked" => Ok(SecurityEvent::CertRevoked {
-                cert_id: FromJson::from_json(payload.field("cert_id")?)?,
-                reason: FromJson::from_json(payload.field("reason")?)?,
-                at: FromJson::from_json(payload.field("at")?)?,
-            }),
-            "CertExpired" => Ok(SecurityEvent::CertExpired {
-                cert_id: FromJson::from_json(payload.field("cert_id")?)?,
-                at: FromJson::from_json(payload.field("at")?)?,
-            }),
-            "RevocationApplied" => Ok(SecurityEvent::RevocationApplied {
-                topic: FromJson::from_json(payload.field("topic")?)?,
-                topic_seq: FromJson::from_json(payload.field("topic_seq")?)?,
-                global_seq: FromJson::from_json(payload.field("global_seq")?)?,
-                crr: FromJson::from_json(payload.field("crr")?)?,
-            }),
-            "EpochChanged" => Ok(SecurityEvent::EpochChanged {
-                epoch: FromJson::from_json(payload.field("epoch")?)?,
-                at: FromJson::from_json(payload.field("at")?)?,
-            }),
-            "RetainedPublished" => Ok(SecurityEvent::RetainedPublished {
-                entry: FromJson::from_json(payload.field("entry")?)?,
-            }),
-            other => Err(JsonError::new(format!(
-                "unknown SecurityEvent variant `{other}`"
-            ))),
-        }
-    }
-}
-
-impl ToJson for SnapshotRecord {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("record", self.record.to_json()),
-            ("depends_on", self.depends_on.to_json()),
-            ("retained_checks", self.retained_checks.to_json()),
-        ])
-    }
-}
-
-impl FromJson for SnapshotRecord {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        Ok(SnapshotRecord {
-            record: FromJson::from_json(json.field("record")?)?,
-            depends_on: FromJson::from_json(json.field("depends_on")?)?,
-            retained_checks: FromJson::from_json(json.field("retained_checks")?)?,
-        })
-    }
-}
-
-impl ToJson for RetainedEntry {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("topic", self.topic.to_json()),
-            ("topic_seq", self.topic_seq.to_json()),
-            ("global_seq", self.global_seq.to_json()),
-            ("timestamp", self.timestamp.to_json()),
-            ("event", self.event.to_json()),
-        ])
-    }
-}
-
-impl FromJson for RetainedEntry {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        Ok(RetainedEntry {
-            topic: FromJson::from_json(json.field("topic")?)?,
-            topic_seq: FromJson::from_json(json.field("topic_seq")?)?,
-            global_seq: FromJson::from_json(json.field("global_seq")?)?,
-            timestamp: FromJson::from_json(json.field("timestamp")?)?,
-            event: FromJson::from_json(json.field("event")?)?,
-        })
-    }
-}
-
-impl ToJson for Watermark {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("topic", self.topic.to_json()),
-            ("topic_seq", self.topic_seq.to_json()),
-            ("global_seq", self.global_seq.to_json()),
-        ])
-    }
-}
-
-impl FromJson for Watermark {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        Ok(Watermark {
-            topic: FromJson::from_json(json.field("topic")?)?,
-            topic_seq: FromJson::from_json(json.field("topic_seq")?)?,
-            global_seq: FromJson::from_json(json.field("global_seq")?)?,
-        })
-    }
-}
+json_enum! { SecurityEvent {
+    CertIssued { record, depends_on, retained_checks },
+    ValidationGranted { crr, presenter, at },
+    CertRevoked { cert_id, reason, at },
+    CertExpired { cert_id, at },
+    RevocationApplied { topic, topic_seq, global_seq, crr },
+    EpochChanged { epoch, at },
+    RetainedPublished { entry },
+} }
+json_struct! { SnapshotRecord { record, depends_on, retained_checks } }
+json_struct! { RetainedEntry { topic, topic_seq, global_seq, timestamp, event } }
+json_struct! { Watermark { topic, topic_seq, global_seq } }
 
 impl ToJson for ServiceSnapshot {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("next_cert", self.next_cert.to_json()),
-            ("records", self.records.to_json()),
-            ("watermarks", self.watermarks.to_json()),
-            ("retained", self.retained.to_json()),
-        ])
+    fn write_json(&self, out: &mut String) {
+        out.push_str("{\"next_cert\":");
+        self.next_cert.write_json(out);
+        out.push_str(",\"records\":");
+        self.records.write_json(out);
+        out.push_str(",\"watermarks\":");
+        self.watermarks.write_json(out);
+        out.push_str(",\"retained\":");
+        self.retained.write_json(out);
+        out.push('}');
     }
 }
 
+/// Not `json_struct!`: `retained` is absent in snapshots written before
+/// retained-ring replication existed, and defaults to an empty ring.
 impl FromJson for ServiceSnapshot {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
+    fn read_json(r: &mut Reader<'_>) -> Result<Self, JsonError> {
+        let (mut next_cert, mut records, mut watermarks, mut retained) = (None, None, None, None);
+        r.object(|r, key| {
+            match key {
+                "next_cert" if next_cert.is_none() => next_cert = Some(r.u64()?),
+                "records" if records.is_none() => records = Some(FromJson::read_json(r)?),
+                "watermarks" if watermarks.is_none() => {
+                    watermarks = Some(FromJson::read_json(r)?);
+                }
+                "retained" if retained.is_none() => retained = Some(FromJson::read_json(r)?),
+                _ => r.skip()?,
+            }
+            Ok(())
+        })?;
         Ok(ServiceSnapshot {
-            next_cert: FromJson::from_json(json.field("next_cert")?)?,
-            records: FromJson::from_json(json.field("records")?)?,
-            watermarks: FromJson::from_json(json.field("watermarks")?)?,
-            // Absent in snapshots written before retained-ring
-            // replication existed: default to an empty ring.
-            retained: match json.get("retained") {
-                Some(value) => FromJson::from_json(value)?,
-                None => Vec::new(),
-            },
+            next_cert: next_cert.ok_or_else(|| JsonError::missing("next_cert"))?,
+            records: records.ok_or_else(|| JsonError::missing("records"))?,
+            watermarks: watermarks.ok_or_else(|| JsonError::missing("watermarks"))?,
+            retained: retained.unwrap_or_default(),
         })
     }
 }

@@ -5,7 +5,7 @@
 //! because Rust's orphan rule requires either the trait or the type to be
 //! local.
 
-use oasis_json::{FromJson, Json, JsonError, ToJson};
+use oasis_json::{json_enum, json_struct, FromJson, JsonError, Reader, ToJson};
 
 use crate::cert::{
     AppointmentCertificate, CertEvent, CertEventKind, CredRecord, CredStatus, Credential,
@@ -20,16 +20,14 @@ use crate::value::Value;
 macro_rules! string_id_json {
     ($($t:ident),* $(,)?) => {$(
         impl ToJson for $t {
-            fn to_json(&self) -> Json {
-                Json::Str(self.as_str().to_string())
+            fn write_json(&self, out: &mut String) {
+                self.as_str().write_json(out);
             }
         }
 
         impl FromJson for $t {
-            fn from_json(json: &Json) -> Result<Self, JsonError> {
-                json.as_str()
-                    .map($t::new)
-                    .ok_or_else(|| JsonError::expected(stringify!($t)))
+            fn read_json(r: &mut Reader<'_>) -> Result<Self, JsonError> {
+                r.str().map(|s| $t::from(&*s))
             }
         }
     )*};
@@ -40,14 +38,14 @@ string_id_json!(PrincipalId, ServiceId, RoleName);
 macro_rules! u64_id_json {
     ($($t:ident),* $(,)?) => {$(
         impl ToJson for $t {
-            fn to_json(&self) -> Json {
-                self.0.to_json()
+            fn write_json(&self, out: &mut String) {
+                self.0.write_json(out);
             }
         }
 
         impl FromJson for $t {
-            fn from_json(json: &Json) -> Result<Self, JsonError> {
-                u64::from_json(json).map($t)
+            fn read_json(r: &mut Reader<'_>) -> Result<Self, JsonError> {
+                r.u64().map($t)
             }
         }
     )*};
@@ -55,430 +53,39 @@ macro_rules! u64_id_json {
 
 u64_id_json!(CertId, SessionId);
 
-impl ToJson for Value {
-    fn to_json(&self) -> Json {
-        match self {
-            Value::Id(s) => Json::obj(vec![("Id", Json::str(s.clone()))]),
-            Value::Str(s) => Json::obj(vec![("Str", Json::str(s.clone()))]),
-            Value::Int(i) => Json::obj(vec![("Int", Json::I64(*i))]),
-            Value::Bool(b) => Json::obj(vec![("Bool", Json::Bool(*b))]),
-            Value::Time(t) => Json::obj(vec![("Time", t.to_json())]),
-        }
-    }
-}
-
-impl FromJson for Value {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        let pairs = json
-            .as_obj()
-            .ok_or_else(|| JsonError::expected("Value object"))?;
-        let [(tag, payload)] = pairs else {
-            return Err(JsonError::expected("single-variant Value object"));
-        };
-        match tag.as_str() {
-            "Id" => String::from_json(payload).map(Value::Id),
-            "Str" => String::from_json(payload).map(Value::Str),
-            "Int" => i64::from_json(payload).map(Value::Int),
-            "Bool" => bool::from_json(payload).map(Value::Bool),
-            "Time" => u64::from_json(payload).map(Value::Time),
-            other => Err(JsonError::new(format!("unknown Value variant `{other}`"))),
-        }
-    }
-}
-
-impl ToJson for Crr {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("issuer", self.issuer.to_json()),
-            ("cert_id", self.cert_id.to_json()),
-        ])
-    }
-}
-
-impl FromJson for Crr {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        Ok(Crr {
-            issuer: ServiceId::from_json(json.field("issuer")?)?,
-            cert_id: CertId::from_json(json.field("cert_id")?)?,
-        })
-    }
-}
-
-impl ToJson for Rmc {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("crr", self.crr.to_json()),
-            ("role", self.role.to_json()),
-            ("args", self.args.to_json()),
-            ("issued_at", self.issued_at.to_json()),
-            ("holder_key", self.holder_key.to_json()),
-            ("epoch", self.epoch.to_json()),
-            ("signature", self.signature.to_json()),
-        ])
-    }
-}
-
-impl FromJson for Rmc {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        Ok(Rmc {
-            crr: FromJson::from_json(json.field("crr")?)?,
-            role: FromJson::from_json(json.field("role")?)?,
-            args: FromJson::from_json(json.field("args")?)?,
-            issued_at: FromJson::from_json(json.field("issued_at")?)?,
-            holder_key: FromJson::from_json(json.field("holder_key")?)?,
-            epoch: FromJson::from_json(json.field("epoch")?)?,
-            signature: FromJson::from_json(json.field("signature")?)?,
-        })
-    }
-}
-
-impl ToJson for AppointmentCertificate {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("crr", self.crr.to_json()),
-            ("name", self.name.to_json()),
-            ("args", self.args.to_json()),
-            ("issued_at", self.issued_at.to_json()),
-            ("expires_at", self.expires_at.to_json()),
-            ("holder_key", self.holder_key.to_json()),
-            ("epoch", self.epoch.to_json()),
-            ("signature", self.signature.to_json()),
-        ])
-    }
-}
-
-impl FromJson for AppointmentCertificate {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        Ok(AppointmentCertificate {
-            crr: FromJson::from_json(json.field("crr")?)?,
-            name: FromJson::from_json(json.field("name")?)?,
-            args: FromJson::from_json(json.field("args")?)?,
-            issued_at: FromJson::from_json(json.field("issued_at")?)?,
-            expires_at: FromJson::from_json(json.field("expires_at")?)?,
-            holder_key: FromJson::from_json(json.field("holder_key")?)?,
-            epoch: FromJson::from_json(json.field("epoch")?)?,
-            signature: FromJson::from_json(json.field("signature")?)?,
-        })
-    }
-}
-
-impl ToJson for Credential {
-    fn to_json(&self) -> Json {
-        match self {
-            Credential::Rmc(c) => Json::obj(vec![("Rmc", c.to_json())]),
-            Credential::Appointment(c) => Json::obj(vec![("Appointment", c.to_json())]),
-        }
-    }
-}
-
-impl FromJson for Credential {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        let pairs = json
-            .as_obj()
-            .ok_or_else(|| JsonError::expected("Credential object"))?;
-        let [(tag, payload)] = pairs else {
-            return Err(JsonError::expected("single-variant Credential object"));
-        };
-        match tag.as_str() {
-            "Rmc" => Rmc::from_json(payload).map(Credential::Rmc),
-            "Appointment" => {
-                AppointmentCertificate::from_json(payload).map(Credential::Appointment)
-            }
-            other => Err(JsonError::new(format!(
-                "unknown Credential variant `{other}`"
-            ))),
-        }
-    }
-}
-
-impl ToJson for CredentialKind {
-    fn to_json(&self) -> Json {
-        match self {
-            CredentialKind::Rmc => Json::str("rmc"),
-            CredentialKind::Appointment => Json::str("appointment"),
-        }
-    }
-}
-
-impl FromJson for CredentialKind {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        match json.as_str() {
-            Some("rmc") => Ok(CredentialKind::Rmc),
-            Some("appointment") => Ok(CredentialKind::Appointment),
-            _ => Err(JsonError::expected("CredentialKind string")),
-        }
-    }
-}
-
-impl ToJson for CertEventKind {
-    fn to_json(&self) -> Json {
-        match self {
-            CertEventKind::Revoked { reason } => Json::obj(vec![(
-                "Revoked",
-                Json::obj(vec![("reason", Json::str(reason.clone()))]),
-            )]),
-        }
-    }
-}
-
-impl FromJson for CertEventKind {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        let pairs = json
-            .as_obj()
-            .ok_or_else(|| JsonError::expected("CertEventKind object"))?;
-        let [(tag, payload)] = pairs else {
-            return Err(JsonError::expected("single-variant CertEventKind object"));
-        };
-        match tag.as_str() {
-            "Revoked" => Ok(CertEventKind::Revoked {
-                reason: String::from_json(payload.field("reason")?)?,
-            }),
-            other => Err(JsonError::new(format!(
-                "unknown CertEventKind variant `{other}`"
-            ))),
-        }
-    }
-}
-
-impl ToJson for CertEvent {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("crr", self.crr.to_json()),
-            ("kind", self.kind.to_json()),
-        ])
-    }
-}
-
-impl FromJson for CertEvent {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        Ok(CertEvent {
-            crr: Crr::from_json(json.field("crr")?)?,
-            kind: CertEventKind::from_json(json.field("kind")?)?,
-        })
-    }
-}
-
-impl ToJson for CredStatus {
-    fn to_json(&self) -> Json {
-        match self {
-            CredStatus::Active => Json::obj(vec![("Active", Json::Null)]),
-            CredStatus::Revoked { reason, at } => Json::obj(vec![(
-                "Revoked",
-                Json::obj(vec![
-                    ("reason", Json::str(reason.clone())),
-                    ("at", at.to_json()),
-                ]),
-            )]),
-            CredStatus::Expired { at } => {
-                Json::obj(vec![("Expired", Json::obj(vec![("at", at.to_json())]))])
-            }
-        }
-    }
-}
-
-impl FromJson for CredStatus {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        let pairs = json
-            .as_obj()
-            .ok_or_else(|| JsonError::expected("CredStatus object"))?;
-        let [(tag, payload)] = pairs else {
-            return Err(JsonError::expected("single-variant CredStatus object"));
-        };
-        match tag.as_str() {
-            "Active" => Ok(CredStatus::Active),
-            "Revoked" => Ok(CredStatus::Revoked {
-                reason: String::from_json(payload.field("reason")?)?,
-                at: u64::from_json(payload.field("at")?)?,
-            }),
-            "Expired" => Ok(CredStatus::Expired {
-                at: u64::from_json(payload.field("at")?)?,
-            }),
-            other => Err(JsonError::new(format!(
-                "unknown CredStatus variant `{other}`"
-            ))),
-        }
-    }
-}
-
-impl ToJson for CredRecord {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("crr", self.crr.to_json()),
-            ("principal", self.principal.to_json()),
-            ("kind", self.kind.to_json()),
-            ("name", self.name.to_json()),
-            ("args", self.args.to_json()),
-            ("issued_at", self.issued_at.to_json()),
-            ("expires_at", self.expires_at.to_json()),
-            ("status", self.status.to_json()),
-        ])
-    }
-}
-
-impl FromJson for CredRecord {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        Ok(CredRecord {
-            crr: FromJson::from_json(json.field("crr")?)?,
-            principal: FromJson::from_json(json.field("principal")?)?,
-            kind: FromJson::from_json(json.field("kind")?)?,
-            name: FromJson::from_json(json.field("name")?)?,
-            args: FromJson::from_json(json.field("args")?)?,
-            issued_at: FromJson::from_json(json.field("issued_at")?)?,
-            expires_at: FromJson::from_json(json.field("expires_at")?)?,
-            status: FromJson::from_json(json.field("status")?)?,
-        })
-    }
-}
-
 impl ToJson for VarName {
-    fn to_json(&self) -> Json {
-        Json::str(self.0.clone())
+    fn write_json(&self, out: &mut String) {
+        self.0.write_json(out);
     }
 }
 
 impl FromJson for VarName {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        json.as_str()
-            .map(VarName::new)
-            .ok_or_else(|| JsonError::expected("VarName string"))
+    fn read_json(r: &mut Reader<'_>) -> Result<Self, JsonError> {
+        String::read_json(r).map(VarName)
     }
 }
 
-impl ToJson for Term {
-    fn to_json(&self) -> Json {
-        match self {
-            Term::Const(v) => Json::obj(vec![("Const", v.to_json())]),
-            Term::Var(v) => Json::obj(vec![("Var", v.to_json())]),
-            Term::Wildcard => Json::obj(vec![("Wildcard", Json::Null)]),
-        }
-    }
-}
-
-impl FromJson for Term {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        let pairs = json
-            .as_obj()
-            .ok_or_else(|| JsonError::expected("Term object"))?;
-        let [(tag, payload)] = pairs else {
-            return Err(JsonError::expected("single-variant Term object"));
-        };
-        match tag.as_str() {
-            "Const" => Value::from_json(payload).map(Term::Const),
-            "Var" => VarName::from_json(payload).map(Term::Var),
-            "Wildcard" => Ok(Term::Wildcard),
-            other => Err(JsonError::new(format!("unknown Term variant `{other}`"))),
-        }
-    }
-}
-
-impl ToJson for CmpOp {
-    fn to_json(&self) -> Json {
-        Json::str(self.symbol())
-    }
-}
-
-impl FromJson for CmpOp {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        match json.as_str() {
-            Some("==") => Ok(CmpOp::Eq),
-            Some("!=") => Ok(CmpOp::Ne),
-            Some("<") => Ok(CmpOp::Lt),
-            Some("<=") => Ok(CmpOp::Le),
-            Some(">") => Ok(CmpOp::Gt),
-            Some(">=") => Ok(CmpOp::Ge),
-            _ => Err(JsonError::expected("CmpOp symbol string")),
-        }
-    }
-}
-
-impl ToJson for Atom {
-    fn to_json(&self) -> Json {
-        match self {
-            Atom::Prereq {
-                service,
-                role,
-                args,
-            } => Json::obj(vec![(
-                "Prereq",
-                Json::obj(vec![
-                    ("service", service.to_json()),
-                    ("role", role.to_json()),
-                    ("args", args.to_json()),
-                ]),
-            )]),
-            Atom::Appointment { issuer, name, args } => Json::obj(vec![(
-                "Appointment",
-                Json::obj(vec![
-                    ("issuer", issuer.to_json()),
-                    ("name", name.to_json()),
-                    ("args", args.to_json()),
-                ]),
-            )]),
-            Atom::EnvFact {
-                relation,
-                args,
-                negated,
-            } => Json::obj(vec![(
-                "EnvFact",
-                Json::obj(vec![
-                    ("relation", relation.to_json()),
-                    ("args", args.to_json()),
-                    ("negated", Json::Bool(*negated)),
-                ]),
-            )]),
-            Atom::EnvCompare { left, op, right } => Json::obj(vec![(
-                "EnvCompare",
-                Json::obj(vec![
-                    ("left", left.to_json()),
-                    ("op", op.to_json()),
-                    ("right", right.to_json()),
-                ]),
-            )]),
-            Atom::EnvPredicate { name, args } => Json::obj(vec![(
-                "EnvPredicate",
-                Json::obj(vec![("name", name.to_json()), ("args", args.to_json())]),
-            )]),
-        }
-    }
-}
-
-impl FromJson for Atom {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        let pairs = json
-            .as_obj()
-            .ok_or_else(|| JsonError::expected("Atom object"))?;
-        let [(tag, payload)] = pairs else {
-            return Err(JsonError::expected("single-variant Atom object"));
-        };
-        match tag.as_str() {
-            "Prereq" => Ok(Atom::Prereq {
-                service: FromJson::from_json(payload.field("service")?)?,
-                role: FromJson::from_json(payload.field("role")?)?,
-                args: FromJson::from_json(payload.field("args")?)?,
-            }),
-            "Appointment" => Ok(Atom::Appointment {
-                issuer: FromJson::from_json(payload.field("issuer")?)?,
-                name: FromJson::from_json(payload.field("name")?)?,
-                args: FromJson::from_json(payload.field("args")?)?,
-            }),
-            "EnvFact" => Ok(Atom::EnvFact {
-                relation: FromJson::from_json(payload.field("relation")?)?,
-                args: FromJson::from_json(payload.field("args")?)?,
-                negated: bool::from_json(payload.field("negated")?)?,
-            }),
-            "EnvCompare" => Ok(Atom::EnvCompare {
-                left: FromJson::from_json(payload.field("left")?)?,
-                op: FromJson::from_json(payload.field("op")?)?,
-                right: FromJson::from_json(payload.field("right")?)?,
-            }),
-            "EnvPredicate" => Ok(Atom::EnvPredicate {
-                name: FromJson::from_json(payload.field("name")?)?,
-                args: FromJson::from_json(payload.field("args")?)?,
-            }),
-            other => Err(JsonError::new(format!("unknown Atom variant `{other}`"))),
-        }
-    }
-}
+json_enum! { Value { Id(v), Str(v), Int(v), Bool(v), Time(v) } }
+json_struct! { Crr { issuer, cert_id } }
+json_struct! { Rmc { crr, role, args, issued_at, holder_key, epoch, signature } }
+json_struct! { AppointmentCertificate {
+    crr, name, args, issued_at, expires_at, holder_key, epoch, signature,
+} }
+json_enum! { Credential { Rmc(c), Appointment(c) } }
+json_enum! { CredentialKind { Rmc = "rmc", Appointment = "appointment" } }
+json_enum! { CertEventKind { Revoked { reason } } }
+json_struct! { CertEvent { crr, kind } }
+json_enum! { CredStatus { Active = null, Revoked { reason, at }, Expired { at } } }
+json_struct! { CredRecord { crr, principal, kind, name, args, issued_at, expires_at, status } }
+json_enum! { Term { Const(v), Var(v), Wildcard = null } }
+json_enum! { CmpOp { Eq = "==", Ne = "!=", Lt = "<", Le = "<=", Gt = ">", Ge = ">=" } }
+json_enum! { Atom {
+    Prereq { service, role, args },
+    Appointment { issuer, name, args },
+    EnvFact { relation, args, negated },
+    EnvCompare { left, op, right },
+    EnvPredicate { name, args },
+} }
 
 #[cfg(test)]
 mod tests {
@@ -501,8 +108,8 @@ mod tests {
     }
 
     fn round_trip<T: ToJson + FromJson + PartialEq + std::fmt::Debug>(value: &T) {
-        let text = value.to_json().to_string();
-        let back = T::from_json(&Json::parse(&text).unwrap()).unwrap();
+        let text = oasis_json::to_string(value);
+        let back: T = oasis_json::from_str(&text).unwrap();
         assert_eq!(&back, value, "{text}");
     }
 
@@ -522,8 +129,8 @@ mod tests {
     #[test]
     fn rmc_round_trips_and_still_verifies() {
         let rmc = sample_rmc();
-        let text = rmc.to_json().to_string();
-        let back = Rmc::from_json(&Json::parse(&text).unwrap()).unwrap();
+        let text = oasis_json::to_string(&rmc);
+        let back: Rmc = oasis_json::from_str(&text).unwrap();
         assert_eq!(back, rmc);
         let secret = IssuerSecret::from_key(SecretKey::from_bytes([9; 32]));
         assert!(back.verify(&secret.current(), &PrincipalId::new("alice")));
@@ -615,8 +222,12 @@ mod tests {
 
     #[test]
     fn missing_fields_are_descriptive_errors() {
-        let err = Crr::from_json(&Json::parse("{\"issuer\":\"svc\"}").unwrap()).unwrap_err();
+        let err = oasis_json::from_str::<Crr>("{\"issuer\":\"svc\"}").unwrap_err();
         assert!(err.to_string().contains("cert_id"));
-        assert!(Value::from_json(&Json::parse("{\"Nope\":1}").unwrap()).is_err());
+        // A body that is no object at all is missing its first field.
+        let err = oasis_json::from_str::<Crr>("7").unwrap_err();
+        assert!(err.to_string().contains("issuer"));
+        let err = oasis_json::from_str::<Value>("{\"Nope\":1}").unwrap_err();
+        assert!(err.to_string().contains("Nope"));
     }
 }

@@ -14,7 +14,7 @@
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use oasis_json::{FromJson, Json, JsonError, ToJson};
+use oasis_json::{json_struct, JsonError};
 
 use crate::cert::{Credential, Crr, Rmc};
 use crate::ids::{PrincipalId, RoleName, ServiceId, SessionId};
@@ -160,25 +160,7 @@ impl Session {
     }
 }
 
-impl ToJson for Session {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("id", self.id.to_json()),
-            ("principal", self.principal.to_json()),
-            ("credentials", self.credentials.to_json()),
-        ])
-    }
-}
-
-impl FromJson for Session {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        Ok(Self {
-            id: SessionId::from_json(json.field("id")?)?,
-            principal: PrincipalId::from_json(json.field("principal")?)?,
-            credentials: Vec::<Credential>::from_json(json.field("credentials")?)?,
-        })
-    }
-}
+json_struct! { Session { id, principal, credentials } }
 
 /// A read-only summary of a session's active roles.
 #[derive(Debug, Clone, PartialEq, Eq)]

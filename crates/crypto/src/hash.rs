@@ -117,15 +117,16 @@ impl Sha256 {
 
     /// Pads and returns the digest.
     pub fn finalize(mut self) -> [u8; 32] {
-        let bit_length = self.length.wrapping_mul(8);
-        self.update(&[0x80]);
-        // Note: update above bumped self.length, but bit_length was captured.
-        while self.buffered != 56 {
-            self.update(&[0]);
-        }
-        self.length = 0; // keep update() from mattering further
+        // `0x80`, zeros to 56 mod 64, the bit length: in this block when
+        // the length still fits behind the data, else in one more.
         let mut block = self.buffer;
-        block[56..64].copy_from_slice(&bit_length.to_be_bytes());
+        block[self.buffered] = 0x80;
+        block[self.buffered + 1..].fill(0);
+        if self.buffered >= 56 {
+            Self::compress(&mut self.state, &block);
+            block = [0; 64];
+        }
+        block[56..].copy_from_slice(&self.length.wrapping_mul(8).to_be_bytes());
         Self::compress(&mut self.state, &block);
         let mut out = [0u8; 32];
         for (i, word) in self.state.iter().enumerate() {
@@ -333,13 +334,15 @@ impl Sha512 {
 
     /// Pads and returns the digest.
     pub fn finalize(mut self) -> [u8; 64] {
-        let bit_length = self.length.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buffered != 112 {
-            self.update(&[0]);
-        }
+        // As SHA-256, with 128-byte blocks and a 16-byte length.
         let mut block = self.buffer;
-        block[112..128].copy_from_slice(&bit_length.to_be_bytes());
+        block[self.buffered] = 0x80;
+        block[self.buffered + 1..].fill(0);
+        if self.buffered >= 112 {
+            Self::compress(&mut self.state, &block);
+            block = [0; 128];
+        }
+        block[112..].copy_from_slice(&self.length.wrapping_mul(8).to_be_bytes());
         Self::compress(&mut self.state, &block);
         let mut out = [0u8; 64];
         for (i, word) in self.state.iter().enumerate() {
@@ -357,9 +360,84 @@ impl Sha512 {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::hex;
+
+    /// SHA-256 with the padding this module shipped before it padded in
+    /// one step: `0x80` and every zero through `update`, a byte at a time.
+    /// The reference the one-step padding must match.
+    pub(crate) fn sha256_bytewise(data: &[u8]) -> [u8; 32] {
+        let mut h = Sha256::new();
+        h.update(data);
+        let bit_length = h.length.wrapping_mul(8);
+        h.update(&[0x80]);
+        while h.buffered != 56 {
+            h.update(&[0]);
+        }
+        let mut block = h.buffer;
+        block[56..64].copy_from_slice(&bit_length.to_be_bytes());
+        Sha256::compress(&mut h.state, &block);
+        let mut out = [0u8; 32];
+        for (i, word) in h.state.iter().enumerate() {
+            out[i * 4..(i + 1) * 4].copy_from_slice(&word.to_be_bytes());
+        }
+        out
+    }
+
+    /// As [`sha256_bytewise`], for SHA-512.
+    fn sha512_bytewise(data: &[u8]) -> [u8; 64] {
+        let mut h = Sha512::new();
+        h.update(data);
+        let bit_length = h.length.wrapping_mul(8);
+        h.update(&[0x80]);
+        while h.buffered != 112 {
+            h.update(&[0]);
+        }
+        let mut block = h.buffer;
+        block[112..128].copy_from_slice(&bit_length.to_be_bytes());
+        Sha512::compress(&mut h.state, &block);
+        let mut out = [0u8; 64];
+        for (i, word) in h.state.iter().enumerate() {
+            out[i * 8..(i + 1) * 8].copy_from_slice(&word.to_be_bytes());
+        }
+        out
+    }
+
+    #[test]
+    fn one_step_padding_matches_bytewise_at_every_boundary() {
+        // Every length across two SHA-512 blocks: 55/56/63/64 and
+        // 111/112/127/128 are where the padding changes shape.
+        let data: Vec<u8> = (0..300u32).map(|i| (i * 7) as u8).collect();
+        for len in 0..=data.len() {
+            let data = &data[..len];
+            assert_eq!(Sha256::digest(data), sha256_bytewise(data), "len {len}");
+            assert_eq!(Sha512::digest(data), sha512_bytewise(data), "len {len}");
+        }
+    }
+
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #[test]
+            fn digests_match_the_bytewise_reference(
+                data in proptest::collection::vec(any::<u8>(), 0..300),
+                split in 0usize..300,
+            ) {
+                let split = split.min(data.len());
+                let mut h256 = Sha256::new();
+                let mut h512 = Sha512::new();
+                h256.update(&data[..split]);
+                h256.update(&data[split..]);
+                h512.update(&data[..split]);
+                h512.update(&data[split..]);
+                prop_assert_eq!(h256.finalize(), sha256_bytewise(&data));
+                prop_assert_eq!(h512.finalize(), sha512_bytewise(&data));
+            }
+        }
+    }
 
     #[test]
     fn sha256_standard_vectors() {

@@ -5,11 +5,13 @@ use crate::hash::Sha256;
 
 const BLOCK: usize = 64;
 
-/// Incremental HMAC-SHA256.
+/// Incremental HMAC-SHA256. A fresh instance holds the key as the two
+/// hash states that have absorbed `key ^ ipad` and `key ^ opad`, so a
+/// clone of it is a keyed MAC with no key schedule left to compute.
 #[derive(Clone)]
 pub struct HmacSha256 {
     inner: Sha256,
-    opad_key: [u8; BLOCK],
+    outer: Sha256,
 }
 
 impl HmacSha256 {
@@ -21,15 +23,15 @@ impl HmacSha256 {
         } else {
             padded[..key.len()].copy_from_slice(key);
         }
-        let mut ipad_key = [0u8; BLOCK];
-        let mut opad_key = [0u8; BLOCK];
-        for i in 0..BLOCK {
-            ipad_key[i] = padded[i] ^ 0x36;
-            opad_key[i] = padded[i] ^ 0x5c;
+        let keyed = |pad: u8| {
+            let mut hash = Sha256::new();
+            hash.update(&padded.map(|b| b ^ pad));
+            hash
+        };
+        Self {
+            inner: keyed(0x36),
+            outer: keyed(0x5c),
         }
-        let mut inner = Sha256::new();
-        inner.update(&ipad_key);
-        Self { inner, opad_key }
     }
 
     /// Absorbs more input.
@@ -39,10 +41,8 @@ impl HmacSha256 {
 
     /// Returns the 32-byte tag.
     pub fn finalize(self) -> [u8; 32] {
-        let inner_digest = self.inner.finalize();
-        let mut outer = Sha256::new();
-        outer.update(&self.opad_key);
-        outer.update(&inner_digest);
+        let mut outer = self.outer;
+        outer.update(&self.inner.finalize());
         outer.finalize()
     }
 
@@ -99,6 +99,57 @@ mod tests {
         let mut bad = tag;
         bad[0] ^= 1;
         assert!(!mac.verify(&bad));
+    }
+
+    /// RFC 2104 spelled out over the byte-at-a-time reference digest: the
+    /// key schedule on every call, nothing kept between calls.
+    fn hmac_reference(key: &[u8], message: &[u8]) -> [u8; 32] {
+        use crate::hash::tests::sha256_bytewise;
+        let mut padded = [0u8; BLOCK];
+        if key.len() > BLOCK {
+            padded[..32].copy_from_slice(&sha256_bytewise(key));
+        } else {
+            padded[..key.len()].copy_from_slice(key);
+        }
+        let mut inner: Vec<u8> = padded.iter().map(|b| b ^ 0x36).collect();
+        inner.extend_from_slice(message);
+        let mut outer: Vec<u8> = padded.iter().map(|b| b ^ 0x5c).collect();
+        outer.extend_from_slice(&sha256_bytewise(&inner));
+        sha256_bytewise(&outer)
+    }
+
+    #[test]
+    fn a_cloned_template_macs_like_a_fresh_key_schedule() {
+        let template = HmacSha256::new(&[9; 32]);
+        for message in [
+            &b""[..],
+            b"a",
+            &[0x5a; 55],
+            &[0x5a; 56],
+            &[0x5a; 64],
+            &[0x5a; 200],
+        ] {
+            let mut mac = template.clone();
+            mac.update(message);
+            assert_eq!(mac.finalize(), hmac_reference(&[9; 32], message));
+        }
+    }
+
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #[test]
+            fn macs_match_the_reference(
+                key in proptest::collection::vec(any::<u8>(), 0..100),
+                message in proptest::collection::vec(any::<u8>(), 0..300),
+            ) {
+                let mut mac = HmacSha256::new(&key);
+                mac.update(&message);
+                prop_assert_eq!(mac.finalize(), hmac_reference(&key, &message));
+            }
+        }
     }
 
     #[test]

@@ -1,100 +1,113 @@
 //! JSON conversions for the crypto types that travel inside certificates
-//! on the wire. Byte strings are hex-encoded.
+//! on the wire. Byte strings are hex-encoded, written straight into the
+//! output and decoded straight from the text.
 
-use oasis_json::{FromJson, Json, JsonError, ToJson};
+use oasis_json::{FromJson, JsonError, Reader, ToJson};
 
 use crate::hex;
 use crate::keys::{PublicKey, SignatureBytes};
 use crate::secret::SecretEpoch;
 use crate::sign::MacSignature;
 
-impl ToJson for PublicKey {
-    fn to_json(&self) -> Json {
-        Json::Str(hex::encode(&self.0))
+/// A byte string of any length as a JSON hex string: the `as` codec of
+/// `oasis_json::json_struct!` for `Vec<u8>` fields.
+pub struct HexBytes;
+
+impl HexBytes {
+    /// Appends `bytes` as a quoted lowercase hex string.
+    pub fn write_json(bytes: &[u8], out: &mut String) {
+        out.push('"');
+        hex::encode_into(out, bytes);
+        out.push('"');
+    }
+
+    /// Reads a hex string of either case.
+    pub fn read_json(r: &mut Reader<'_>) -> Result<Vec<u8>, JsonError> {
+        hex::decode(&r.str()?).ok_or_else(|| JsonError::new("invalid hex payload"))
     }
 }
 
-impl FromJson for PublicKey {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        let s = json
-            .as_str()
-            .ok_or_else(|| JsonError::expected("hex public key string"))?;
-        PublicKey::from_hex(s).map_err(|e| JsonError::new(format!("public key: {e}")))
-    }
+macro_rules! hex_array_json {
+    ($($t:ident, $len:literal, $what:literal;)*) => {$(
+        impl ToJson for $t {
+            fn write_json(&self, out: &mut String) {
+                HexBytes::write_json(&self.0, out);
+            }
+        }
+
+        impl FromJson for $t {
+            fn read_json(r: &mut Reader<'_>) -> Result<Self, JsonError> {
+                hex::decode_array::<$len>(&r.str()?)
+                    .map($t)
+                    .ok_or_else(|| JsonError::expected(concat!($len, " hex bytes of ", $what)))
+            }
+        }
+    )*};
 }
 
-impl ToJson for MacSignature {
-    fn to_json(&self) -> Json {
-        Json::Str(hex::encode(&self.0))
-    }
-}
-
-impl FromJson for MacSignature {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        let s = json
-            .as_str()
-            .ok_or_else(|| JsonError::expected("hex MAC string"))?;
-        MacSignature::from_hex(s).map_err(|e| JsonError::new(format!("mac: {e}")))
-    }
-}
-
-impl ToJson for SignatureBytes {
-    fn to_json(&self) -> Json {
-        Json::Str(hex::encode(&self.0))
-    }
-}
-
-impl FromJson for SignatureBytes {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        let s = json
-            .as_str()
-            .ok_or_else(|| JsonError::expected("hex signature string"))?;
-        let bytes = hex::decode(s).ok_or_else(|| JsonError::new("signature: bad hex"))?;
-        let arr: [u8; 64] = bytes
-            .try_into()
-            .map_err(|_| JsonError::new("signature: wrong length"))?;
-        Ok(SignatureBytes(arr))
-    }
+hex_array_json! {
+    PublicKey, 32, "public key";
+    MacSignature, 32, "MAC";
+    SignatureBytes, 64, "signature";
 }
 
 impl ToJson for SecretEpoch {
-    fn to_json(&self) -> Json {
-        self.0.to_json()
+    fn write_json(&self, out: &mut String) {
+        self.0.write_json(out);
     }
 }
 
 impl FromJson for SecretEpoch {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        u64::from_json(json).map(SecretEpoch)
+    fn read_json(r: &mut Reader<'_>) -> Result<Self, JsonError> {
+        r.u64().map(SecretEpoch)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use oasis_json::{from_str, to_string};
 
     #[test]
     fn public_key_round_trips() {
         let pk = crate::KeyPair::from_seed([7; 32]).public_key();
-        let back = PublicKey::from_json(&pk.to_json()).unwrap();
-        assert_eq!(back, pk);
-        assert!(PublicKey::from_json(&Json::Str("zz".into())).is_err());
-        assert!(PublicKey::from_json(&Json::I64(3)).is_err());
+        let text = to_string(&pk);
+        assert_eq!(text, format!("\"{pk}\""));
+        assert_eq!(from_str::<PublicKey>(&text).unwrap(), pk);
+        assert_eq!(from_str::<PublicKey>(&text.to_uppercase()).unwrap(), pk);
+        assert!(from_str::<PublicKey>("\"zz\"").is_err());
+        assert!(from_str::<PublicKey>("3").is_err());
     }
 
     #[test]
     fn mac_and_epoch_round_trip() {
         let mac = MacSignature([0xAB; 32]);
-        assert_eq!(MacSignature::from_json(&mac.to_json()).unwrap(), mac);
+        assert_eq!(from_str::<MacSignature>(&to_string(&mac)).unwrap(), mac);
         let epoch = SecretEpoch(u64::MAX);
-        assert_eq!(SecretEpoch::from_json(&epoch.to_json()).unwrap(), epoch);
+        assert_eq!(from_str::<SecretEpoch>(&to_string(&epoch)).unwrap(), epoch);
     }
 
     #[test]
     fn signature_bytes_round_trip() {
         let sig = SignatureBytes([0x5A; 64]);
-        let back = SignatureBytes::from_json(&sig.to_json()).unwrap();
+        let back: SignatureBytes = from_str(&to_string(&sig)).unwrap();
         assert_eq!(back.0, sig.0);
-        assert!(SignatureBytes::from_json(&Json::Str("aabb".into())).is_err());
+        assert!(from_str::<SignatureBytes>("\"aabb\"").is_err());
+    }
+
+    #[test]
+    fn byte_strings_of_any_length_round_trip() {
+        for bytes in [vec![], vec![0u8], (0..=255).collect::<Vec<u8>>()] {
+            let mut text = String::new();
+            HexBytes::write_json(&bytes, &mut text);
+            assert_eq!(text, format!("\"{}\"", hex::encode(&bytes)));
+            let mut r = Reader::new(&text);
+            assert_eq!(HexBytes::read_json(&mut r).unwrap(), bytes);
+        }
+        assert!(HexBytes::read_json(&mut Reader::new("\"abc\"")).is_err());
+        assert!(HexBytes::read_json(&mut Reader::new("[1]")).is_err());
+        // An escape inside the string is undone before the hex is read.
+        let mut r = Reader::new("\"\\u0061b\"");
+        assert_eq!(HexBytes::read_json(&mut r).unwrap(), [0xab]);
     }
 }

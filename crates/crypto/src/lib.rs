@@ -48,13 +48,14 @@ mod error;
 pub mod hash;
 pub mod hex;
 pub mod hmac;
-mod json;
+pub mod json;
 pub mod keys;
 pub mod nonce;
 pub mod secret;
 pub mod sign;
 
 pub use error::CryptoError;
+pub use json::HexBytes;
 pub use keys::{KeyPair, PublicKey, SignatureBytes};
 pub use secret::{IssuerSecret, SecretEpoch, SecretKey};
 pub use sign::{sign_fields, verify_fields, MacSignature};

@@ -12,6 +12,9 @@ use std::fmt;
 
 use parking_lot::RwLock;
 use rand::RngCore;
+
+use crate::hmac::HmacSha256;
+
 /// Identifies one generation of an issuer's signing secret.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SecretEpoch(pub u64);
@@ -22,26 +25,43 @@ impl fmt::Display for SecretEpoch {
     }
 }
 
-/// A 32-byte HMAC key. The raw bytes are deliberately not printable.
-#[derive(Clone, PartialEq, Eq)]
-pub struct SecretKey([u8; 32]);
+/// A 32-byte HMAC key, with the MAC it keys ready to clone. The raw bytes
+/// are deliberately not printable.
+#[derive(Clone)]
+pub struct SecretKey {
+    bytes: [u8; 32],
+    /// `HmacSha256::new(&bytes)`, computed once: every signature and
+    /// verification under this key starts from a copy of it.
+    mac: HmacSha256,
+}
+
+impl PartialEq for SecretKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.bytes == other.bytes
+    }
+}
+
+impl Eq for SecretKey {}
 
 impl SecretKey {
     /// Creates a key from raw bytes (useful for deterministic tests).
     pub fn from_bytes(bytes: [u8; 32]) -> Self {
-        Self(bytes)
+        Self {
+            mac: HmacSha256::new(&bytes),
+            bytes,
+        }
     }
 
     /// Generates a fresh random key from the OS RNG.
     pub fn random() -> Self {
         let mut bytes = [0u8; 32];
         rand::rng().fill_bytes(&mut bytes);
-        Self(bytes)
+        Self::from_bytes(bytes)
     }
 
-    /// The raw key material, for feeding the MAC.
-    pub(crate) fn material(&self) -> &[u8; 32] {
-        &self.0
+    /// A MAC keyed by this key, nothing absorbed yet.
+    pub(crate) fn mac(&self) -> HmacSha256 {
+        self.mac.clone()
     }
 }
 
@@ -176,7 +196,7 @@ mod tests {
         let e1 = s.rotate();
         assert_eq!(e1, SecretEpoch(1));
         assert_eq!(s.current_epoch(), e1);
-        assert_ne!(s.current().material(), k0.material());
+        assert_ne!(s.current(), k0);
     }
 
     #[test]
@@ -185,8 +205,8 @@ mod tests {
         s.rotate();
         s.rotate();
         assert_eq!(
-            s.key_for(SecretEpoch(0)).unwrap().material(),
-            &[7; 32],
+            s.key_for(SecretEpoch(0)).unwrap(),
+            SecretKey::from_bytes([7; 32]),
             "epoch 0 key still available"
         );
         s.retire_before(SecretEpoch(2));
@@ -220,9 +240,6 @@ mod tests {
 
     #[test]
     fn random_keys_differ() {
-        assert_ne!(
-            SecretKey::random().material(),
-            SecretKey::random().material()
-        );
+        assert_ne!(SecretKey::random(), SecretKey::random());
     }
 }

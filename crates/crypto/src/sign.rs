@@ -52,7 +52,7 @@ impl std::fmt::Display for MacSignature {
 }
 
 fn mac_of(key: &SecretKey, principal_id: &[u8], fields: &[&[u8]]) -> HmacSha256 {
-    let mut mac = HmacSha256::new(key.material());
+    let mut mac = key.mac();
     // Canonical encoding: u64-LE length prefix before every component.
     mac.update(&(principal_id.len() as u64).to_le_bytes());
     mac.update(principal_id);

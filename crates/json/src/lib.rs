@@ -1,10 +1,29 @@
 //! A small, dependency-free JSON library for the OASIS wire protocol.
 //!
-//! The wire crate frames messages as JSON; this crate supplies the value
-//! tree ([`Json`]), a strict parser ([`Json::parse`]) with a recursion
-//! depth cap, a compact printer ([`Json::to_string`] via `Display`), and
-//! the [`ToJson`]/[`FromJson`] conversion traits that protocol types
-//! implement by hand.
+//! The wire crate frames messages as JSON text, and every message is
+//! written and read in **one pass**: [`ToJson::write_json`] appends a
+//! value's text to a `String`, and [`FromJson::read_json`] pulls a value
+//! out of a [`Reader`] positioned in the text. No intermediate tree is
+//! built in either direction. Protocol structs and externally tagged
+//! enums get both impls from [`json_struct!`] and [`json_enum!`]; only
+//! shapes the macros do not cover (optional keys, hex byte strings) are
+//! written out against the [`Reader`] and the `write_*` functions here.
+//!
+//! [`Json`] is the value tree for *documents* — benchmark reports, metric
+//! snapshots, a replica's persisted metadata — where the shape is not
+//! known in advance. It is one implementor of the two traits among many:
+//! [`Json::parse`] is `from_str::<Json>`, `Display` is `write_json`.
+//!
+//! # What a decoder accepts
+//!
+//! The same for every type the macros generate: object keys in any order;
+//! of a repeated key the first occurrence; unknown keys, skipped but still
+//! checked as strictly as anything else; a missing key is an error, and an
+//! `Option` field is no exception (it must be present and may be `null`);
+//! an enum is the bare string `"Variant"` or the one-key object
+//! `{"Variant": body}`; integers must be integers in the field's range
+//! (`1.0`, `-1` for a `u64` and `2e70` are refused); at most [`MAX_DEPTH`]
+//! levels of nesting anywhere; nothing but whitespace after the value.
 //!
 //! Numbers are canonicalised: any integer that fits `i64` parses and
 //! prints as [`Json::I64`]; integers above `i64::MAX` use [`Json::U64`];
@@ -15,9 +34,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
-/// Maximum nesting depth the parser will accept.
+mod macros;
+mod reader;
+
+pub use reader::Reader;
+
+/// Maximum nesting depth a reader will accept.
 pub const MAX_DEPTH: usize = 128;
 
 /// A JSON value.
@@ -120,103 +144,114 @@ impl Json {
             .map(|(_, v)| v)
     }
 
-    /// Looks up a required object field, with a descriptive error.
-    pub fn field(&self, key: &str) -> Result<&Json, JsonError> {
-        self.get(key)
-            .ok_or_else(|| JsonError::new(format!("missing field `{key}`")))
-    }
-
     /// Parses a JSON document. Trailing non-whitespace is an error.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        p.skip_ws();
-        let value = p.value(0)?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(JsonError::new(format!(
-                "trailing characters at byte {}",
-                p.pos
-            )));
-        }
-        Ok(value)
+        from_str(text)
     }
 }
 
 impl fmt::Display for Json {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&to_string(self))
+    }
+}
+
+impl ToJson for Json {
+    fn write_json(&self, out: &mut String) {
         match self {
-            Json::Null => f.write_str("null"),
-            Json::Bool(b) => write!(f, "{b}"),
-            Json::I64(i) => write!(f, "{i}"),
-            Json::U64(u) => write!(f, "{u}"),
-            Json::F64(x) => {
-                if x.is_finite() {
-                    // Ryu-free shortest-ish form: Rust's Display for f64 is
-                    // round-trippable.
-                    if x.fract() == 0.0 && x.abs() < 1e15 {
-                        write!(f, "{x:.1}")
-                    } else {
-                        write!(f, "{x}")
-                    }
-                } else {
-                    f.write_str("null")
-                }
-            }
-            Json::Str(s) => write_escaped(f, s),
-            Json::Arr(items) => {
-                f.write_str("[")?;
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    item.fmt(f)?;
-                }
-                f.write_str("]")
-            }
+            Json::Null => out.push_str("null"),
+            Json::Bool(b) => b.write_json(out),
+            Json::I64(i) => write_i64(out, *i),
+            Json::U64(u) => write_u64(out, *u),
+            Json::F64(x) => x.write_json(out),
+            Json::Str(s) => write_str(out, s),
+            Json::Arr(items) => items.write_json(out),
             Json::Obj(pairs) => {
-                f.write_str("{")?;
+                out.push('{');
                 for (i, (k, v)) in pairs.iter().enumerate() {
                     if i > 0 {
-                        f.write_str(",")?;
+                        out.push(',');
                     }
-                    write_escaped(f, k)?;
-                    f.write_str(":")?;
-                    v.fmt(f)?;
+                    write_str(out, k);
+                    out.push(':');
+                    v.write_json(out);
                 }
-                f.write_str("}")
+                out.push('}');
             }
         }
     }
 }
 
-/// Writes `s` as a JSON string literal. Bytes that need no escape leave
-/// in runs, one `write_str` per run; every escaped byte is ASCII, so a run
+impl FromJson for Json {
+    fn read_json(r: &mut Reader<'_>) -> Result<Self, JsonError> {
+        match r.peek() {
+            Some(b'n') => r.null().map(|()| Json::Null),
+            Some(b't' | b'f') => r.bool().map(Json::Bool),
+            Some(b'"') => r.str().map(|s| Json::Str(s.into_owned())),
+            Some(b'[') => Vec::read_json(r).map(Json::Arr),
+            Some(b'{') => {
+                let mut pairs = Vec::new();
+                r.object(|r, key| {
+                    pairs.push((key.to_string(), Json::read_json(r)?));
+                    Ok(())
+                })?;
+                Ok(Json::Obj(pairs))
+            }
+            Some(b'-' | b'0'..=b'9') => r.number(),
+            _ => Err(JsonError::expected("a JSON value")),
+        }
+    }
+}
+
+/// Appends `s` as a JSON string literal. Bytes that need no escape leave
+/// in runs, one `push_str` per run; every escaped byte is ASCII, so a run
 /// always ends on a character boundary.
-fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    f.write_str("\"")?;
+pub fn write_str(out: &mut String, s: &str) {
+    out.push('"');
     let mut run_start = 0;
     for (i, b) in s.bytes().enumerate() {
         if b >= 0x20 && b != b'"' && b != b'\\' {
             continue;
         }
-        f.write_str(&s[run_start..i])?;
+        out.push_str(&s[run_start..i]);
         match b {
-            b'"' => f.write_str("\\\"")?,
-            b'\\' => f.write_str("\\\\")?,
-            b'\n' => f.write_str("\\n")?,
-            b'\r' => f.write_str("\\r")?,
-            b'\t' => f.write_str("\\t")?,
-            0x08 => f.write_str("\\b")?,
-            0x0C => f.write_str("\\f")?,
-            _ => write!(f, "\\u{b:04x}")?,
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            0x08 => out.push_str("\\b"),
+            0x0C => out.push_str("\\f"),
+            _ => write!(out, "\\u{b:04x}").expect("formatting into a String cannot fail"),
         }
         run_start = i + 1;
     }
-    f.write_str(&s[run_start..])?;
-    f.write_str("\"")
+    out.push_str(&s[run_start..]);
+    out.push('"');
+}
+
+/// Appends `value` in decimal, digit for digit what `Display` prints,
+/// without going through `fmt`.
+pub fn write_u64(out: &mut String, mut value: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (value % 10) as u8;
+        value /= 10;
+        if value == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("decimal digits are ascii"));
+}
+
+/// Appends `value` in decimal, as [`write_u64`] does.
+pub fn write_i64(out: &mut String, value: i64) {
+    if value < 0 {
+        out.push('-');
+    }
+    write_u64(out, value.unsigned_abs());
 }
 
 /// A parse or conversion failure.
@@ -237,6 +272,17 @@ impl JsonError {
     pub fn expected(what: &str) -> Self {
         Self::new(format!("expected {what}"))
     }
+
+    /// A required object key that the text does not have.
+    pub fn missing(key: &str) -> Self {
+        Self::new(format!("missing field `{key}`"))
+    }
+
+    /// A tag that names no variant of `what`, or names one of the other
+    /// form (a bare string for a variant with a body, or the reverse).
+    pub fn unknown_variant(what: &str, tag: &str) -> Self {
+        Self::new(format!("unknown {what} variant `{tag}`"))
+    }
 }
 
 impl fmt::Display for JsonError {
@@ -247,449 +293,160 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn eat(&mut self, b: u8) -> Result<(), JsonError> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(JsonError::new(format!(
-                "expected `{}` at byte {}",
-                b as char, self.pos
-            )))
-        }
-    }
-
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json, JsonError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(JsonError::new(format!(
-                "invalid literal at byte {}",
-                self.pos
-            )))
-        }
-    }
-
-    fn value(&mut self, depth: usize) -> Result<Json, JsonError> {
-        if depth > MAX_DEPTH {
-            return Err(JsonError::new("nesting too deep"));
-        }
-        match self.peek() {
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(depth),
-            Some(b'{') => self.object(depth),
-            Some(b'-') | Some(b'0'..=b'9') => self.number(),
-            _ => Err(JsonError::new(format!(
-                "unexpected input at byte {}",
-                self.pos
-            ))),
-        }
-    }
-
-    fn array(&mut self, depth: usize) -> Result<Json, JsonError> {
-        self.eat(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value(depth + 1)?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => {
-                    return Err(JsonError::new(format!(
-                        "expected `,` or `]` at byte {}",
-                        self.pos
-                    )))
-                }
-            }
-        }
-    }
-
-    fn object(&mut self, depth: usize) -> Result<Json, JsonError> {
-        self.eat(b'{')?;
-        let mut pairs = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(pairs));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.eat(b':')?;
-            self.skip_ws();
-            let value = self.value(depth + 1)?;
-            pairs.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(pairs));
-                }
-                _ => {
-                    return Err(JsonError::new(format!(
-                        "expected `,` or `}}` at byte {}",
-                        self.pos
-                    )))
-                }
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, JsonError> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            let start = self.pos;
-            // Fast path: copy a run of plain bytes at once.
-            while let Some(&b) = self.bytes.get(self.pos) {
-                if b == b'"' || b == b'\\' || b < 0x20 {
-                    break;
-                }
-                self.pos += 1;
-            }
-            if self.pos > start {
-                let chunk = std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| JsonError::new("invalid utf-8 in string"))?;
-                out.push_str(chunk);
-            }
-            match self.peek() {
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    out.push(self.escape()?);
-                }
-                Some(_) => {
-                    return Err(JsonError::new(format!(
-                        "control character in string at byte {}",
-                        self.pos
-                    )))
-                }
-                None => return Err(JsonError::new("unterminated string")),
-            }
-        }
-    }
-
-    fn escape(&mut self) -> Result<char, JsonError> {
-        let b = self
-            .peek()
-            .ok_or_else(|| JsonError::new("unterminated escape"))?;
-        self.pos += 1;
-        Ok(match b {
-            b'"' => '"',
-            b'\\' => '\\',
-            b'/' => '/',
-            b'b' => '\u{08}',
-            b'f' => '\u{0C}',
-            b'n' => '\n',
-            b'r' => '\r',
-            b't' => '\t',
-            b'u' => {
-                let hi = self.hex4()?;
-                if (0xD800..0xDC00).contains(&hi) {
-                    // Surrogate pair.
-                    if self.peek() == Some(b'\\') {
-                        self.pos += 1;
-                        self.eat(b'u')?;
-                        let lo = self.hex4()?;
-                        if !(0xDC00..0xE000).contains(&lo) {
-                            return Err(JsonError::new("invalid low surrogate"));
-                        }
-                        let code = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
-                        char::from_u32(code)
-                            .ok_or_else(|| JsonError::new("invalid surrogate pair"))?
-                    } else {
-                        return Err(JsonError::new("unpaired surrogate"));
-                    }
-                } else {
-                    char::from_u32(hi).ok_or_else(|| JsonError::new("invalid \\u escape"))?
-                }
-            }
-            _ => return Err(JsonError::new(format!("invalid escape `\\{}`", b as char))),
-        })
-    }
-
-    fn hex4(&mut self) -> Result<u32, JsonError> {
-        let mut code = 0u32;
-        for _ in 0..4 {
-            let b = self
-                .peek()
-                .ok_or_else(|| JsonError::new("truncated \\u escape"))?;
-            let digit = match b {
-                b'0'..=b'9' => (b - b'0') as u32,
-                b'a'..=b'f' => (b - b'a' + 10) as u32,
-                b'A'..=b'F' => (b - b'A' + 10) as u32,
-                _ => return Err(JsonError::new("bad hex digit in \\u escape")),
-            };
-            code = code * 16 + digit;
-            self.pos += 1;
-        }
-        Ok(code)
-    }
-
-    fn number(&mut self) -> Result<Json, JsonError> {
-        let start = self.pos;
-        let negative = self.peek() == Some(b'-');
-        if negative {
-            self.pos += 1;
-        }
-        if !matches!(self.peek(), Some(b'0'..=b'9')) {
-            return Err(JsonError::new(format!("bad number at byte {start}")));
-        }
-        // Leading-zero rule: "0" may not be followed by another digit.
-        if self.peek() == Some(b'0') {
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'0'..=b'9')) {
-                return Err(JsonError::new(format!(
-                    "leading zero in number at byte {start}"
-                )));
-            }
-        } else {
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
-        }
-        let mut is_float = false;
-        if self.peek() == Some(b'.') {
-            is_float = true;
-            self.pos += 1;
-            if !matches!(self.peek(), Some(b'0'..=b'9')) {
-                return Err(JsonError::new("digits required after decimal point"));
-            }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
-        }
-        if matches!(self.peek(), Some(b'e') | Some(b'E')) {
-            is_float = true;
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+') | Some(b'-')) {
-                self.pos += 1;
-            }
-            if !matches!(self.peek(), Some(b'0'..=b'9')) {
-                return Err(JsonError::new("digits required in exponent"));
-            }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
-        }
-        let text =
-            std::str::from_utf8(&self.bytes[start..self.pos]).expect("number chars are ascii");
-        if !is_float {
-            if let Ok(i) = text.parse::<i64>() {
-                return Ok(Json::I64(i));
-            }
-            if !negative {
-                if let Ok(u) = text.parse::<u64>() {
-                    return Ok(Json::U64(u));
-                }
-            }
-        }
-        text.parse::<f64>()
-            .map(Json::F64)
-            .map_err(|_| JsonError::new(format!("unparseable number `{text}`")))
-    }
-}
-
-/// Conversion of a Rust value into a [`Json`] tree.
+/// A value that can write itself as JSON text.
 pub trait ToJson {
-    /// Builds the JSON representation.
-    fn to_json(&self) -> Json;
+    /// Appends the JSON text of `self` to `out`.
+    fn write_json(&self, out: &mut String);
 }
 
-/// Conversion of a [`Json`] tree back into a Rust value.
+/// A value that can read itself from JSON text.
 pub trait FromJson: Sized {
-    /// Reads the value, failing with a descriptive error on shape mismatch.
-    fn from_json(json: &Json) -> Result<Self, JsonError>;
+    /// Reads one value at `r`'s position, failing with a descriptive
+    /// error on a syntax error or a shape mismatch.
+    fn read_json(r: &mut Reader<'_>) -> Result<Self, JsonError>;
 }
 
 /// Serialises a value to a JSON string.
 pub fn to_string<T: ToJson + ?Sized>(value: &T) -> String {
-    value.to_json().to_string()
+    let mut out = String::new();
+    value.write_json(&mut out);
+    out
 }
 
-/// Parses a JSON string into a value.
+/// Parses a JSON string into a value. Trailing non-whitespace is an error.
 pub fn from_str<T: FromJson>(text: &str) -> Result<T, JsonError> {
-    T::from_json(&Json::parse(text)?)
-}
-
-impl ToJson for Json {
-    fn to_json(&self) -> Json {
-        self.clone()
-    }
-}
-
-impl FromJson for Json {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        Ok(json.clone())
-    }
+    let mut reader = Reader::new(text);
+    let value = T::read_json(&mut reader)?;
+    reader.finish()?;
+    Ok(value)
 }
 
 impl ToJson for bool {
-    fn to_json(&self) -> Json {
-        Json::Bool(*self)
+    fn write_json(&self, out: &mut String) {
+        out.push_str(if *self { "true" } else { "false" });
     }
 }
 
 impl FromJson for bool {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        json.as_bool().ok_or_else(|| JsonError::expected("bool"))
-    }
-}
-
-impl ToJson for String {
-    fn to_json(&self) -> Json {
-        Json::Str(self.clone())
-    }
-}
-
-impl FromJson for String {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        json.as_str()
-            .map(str::to_string)
-            .ok_or_else(|| JsonError::expected("string"))
+    fn read_json(r: &mut Reader<'_>) -> Result<Self, JsonError> {
+        r.bool()
     }
 }
 
 impl ToJson for str {
-    fn to_json(&self) -> Json {
-        Json::Str(self.to_string())
+    fn write_json(&self, out: &mut String) {
+        write_str(out, self);
     }
 }
 
-macro_rules! int_from_json {
-    ($($t:ty => $as:ident),* $(,)?) => {$(
+impl ToJson for String {
+    fn write_json(&self, out: &mut String) {
+        write_str(out, self);
+    }
+}
+
+impl FromJson for String {
+    fn read_json(r: &mut Reader<'_>) -> Result<Self, JsonError> {
+        r.str().map(|s| s.into_owned())
+    }
+}
+
+macro_rules! int_json {
+    ($($wide:ident via $write:ident: $($t:ty),*;)*) => {$($(
+        impl ToJson for $t {
+            fn write_json(&self, out: &mut String) {
+                // Lossless: every `$t` fits `$wide`.
+                $write(out, *self as $wide);
+            }
+        }
+
         impl FromJson for $t {
-            fn from_json(json: &Json) -> Result<Self, JsonError> {
-                json.$as()
-                    .and_then(|v| <$t>::try_from(v).ok())
-                    .ok_or_else(|| JsonError::expected(stringify!($t)))
+            fn read_json(r: &mut Reader<'_>) -> Result<Self, JsonError> {
+                <$t>::try_from(r.$wide()?).map_err(|_| JsonError::expected(stringify!($t)))
             }
         }
-    )*};
+    )*)*};
 }
 
-macro_rules! small_int_to_json {
-    ($($t:ty),* $(,)?) => {$(
-        impl ToJson for $t {
-            fn to_json(&self) -> Json {
-                Json::I64(*self as i64)
-            }
-        }
-    )*};
+int_json! {
+    u64 via write_u64: u8, u16, u32, u64, usize;
+    i64 via write_i64: i8, i16, i32, i64, isize;
 }
-
-macro_rules! wide_uint_to_json {
-    ($($t:ty),* $(,)?) => {$(
-        impl ToJson for $t {
-            fn to_json(&self) -> Json {
-                match i64::try_from(*self) {
-                    Ok(i) => Json::I64(i),
-                    Err(_) => Json::U64(*self as u64),
-                }
-            }
-        }
-    )*};
-}
-
-small_int_to_json!(u8, u16, u32, i8, i16, i32, i64, isize);
-wide_uint_to_json!(u64, usize);
-int_from_json!(u8 => as_u64, u16 => as_u64, u32 => as_u64, u64 => as_u64, usize => as_u64);
-int_from_json!(i8 => as_i64, i16 => as_i64, i32 => as_i64, i64 => as_i64, isize => as_i64);
 
 impl ToJson for f64 {
-    fn to_json(&self) -> Json {
-        Json::F64(*self)
+    fn write_json(&self, out: &mut String) {
+        const INFALLIBLE: &str = "formatting into a String cannot fail";
+        let x = *self;
+        if !x.is_finite() {
+            out.push_str("null");
+        } else if x.fract() == 0.0 && x.abs() < 1e15 {
+            // Rust's `Display` for `f64` round-trips; keep the `.0` that
+            // marks an integral value as a float.
+            write!(out, "{x:.1}").expect(INFALLIBLE);
+        } else {
+            write!(out, "{x}").expect(INFALLIBLE);
+        }
     }
 }
 
 impl FromJson for f64 {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        json.as_f64().ok_or_else(|| JsonError::expected("number"))
+    fn read_json(r: &mut Reader<'_>) -> Result<Self, JsonError> {
+        r.f64()
     }
 }
 
 impl<T: ToJson> ToJson for Vec<T> {
-    fn to_json(&self) -> Json {
-        Json::Arr(self.iter().map(ToJson::to_json).collect())
+    fn write_json(&self, out: &mut String) {
+        out.push('[');
+        for (i, item) in self.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            item.write_json(out);
+        }
+        out.push(']');
     }
 }
 
 impl<T: FromJson> FromJson for Vec<T> {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        json.as_arr()
-            .ok_or_else(|| JsonError::expected("array"))?
-            .iter()
-            .map(T::from_json)
-            .collect()
+    fn read_json(r: &mut Reader<'_>) -> Result<Self, JsonError> {
+        let mut items = Vec::new();
+        r.array(|r| {
+            items.push(T::read_json(r)?);
+            Ok(())
+        })?;
+        Ok(items)
     }
 }
 
 impl<T: ToJson> ToJson for Option<T> {
-    fn to_json(&self) -> Json {
+    fn write_json(&self, out: &mut String) {
         match self {
-            Some(v) => v.to_json(),
-            None => Json::Null,
+            Some(v) => v.write_json(out),
+            None => out.push_str("null"),
         }
     }
 }
 
 impl<T: FromJson> FromJson for Option<T> {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        match json {
-            Json::Null => Ok(None),
-            other => T::from_json(other).map(Some),
+    fn read_json(r: &mut Reader<'_>) -> Result<Self, JsonError> {
+        if r.peek() == Some(b'n') {
+            r.null().map(|()| None)
+        } else {
+            T::read_json(r).map(Some)
         }
     }
 }
 
 impl<T: ToJson> ToJson for Box<T> {
-    fn to_json(&self) -> Json {
-        (**self).to_json()
+    fn write_json(&self, out: &mut String) {
+        (**self).write_json(out);
     }
 }
 
 impl<T: FromJson> FromJson for Box<T> {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        T::from_json(json).map(Box::new)
+    fn read_json(r: &mut Reader<'_>) -> Result<Self, JsonError> {
+        T::read_json(r).map(Box::new)
     }
 }
 
@@ -720,10 +477,10 @@ mod tests {
     #[test]
     fn integer_canonicalisation_makes_equality_work() {
         // A u64 that fits i64 encodes as I64, so parse(print(x)) == x.
-        let v = 5u64.to_json();
+        let v = Json::parse(&to_string(&5u64)).unwrap();
         assert_eq!(v, Json::I64(5));
-        assert_eq!(u64::from_json(&v).unwrap(), 5);
-        assert_eq!(i64::from_json(&Json::U64(5)).unwrap(), 5);
+        assert_eq!(from_str::<u64>(&v.to_string()).unwrap(), 5);
+        assert_eq!(from_str::<i64>(&Json::U64(5).to_string()).unwrap(), 5);
     }
 
     #[test]
@@ -807,7 +564,6 @@ mod tests {
         assert_eq!(Json::parse(&text).unwrap(), v);
         assert_eq!(v.get("name").unwrap().as_str(), Some("alice"));
         assert!(v.get("missing").is_none());
-        assert!(v.field("missing").is_err());
     }
 
     #[test]
@@ -853,11 +609,258 @@ mod tests {
         }
     }
 
+    #[test]
+    fn integers_print_as_display_does() {
+        for u in [
+            0,
+            9,
+            10,
+            99,
+            100,
+            i64::MAX as u64,
+            i64::MAX as u64 + 1,
+            u64::MAX,
+        ] {
+            assert_eq!(to_string(&u), u.to_string());
+            assert_eq!(Json::U64(u).to_string(), u.to_string());
+        }
+        for i in [0, -1, 1, -10, i64::MIN, i64::MIN + 1, i64::MAX] {
+            assert_eq!(to_string(&i), i.to_string());
+        }
+        assert_eq!(to_string(&u8::MAX), "255");
+        assert_eq!(to_string(&i8::MIN), "-128");
+        assert_eq!(to_string(&usize::MAX), usize::MAX.to_string());
+    }
+
+    #[test]
+    fn strings_are_borrowed_unless_escaped() {
+        use std::borrow::Cow;
+        let mut r = Reader::new(r#" "plain é☃" "#);
+        assert!(matches!(r.str().unwrap(), Cow::Borrowed("plain é☃")));
+        r.finish().unwrap();
+        let mut r = Reader::new(r#""a\nb\u00e9""#);
+        assert!(matches!(r.str().unwrap(), Cow::Owned(s) if s == "a\nbé"));
+        assert!(Reader::new("7").str().is_err());
+        assert!(
+            Reader::new("\"a\u{1}b\"").str().is_err(),
+            "raw control character"
+        );
+    }
+
+    #[derive(Debug, PartialEq)]
+    struct Point {
+        x: u32,
+        label: Option<String>,
+        raw: Vec<u8>,
+    }
+
+    /// Bytes as one string of `.` and `#`, to show an `as` codec.
+    struct Bits;
+
+    impl Bits {
+        fn write_json(bytes: &[u8], out: &mut String) {
+            let text: String = bytes
+                .iter()
+                .map(|b| if *b == 0 { '.' } else { '#' })
+                .collect();
+            write_str(out, &text);
+        }
+
+        fn read_json(r: &mut Reader<'_>) -> Result<Vec<u8>, JsonError> {
+            Ok(r.str()?.bytes().map(|b| u8::from(b == b'#')).collect())
+        }
+    }
+
+    crate::json_struct! { Point { x, label, raw as Bits } }
+
+    #[derive(Debug, PartialEq)]
+    enum Shape {
+        Dot(Point),
+        Mask(Vec<u8>),
+        Line { from: Point, to: Point },
+        Empty,
+        Unknown,
+        Origin,
+    }
+
+    crate::json_enum! { Shape {
+        Dot(p),
+        Mask(bits as Bits),
+        Line { from, to },
+        Empty,
+        Unknown = "?",
+        Origin = null,
+    } }
+
+    fn point(x: u32) -> Point {
+        Point {
+            x,
+            label: None,
+            raw: vec![0, 1],
+        }
+    }
+
+    #[test]
+    fn generated_impls_write_and_read_every_shape() {
+        let p = r#"{"x":1,"label":null,"raw":".#"}"#;
+        for (shape, text) in [
+            (Shape::Dot(point(1)), format!(r#"{{"Dot":{p}}}"#)),
+            (Shape::Mask(vec![1, 0]), r##"{"Mask":"#."}"##.to_string()),
+            (
+                Shape::Line {
+                    from: point(1),
+                    to: point(1),
+                },
+                format!(r#"{{"Line":{{"from":{p},"to":{p}}}}}"#),
+            ),
+            (Shape::Empty, r#""Empty""#.to_string()),
+            (Shape::Unknown, r#""?""#.to_string()),
+            (Shape::Origin, r#"{"Origin":null}"#.to_string()),
+        ] {
+            assert_eq!(to_string(&shape), text);
+            assert_eq!(from_str::<Shape>(&text).unwrap(), shape);
+            assert_eq!(Json::parse(&text).unwrap().to_string(), text);
+        }
+        // A `= null` variant takes any body, checked like any other value.
+        assert_eq!(
+            from_str::<Shape>(r#"{"Origin":[1,{}]}"#).unwrap(),
+            Shape::Origin
+        );
+        assert!(from_str::<Shape>(r#"{"Origin":[1,]}"#).is_err());
+        // A variant has one form only.
+        for refused in [
+            r#""Origin""#,
+            r#""Dot""#,
+            r#""Unknown""#,
+            r#"{"Empty":null}"#,
+            r#"{"?":null}"#,
+            r#"{"Nope":1}"#,
+            r#"{}"#,
+            r#"{"Empty":null,"Empty":null}"#,
+            "7",
+        ] {
+            assert!(from_str::<Shape>(refused).is_err(), "{refused}");
+        }
+    }
+
+    #[test]
+    fn struct_readers_follow_the_documented_rules() {
+        let p = point(1);
+        for accepted in [
+            r#"{"raw":".#","label":null,"x":1}"#,
+            r#"{"x":1,"x":"second","label":null,"label":7,"raw":".#"}"#,
+            r#"{"x":1,"extra":{"deep":[true,false,null,-1.5e3,"s"]},"label":null,"raw":".#"}"#,
+        ] {
+            assert_eq!(from_str::<Point>(accepted).unwrap(), p, "{accepted}");
+        }
+        for (refused, because) in [
+            (r#"{"x":1,"raw":".#"}"#, "missing field `label`"),
+            (r#"{"x":null,"label":null,"raw":".#"}"#, "bad number"),
+            (r#"{"x":1.0,"label":null,"raw":".#"}"#, "expected u64"),
+            (r#"{"x":-1,"label":null,"raw":".#"}"#, "expected u64"),
+            (
+                r#"{"x":4294967296,"label":null,"raw":".#"}"#,
+                "expected u32",
+            ),
+            (
+                r#"{"x":1,"label":null,"raw":".#","extra":[1,]}"#,
+                "unexpected input",
+            ),
+            (
+                r#"{"x":1,"label":null,"raw":".#"} ,"#,
+                "trailing characters",
+            ),
+            ("[]", "missing field `x`"),
+            ("null", "missing field `x`"),
+        ] {
+            let err = from_str::<Point>(refused).unwrap_err().to_string();
+            assert!(err.contains(because), "{refused}: {err}");
+        }
+    }
+
+    #[test]
+    fn depth_is_counted_across_typed_readers_and_skipped_values() {
+        // `[[…[1]…]]`: the number sits `arrays` levels down.
+        let nested = |arrays: usize| "[".repeat(arrays) + "1" + &"]".repeat(arrays);
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&nested(MAX_DEPTH + 1)).is_err());
+        // The same text under an unknown key one level down.
+        let skipped = |arrays| format!(r#"{{"x":1,"label":null,"raw":"","u":{}}}"#, nested(arrays));
+        assert!(from_str::<Point>(&skipped(MAX_DEPTH - 1)).is_ok());
+        assert!(from_str::<Point>(&skipped(MAX_DEPTH)).is_err());
+        // And through typed readers all the way down.
+        type Deep = Vec<Vec<Vec<Option<Box<Json>>>>>;
+        let typed = |arrays| format!("[[[{}]]]", nested(arrays));
+        assert!(from_str::<Deep>(&typed(MAX_DEPTH - 3)).is_ok());
+        assert!(from_str::<Deep>(&typed(MAX_DEPTH - 2)).is_err());
+    }
+
+    #[test]
+    fn first_key_looks_without_moving() {
+        let mut r = Reader::new(r#" { "Dea\u0064line" : 1 } "#);
+        assert_eq!(r.first_key().as_deref(), Some("Deadline"));
+        assert_eq!(
+            Json::read_json(&mut r).unwrap().get("Deadline"),
+            Some(&Json::I64(1))
+        );
+        for keyless in ["{}", "\"Ping\"", "[{\"a\":1}]", "", "{7:1}"] {
+            assert_eq!(Reader::new(keyless).first_key(), None, "{keyless}");
+        }
+    }
+
     mod props {
         use super::*;
         use proptest::prelude::*;
 
+        /// An arbitrary document, at most `depth` containers deep.
+        fn document(depth: u32) -> BoxedStrategy<Json> {
+            let scalar = prop_oneof![
+                Just(Json::Null),
+                any::<bool>().prop_map(Json::Bool),
+                any::<i64>().prop_map(Json::I64),
+                (i64::MAX as u64 + 1..=u64::MAX).prop_map(Json::U64),
+                any::<i32>().prop_map(|x| Json::F64(f64::from(x) / 8.0 + 0.0625)),
+                "[ -~\\n\\t\u{0}\u{1f}é☃😀]{0,12}".prop_map(Json::Str),
+            ];
+            if depth == 0 {
+                return scalar.boxed();
+            }
+            let inner = document(depth - 1);
+            prop_oneof![
+                scalar,
+                proptest::collection::vec(inner.clone(), 0..4).prop_map(Json::Arr),
+                proptest::collection::vec(("[ -~\\n☃]{0,6}", inner), 0..4).prop_map(Json::Obj),
+            ]
+            .boxed()
+        }
+
         proptest! {
+            #[test]
+            fn documents_round_trip_and_skip_as_they_parse(doc in document(3)) {
+                let text = doc.to_string();
+                prop_assert_eq!(&Json::parse(&text).unwrap(), &doc);
+                let mut r = Reader::new(&text);
+                r.skip().unwrap();
+                r.finish().unwrap();
+                // Every proper prefix is refused, by the parser and by `skip`.
+                for cut in (0..text.len()).filter(|&cut| text.is_char_boundary(cut)) {
+                    let number = matches!(doc, Json::I64(_) | Json::U64(_) | Json::F64(_));
+                    if !number {
+                        prop_assert!(Json::parse(&text[..cut]).is_err(), "{}", &text[..cut]);
+                    }
+                    let mut r = Reader::new(&text[..cut]);
+                    let skipped = r.skip().and_then(|()| r.finish()).is_ok();
+                    prop_assert_eq!(skipped, Json::parse(&text[..cut]).is_ok());
+                }
+            }
+
+            #[test]
+            fn arbitrary_text_never_panics_and_skip_agrees_with_parse(text in "\\PC{0,40}") {
+                let mut r = Reader::new(&text);
+                let skipped = r.skip().and_then(|()| r.finish()).is_ok();
+                prop_assert_eq!(skipped, Json::parse(&text).is_ok());
+            }
+
             #[test]
             fn arbitrary_strings_round_trip(s in ".*") {
                 let text = Json::Str(s.clone()).to_string();
@@ -867,14 +870,16 @@ mod tests {
 
             #[test]
             fn arbitrary_u64_round_trip(x in proptest::prelude::any::<u64>()) {
-                let text = x.to_json().to_string();
+                let text = to_string(&x);
+                prop_assert_eq!(&text, &x.to_string());
                 let back: u64 = crate::from_str(&text).unwrap();
                 prop_assert_eq!(back, x);
             }
 
             #[test]
             fn arbitrary_i64_round_trip(x in proptest::prelude::any::<i64>()) {
-                let text = x.to_json().to_string();
+                let text = to_string(&x);
+                prop_assert_eq!(&text, &x.to_string());
                 let back: i64 = crate::from_str(&text).unwrap();
                 prop_assert_eq!(back, x);
             }

@@ -27,7 +27,7 @@ use std::marker::PhantomData;
 use std::sync::Arc;
 
 use oasis_crypto::hash::Sha256;
-use oasis_json::{FromJson, Json, ToJson};
+use oasis_json::{FromJson, ToJson};
 use parking_lot::Mutex;
 
 use crate::backend::StorageBackend;
@@ -236,9 +236,7 @@ impl<T: ToJson + FromJson> Journal<T> {
         for f in &frames {
             let text = std::str::from_utf8(f.payload)
                 .map_err(|e| StoreError::Codec(format!("record {}: {e}", f.seq)))?;
-            let json = Json::parse(text)
-                .map_err(|e| StoreError::Codec(format!("record {}: {e}", f.seq)))?;
-            let value = T::from_json(&json)
+            let value = oasis_json::from_str(text)
                 .map_err(|e| StoreError::Codec(format!("record {}: {e}", f.seq)))?;
             records.push((f.seq, value));
         }
@@ -287,24 +285,20 @@ impl<T: ToJson + FromJson> Journal<T> {
 mod tests {
     use super::*;
     use crate::backend::MemBackend;
-    use oasis_json::JsonError;
+    use oasis_json::{JsonError, Reader};
 
     #[derive(Debug, Clone, PartialEq)]
     struct Note(String);
 
     impl ToJson for Note {
-        fn to_json(&self) -> Json {
-            Json::str(self.0.clone())
+        fn write_json(&self, out: &mut String) {
+            self.0.write_json(out);
         }
     }
 
     impl FromJson for Note {
-        fn from_json(json: &Json) -> Result<Self, JsonError> {
-            Ok(Note(
-                json.as_str()
-                    .ok_or_else(|| JsonError::expected("string"))?
-                    .to_string(),
-            ))
+        fn read_json(r: &mut Reader<'_>) -> Result<Self, JsonError> {
+            String::read_json(r).map(Note)
         }
     }
 

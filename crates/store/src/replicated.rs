@@ -65,8 +65,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use oasis_crypto::hash::Sha256;
-use oasis_crypto::hex;
-use oasis_json::{FromJson, Json, JsonError, ToJson};
+use oasis_crypto::HexBytes;
+use oasis_json::{json_enum, json_struct, Json};
 use parking_lot::Mutex;
 
 use crate::backend::{MemBackend, StorageBackend};
@@ -278,322 +278,31 @@ impl PeerRequest {
     }
 }
 
-fn bytes_to_json(bytes: &[u8]) -> Json {
-    Json::str(hex::encode(bytes))
-}
+// A region's bytes travel as one hex string, written straight into the
+// frame and decoded straight from it: an entry is a journal record, and
+// every replica of every append passes through here.
+json_enum! { RegionOp { Append(bytes as HexBytes), Replace(bytes as HexBytes) } }
+json_struct! { LogEntry { index, term, region, op } }
 
-fn bytes_from_json(json: &Json) -> Result<Vec<u8>, JsonError> {
-    let text = json
-        .as_str()
-        .ok_or_else(|| JsonError::expected("hex string"))?;
-    hex::decode(text).ok_or_else(|| JsonError::new("invalid hex payload"))
-}
+json_enum! { PeerRequest {
+    Replicate { term, leader, leader_hint, prev_index, prev_hash, entries },
+    LeaderClaim { term, candidate, candidate_hint, last_index, last_term },
+    PreVote { term, candidate, last_index, last_term },
+    Repair { term, follower, from_index, from_hash },
+    SyncChunk {
+        term, leader, leader_hint, session, seq, total, region, offset,
+        bytes as HexBytes,
+        checksum, last_index, last_hash, last_term,
+    },
+} }
 
-impl ToJson for RegionOp {
-    fn to_json(&self) -> Json {
-        match self {
-            RegionOp::Append(b) => Json::obj(vec![("Append", bytes_to_json(b))]),
-            RegionOp::Replace(b) => Json::obj(vec![("Replace", bytes_to_json(b))]),
-        }
-    }
-}
-
-impl FromJson for RegionOp {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        let pairs = json
-            .as_obj()
-            .ok_or_else(|| JsonError::expected("RegionOp object"))?;
-        let [(tag, payload)] = pairs else {
-            return Err(JsonError::expected("single-variant RegionOp object"));
-        };
-        match tag.as_str() {
-            "Append" => Ok(RegionOp::Append(bytes_from_json(payload)?)),
-            "Replace" => Ok(RegionOp::Replace(bytes_from_json(payload)?)),
-            other => Err(JsonError::new(format!(
-                "unknown RegionOp variant `{other}`"
-            ))),
-        }
-    }
-}
-
-impl ToJson for LogEntry {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("index", self.index.to_json()),
-            ("term", self.term.to_json()),
-            ("region", self.region.to_json()),
-            ("op", self.op.to_json()),
-        ])
-    }
-}
-
-impl FromJson for LogEntry {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        Ok(LogEntry {
-            index: FromJson::from_json(json.field("index")?)?,
-            term: FromJson::from_json(json.field("term")?)?,
-            region: FromJson::from_json(json.field("region")?)?,
-            op: FromJson::from_json(json.field("op")?)?,
-        })
-    }
-}
-
-impl ToJson for PeerRequest {
-    fn to_json(&self) -> Json {
-        match self {
-            PeerRequest::Replicate {
-                term,
-                leader,
-                leader_hint,
-                prev_index,
-                prev_hash,
-                entries,
-            } => Json::obj(vec![(
-                "Replicate",
-                Json::obj(vec![
-                    ("term", term.to_json()),
-                    ("leader", leader.to_json()),
-                    ("leader_hint", leader_hint.to_json()),
-                    ("prev_index", prev_index.to_json()),
-                    ("prev_hash", prev_hash.to_json()),
-                    ("entries", entries.to_json()),
-                ]),
-            )]),
-            PeerRequest::LeaderClaim {
-                term,
-                candidate,
-                candidate_hint,
-                last_index,
-                last_term,
-            } => Json::obj(vec![(
-                "LeaderClaim",
-                Json::obj(vec![
-                    ("term", term.to_json()),
-                    ("candidate", candidate.to_json()),
-                    ("candidate_hint", candidate_hint.to_json()),
-                    ("last_index", last_index.to_json()),
-                    ("last_term", last_term.to_json()),
-                ]),
-            )]),
-            PeerRequest::PreVote {
-                term,
-                candidate,
-                last_index,
-                last_term,
-            } => Json::obj(vec![(
-                "PreVote",
-                Json::obj(vec![
-                    ("term", term.to_json()),
-                    ("candidate", candidate.to_json()),
-                    ("last_index", last_index.to_json()),
-                    ("last_term", last_term.to_json()),
-                ]),
-            )]),
-            PeerRequest::Repair {
-                term,
-                follower,
-                from_index,
-                from_hash,
-            } => Json::obj(vec![(
-                "Repair",
-                Json::obj(vec![
-                    ("term", term.to_json()),
-                    ("follower", follower.to_json()),
-                    ("from_index", from_index.to_json()),
-                    ("from_hash", from_hash.to_json()),
-                ]),
-            )]),
-            PeerRequest::SyncChunk {
-                term,
-                leader,
-                leader_hint,
-                session,
-                seq,
-                total,
-                region,
-                offset,
-                bytes,
-                checksum,
-                last_index,
-                last_hash,
-                last_term,
-            } => Json::obj(vec![(
-                "SyncChunk",
-                Json::obj(vec![
-                    ("term", term.to_json()),
-                    ("leader", leader.to_json()),
-                    ("leader_hint", leader_hint.to_json()),
-                    ("session", session.to_json()),
-                    ("seq", seq.to_json()),
-                    ("total", total.to_json()),
-                    ("region", region.to_json()),
-                    ("offset", offset.to_json()),
-                    ("bytes", bytes_to_json(bytes)),
-                    ("checksum", checksum.to_json()),
-                    ("last_index", last_index.to_json()),
-                    ("last_hash", last_hash.to_json()),
-                    ("last_term", last_term.to_json()),
-                ]),
-            )]),
-        }
-    }
-}
-
-impl FromJson for PeerRequest {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        let pairs = json
-            .as_obj()
-            .ok_or_else(|| JsonError::expected("PeerRequest object"))?;
-        let [(tag, payload)] = pairs else {
-            return Err(JsonError::expected("single-variant PeerRequest object"));
-        };
-        match tag.as_str() {
-            "Replicate" => Ok(PeerRequest::Replicate {
-                term: FromJson::from_json(payload.field("term")?)?,
-                leader: FromJson::from_json(payload.field("leader")?)?,
-                leader_hint: FromJson::from_json(payload.field("leader_hint")?)?,
-                prev_index: FromJson::from_json(payload.field("prev_index")?)?,
-                prev_hash: FromJson::from_json(payload.field("prev_hash")?)?,
-                entries: FromJson::from_json(payload.field("entries")?)?,
-            }),
-            "LeaderClaim" => Ok(PeerRequest::LeaderClaim {
-                term: FromJson::from_json(payload.field("term")?)?,
-                candidate: FromJson::from_json(payload.field("candidate")?)?,
-                candidate_hint: FromJson::from_json(payload.field("candidate_hint")?)?,
-                last_index: FromJson::from_json(payload.field("last_index")?)?,
-                last_term: FromJson::from_json(payload.field("last_term")?)?,
-            }),
-            "PreVote" => Ok(PeerRequest::PreVote {
-                term: FromJson::from_json(payload.field("term")?)?,
-                candidate: FromJson::from_json(payload.field("candidate")?)?,
-                last_index: FromJson::from_json(payload.field("last_index")?)?,
-                last_term: FromJson::from_json(payload.field("last_term")?)?,
-            }),
-            "Repair" => Ok(PeerRequest::Repair {
-                term: FromJson::from_json(payload.field("term")?)?,
-                follower: FromJson::from_json(payload.field("follower")?)?,
-                from_index: FromJson::from_json(payload.field("from_index")?)?,
-                from_hash: FromJson::from_json(payload.field("from_hash")?)?,
-            }),
-            "SyncChunk" => Ok(PeerRequest::SyncChunk {
-                term: FromJson::from_json(payload.field("term")?)?,
-                leader: FromJson::from_json(payload.field("leader")?)?,
-                leader_hint: FromJson::from_json(payload.field("leader_hint")?)?,
-                session: FromJson::from_json(payload.field("session")?)?,
-                seq: FromJson::from_json(payload.field("seq")?)?,
-                total: FromJson::from_json(payload.field("total")?)?,
-                region: FromJson::from_json(payload.field("region")?)?,
-                offset: FromJson::from_json(payload.field("offset")?)?,
-                bytes: bytes_from_json(payload.field("bytes")?)?,
-                checksum: FromJson::from_json(payload.field("checksum")?)?,
-                last_index: FromJson::from_json(payload.field("last_index")?)?,
-                last_hash: FromJson::from_json(payload.field("last_hash")?)?,
-                last_term: FromJson::from_json(payload.field("last_term")?)?,
-            }),
-            other => Err(JsonError::new(format!(
-                "unknown PeerRequest variant `{other}`"
-            ))),
-        }
-    }
-}
-
-impl ToJson for PeerReply {
-    fn to_json(&self) -> Json {
-        match self {
-            PeerReply::ReplicateAck {
-                term,
-                last_index,
-                log_hash,
-                ok,
-            } => Json::obj(vec![(
-                "ReplicateAck",
-                Json::obj(vec![
-                    ("term", term.to_json()),
-                    ("last_index", last_index.to_json()),
-                    ("log_hash", log_hash.to_json()),
-                    ("ok", ok.to_json()),
-                ]),
-            )]),
-            PeerReply::Vote { term, granted } => Json::obj(vec![(
-                "Vote",
-                Json::obj(vec![
-                    ("term", term.to_json()),
-                    ("granted", granted.to_json()),
-                ]),
-            )]),
-            PeerReply::PreVoteAck { term, granted } => Json::obj(vec![(
-                "PreVoteAck",
-                Json::obj(vec![
-                    ("term", term.to_json()),
-                    ("granted", granted.to_json()),
-                ]),
-            )]),
-            PeerReply::RepairChunk {
-                term,
-                ok,
-                entries,
-                last_index,
-            } => Json::obj(vec![(
-                "RepairChunk",
-                Json::obj(vec![
-                    ("term", term.to_json()),
-                    ("ok", ok.to_json()),
-                    ("entries", entries.to_json()),
-                    ("last_index", last_index.to_json()),
-                ]),
-            )]),
-            PeerReply::ChunkAck { term, seq, ok } => Json::obj(vec![(
-                "ChunkAck",
-                Json::obj(vec![
-                    ("term", term.to_json()),
-                    ("seq", seq.to_json()),
-                    ("ok", ok.to_json()),
-                ]),
-            )]),
-        }
-    }
-}
-
-impl FromJson for PeerReply {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        let pairs = json
-            .as_obj()
-            .ok_or_else(|| JsonError::expected("PeerReply object"))?;
-        let [(tag, payload)] = pairs else {
-            return Err(JsonError::expected("single-variant PeerReply object"));
-        };
-        match tag.as_str() {
-            "ReplicateAck" => Ok(PeerReply::ReplicateAck {
-                term: FromJson::from_json(payload.field("term")?)?,
-                last_index: FromJson::from_json(payload.field("last_index")?)?,
-                log_hash: FromJson::from_json(payload.field("log_hash")?)?,
-                ok: FromJson::from_json(payload.field("ok")?)?,
-            }),
-            "Vote" => Ok(PeerReply::Vote {
-                term: FromJson::from_json(payload.field("term")?)?,
-                granted: FromJson::from_json(payload.field("granted")?)?,
-            }),
-            "PreVoteAck" => Ok(PeerReply::PreVoteAck {
-                term: FromJson::from_json(payload.field("term")?)?,
-                granted: FromJson::from_json(payload.field("granted")?)?,
-            }),
-            "RepairChunk" => Ok(PeerReply::RepairChunk {
-                term: FromJson::from_json(payload.field("term")?)?,
-                ok: FromJson::from_json(payload.field("ok")?)?,
-                entries: FromJson::from_json(payload.field("entries")?)?,
-                last_index: FromJson::from_json(payload.field("last_index")?)?,
-            }),
-            "ChunkAck" => Ok(PeerReply::ChunkAck {
-                term: FromJson::from_json(payload.field("term")?)?,
-                seq: FromJson::from_json(payload.field("seq")?)?,
-                ok: FromJson::from_json(payload.field("ok")?)?,
-            }),
-            other => Err(JsonError::new(format!(
-                "unknown PeerReply variant `{other}`"
-            ))),
-        }
-    }
-}
+json_enum! { PeerReply {
+    ReplicateAck { term, last_index, log_hash, ok },
+    Vote { term, granted },
+    PreVoteAck { term, granted },
+    RepairChunk { term, ok, entries, last_index },
+    ChunkAck { term, seq, ok },
+} }
 
 // ---------------------------------------------------------------------------
 // Transport
@@ -1108,7 +817,7 @@ impl ReplicaNode {
         let json = {
             let st = self.state.lock();
             Json::obj(vec![
-                ("term", st.term.to_json()),
+                ("term", Json::U64(st.term)),
                 (
                     "voted_for",
                     match &st.voted_for {
@@ -1116,9 +825,9 @@ impl ReplicaNode {
                         None => Json::Null,
                     },
                 ),
-                ("last_index", st.last_index.to_json()),
-                ("last_term", st.last_term.to_json()),
-                ("log_hash", st.log_hash.to_json()),
+                ("last_index", Json::U64(st.last_index)),
+                ("last_term", Json::U64(st.last_term)),
+                ("log_hash", Json::U64(st.log_hash)),
             ])
         };
         // Meta persistence is best-effort: a failed write degrades the

@@ -13,7 +13,7 @@ use std::marker::PhantomData;
 use std::sync::Arc;
 
 use oasis_crypto::hash::Sha256;
-use oasis_json::{FromJson, Json, ToJson};
+use oasis_json::{FromJson, ToJson};
 
 use crate::backend::StorageBackend;
 use crate::error::StoreError;
@@ -117,7 +117,7 @@ impl<S: ToJson + FromJson> SnapshotStore<S> {
             Ok(t) => t,
             Err(_) => return Ok(corrupt),
         };
-        let state = match Json::parse(text).and_then(|j| S::from_json(&j)) {
+        let state = match oasis_json::from_str(text) {
             Ok(s) => s,
             Err(_) => return Ok(corrupt),
         };
@@ -132,24 +132,20 @@ impl<S: ToJson + FromJson> SnapshotStore<S> {
 mod tests {
     use super::*;
     use crate::backend::MemBackend;
-    use oasis_json::JsonError;
+    use oasis_json::{JsonError, Reader};
 
     #[derive(Debug, Clone, PartialEq)]
     struct Blob(String);
 
     impl ToJson for Blob {
-        fn to_json(&self) -> Json {
-            Json::str(self.0.clone())
+        fn write_json(&self, out: &mut String) {
+            self.0.write_json(out);
         }
     }
 
     impl FromJson for Blob {
-        fn from_json(json: &Json) -> Result<Self, JsonError> {
-            Ok(Blob(
-                json.as_str()
-                    .ok_or_else(|| JsonError::expected("string"))?
-                    .to_string(),
-            ))
+        fn read_json(r: &mut Reader<'_>) -> Result<Self, JsonError> {
+            String::read_json(r).map(Blob)
         }
     }
 

@@ -8,7 +8,7 @@
 
 use std::sync::Arc;
 
-use oasis_json::{FromJson, Json, JsonError, ToJson};
+use oasis_json::json_struct;
 use oasis_store::{DurableStore, Journal, MemBackend};
 
 #[derive(Debug, Clone, PartialEq)]
@@ -17,30 +17,7 @@ struct Entry {
     label: String,
 }
 
-impl ToJson for Entry {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("id", Json::U64(self.id)),
-            ("label", Json::str(self.label.clone())),
-        ])
-    }
-}
-
-impl FromJson for Entry {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        Ok(Entry {
-            id: json
-                .field("id")?
-                .as_u64()
-                .ok_or_else(|| JsonError::expected("u64 id"))?,
-            label: json
-                .field("label")?
-                .as_str()
-                .ok_or_else(|| JsonError::expected("string label"))?
-                .to_string(),
-        })
-    }
-}
+json_struct! { Entry { id, label } }
 
 fn entry(i: u64) -> Entry {
     Entry {

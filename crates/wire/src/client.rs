@@ -12,7 +12,7 @@ use oasis_events::DeliveredEvent;
 
 use crate::error::WireError;
 use crate::frame::{encode_frame, read_frame};
-use crate::proto::{Envelope, Request, Response};
+use crate::proto::{EnvelopeRef, Request, Response};
 
 /// Deadlines for the blocking client's socket operations. `None` means
 /// block indefinitely for that operation.
@@ -243,15 +243,13 @@ impl WireClient {
     /// [`WireError::FrameTooLarge`], or transport errors
     /// ([`WireError::TimedOut`] when the write deadline expires).
     pub fn send(&mut self, request: &Request, deadline_ms: Option<u64>) -> Result<(), WireError> {
-        let frame = match (deadline_ms, self.trace) {
-            // Bare request: byte-identical to the pre-deadline format.
-            (None, None) => encode_frame(request),
-            (deadline_ms, trace) => encode_frame(&Envelope {
-                deadline_ms,
-                request: request.clone(),
-                trace,
-            }),
-        }?;
+        // With neither a deadline nor a trace this is the bare request,
+        // byte-identical to the pre-deadline format.
+        let frame = encode_frame(&EnvelopeRef {
+            deadline_ms,
+            request,
+            trace: self.trace,
+        })?;
         self.send_frame(&frame)
     }
 

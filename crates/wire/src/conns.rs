@@ -323,12 +323,14 @@ impl ConnTable {
                 Some((due_ms, stalled)) if due_ms <= now_ms => {
                     let conn = slab.slots[token].take().expect("due implies parked");
                     slab.parked -= 1;
-                    self.close(&mut slab, token, conn);
+                    // Counted before the close: a peer that reads the EOF
+                    // must find its close in the count already.
                     if stalled {
                         self.stalled_closed.inc();
                     } else {
                         self.controller.note_conn_idle_closed();
                     }
+                    self.close(&mut slab, token, conn);
                 }
                 Some((due_ms, _)) => next = next.min(due_ms),
                 None => {}

@@ -4,10 +4,9 @@
 //! bytes of JSON. Frames are capped at [`MAX_FRAME`] to keep a misbehaving
 //! peer from ballooning server memory.
 
-use std::fmt::Write as _;
 use std::io::{Read, Write};
 
-use oasis_json::{FromJson, Json, ToJson};
+use oasis_json::{FromJson, ToJson};
 
 use crate::error::WireError;
 
@@ -21,10 +20,11 @@ pub const MAX_FRAME: usize = 16 * 1024 * 1024;
 ///
 /// [`WireError::FrameTooLarge`] for oversized messages.
 pub fn encode_frame<M: ToJson>(message: &M) -> Result<Vec<u8>, WireError> {
-    // Formatted as a `String` (the fast path of `fmt`) behind four
-    // placeholder bytes that become the length.
-    let mut frame = String::from("\0\0\0\0");
-    write!(frame, "{}", message.to_json()).expect("formatting into a String cannot fail");
+    // Written as a `String` behind four placeholder bytes that become
+    // the length. Most frames fit the first allocation.
+    let mut frame = String::with_capacity(512);
+    frame.push_str("\0\0\0\0");
+    message.write_json(&mut frame);
     let mut frame = frame.into_bytes();
     let len = frame.len() - 4;
     if len > MAX_FRAME {
@@ -91,7 +91,7 @@ where
 fn decode_payload<M: FromJson>(payload: &[u8]) -> Result<M, WireError> {
     let text = std::str::from_utf8(payload)
         .map_err(|_| WireError::Malformed(oasis_json::JsonError::new("frame is not utf-8")))?;
-    Ok(M::from_json(&Json::parse(text)?)?)
+    Ok(oasis_json::from_str(text)?)
 }
 
 /// Incremental frame decoder for non-blocking reads: bytes go in as the

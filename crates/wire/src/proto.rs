@@ -31,7 +31,7 @@
 use oasis_core::cert::Rmc;
 use oasis_core::{CertEvent, Credential, Crr, Lane, PrincipalId, Value};
 use oasis_events::{DeliveredEvent, Topic};
-use oasis_json::{FromJson, Json, JsonError, ToJson};
+use oasis_json::{json_enum, json_struct, FromJson, JsonError, Reader, ToJson};
 use oasis_store::{PeerReply, PeerRequest};
 
 /// A client-to-server message.
@@ -174,64 +174,111 @@ impl Envelope {
     }
 }
 
-/// Encodes a [`oasis_obs::TraceCtx`] for the wire (orphan rules keep the
-/// `ToJson` impl out of both `oasis-obs` and `oasis-json`).
-fn trace_to_json(trace: &oasis_obs::TraceCtx) -> Json {
-    Json::obj(vec![
-        ("hop", trace.hop.to_json()),
-        ("parent", trace.parent_span.to_json()),
-        ("trace", trace.trace_id.to_json()),
-    ])
+/// The frame an [`Envelope`] encodes to, around a request that is only
+/// borrowed: what a client sends without cloning the request (credentials
+/// included) into an envelope first. [`Envelope`] is the decoded, owning
+/// form and encodes through this.
+pub(crate) struct EnvelopeRef<'a> {
+    pub(crate) deadline_ms: Option<u64>,
+    pub(crate) request: &'a Request,
+    pub(crate) trace: Option<oasis_obs::TraceCtx>,
 }
 
-/// Decodes the wire form built by [`trace_to_json`].
-fn trace_from_json(json: &Json) -> Result<oasis_obs::TraceCtx, JsonError> {
-    Ok(oasis_obs::TraceCtx {
-        trace_id: FromJson::from_json(json.field("trace")?)?,
-        parent_span: FromJson::from_json(json.field("parent")?)?,
-        hop: FromJson::from_json(json.field("hop")?)?,
-    })
+impl ToJson for EnvelopeRef<'_> {
+    fn write_json(&self, out: &mut String) {
+        if self.deadline_ms.is_none() && self.trace.is_none() {
+            // Byte-identical to the pre-deadline wire format.
+            return self.request.write_json(out);
+        }
+        out.push_str("{\"Deadline\":{");
+        if let Some(ms) = self.deadline_ms {
+            out.push_str("\"ms\":");
+            ms.write_json(out);
+            out.push(',');
+        }
+        out.push_str("\"req\":");
+        self.request.write_json(out);
+        if let Some(trace) = self.trace {
+            out.push_str(",\"trace\":");
+            WireTrace::from(trace).write_json(out);
+        }
+        out.push_str("}}");
+    }
+}
+
+/// An [`oasis_obs::TraceCtx`] under its wire keys (orphan rules keep the
+/// conversion impls out of both `oasis-obs` and `oasis-json`).
+struct WireTrace {
+    hop: u32,
+    parent: u64,
+    trace: u64,
+}
+
+json_struct! { WireTrace { hop, parent, trace } }
+
+impl From<oasis_obs::TraceCtx> for WireTrace {
+    fn from(ctx: oasis_obs::TraceCtx) -> Self {
+        Self {
+            hop: ctx.hop,
+            parent: ctx.parent_span,
+            trace: ctx.trace_id,
+        }
+    }
+}
+
+impl From<WireTrace> for oasis_obs::TraceCtx {
+    fn from(wire: WireTrace) -> Self {
+        Self {
+            trace_id: wire.trace,
+            parent_span: wire.parent,
+            hop: wire.hop,
+        }
+    }
 }
 
 impl ToJson for Envelope {
-    fn to_json(&self) -> Json {
-        if self.deadline_ms.is_none() && self.trace.is_none() {
-            // Byte-identical to the pre-deadline wire format.
-            return self.request.to_json();
+    fn write_json(&self, out: &mut String) {
+        EnvelopeRef {
+            deadline_ms: self.deadline_ms,
+            request: &self.request,
+            trace: self.trace,
         }
-        let mut fields = Vec::new();
-        if let Some(ms) = self.deadline_ms {
-            fields.push(("ms", ms.to_json()));
-        }
-        fields.push(("req", self.request.to_json()));
-        if let Some(trace) = &self.trace {
-            fields.push(("trace", trace_to_json(trace)));
-        }
-        tagged("Deadline", fields)
+        .write_json(out);
     }
 }
 
 impl FromJson for Envelope {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        if let Some([(tag, body)]) = json.as_obj() {
-            if tag == "Deadline" {
-                // Both wrapper fields are optional: a trace-only
-                // envelope has no `ms`, a deadline-only one no `trace`,
-                // and old servers ignore `trace` entirely.
-                return Ok(Envelope {
-                    deadline_ms: match body.get("ms") {
-                        Some(ms) => Some(FromJson::from_json(ms)?),
-                        None => None,
-                    },
-                    request: FromJson::from_json(body.field("req")?)?,
-                    trace: match body.get("trace") {
-                        Some(trace) => Some(trace_from_json(trace)?),
-                        None => None,
-                    },
-                });
-            }
+    fn read_json(r: &mut Reader<'_>) -> Result<Self, JsonError> {
+        // Only the `Deadline` tag opens the wrapper; a bare string or any
+        // other tag is the request itself.
+        if r.first_key().as_deref() != Some("Deadline") {
+            return Request::read_json(r).map(Envelope::bare);
         }
-        Ok(Envelope::bare(Request::from_json(json)?))
+        r.tagged("Envelope", |_, body| {
+            // Both `ms` and `trace` are optional: a trace-only envelope
+            // has no `ms`, a deadline-only one no `trace`, and old servers
+            // ignore `trace` entirely.
+            let (mut deadline_ms, mut request, mut trace) = (None, None, None);
+            // (A first key is the tag of an object, so there is a body.)
+            if let Some(body) = body {
+                body.object(|r, key| {
+                    match key {
+                        "ms" if deadline_ms.is_none() => deadline_ms = Some(r.u64()?),
+                        "req" if request.is_none() => request = Some(Request::read_json(r)?),
+                        "trace" if trace.is_none() => {
+                            trace = Some(WireTrace::read_json(r)?.into());
+                        }
+                        _ => r.skip()?,
+                    }
+                    Ok(())
+                })?;
+            }
+            Ok(Envelope {
+                deadline_ms,
+                request: request.ok_or_else(|| JsonError::missing("req"))?,
+                trace,
+            })
+        })
     }
 }
 
@@ -345,267 +392,45 @@ impl From<RetainedEvent> for DeliveredEvent<CertEvent> {
     }
 }
 
-impl ToJson for RetainedEvent {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("topic", self.topic.to_json()),
-            ("topic_seq", self.topic_seq.to_json()),
-            ("global_seq", self.global_seq.to_json()),
-            ("timestamp", self.timestamp.to_json()),
-            ("payload", self.payload.to_json()),
-        ])
-    }
-}
-
-impl FromJson for RetainedEvent {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        Ok(Self {
-            topic: FromJson::from_json(json.field("topic")?)?,
-            topic_seq: FromJson::from_json(json.field("topic_seq")?)?,
-            global_seq: FromJson::from_json(json.field("global_seq")?)?,
-            timestamp: FromJson::from_json(json.field("timestamp")?)?,
-            payload: FromJson::from_json(json.field("payload")?)?,
-        })
-    }
-}
+json_struct! { RetainedEvent { topic, topic_seq, global_seq, timestamp, payload } }
 
 /// [`Request::Peer`] by reference: encodes the same frame without owning
 /// (or cloning) the replication message.
 pub(crate) struct PeerFrame<'a>(pub(crate) &'a PeerRequest);
 
 impl ToJson for PeerFrame<'_> {
-    fn to_json(&self) -> Json {
-        tagged("Peer", vec![("req", self.0.to_json())])
+    fn write_json(&self, out: &mut String) {
+        out.push_str("{\"Peer\":{\"req\":");
+        self.0.write_json(out);
+        out.push_str("}}");
     }
 }
 
-impl ToJson for Request {
-    fn to_json(&self) -> Json {
-        match self {
-            Request::Activate {
-                principal,
-                role,
-                args,
-                credentials,
-                now,
-            } => tagged(
-                "Activate",
-                vec![
-                    ("principal", principal.to_json()),
-                    ("role", role.to_json()),
-                    ("args", args.to_json()),
-                    ("credentials", credentials.to_json()),
-                    ("now", now.to_json()),
-                ],
-            ),
-            Request::Invoke {
-                principal,
-                method,
-                args,
-                credentials,
-                now,
-            } => tagged(
-                "Invoke",
-                vec![
-                    ("principal", principal.to_json()),
-                    ("method", method.to_json()),
-                    ("args", args.to_json()),
-                    ("credentials", credentials.to_json()),
-                    ("now", now.to_json()),
-                ],
-            ),
-            Request::Validate {
-                credential,
-                presenter,
-                now,
-            } => tagged(
-                "Validate",
-                vec![
-                    ("credential", credential.to_json()),
-                    ("presenter", presenter.to_json()),
-                    ("now", now.to_json()),
-                ],
-            ),
-            Request::Revoke {
-                cert_id,
-                reason,
-                now,
-            } => tagged(
-                "Revoke",
-                vec![
-                    ("cert_id", cert_id.to_json()),
-                    ("reason", reason.to_json()),
-                    ("now", now.to_json()),
-                ],
-            ),
-            Request::Resync {
-                topic,
-                after_topic_seq,
-            } => tagged(
-                "Resync",
-                vec![
-                    ("topic", topic.to_json()),
-                    ("after_topic_seq", after_topic_seq.to_json()),
-                ],
-            ),
-            Request::Peer { req } => PeerFrame(req).to_json(),
-            Request::Ping => Json::Str("Ping".into()),
-            Request::Metrics => Json::Str("Metrics".into()),
-        }
-    }
-}
+json_enum! { Request {
+    Activate { principal, role, args, credentials, now },
+    Invoke { principal, method, args, credentials, now },
+    Validate { credential, presenter, now },
+    Revoke { cert_id, reason, now },
+    Resync { topic, after_topic_seq },
+    Peer { req },
+    Ping,
+    Metrics,
+} }
 
-impl FromJson for Request {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        match json.as_str() {
-            Some("Ping") => return Ok(Request::Ping),
-            Some("Metrics") => return Ok(Request::Metrics),
-            _ => {}
-        }
-        let (tag, body) = untag(json, "Request")?;
-        match tag {
-            "Activate" => Ok(Request::Activate {
-                principal: FromJson::from_json(body.field("principal")?)?,
-                role: FromJson::from_json(body.field("role")?)?,
-                args: FromJson::from_json(body.field("args")?)?,
-                credentials: FromJson::from_json(body.field("credentials")?)?,
-                now: FromJson::from_json(body.field("now")?)?,
-            }),
-            "Invoke" => Ok(Request::Invoke {
-                principal: FromJson::from_json(body.field("principal")?)?,
-                method: FromJson::from_json(body.field("method")?)?,
-                args: FromJson::from_json(body.field("args")?)?,
-                credentials: FromJson::from_json(body.field("credentials")?)?,
-                now: FromJson::from_json(body.field("now")?)?,
-            }),
-            "Validate" => Ok(Request::Validate {
-                credential: FromJson::from_json(body.field("credential")?)?,
-                presenter: FromJson::from_json(body.field("presenter")?)?,
-                now: FromJson::from_json(body.field("now")?)?,
-            }),
-            "Revoke" => Ok(Request::Revoke {
-                cert_id: FromJson::from_json(body.field("cert_id")?)?,
-                reason: FromJson::from_json(body.field("reason")?)?,
-                now: FromJson::from_json(body.field("now")?)?,
-            }),
-            "Resync" => Ok(Request::Resync {
-                topic: FromJson::from_json(body.field("topic")?)?,
-                after_topic_seq: FromJson::from_json(body.field("after_topic_seq")?)?,
-            }),
-            "Peer" => Ok(Request::Peer {
-                req: FromJson::from_json(body.field("req")?)?,
-            }),
-            other => Err(JsonError::new(format!("unknown Request variant `{other}`"))),
-        }
-    }
-}
-
-impl ToJson for Response {
-    fn to_json(&self) -> Json {
-        match self {
-            Response::Activated { rmc } => tagged("Activated", vec![("rmc", rmc.to_json())]),
-            Response::Invoked { used } => tagged("Invoked", vec![("used", used.to_json())]),
-            Response::Valid => Json::Str("Valid".into()),
-            Response::Revoked { was_active } => {
-                tagged("Revoked", vec![("was_active", was_active.to_json())])
-            }
-            Response::Resynced { events, complete } => tagged(
-                "Resynced",
-                vec![
-                    ("events", events.to_json()),
-                    ("complete", complete.to_json()),
-                ],
-            ),
-            Response::PeerAck { reply } => tagged("PeerAck", vec![("reply", reply.to_json())]),
-            Response::NotLeader { hint } => tagged(
-                "NotLeader",
-                vec![(
-                    "hint",
-                    match hint {
-                        Some(hint) => hint.to_json(),
-                        None => Json::Null,
-                    },
-                )],
-            ),
-            Response::Pong => Json::Str("Pong".into()),
-            Response::Metrics { snapshot } => {
-                tagged("Metrics", vec![("snapshot", snapshot.to_json())])
-            }
-            Response::Overloaded { retry_after_ms } => tagged(
-                "Overloaded",
-                vec![("retry_after_ms", retry_after_ms.to_json())],
-            ),
-            Response::DeadlineExceeded => Json::Str("DeadlineExceeded".into()),
-            Response::Error { message } => tagged("Error", vec![("message", message.to_json())]),
-        }
-    }
-}
-
-impl FromJson for Response {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        match json.as_str() {
-            Some("Valid") => return Ok(Response::Valid),
-            Some("Pong") => return Ok(Response::Pong),
-            Some("DeadlineExceeded") => return Ok(Response::DeadlineExceeded),
-            _ => {}
-        }
-        let (tag, body) = untag(json, "Response")?;
-        match tag {
-            "Activated" => Ok(Response::Activated {
-                rmc: FromJson::from_json(body.field("rmc")?)?,
-            }),
-            "Invoked" => Ok(Response::Invoked {
-                used: FromJson::from_json(body.field("used")?)?,
-            }),
-            "Revoked" => Ok(Response::Revoked {
-                was_active: FromJson::from_json(body.field("was_active")?)?,
-            }),
-            "Resynced" => Ok(Response::Resynced {
-                events: FromJson::from_json(body.field("events")?)?,
-                complete: FromJson::from_json(body.field("complete")?)?,
-            }),
-            "PeerAck" => Ok(Response::PeerAck {
-                reply: FromJson::from_json(body.field("reply")?)?,
-            }),
-            "NotLeader" => Ok(Response::NotLeader {
-                hint: match body.field("hint")? {
-                    Json::Null => None,
-                    value => Some(FromJson::from_json(value)?),
-                },
-            }),
-            "Overloaded" => Ok(Response::Overloaded {
-                retry_after_ms: FromJson::from_json(body.field("retry_after_ms")?)?,
-            }),
-            "Metrics" => Ok(Response::Metrics {
-                snapshot: FromJson::from_json(body.field("snapshot")?)?,
-            }),
-            "Error" => Ok(Response::Error {
-                message: FromJson::from_json(body.field("message")?)?,
-            }),
-            other => Err(JsonError::new(format!(
-                "unknown Response variant `{other}`"
-            ))),
-        }
-    }
-}
-
-/// Builds the externally-tagged form `{"Tag": {fields...}}`.
-fn tagged(tag: &str, fields: Vec<(&str, Json)>) -> Json {
-    Json::obj(vec![(tag, Json::obj(fields))])
-}
-
-/// Splits `{"Tag": body}` into `(tag, body)`.
-fn untag<'j>(json: &'j Json, what: &str) -> Result<(&'j str, &'j Json), JsonError> {
-    let pairs = json
-        .as_obj()
-        .ok_or_else(|| JsonError::new(format!("expected {what} object")))?;
-    match pairs {
-        [(tag, body)] => Ok((tag.as_str(), body)),
-        _ => Err(JsonError::new(format!(
-            "expected single-variant {what} object"
-        ))),
-    }
-}
+json_enum! { Response {
+    Activated { rmc },
+    Invoked { used },
+    Valid,
+    Revoked { was_active },
+    Resynced { events, complete },
+    PeerAck { reply },
+    NotLeader { hint },
+    Pong,
+    Metrics { snapshot },
+    Overloaded { retry_after_ms },
+    DeadlineExceeded,
+    Error { message },
+} }
 
 #[cfg(test)]
 mod tests {
@@ -701,6 +526,44 @@ mod tests {
         // no "trace" field at all.
         let env = Envelope::with_deadline(Request::Ping, 250);
         assert!(!oasis_json::to_string(&env).contains("trace"));
+    }
+
+    #[test]
+    fn frames_by_reference_equal_the_owning_forms() {
+        let req = PeerRequest::PreVote {
+            term: 4,
+            candidate: "b".into(),
+            last_index: 9,
+            last_term: 3,
+        };
+        let request = Request::Peer { req: req.clone() };
+        assert_eq!(
+            oasis_json::to_string(&PeerFrame(&req)),
+            oasis_json::to_string(&request)
+        );
+        let trace = oasis_obs::TraceCtx {
+            trace_id: 77,
+            parent_span: 3,
+            hop: 2,
+        };
+        for (deadline_ms, trace) in [
+            (None, None),
+            (Some(250), None),
+            (None, Some(trace)),
+            (Some(0), Some(trace)),
+        ] {
+            let borrowed = EnvelopeRef {
+                deadline_ms,
+                request: &request,
+                trace,
+            };
+            let text = oasis_json::to_string(&borrowed);
+            let owned: Envelope = oasis_json::from_str(&text).unwrap();
+            assert_eq!(owned.deadline_ms, deadline_ms);
+            assert_eq!(owned.trace, trace);
+            assert_eq!(owned.request, request);
+            assert_eq!(oasis_json::to_string(&owned), text);
+        }
     }
 
     #[test]
