@@ -1,25 +1,28 @@
-//! TAB-G — compiled decision plans vs the interpreted solver.
+//! TAB-G — compiled decision plans vs the reference solver.
 //!
-//! The policy hot path (role activation, membership re-checks) was an
-//! interpreted Horn-clause search: per request, per rule, a linear scan
-//! of the presented credentials. Plan compilation replaces the scans
-//! with indexed lookups and the per-backtrack `HashMap` clones with a
-//! slot trail. This experiment measures the difference on the same
-//! policies through the same public API:
+//! A service decides with the plan compiled from each rule; `rule::solve`
+//! is the reference the plans are held to. This experiment measures what
+//! compilation buys, engine against engine on the same inputs, and what
+//! the service then delivers through its public API:
 //!
-//! * warm activation throughput, interpreted vs compiled, at 10/100/500
-//!   alternative rules per role (each probe rule joins two credential
-//!   conditions under a ground guard that never holds — the interpreted
-//!   engine enumerates the join cross-product per rule before the guard
-//!   fails, the compiled plan hoists the guard ahead of the join and
-//!   fails in one indexed fact probe);
-//! * recheck-storm latency: a full membership sweep over ~2 000
-//!   certificates with retained checks, interpreted vs compiled, plus
-//!   the compiled re-sweep when the fact epoch is unchanged (fact-only
-//!   checks are skipped entirely).
+//! * decision throughput at 10/100/500 alternative rules per role:
+//!   `solve` over the rules in trial order against `RulePlan::eval` over
+//!   one `CredIndex`, same rules, same presented credentials (each probe
+//!   rule joins two credential conditions under a ground guard that never
+//!   holds — `solve` enumerates the join cross-product per rule before
+//!   the guard fails, the plan hoists the guard ahead of the join and
+//!   fails in one indexed fact probe). The service's own warm activation
+//!   throughput on that policy is a separate column: it adds credential
+//!   validation, signing and the record install to every decision;
+//! * recheck storm over ~2 000 certificates with retained checks: `solve`
+//!   against `CheckPlan::eval` over the same retained bodies, and the
+//!   service's full membership sweep, cold (the fact epoch moved, every
+//!   check runs) and warm (unchanged epoch, fact-only checks skipped).
+//!   Each figure is the median of [`SWEEPS`] sweeps, with min and max.
 //!
 //! Emits `BENCH_policy.json` at the repo root and asserts the headline
-//! acceptance bar: ≥10x compiled speedup on the 100-rule policy.
+//! acceptance bar: plans decide ≥10x faster than `solve` on the 100-rule
+//! policy.
 //!
 //! Set `POLICY_BENCH_QUICK=1` (CI smoke) to shrink sizes and budgets.
 
@@ -28,8 +31,13 @@ use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
+use oasis::core::rule::solve;
+use oasis::core::{ActivationRule, Bindings, CheckPlan, CredIndex, RulePlan};
 use oasis::prelude::*;
-use oasis_bench::table_header;
+use oasis_bench::{provenance_fields, table_header};
+
+/// Sweeps per recheck figure.
+const SWEEPS: usize = 15;
 
 fn quick() -> bool {
     std::env::var("POLICY_BENCH_QUICK").is_ok_and(|v| v != "0")
@@ -51,25 +59,19 @@ fn quick() -> bool {
 fn alternatives_world(
     rules: usize,
     filler: usize,
-    interpreted: bool,
 ) -> (Arc<OasisService>, PrincipalId, Vec<Credential>) {
     let facts = Arc::new(FactStore::new());
     facts.define("open", 1).unwrap();
     facts.define("registered", 1).unwrap();
     // The guard relation stays empty: every probe rule is unsatisfiable,
-    // but only the compiled engine discovers that before the join.
+    // but only the compiled plan discovers that before the join.
     facts.define("gate_flag", 1).unwrap();
     facts.insert("open", vec![Value::id("alice")]).unwrap();
     facts
         .insert("registered", vec![Value::id("alice")])
         .unwrap();
 
-    let config = if interpreted {
-        ServiceConfig::new("alt").with_interpreted_solver()
-    } else {
-        ServiceConfig::new("alt")
-    };
-    let service = OasisService::new(config, facts);
+    let service = OasisService::new(ServiceConfig::new("alt"), facts);
     let alice = PrincipalId::new("alice");
     let ctx = EnvContext::new(0);
 
@@ -158,45 +160,85 @@ fn alternatives_world(
     (service, alice, presented)
 }
 
-/// Warm activation throughput (ops/sec) over a fixed wall-clock budget.
-fn activation_throughput(
-    service: &OasisService,
-    alice: &PrincipalId,
-    presented: &[Credential],
-    budget: Duration,
-) -> f64 {
-    let target = RoleName::new("target");
-    let args = [Value::id("alice")];
-    let ctx = EnvContext::new(1);
-    // Warm-up: populate validation state and touch every rule once.
-    service
-        .activate_role(alice, &target, &args, presented, &ctx)
-        .unwrap();
+/// Calls per second of `op` over a fixed wall-clock budget, after one
+/// warm-up call.
+fn throughput(budget: Duration, mut op: impl FnMut()) -> f64 {
+    op();
     let mut ops = 0u64;
     let t0 = Instant::now();
     while t0.elapsed() < budget {
         for _ in 0..8 {
-            service
-                .activate_role(alice, &target, &args, presented, &ctx)
-                .unwrap();
+            op();
             ops += 1;
         }
     }
     ops as f64 / t0.elapsed().as_secs_f64()
 }
 
+/// Decisions per second on `target(alice)` for the reference solver, the
+/// compiled plans, and the service's public API, in that order. The first
+/// two run the service's own rule table over its own fact store; every
+/// decision is checked to grant.
+fn decision_throughputs(
+    service: &OasisService,
+    alice: &PrincipalId,
+    presented: &[Credential],
+    budget: Duration,
+) -> [f64; 3] {
+    let target = RoleName::new("target");
+    let args = [Value::id("alice")];
+    let ctx = EnvContext::new(1);
+    let rules: Vec<ActivationRule> = service.activation_rules(&target);
+    let plans: Vec<RulePlan> = rules
+        .iter()
+        .map(|r| RulePlan::compile(service.id(), &r.head_args, &r.conditions))
+        .collect();
+    let facts = service.facts();
+
+    let solved = throughput(budget, || {
+        let granted = rules.iter().any(|rule| {
+            let mut seed = Bindings::new();
+            seed.unify_all(&rule.head_args, &args)
+                && solve(service.id(), &rule.conditions, seed, presented, facts, &ctx).is_some()
+        });
+        assert!(granted);
+    });
+    let planned = throughput(budget, || {
+        // As the service does it: one index per request, every plan over it.
+        let index = CredIndex::build(presented);
+        let granted = plans
+            .iter()
+            .any(|plan| plan.eval(&args, &index, facts, &ctx).is_some());
+        assert!(granted);
+    });
+    let served = throughput(budget, || {
+        service
+            .activate_role(alice, &target, &args, presented, &ctx)
+            .unwrap();
+    });
+    [solved, planned, served]
+}
+
 /// A service holding `certs` active RMCs with retained membership
 /// checks: half fact-only (`registered(u_i)` must stay asserted), half
 /// additionally time-sensitive (`$now` window).
-fn recheck_world(certs: usize, interpreted: bool) -> Arc<OasisService> {
+///
+/// Also returns the retained body of every certificate as the service
+/// holds it — the membership conditions with the head variable bound —
+/// for the engine-against-engine sweep.
+fn recheck_world(certs: usize) -> (Arc<OasisService>, Vec<Vec<Atom>>) {
     let facts = Arc::new(FactStore::new());
     facts.define("registered", 1).unwrap();
-    let config = if interpreted {
-        ServiceConfig::new("sweep").with_interpreted_solver()
-    } else {
-        ServiceConfig::new("sweep")
+    // Bumped before each cold sweep; no rule reads it.
+    facts.define("epoch_tick", 1).unwrap();
+    let service = OasisService::new(ServiceConfig::new("sweep"), facts.clone());
+    let window = || {
+        Atom::compare(
+            Term::var("$now"),
+            CmpOp::Lt,
+            Term::val(Value::Time(1_000_000)),
+        )
     };
-    let service = OasisService::new(config, facts.clone());
     service
         .define_role("member", &[("u", ValueType::Id)], true)
         .unwrap();
@@ -215,22 +257,22 @@ fn recheck_world(certs: usize, interpreted: bool) -> Arc<OasisService> {
         .add_activation_rule(
             "timed",
             vec![Term::var("U")],
-            vec![
-                Atom::env_fact("registered", vec![Term::var("U")]),
-                Atom::compare(
-                    Term::var("$now"),
-                    CmpOp::Lt,
-                    Term::val(Value::Time(1_000_000)),
-                ),
-            ],
+            vec![Atom::env_fact("registered", vec![Term::var("U")]), window()],
             vec![0, 1],
         )
         .unwrap();
     let ctx = EnvContext::new(0);
+    let mut retained = Vec::with_capacity(certs);
     for i in 0..certs {
         let user = Value::id(format!("u{i}"));
         facts.insert("registered", vec![user.clone()]).unwrap();
-        let role = if i % 2 == 0 { "member" } else { "timed" };
+        let timed = i % 2 == 1;
+        let role = if timed { "timed" } else { "member" };
+        let mut body = vec![Atom::env_fact("registered", vec![Term::val(user.clone())])];
+        if timed {
+            body.push(window());
+        }
+        retained.push(body);
         service
             .activate_role(
                 &PrincipalId::new(format!("u{i}")),
@@ -241,15 +283,22 @@ fn recheck_world(certs: usize, interpreted: bool) -> Arc<OasisService> {
             )
             .unwrap();
     }
-    service
+    (service, retained)
 }
 
-fn sweep_ms(service: &OasisService, now: u64) -> f64 {
-    let ctx = EnvContext::new(now);
-    let t0 = Instant::now();
-    let revoked = service.recheck_memberships(&ctx);
-    assert!(revoked.is_empty(), "sweep must not revoke anything here");
-    t0.elapsed().as_secs_f64() * 1e3
+/// `[median, min, max]` wall-clock ms of [`SWEEPS`] runs of `sweep`;
+/// `before` runs untimed ahead of each, with the sweep's number.
+fn sweep_ms(mut before: impl FnMut(usize), mut sweep: impl FnMut(usize)) -> [f64; 3] {
+    let mut ms: Vec<f64> = (0..SWEEPS)
+        .map(|i| {
+            before(i);
+            let t0 = Instant::now();
+            sweep(i);
+            t0.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    ms.sort_by(f64::total_cmp);
+    [ms[SWEEPS / 2], ms[0], ms[SWEEPS - 1]]
 }
 
 fn series() -> String {
@@ -261,42 +310,88 @@ fn series() -> String {
     table_header(
         "TAB-G compiled decision plans",
         "indexed plans turn per-request rule search into hash lookups",
-        "rules  interpreted/s  compiled/s  speedup",
+        "rules  solve/s  plan/s  speedup  service-activations/s",
     );
-    let mut interp = Vec::new();
-    let mut compiled = Vec::new();
+    let mut solved = Vec::new();
+    let mut planned = Vec::new();
+    let mut served = Vec::new();
     let mut speedups = Vec::new();
     for &rules in rule_counts {
-        let (s_i, alice_i, creds_i) = alternatives_world(rules, filler, true);
-        let ops_i = activation_throughput(&s_i, &alice_i, &creds_i, budget);
-        let (s_c, alice_c, creds_c) = alternatives_world(rules, filler, false);
-        let ops_c = activation_throughput(&s_c, &alice_c, &creds_c, budget);
-        let speedup = ops_c / ops_i;
-        println!("{rules:>5}  {ops_i:>13.0}  {ops_c:>10.0}  {speedup:>6.1}x");
-        interp.push(ops_i);
-        compiled.push(ops_c);
+        let (service, alice, creds) = alternatives_world(rules, filler);
+        let [ops_s, ops_p, ops_svc] = decision_throughputs(&service, &alice, &creds, budget);
+        let speedup = ops_p / ops_s;
+        println!("{rules:>5}  {ops_s:>7.0}  {ops_p:>6.0}  {speedup:>6.1}x  {ops_svc:>21.0}");
+        solved.push(ops_s);
+        planned.push(ops_p);
+        served.push(ops_svc);
         speedups.push(speedup);
     }
     let at_100 = rule_counts.iter().position(|&r| r == 100).unwrap();
     assert!(
         speedups[at_100] >= 10.0,
-        "acceptance: compiled must be ≥10x interpreted at 100 rules, measured {:.1}x",
+        "acceptance: plans must decide ≥10x faster than solve at 100 rules, measured {:.1}x",
         speedups[at_100]
     );
 
     let certs = if quick { 400 } else { 2_000 };
-    let interpreted_world = recheck_world(certs, true);
-    let compiled_world = recheck_world(certs, false);
-    let interp_sweep = sweep_ms(&interpreted_world, 1);
-    let cold_sweep = sweep_ms(&compiled_world, 1);
-    // Same epoch, later clock: fact-only checks skip, timed ones re-run.
-    let warm_sweep = sweep_ms(&compiled_world, 2);
+    let (world, retained) = recheck_world(certs);
+    let facts = world.facts();
+    let plans: Vec<CheckPlan> = retained
+        .iter()
+        .map(|body| CheckPlan::compile(world.id(), body.clone()))
+        .collect();
+    let empty_index = CredIndex::build(&[]);
+    let ctx_at = |i: usize| EnvContext::new(1 + i as u64);
+    let solve_sweep = sweep_ms(
+        |_| {},
+        |i| {
+            let ctx = ctx_at(i);
+            for body in &retained {
+                assert!(solve(world.id(), body, Bindings::new(), &[], facts, &ctx).is_some());
+            }
+        },
+    );
+    let plan_sweep = sweep_ms(
+        |_| {},
+        |i| {
+            let ctx = ctx_at(i);
+            for plan in &plans {
+                assert!(plan.eval(&empty_index, facts, &ctx));
+            }
+        },
+    );
+    let service_sweep = |i: usize| {
+        let revoked = world.recheck_memberships(&ctx_at(i));
+        assert!(revoked.is_empty(), "sweep must not revoke anything here");
+    };
+    // Cold: a fact changed since the last sweep, so every check runs.
+    let cold_sweep = sweep_ms(
+        |i| {
+            facts
+                .insert("epoch_tick", vec![Value::Int(i as i64)])
+                .unwrap();
+        },
+        service_sweep,
+    );
+    // Warm: same epoch, later clock — fact-only checks skip, timed ones
+    // re-run.
+    let warm_sweep = sweep_ms(|_| {}, service_sweep);
     table_header(
         "TAB-G recheck storm",
-        "membership sweep latency; warm = unchanged fact epoch (fact-only checks skipped)",
-        "certs  interpreted-ms  compiled-ms  epoch-skip-ms",
+        "membership sweep latency, median [min, max] ms; warm = unchanged fact epoch (fact-only checks skipped)",
+        "certs  solve  plan  service-cold  service-warm",
     );
-    println!("{certs:>5}  {interp_sweep:>14.2}  {cold_sweep:>11.2}  {warm_sweep:>13.2}");
+    let show = |[median, min, max]: [f64; 3]| format!("{median:.2} [{min:.2}, {max:.2}]");
+    println!(
+        "{certs:>5}  {}  {}  {}  {}",
+        show(solve_sweep),
+        show(plan_sweep),
+        show(cold_sweep),
+        show(warm_sweep)
+    );
+    let json = |[median, min, max]: [f64; 3]| {
+        format!("{{\"median\": {median:.2}, \"min\": {min:.2}, \"max\": {max:.2}}}")
+    };
 
     let fmt = |xs: &[f64]| {
         xs.iter()
@@ -305,21 +400,25 @@ fn series() -> String {
             .join(", ")
     };
     format!(
-        "{{\n  \"bench\": \"table_policy\",\n  \"quick\": {},\n  \"rule_counts\": [{}],\n  \"presented_credentials\": {},\n  \"interpreted_activations_per_sec\": [{}],\n  \"compiled_activations_per_sec\": [{}],\n  \"speedup\": [{}],\n  \"recheck_certs\": {},\n  \"recheck_interpreted_ms\": {:.2},\n  \"recheck_compiled_ms\": {:.2},\n  \"recheck_epoch_skip_ms\": {:.2}\n}}\n",
+        "{{\n  {},\n  \"quick\": {},\n  \"throughput_window_ms\": {},\n  \"rule_counts\": [{}],\n  \"presented_credentials\": {},\n  \"solve_decisions_per_sec\": [{}],\n  \"plan_decisions_per_sec\": [{}],\n  \"speedup\": [{}],\n  \"service_activations_per_sec\": [{}],\n  \"recheck_certs\": {},\n  \"recheck_solve_ms\": {},\n  \"recheck_plan_ms\": {},\n  \"recheck_service_cold_ms\": {},\n  \"recheck_service_warm_ms\": {}\n}}\n",
+        provenance_fields("table_policy", 1, SWEEPS),
         quick,
+        budget.as_millis(),
         rule_counts
             .iter()
             .map(ToString::to_string)
             .collect::<Vec<_>>()
             .join(", "),
         filler + 1,
-        fmt(&interp),
-        fmt(&compiled),
+        fmt(&solved),
+        fmt(&planned),
         fmt(&speedups),
+        fmt(&served),
         certs,
-        interp_sweep,
-        cold_sweep,
-        warm_sweep,
+        json(solve_sweep),
+        json(plan_sweep),
+        json(cold_sweep),
+        json(warm_sweep),
     )
 }
 
@@ -335,19 +434,17 @@ fn bench(c: &mut Criterion) {
         .sample_size(10)
         .warm_up_time(Duration::from_millis(300))
         .measurement_time(Duration::from_secs(1));
-    for (label, interpreted) in [("compiled", false), ("interpreted", true)] {
-        let (service, alice, presented) = alternatives_world(100, 15, interpreted);
-        let target = RoleName::new("target");
-        let args = [Value::id("alice")];
-        let ctx = EnvContext::new(1);
-        group.bench_function(BenchmarkId::new(label, "100rules"), |b| {
-            b.iter(|| {
-                service
-                    .activate_role(&alice, &target, &args, &presented, &ctx)
-                    .unwrap()
-            });
+    let (service, alice, presented) = alternatives_world(100, 15);
+    let target = RoleName::new("target");
+    let args = [Value::id("alice")];
+    let ctx = EnvContext::new(1);
+    group.bench_function(BenchmarkId::new("service", "100rules"), |b| {
+        b.iter(|| {
+            service
+                .activate_role(&alice, &target, &args, &presented, &ctx)
+                .unwrap()
         });
-    }
+    });
     group.finish();
 }
 

@@ -51,11 +51,6 @@ impl Workload {
         matches!(self, Workload::ValidationFlood | Workload::FloodAndStorm)
     }
 
-    /// Whether the workload revokes any certificate at all.
-    pub fn revokes(self) -> bool {
-        !matches!(self, Workload::Quiet)
-    }
-
     /// Whether the workload runs the full 14-revocation storm.
     pub fn storms(self) -> bool {
         matches!(self, Workload::RevocationStorm | Workload::FloodAndStorm)

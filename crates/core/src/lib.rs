@@ -101,7 +101,7 @@ pub use env::{CmpOp, EnvContext};
 pub use error::OasisError;
 pub use ids::{CertId, DomainId, PrincipalId, RoleName, ServiceId, SessionId};
 pub use overload::{
-    AdmissionController, AdmitError, Clock, Deadline, Lane, LaneConfig, LaneSnapshot, ManualClock,
+    AdmissionController, Clock, Deadline, Lane, LaneConfig, LaneSnapshot, ManualClock,
     OverloadConfig, OverloadStats, Permit, PollOutcome, Submission, Ticket, WallClock,
 };
 pub use pattern::{Bindings, Term, VarName};
@@ -117,5 +117,5 @@ pub use service::{
     ServiceConfig, ValidationCacheStats,
 };
 pub use session::{Session, SessionView};
-pub use validate::{CredentialValidator, LocalRegistry, ValidationOutcome};
+pub use validate::{CredentialValidator, LocalRegistry};
 pub use value::{Value, ValueType};

@@ -29,6 +29,12 @@
 //!   ([`oasis_events::LoadTracker`]), so clients back off proportionally to
 //!   real load instead of guessing.
 //!
+//! Admission never blocks: [`AdmissionController::submit`] admits, queues,
+//! sheds or refuses at once, and the owner of a queued [`Ticket`] resolves
+//! it with [`AdmissionController::poll`] (the wire server polls its parked
+//! tickets after every turn). That is the only admission path, and the
+//! limits are always enforced.
+//!
 //! Time is abstracted behind [`Clock`] so the deterministic simulator and
 //! the virtual-clock tests can drive queue-expiry logic tick by tick
 //! ([`ManualClock`]), while the wire server uses [`WallClock`].
@@ -36,10 +42,10 @@
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use oasis_events::LoadTracker;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
 // ---------------------------------------------------------------------------
 // Clocks
@@ -259,10 +265,6 @@ pub struct OverloadConfig {
     /// the window. An idle server wakes for this deadline and for nothing
     /// else.
     pub idle_conn_ms: u64,
-    /// When false the controller admits everything immediately (emulating
-    /// the legacy unbounded server) while still tracking stats and
-    /// enforcing deadlines at admission.
-    pub shedding: bool,
     /// Per-lane parameters, indexed by [`Lane::ALL`] order.
     pub lanes: [LaneConfig; 3],
 }
@@ -273,7 +275,6 @@ impl Default for OverloadConfig {
             workers: 8,
             accept_queue: 64,
             idle_conn_ms: 60_000,
-            shedding: true,
             lanes: [
                 // Control: generous queue, never starved by other lanes.
                 LaneConfig {
@@ -305,16 +306,6 @@ impl Default for OverloadConfig {
 }
 
 impl OverloadConfig {
-    /// Legacy-equivalent behaviour: admit everything, shed nothing.
-    /// Deadlines already expired at admission are still refused (doing
-    /// work the client has given up on helps nobody).
-    pub fn unlimited() -> Self {
-        Self {
-            shedding: false,
-            ..Self::default()
-        }
-    }
-
     /// The configuration for one lane.
     pub fn lane(&self, lane: Lane) -> &LaneConfig {
         &self.lanes[lane.idx()]
@@ -380,16 +371,6 @@ impl OverloadStats {
         &self.lanes[lane.idx()]
     }
 
-    /// Total requests shed across all lanes (excluding connection sheds).
-    pub fn total_shed(&self) -> u64 {
-        self.lanes.iter().map(|l| l.shed).sum()
-    }
-
-    /// Total requests expired across all lanes.
-    pub fn total_expired(&self) -> u64 {
-        self.lanes.iter().map(|l| l.expired).sum()
-    }
-
     /// Compact single-line JSON for chaos traces, keys sorted (rendered
     /// by the shared `oasis-obs` canonical encoder).
     pub fn trace_json(&self) -> String {
@@ -438,6 +419,12 @@ struct LaneState {
     limit: f64,
     running: u32,
     queue: VecDeque<QueuedTicket>,
+    /// Lower bound on the earliest deadline among queued tickets
+    /// (`u64::MAX` when none carries one). While the clock is below it no
+    /// queued ticket can have expired, so [`LaneState::prune_expired`]
+    /// skips its walk. A ticket leaving the queue any other way may leave
+    /// the bound too low, which costs one walk and nothing else.
+    earliest_deadline_ms: u64,
     next_ticket: u64,
     last_decrease_ms: u64,
     admitted: u64,
@@ -455,6 +442,7 @@ impl LaneState {
             limit: cfg.initial_limit.max(1) as f64,
             running: 0,
             queue: VecDeque::new(),
+            earliest_deadline_ms: u64::MAX,
             next_ticket: 0,
             last_decrease_ms: 0,
             admitted: 0,
@@ -471,18 +459,24 @@ impl LaneState {
     /// the expiry on their next `poll` (an expired ticket polls as
     /// `Expired` whether or not it is still queued).
     fn prune_expired(&mut self, now_ms: u64) {
+        if now_ms < self.earliest_deadline_ms {
+            return;
+        }
+        let mut earliest = u64::MAX;
         self.queue.retain(|t| {
             if t.deadline.expired(now_ms) {
                 self.expired += 1;
                 false
             } else {
+                earliest = earliest.min(t.deadline.at_ms().unwrap_or(u64::MAX));
                 true
             }
         });
+        self.earliest_deadline_ms = earliest;
     }
 }
 
-/// Outcome of a non-blocking [`AdmissionController::submit`].
+/// Outcome of [`AdmissionController::submit`].
 pub enum Submission {
     /// A permit was granted immediately; the request may execute now.
     Admitted(Permit),
@@ -494,18 +488,6 @@ pub enum Submission {
         retry_after_ms: u64,
     },
     /// The deadline had already passed at submission.
-    Expired,
-}
-
-/// Failure outcome of a blocking [`AdmissionController::admit`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AdmitError {
-    /// The lane queue was full.
-    Shed {
-        /// Server-estimated drain time: retry no sooner than this.
-        retry_after_ms: u64,
-    },
-    /// The deadline passed before a permit could be granted.
     Expired,
 }
 
@@ -552,31 +534,22 @@ impl Ticket {
 
 impl Drop for Ticket {
     fn drop(&mut self) {
-        let removed = {
-            let mut state = self.ctrl.lanes[self.lane.idx()].lock();
-            let before = state.queue.len();
-            state.queue.retain(|t| t.id != self.id);
-            if state.queue.len() < before {
-                state.cancelled += 1;
-                true
-            } else {
-                false // already granted, expired, or pruned
-            }
-        };
-        if removed {
-            // The cancelled entry may have been the head; wake waiters so
-            // the next queued request can claim freed capacity promptly.
-            self.ctrl.wakeups[self.lane.idx()].notify_all();
+        let mut state = self.ctrl.lanes[self.lane.idx()].lock();
+        let before = state.queue.len();
+        state.queue.retain(|t| t.id != self.id);
+        // Unchanged length: already granted, expired, or pruned.
+        if state.queue.len() < before {
+            state.cancelled += 1;
         }
     }
 }
 
 /// An RAII execution permit. Holding it counts against the lane's
 /// concurrency limit; dropping it records the *service* latency measured
-/// from the grant (feeding the AIMD limiter) and wakes queued waiters.
-/// Queue wait is deliberately excluded from that signal: a backlog must
-/// not read as slow service, or the limit would decay exactly when work
-/// is queued.
+/// from the grant (feeding the AIMD limiter), and the freed capacity goes
+/// to the queue head on its next [`AdmissionController::poll`]. Queue wait
+/// is deliberately excluded from that signal: a backlog must not read as
+/// slow service, or the limit would decay exactly when work is queued.
 pub struct Permit {
     ctrl: Arc<AdmissionController>,
     lane: Lane,
@@ -604,20 +577,10 @@ pub struct AdmissionController {
     config: OverloadConfig,
     clock: Arc<dyn Clock>,
     lanes: [Mutex<LaneState>; 3],
-    wakeups: [Condvar; 3],
     conns_accepted: AtomicU64,
     conns_shed: AtomicU64,
     conns_idle_closed: AtomicU64,
 }
-
-/// How long a blocking waiter sleeps between deadline re-checks. Condvar
-/// notifies from completing permits normally wake it sooner; the slice only
-/// bounds staleness against a clock that advances without completions
-/// (e.g. a [`ManualClock`] driven by a test thread).
-const WAIT_SLICE: Duration = Duration::from_millis(2);
-/// Wait slice for deadline-less waiters (notify-driven; the timeout is only
-/// a lost-wakeup backstop).
-const IDLE_WAIT_SLICE: Duration = Duration::from_millis(50);
 
 impl AdmissionController {
     /// Controller on wall-clock time.
@@ -636,7 +599,6 @@ impl AdmissionController {
             config,
             clock,
             lanes,
-            wakeups: [Condvar::new(), Condvar::new(), Condvar::new()],
             conns_accepted: AtomicU64::new(0),
             conns_shed: AtomicU64::new(0),
             conns_idle_closed: AtomicU64::new(0),
@@ -653,7 +615,7 @@ impl AdmissionController {
         self.clock.now_ms()
     }
 
-    /// Non-blocking admission. Grants a permit when the lane has spare
+    /// Admission, without blocking: grants a permit when the lane has spare
     /// capacity and an empty queue, queues otherwise, sheds when the queue
     /// is at its bound, and refuses outright when the deadline has already
     /// passed.
@@ -677,12 +639,6 @@ impl AdmissionController {
             state.expired += 1;
             return Submission::Expired;
         }
-        if !self.config.shedding {
-            state.running += 1;
-            state.admitted += 1;
-            state.queue_wait.observe(0);
-            return Submission::Admitted(self.permit(lane, now));
-        }
         state.prune_expired(now);
         if state.queue.is_empty() && (state.running as f64) < state.limit {
             state.running += 1;
@@ -702,6 +658,9 @@ impl AdmissionController {
         let id = state.next_ticket;
         state.next_ticket += 1;
         state.queue.push_back(QueuedTicket { id, deadline });
+        if let Some(at) = deadline.at_ms() {
+            state.earliest_deadline_ms = state.earliest_deadline_ms.min(at);
+        }
         Submission::Queued(Ticket {
             ctrl: Arc::clone(self),
             lane,
@@ -759,32 +718,6 @@ impl AdmissionController {
         PollOutcome::Waiting
     }
 
-    /// Blocking admission: submit, then wait (condvar with deadline-sliced
-    /// timeouts) until a permit is granted, the deadline passes, or the
-    /// queue sheds the request.
-    pub fn admit(self: &Arc<Self>, lane: Lane, deadline: Deadline) -> Result<Permit, AdmitError> {
-        match self.submit(lane, deadline) {
-            Submission::Admitted(p) => Ok(p),
-            Submission::Shed { retry_after_ms } => Err(AdmitError::Shed { retry_after_ms }),
-            Submission::Expired => Err(AdmitError::Expired),
-            Submission::Queued(ticket) => loop {
-                match self.poll(&ticket) {
-                    PollOutcome::Ready(p) => return Ok(p),
-                    PollOutcome::Expired => return Err(AdmitError::Expired),
-                    PollOutcome::Waiting => {
-                        let slice = if deadline.at_ms().is_some() {
-                            WAIT_SLICE
-                        } else {
-                            IDLE_WAIT_SLICE
-                        };
-                        let mut state = self.lanes[lane.idx()].lock();
-                        self.wakeups[lane.idx()].wait_for(&mut state, slice);
-                    }
-                }
-            },
-        }
-    }
-
     /// Record that an admitted request reached its execution point only
     /// after its deadline (a racy admission at the deadline boundary). The
     /// caller must drop the permit without doing work.
@@ -799,36 +732,22 @@ impl AdmissionController {
         let now = self.clock.now_ms();
         let latency = now.saturating_sub(granted_ms);
         let cfg = self.config.lane(lane);
-        {
-            let mut state = self.lanes[lane.idx()].lock();
-            state.running = state.running.saturating_sub(1);
-            state.completed += 1;
-            state.load.observe(latency);
-            if self.config.shedding {
-                if latency > cfg.target_latency_ms {
-                    // Multiplicative decrease, at most once per target
-                    // window so a burst of slow completions does not
-                    // collapse the limit to the floor in one step.
-                    if now.saturating_sub(state.last_decrease_ms) >= cfg.target_latency_ms {
-                        state.limit = (state.limit * 0.7).max(cfg.min_limit.max(1) as f64);
-                        state.last_decrease_ms = now;
-                    }
-                } else {
-                    let step = 1.0 / state.limit.max(1.0);
-                    state.limit = (state.limit + step).min(cfg.max_limit.max(1) as f64);
-                }
+        let mut state = self.lanes[lane.idx()].lock();
+        state.running = state.running.saturating_sub(1);
+        state.completed += 1;
+        state.load.observe(latency);
+        if latency > cfg.target_latency_ms {
+            // Multiplicative decrease, at most once per target window so
+            // a burst of slow completions does not collapse the limit to
+            // the floor in one step.
+            if now.saturating_sub(state.last_decrease_ms) >= cfg.target_latency_ms {
+                state.limit = (state.limit * 0.7).max(cfg.min_limit.max(1) as f64);
+                state.last_decrease_ms = now;
             }
+        } else {
+            let step = 1.0 / state.limit.max(1.0);
+            state.limit = (state.limit + step).min(cfg.max_limit.max(1) as f64);
         }
-        self.wakeups[lane.idx()].notify_all();
-    }
-
-    /// A `retry_after_ms` estimate for the lane's current load, without
-    /// submitting anything.
-    pub fn retry_after_hint(&self, lane: Lane) -> u64 {
-        let state = self.lanes[lane.idx()].lock();
-        state
-            .load
-            .drain_estimate_ms(state.queue.len(), state.limit as u32)
     }
 
     /// Record a connection handed to the worker pool.
@@ -982,6 +901,50 @@ mod tests {
     }
 
     #[test]
+    fn prune_bound_follows_the_earliest_queued_deadline() {
+        let mut cfg = tiny_config();
+        cfg.lane_mut(Lane::Validation).queue_cap = 8;
+        let (ctrl, clock) = manual(cfg);
+        let bound = || {
+            ctrl.lanes[Lane::Validation.idx()]
+                .lock()
+                .earliest_deadline_ms
+        };
+        let queue = |deadline| match ctrl.submit(Lane::Validation, deadline) {
+            Submission::Queued(t) => t,
+            _ => panic!("must queue behind the held permit"),
+        };
+        let _hold = ctrl.submit(Lane::Validation, Deadline::none());
+
+        let _idle = queue(Deadline::none());
+        assert_eq!(bound(), u64::MAX, "deadline-less tickets set no bound");
+        // A late deadline queued ahead of an early one: the bound is the
+        // minimum, not the head's.
+        let late = queue(Deadline::at(100));
+        assert_eq!(bound(), 100);
+        let early = queue(Deadline::at(20));
+        assert_eq!(bound(), 20, "an earlier deadline lowers the bound");
+
+        clock.set(19);
+        assert!(matches!(ctrl.poll(&late), PollOutcome::Waiting));
+        assert_eq!(ctrl.stats().lane(Lane::Validation).queue_depth, 3);
+
+        // At the early deadline a poll of *another* ticket prunes it and
+        // recomputes the bound from the survivors.
+        clock.set(20);
+        assert!(matches!(ctrl.poll(&late), PollOutcome::Waiting));
+        let snap = ctrl.stats().lane(Lane::Validation).clone();
+        assert_eq!((snap.expired, snap.queue_depth), (1, 2));
+        assert_eq!(bound(), 100);
+        // Its owner still learns of the expiry, counted once.
+        assert!(matches!(ctrl.poll(&early), PollOutcome::Expired));
+        assert_eq!(ctrl.stats().lane(Lane::Validation).expired, 1);
+
+        let _earlier = queue(Deadline::at(50));
+        assert_eq!(bound(), 50);
+    }
+
+    #[test]
     fn aimd_decreases_on_slow_completions_and_recovers() {
         let mut cfg = tiny_config();
         *cfg.lane_mut(Lane::Validation) = LaneConfig {
@@ -1019,53 +982,6 @@ mod tests {
             "limit should grow under fast completions"
         );
         assert!(recovered <= 16);
-    }
-
-    #[test]
-    fn shedding_disabled_admits_everything() {
-        let mut cfg = tiny_config();
-        cfg.shedding = false;
-        let (ctrl, _clock) = manual(cfg);
-        let mut permits = Vec::new();
-        for _ in 0..50 {
-            match ctrl.submit(Lane::Validation, Deadline::none()) {
-                Submission::Admitted(p) => permits.push(p),
-                _ => panic!("unlimited mode must admit everything"),
-            }
-        }
-        assert_eq!(ctrl.stats().lane(Lane::Validation).admitted, 50);
-        assert_eq!(ctrl.stats().lane(Lane::Validation).running, 50);
-        drop(permits);
-        assert_eq!(ctrl.stats().lane(Lane::Validation).running, 0);
-    }
-
-    #[test]
-    fn shedding_disabled_still_refuses_expired_deadlines() {
-        let mut cfg = tiny_config();
-        cfg.shedding = false;
-        let (ctrl, clock) = manual(cfg);
-        clock.set(10);
-        assert!(matches!(
-            ctrl.submit(Lane::Issuance, Deadline::at(5)),
-            Submission::Expired
-        ));
-    }
-
-    #[test]
-    fn blocking_admit_respects_deadline() {
-        let (ctrl, clock) = manual(tiny_config());
-        let _hold = ctrl.submit(Lane::Validation, Deadline::none());
-        let deadline = Deadline::from_budget(clock.now_ms(), Some(5));
-        let advancer = {
-            let clock = Arc::clone(&clock);
-            std::thread::spawn(move || {
-                std::thread::sleep(Duration::from_millis(20));
-                clock.set(5);
-            })
-        };
-        let res = ctrl.admit(Lane::Validation, deadline);
-        advancer.join().unwrap();
-        assert!(matches!(res, Err(AdmitError::Expired)));
     }
 
     #[test]

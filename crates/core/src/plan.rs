@@ -1,10 +1,11 @@
-//! Compiled decision plans: the indexed fast path for rule evaluation.
+//! Compiled decision plans: how a service evaluates its rules.
 //!
 //! [`solve`](crate::rule::solve) interprets a rule body left-to-right,
 //! scanning the presented credentials per credential atom and cloning the
-//! whole substitution per backtrack point. That is the correct *reference*
-//! semantics, but every activation pays for it afresh. This module
-//! compiles each rule **once, at rule-load time**, into a [`RulePlan`]:
+//! whole substitution per backtrack point. That is the *reference*
+//! semantics, kept for the tests to compare against; no service calls it.
+//! This module compiles each rule **once, at rule-load time**, into the
+//! [`RulePlan`] that every decision runs:
 //!
 //! * **Slot registers** — variables become integer slots into a flat
 //!   `Vec<Option<Value>>`; backtracking undoes a write-trail instead of
@@ -31,7 +32,7 @@
 //! Plans return the same [`Solution`] (bindings *and* per-condition
 //! credential choices, in original condition order) as `solve` on every
 //! input; the differential parity suite (`tests/plan_parity.rs`) holds
-//! the two engines to that.
+//! them to that.
 
 use std::collections::{HashMap, HashSet};
 
@@ -792,8 +793,8 @@ impl PlanStats {
 /// A per-request index over the presented (validated) credentials:
 /// buckets by `(kind, issuer, name)` with a first-argument discrimination
 /// level. Built once per activation/invocation and shared by every rule
-/// plan tried, replacing the per-rule linear scans of the interpreted
-/// engine. Bucket order preserves presentation order, so the first
+/// plan tried, where the reference solver scans the whole set per rule.
+/// Bucket order preserves presentation order, so the first
 /// candidate a plan tries is the first `solve` would accept.
 pub struct CredIndex<'a> {
     creds: &'a [Credential],

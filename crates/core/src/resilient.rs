@@ -9,9 +9,9 @@
 //! success. [`ResilientValidator`] decorates any
 //! [`CredentialValidator`] with exactly that split:
 //!
-//! * transient errors are retried under the shared
-//!   [`RetryPolicy`](crate::retry::RetryPolicy) — capped exponential
-//!   backoff with deterministic jitter, bounded by a total-delay budget;
+//! * transient errors are retried under the shared [`RetryPolicy`] —
+//!   capped exponential backoff with deterministic jitter, bounded by a
+//!   total-delay budget;
 //! * each issuer gets a circuit breaker (closed → open → half-open):
 //!   after `failure_threshold` consecutive exhausted retry sequences the
 //!   breaker opens and calls fast-fail with

@@ -11,12 +11,20 @@
 //! *remain* true while the role is active; it is expressed here as the
 //! indices of the retained conditions.
 //!
-//! Evaluation ([`solve`]) is a left-to-right backtracking search: credential
-//! atoms choose among the presented (already validated) certificates, fact
-//! atoms enumerate matching tuples from the service's fact store (binding
-//! free variables), and comparisons/predicates test fully-resolved values.
-//! The reserved variable `$now` is pre-bound to the evaluation time, and
-//! each ambient value `k` of the [`EnvContext`] is pre-bound as `$k`.
+//! [`solve`] defines what a rule means, as a left-to-right backtracking
+//! search: credential atoms choose among the presented (already validated)
+//! certificates, fact atoms enumerate matching tuples from the service's
+//! fact store (binding free variables), and comparisons/predicates test
+//! fully-resolved values. The reserved variable `$now` is pre-bound to the
+//! evaluation time, and each ambient value `k` of the [`EnvContext`] is
+//! pre-bound as `$k`.
+//!
+//! `solve` is the *reference*, not the engine: a service never calls it.
+//! Every activation, invocation and membership re-check evaluates the
+//! [`RulePlan`](crate::plan::RulePlan) compiled from the rule when it was
+//! installed, and the differential suites (`tests/plan_parity.rs`,
+//! `tests/prop_core.rs`, the unit tests of [`plan`](crate::plan)) hold
+//! those plans to `solve`'s answer on every input.
 
 use std::fmt;
 
@@ -178,18 +186,6 @@ impl Atom {
     /// appointment certificate is not a prerequisite role).
     pub fn is_credential_prereq(&self) -> bool {
         matches!(self, Atom::Prereq { .. })
-    }
-
-    /// Variables appearing in this atom.
-    pub fn variables(&self) -> Vec<&VarName> {
-        let terms: Vec<&Term> = match self {
-            Atom::Prereq { args, .. }
-            | Atom::Appointment { args, .. }
-            | Atom::EnvFact { args, .. }
-            | Atom::EnvPredicate { args, .. } => args.iter().collect(),
-            Atom::EnvCompare { left, right, .. } => vec![left, right],
-        };
-        terms.into_iter().filter_map(Term::as_var).collect()
     }
 }
 

@@ -79,7 +79,7 @@ use crate::pattern::{Bindings, Term};
 use crate::plan::{CheckPlan, CredIndex, PlanStats, RulePlan};
 use crate::resilient::{classify_error, ErrorClass};
 use crate::role::RoleDef;
-use crate::rule::{solve, ActivationRule, Atom, InvocationRule, RuleId, Solution};
+use crate::rule::{ActivationRule, Atom, InvocationRule, RuleId, Solution};
 use crate::validate::CredentialValidator;
 use crate::value::{Value, ValueType};
 
@@ -314,7 +314,6 @@ pub struct ServiceConfig {
     journal: Option<ServiceJournal>,
     snapshot_every: Option<u64>,
     revocation_retention: Option<usize>,
-    interpreted_solver: bool,
 }
 
 impl fmt::Debug for ServiceConfig {
@@ -342,7 +341,6 @@ impl ServiceConfig {
             journal: None,
             snapshot_every: None,
             revocation_retention: None,
-            interpreted_solver: false,
         }
     }
 
@@ -429,19 +427,6 @@ impl ServiceConfig {
         self.revocation_retention = Some(capacity.max(1));
         self
     }
-
-    /// Forces the interpreted backtracking solver
-    /// ([`solve`](crate::rule::solve)) for every activation, invocation,
-    /// and membership re-check, bypassing the compiled decision plans.
-    /// The plans are still built (their compile-time diagnostics remain
-    /// available) but never evaluated. Intended for differential testing
-    /// and benchmarking; the two engines are equivalent by construction
-    /// and by the parity suite.
-    #[must_use]
-    pub fn with_interpreted_solver(mut self) -> Self {
-        self.interpreted_solver = true;
-        self
-    }
 }
 
 /// The result of a successful role activation.
@@ -477,25 +462,35 @@ struct RecordState {
     /// Credentials (by CRR) retained by the membership rule.
     depends_on: Vec<Crr>,
     /// Ground environmental conditions retained by the membership rule,
-    /// re-evaluated on [`OasisService::recheck_memberships`]; fact atoms
-    /// are additionally indexed for push-based revocation. This is the
-    /// durable representation (journal and snapshots).
-    retained_checks: Vec<Atom>,
-    /// The retained checks compiled once at install time; shared with
-    /// re-check sweeps via `Arc` so a sweep clones a pointer, not the
-    /// atom vector. `None` iff `retained_checks` is empty. Never
-    /// serialised — recompiled from `retained_checks` on recovery.
+    /// compiled once here and re-evaluated on
+    /// [`OasisService::recheck_memberships`]; `None` when the rule retains
+    /// none. Shared with re-check sweeps via `Arc`, so a sweep clones a
+    /// pointer. The plan keeps its source atoms, and those are the only
+    /// copy: the journal event, the snapshot and the fact index all read
+    /// [`RecordState::retained_checks`]. The plan itself is never
+    /// serialised.
     check: Option<Arc<CheckPlan>>,
 }
 
 impl RecordState {
-    fn new(record: CredRecord, depends_on: Vec<Crr>, retained_checks: Vec<Atom>) -> Self {
+    /// Every way a record comes to exist (live issuance, snapshot restore,
+    /// journal replay) builds it here, so each gets the compiled form.
+    fn new(
+        issuer: &ServiceId,
+        record: CredRecord,
+        depends_on: Vec<Crr>,
+        retained_checks: Vec<Atom>,
+    ) -> Self {
         Self {
             record,
             depends_on,
-            retained_checks,
-            check: None,
+            check: (!retained_checks.is_empty())
+                .then(|| Arc::new(CheckPlan::compile(issuer, retained_checks))),
         }
+    }
+
+    fn retained_checks(&self) -> &[Atom] {
+        self.check.as_deref().map_or(&[], CheckPlan::atoms)
     }
 }
 
@@ -503,22 +498,27 @@ impl RecordState {
 /// fact present (`true`) or absent (`false`).
 type FactIndex = HashMap<(String, Vec<Value>), Vec<(CertId, bool)>>;
 
+/// A rule as installed: the source (`rule`, what introspection and audit
+/// report) and the decision plan compiled from it when it was added
+/// (`plan`, what every decision evaluates).
+#[derive(Clone)]
+struct CompiledRule<R> {
+    rule: R,
+    plan: RulePlan,
+}
+
 /// The read-mostly half of the service state: written during policy
 /// definition, read (briefly, under a shared lock) on every activation
 /// and invocation.
 #[derive(Default)]
 struct PolicyTable {
     roles: HashMap<RoleName, RoleDef>,
-    activation_rules: HashMap<RoleName, Arc<Vec<ActivationRule>>>,
-    invocation_rules: HashMap<String, Arc<Vec<InvocationRule>>>,
+    /// role → its activation rules, in trial order.
+    activation_rules: HashMap<RoleName, Arc<Vec<CompiledRule<ActivationRule>>>>,
+    /// method → its invocation rules, in trial order.
+    invocation_rules: HashMap<String, Arc<Vec<CompiledRule<InvocationRule>>>>,
     /// appointment name → roles privileged to issue it.
     appointers: HashMap<String, HashSet<RoleName>>,
-    /// Compiled decision plans, index-aligned with `activation_rules`.
-    /// Rebuilt incrementally under the same write lock that admits the
-    /// rule, so plan `i` always corresponds to rule `i`.
-    activation_plans: HashMap<RoleName, Arc<Vec<RulePlan>>>,
-    /// Compiled decision plans, index-aligned with `invocation_rules`.
-    invocation_plans: HashMap<String, Arc<Vec<RulePlan>>>,
     /// Local prerequisite-role DAG: role → roles whose activation rules
     /// name it as a prerequisite (edges for this service's own roles
     /// only). Lets revocation tooling and filtered re-check sweeps
@@ -728,9 +728,6 @@ pub struct OasisService {
     /// Virtual time of the most recent operation; used to timestamp
     /// event-driven revocations, which arrive without a context.
     last_now: AtomicU64,
-    /// Whether the compiled-plan engine is in use (the default); `false`
-    /// routes everything through the interpreted reference solver.
-    use_plans: bool,
     /// Fact-store epoch at the *start* of the last full membership
     /// re-check sweep (`u64::MAX` = never swept). When the epoch has not
     /// moved since, fact-only retained checks cannot have changed and
@@ -787,7 +784,6 @@ impl OasisService {
             next_cert: AtomicU64::new(1),
             next_rule: AtomicU64::new(1),
             last_now: AtomicU64::new(0),
-            use_plans: !config.interpreted_solver,
             last_sweep_epoch: AtomicU64::new(u64::MAX),
         });
 
@@ -1122,7 +1118,7 @@ impl OasisService {
             records.extend(shard.records.values().map(|r| SnapshotRecord {
                 record: r.record.clone(),
                 depends_on: r.depends_on.clone(),
-                retained_checks: r.retained_checks.clone(),
+                retained_checks: r.retained_checks().to_vec(),
             }));
         }
         drop(commit);
@@ -1251,6 +1247,7 @@ impl OasisService {
                 continue;
             }
             self.install_record(RecordState::new(
+                &self.id,
                 entry.record,
                 entry.depends_on,
                 entry.retained_checks,
@@ -1293,6 +1290,7 @@ impl OasisService {
                     return;
                 }
                 self.install_record(RecordState::new(
+                    &self.id,
                     record.clone(),
                     depends_on.clone(),
                     retained_checks.clone(),
@@ -1388,18 +1386,7 @@ impl OasisService {
     /// then the record, one shard lock at a time (same ordering as
     /// live issuance). Inactive records get no edges: nothing may
     /// cascade off a revoked certificate.
-    ///
-    /// Non-empty retained checks are compiled to a [`CheckPlan`] here —
-    /// before any shard lock is taken — so every install path (live
-    /// issuance, snapshot restore, journal replay) gets the compiled
-    /// form.
-    fn install_record(&self, mut state: RecordState) {
-        if !state.retained_checks.is_empty() {
-            state.check = Some(Arc::new(CheckPlan::compile(
-                &self.id,
-                state.retained_checks.clone(),
-            )));
-        }
+    fn install_record(&self, state: RecordState) {
         let cert_id = state.record.crr.cert_id;
         if state.record.status.is_active() {
             for dep in &state.depends_on {
@@ -1410,7 +1397,7 @@ impl OasisService {
                     .or_default()
                     .insert(cert_id);
             }
-            for atom in &state.retained_checks {
+            for atom in state.retained_checks() {
                 if let Atom::EnvFact {
                     relation,
                     args,
@@ -1874,9 +1861,8 @@ impl OasisService {
                 }
             }
         }
-        // Rules and plans stay index-aligned under this write lock.
-        Arc::make_mut(policy.activation_rules.entry(role.clone()).or_default()).push(rule);
-        Arc::make_mut(policy.activation_plans.entry(role).or_default()).push(plan);
+        Arc::make_mut(policy.activation_rules.entry(role).or_default())
+            .push(CompiledRule { rule, plan });
         Ok(id)
     }
 
@@ -1897,8 +1883,8 @@ impl OasisService {
         };
         let plan = RulePlan::compile(&self.id, &rule.head_args, &rule.conditions);
         let mut policy = self.policy.write();
-        Arc::make_mut(policy.invocation_rules.entry(method.clone()).or_default()).push(rule);
-        Arc::make_mut(policy.invocation_plans.entry(method).or_default()).push(plan);
+        Arc::make_mut(policy.invocation_rules.entry(method).or_default())
+            .push(CompiledRule { rule, plan });
         id
     }
 
@@ -2262,55 +2248,30 @@ impl OasisService {
         self.last_now.store(ctx.now(), Ordering::Relaxed);
         // Argument checking happens under the read lock — no RoleDef
         // clone per activation.
-        let (rules, plans) = {
+        let rules = {
             let policy = self.policy.read();
             policy
                 .roles
                 .get(role)
                 .ok_or_else(|| OasisError::UnknownRole(role.clone()))?
                 .check_args(args)?;
-            (
-                policy
-                    .activation_rules
-                    .get(role)
-                    .cloned()
-                    .unwrap_or_default(),
-                policy
-                    .activation_plans
-                    .get(role)
-                    .cloned()
-                    .unwrap_or_default(),
-            )
+            policy
+                .activation_rules
+                .get(role)
+                .cloned()
+                .unwrap_or_default()
         };
 
         let creds = self.validated(presented, principal, ctx.now());
 
-        // Compiled fast path: one credential index for the whole request,
-        // indexed candidate fetches per rule. Falls back to the
-        // interpreted reference solver when disabled or when the plan
-        // table is out of step with the rule table.
-        if self.use_plans && plans.len() == rules.len() {
-            let index = CredIndex::build(&creds);
-            for (rule, plan) in rules.iter().zip(plans.iter()) {
-                if let Some(solution) = plan.eval(args, &index, &self.facts, ctx) {
-                    return self.issue_rmc(
-                        principal, role, args, rule, solution, &creds, holder_key, ctx,
-                    );
-                }
-            }
-        } else {
-            for rule in rules.iter() {
-                let mut seed = Bindings::new();
-                if !seed.unify_all(&rule.head_args, args) {
-                    continue;
-                }
-                if let Some(solution) =
-                    solve(&self.id, &rule.conditions, seed, &creds, &self.facts, ctx)
-                {
-                    return self.issue_rmc(
-                        principal, role, args, rule, solution, &creds, holder_key, ctx,
-                    );
-                }
+        // One credential index for the whole request, indexed candidate
+        // fetches per rule.
+        let index = CredIndex::build(&creds);
+        for CompiledRule { rule, plan } in rules.iter() {
+            if let Some(solution) = plan.eval(args, &index, &self.facts, ctx) {
+                return self.issue_rmc(
+                    principal, role, args, rule, solution, &creds, holder_key, ctx,
+                );
             }
         }
 
@@ -2385,12 +2346,13 @@ impl OasisService {
         // issuer cannot remember). The commit guard keeps a concurrent
         // snapshot from covering this append before the record lands.
         let retained_creds = depends_on.clone();
+        let state = RecordState::new(&self.id, record, depends_on, retained_checks);
         {
             let _commit = self.durable.as_ref().map(|d| d.commit.read());
             self.journal(SecurityEvent::CertIssued {
-                record: record.clone(),
-                depends_on: depends_on.clone(),
-                retained_checks: retained_checks.clone(),
+                record: state.record.clone(),
+                depends_on: state.depends_on.clone(),
+                retained_checks: state.retained_checks().to_vec(),
             })?;
             if self.chaos_crash_pending() {
                 return Err(OasisError::Journal(
@@ -2402,7 +2364,7 @@ impl OasisService {
             // window may find an edge pointing at a record that does not
             // exist yet and drop the cascade — the re-validation below
             // closes exactly that hole.
-            self.install_record(RecordState::new(record, depends_on, retained_checks));
+            self.install_record(state);
         }
 
         // Close the race with concurrent revocation: the supporting
@@ -2500,37 +2462,18 @@ impl OasisService {
         ctx: &EnvContext,
     ) -> Result<Invocation, OasisError> {
         self.last_now.store(ctx.now(), Ordering::Relaxed);
-        let (rules, plans) = {
-            let policy = self.policy.read();
-            (
-                policy
-                    .invocation_rules
-                    .get(method)
-                    .cloned()
-                    .unwrap_or_default(),
-                policy
-                    .invocation_plans
-                    .get(method)
-                    .cloned()
-                    .unwrap_or_default(),
-            )
-        };
+        let rules = self
+            .policy
+            .read()
+            .invocation_rules
+            .get(method)
+            .cloned()
+            .unwrap_or_default();
         let creds = self.validated(presented, principal, ctx.now());
 
-        let use_plans = self.use_plans && plans.len() == rules.len();
-        let index = use_plans.then(|| CredIndex::build(&creds));
-        for (i, rule) in rules.iter().enumerate() {
-            let solution = match &index {
-                Some(index) => plans[i].eval(args, index, &self.facts, ctx),
-                None => {
-                    let mut seed = Bindings::new();
-                    if !seed.unify_all(&rule.head_args, args) {
-                        continue;
-                    }
-                    solve(&self.id, &rule.conditions, seed, &creds, &self.facts, ctx)
-                }
-            };
-            if let Some(solution) = solution {
+        let index = CredIndex::build(&creds);
+        for CompiledRule { rule, plan } in rules.iter() {
+            if let Some(solution) = plan.eval(args, &index, &self.facts, ctx) {
                 let used: Vec<Crr> = solution.used.into_iter().map(|(_, c)| c).collect();
                 self.audit.record(
                     ctx.now(),
@@ -2649,10 +2592,10 @@ impl OasisService {
                     "chaos: crashed between journal append and apply".into(),
                 ));
             }
-            self.record_shard(cert_id)
-                .lock()
-                .records
-                .insert(cert_id, RecordState::new(record, Vec::new(), Vec::new()));
+            self.record_shard(cert_id).lock().records.insert(
+                cert_id,
+                RecordState::new(&self.id, record, Vec::new(), Vec::new()),
+            );
         }
 
         self.audit.record(
@@ -2940,13 +2883,12 @@ impl OasisService {
     /// custom predicates cannot be push-notified, so services sweep them —
     /// typically on a heartbeat). Returns the revoked certificates.
     ///
-    /// With the compiled engine, the sweep evaluates each record's
-    /// [`CheckPlan`] (compiled once at issuance), memoises identical
-    /// check bodies within the sweep, and — when the fact store's
-    /// mutation epoch has not moved since the last full sweep — skips
-    /// fact-only checks entirely: an unchanged epoch proves no fact
-    /// changed, and every fact-only check either passed the previous
-    /// sweep or held at issuance, so it still holds.
+    /// The sweep evaluates each record's [`CheckPlan`] (compiled once at
+    /// issuance), memoises identical check bodies within the sweep, and —
+    /// when the fact store's mutation epoch has not moved since the last
+    /// full sweep — skips fact-only checks entirely: an unchanged epoch
+    /// proves no fact changed, and every fact-only check either passed
+    /// the previous sweep or held at issuance, so it still holds.
     pub fn recheck_memberships(&self, ctx: &EnvContext) -> Vec<Crr> {
         self.recheck(ctx, None)
     }
@@ -2979,25 +2921,21 @@ impl OasisService {
         // lands at a higher epoch than the watermark we store, forcing
         // the next sweep to look at everything.
         let sweep_epoch = self.facts.epoch();
-        let skip_fact_only =
-            self.use_plans && self.last_sweep_epoch.load(Ordering::Acquire) == sweep_epoch;
+        let skip_fact_only = self.last_sweep_epoch.load(Ordering::Acquire) == sweep_epoch;
 
-        enum Check {
-            Plan(Arc<CheckPlan>),
-            Atoms(Vec<Atom>),
-        }
-        let mut to_check: Vec<(CertId, Check)> = Vec::new();
+        let mut to_check: Vec<(CertId, Arc<CheckPlan>)> = Vec::new();
         // Ascending shard order, one lock at a time; checks are evaluated
         // after the locks are released (evaluation may be arbitrarily
-        // slow). Cloning an `Arc<CheckPlan>` is a pointer copy — the old
-        // per-record `Vec<Atom>` clone survives only as the interpreted
-        // fallback.
+        // slow).
         for shard in &self.shards {
             let shard = shard.lock();
             for (id, r) in &shard.records {
-                if !r.record.status.is_active() || r.retained_checks.is_empty() {
+                if !r.record.status.is_active() {
                     continue;
                 }
+                let Some(plan) = &r.check else {
+                    continue;
+                };
                 if let Some(filter) = roles {
                     let covered = r.record.kind == CredentialKind::Rmc
                         && filter.contains(&RoleName::new(r.record.name.clone()));
@@ -3005,15 +2943,10 @@ impl OasisService {
                         continue;
                     }
                 }
-                match &r.check {
-                    Some(plan) if self.use_plans => {
-                        if skip_fact_only && !plan.is_time_sensitive() {
-                            continue;
-                        }
-                        to_check.push((*id, Check::Plan(Arc::clone(plan))));
-                    }
-                    _ => to_check.push((*id, Check::Atoms(r.retained_checks.clone()))),
+                if skip_fact_only && !plan.is_time_sensitive() {
+                    continue;
                 }
+                to_check.push((*id, Arc::clone(plan)));
             }
         }
 
@@ -3023,24 +2956,10 @@ impl OasisService {
         // evaluate once per sweep.
         let mut memo: HashMap<&[Atom], bool> = HashMap::new();
         let mut revoked = Vec::new();
-        for (cert_id, check) in &to_check {
-            let key: &[Atom] = match check {
-                Check::Plan(plan) => plan.atoms(),
-                Check::Atoms(atoms) => atoms,
-            };
-            let ok = match memo.get(key) {
-                Some(&ok) => ok,
-                None => {
-                    let ok = match check {
-                        Check::Plan(plan) => plan.eval(&empty_index, &self.facts, ctx),
-                        Check::Atoms(atoms) => {
-                            solve(&self.id, atoms, Bindings::new(), &[], &self.facts, ctx).is_some()
-                        }
-                    };
-                    memo.insert(key, ok);
-                    ok
-                }
-            };
+        for (cert_id, plan) in &to_check {
+            let ok = *memo
+                .entry(plan.atoms())
+                .or_insert_with(|| plan.eval(&empty_index, &self.facts, ctx));
             if !ok
                 && self.revoke_certificate(
                     *cert_id,
@@ -3137,7 +3056,7 @@ impl OasisService {
             .read()
             .activation_rules
             .get(role)
-            .map(|rules| rules.as_ref().clone())
+            .map(|rules| rules.iter().map(|r| r.rule.clone()).collect())
             .unwrap_or_default()
     }
 
@@ -3147,7 +3066,7 @@ impl OasisService {
             .read()
             .invocation_rules
             .get(method)
-            .map(|rules| rules.as_ref().clone())
+            .map(|rules| rules.iter().map(|r| r.rule.clone()).collect())
             .unwrap_or_default()
     }
 
@@ -3157,14 +3076,11 @@ impl OasisService {
     pub fn plan_stats(&self) -> PlanStats {
         let policy = self.policy.read();
         let mut stats = PlanStats::default();
-        for plans in policy
-            .activation_plans
-            .values()
-            .chain(policy.invocation_plans.values())
-        {
-            for plan in plans.iter() {
-                stats.absorb(plan);
-            }
+        for rules in policy.activation_rules.values() {
+            rules.iter().for_each(|r| stats.absorb(&r.plan));
+        }
+        for rules in policy.invocation_rules.values() {
+            rules.iter().for_each(|r| stats.absorb(&r.plan));
         }
         stats
     }
@@ -3198,7 +3114,7 @@ impl OasisService {
                 Some(rules) => {
                     let has_prereq_free_rule = rules
                         .iter()
-                        .any(|r| !r.conditions.iter().any(Atom::is_credential_prereq));
+                        .any(|r| !r.rule.conditions.iter().any(Atom::is_credential_prereq));
                     if has_prereq_free_rule && !def.is_initial() {
                         warnings.push(format!(
                             "role `{name}` is not flagged initial but has a rule without \

@@ -18,40 +18,6 @@ use crate::error::OasisError;
 use crate::ids::{PrincipalId, ServiceId};
 use crate::service::OasisService;
 
-/// The result of validating a credential, for callers that want a value
-/// rather than an error (wire protocols, caches).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ValidationOutcome {
-    /// The credential is valid for the presenting principal.
-    Valid,
-    /// The credential was rejected; the string is the reason.
-    Invalid(String),
-}
-
-impl ValidationOutcome {
-    /// Whether the credential was accepted.
-    pub fn is_valid(&self) -> bool {
-        matches!(self, ValidationOutcome::Valid)
-    }
-
-    /// Converts an error-style result into an outcome.
-    pub fn from_result(result: &Result<(), OasisError>) -> Self {
-        match result {
-            Ok(()) => ValidationOutcome::Valid,
-            Err(e) => ValidationOutcome::Invalid(e.to_string()),
-        }
-    }
-}
-
-impl fmt::Display for ValidationOutcome {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ValidationOutcome::Valid => f.write_str("valid"),
-            ValidationOutcome::Invalid(reason) => write!(f, "invalid: {reason}"),
-        }
-    }
-}
-
 /// Validates credentials by reaching their issuer.
 pub trait CredentialValidator: Send + Sync {
     /// Validates `credential` as presented by `presenter` at virtual time

@@ -290,36 +290,59 @@ fn parity_on_satisfiable_rules() {
     let index = CredIndex::build(&creds);
 
     let head = vec![Term::var("P")];
-    let conditions = vec![
-        Atom::prereq("doctor", vec![Term::var("D")]),
-        Atom::prereq("on_duty", vec![Term::var("D"), Term::var("$host")]),
-        Atom::env_fact("registered", vec![Term::var("D"), Term::var("P")]),
-        Atom::compare(Term::var("$now"), CmpOp::Lt, Term::val(Value::Time(50))),
+    let guard =
+        |before: u64| Atom::compare(Term::var("$now"), CmpOp::Lt, Term::val(Value::Time(before)));
+    // Each body with the credentials a `p1` query must use, by
+    // `(condition, certificate id)`. The second is the rule
+    // `plan_service_tests.rs` drives through the service.
+    let bodies = [
+        (
+            vec![
+                Atom::prereq("doctor", vec![Term::var("D")]),
+                Atom::prereq("on_duty", vec![Term::var("D"), Term::var("$host")]),
+                Atom::env_fact("registered", vec![Term::var("D"), Term::var("P")]),
+                guard(50),
+            ],
+            vec![(0, 2), (1, 3)],
+        ),
+        (
+            vec![
+                Atom::prereq("doctor", vec![Term::var("D")]),
+                Atom::env_fact("registered", vec![Term::var("D"), Term::var("P")]),
+                guard(100),
+            ],
+            vec![(0, 2)],
+        ),
     ];
-    let plan = RulePlan::compile(&self_service, &head, &conditions);
-    assert!(plan.was_reordered());
+    let closed = EnvContext::new(200).with_ambient("host", Value::id("ward"));
+    for (conditions, expected_used) in bodies {
+        let plan = RulePlan::compile(&self_service, &head, &conditions);
+        assert!(plan.was_reordered());
 
-    for p in ["p1", "p2", "p3"] {
-        let args = vec![Value::id(p)];
-        let interpreted = {
-            let mut seed = Bindings::new();
-            assert!(seed.unify_all(&head, &args));
-            solve(&self_service, &conditions, seed, &creds, &facts, &ctx)
-        };
-        let compiled = plan.eval(&args, &index, &facts, &ctx);
-        assert_eq!(interpreted, compiled, "diverged for {p}");
-        assert_eq!(compiled.is_some(), p != "p3");
+        for p in ["p1", "p2", "p3"] {
+            let args = vec![Value::id(p)];
+            for (ctx, window_open) in [(&ctx, true), (&closed, false)] {
+                let interpreted = {
+                    let mut seed = Bindings::new();
+                    assert!(seed.unify_all(&head, &args));
+                    solve(&self_service, &conditions, seed, &creds, &facts, ctx)
+                };
+                let compiled = plan.eval(&args, &index, &facts, ctx);
+                assert_eq!(interpreted, compiled, "diverged for {p}");
+                assert_eq!(compiled.is_some(), window_open && p != "p3");
+            }
+        }
+
+        // The satisfiable queries must have used the *same* credentials
+        // in the same condition slots.
+        let solution = plan
+            .eval(&[Value::id("p1")], &index, &facts, &ctx)
+            .expect("satisfiable");
+        let used_ids: Vec<(usize, u64)> = solution
+            .used
+            .iter()
+            .map(|(cond, crr)| (*cond, crr.cert_id.0))
+            .collect();
+        assert_eq!(used_ids, expected_used);
     }
-
-    // The satisfiable queries must have used the *same* credentials in
-    // the same condition slots.
-    let solution = plan
-        .eval(&[Value::id("p1")], &index, &facts, &ctx)
-        .expect("satisfiable");
-    let used_ids: Vec<(usize, u64)> = solution
-        .used
-        .iter()
-        .map(|(cond, crr)| (*cond, crr.cert_id.0))
-        .collect();
-    assert_eq!(used_ids, vec![(0, 2), (1, 3)]);
 }

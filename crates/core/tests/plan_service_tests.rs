@@ -1,7 +1,6 @@
-//! Service-level behaviour of the compiled decision plans: engine
-//! selection and parity through the public API, epoch-skipped
-//! membership sweeps, the prerequisite-role DAG, targeted re-checks,
-//! and plan statistics.
+//! Service-level behaviour of the compiled decision plans: a reordered
+//! rule through the public API, epoch-skipped membership sweeps, the
+//! prerequisite-role DAG, targeted re-checks, and plan statistics.
 
 use std::sync::Arc;
 
@@ -16,19 +15,15 @@ fn role(s: &str) -> RoleName {
 }
 
 /// A world with a credential join under a comparison guard — the shape
-/// the plan compiler reorders — buildable on either engine.
-fn join_world(interpreted: bool) -> (Arc<OasisService>, PrincipalId) {
+/// the plan compiler reorders. (`plan_parity.rs` holds the plan for this
+/// rule body to the reference solver.)
+fn join_world() -> (Arc<OasisService>, PrincipalId) {
     let facts = FactStore::new();
     facts.define("registered", 2).unwrap();
     facts
         .insert("registered", vec![Value::id("d1"), Value::id("alice")])
         .unwrap();
-    let config = if interpreted {
-        ServiceConfig::new("ward").with_interpreted_solver()
-    } else {
-        ServiceConfig::new("ward")
-    };
-    let svc = OasisService::new(config, Arc::new(facts));
+    let svc = OasisService::new(ServiceConfig::new("ward"), Arc::new(facts));
     svc.define_role("doctor", &[("d", ValueType::Id)], true)
         .unwrap();
     svc.add_activation_rule("doctor", vec![Term::var("D")], vec![], vec![])
@@ -54,66 +49,56 @@ fn join_world(interpreted: bool) -> (Arc<OasisService>, PrincipalId) {
     (svc, PrincipalId::new("alice"))
 }
 
-/// The compiled and interpreted engines must agree through the public
-/// API: same grants, same denials, same RMC contents, same invocation
-/// outcomes.
+/// The reordered rule through the public API: the grant carries the
+/// requested role and arguments, a missing fact row and a closed `$now`
+/// window each deny, and the issued RMC authorises the invocation.
 #[test]
 fn service_level_parity_between_engines() {
-    let mut outcomes = Vec::new();
-    for interpreted in [false, true] {
-        let (svc, alice) = join_world(interpreted);
-        let ctx = EnvContext::new(10);
-        let doctor = svc
-            .activate_role(&alice, &role("doctor"), &[Value::id("d1")], &[], &ctx)
-            .unwrap();
-        let presented = vec![Credential::Rmc(doctor)];
+    let (svc, alice) = join_world();
+    let ctx = EnvContext::new(10);
+    let doctor = svc
+        .activate_role(&alice, &role("doctor"), &[Value::id("d1")], &[], &ctx)
+        .unwrap();
+    let presented = vec![Credential::Rmc(doctor)];
 
-        let patient = svc
-            .activate_role(
-                &alice,
-                &role("patient"),
-                &[Value::id("alice")],
-                &presented,
-                &ctx,
-            )
-            .unwrap();
-        assert_eq!(patient.role, role("patient"));
-
-        // Denied: no registration row for bob.
-        let denied = svc.activate_role(
-            &alice,
-            &role("patient"),
-            &[Value::id("bob")],
-            &presented,
-            &ctx,
-        );
-        // Denied: the $now guard fails after the window closes.
-        let expired = svc.activate_role(
+    let patient = svc
+        .activate_role(
             &alice,
             &role("patient"),
             &[Value::id("alice")],
             &presented,
-            &EnvContext::new(200),
-        );
-        let invoked = svc
-            .invoke(
-                &alice,
-                "read",
-                &[Value::id("alice")],
-                &[Credential::Rmc(patient.clone())],
-                &ctx,
-            )
-            .is_ok();
-        outcomes.push((
-            patient.role.clone(),
-            patient.args.clone(),
-            denied.is_err(),
-            expired.is_err(),
-            invoked,
-        ));
-    }
-    assert_eq!(outcomes[0], outcomes[1]);
-    assert!(outcomes[0].2 && outcomes[0].3 && outcomes[0].4);
+            &ctx,
+        )
+        .unwrap();
+    assert_eq!(patient.role, role("patient"));
+    assert_eq!(patient.args, vec![Value::id("alice")]);
+
+    // Denied: no registration row for bob.
+    let denied = svc.activate_role(
+        &alice,
+        &role("patient"),
+        &[Value::id("bob")],
+        &presented,
+        &ctx,
+    );
+    assert!(denied.is_err());
+    // Denied: the $now guard fails after the window closes.
+    let expired = svc.activate_role(
+        &alice,
+        &role("patient"),
+        &[Value::id("alice")],
+        &presented,
+        &EnvContext::new(200),
+    );
+    assert!(expired.is_err());
+    let invoked = svc.invoke(
+        &alice,
+        "read",
+        &[Value::id("alice")],
+        &[Credential::Rmc(patient)],
+        &ctx,
+    );
+    assert!(invoked.is_ok());
 }
 
 /// An unchanged fact epoch lets the sweep skip fact-only checks — but

@@ -5,8 +5,8 @@
 use std::sync::Arc;
 
 use oasis_core::{
-    Atom, CredStatus, EnvContext, OasisService, PrincipalId, RoleName, SecurityEvent,
-    ServiceConfig, ServiceJournal, Term, Value, ValueType,
+    Atom, CertId, CmpOp, CredStatus, EnvContext, OasisService, PrincipalId, RoleName,
+    SecurityEvent, ServiceConfig, ServiceJournal, Term, Value, ValueType,
 };
 use oasis_events::EventBus;
 use oasis_facts::FactStore;
@@ -184,6 +184,124 @@ fn snapshot_truncates_and_recovery_uses_it() {
     assert_eq!(report.events_replayed, 2);
     assert_eq!(report.records_restored, 12);
     assert_eq!(svc.record_stats(), (12, 0, 0));
+}
+
+/// A certificate's retained checks are stored once, inside its compiled
+/// plan. Whichever way the record was installed — live issuance, snapshot
+/// restore, journal replay — the snapshot and the journal event read back
+/// exactly the atoms that were retained at issue, and both the plan (the
+/// `$now` window) and the fact index (the retraction) still act on them
+/// after recovery.
+#[test]
+fn retained_checks_round_trip_through_every_install_path() {
+    let on_shift = || Atom::env_fact("on_shift", vec![Term::val(Value::id("alice"))]);
+    let window = || Atom::compare(Term::var("$now"), CmpOp::Lt, Term::val(Value::Time(100)));
+    // role → the membership indices of `on_shift(U), $now < 100` it
+    // retains, and so the ground checks its certificates carry.
+    let roles: [(&str, Vec<usize>, Vec<Atom>); 3] = [
+        ("plain", vec![], vec![]),
+        ("fact_only", vec![0], vec![on_shift()]),
+        ("mixed", vec![0, 1], vec![on_shift(), window()]),
+    ];
+    let ward = |journal: ServiceJournal| {
+        let facts = Arc::new(FactStore::new());
+        facts.define("on_shift", 1).unwrap();
+        facts.insert("on_shift", vec![Value::id("alice")]).unwrap();
+        let svc = OasisService::new(ServiceConfig::new("ward").with_journal(journal), facts);
+        for (name, membership, _) in &roles {
+            svc.define_role(*name, &[("u", ValueType::Id)], true)
+                .unwrap();
+            svc.add_activation_rule(
+                *name,
+                vec![Term::var("U")],
+                vec![Atom::env_fact("on_shift", vec![Term::var("U")]), window()],
+                membership.clone(),
+            )
+            .unwrap();
+        }
+        svc
+    };
+    let issue = |svc: &OasisService, role: &str| {
+        svc.activate_role(
+            &alice(),
+            &RoleName::new(role),
+            &[Value::id("alice")],
+            &[],
+            &EnvContext::new(1),
+        )
+        .unwrap()
+        .crr
+        .cert_id
+    };
+    let retained_in_snapshot = |store: &ServiceJournal| -> Vec<(CertId, Vec<Atom>)> {
+        let (_, snapshot) = store.load().unwrap().snapshot.expect("snapshot written");
+        snapshot
+            .records
+            .into_iter()
+            .map(|r| (r.record.crr.cert_id, r.retained_checks))
+            .collect()
+    };
+
+    let (store, jb, sb) = mem_store();
+    let mut issued: Vec<(CertId, Vec<Atom>)> = Vec::new();
+    {
+        let svc = ward(store);
+        for (name, _, checks) in &roles {
+            issued.push((issue(&svc, name), checks.clone()));
+        }
+        svc.snapshot().unwrap();
+        // One more after the snapshot: recovered by replay, not restore.
+        issued.push((issue(&svc, "mixed"), vec![on_shift(), window()]));
+    }
+
+    // On disk: three records in the snapshot, the fourth as a journal
+    // event, each with the atoms retained at issue.
+    let store = reopen(&jb, &sb);
+    assert_eq!(retained_in_snapshot(&store), issued[..3]);
+    let replayed: Vec<(CertId, Vec<Atom>)> = store
+        .load()
+        .unwrap()
+        .events
+        .into_iter()
+        .filter_map(|(_, e)| match e {
+            SecurityEvent::CertIssued {
+                record,
+                retained_checks,
+                ..
+            } => Some((record.crr.cert_id, retained_checks)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(replayed, issued[3..]);
+
+    // Recovered: a fresh snapshot reads all four back out of the records
+    // that restore and replay installed.
+    let svc = ward(store);
+    let report = svc.recover(2).unwrap();
+    assert_eq!(report.records_restored, 4);
+    svc.snapshot().unwrap();
+    assert_eq!(retained_in_snapshot(&reopen(&jb, &sb)), issued);
+
+    // The recompiled plans still guard the window...
+    let [plain, fact_only, mixed_restored, mixed_replayed] =
+        [issued[0].0, issued[1].0, issued[2].0, issued[3].0];
+    let mut swept: Vec<CertId> = svc
+        .recheck_memberships(&EnvContext::new(200))
+        .into_iter()
+        .map(|crr| crr.cert_id)
+        .collect();
+    swept.sort();
+    assert_eq!(swept, vec![mixed_restored, mixed_replayed]);
+    // ...and the rebuilt fact index still collapses on retraction.
+    assert!(svc.record(fact_only).unwrap().status.is_active());
+    svc.facts()
+        .retract("on_shift", &[Value::id("alice")])
+        .unwrap();
+    assert!(matches!(
+        svc.record(fact_only).unwrap().status,
+        CredStatus::Revoked { .. }
+    ));
+    assert!(svc.record(plain).unwrap().status.is_active());
 }
 
 #[test]

@@ -8,7 +8,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use oasis_core::{Term, Value, ValueType};
+use oasis_core::{Term, ValueType};
 
 use crate::ast::*;
 use crate::error::PolicyError;
@@ -322,15 +322,6 @@ pub(crate) fn referenced_relations(service: &ServiceBlock) -> Vec<(String, usize
     let mut out: Vec<(String, usize)> = seen.into_iter().collect();
     out.sort();
     out
-}
-
-/// Used by tests: a term's literal value if constant.
-#[allow(dead_code)]
-pub(crate) fn term_value(term: &Term) -> Option<&Value> {
-    match term {
-        Term::Const(v) => Some(v),
-        _ => None,
-    }
 }
 
 #[cfg(test)]

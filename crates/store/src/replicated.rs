@@ -2,7 +2,7 @@
 //! succeed once a majority of replica nodes hold them.
 //!
 //! PR 3 made the journal crash-safe; this module makes it
-//! *node-loss*-safe, as the paper's ref [10] assumes of Certificate
+//! *node-loss*-safe, as the paper's ref \[10\] assumes of Certificate
 //! Issuing & Validation services. The model is a deliberately small
 //! Raft-style protocol specialised to OASIS's write pattern (an
 //! append-mostly WAL plus a replace-on-snapshot blob):
@@ -1844,11 +1844,6 @@ impl ReplicatedStore {
     pub fn node(&self) -> &Arc<ReplicaNode> {
         &self.node
     }
-
-    /// The region name this store maps to.
-    pub fn region_name(&self) -> &str {
-        &self.region
-    }
 }
 
 impl StorageBackend for ReplicatedStore {
@@ -1960,15 +1955,6 @@ impl LocalMesh {
         let mut inner = self.inner.lock();
         inner.cut.remove(&(a.to_string(), b.to_string()));
         inner.cut.remove(&(b.to_string(), a.to_string()));
-    }
-
-    /// Cuts only the `from` → `to` direction (asymmetric partition):
-    /// `to` still reaches `from`, but not vice versa.
-    pub fn partition_one_way(&self, from: &str, to: &str) {
-        self.inner
-            .lock()
-            .cut
-            .insert((from.to_string(), to.to_string()));
     }
 
     /// Makes the `a`↔`b` link flap: `window` calls succeed, then

@@ -141,8 +141,7 @@ impl WireServer {
     }
 
     /// Replaces the overload configuration (worker-pool size, accept
-    /// queue bound, per-lane limits; or [`OverloadConfig::unlimited`] to
-    /// emulate the legacy shed-nothing server). The fresh controller is
+    /// queue bound, idle timeout, per-lane limits). The fresh controller is
     /// installed into the service so its stats stay reachable via
     /// [`OasisService::overload_stats`].
     #[must_use]

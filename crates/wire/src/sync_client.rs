@@ -50,7 +50,7 @@ pub struct RemoteValidator {
     connections: Mutex<HashMap<ServiceId, WireClient>>,
     timeouts: WireTimeouts,
     retry: RetryPolicy,
-    deadline_ms: Option<u64>,
+    deadline_ms: u64,
 }
 
 impl std::fmt::Debug for RemoteValidator {
@@ -90,7 +90,7 @@ impl RemoteValidator {
                 max_attempts: 2,
                 ..RetryPolicy::default()
             },
-            deadline_ms: Some(Self::DEFAULT_CALL_DEADLINE_MS),
+            deadline_ms: Self::DEFAULT_CALL_DEADLINE_MS,
         }
     }
 
@@ -99,19 +99,7 @@ impl RemoteValidator {
     /// instead of answering long after the verifier stopped caring.
     #[must_use]
     pub fn with_call_deadline_ms(mut self, deadline_ms: u64) -> Self {
-        self.deadline_ms = Some(deadline_ms);
-        self
-    }
-
-    /// Removes the call deadline: callbacks go out as bare (pre-envelope)
-    /// frames. Only useful against issuers old enough to reject the
-    /// `Deadline` wrapper; note that such a *legacy-format* connection is
-    /// shed with the `Error` shape, which this validator reports as
-    /// [`OasisError::InvalidCredential`] rather than
-    /// [`OasisError::Overloaded`].
-    #[must_use]
-    pub fn without_call_deadline(mut self) -> Self {
-        self.deadline_ms = None;
+        self.deadline_ms = deadline_ms;
         self
     }
 
@@ -150,7 +138,7 @@ impl RemoteValidator {
             std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
             std::collections::hash_map::Entry::Vacant(e) => {
                 let mut client = WireClient::connect_with(addr, self.timeouts)?;
-                client.set_deadline_ms(self.deadline_ms);
+                client.set_deadline_ms(Some(self.deadline_ms));
                 e.insert(client)
             }
         };

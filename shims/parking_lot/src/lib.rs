@@ -177,7 +177,7 @@ const WRITER: usize = usize::MAX;
 
 /// Reader-preferring read-write lock with safe recursive reads.
 ///
-/// State is a single atomic: the number of active readers, or [`WRITER`]
+/// State is a single atomic: the number of active readers, or `WRITER`
 /// when a writer holds the lock. Readers never wait on queued writers, so a
 /// thread that already holds a read lock can always acquire another.
 pub struct RwLock<T: ?Sized> {
