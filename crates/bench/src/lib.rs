@@ -162,8 +162,10 @@ pub struct CrossDomainWorld {
 }
 
 impl CrossDomainWorld {
-    /// Builds the two-domain federation.
-    pub fn new() -> Self {
+    /// Builds the two-domain federation. `ehr_cache` is the TTL of the
+    /// national service's validation cache (the ECR of Fig 5); `None`
+    /// leaves it off, so every call pays the callback.
+    pub fn new(ehr_cache: Option<u64>) -> Self {
         let federation = Federation::new();
         let hospital = Domain::new("hospital", federation.bus().clone());
         let national = Domain::new("national", federation.bus().clone());
@@ -192,7 +194,11 @@ impl CrossDomainWorld {
             )
             .unwrap();
 
-        let ehr = national.create_service("national.ehr");
+        let ehr_config = ServiceConfig::new("national.ehr");
+        let ehr = national.create_service_with(match ehr_cache {
+            Some(ttl) => ehr_config.with_validation_cache(ttl),
+            None => ehr_config,
+        });
         ehr.set_validator(federation.validator_for("national"));
         ehr.add_invocation_rule(
             "request_ehr",
@@ -234,12 +240,6 @@ impl CrossDomainWorld {
                 &EnvContext::new(0),
             )
             .unwrap()
-    }
-}
-
-impl Default for CrossDomainWorld {
-    fn default() -> Self {
-        Self::new()
     }
 }
 

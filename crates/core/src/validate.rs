@@ -3,9 +3,11 @@
 //! "An OASIS-aware service will validate a certificate presented as an
 //! argument via callback to the issuer" (Sect. 4). [`CredentialValidator`]
 //! abstracts that callback so the core engine works unchanged whether the
-//! issuer is in-process ([`LocalRegistry`]), reached through a domain's
-//! certificate issuing and validation (CIV) service with caching and
-//! revocation push (`oasis-domain`), or across the network (`oasis-wire`).
+//! issuer is in-process ([`LocalRegistry`]), in another domain under a
+//! service-level agreement (`oasis-domain`'s `FederationValidator`), or
+//! across the network (`oasis-wire`'s `RemoteValidator`). Caching of the
+//! callback's result, with revocation push, is the relying service's own
+//! ([`ServiceConfig::with_validation_cache`](crate::ServiceConfig::with_validation_cache)).
 
 use std::collections::HashMap;
 use std::fmt;

@@ -122,9 +122,8 @@ fn alice() -> PrincipalId {
     PrincipalId::new("alice")
 }
 
-#[test]
-fn cache_hit_performs_no_validator_callback() {
-    let w = cache_world(100);
+/// Alice's `logged_in` RMC, issued by the world's login service.
+fn alice_login(w: &CacheWorld) -> Credential {
     w.facts
         .insert("password_ok", vec![Value::id("alice")])
         .unwrap();
@@ -138,7 +137,13 @@ fn cache_hit_performs_no_validator_callback() {
             &EnvContext::new(1),
         )
         .unwrap();
-    let cred = Credential::Rmc(rmc);
+    Credential::Rmc(rmc)
+}
+
+#[test]
+fn cache_hit_performs_no_validator_callback() {
+    let w = cache_world(100);
+    let cred = alice_login(&w);
 
     // First validation misses the cache and reaches the issuer.
     w.hospital.validate_credential(&cred, &alice(), 1).unwrap();
@@ -171,20 +176,7 @@ fn cache_hit_performs_no_validator_callback() {
 #[test]
 fn cache_is_per_presenter() {
     let w = cache_world(100);
-    w.facts
-        .insert("password_ok", vec![Value::id("alice")])
-        .unwrap();
-    let rmc = w
-        .login
-        .activate_role(
-            &alice(),
-            &RoleName::new("logged_in"),
-            &[Value::id("alice")],
-            &[],
-            &EnvContext::new(1),
-        )
-        .unwrap();
-    let cred = Credential::Rmc(rmc);
+    let cred = alice_login(&w);
 
     w.hospital.validate_credential(&cred, &alice(), 1).unwrap();
     assert_eq!(w.validator.calls(), 1);
@@ -199,20 +191,7 @@ fn cache_is_per_presenter() {
 #[test]
 fn revocation_evicts_cached_validation() {
     let w = cache_world(1_000);
-    w.facts
-        .insert("password_ok", vec![Value::id("alice")])
-        .unwrap();
-    let rmc = w
-        .login
-        .activate_role(
-            &alice(),
-            &RoleName::new("logged_in"),
-            &[Value::id("alice")],
-            &[],
-            &EnvContext::new(1),
-        )
-        .unwrap();
-    let cred = Credential::Rmc(rmc.clone());
+    let cred = alice_login(&w);
 
     w.hospital.validate_credential(&cred, &alice(), 1).unwrap();
     w.hospital.validate_credential(&cred, &alice(), 2).unwrap();
@@ -220,7 +199,7 @@ fn revocation_evicts_cached_validation() {
 
     // Revoking at the issuer publishes `cred.revoked.login`; the
     // hospital's subscription must evict the cached entry immediately.
-    assert!(w.login.revoke_certificate(rmc.crr.cert_id, "logout", 3));
+    assert!(w.login.revoke_certificate(cred.crr().cert_id, "logout", 3));
 
     let err = w
         .hospital
@@ -238,6 +217,78 @@ fn revocation_evicts_cached_validation() {
         stats.invalidations >= 1,
         "revocation must evict, stats {stats:?}"
     );
+}
+
+#[test]
+fn rejected_callback_is_never_cached() {
+    let w = cache_world(100);
+    let cred = alice_login(&w);
+    // Start with a callback path that cannot reach the issuer.
+    let registry = Arc::new(LocalRegistry::new());
+    let validator = Arc::new(CountingValidator::new(Arc::clone(&registry)));
+    w.hospital
+        .set_validator(Arc::clone(&validator) as Arc<dyn CredentialValidator>);
+
+    // Two failures for the same (credential, presenter): two callbacks,
+    // nothing remembered in between.
+    for now in [1, 2] {
+        let err = w
+            .hospital
+            .validate_credential(&cred, &alice(), now)
+            .unwrap_err();
+        assert!(matches!(err, OasisError::NoValidator(_)), "{err:?}");
+    }
+    assert_eq!(validator.calls(), 2);
+
+    // The same key then succeeds, and only the success is cached.
+    registry.register(&w.login);
+    w.hospital.validate_credential(&cred, &alice(), 3).unwrap();
+    w.hospital.validate_credential(&cred, &alice(), 4).unwrap();
+    assert_eq!(validator.calls(), 3);
+
+    // An authoritative rejection (wrong presenter) is not cached either.
+    let mallory = PrincipalId::new("mallory");
+    for now in [5, 6] {
+        let err = w
+            .hospital
+            .validate_credential(&cred, &mallory, now)
+            .unwrap_err();
+        assert!(matches!(err, OasisError::InvalidCredential { .. }));
+    }
+    assert_eq!(validator.calls(), 5);
+
+    let stats = w.hospital.validation_cache_stats().unwrap();
+    assert_eq!((stats.hits, stats.misses), (1, 5));
+}
+
+#[test]
+fn cache_entry_lives_exactly_its_ttl_and_never_comes_from_the_future() {
+    let ttl = 100;
+    let w = cache_world(ttl);
+    let cred = alice_login(&w);
+    let t0 = 10;
+
+    w.hospital.validate_credential(&cred, &alice(), t0).unwrap();
+    assert_eq!(w.validator.calls(), 1);
+    // Served at the last tick of the window…
+    w.hospital
+        .validate_credential(&cred, &alice(), t0 + ttl)
+        .unwrap();
+    assert_eq!(w.validator.calls(), 1);
+    // …and not one tick later: the issuer is asked again, which rewrites
+    // the entry at t0 + ttl + 1.
+    w.hospital
+        .validate_credential(&cred, &alice(), t0 + ttl + 1)
+        .unwrap();
+    assert_eq!(w.validator.calls(), 2);
+
+    // The virtual clock is reset behind the entry: an answer recorded in
+    // the future vouches for nothing.
+    w.hospital.validate_credential(&cred, &alice(), t0).unwrap();
+    assert_eq!(w.validator.calls(), 3);
+
+    let stats = w.hospital.validation_cache_stats().unwrap();
+    assert_eq!((stats.hits, stats.misses), (1, 3));
 }
 
 #[test]

@@ -1,5 +1,5 @@
 //! An administrative domain: a named group of services sharing an event
-//! bus, a fact store, and a CIV service.
+//! bus and a fact store.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -10,8 +10,6 @@ use parking_lot::RwLock;
 use oasis_core::{CertEvent, DomainId, OasisService, ServiceConfig, ServiceId, Value};
 use oasis_events::EventBus;
 use oasis_facts::FactStore;
-
-use crate::civ::CivService;
 
 /// An administrative domain (a hospital, a research institute, the
 /// national EHR service…).
@@ -25,7 +23,6 @@ pub struct Domain {
     bus: EventBus<CertEvent>,
     facts: Arc<FactStore<Value>>,
     services: RwLock<HashMap<ServiceId, Arc<OasisService>>>,
-    civ: Arc<CivService>,
 }
 
 impl fmt::Debug for Domain {
@@ -38,26 +35,13 @@ impl fmt::Debug for Domain {
 }
 
 impl Domain {
-    /// Creates a domain on the given (possibly shared) event bus, with a
-    /// CIV service of replication factor 3.
+    /// Creates a domain on the given (possibly shared) event bus.
     pub fn new(id: impl Into<DomainId>, bus: EventBus<CertEvent>) -> Arc<Self> {
-        Self::with_replication(id, bus, 3)
-    }
-
-    /// Creates a domain whose CIV service runs `replicas` replicas.
-    pub fn with_replication(
-        id: impl Into<DomainId>,
-        bus: EventBus<CertEvent>,
-        replicas: usize,
-    ) -> Arc<Self> {
-        let id = id.into();
-        let civ = CivService::new(id.clone(), &bus, replicas);
         Arc::new(Self {
-            id,
+            id: id.into(),
             bus,
             facts: Arc::new(FactStore::new()),
             services: RwLock::new(HashMap::new()),
-            civ,
         })
     }
 
@@ -76,21 +60,20 @@ impl Domain {
         &self.facts
     }
 
-    /// The domain's certificate issuing and validation service.
-    pub fn civ(&self) -> &Arc<CivService> {
-        &self.civ
+    /// Creates a service inside this domain: it shares the domain bus and
+    /// fact store, and the domain's validators can call back to it.
+    pub fn create_service(&self, name: impl Into<ServiceId>) -> Arc<OasisService> {
+        self.create_service_with(ServiceConfig::new(name))
     }
 
-    /// Creates a service inside this domain: it shares the domain bus and
-    /// fact store and is registered with the CIV service.
-    pub fn create_service(&self, name: impl Into<ServiceId>) -> Arc<OasisService> {
-        let name = name.into();
-        let service = OasisService::new(
-            ServiceConfig::new(name.clone()).with_bus(self.bus.clone()),
-            Arc::clone(&self.facts),
-        );
-        self.civ.register_issuer(&service);
-        self.services.write().insert(name, Arc::clone(&service));
+    /// As [`Domain::create_service`], from a caller-built configuration
+    /// (a relying service switching on its validation cache or issuer
+    /// heartbeats, say). The domain sets only the bus.
+    pub fn create_service_with(&self, config: ServiceConfig) -> Arc<OasisService> {
+        let service = OasisService::new(config.with_bus(self.bus.clone()), Arc::clone(&self.facts));
+        self.services
+            .write()
+            .insert(service.id().clone(), Arc::clone(&service));
         service
     }
 

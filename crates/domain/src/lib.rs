@@ -1,26 +1,27 @@
-//! Domains, service-level agreements, CIV services, and cross-domain
-//! validation for OASIS.
+//! Domains, service-level agreements, and cross-domain validation for
+//! OASIS.
 //!
 //! The paper situates services inside *administrative domains* (hospitals,
-//! primary care groups, a national EHR service…) and makes three
-//! engineering points this crate implements:
+//! primary care groups, a national EHR service…), and cross-domain
+//! credentials are honoured only under a prior **service-level agreement**
+//! (Sect. 3, 5). A [`Domain`] groups services on one event bus and one
+//! fact store; a [`Federation`] holds the [`Sla`] graph between domains
+//! and produces the validators that enforce it before calling back to the
+//! issuer.
 //!
-//! * **Certificate issuing and validation (CIV) services** (Sect. 4,
-//!   ref \[10\]): "a domain will contain one highly available service to
-//!   carry out the functions of certificate issuing and validation …
-//!   including replication for availability together with consistency
-//!   management". [`CivService`] fronts a domain's issuers with a
-//!   primary/replica revocation log; replicas answer validation requests
-//!   when an issuer is unreachable.
-//! * **External credential record proxies** (Fig 5, "ECR"): a service
-//!   holding certificates issued elsewhere "may cache the certificate and
-//!   the result of validation … This requires an event channel so that
-//!   the issuer can notify the service should the certificate be
-//!   invalidated". [`EcrProxy`] is that cache: push-invalidated via the
-//!   event bus, TTL-bounded as a fallback.
-//! * **Service-level agreements** (Sect. 3, 5): cross-domain credentials
-//!   are honoured only under a prior agreement. [`Federation`] holds the
-//!   [`Sla`] graph and produces validators that enforce it.
+//! Two neighbouring boxes of the paper's figures live elsewhere:
+//!
+//! * the **external credential record** cache of Fig 5 ("ECR") is the
+//!   relying service's own validation cache
+//!   ([`ServiceConfig::with_validation_cache`], push-evicted over the bus,
+//!   heartbeat-guarded by [`ServiceConfig::with_heartbeats`]) — switch it
+//!   on for an in-domain service with [`Domain::create_service_with`];
+//! * a domain's **replicated CIV** (Sect. 4, ref \[10\]) is a service
+//!   journalled over `oasis-store`'s quorum log (`ReplicatedStore`), served
+//!   by `oasis-wire`'s `WireServer::with_replica`.
+//!
+//! [`ServiceConfig::with_validation_cache`]: oasis_core::ServiceConfig::with_validation_cache
+//! [`ServiceConfig::with_heartbeats`]: oasis_core::ServiceConfig::with_heartbeats
 //!
 //! # Example
 //!
@@ -43,14 +44,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod civ;
 mod domain;
-mod ecr;
-mod error;
 mod sla;
 
-pub use civ::{CivService, CivStats};
 pub use domain::Domain;
-pub use ecr::{EcrProxy, EcrStats};
-pub use error::DomainError;
 pub use sla::{Federation, FederationValidator, Sla, SlaClause};

@@ -171,9 +171,9 @@ impl Federation {
         })
     }
 
-    /// A validator for services of `home`: local credentials validate via
-    /// the home CIV; foreign credentials require a covering SLA and then
-    /// validate via the issuer domain's CIV (callback across domains).
+    /// A validator for services of `home`: local credentials validate at
+    /// their issuer directly; foreign credentials require a covering SLA
+    /// and then validate by callback to the issuer in its own domain.
     pub fn validator_for(self: &Arc<Self>, home: impl Into<DomainId>) -> Arc<FederationValidator> {
         Arc::new(FederationValidator {
             federation: Arc::clone(self),
@@ -234,7 +234,10 @@ impl CredentialValidator for FederationValidator {
             }
         }
 
-        issuer_domain.civ().validate(credential, presenter, now)
+        issuer_domain
+            .service(issuer)
+            .ok_or_else(|| OasisError::NoValidator(issuer.clone()))?
+            .validate_own(credential, presenter, now)
     }
 }
 
@@ -338,6 +341,38 @@ mod tests {
     }
 
     #[test]
+    fn home_callback_binds_the_presenter_and_needs_a_federated_issuer() {
+        let (federation, cred, dr) = setup();
+        let validator = federation.validator_for("hospital");
+        // The callback ends at the issuing service itself: the right
+        // presenter is accepted, a thief is refused.
+        assert!(validator.validate(&cred, &dr, 1).is_ok());
+        assert!(matches!(
+            validator.validate(&cred, &PrincipalId::new("mallory"), 1),
+            Err(OasisError::InvalidCredential { .. })
+        ));
+
+        // A live service on the same bus that no registered domain owns:
+        // its (perfectly valid) credential has nobody to call back to.
+        let lab = oasis_core::OasisService::new(
+            oasis_core::ServiceConfig::new("lab").with_bus(federation.bus().clone()),
+            Arc::new(oasis_facts::FactStore::new()),
+        );
+        lab.define_role("tech", &[], true).unwrap();
+        lab.add_activation_rule("tech", vec![], vec![], vec![])
+            .unwrap();
+        let tech = lab
+            .activate_role(&dr, &RoleName::new("tech"), &[], &[], &EnvContext::new(0))
+            .unwrap();
+        let tech = Credential::Rmc(tech);
+        assert!(lab.validate_own(&tech, &dr, 1).is_ok());
+        assert!(matches!(
+            validator.validate(&tech, &dr, 1),
+            Err(OasisError::NoValidator(issuer)) if issuer == ServiceId::new("lab")
+        ));
+    }
+
+    #[test]
     fn cross_domain_revocation_propagates_through_shared_bus() {
         let (federation, cred, dr) = setup();
         federation.add_sla(Sla::between("national", "hospital").accept(SlaClause {
@@ -348,16 +383,16 @@ mod tests {
         let validator = federation.validator_for("national");
         validator.validate(&cred, &dr, 1).unwrap();
 
-        // The hospital revokes; the national domain's CIV replicas saw the
-        // event on the shared bus and fast-deny thereafter.
+        // The hospital revokes; the event crosses on the federation's
+        // shared bus and the next callback is refused at the issuer.
         let hospital = federation.domain(&DomainId::new("hospital")).unwrap();
         let records = hospital.service(&ServiceId::new("records")).unwrap();
+        let before = federation.bus().stats().published;
         records.revoke_certificate(cred.crr().cert_id, "shift over", 2);
 
         let err = validator.validate(&cred, &dr, 3).unwrap_err();
         assert!(err.to_string().contains("revoked"), "{err}");
-        let national = federation.domain(&DomainId::new("national")).unwrap();
-        assert!(national.civ().log_len() >= 1);
+        assert_eq!(federation.bus().stats().published, before + 1);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! | [`crypto`] | certificate MACs, issuer secret rotation, Ed25519 challenge–response |
 //! | [`facts`] | the environmental predicate database |
 //! | [`policy`] | the textual policy language, checker, and compiler |
-//! | [`domain`] | domains, CIV replication, ECR caches, SLAs, federation |
+//! | [`domain`] | domains, service-level agreements, the federation and its SLA-enforcing cross-domain validators |
 //! | [`trust`] | audit certificates, interaction histories, risk assessment |
 //! | [`sim`] | deterministic discrete-event simulation of distributed deployments |
 //! | [`store`] | the durability layer: checksummed security-event journal and snapshots |
@@ -50,7 +50,7 @@ pub mod prelude {
         LocalRegistry, OasisError, OasisService, PrincipalId, RoleName, ServiceConfig, ServiceId,
         Session, Term, Value, ValueType,
     };
-    pub use oasis_domain::{Domain, EcrProxy, Federation, Sla, SlaClause};
+    pub use oasis_domain::{Domain, Federation, Sla, SlaClause};
     pub use oasis_events::EventBus;
     pub use oasis_facts::FactStore;
     pub use oasis_policy::Policy;

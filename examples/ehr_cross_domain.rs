@@ -157,7 +157,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // End of shift back home: the hospital retracts on_shift, the RMC chain
     // collapses, and — through the shared event fabric — the national
-    // domain's CIV learns of the revocation too.
+    // domain's services learn of the revocation too.
     hospital
         .facts()
         .retract("on_shift", &[Value::id("dr-jones")])?;

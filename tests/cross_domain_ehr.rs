@@ -1,6 +1,7 @@
 //! Integration: the full Fig 3 cross-domain EHR scenario, spanning
-//! `oasis-core`, `oasis-domain` (federation, SLAs, CIV), `oasis-events`,
-//! and `oasis-facts`, with the ECR cache of Fig 5 in the callback path.
+//! `oasis-core`, `oasis-domain` (federation, SLAs), `oasis-events`, and
+//! `oasis-facts`, with the ECR cache of Fig 5 — the relying service's
+//! validation cache — in front of the callback path.
 
 use std::sync::Arc;
 
@@ -8,7 +9,6 @@ use oasis::prelude::*;
 use oasis_core::CredentialKind;
 
 struct World {
-    federation: Arc<Federation>,
     hospital: Arc<Domain>,
     national: Arc<Domain>,
     records: Arc<oasis_core::OasisService>,
@@ -16,6 +16,11 @@ struct World {
 }
 
 fn build() -> World {
+    build_with(ServiceConfig::new("national-ehr.store"))
+}
+
+/// As [`build`], with the national EHR service built from `ehr_config`.
+fn build_with(ehr_config: ServiceConfig) -> World {
     let federation = Federation::new();
     let hospital = Domain::new("st-marys", federation.bus().clone());
     let national = Domain::new("national-ehr", federation.bus().clone());
@@ -57,7 +62,7 @@ fn build() -> World {
         )
         .unwrap();
 
-    let ehr = national.create_service("national-ehr.store");
+    let ehr = national.create_service_with(ehr_config);
     ehr.set_validator(federation.validator_for("national-ehr"));
     national.facts().define("excluded", 2).unwrap();
     ehr.add_invocation_rule(
@@ -80,7 +85,6 @@ fn build() -> World {
     }));
 
     World {
-        federation,
         hospital,
         national,
         records,
@@ -248,15 +252,12 @@ fn without_sla_the_same_request_is_refused() {
 
 #[test]
 fn ecr_cache_saves_callbacks_and_push_invalidates_across_domains() {
-    let world = build();
+    // The national service keeps external credential records (Fig 5): its
+    // validation cache, evicted by pushes on the federation's shared bus.
+    let world =
+        build_with(ServiceConfig::new("national-ehr.store").with_validation_cache(u64::MAX));
     let rmc = treating_rmc(&world, "dr-jones", "pat-7");
     let dr = PrincipalId::new("dr-jones");
-
-    // The national service fronts its cross-domain validation with an ECR
-    // proxy on the shared bus (Fig 5).
-    let upstream = world.federation.validator_for("national-ehr");
-    let proxy = EcrProxy::new(upstream, world.federation.bus(), u64::MAX);
-    world.ehr.set_validator(proxy.clone());
 
     for t in 0..10 {
         world
@@ -270,19 +271,19 @@ fn ecr_cache_saves_callbacks_and_push_invalidates_across_domains() {
             )
             .unwrap();
     }
-    let stats = proxy.stats();
+    let stats = world.ehr.validation_cache_stats().unwrap();
     assert_eq!(stats.misses, 1, "only the first request called back");
     assert_eq!(stats.hits, 9);
 
     // Shift ends at the hospital: the fact retraction revokes the RMC
-    // chain, the event crosses the domain boundary, and the proxy entry
+    // chain, the event crosses the domain boundary, and the cache entry
     // dies before the next request.
     world
         .hospital
         .facts()
         .retract("on_shift", &[Value::id("dr-jones")])
         .unwrap();
-    assert!(proxy.stats().push_invalidations >= 1);
+    assert!(world.ehr.validation_cache_stats().unwrap().invalidations >= 1);
     assert!(world
         .ehr
         .invoke(

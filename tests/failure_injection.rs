@@ -1,7 +1,9 @@
-//! Integration: failure injection — CIV replica crashes mid-stream,
-//! issuer outages, lost revocation events, partitions in the simulated
-//! network, and the defence layers (replication, TTL backstops,
-//! heartbeats) the architecture prescribes for each.
+//! Integration: failure injection — issuer outages, lost revocation
+//! events, partitions in the simulated network, and the defence layers
+//! (fail-open bridging, TTL backstops, heartbeats) the architecture
+//! prescribes for each, on the relying service's own validation cache.
+//! Replica crashes are exercised where the real replicated log lives:
+//! `replication_failover.rs` and `oasis-store`'s `replicated` tests.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -10,7 +12,7 @@ use std::sync::Arc;
 use oasis::events::{HeartbeatMonitor, SourceHealth, SourceId};
 use oasis::prelude::*;
 use oasis::sim::{Latency, LinkConfig, SimNet, Simulation};
-use oasis_core::CredentialValidator;
+use oasis_core::{DegradationPolicy, HeartbeatConfig};
 
 fn guest_world() -> (
     Arc<Domain>,
@@ -37,127 +39,93 @@ fn guest_world() -> (
     (domain, svc, Credential::Rmc(rmc), alice)
 }
 
-#[test]
-fn validation_survives_one_and_two_replica_crashes() {
-    let (domain, _svc, cred, alice) = guest_world();
-    let civ = domain.civ();
-    civ.validate(&cred, &alice, 1).unwrap();
+/// A relying service that calls back to `issuer`. Built outside the
+/// issuer's domain unless `config` carries its bus, so by default no
+/// revocation event reaches it — the lost-event / partitioned-fabric case.
+fn relying_on(
+    issuer: &Arc<oasis_core::OasisService>,
+    config: ServiceConfig,
+) -> Arc<oasis_core::OasisService> {
+    let relying = OasisService::new(config, Arc::new(FactStore::new()));
+    let registry = Arc::new(LocalRegistry::new());
+    registry.register(issuer);
+    relying.set_validator(registry);
+    relying
+}
 
-    civ.fail_replica(0).unwrap();
-    assert!(civ.validate(&cred, &alice, 2).is_ok(), "replica 1 serves");
-    civ.fail_replica(1).unwrap();
-    assert!(civ.validate(&cred, &alice, 3).is_ok(), "replica 2 serves");
-    civ.fail_replica(2).unwrap();
-    assert!(civ.validate(&cred, &alice, 4).is_err(), "no replicas left");
+/// The callback path during an issuer outage: every call times out.
+struct Unreachable;
 
-    civ.recover_replica(0).unwrap();
-    assert!(civ.validate(&cred, &alice, 5).is_ok());
+impl CredentialValidator for Unreachable {
+    fn validate(&self, credential: &Credential, _: &PrincipalId, _: u64) -> Result<(), OasisError> {
+        Err(OasisError::IssuerTimeout(credential.issuer().clone()))
+    }
 }
 
 #[test]
 fn issuer_outage_bridged_by_replica_memory_then_revocation_still_wins() {
+    // The memory that bridges an outage is the relying service's cache
+    // under a fail-open policy; the revocation that must still win
+    // arrives over the domain bus while the callback path is down.
     let (domain, svc, cred, alice) = guest_world();
-    let civ = domain.civ();
-    civ.validate(&cred, &alice, 1).unwrap();
+    let relying = relying_on(
+        &svc,
+        ServiceConfig::new("relying")
+            .with_bus(domain.bus().clone())
+            .with_validation_cache(100)
+            .with_heartbeats(HeartbeatConfig {
+                dead_after: 3,
+                grace: 10,
+                policy: DegradationPolicy::FailOpen {
+                    max_stale_ticks: 50,
+                },
+            }),
+    );
+    relying.watch_issuer(svc.id(), 10, 0);
+    relying.validate_credential(&cred, &alice, 1).unwrap();
 
-    // Issuer goes down; the replica vouches from memory.
-    civ.set_issuer_up(svc.id(), false);
-    assert!(civ.validate(&cred, &alice, 2).is_ok());
+    // Issuer goes silent and unreachable; the suspect entry is served.
+    relying.set_validator(Arc::new(Unreachable));
+    assert!(relying.validate_credential(&cred, &alice, 15).is_ok());
+    assert_eq!(relying.degradation_stats().unwrap().stale_served, 1);
 
-    // The issuer comes back just long enough to revoke, then dies again.
-    civ.set_issuer_up(svc.id(), true);
-    svc.revoke_certificate(cred.crr().cert_id, "compromised", 3);
-    civ.set_issuer_up(svc.id(), false);
+    // The issuer revokes; only the event channel still connects the two.
+    svc.revoke_certificate(cred.crr().cert_id, "compromised", 16);
+    assert_eq!(relying.validation_cache_stats().unwrap().invalidations, 1);
 
-    // The revocation log wins over the stale validation memory.
-    assert!(civ.validate(&cred, &alice, 4).is_err());
-}
-
-#[test]
-fn replica_crash_during_revocation_storm_recovers_consistently() {
-    let domain = Domain::new("d", EventBus::new());
-    let svc = domain.create_service("svc");
-    svc.define_role("guest", &[("n", ValueType::Int)], true)
-        .unwrap();
-    svc.add_activation_rule("guest", vec![Term::var("N")], vec![], vec![])
-        .unwrap();
-    let alice = PrincipalId::new("alice");
-    let ctx = EnvContext::new(0);
-    let rmcs: Vec<_> = (0..50)
-        .map(|n| {
-            svc.activate_role(&alice, &RoleName::new("guest"), &[Value::Int(n)], &[], &ctx)
-                .unwrap()
-        })
-        .collect();
-    let civ = domain.civ();
-    for rmc in &rmcs {
-        civ.validate_at_replica(1, &Credential::Rmc(rmc.clone()), &alice, 1)
-            .unwrap();
-    }
-
-    // Replica 1 crashes partway through a revocation storm.
-    for rmc in &rmcs[..20] {
-        svc.revoke_certificate(rmc.crr.cert_id, "storm", 2);
-    }
-    civ.fail_replica(1).unwrap();
-    for rmc in &rmcs[20..40] {
-        svc.revoke_certificate(rmc.crr.cert_id, "storm", 3);
-    }
-
-    // While down (and with the issuer unreachable), the crashed replica
-    // would wrongly vouch for revocations it missed.
-    civ.set_issuer_up(svc.id(), false);
-    let missed = &rmcs[25];
-    assert!(civ
-        .validate_at_replica(1, &Credential::Rmc(missed.clone()), &alice, 4)
-        .is_ok());
-
-    // Recovery replays the log: all 40 revocations now hold at replica 1.
-    civ.recover_replica(1).unwrap();
-    for rmc in &rmcs[..40] {
-        assert!(civ
-            .validate_at_replica(1, &Credential::Rmc(rmc.clone()), &alice, 5)
-            .is_err());
-    }
-    // The 10 never-revoked certificates still vouch from memory.
-    for rmc in &rmcs[40..] {
-        assert!(civ
-            .validate_at_replica(1, &Credential::Rmc(rmc.clone()), &alice, 5)
-            .is_ok());
-    }
+    // The pushed revocation wins over the fail-open bridge.
+    assert!(relying.validate_credential(&cred, &alice, 17).is_err());
+    assert_eq!(relying.degradation_stats().unwrap().stale_served, 1);
 }
 
 #[test]
 fn lost_revocation_event_is_bounded_by_ttl_backstop() {
-    // A proxy whose push channel is gone (modelling a lost event /
-    // partitioned event fabric) keeps serving a revoked credential — but
-    // only until its TTL, which bounds the damage.
-    let (domain, svc, cred, alice) = guest_world();
+    // A cache whose push channel is gone (a lost event / partitioned
+    // event fabric) keeps serving a revoked credential — but only until
+    // its TTL, which bounds the damage.
+    let (_domain, svc, cred, alice) = guest_world();
     let ttl = 50;
-    let proxy = EcrProxy::without_push(
-        {
-            let civ: Arc<dyn CredentialValidator> = domain.civ().clone();
-            civ
-        },
-        ttl,
+    let relying = relying_on(
+        &svc,
+        ServiceConfig::new("relying").with_validation_cache(ttl),
     );
-    proxy.validate(&cred, &alice, 0).unwrap();
+    relying.validate_credential(&cred, &alice, 0).unwrap();
     svc.revoke_certificate(cred.crr().cert_id, "gone", 1);
 
-    let mut stale_accepts = 0;
-    for t in 2..200 {
-        if proxy.validate(&cred, &alice, t).is_ok() {
-            stale_accepts += 1;
-        }
-    }
+    let stale_accepts = (2..200)
+        .filter(|&t| relying.validate_credential(&cred, &alice, t).is_ok())
+        .count() as u64;
     assert!(
         stale_accepts > 0,
         "without push there IS a staleness window"
     );
     assert!(
-        stale_accepts <= ttl as usize,
+        stale_accepts <= ttl,
         "but it is bounded by the TTL: {stale_accepts} > {ttl}"
     );
+    let stats = relying.validation_cache_stats().unwrap();
+    assert_eq!(stats.hits, stale_accepts, "every stale accept was a hit");
+    assert_eq!(stats.invalidations, 0, "no push ever arrived");
 }
 
 #[test]
@@ -219,41 +187,39 @@ fn partitioned_issuer_detected_by_heartbeats_in_simulation() {
 
 #[test]
 fn heartbeat_guarded_cache_closes_the_lost_event_window() {
-    // The full Fig 5 belt-and-braces configuration: an ECR cache that is
-    // push-invalidated AND heartbeat-guarded. When the event channel
-    // fails silently (here: the revocation event is published on a bus
-    // the proxy is not subscribed to, modelling a partition), the missing
-    // heartbeats alone stop the cache from vouching.
-    let (domain, svc, cred, alice) = guest_world();
+    // The full Fig 5 belt-and-braces configuration: a validation cache
+    // that is push-invalidated AND heartbeat-guarded. When the event
+    // channel fails silently (here: the relying service sits on a bus
+    // the issuer does not publish to, modelling a partition), the
+    // missing heartbeats alone stop the cache from vouching.
+    let (_domain, svc, cred, alice) = guest_world();
+    let relying = relying_on(
+        &svc,
+        ServiceConfig::new("relying")
+            .with_validation_cache(u64::MAX)
+            .with_heartbeats(HeartbeatConfig::default()),
+    );
+    relying.watch_issuer(svc.id(), 10, 0);
 
-    let monitor = Arc::new(HeartbeatMonitor::new(3));
-    let issuer_source = SourceId::new(svc.id().as_str());
-    monitor.register(issuer_source.clone(), 10, 0);
+    relying.issuer_beat(svc.id(), 5);
+    relying.validate_credential(&cred, &alice, 6).unwrap();
+    relying.validate_credential(&cred, &alice, 7).unwrap();
+    assert_eq!(relying.validation_cache_stats().unwrap().hits, 1);
 
-    // Subscribe the proxy to a *disconnected* bus: pushes never arrive.
-    let dead_bus: EventBus<CertEvent> = EventBus::new();
-    let upstream: Arc<dyn CredentialValidator> = domain.civ().clone();
-    let proxy = EcrProxy::with_heartbeats(upstream, &dead_bus, u64::MAX, monitor.clone());
-
-    monitor.beat(&issuer_source, 5);
-    proxy.validate(&cred, &alice, 6).unwrap();
-    proxy.validate(&cred, &alice, 7).unwrap();
-    assert_eq!(proxy.stats().hits, 1);
-
-    // Revocation happens; the push never reaches the proxy (dead bus).
+    // Revocation happens; the push never reaches the relying service.
     svc.revoke_certificate(cred.crr().cert_id, "gone", 8);
     // …and the partition also stops the heartbeats. Once the issuer is
-    // no longer Healthy, the cache refuses to vouch and the callback
-    // discovers the revocation.
+    // dead, its entries are evicted and the callback discovers the
+    // revocation.
     assert!(
-        proxy.validate(&cred, &alice, 9).is_ok(),
+        relying.validate_credential(&cred, &alice, 9).is_ok(),
         "inside the heartbeat window the stale cache still answers — the bounded risk"
     );
     assert!(
-        proxy.validate(&cred, &alice, 50).is_err(),
+        relying.validate_credential(&cred, &alice, 50).is_err(),
         "past the heartbeat window the guard forces a callback, which denies"
     );
-    assert!(proxy.stats().heartbeat_bypasses >= 1);
+    assert_eq!(relying.degradation_stats().unwrap().dead_evictions, 1);
 }
 
 #[test]

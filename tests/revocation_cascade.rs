@@ -108,56 +108,55 @@ fn cutting_the_chain_midway_preserves_the_prefix() {
 #[test]
 fn every_domain_civ_logged_the_cascade() {
     let (federation, services, rmcs) = chain(4);
+    let before = federation.bus().stats();
     services[0].revoke_certificate(rmcs[0].crr.cert_id, "logout", 1);
-    // 4 revocations happened; every domain's CIV observed all of them via
-    // the shared bus.
-    for i in 0..4 {
-        let domain = federation
-            .domain(&oasis_core::DomainId::new(format!("domain-{i}")))
-            .unwrap();
-        assert_eq!(domain.civ().log_len(), 4, "domain-{i}");
-    }
+    // 4 revocations happened, one per domain, and the federation's shared
+    // bus delivered every one of them to every domain's service.
+    let after = federation.bus().stats();
+    assert_eq!(after.published - before.published, 4);
+    assert_eq!(after.delivered - before.delivered, 4 * 4);
 }
 
 #[test]
 fn push_invalidation_beats_ttl_polling() {
     // The architectural claim behind Fig 5: with an event channel, a cache
     // never serves a revoked credential; with TTL-only caching it keeps
-    // serving it until the TTL lapses.
+    // serving it until the TTL lapses. Same cache, same TTL, same
+    // callback path — the two relying services differ only in whether
+    // the issuer publishes on their bus.
     let (federation, services, rmcs) = chain(2);
     let alice = PrincipalId::new("alice");
-    let root_rmc = &rmcs[0];
+    let root = Credential::Rmc(rmcs[0].clone());
 
-    let upstream_push = federation.validator_for("domain-1");
-    let upstream_poll = federation.validator_for("domain-1");
-    let with_push = EcrProxy::new(upstream_push, federation.bus(), 1_000);
-    let ttl_only = EcrProxy::without_push(upstream_poll, 1_000);
+    let with_push = federation
+        .domain(&oasis_core::DomainId::new("domain-1"))
+        .unwrap()
+        .create_service_with(ServiceConfig::new("relying-push").with_validation_cache(1_000));
+    let ttl_only = OasisService::new(
+        ServiceConfig::new("relying-ttl").with_validation_cache(1_000),
+        Arc::new(FactStore::new()),
+    );
+    for relying in [&with_push, &ttl_only] {
+        relying.set_validator(federation.validator_for("domain-1"));
+        relying.validate_credential(&root, &alice, 0).unwrap();
+    }
 
-    use oasis_core::CredentialValidator;
-    with_push
-        .validate(&Credential::Rmc(root_rmc.clone()), &alice, 0)
-        .unwrap();
-    ttl_only
-        .validate(&Credential::Rmc(root_rmc.clone()), &alice, 0)
-        .unwrap();
-
-    services[0].revoke_certificate(root_rmc.crr.cert_id, "logout", 10);
+    services[0].revoke_certificate(rmcs[0].crr.cert_id, "logout", 10);
 
     // Pushed cache: denied immediately.
-    assert!(with_push
-        .validate(&Credential::Rmc(root_rmc.clone()), &alice, 11)
-        .is_err());
+    assert!(with_push.validate_credential(&root, &alice, 11).is_err());
     // TTL cache: still vouching for a revoked credential…
-    assert!(ttl_only
-        .validate(&Credential::Rmc(root_rmc.clone()), &alice, 11)
-        .is_ok());
-    // …for the remainder of its TTL.
-    assert!(ttl_only
-        .validate(&Credential::Rmc(root_rmc.clone()), &alice, 1_000)
-        .is_ok());
-    assert!(ttl_only
-        .validate(&Credential::Rmc(root_rmc.clone()), &alice, 1_001)
-        .is_err());
+    assert!(ttl_only.validate_credential(&root, &alice, 11).is_ok());
+    // …for the remainder of its TTL, and not one tick longer.
+    assert!(ttl_only.validate_credential(&root, &alice, 1_000).is_ok());
+    assert!(ttl_only.validate_credential(&root, &alice, 1_001).is_err());
+
+    let stats = |s: &oasis_core::OasisService| {
+        let c = s.validation_cache_stats().unwrap();
+        (c.hits, c.misses, c.invalidations)
+    };
+    assert_eq!(stats(&with_push), (0, 2, 1));
+    assert_eq!(stats(&ttl_only), (2, 2, 0));
 }
 
 #[test]
