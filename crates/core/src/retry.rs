@@ -1,10 +1,12 @@
 //! Capped exponential backoff with deterministic jitter.
 //!
 //! The shared retry schedule for everything in the system that talks to a
-//! possibly-dead peer: the [`ResilientValidator`](crate::ResilientValidator)
-//! retrying issuer callbacks, and `oasis-wire`'s `RemoteValidator`
-//! re-dialling a restarted issuer. One implementation so every layer backs
-//! off the same way and tests can reason about the schedule.
+//! possibly-dead peer. Each call has one retry owner that runs it: the
+//! [`ResilientValidator`](crate::ResilientValidator) for issuer callbacks
+//! (`oasis-wire`'s `RemoteValidator` beneath it makes one attempt), and
+//! `oasis-wire`'s `FailoverClient` for clients of a replicated cluster.
+//! One implementation so both back off the same way and tests can reason
+//! about the schedule.
 //!
 //! Jitter is *deterministic*: the spread comes from a seeded xorshift
 //! stream, so two [`Backoff`]s built with the same seed produce the same

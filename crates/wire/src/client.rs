@@ -6,7 +6,6 @@ use std::time::Duration;
 
 use oasis_core::cert::Rmc;
 use oasis_core::durable::CatchUpReport;
-use oasis_core::retry::{Backoff, RetryPolicy};
 use oasis_core::{CertEvent, Credential, Crr, OasisService, PrincipalId, Value};
 use oasis_events::DeliveredEvent;
 
@@ -70,14 +69,17 @@ impl WireTimeouts {
 /// The engine (`oasis-core`) is synchronous — validation callbacks run
 /// inside `activate_role`/`invoke` — so the client is synchronous too and
 /// is usable directly from those callbacks.
+///
+/// Every call is one attempt on one connection: a failure is returned,
+/// never retried. Retries belong to the caller's retry owner —
+/// [`ResilientValidator`](oasis_core::ResilientValidator) over a
+/// [`RemoteValidator`](crate::RemoteValidator) for callbacks,
+/// [`FailoverClient`](crate::FailoverClient) for a replicated cluster.
 pub struct WireClient {
     stream: TcpStream,
     /// Default deadline budget attached to every call (see
     /// [`WireClient::set_deadline_ms`]).
     deadline_ms: Option<u64>,
-    /// The timeouts this connection was dialled with, kept so
-    /// [`WireClient::reconnect`] re-dials identically.
-    timeouts: WireTimeouts,
     /// Causal trace context attached to every call (see
     /// [`WireClient::set_trace`]).
     trace: Option<oasis_obs::TraceCtx>,
@@ -148,24 +150,8 @@ impl WireClient {
         Ok(Self {
             stream,
             deadline_ms: None,
-            timeouts,
             trace: None,
         })
-    }
-
-    /// Drops the current connection and re-dials the same peer with the
-    /// original timeouts, keeping the configured deadline budget. Used
-    /// after a transport failure whose cause may be transient (peer
-    /// restarting, leader re-elected).
-    ///
-    /// # Errors
-    ///
-    /// As [`WireClient::connect_with`].
-    pub fn reconnect(&mut self) -> Result<(), WireError> {
-        let peer = self.stream.peer_addr()?;
-        let fresh = Self::connect_with(peer, self.timeouts)?;
-        self.stream = fresh.stream;
-        Ok(())
     }
 
     /// Sets the default deadline budget (in ms) propagated with every
@@ -182,11 +168,6 @@ impl WireClient {
     pub fn with_deadline_ms(mut self, deadline_ms: u64) -> Self {
         self.deadline_ms = Some(deadline_ms);
         self
-    }
-
-    /// The currently configured default deadline budget.
-    pub fn deadline_ms(&self) -> Option<u64> {
-        self.deadline_ms
     }
 
     /// Sets the causal trace context propagated with every subsequent
@@ -436,63 +417,24 @@ impl WireClient {
     /// clear [`OasisService::catchup_pending`]; incomplete ones drop
     /// every cached validation for the issuer instead.
     ///
-    /// Transient transport failures (expired deadlines, a dropped
-    /// connection, a replica mid-election answering `NotLeader`) are
-    /// retried under the default [`RetryPolicy`], re-dialling the peer
-    /// between attempts — catch-up runs right after a restart, exactly
-    /// when the rest of the federation may also be coming back up, so a
-    /// single timeout must not strand the service with a suspect cache.
+    /// One attempt, like every call on this client. A failed catch-up
+    /// leaves the service's watermark and suspect cache as they were, so
+    /// it can simply be run again;
+    /// [`FailoverClient::catch_up`](crate::FailoverClient::catch_up)
+    /// retries under a backoff schedule and follows a replicated issuer's
+    /// leader.
     ///
     /// # Errors
     ///
-    /// The final transport error once retries are exhausted, or
-    /// [`WireError::UnexpectedResponse`].
+    /// Transport errors, or [`WireError::UnexpectedResponse`].
     pub fn catch_up(
         &mut self,
         service: &OasisService,
         topic: &str,
         now: u64,
     ) -> Result<CatchUpReport, WireError> {
-        self.catch_up_with_retry(service, topic, now, RetryPolicy::default())
-    }
-
-    /// As [`WireClient::catch_up`], with an explicit retry schedule
-    /// (`RetryPolicy::none()` restores the old give-up-on-first-timeout
-    /// behaviour).
-    ///
-    /// # Errors
-    ///
-    /// As [`WireClient::catch_up`].
-    pub fn catch_up_with_retry(
-        &mut self,
-        service: &OasisService,
-        topic: &str,
-        now: u64,
-        retry: RetryPolicy,
-    ) -> Result<CatchUpReport, WireError> {
         let after = service.watermark_for(topic);
-        let mut backoff = Backoff::new(retry);
-        let (events, complete) = loop {
-            match self.resync(topic, after) {
-                Ok(replay) => break replay,
-                // An authoritative answer (remote error, wrong variant)
-                // will not change on retry.
-                Err(e @ (WireError::Remote(_) | WireError::UnexpectedResponse(_))) => {
-                    return Err(e)
-                }
-                Err(transport) => match backoff.next_delay() {
-                    Some(delay) => {
-                        if !delay.is_zero() {
-                            std::thread::sleep(delay);
-                        }
-                        // Best-effort: a failed re-dial leaves the old
-                        // stream in place for the next attempt.
-                        let _ = self.reconnect();
-                    }
-                    None => return Err(transport),
-                },
-            }
-        };
+        let (events, complete) = self.resync(topic, after)?;
         Ok(service.catch_up_with(topic, &events, complete, now))
     }
 }

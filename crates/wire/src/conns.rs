@@ -41,11 +41,6 @@ const WAKE: u64 = u64::MAX;
 /// One client connection.
 pub(crate) struct Conn {
     stream: TcpStream,
-    /// Whether this connection has ever sent a deadline envelope. Only
-    /// envelope-aware clients understand `Response::Overloaded`; legacy
-    /// clients are shed with the `Response::Error` shape they predate the
-    /// overload protocol with.
-    pub(crate) envelope_seen: bool,
     /// Controller-clock timestamp of the last frame read or written.
     pub(crate) last_active_ms: u64,
     /// A request admitted into a lane queue, awaiting its permit. While
@@ -219,17 +214,18 @@ impl ConnTable {
         self.poller.rearm(&self.waker.0, WAKE).ok();
     }
 
-    /// Parks and arms a new connection, unless `accept_queue` connections
-    /// are parked already.
-    pub(crate) fn admit(&self, stream: TcpStream) -> bool {
+    /// Parks and arms a new connection and counts it accepted, or — when
+    /// `accept_queue` connections are parked already — drops it and counts
+    /// it shed: the whole connection is shed rather than buffered.
+    pub(crate) fn admit(&self, stream: TcpStream) {
         stream.set_nodelay(true).ok();
         stream.set_write_timeout(Some(FRAME_IO_TIMEOUT)).ok();
         if stream.set_nonblocking(true).is_err() {
-            return false;
+            self.controller.note_conn_shed();
+            return;
         }
         let conn = Conn {
             stream,
-            envelope_seen: false,
             last_active_ms: self.controller.now_ms(),
             pending: None,
             inbuf: FrameBuf::default(),
@@ -237,7 +233,8 @@ impl ConnTable {
         };
         let mut slab = self.slab.lock();
         if slab.parked >= self.controller.config().accept_queue.max(1) {
-            return false;
+            self.controller.note_conn_shed();
+            return;
         }
         let token = slab.free.pop().unwrap_or_else(|| {
             slab.slots.push(None);
@@ -245,15 +242,19 @@ impl ConnTable {
         });
         if self.poller.add(&conn.stream, token as u64).is_err() {
             slab.free.push(token);
-            return false;
+            self.controller.note_conn_shed();
+            return;
         }
+        // Counted under the slab lock, which the worker that wakes for the
+        // armed socket needs to take the connection: a peer that gets an
+        // answer finds its connection counted already.
+        self.controller.note_conn_accepted();
         self.conns_open.add(1);
         // The workers chose their waits before this connection's idle
         // deadline existed: if it is the earliest, one must choose again.
         if self.park(&mut slab, token, conn) {
             self.wake();
         }
-        true
     }
 
     /// Puts a connection (back) into its slot. Returns whether that

@@ -45,5 +45,5 @@ mod transport;
 pub use client::{WireClient, WireTimeouts};
 pub use error::WireError;
 pub use server::{ContextFactory, WireServer};
-pub use sync_client::{BlockingClient, RemoteValidator};
+pub use sync_client::RemoteValidator;
 pub use transport::{FailoverClient, FailoverStats, WireTransport};

@@ -12,21 +12,22 @@
 //! ([`Envelope`]). The server computes the absolute deadline when it
 //! *reads* the frame, so time spent in the server's admission queues
 //! counts against the budget, and drops the request without doing work
-//! once the deadline passes ([`Response::DeadlineExceeded`]). Bare
-//! requests (the pre-deadline wire format) parse unchanged, so old
-//! clients keep working against new servers. The same wrapper optionally
-//! carries a causal trace context (`"trace": {"hop", "parent", "trace"}`)
-//! which the server re-establishes as the ambient
+//! once the deadline passes ([`Response::DeadlineExceeded`]). The same
+//! wrapper optionally carries a causal trace context (`"trace": {"hop",
+//! "parent", "trace"}`) which the server re-establishes as the ambient
 //! [`oasis_obs::TraceCtx`] around the request, so server-side spans
-//! parent onto the client's — old servers ignore the extra field, old
-//! clients never send it. Old clients keep working against new servers — in *both* directions:
-//! because an old client's `Response` parser predates
-//! [`Response::Overloaded`] and [`Response::DeadlineExceeded`], the
-//! server only sends those variants to a connection that has
-//! demonstrated envelope support by sending a `Deadline` wrapper at
-//! least once. A connection that has only ever sent bare requests is
-//! shed with [`Response::Error`], which old clients already parse and
-//! treat as a remote error rather than a broken transport.
+//! parent onto the client's.
+//!
+//! A request with neither a deadline nor a trace is written bare, with no
+//! wrapper, and the server reads a bare request as an envelope without
+//! either. That second request shape stays for two readers outside this
+//! crate's control: the golden frames in `tests/golden/` pin it, and the
+//! end-to-end benchmark's frozen layer pass writes a bare `Request` and
+//! decodes it as an [`Envelope`].
+//!
+//! An answer has one shape per outcome whatever the request's shape: a
+//! shed is always [`Response::Overloaded`], and [`Response::Error`] is an
+//! application error, never a shed.
 
 use oasis_core::cert::Rmc;
 use oasis_core::{CertEvent, Credential, Crr, Lane, PrincipalId, Value};

@@ -34,10 +34,10 @@
 //! passed first. A request is *never* executed after its deadline, and no
 //! worker ever blocks on lane admission: the connection of a queued
 //! request is parked unarmed, and its ticket is polled by every worker
-//! that finishes a turn and, every 2 ms, by an idle one. A connection that
-//! has never sent a deadline envelope is assumed to predate the overload
-//! protocol and is shed with the legacy [`Response::Error`] shape instead
-//! of `Overloaded`, which its parser would reject as malformed.
+//! that finishes a turn and, every 2 ms, by an idle one. A shed is always
+//! `Overloaded`, whether or not the request carried a deadline: every
+//! client parses it, and an application error ([`Response::Error`]) means
+//! only that the service refused the request.
 //!
 //! Transient `accept()` failures (connection resets, fd exhaustion) are
 //! retried with capped backoff and recorded through the audit hook
@@ -285,15 +285,9 @@ impl Pool {
         let mut consecutive_errors: u32 = 0;
         loop {
             match listener.accept() {
-                // Table at its bound: shed the whole connection rather
-                // than buffering unboundedly.
                 Ok((stream, _)) => {
                     consecutive_errors = 0;
-                    if self.table.admit(stream) {
-                        self.controller.note_conn_accepted();
-                    } else {
-                        self.controller.note_conn_shed();
-                    }
+                    self.table.admit(stream);
                 }
                 Err(e) if transient_accept_error(&e) => {
                     self.audit_fault("accept", &e);
@@ -371,7 +365,6 @@ impl Pool {
             loop {
                 match conn.next_frame::<Envelope>(self.controller.now_ms()) {
                     Ok(Some(envelope)) => {
-                        conn.envelope_seen |= envelope.deadline_ms.is_some();
                         if !self.admit_one(conn, envelope) {
                             return false;
                         }
@@ -454,9 +447,7 @@ impl Pool {
                 });
                 return true;
             }
-            Submission::Shed { retry_after_ms } => {
-                shed_response(conn.envelope_seen, retry_after_ms)
-            }
+            Submission::Shed { retry_after_ms } => Response::Overloaded { retry_after_ms },
             Submission::Expired => Response::DeadlineExceeded,
         };
         self.respond(conn, &response)
@@ -493,21 +484,6 @@ impl Pool {
         let sent = encode_frame(response).is_ok_and(|frame| conn.send(&frame).is_ok());
         conn.last_active_ms = self.controller.now_ms();
         sent
-    }
-}
-
-/// The shed answer a connection can actually parse: envelope-aware clients
-/// get the structured hint, legacy clients the `Error` shape they already
-/// treat as a remote (non-transport) failure — an `Overloaded` variant
-/// they cannot parse would read as a broken transport and cost them the
-/// connection.
-fn shed_response(envelope_seen: bool, retry_after_ms: u64) -> Response {
-    if envelope_seen {
-        Response::Overloaded { retry_after_ms }
-    } else {
-        Response::Error {
-            message: format!("overloaded: lane saturated, retry after {retry_after_ms} ms"),
-        }
     }
 }
 

@@ -6,51 +6,61 @@
 //! what the paper's architecture expects of an "OASIS-aware service"
 //! validating "via callback to the issuer" (Sect. 4). [`RemoteValidator`]
 //! adapts the blocking [`WireClient`] to the
-//! [`CredentialValidator`](oasis_core::CredentialValidator) trait with
-//! one connection per issuer, re-dialled with capped exponential backoff
-//! (the shared [`oasis_core::retry`] schedule) on transport failure.
+//! [`CredentialValidator`](oasis_core::CredentialValidator) trait, one
+//! attempt per callback. Retries, their backoff and the circuit breaker
+//! belong to the [`ResilientValidator`](oasis_core::ResilientValidator)
+//! layered on top: a failed validation dials the issuer once per attempt
+//! that layer schedules.
 
 use std::collections::HashMap;
+use std::io::ErrorKind;
 use std::net::SocketAddr;
 
 use parking_lot::Mutex;
 
-use oasis_core::retry::{Backoff, RetryPolicy};
 use oasis_core::{Credential, CredentialValidator, OasisError, PrincipalId, ServiceId};
 
 use crate::client::{WireClient, WireTimeouts};
 use crate::error::WireError;
+use crate::transport::resolve_hint;
 
-/// The historical name for the synchronous client, kept for callers that
-/// want to emphasise its blocking nature. [`WireClient`] *is* blocking.
-pub type BlockingClient = WireClient;
+/// Where an issuer lives, and the connections to it no callback is using.
+struct Issuer {
+    addr: SocketAddr,
+    idle: Vec<WireClient>,
+}
 
 /// A [`CredentialValidator`] that performs validation callbacks over TCP
 /// to a directory of issuer addresses.
 ///
-/// Connections are cached per issuer. On a transport error (broken pipe,
-/// expired deadline) the connection is dropped and the call re-dialled
-/// under the configured [`RetryPolicy`] — issuers restart, networks blip.
-/// A *remote* answer (acceptance or rejection) is authoritative and never
-/// retried. When retries are exhausted the error maps to
-/// [`OasisError::IssuerTimeout`] if the last failure was a deadline
-/// expiry, [`OasisError::NoValidator`] otherwise — both transient to the
-/// [`ResilientValidator`](oasis_core::ResilientValidator) layered above.
+/// A callback checks an idle connection to the issuer out of the
+/// directory (or dials one) and makes its round trip with no lock held,
+/// so concurrent callbacks overlap, each on its own connection.
 ///
-/// Overload responses are different from transport failures: a shed
-/// ([`WireError::Overloaded`]) or server-side deadline expiry
-/// ([`WireError::DeadlineExceeded`]) proves the issuer is alive, so the
-/// cached connection is *kept* (no re-dial) and the error surfaces
-/// immediately — as [`OasisError::Overloaded`] carrying the server's
-/// `retry_after_ms` hint, or [`OasisError::IssuerTimeout`]. Backing off
-/// by the hint is the job of the `ResilientValidator` above, which also
-/// keeps sheds out of the circuit-breaker accounting.
+/// Each callback is **one attempt**:
+///
+/// * An answer keeps the connection: acceptance, a rejection
+///   ([`OasisError::InvalidCredential`]), a shed
+///   ([`OasisError::Overloaded`] carrying the server's `retry_after_ms`)
+///   or a server-side deadline expiry ([`OasisError::IssuerTimeout`]).
+/// * A transport failure drops the connection and surfaces as
+///   [`OasisError::IssuerTimeout`] when a deadline expired and
+///   [`OasisError::NoValidator`] otherwise, both transient to the retry
+///   owner above.
+/// * Two steps inside an attempt are not retries. An idle connection the
+///   issuer has since closed or reset is replaced by one fresh dial (the
+///   callback never reached a live issuer). A replica follower's
+///   `NotLeader { hint }` is followed once to the hinted leader, which
+///   becomes the issuer's address. An unhinted `NotLeader` (an election
+///   in progress) is [`OasisError::NoValidator`].
+///
+/// Every callback carries a deadline budget equal to the read deadline of
+/// its [`WireTimeouts`], the point at which this validator stops
+/// listening: a saturated issuer drops a callback nobody waits for
+/// instead of executing it.
 pub struct RemoteValidator {
-    issuers: Mutex<HashMap<ServiceId, SocketAddr>>,
-    connections: Mutex<HashMap<ServiceId, WireClient>>,
+    issuers: Mutex<HashMap<ServiceId, Issuer>>,
     timeouts: WireTimeouts,
-    retry: RetryPolicy,
-    deadline_ms: u64,
 }
 
 impl std::fmt::Debug for RemoteValidator {
@@ -69,80 +79,100 @@ impl Default for RemoteValidator {
 }
 
 impl RemoteValidator {
-    /// Default per-call deadline budget. Generous — well past the socket
-    /// read deadline, so it never fires first — but its presence marks
-    /// every callback as envelope-aware, which is what lets an overloaded
-    /// issuer answer with a structured `Overloaded { retry_after_ms }`
-    /// instead of the legacy `Error` shape (see the
-    /// [`proto` docs](crate::proto)).
-    pub const DEFAULT_CALL_DEADLINE_MS: u64 = 30_000;
-
-    /// Creates an empty directory with default socket deadlines, a single
-    /// re-dial (the historical behaviour, now with a short pause before
-    /// the second attempt), and the default call deadline
-    /// ([`RemoteValidator::DEFAULT_CALL_DEADLINE_MS`]).
+    /// Creates an empty directory with the default socket deadlines
+    /// ([`WireTimeouts::default`]: 5 s each).
     pub fn new() -> Self {
         Self {
             issuers: Mutex::new(HashMap::new()),
-            connections: Mutex::new(HashMap::new()),
             timeouts: WireTimeouts::default(),
-            retry: RetryPolicy {
-                max_attempts: 2,
-                ..RetryPolicy::default()
-            },
-            deadline_ms: Self::DEFAULT_CALL_DEADLINE_MS,
         }
     }
 
-    /// Propagates a deadline budget (ms) with every validation callback:
-    /// a saturated issuer drops the callback once the budget lapses
-    /// instead of answering long after the verifier stopped caring.
-    #[must_use]
-    pub fn with_call_deadline_ms(mut self, deadline_ms: u64) -> Self {
-        self.deadline_ms = deadline_ms;
-        self
-    }
-
-    /// Replaces the socket deadlines used for new connections.
+    /// Replaces the socket deadlines used for new connections. The read
+    /// deadline is also the budget every callback carries.
     #[must_use]
     pub fn with_timeouts(mut self, timeouts: WireTimeouts) -> Self {
         self.timeouts = timeouts;
         self
     }
 
-    /// Replaces the re-dial schedule.
-    #[must_use]
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
-
-    /// Registers (or updates) the network address of an issuer.
+    /// Registers (or updates) the network address of an issuer, dropping
+    /// the idle connections to its previous address.
     pub fn add_issuer(&self, id: impl Into<ServiceId>, addr: SocketAddr) {
-        let id = id.into();
-        self.issuers.lock().insert(id.clone(), addr);
-        // Any cached connection may point at a stale address.
-        self.connections.lock().remove(&id);
+        let issuer = Issuer {
+            addr,
+            idle: Vec::new(),
+        };
+        self.issuers.lock().insert(id.into(), issuer);
     }
 
-    fn try_validate(
+    fn dial(&self, addr: SocketAddr) -> Result<WireClient, WireError> {
+        let mut client = WireClient::connect_with(addr, self.timeouts)?;
+        client.set_deadline_ms(self.timeouts.read.map(|read| read.as_millis() as u64));
+        Ok(client)
+    }
+
+    /// One callback to `issuer` at `addr`, on the `cached` connection or
+    /// a fresh dial.
+    fn exchange(
         &self,
         issuer: &ServiceId,
         addr: SocketAddr,
+        cached: Option<WireClient>,
         credential: &Credential,
         presenter: &PrincipalId,
         now: u64,
     ) -> Result<(), WireError> {
-        let mut connections = self.connections.lock();
-        let client = match connections.entry(issuer.clone()) {
-            std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-            std::collections::hash_map::Entry::Vacant(e) => {
-                let mut client = WireClient::connect_with(addr, self.timeouts)?;
-                client.set_deadline_ms(Some(self.deadline_ms));
-                e.insert(client)
-            }
+        let mut client = match cached {
+            Some(mut client) => match client.validate(credential, presenter, now) {
+                Err(e) if closed_by_peer(&e) => self.dial(addr)?,
+                result => return self.check_in(issuer, addr, client, result),
+            },
+            None => self.dial(addr)?,
         };
-        client.validate(credential, presenter, now)
+        let result = client.validate(credential, presenter, now);
+        self.check_in(issuer, addr, client, result)
+    }
+
+    /// Puts `client` back on the idle list if the issuer answered on it
+    /// and still lives at `addr`, and passes `result` through.
+    fn check_in(
+        &self,
+        issuer: &ServiceId,
+        addr: SocketAddr,
+        client: WireClient,
+        result: Result<(), WireError>,
+    ) -> Result<(), WireError> {
+        let answered = matches!(
+            result,
+            Ok(())
+                | Err(WireError::Remote(_)
+                    | WireError::Overloaded { .. }
+                    | WireError::DeadlineExceeded)
+        );
+        if answered {
+            let mut issuers = self.issuers.lock();
+            if let Some(entry) = issuers.get_mut(issuer).filter(|entry| entry.addr == addr) {
+                entry.idle.push(client);
+            }
+        }
+        result
+    }
+}
+
+/// Whether an idle connection failed because the issuer had closed or
+/// reset it (a restart, or its idle sweep) rather than by timing out.
+fn closed_by_peer(error: &WireError) -> bool {
+    match error {
+        WireError::Closed => true,
+        WireError::Io(e) => matches!(
+            e.kind(),
+            ErrorKind::ConnectionReset
+                | ErrorKind::ConnectionAborted
+                | ErrorKind::BrokenPipe
+                | ErrorKind::UnexpectedEof
+        ),
+        _ => false,
     }
 }
 
@@ -153,73 +183,36 @@ impl CredentialValidator for RemoteValidator {
         presenter: &PrincipalId,
         now: u64,
     ) -> Result<(), OasisError> {
-        let issuer = credential.issuer().clone();
-        let mut backoff = Backoff::new(self.retry);
-        loop {
-            // Re-read the directory each attempt: a `NotLeader` hint
-            // below may have repointed this issuer at the new leader.
-            let Some(addr) = self.issuers.lock().get(&issuer).copied() else {
-                return Err(OasisError::NoValidator(issuer));
-            };
-            match self.try_validate(&issuer, addr, credential, presenter, now) {
-                Ok(()) => return Ok(()),
-                // The issuer answered: authoritative, never retried.
-                Err(WireError::Remote(reason)) => {
-                    return Err(OasisError::InvalidCredential {
-                        crr: credential.crr().clone(),
-                        reason,
-                    })
-                }
-                // The issuer shed the request: it is alive and the
-                // connection is good — keep it, surface the hint, and let
-                // the resilience layer above time the retry.
-                Err(WireError::Overloaded { retry_after_ms }) => {
-                    return Err(OasisError::Overloaded {
-                        service: issuer,
-                        retry_after_ms,
-                    })
-                }
-                // Our propagated budget ran out server-side; same shape
-                // as a local deadline expiry. The connection stays good.
-                Err(WireError::DeadlineExceeded) => return Err(OasisError::IssuerTimeout(issuer)),
-                // The issuer is a replicated cluster and we dialled a
-                // follower: repoint the directory at the hinted leader
-                // (when given) and retry under the same schedule an
-                // election would need to settle anyway.
-                Err(WireError::NotLeader { hint }) => {
-                    self.connections.lock().remove(&issuer);
-                    if let Some(leader) = hint.as_deref().and_then(crate::transport::resolve_hint) {
-                        self.issuers.lock().insert(issuer.clone(), leader);
-                    }
-                    match backoff.next_delay() {
-                        Some(delay) => {
-                            if !delay.is_zero() {
-                                std::thread::sleep(delay);
-                            }
-                        }
-                        None => return Err(OasisError::NoValidator(issuer)),
-                    }
-                }
-                Err(transport) => {
-                    // Broken or deadline-expired connection: drop it and
-                    // re-dial after the backoff delay, if any remain.
-                    self.connections.lock().remove(&issuer);
-                    match backoff.next_delay() {
-                        Some(delay) => {
-                            if !delay.is_zero() {
-                                std::thread::sleep(delay);
-                            }
-                        }
-                        None => {
-                            return Err(if transport.is_timeout() {
-                                OasisError::IssuerTimeout(issuer)
-                            } else {
-                                OasisError::NoValidator(issuer)
-                            })
-                        }
-                    }
-                }
+        let issuer = credential.issuer();
+        let (addr, cached) = {
+            let mut issuers = self.issuers.lock();
+            let entry = issuers
+                .get_mut(issuer)
+                .ok_or_else(|| OasisError::NoValidator(issuer.clone()))?;
+            (entry.addr, entry.idle.pop())
+        };
+        let mut result = self.exchange(issuer, addr, cached, credential, presenter, now);
+        // A follower of a replicated issuer named its leader: ask there,
+        // and send later callbacks there too.
+        if let Err(WireError::NotLeader { hint: Some(hint) }) = &result {
+            if let Some(leader) = resolve_hint(hint) {
+                self.add_issuer(issuer.clone(), leader);
+                result = self.exchange(issuer, leader, None, credential, presenter, now);
             }
         }
+        result.map_err(|error| match error {
+            WireError::Remote(reason) => OasisError::InvalidCredential {
+                crr: credential.crr().clone(),
+                reason,
+            },
+            WireError::Overloaded { retry_after_ms } => OasisError::Overloaded {
+                service: issuer.clone(),
+                retry_after_ms,
+            },
+            e if matches!(e, WireError::DeadlineExceeded) || e.is_timeout() => {
+                OasisError::IssuerTimeout(issuer.clone())
+            }
+            _ => OasisError::NoValidator(issuer.clone()),
+        })
     }
 }

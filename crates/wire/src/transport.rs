@@ -172,6 +172,8 @@ impl ReplicationTransport for WireTransport {
 /// errors (dead node) likewise rotate. The whole chase is bounded by the
 /// configured [`RetryPolicy`] — when the cluster genuinely has no
 /// quorum, the caller gets the last error instead of an infinite loop.
+/// This is the one retry owner for a cluster's clients: the
+/// [`WireClient`] underneath makes one attempt per call.
 pub struct FailoverClient {
     candidates: Vec<String>,
     /// Index into `candidates` to try next when no hint is available.
@@ -179,12 +181,6 @@ pub struct FailoverClient {
     conn: Option<WireClient>,
     timeouts: WireTimeouts,
     retry: RetryPolicy,
-    deadline_ms: Option<u64>,
-    /// Seed for the per-chase backoff jitter. Defaults to an FNV-1a
-    /// fold of the candidate list, so two clients pointed at the same
-    /// cluster de-synchronise their chase delays while each client's
-    /// own schedule stays reproducible.
-    backoff_seed: Option<u64>,
     stats: FailoverStats,
 }
 
@@ -235,8 +231,6 @@ impl FailoverClient {
             conn: None,
             timeouts: WireTimeouts::default(),
             retry: RetryPolicy::default(),
-            deadline_ms: None,
-            backoff_seed: None,
             stats: FailoverStats::default(),
         }
     }
@@ -260,27 +254,11 @@ impl FailoverClient {
         self
     }
 
-    /// Propagates a deadline budget (ms) with every call.
-    #[must_use]
-    pub fn with_deadline_ms(mut self, deadline_ms: u64) -> Self {
-        self.deadline_ms = Some(deadline_ms);
-        self
-    }
-
-    /// Pins the jitter seed for the hint-chase backoff (tests and
-    /// deterministic replays). Without this the seed derives from the
-    /// candidate list.
-    #[must_use]
-    pub fn with_backoff_seed(mut self, seed: u64) -> Self {
-        self.backoff_seed = Some(seed);
-        self
-    }
-
-    /// The effective jitter seed: pinned, or FNV-1a over candidates.
+    /// The seed of each chase's backoff jitter: an FNV-1a fold of the
+    /// candidate list, so two clients pointed at the same cluster
+    /// de-synchronise their chase delays while each client's own
+    /// schedule stays reproducible.
     fn jitter_seed(&self) -> u64 {
-        if let Some(seed) = self.backoff_seed {
-            return seed;
-        }
         let mut h: u64 = 0xcbf29ce484222325;
         for c in &self.candidates {
             for b in c.as_bytes() {
@@ -296,10 +274,14 @@ impl FailoverClient {
     /// Connects to `addr`, replacing any cached connection.
     fn dial(&mut self, addr: &str) -> Result<(), WireError> {
         self.stats.dials += 1;
-        let mut client = WireClient::connect_with(addr, self.timeouts)?;
-        client.set_deadline_ms(self.deadline_ms);
-        self.conn = Some(client);
+        self.conn = Some(WireClient::connect_with(addr, self.timeouts)?);
         Ok(())
+    }
+
+    /// Sleeps the chase's next backoff delay; `false`, without sleeping,
+    /// once the schedule is spent.
+    fn wait_for_retry(backoff: &mut Backoff) -> bool {
+        backoff.next_delay().map(std::thread::sleep).is_some()
     }
 
     /// The next candidate address in rotation.
@@ -331,15 +313,10 @@ impl FailoverClient {
             if self.conn.is_none() {
                 let addr = self.next_candidate();
                 if let Err(dial_err) = self.dial(&addr) {
-                    match backoff.next_delay() {
-                        Some(delay) => {
-                            if !delay.is_zero() {
-                                std::thread::sleep(delay);
-                            }
-                            continue;
-                        }
-                        None => return Err(dial_err),
+                    if Self::wait_for_retry(&mut backoff) {
+                        continue;
                     }
+                    return Err(dial_err);
                 }
             }
             let conn = self.conn.as_mut().expect("connection established above");
@@ -359,13 +336,8 @@ impl FailoverClient {
                         self.stats.hint_follows += 1;
                         continue;
                     }
-                    match backoff.next_delay() {
-                        Some(delay) => {
-                            if !delay.is_zero() {
-                                std::thread::sleep(delay);
-                            }
-                        }
-                        None => return Err(WireError::NotLeader { hint: None }),
+                    if !Self::wait_for_retry(&mut backoff) {
+                        return Err(WireError::NotLeader { hint: None });
                     }
                 }
                 // Authoritative answers: the server executed (or
@@ -379,13 +351,8 @@ impl FailoverClient {
                 Err(transport) => {
                     // Dead or partitioned node: drop it, rotate.
                     self.conn = None;
-                    match backoff.next_delay() {
-                        Some(delay) => {
-                            if !delay.is_zero() {
-                                std::thread::sleep(delay);
-                            }
-                        }
-                        None => return Err(transport),
+                    if !Self::wait_for_retry(&mut backoff) {
+                        return Err(transport);
                     }
                 }
             }
@@ -522,8 +489,7 @@ mod tests {
                 read: Some(std::time::Duration::from_millis(50)),
                 write: Some(std::time::Duration::from_millis(50)),
             })
-            .with_retry(policy)
-            .with_backoff_seed(42);
+            .with_retry(policy);
         let started = Instant::now();
         let err = client.ping().expect_err("no leader can ever answer");
         assert!(
@@ -540,8 +506,7 @@ mod tests {
         assert_eq!(client.stats().dials, 3);
     }
 
-    /// The default jitter seed is a pure function of the candidate
-    /// list; pinning it overrides that.
+    /// The jitter seed is a pure function of the candidate list.
     #[test]
     fn jitter_seed_is_deterministic_per_candidate_list() {
         let a = FailoverClient::new(["10.0.0.1:1", "10.0.0.2:2"]);
@@ -549,6 +514,5 @@ mod tests {
         let c = FailoverClient::new(["10.0.0.2:2", "10.0.0.1:1"]);
         assert_eq!(a.jitter_seed(), b.jitter_seed());
         assert_ne!(a.jitter_seed(), c.jitter_seed(), "order-sensitive");
-        assert_eq!(a.with_backoff_seed(7).jitter_seed(), 7);
     }
 }

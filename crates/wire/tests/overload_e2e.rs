@@ -59,9 +59,6 @@ fn saturated_lane_sheds_while_control_keeps_answering() {
     let addr = server.serve_in_background().unwrap();
 
     let alice = PrincipalId::new("alice");
-    // The deadline marks the connection envelope-aware, so sheds arrive
-    // as structured `Overloaded` answers (legacy connections get the
-    // `Error` shape instead — see the dedicated test below).
     let mut client = WireClient::connect(addr).unwrap().with_deadline_ms(60_000);
     let rmc = client
         .activate(&alice, "logged_in", vec![Value::id("alice")], vec![], 1)
@@ -120,7 +117,7 @@ fn remote_validator_surfaces_overload_and_keeps_its_connection() {
         .unwrap();
     let cred = Credential::Rmc(rmc);
 
-    let validator = RemoteValidator::new().with_call_deadline_ms(60_000);
+    let validator = RemoteValidator::new();
     validator.add_issuer("login", addr);
 
     // Healthy path first, so a connection is cached.
@@ -152,7 +149,7 @@ fn remote_validator_surfaces_overload_and_keeps_its_connection() {
 }
 
 #[test]
-fn legacy_connections_shed_with_error_shape_until_envelope_seen() {
+fn deadline_less_connection_is_shed_with_overloaded() {
     let service = login_service();
     let server = WireServer::bind(Arc::clone(&service), "127.0.0.1:0")
         .unwrap()
@@ -161,8 +158,7 @@ fn legacy_connections_shed_with_error_shape_until_envelope_seen() {
     let addr = server.serve_in_background().unwrap();
 
     let alice = PrincipalId::new("alice");
-    // No deadline: this connection only ever sends bare (pre-envelope)
-    // frames, exactly like a client that predates the overload protocol.
+    // No deadline: every frame on this connection is a bare request.
     let mut client = WireClient::connect(addr).unwrap();
     let rmc = client
         .activate(&alice, "logged_in", vec![Value::id("alice")], vec![], 1)
@@ -174,29 +170,12 @@ fn legacy_connections_shed_with_error_shape_until_envelope_seen() {
         _ => panic!("free lane must admit"),
     };
 
-    // A legacy connection cannot parse `Overloaded`; it is shed with the
-    // `Error` shape it already understands as a remote failure.
+    // A shed is never dressed as an application error, which a caller
+    // would take for a policy denial.
     match client.validate(&cred, &alice, 2).unwrap_err() {
-        WireError::Remote(message) => {
-            assert!(message.contains("overloaded"), "shed reason: {message}");
-        }
-        other => panic!("legacy connection expected Remote error, got {other}"),
+        WireError::Overloaded { retry_after_ms } => assert!(retry_after_ms >= 1),
+        other => panic!("expected Overloaded, got {other}"),
     }
-
-    // One deadline envelope demonstrates support...
-    client.set_deadline_ms(Some(60_000));
-    assert!(matches!(
-        client.validate(&cred, &alice, 3).unwrap_err(),
-        WireError::Overloaded { .. }
-    ));
-
-    // ...and the capability sticks for the connection's lifetime, even
-    // for later deadline-less frames.
-    client.set_deadline_ms(None);
-    assert!(matches!(
-        client.validate(&cred, &alice, 4).unwrap_err(),
-        WireError::Overloaded { .. }
-    ));
 }
 
 #[test]

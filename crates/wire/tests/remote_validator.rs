@@ -3,15 +3,19 @@
 //! service performs its validation callbacks over the network through
 //! [`RemoteValidator`] — the full Sect. 4 engineering picture.
 
-use std::net::SocketAddr;
-use std::sync::Arc;
+use std::net::{SocketAddr, TcpListener};
+use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::Duration;
 
+use oasis_core::retry::RetryPolicy;
 use oasis_core::{
-    Atom, Credential, EnvContext, OasisService, PrincipalId, RoleName, ServiceConfig, Term, Value,
-    ValueType,
+    Atom, Credential, CredentialValidator, EnvContext, OasisError, OasisService, PrincipalId,
+    ResilientValidator, RoleName, ServiceConfig, Term, Value, ValueType,
 };
 use oasis_facts::FactStore;
-use oasis_wire::{proto, BlockingClient, RemoteValidator, WireServer};
+use oasis_wire::frame::{read_frame, write_frame};
+use oasis_wire::{proto, RemoteValidator, WireClient, WireServer};
 
 /// Starts the issuer ("login") service on a TCP socket served from a
 /// background thread; returns its address and a handle to the service.
@@ -61,7 +65,7 @@ fn cross_process_style_validation_over_tcp() {
     let alice = PrincipalId::new("alice");
 
     // Alice logs in over the wire (as a real remote principal would).
-    let mut client = BlockingClient::connect(addr).unwrap();
+    let mut client = WireClient::connect(addr).unwrap();
     let response = client
         .call(&proto::Request::Activate {
             principal: alice.clone(),
@@ -167,7 +171,6 @@ fn validator_redials_after_issuer_restart() {
 
     let validator = Arc::new(RemoteValidator::new());
     validator.add_issuer("login", addr1);
-    use oasis_core::CredentialValidator;
     validator
         .validate(&Credential::Rmc(rmc1.clone()), &alice, 1)
         .unwrap();
@@ -193,4 +196,101 @@ fn validator_redials_after_issuer_restart() {
     assert!(validator
         .validate(&Credential::Rmc(rmc1), &alice, 2)
         .is_err());
+}
+
+/// An RMC from an issuer called `login` that no real service backs: the
+/// stubs below never check it.
+fn stub_rmc() -> Credential {
+    let secret = oasis_crypto::IssuerSecret::random();
+    Credential::Rmc(oasis_core::cert::Rmc::issue(
+        &secret.current(),
+        oasis_crypto::SecretEpoch(0),
+        &PrincipalId::new("alice"),
+        oasis_core::Crr::new("login".into(), oasis_core::CertId(1)),
+        RoleName::new("logged_in"),
+        vec![Value::id("alice")],
+        0,
+        None,
+    ))
+}
+
+/// The issuer accepts every connection and closes it at once, so every
+/// callback fails on transport. `ResilientValidator` owns the retries:
+/// four attempts are four dials, not four times the validator's own.
+#[test]
+fn callback_retries_have_one_owner() {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let dials = Arc::new(AtomicUsize::new(0));
+    let counted = Arc::clone(&dials);
+    std::thread::spawn(move || {
+        for stream in listener.incoming() {
+            // Counted before the close the validator waits for.
+            counted.fetch_add(1, SeqCst);
+            drop(stream);
+        }
+    });
+
+    let remote = RemoteValidator::new();
+    remote.add_issuer("login", addr);
+    let validator = ResilientValidator::new(Arc::new(remote)).with_retry(RetryPolicy::immediate(4));
+    let err = validator
+        .validate(&stub_rmc(), &PrincipalId::new("alice"), 1)
+        .unwrap_err();
+    assert!(
+        matches!(err, OasisError::NoValidator(_)),
+        "a closed connection is not a timeout: {err:?}"
+    );
+    assert_eq!(dials.load(SeqCst), 4, "one dial per scheduled attempt");
+}
+
+/// The issuer answers `Valid` only once two requests are in flight (or
+/// after 2 s): two callbacks at once must both reach it before either is
+/// answered, which no lock held across the round trip would allow.
+#[test]
+fn concurrent_callbacks_overlap() {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    // (requests in flight now, most ever in flight)
+    let flight = Arc::new((Mutex::new((0usize, 0usize)), Condvar::new()));
+    let stub = Arc::clone(&flight);
+    std::thread::spawn(move || {
+        for stream in listener.incoming() {
+            let flight = Arc::clone(&stub);
+            std::thread::spawn(move || {
+                let mut stream = stream.unwrap();
+                let (lock, arrived) = &*flight;
+                while let Ok(Some(_)) = read_frame::<_, proto::Envelope>(&mut stream) {
+                    let mut counts = lock.lock().unwrap();
+                    counts.0 += 1;
+                    counts.1 = counts.1.max(counts.0);
+                    arrived.notify_all();
+                    let (mut counts, _) = arrived
+                        .wait_timeout_while(counts, Duration::from_secs(2), |c| c.1 < 2)
+                        .unwrap();
+                    counts.0 -= 1;
+                    drop(counts);
+                    write_frame(&mut stream, &proto::Response::Valid).unwrap();
+                }
+            });
+        }
+    });
+
+    let validator = RemoteValidator::new();
+    validator.add_issuer("login", addr);
+    let cred = stub_rmc();
+    let alice = PrincipalId::new("alice");
+    std::thread::scope(|s| {
+        let callbacks: Vec<_> = (0..2)
+            .map(|_| s.spawn(|| validator.validate(&cred, &alice, 1)))
+            .collect();
+        for callback in callbacks {
+            callback.join().unwrap().expect("the stub answers Valid");
+        }
+    });
+    assert_eq!(
+        flight.0.lock().unwrap().1,
+        2,
+        "both callbacks were in flight"
+    );
 }

@@ -6,7 +6,8 @@
 //! * the election converges over TCP (no in-process mesh anywhere);
 //! * a follower answers application traffic with `NotLeader` + hint;
 //! * [`FailoverClient`] chases hints to the leader and keeps working
-//!   across a leadership change;
+//!   across a leadership change, and a [`RemoteValidator`] follows one
+//!   within its single attempt;
 //! * a journalled write through the leader's service replicates to the
 //!   followers' regions;
 //! * after a deposition, the promoted node recovers from its replicated
@@ -22,13 +23,15 @@ use std::time::{Duration, Instant};
 use oasis_core::overload::AdmissionController;
 use oasis_core::retry::RetryPolicy;
 use oasis_core::{
-    Atom, Credential, OasisService, PrincipalId, ServiceConfig, ServiceJournal, Term, Value,
-    ValueType,
+    Atom, Credential, CredentialValidator, OasisService, PrincipalId, ResilientValidator,
+    ServiceConfig, ServiceJournal, Term, Value, ValueType,
 };
 use oasis_crypto::{IssuerSecret, SecretKey};
 use oasis_facts::FactStore;
 use oasis_store::{MemBackend, ReplicaConfig, ReplicaNode, StorageBackend};
-use oasis_wire::{FailoverClient, WireClient, WireError, WireServer, WireTransport};
+use oasis_wire::{
+    FailoverClient, RemoteValidator, WireClient, WireError, WireServer, WireTransport,
+};
 
 fn alice() -> PrincipalId {
     PrincipalId::new("alice")
@@ -262,6 +265,35 @@ fn cluster_elects_replicates_and_fails_over_on_tcp() {
     assert!(complete, "promoted ring replays complete");
     assert_eq!(events.len(), 1);
     assert_eq!(events[0].payload.crr.cert_id, rmc.crr.cert_id);
+}
+
+/// A validator pointed at a follower follows its `NotLeader` hint inside
+/// the one attempt: the leader vouches for its credential and the
+/// retry owner above never retries.
+#[test]
+fn remote_validator_follows_a_not_leader_hint() {
+    let cluster = start_cluster(3);
+    let leader = await_leader(&cluster);
+    let follower = (leader + 1) % 3;
+    let mut client = WireClient::connect(cluster.addrs[leader]).unwrap();
+    let rmc = client
+        .activate(&alice(), "logged_in", vec![Value::id("alice")], vec![], 1)
+        .expect("login at the leader");
+    // The follower names the leader once a heartbeat has reached it.
+    let leader_addr = cluster.addrs[leader].to_string();
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while cluster.nodes[follower].leader_hint().as_deref() != Some(leader_addr.as_str()) {
+        assert!(Instant::now() < deadline, "follower must learn the leader");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+
+    let remote = RemoteValidator::new();
+    remote.add_issuer("login", cluster.addrs[follower]);
+    let validator = ResilientValidator::new(Arc::new(remote));
+    validator
+        .validate(&Credential::Rmc(rmc), &alice(), 2)
+        .expect("the hinted leader vouches for its own credential");
+    assert_eq!(validator.stats().retries, 0, "a hint is not a retry");
 }
 
 /// A login revocation with one dependent journals four records

@@ -1,12 +1,11 @@
 //! Deadline behaviour of the wire layer: read timeouts surfacing as
-//! [`WireError::TimedOut`], and the [`RemoteValidator`] mapping exhausted
-//! retries against a silent issuer to [`OasisError::IssuerTimeout`].
+//! [`WireError::TimedOut`], and the [`RemoteValidator`] mapping a silent
+//! issuer to [`OasisError::IssuerTimeout`].
 
 use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
 use std::time::Duration;
 
-use oasis_core::retry::RetryPolicy;
 use oasis_core::{CredentialValidator, OasisError, PrincipalId, RoleName, Value};
 use oasis_wire::{RemoteValidator, WireClient, WireError, WireTimeouts};
 
@@ -64,9 +63,8 @@ fn read_deadline_surfaces_as_timed_out() {
 #[test]
 fn remote_validator_maps_silence_to_issuer_timeout() {
     let (addr, _listener) = silent_server();
-    let validator = RemoteValidator::new()
-        .with_timeouts(WireTimeouts::all(Duration::from_millis(50)))
-        .with_retry(RetryPolicy::immediate(2));
+    let validator =
+        RemoteValidator::new().with_timeouts(WireTimeouts::all(Duration::from_millis(50)));
     validator.add_issuer("login", addr);
 
     let rmc = some_rmc();
@@ -82,23 +80,21 @@ fn remote_validator_maps_silence_to_issuer_timeout() {
         matches!(err, OasisError::IssuerTimeout(ref id) if id.as_str() == "login"),
         "expected IssuerTimeout, got {err:?}"
     );
-    // Two attempts at ~50ms each, zero backoff: well under a second.
+    // One attempt of ~50 ms: well under a second.
     assert!(started.elapsed() < Duration::from_secs(2));
 }
 
 #[test]
 fn remote_validator_recovers_when_issuer_comes_back() {
     // Unroutable until registered: no listener at all → connection
-    // refused (not a timeout) → NoValidator after retries.
+    // refused (not a timeout) → NoValidator.
     let dead = {
         let l = TcpListener::bind("127.0.0.1:0").unwrap();
         l.local_addr().unwrap()
         // listener dropped: the port is closed.
     };
     let validator = Arc::new(
-        RemoteValidator::new()
-            .with_timeouts(WireTimeouts::all(Duration::from_millis(200)))
-            .with_retry(RetryPolicy::immediate(2)),
+        RemoteValidator::new().with_timeouts(WireTimeouts::all(Duration::from_millis(200))),
     );
     validator.add_issuer("login", dead);
     let rmc = some_rmc();
