@@ -57,63 +57,75 @@ pub enum CredentialKind {
     Appointment,
 }
 
+impl CredentialKind {
+    /// The kind's name, which is also its tag in the certificate MAC.
+    fn as_str(self) -> &'static str {
+        match self {
+            CredentialKind::Rmc => "rmc",
+            CredentialKind::Appointment => "appointment",
+        }
+    }
+}
+
 impl fmt::Display for CredentialKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CredentialKind::Rmc => f.write_str("rmc"),
-            CredentialKind::Appointment => f.write_str("appointment"),
-        }
+        f.write_str(self.as_str())
     }
 }
 
-/// Computes the canonical MAC input fields shared by both certificate
-/// kinds. Field order is part of the format and must never change.
-fn mac_fields(
+/// The fields of a certificate that its MAC covers, borrowed from it.
+struct MacFields<'a> {
     kind: CredentialKind,
-    crr: &Crr,
-    name: &str,
-    args: &[Value],
+    crr: &'a Crr,
+    name: &'a str,
+    args: &'a [Value],
     issued_at: u64,
     expires_at: Option<u64>,
-    holder_key: Option<&PublicKey>,
-) -> Vec<Vec<u8>> {
-    let mut fields: Vec<Vec<u8>> = Vec::with_capacity(6 + args.len());
-    fields.push(kind.to_string().into_bytes());
-    fields.push(crr.issuer.as_bytes().to_vec());
-    fields.push(crr.cert_id.0.to_le_bytes().to_vec());
-    fields.push(name.as_bytes().to_vec());
-    for arg in args {
-        fields.push(arg.canonical_bytes());
+    holder_key: Option<&'a PublicKey>,
+}
+
+impl MacFields<'_> {
+    /// Hands `mac` the canonical MAC input shared by both certificate
+    /// kinds. Field order is part of the format and must never change.
+    /// Only the args are encoded into fresh buffers; every other field
+    /// is the certificate's own bytes or a stack array. The other two
+    /// allocations are the list holding the args and the list of slices.
+    fn with<R>(&self, mac: impl FnOnce(&[&[u8]]) -> R) -> R {
+        let cert_id = self.crr.cert_id.0.to_le_bytes();
+        let issued_at = self.issued_at.to_le_bytes();
+        let mut expiry = [0u8; 9];
+        let expiry: &[u8] = match self.expires_at {
+            Some(t) => {
+                expiry[0] = 1;
+                expiry[1..].copy_from_slice(&t.to_le_bytes());
+                &expiry
+            }
+            None => &expiry[..1],
+        };
+        let args: Vec<Vec<u8>> = self.args.iter().map(Value::canonical_bytes).collect();
+        let mut fields: Vec<&[u8]> = Vec::with_capacity(7 + args.len());
+        fields.extend([
+            self.kind.as_str().as_bytes(),
+            self.crr.issuer.as_bytes(),
+            &cert_id,
+            self.name.as_bytes(),
+        ]);
+        fields.extend(args.iter().map(Vec::as_slice));
+        fields.extend([
+            &issued_at[..],
+            expiry,
+            self.holder_key.map_or(&[][..], |k| k.as_bytes()),
+        ]);
+        mac(&fields)
     }
-    fields.push(issued_at.to_le_bytes().to_vec());
-    fields.push(match expires_at {
-        Some(t) => {
-            let mut b = vec![1u8];
-            b.extend_from_slice(&t.to_le_bytes());
-            b
-        }
-        None => vec![0u8],
-    });
-    fields.push(match holder_key {
-        Some(k) => k.as_bytes().to_vec(),
-        None => vec![],
-    });
-    fields
-}
 
-fn sign_cert(secret: &SecretKey, principal: &PrincipalId, fields: &[Vec<u8>]) -> MacSignature {
-    let refs: Vec<&[u8]> = fields.iter().map(Vec::as_slice).collect();
-    oasis_crypto::sign_fields(secret, principal.as_bytes(), &refs)
-}
+    fn sign(&self, secret: &SecretKey, principal: &PrincipalId) -> MacSignature {
+        self.with(|fields| oasis_crypto::sign_fields(secret, principal.as_bytes(), fields))
+    }
 
-fn verify_cert(
-    secret: &SecretKey,
-    principal: &PrincipalId,
-    fields: &[Vec<u8>],
-    signature: &MacSignature,
-) -> bool {
-    let refs: Vec<&[u8]> = fields.iter().map(Vec::as_slice).collect();
-    oasis_crypto::verify_fields(secret, principal.as_bytes(), &refs, signature)
+    fn verify(&self, secret: &SecretKey, principal: &PrincipalId, sig: &MacSignature) -> bool {
+        self.with(|fields| oasis_crypto::verify_fields(secret, principal.as_bytes(), fields, sig))
+    }
 }
 
 /// A role membership certificate (RMC).
@@ -153,40 +165,35 @@ impl Rmc {
         issued_at: u64,
         holder_key: Option<PublicKey>,
     ) -> Self {
-        let fields = mac_fields(
-            CredentialKind::Rmc,
-            &crr,
-            role.as_str(),
-            &args,
-            issued_at,
-            None,
-            holder_key.as_ref(),
-        );
-        let signature = sign_cert(secret, principal, &fields);
-        Self {
+        let mut rmc = Self {
             crr,
             role,
             args,
             issued_at,
             holder_key,
             epoch,
-            signature,
-        }
+            signature: MacSignature([0; 32]),
+        };
+        rmc.signature = rmc.mac_fields().sign(secret, principal);
+        rmc
     }
 
     /// Verifies the signature for the presenting `principal` under the
     /// issuer `secret` of this certificate's epoch.
     pub fn verify(&self, secret: &SecretKey, principal: &PrincipalId) -> bool {
-        let fields = mac_fields(
-            CredentialKind::Rmc,
-            &self.crr,
-            self.role.as_str(),
-            &self.args,
-            self.issued_at,
-            None,
-            self.holder_key.as_ref(),
-        );
-        verify_cert(secret, principal, &fields, &self.signature)
+        self.mac_fields().verify(secret, principal, &self.signature)
+    }
+
+    fn mac_fields(&self) -> MacFields<'_> {
+        MacFields {
+            kind: CredentialKind::Rmc,
+            crr: &self.crr,
+            name: self.role.as_str(),
+            args: &self.args,
+            issued_at: self.issued_at,
+            expires_at: None,
+            holder_key: self.holder_key.as_ref(),
+        }
     }
 }
 
@@ -244,17 +251,7 @@ impl AppointmentCertificate {
         expires_at: Option<u64>,
         holder_key: Option<PublicKey>,
     ) -> Self {
-        let fields = mac_fields(
-            CredentialKind::Appointment,
-            &crr,
-            &name,
-            &args,
-            issued_at,
-            expires_at,
-            holder_key.as_ref(),
-        );
-        let signature = sign_cert(secret, principal, &fields);
-        Self {
+        let mut appt = Self {
             crr,
             name,
             args,
@@ -262,22 +259,27 @@ impl AppointmentCertificate {
             expires_at,
             holder_key,
             epoch,
-            signature,
-        }
+            signature: MacSignature([0; 32]),
+        };
+        appt.signature = appt.mac_fields().sign(secret, principal);
+        appt
     }
 
     /// Verifies the signature for the presenting `principal`.
     pub fn verify(&self, secret: &SecretKey, principal: &PrincipalId) -> bool {
-        let fields = mac_fields(
-            CredentialKind::Appointment,
-            &self.crr,
-            &self.name,
-            &self.args,
-            self.issued_at,
-            self.expires_at,
-            self.holder_key.as_ref(),
-        );
-        verify_cert(secret, principal, &fields, &self.signature)
+        self.mac_fields().verify(secret, principal, &self.signature)
+    }
+
+    fn mac_fields(&self) -> MacFields<'_> {
+        MacFields {
+            kind: CredentialKind::Appointment,
+            crr: &self.crr,
+            name: &self.name,
+            args: &self.args,
+            issued_at: self.issued_at,
+            expires_at: self.expires_at,
+            holder_key: self.holder_key.as_ref(),
+        }
     }
 
     /// Whether the certificate has passed its expiry at virtual time `now`.
@@ -624,6 +626,43 @@ mod tests {
         let attacker = oasis_crypto::KeyPair::from_seed([4; 32]);
         rmc.holder_key = Some(attacker.public_key());
         assert!(!rmc.verify(&key, &alice));
+    }
+
+    /// The MAC bytes of both certificate kinds, fixed: any change to the
+    /// field order, the encoding or the hash shows up here.
+    #[test]
+    fn mac_bytes_are_pinned() {
+        let (key, alice, crr) = setup();
+        let holder = Some(oasis_crypto::KeyPair::from_seed([3; 32]).public_key());
+        let rmc = Rmc::issue(
+            &key,
+            SecretEpoch(0),
+            &alice,
+            crr.clone(),
+            RoleName::new("treating_doctor"),
+            vec![Value::id("dr-1"), Value::Int(-7)],
+            100,
+            holder,
+        );
+        let appt = AppointmentCertificate::issue(
+            &key,
+            SecretEpoch(0),
+            &alice,
+            crr,
+            "employed_as_doctor".into(),
+            vec![Value::str("ward 3"), Value::Time(42)],
+            10,
+            Some(1_000),
+            holder,
+        );
+        assert_eq!(
+            rmc.signature.to_string(),
+            "ed3093d28f61291f6f97659dc708da8619fadd9ea9d31bc5e1ca1f5a9fa508b2"
+        );
+        assert_eq!(
+            appt.signature.to_string(),
+            "7df6fe90a0203ae8066475cef99fbf92ee6c97b01b99b19aa86f05c5d4ffe881"
+        );
     }
 
     #[test]

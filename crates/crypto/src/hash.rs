@@ -4,6 +4,12 @@
 //! certificate MAC and Ed25519 need are implemented here. Both are the
 //! textbook Merkle–Damgård constructions; correctness is pinned by the
 //! standard test vectors in the module tests.
+//!
+//! SHA-256 has two compression functions with identical outputs: the
+//! portable loop, and on x86-64 CPUs with the SHA extensions one built on
+//! `sha256rnds2`/`sha256msg1`/`sha256msg2`, chosen per call by run-time
+//! feature detection. Every certificate MAC, journal checksum and
+//! replicated-log chain hash goes through it.
 
 // ---------------------------------------------------------------------------
 // SHA-256
@@ -50,7 +56,30 @@ impl Sha256 {
         }
     }
 
-    fn compress(state: &mut [u32; 8], block: &[u8]) {
+    /// Compresses `blocks`, a whole number of 64-byte blocks, into
+    /// `state`: with the SHA extensions when this CPU has them, else with
+    /// [`Self::compress_portable`] a block at a time.
+    fn compress(state: &mut [u32; 8], blocks: &[u8]) {
+        debug_assert_eq!(blocks.len() % 64, 0);
+        #[cfg(target_arch = "x86_64")]
+        if sha_ni::detected() {
+            #[allow(unsafe_code)]
+            // SAFETY: `sha_ni::compress` is a safe function whose only
+            // requirement is that the CPU supports the features it is
+            // compiled for, and `detected()` has just checked exactly
+            // those four. It takes no pointers and its body has no
+            // `unsafe`.
+            return unsafe { sha_ni::compress(state, blocks) };
+        }
+        for block in blocks.chunks_exact(64) {
+            Self::compress_portable(state, block);
+        }
+    }
+
+    /// The FIPS 180-4 compression of one block: the path on CPUs without
+    /// the SHA extensions, and the reference the tests hold the hardware
+    /// path to.
+    fn compress_portable(state: &mut [u32; 8], block: &[u8]) {
         let mut w = [0u32; 64];
         for (i, word) in w.iter_mut().take(16).enumerate() {
             *word = u32::from_be_bytes(block[i * 4..(i + 1) * 4].try_into().unwrap());
@@ -90,7 +119,13 @@ impl Sha256 {
     }
 
     /// Absorbs more input.
-    pub fn update(&mut self, mut data: &[u8]) {
+    pub fn update(&mut self, data: &[u8]) {
+        self.update_with(data, Self::compress);
+    }
+
+    /// [`Self::update`] over a given compression function, so the tests
+    /// can run the same buffering through either one.
+    fn update_with(&mut self, mut data: &[u8], compress: impl Fn(&mut [u32; 8], &[u8])) {
         self.length = self.length.wrapping_add(data.len() as u64);
         if self.buffered > 0 {
             let take = (64 - self.buffered).min(data.len());
@@ -98,8 +133,7 @@ impl Sha256 {
             self.buffered += take;
             data = &data[take..];
             if self.buffered == 64 {
-                let block = self.buffer;
-                Self::compress(&mut self.state, &block);
+                compress(&mut self.state, &self.buffer);
                 self.buffered = 0;
             } else {
                 // Input exhausted into a still-partial buffer; the tail
@@ -107,27 +141,31 @@ impl Sha256 {
                 return;
             }
         }
-        while data.len() >= 64 {
-            Self::compress(&mut self.state, &data[..64]);
-            data = &data[64..];
+        // Every whole block in one call: the hardware path moves the
+        // state in and out of its registers once per run.
+        let (blocks, tail) = data.split_at(data.len() - data.len() % 64);
+        if !blocks.is_empty() {
+            compress(&mut self.state, blocks);
         }
-        self.buffer[..data.len()].copy_from_slice(data);
-        self.buffered = data.len();
+        self.buffer[..tail.len()].copy_from_slice(tail);
+        self.buffered = tail.len();
     }
 
     /// Pads and returns the digest.
-    pub fn finalize(mut self) -> [u8; 32] {
+    pub fn finalize(self) -> [u8; 32] {
+        self.finalize_with(Self::compress)
+    }
+
+    /// [`Self::finalize`] over a given compression function.
+    fn finalize_with(mut self, compress: impl Fn(&mut [u32; 8], &[u8])) -> [u8; 32] {
         // `0x80`, zeros to 56 mod 64, the bit length: in this block when
         // the length still fits behind the data, else in one more.
-        let mut block = self.buffer;
-        block[self.buffered] = 0x80;
-        block[self.buffered + 1..].fill(0);
-        if self.buffered >= 56 {
-            Self::compress(&mut self.state, &block);
-            block = [0; 64];
-        }
-        block[56..].copy_from_slice(&self.length.wrapping_mul(8).to_be_bytes());
-        Self::compress(&mut self.state, &block);
+        let mut tail = [0u8; 128];
+        tail[..self.buffered].copy_from_slice(&self.buffer[..self.buffered]);
+        tail[self.buffered] = 0x80;
+        let end = if self.buffered < 56 { 64 } else { 128 };
+        tail[end - 8..end].copy_from_slice(&self.length.wrapping_mul(8).to_be_bytes());
+        compress(&mut self.state, &tail[..end]);
         let mut out = [0u8; 32];
         for (i, word) in self.state.iter().enumerate() {
             out[i * 4..(i + 1) * 4].copy_from_slice(&word.to_be_bytes());
@@ -140,6 +178,91 @@ impl Sha256 {
         let mut hasher = Self::new();
         hasher.update(data);
         hasher.finalize()
+    }
+}
+
+/// The SHA-256 compression function on the x86-64 SHA extensions.
+#[cfg(target_arch = "x86_64")]
+mod sha_ni {
+    use std::arch::x86_64::{
+        __m128i, _mm_add_epi32, _mm_alignr_epi8, _mm_extract_epi32, _mm_set_epi32,
+        _mm_sha256msg1_epu32, _mm_sha256msg2_epu32, _mm_sha256rnds2_epu32, _mm_shuffle_epi32,
+    };
+
+    use super::K256;
+
+    /// Whether this CPU has every feature [`compress`] is compiled for.
+    /// The standard library caches the answer, so this is a load.
+    pub(super) fn detected() -> bool {
+        is_x86_feature_detected!("sha")
+            && is_x86_feature_detected!("sse2")
+            && is_x86_feature_detected!("ssse3")
+            && is_x86_feature_detected!("sse4.1")
+    }
+
+    /// Four big-endian message words, word `i` in lane `i`.
+    #[target_feature(enable = "sse2")]
+    fn load(words: &[u8]) -> __m128i {
+        let w = |i: usize| {
+            u32::from_be_bytes([
+                words[4 * i],
+                words[4 * i + 1],
+                words[4 * i + 2],
+                words[4 * i + 3],
+            ]) as i32
+        };
+        _mm_set_epi32(w(3), w(2), w(1), w(0))
+    }
+
+    /// Compresses `blocks`, a whole number of 64-byte blocks, into
+    /// `state`. The state is held as the two registers `sha256rnds2`
+    /// works on, `ABEF` and `CDGH` (lane 3 first), for the whole run.
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    pub(super) fn compress(state: &mut [u32; 8], blocks: &[u8]) {
+        let s = state.map(|v| v as i32);
+        let mut abef = _mm_set_epi32(s[0], s[1], s[4], s[5]);
+        let mut cdgh = _mm_set_epi32(s[2], s[3], s[6], s[7]);
+        for block in blocks.chunks_exact(64) {
+            let (abef_in, cdgh_in) = (abef, cdgh);
+            // Message words 4q..4q + 4 of quad q live in w[q % 4].
+            let mut w = [
+                load(&block[..16]),
+                load(&block[16..32]),
+                load(&block[32..48]),
+                load(&block[48..]),
+            ];
+            for q in 0..16 {
+                if q >= 4 {
+                    // W[t] from W[t-16], W[t-15], W[t-7] and W[t-2],
+                    // four at a time.
+                    let w16_sigma0 = _mm_sha256msg1_epu32(w[q % 4], w[(q + 1) % 4]);
+                    let w7 = _mm_alignr_epi8(w[(q + 3) % 4], w[(q + 2) % 4], 4);
+                    w[q % 4] = _mm_sha256msg2_epu32(_mm_add_epi32(w16_sigma0, w7), w[(q + 3) % 4]);
+                }
+                let k = &K256[4 * q..4 * q + 4];
+                let wk = _mm_add_epi32(
+                    w[q % 4],
+                    _mm_set_epi32(k[3] as i32, k[2] as i32, k[1] as i32, k[0] as i32),
+                );
+                // Two rounds each; after two rounds the old ABEF is the
+                // new CDGH, so the registers swap roles.
+                cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+                abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0E));
+            }
+            abef = _mm_add_epi32(abef, abef_in);
+            cdgh = _mm_add_epi32(cdgh, cdgh_in);
+        }
+        let out = [
+            _mm_extract_epi32(abef, 3),
+            _mm_extract_epi32(abef, 2),
+            _mm_extract_epi32(cdgh, 3),
+            _mm_extract_epi32(cdgh, 2),
+            _mm_extract_epi32(abef, 1),
+            _mm_extract_epi32(abef, 0),
+            _mm_extract_epi32(cdgh, 1),
+            _mm_extract_epi32(cdgh, 0),
+        ];
+        *state = out.map(|v| v as u32);
     }
 }
 
@@ -364,20 +487,47 @@ pub(crate) mod tests {
     use super::*;
     use crate::hex;
 
+    /// [`Sha256::compress_portable`] over a run of blocks.
+    fn portable(state: &mut [u32; 8], blocks: &[u8]) {
+        for block in blocks.chunks_exact(64) {
+            Sha256::compress_portable(state, block);
+        }
+    }
+
+    /// Whether [`Sha256::compress`] runs on the SHA extensions here; when
+    /// not, prints that `test` skipped the hardware path.
+    fn hardware_path(test: &str) -> bool {
+        #[cfg(target_arch = "x86_64")]
+        if sha_ni::detected() {
+            return true;
+        }
+        println!("{test}: hardware path skipped, this CPU has no SHA extensions");
+        false
+    }
+
+    /// SHA-256 of `data` through [`Sha256`]'s own buffering and padding,
+    /// on the portable compression function only.
+    fn sha256_portable(data: &[u8]) -> [u8; 32] {
+        let mut h = Sha256::new();
+        h.update_with(data, portable);
+        h.finalize_with(portable)
+    }
+
     /// SHA-256 with the padding this module shipped before it padded in
-    /// one step: `0x80` and every zero through `update`, a byte at a time.
-    /// The reference the one-step padding must match.
+    /// one step: `0x80` and every zero through `update`, a byte at a time,
+    /// on the portable compression function. The reference both
+    /// compression functions and the one-step padding must match.
     pub(crate) fn sha256_bytewise(data: &[u8]) -> [u8; 32] {
         let mut h = Sha256::new();
-        h.update(data);
+        h.update_with(data, portable);
         let bit_length = h.length.wrapping_mul(8);
-        h.update(&[0x80]);
+        h.update_with(&[0x80], portable);
         while h.buffered != 56 {
-            h.update(&[0]);
+            h.update_with(&[0], portable);
         }
         let mut block = h.buffer;
         block[56..64].copy_from_slice(&bit_length.to_be_bytes());
-        Sha256::compress(&mut h.state, &block);
+        Sha256::compress_portable(&mut h.state, &block);
         let mut out = [0u8; 32];
         for (i, word) in h.state.iter().enumerate() {
             out[i * 4..(i + 1) * 4].copy_from_slice(&word.to_be_bytes());
@@ -408,11 +558,35 @@ pub(crate) mod tests {
     fn one_step_padding_matches_bytewise_at_every_boundary() {
         // Every length across two SHA-512 blocks: 55/56/63/64 and
         // 111/112/127/128 are where the padding changes shape.
+        // `Sha256::digest` takes the hardware path wherever there is one;
+        // `sha256_portable` never does.
+        hardware_path("one_step_padding_matches_bytewise_at_every_boundary");
         let data: Vec<u8> = (0..300u32).map(|i| (i * 7) as u8).collect();
         for len in 0..=data.len() {
             let data = &data[..len];
-            assert_eq!(Sha256::digest(data), sha256_bytewise(data), "len {len}");
+            let reference = sha256_bytewise(data);
+            assert_eq!(Sha256::digest(data), reference, "len {len}");
+            assert_eq!(sha256_portable(data), reference, "len {len}");
             assert_eq!(Sha512::digest(data), sha512_bytewise(data), "len {len}");
+        }
+    }
+
+    #[test]
+    fn sha256_long_vectors_on_both_paths() {
+        hardware_path("sha256_long_vectors_on_both_paths");
+        let million_a = vec![b'a'; 1_000_000];
+        for (data, expected) in [
+            (
+                &b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"[..],
+                "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
+            ),
+            (
+                &million_a[..],
+                "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0",
+            ),
+        ] {
+            assert_eq!(hex::encode(&Sha256::digest(data)), expected);
+            assert_eq!(hex::encode(&sha256_portable(data)), expected);
         }
     }
 
@@ -421,6 +595,25 @@ pub(crate) mod tests {
         use proptest::prelude::*;
 
         proptest! {
+            #[test]
+            fn compression_functions_agree(
+                state in any::<[u8; 32]>(),
+                bytes in proptest::collection::vec(any::<u8>(), 64..=256),
+            ) {
+                if !hardware_path("compression_functions_agree") {
+                    return;
+                }
+                // One to four blocks in one call, as `update` hands them.
+                let blocks = &bytes[..bytes.len() / 64 * 64];
+                let mut hardware: [u32; 8] = std::array::from_fn(|i| {
+                    u32::from_le_bytes(state[4 * i..4 * i + 4].try_into().unwrap())
+                });
+                let mut reference = hardware;
+                Sha256::compress(&mut hardware, blocks);
+                portable(&mut reference, blocks);
+                prop_assert_eq!(hardware, reference);
+            }
+
             #[test]
             fn digests_match_the_bytewise_reference(
                 data in proptest::collection::vec(any::<u8>(), 0..300),

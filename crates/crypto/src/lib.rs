@@ -39,7 +39,9 @@
 //! assert!(!sign::verify_fields(&secret.current(), b"principal-8", &[b"doctor", b"ward-3"], &sig));
 //! ```
 
-#![forbid(unsafe_code)]
+// One `unsafe` block in this crate: the call into the SHA-extension
+// compression function after the CPU check (`hash::Sha256::compress`).
+#![deny(unsafe_code, clippy::undocumented_unsafe_blocks)]
 #![warn(missing_docs)]
 
 pub mod challenge;

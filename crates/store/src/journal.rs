@@ -98,10 +98,10 @@ impl<T> Clone for Journal<T> {
 }
 
 fn checksum(seq: u64, payload: &[u8]) -> u64 {
-    let mut buf = Vec::with_capacity(8 + payload.len());
-    buf.extend_from_slice(&seq.to_le_bytes());
-    buf.extend_from_slice(payload);
-    let digest = Sha256::digest(&buf);
+    let mut hash = Sha256::new();
+    hash.update(&seq.to_le_bytes());
+    hash.update(payload);
+    let digest = hash.finalize();
     u64::from_le_bytes(digest[..8].try_into().expect("8-byte prefix"))
 }
 

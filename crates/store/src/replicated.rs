@@ -546,23 +546,19 @@ const REPAIR_BATCH: usize = 64;
 /// replays old-term entries under a newer leader's frames, and the
 /// hash must pin which term wrote each entry.
 fn chain(prev: u64, entry: &LogEntry) -> u64 {
-    let mut buf = Vec::with_capacity(8 + 8 + 8 + 4 + entry.region.len() + 1);
-    buf.extend_from_slice(&prev.to_le_bytes());
-    buf.extend_from_slice(&entry.index.to_le_bytes());
-    buf.extend_from_slice(&entry.term.to_le_bytes());
-    buf.extend_from_slice(&(entry.region.len() as u32).to_le_bytes());
-    buf.extend_from_slice(entry.region.as_bytes());
-    match &entry.op {
-        RegionOp::Append(b) => {
-            buf.push(1);
-            buf.extend_from_slice(b);
-        }
-        RegionOp::Replace(b) => {
-            buf.push(2);
-            buf.extend_from_slice(b);
-        }
-    }
-    let digest = Sha256::digest(&buf);
+    let mut hash = Sha256::new();
+    hash.update(&prev.to_le_bytes());
+    hash.update(&entry.index.to_le_bytes());
+    hash.update(&entry.term.to_le_bytes());
+    hash.update(&(entry.region.len() as u32).to_le_bytes());
+    hash.update(entry.region.as_bytes());
+    let (tag, bytes) = match &entry.op {
+        RegionOp::Append(b) => (1u8, b),
+        RegionOp::Replace(b) => (2u8, b),
+    };
+    hash.update(&[tag]);
+    hash.update(bytes);
+    let digest = hash.finalize();
     u64::from_le_bytes(digest[..8].try_into().expect("8-byte prefix"))
 }
 
