@@ -151,7 +151,9 @@ fn build_world() -> World {
 }
 
 /// Same total capacity (4 workers) either way; only the lane structure
-/// differs. Mirrors `tests/overload_flood.rs`.
+/// differs. The shedding lanes are the ones the conformance matrix's
+/// flood cells run (`crates/conformance/src/engine.rs`), where every
+/// revocation must also execute within its deadline budget.
 fn flood_config(shedding: bool) -> OverloadConfig {
     let mut cfg = OverloadConfig::default();
     if shedding {

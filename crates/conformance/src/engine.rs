@@ -110,7 +110,14 @@ struct Metrics {
     started_after_deadline: u64,
     stale_violations: Vec<String>,
     revocations_deferred: u64,
+    /// Revocations shed or expired on the issuer's Control lane.
     revocation_retries: u64,
+    /// Arrival tick of each revocation target, dropped once an issuer
+    /// outage defers it: what remains arrived and ran while the issuer
+    /// was up.
+    revocation_arrived: BTreeMap<usize, u64>,
+    /// Slowest arrival-to-execution latency among those revocations.
+    slowest_revocation: u64,
     dead_seen: Option<u64>,
     degraded_total: u64,
     /// `(tick, probe_ok, breaker_state)` of the settle probe.
@@ -588,7 +595,10 @@ pub(crate) fn run_two_domain_scheduled(
                 if let Work::Revoke(target) = req.work {
                     if crashed.get() {
                         deferred.borrow_mut().push(target);
-                        metrics.borrow_mut().revocations_deferred += 1;
+                        let mut m = metrics.borrow_mut();
+                        m.revocations_deferred += 1;
+                        m.revocation_arrived.remove(&target);
+                        drop(m);
                         trace.log_kv(
                             now,
                             "revocation deferred (issuer down)",
@@ -608,6 +618,11 @@ pub(crate) fn run_two_domain_scheduled(
                         });
                         login.revoke_certificate(cert, "conformance revocation", issuer_now);
                         executed.borrow_mut().push(cert.0);
+                        let mut m = metrics.borrow_mut();
+                        if let Some(&arrived) = m.revocation_arrived.get(&target) {
+                            m.slowest_revocation = m.slowest_revocation.max(now - arrived);
+                        }
+                        drop(m);
                         trace.log_kv(
                             now,
                             "revocation executed",
@@ -714,13 +729,19 @@ pub(crate) fn run_two_domain_scheduled(
                             }
                         }
                     }
-                    Work::Revoke(target) => revs.push(target),
+                    Work::Revoke(target) => {
+                        metrics.borrow_mut().revocation_arrived.insert(target, now);
+                        revs.push(target);
+                    }
                 }
             }
             for target in revs {
                 if crashed.get() {
                     deferred.borrow_mut().push(target);
-                    metrics.borrow_mut().revocations_deferred += 1;
+                    let mut m = metrics.borrow_mut();
+                    m.revocations_deferred += 1;
+                    m.revocation_arrived.remove(&target);
+                    drop(m);
                     trace.log_kv(
                         now,
                         "revocation deferred (issuer down)",
@@ -760,7 +781,7 @@ pub(crate) fn run_two_domain_scheduled(
             }
 
             // 5. Heartbeats: login beats every 10 ticks over the link.
-            if now.is_multiple_of(10) && !plan.borrow().heartbeats_paused("login") {
+            if now.is_multiple_of(10) {
                 let hospital = Arc::clone(&hospital);
                 net.borrow_mut().send(sim, "login", "hospital", move |sim| {
                     hospital.issuer_beat(&login_id(), sim.now());
@@ -1221,19 +1242,27 @@ pub(crate) fn run_two_domain_scheduled(
         );
     }
 
+    // Under a flood the Control lane must still carry every revocation
+    // that arrives while the issuer is up to execution within its budget,
+    // none shed or expired on the way.
+    let revocations_on_time =
+        m.revocation_retries == 0 && m.slowest_revocation <= REVOCATION_BUDGET;
     report.record(
         OVERLOAD_BACKPRESSURE,
         if workload.floods() {
-            m.validations_shed > 0 && m.validations_ok > 0
+            m.validations_shed > 0 && m.validations_ok > 0 && revocations_on_time
         } else {
             m.validations_shed == 0
         },
         format!(
-            "shed={} answered_ok={} refused={} (flooding={})",
+            "shed={} answered_ok={} refused={} (flooding={}); revocations: slowest \
+             {}/{REVOCATION_BUDGET} ticks, {} shed or expired",
             m.validations_shed,
             m.validations_ok,
             m.validations_refused,
-            workload.floods()
+            workload.floods(),
+            m.slowest_revocation,
+            m.revocation_retries
         ),
     );
 

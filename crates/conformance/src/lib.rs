@@ -1,7 +1,7 @@
 //! Scenario-matrix conformance harness with deterministic replay parity.
 //!
-//! The chaos suites each exercise one failure regime in isolation; real
-//! deployments compose them. This crate runs the full
+//! The repository's one fault harness. Real deployments compose failure
+//! regimes, so this crate runs the full
 //! workload × fault × topology matrix ([`full_matrix`]) — an issuer
 //! outage *during* a validation flood, a leader kill *during* a
 //! revocation storm, clock skew while fail-safe degradation is
@@ -43,6 +43,9 @@ pub use shrink::{ddmin, shrink_cell, ShrinkReport};
 
 /// Extra per-cell check on top of [`INVARIANT_NAMES`]: flooding
 /// workloads must shed (and still answer), non-flooding ones must not.
+/// Under a two-domain flood, every revocation that arrives while the
+/// issuer is up must also execute within its deadline budget, none shed
+/// or expired on the Control lane.
 pub const OVERLOAD_BACKPRESSURE: &str = "overload-backpressure-engaged";
 
 /// Extra per-cell check on the replicated topology: an isolated node

@@ -2,12 +2,14 @@
 //! group hosting a durable login issuer, with a durable relying
 //! subscriber catching up over the issuer's retained ring.
 //!
-//! This is the `replication_failover` world generalised to a matrix
-//! axis: the same storm runs straight through, across one or two leader
-//! kills, across a subscriber crash mid-catch-up, and across a leader
-//! that is deposed by partition rather than killed. The invariant set
-//! is the shared one — what must hold is identical whether the quorum
-//! was decapitated once, twice, or not at all.
+//! The same storm runs straight through, across one or two leader
+//! kills, across a subscriber crash mid-catch-up, across a leader that
+//! is deposed by partition rather than killed, and across the
+//! partition-hardening regimes (a flapping link healed by entry repair,
+//! a chunked sync interrupted mid-transfer, an isolated node's term
+//! storm). The invariant set is the shared one — what must hold is
+//! identical whether the quorum was decapitated once, twice, or not at
+//! all.
 
 use std::sync::Arc;
 
@@ -446,6 +448,7 @@ pub(crate) fn run_replicated(
                 .expect("a follower")
                 .clone();
             let before = follower.stats();
+            let chunks_before = leader.stats().sync_chunks_sent;
             let term_before = leader.term();
             flap_via_plan(&mesh, leader.id(), follower.id(), 4, &trace);
             for rmc in certs.iter().skip(k_pre).take(remaining) {
@@ -471,6 +474,11 @@ pub(crate) fn run_replicated(
             assert!(
                 after.repairs_pulled > before.repairs_pulled,
                 "flappy link never exercised entry repair"
+            );
+            assert_eq!(
+                leader.stats().sync_chunks_sent,
+                chunks_before,
+                "within-tail lag must not start a state transfer from the leader"
             );
             assert_eq!(
                 after.syncs_applied, before.syncs_applied,

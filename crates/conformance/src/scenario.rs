@@ -1,15 +1,14 @@
 //! The declarative scenario DSL: a scenario is one cell of the
 //! conformance matrix — a workload, a fault regime, and a topology.
 //!
-//! The existing chaos suites each compose *one* regime by hand
-//! (`tests/chaos_recovery.rs` crashes an issuer, `tests/overload_flood.rs`
-//! floods one, `tests/replication_failover.rs` decapitates a quorum).
-//! The matrix exists to test the *products* those suites never reach:
-//! an issuer outage during a validation flood, a leader kill during a
-//! revocation storm, clock skew between domains while fail-safe
-//! degradation is mid-flight. Every cell runs under the same seeded
-//! virtual clock, asserts the same invariant set
-//! ([`invariant`](crate::invariant)), and must replay byte-identically.
+//! The matrix is the repository's only fault harness. A regime alone
+//! (an issuer crash, a validation flood, a leader kill) is a cell, and
+//! so is each *product* of regimes: an issuer outage during a
+//! validation flood, a leader kill during a revocation storm, clock
+//! skew between domains while fail-safe degradation is mid-flight.
+//! Every cell runs under the same seeded virtual clock, asserts the
+//! same invariant set ([`invariant`](crate::invariant)), and must replay
+//! byte-identically.
 
 use std::fmt;
 
@@ -30,7 +29,7 @@ pub enum Workload {
     /// primary credentials with dependent duty roles at the hospital).
     RevocationStorm,
     /// The flood and the storm at once: shedding under revocation
-    /// pressure, the composition `overload_flood` tests only pairwise.
+    /// pressure.
     FloodAndStorm,
 }
 
@@ -161,12 +160,12 @@ impl FaultRegime {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Topology {
     /// A single-instance login issuer and a failure-aware hospital,
-    /// joined by a lossy, duplicating, jittery simulated link
-    /// (the `chaos_recovery` world plus admission control).
+    /// joined by a lossy, duplicating, jittery simulated link, with
+    /// admission control in front of both.
     TwoDomain,
     /// A three-node quorum-replicated CIV hosting the durable issuer,
     /// with a durable relying subscriber catching up over its retained
-    /// ring (the `replication_failover` world).
+    /// ring.
     ReplicatedCiv3,
 }
 

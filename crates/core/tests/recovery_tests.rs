@@ -138,6 +138,41 @@ fn kill_during_commit_is_healed_by_replay() {
     let report = svc.recover(2).unwrap();
     assert_eq!(report.records_restored, 1);
     assert_eq!(svc.record_stats(), (1, 0, 0));
+
+    // The revoke window: CertRevoked reaches the journal, then the
+    // process dies still seeing the certificate active.
+    let rmc = svc
+        .activate_role(
+            &alice(),
+            &RoleName::new("logged_in"),
+            &[Value::id("alice")],
+            &[],
+            &ctx,
+        )
+        .unwrap();
+    assert!(svc.chaos_arm_crash_after_journal());
+    assert!(!svc.revoke_certificate(rmc.crr.cert_id, "compromised", 3));
+    assert!(svc.record(rmc.crr.cert_id).unwrap().status.is_active());
+    drop(svc);
+
+    // Replay lands the revocation exactly once, and replaying the same
+    // journal again restores the same counts.
+    let replay = || {
+        let svc = durable_login(reopen(&jb, &sb));
+        let report = svc.recover(4).unwrap();
+        assert!(matches!(
+            svc.record(rmc.crr.cert_id).unwrap().status,
+            CredStatus::Revoked { .. }
+        ));
+        (
+            report.records_restored,
+            report.revocations_replayed,
+            svc.record_stats(),
+        )
+    };
+    let first = replay();
+    assert_eq!(first, (2, 1, (1, 1, 0)));
+    assert_eq!(replay(), first, "a second replay restores the same counts");
 }
 
 #[test]

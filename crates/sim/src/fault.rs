@@ -1,10 +1,14 @@
 //! Scripted fault injection for chaos experiments.
 //!
-//! A [`FaultPlan`] is a deterministic schedule of network and process
-//! faults — partitions, crashes, heals, heartbeat pauses — applied to a
-//! [`SimNet`] as virtual time advances. Scripting the faults (rather than
-//! sampling them) makes chaos runs exactly repeatable and lets a test
-//! assert on *when* degradation and recovery must happen.
+//! A [`FaultPlan`] is a deterministic schedule of faults — partitions,
+//! heals, crashes, recoveries, clock skews, a Byzantine CIV, leader
+//! kills, flapping links and torn journal tails — applied as virtual
+//! time advances. Scripting the faults (rather than sampling them)
+//! makes chaos runs exactly repeatable and lets a test assert on *when*
+//! degradation and recovery must happen. The conformance matrix
+//! (`oasis-conformance`) runs the plans: its two-domain runner schedules
+//! the network, clock and CIV faults, its replicated runner the leader
+//! kills and link flaps, and `tests/durable_recovery.rs` the torn tail.
 //!
 //! # Crash durability
 //!
@@ -15,16 +19,15 @@
 //! to its storage backend, then handing the same handle to the
 //! restarted instance after [`Fault::Recover`].
 //!
-//! Real crashes also tear the last disk write. The journal-damage
-//! faults ([`Fault::TearJournalTail`], [`Fault::CorruptJournalTail`])
-//! script that: they accumulate as [`JournalDamage`] descriptors which
+//! Real crashes also tear the last disk write. [`Fault::TearJournalTail`]
+//! scripts that: it accumulates as a [`JournalDamage`] descriptor which
 //! the driver drains ([`FaultPlan::take_journal_damage`]) and applies
-//! to the crashed node's backend (e.g. `MemBackend::truncate_tail` /
-//! `corrupt_tail` in `oasis-store`) *before* restarting it. Recovery
-//! must then heal the tail: stop at the last valid record, never
-//! panic, never resurrect a record past the damage point.
+//! to the crashed node's backend (e.g. `MemBackend::append_garbage` in
+//! `oasis-store`) *before* restarting it. Recovery must then heal the
+//! tail: stop at the last valid record, never panic, never resurrect a
+//! record past the damage point.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use crate::net::{NodeId, SimNet};
 
@@ -55,19 +58,6 @@ pub enum Fault {
         /// The node that comes back.
         node: NodeId,
     },
-    /// Stop a node's heartbeat emission without touching its traffic —
-    /// a wedged process whose sockets still answer. The driver decides
-    /// what "paused" means by consulting
-    /// [`FaultPlan::heartbeats_paused`].
-    PauseHeartbeats {
-        /// The node whose beats stop.
-        node: NodeId,
-    },
-    /// Resume a node's heartbeat emission.
-    ResumeHeartbeats {
-        /// The node whose beats resume.
-        node: NodeId,
-    },
     /// Chop bytes off the end of a node's durability journal — the torn
     /// final write of a crash mid-append. Accumulates as
     /// [`JournalDamage::TornTail`] for the driver to apply to the
@@ -77,15 +67,6 @@ pub enum Fault {
         node: NodeId,
         /// How many bytes the torn write loses.
         bytes: u64,
-    },
-    /// Flip a byte near the end of a node's durability journal — a
-    /// partial sector write that completed with garbage. Accumulates as
-    /// [`JournalDamage::FlippedByte`].
-    CorruptJournalTail {
-        /// The node whose journal is corrupted.
-        node: NodeId,
-        /// Distance of the flipped byte from the end of the journal.
-        offset_from_end: u64,
     },
     /// Kill whichever member of `group` is the replication leader at
     /// the moment the fault fires. The plan cannot know the leader at
@@ -98,18 +79,9 @@ pub enum Fault {
         /// The replication group to decapitate.
         group: Vec<NodeId>,
     },
-    /// Cut `node` off from every member of `from` — a one-sided
-    /// network partition isolating a single node (the classic
-    /// "deposed leader keeps accepting doomed writes" scenario).
-    Isolate {
-        /// The node being fenced off.
-        node: NodeId,
-        /// The nodes it can no longer reach.
-        from: Vec<NodeId>,
-    },
     /// Skew `node`'s wall clock by `offset_ms` relative to virtual
-    /// time — a cross-domain NTP drift. Like heartbeat pauses this has
-    /// no direct network effect; the driver consults
+    /// time — a cross-domain NTP drift. This has no direct network
+    /// effect; the caller consults
     /// [`FaultPlan::clock_skew`] when stamping that node's timestamps
     /// (cert issue times, expiry checks). An `offset_ms` of zero clears
     /// the skew.
@@ -121,9 +93,10 @@ pub enum Fault {
     },
     /// Turn `node` — a Certification Instance Vault in the trust layer —
     /// Byzantine: from this tick it repudiates its notarisation history
-    /// and emits forged or whitewashed audit certificates. The plan only
-    /// tracks membership ([`FaultPlan::is_byzantine`]); the driver flips
-    /// the node's `oasis-trust` adapter into Byzantine mode.
+    /// and emits forged or whitewashed audit certificates. The plan keeps
+    /// no state for it: the caller reacts to the fault
+    /// [`FaultPlan::apply_due`] returns by flipping the node's
+    /// `oasis-trust` adapter into Byzantine mode.
     ByzantineCiv {
         /// The CIV that goes rogue.
         node: NodeId,
@@ -155,11 +128,6 @@ pub enum JournalDamage {
     TornTail {
         /// How many bytes to truncate from the end.
         bytes: u64,
-    },
-    /// The byte `offset_from_end` bytes before the end is flipped.
-    FlippedByte {
-        /// Distance from the end of the journal.
-        offset_from_end: u64,
     },
 }
 
@@ -194,12 +162,10 @@ pub struct FaultPlan {
     /// ticks: insertion order breaks ties, so a same-tick crash+heal
     /// sequence applies in the order it was scripted).
     scheduled: Vec<(u64, Fault)>,
-    paused: HashSet<NodeId>,
     journal_damage: Vec<(NodeId, JournalDamage)>,
     leader_kills: Vec<Vec<NodeId>>,
     link_flaps: Vec<(NodeId, NodeId, u64)>,
     skews: HashMap<NodeId, i64>,
-    byzantine: HashSet<NodeId>,
 }
 
 impl FaultPlan {
@@ -246,16 +212,6 @@ impl FaultPlan {
         self.schedule(tick, Fault::Recover { node: node.into() });
     }
 
-    /// Schedules a heartbeat pause at `tick`.
-    pub fn pause_heartbeats_at(&mut self, tick: u64, node: impl Into<NodeId>) {
-        self.schedule(tick, Fault::PauseHeartbeats { node: node.into() });
-    }
-
-    /// Schedules a heartbeat resume at `tick`.
-    pub fn resume_heartbeats_at(&mut self, tick: u64, node: impl Into<NodeId>) {
-        self.schedule(tick, Fault::ResumeHeartbeats { node: node.into() });
-    }
-
     /// Schedules a torn journal tail at `tick` — usually the same tick
     /// as a [`FaultPlan::crash_at`] on the same node.
     pub fn tear_journal_at(&mut self, tick: u64, node: impl Into<NodeId>, bytes: u64) {
@@ -264,17 +220,6 @@ impl FaultPlan {
             Fault::TearJournalTail {
                 node: node.into(),
                 bytes,
-            },
-        );
-    }
-
-    /// Schedules a flipped journal byte at `tick`.
-    pub fn corrupt_journal_at(&mut self, tick: u64, node: impl Into<NodeId>, offset_from_end: u64) {
-        self.schedule(
-            tick,
-            Fault::CorruptJournalTail {
-                node: node.into(),
-                offset_from_end,
             },
         );
     }
@@ -291,22 +236,6 @@ impl FaultPlan {
             tick,
             Fault::KillLeader {
                 group: group.into_iter().map(Into::into).collect(),
-            },
-        );
-    }
-
-    /// Schedules the isolation of `node` from every member of `from`
-    /// at `tick`.
-    pub fn isolate_at<I, N>(&mut self, tick: u64, node: impl Into<NodeId>, from: I)
-    where
-        I: IntoIterator<Item = N>,
-        N: Into<NodeId>,
-    {
-        self.schedule(
-            tick,
-            Fault::Isolate {
-                node: node.into(),
-                from: from.into_iter().map(Into::into).collect(),
             },
         );
     }
@@ -348,16 +277,12 @@ impl FaultPlan {
         );
     }
 
-    /// Schedules the flapping link between `a` and `b` to steady at
-    /// `tick` (a zero-window [`Fault::FlappyPeerLink`]).
-    pub fn steady_link_at(&mut self, tick: u64, a: impl Into<NodeId>, b: impl Into<NodeId>) {
-        self.flap_link_at(tick, a, b, 0);
-    }
-
     /// Applies (and consumes) every fault scheduled at or before `now`,
     /// in schedule order, returning what was applied. Network faults act
-    /// on `net`; heartbeat faults only update the pause set consulted by
-    /// [`FaultPlan::heartbeats_paused`].
+    /// on `net`; the rest update the plan's own ledgers (journal damage,
+    /// leader kills, link flaps, clock skews) or, like
+    /// [`Fault::ByzantineCiv`], only reach the caller through the
+    /// returned list.
     pub fn apply_due(&mut self, now: u64, net: &mut SimNet) -> Vec<Fault> {
         let due = self.scheduled.partition_point(|(t, _)| *t <= now);
         let applied: Vec<Fault> = self.scheduled.drain(..due).map(|(_, f)| f).collect();
@@ -367,34 +292,12 @@ impl FaultPlan {
                 Fault::Heal { a, b } => net.heal(a.clone(), b.clone()),
                 Fault::Crash { node } => net.crash(node.clone()),
                 Fault::Recover { node } => net.recover(node.clone()),
-                Fault::PauseHeartbeats { node } => {
-                    self.paused.insert(node.clone());
-                }
-                Fault::ResumeHeartbeats { node } => {
-                    self.paused.remove(node);
-                }
                 Fault::TearJournalTail { node, bytes } => {
                     self.journal_damage
                         .push((node.clone(), JournalDamage::TornTail { bytes: *bytes }));
                 }
-                Fault::CorruptJournalTail {
-                    node,
-                    offset_from_end,
-                } => {
-                    self.journal_damage.push((
-                        node.clone(),
-                        JournalDamage::FlippedByte {
-                            offset_from_end: *offset_from_end,
-                        },
-                    ));
-                }
                 Fault::KillLeader { group } => {
                     self.leader_kills.push(group.clone());
-                }
-                Fault::Isolate { node, from } => {
-                    for other in from {
-                        net.partition(node.clone(), other.clone());
-                    }
                 }
                 Fault::ClockSkew { node, offset_ms } => {
                     if *offset_ms == 0 {
@@ -403,20 +306,13 @@ impl FaultPlan {
                         self.skews.insert(node.clone(), *offset_ms);
                     }
                 }
-                Fault::ByzantineCiv { node } => {
-                    self.byzantine.insert(node.clone());
-                }
+                Fault::ByzantineCiv { .. } => {}
                 Fault::FlappyPeerLink { a, b, window } => {
                     self.link_flaps.push((a.clone(), b.clone(), *window));
                 }
             }
         }
         applied
-    }
-
-    /// Whether `node`'s heartbeat emission is currently paused.
-    pub fn heartbeats_paused(&self, node: &str) -> bool {
-        self.paused.contains(node)
     }
 
     /// Drains the journal damage applied so far: `(node, damage)` in
@@ -446,18 +342,6 @@ impl FaultPlan {
     /// stamps or compares a wall-clock timestamp.
     pub fn clock_skew(&self, node: &str) -> i64 {
         self.skews.get(node).copied().unwrap_or(0)
-    }
-
-    /// Whether `node`'s CIV has turned Byzantine.
-    pub fn is_byzantine(&self, node: &str) -> bool {
-        self.byzantine.contains(node)
-    }
-
-    /// The Byzantine CIVs so far, sorted (stable output for traces).
-    pub fn byzantine_nodes(&self) -> Vec<NodeId> {
-        let mut nodes: Vec<NodeId> = self.byzantine.iter().cloned().collect();
-        nodes.sort();
-        nodes
     }
 
     /// Faults not yet applied.
@@ -567,7 +451,6 @@ mod tests {
         let mut plan = FaultPlan::new();
         plan.crash_at(5, "issuer");
         plan.tear_journal_at(5, "issuer", 3);
-        plan.corrupt_journal_at(6, "issuer", 0);
 
         plan.apply_due(4, &mut net);
         assert!(plan.take_journal_damage().is_empty());
@@ -577,13 +460,7 @@ mod tests {
         let damage = plan.take_journal_damage();
         assert_eq!(
             damage,
-            vec![
-                ("issuer".into(), JournalDamage::TornTail { bytes: 3 }),
-                (
-                    "issuer".into(),
-                    JournalDamage::FlippedByte { offset_from_end: 0 }
-                ),
-            ]
+            vec![("issuer".into(), JournalDamage::TornTail { bytes: 3 })]
         );
         assert!(plan.take_journal_damage().is_empty(), "drained");
         assert_eq!(net.stats(), (0, 0), "no traffic side effects");
@@ -610,23 +487,6 @@ mod tests {
     }
 
     #[test]
-    fn isolate_partitions_the_node_from_every_peer() {
-        let mut net = net();
-        let mut plan = FaultPlan::new();
-        plan.isolate_at(5, "leader", ["f1", "f2"]);
-        plan.heal_at(8, "leader", "f1");
-
-        plan.apply_due(5, &mut net);
-        assert!(net.is_partitioned("leader", "f1"));
-        assert!(net.is_partitioned("leader", "f2"));
-        assert!(!net.is_partitioned("f1", "f2"), "peers still connected");
-
-        plan.apply_due(8, &mut net);
-        assert!(!net.is_partitioned("leader", "f1"));
-        assert!(net.is_partitioned("leader", "f2"));
-    }
-
-    #[test]
     fn clock_skew_is_tracked_and_clearable() {
         let mut net = net();
         let mut plan = FaultPlan::new();
@@ -646,32 +506,11 @@ mod tests {
     }
 
     #[test]
-    fn byzantine_civ_is_tracked_sorted_and_sticky() {
-        let mut net = net();
-        let mut plan = FaultPlan::new();
-        plan.byzantine_civ_at(4, "civ-z");
-        plan.byzantine_civ_at(6, "civ-a");
-
-        assert!(!plan.is_byzantine("civ-z"));
-        plan.apply_due(4, &mut net);
-        assert!(plan.is_byzantine("civ-z"));
-        assert!(!plan.is_byzantine("civ-a"));
-        plan.apply_due(6, &mut net);
-        assert!(plan.is_byzantine("civ-a"));
-        assert_eq!(
-            plan.byzantine_nodes(),
-            vec![NodeId::from("civ-a"), NodeId::from("civ-z")],
-            "sorted regardless of insertion order"
-        );
-        assert_eq!(net.stats(), (0, 0), "no traffic side effects");
-    }
-
-    #[test]
     fn link_flaps_accumulate_for_the_driver_to_resolve() {
         let mut net = net();
         let mut plan = FaultPlan::new();
         plan.flap_link_at(5, "leader", "f1", 3);
-        plan.steady_link_at(9, "leader", "f1");
+        plan.flap_link_at(9, "leader", "f1", 0);
 
         plan.apply_due(4, &mut net);
         assert!(plan.take_link_flaps().is_empty());
@@ -723,21 +562,5 @@ mod tests {
 
         // Applied faults leave the snapshot: it captures what remains.
         assert!(plan.schedule_snapshot().is_empty());
-    }
-
-    #[test]
-    fn heartbeat_pause_is_tracked_without_touching_the_net() {
-        let mut net = net();
-        let mut plan = FaultPlan::new();
-        plan.pause_heartbeats_at(7, "issuer");
-        plan.resume_heartbeats_at(9, "issuer");
-
-        plan.apply_due(6, &mut net);
-        assert!(!plan.heartbeats_paused("issuer"));
-        plan.apply_due(7, &mut net);
-        assert!(plan.heartbeats_paused("issuer"));
-        assert_eq!(net.stats(), (0, 0), "no traffic side effects");
-        plan.apply_due(9, &mut net);
-        assert!(!plan.heartbeats_paused("issuer"));
     }
 }

@@ -12,9 +12,9 @@
 //! * [`Latency`] / [`LinkConfig`] / [`SimNet`] — network modelling with
 //!   per-link latency distributions, loss, duplication, jitter,
 //!   partitions, and node crashes.
-//! * [`FaultPlan`] — scripted chaos: partitions, crashes, heartbeat
-//!   pauses, clock skews, and Byzantine CIV turns applied at fixed
-//!   virtual times.
+//! * [`FaultPlan`] — scripted chaos: partitions, crashes, clock skews,
+//!   Byzantine CIV turns, leader kills, link flaps and torn journal
+//!   tails applied at fixed virtual times.
 //! * [`Trace`] — canonical sorted-key JSONL event traces, the shared
 //!   recorder behind the conformance harness's byte-identical replay
 //!   parity.

@@ -8,7 +8,7 @@
 //! Deterministic per `CHAOS_SEED` (default 42): the seed sizes the torn
 //! tail garbage. The run writes a JSONL trace to
 //! `target/chaos/durable-trace-<seed>.jsonl` for post-mortem
-//! inspection; CI uploads it (with the journals) when the job fails.
+//! inspection; CI uploads it when the job fails.
 
 use std::sync::Arc;
 
@@ -150,20 +150,14 @@ fn crash_revocation_while_down_recover_catch_up() {
     plan.apply_due(4, &mut net);
     for (node, damage) in plan.take_journal_damage() {
         assert_eq!(node.as_str(), "hospital");
-        match damage {
-            JournalDamage::TornTail { bytes } => {
-                // Model the torn write as garbage past the last good
-                // frame (the crash interrupted an append mid-flight).
-                journal.append_garbage(&vec![0xA5u8; bytes as usize]);
-                log(
-                    4,
-                    &format!("crash tore the journal tail ({bytes} garbage bytes)"),
-                );
-            }
-            JournalDamage::FlippedByte { offset_from_end } => {
-                journal.corrupt_tail(offset_from_end as usize);
-            }
-        }
+        let JournalDamage::TornTail { bytes } = damage;
+        // Model the torn write as garbage past the last good frame (the
+        // crash interrupted an append mid-flight).
+        journal.append_garbage(&vec![0xA5u8; bytes as usize]);
+        log(
+            4,
+            &format!("crash tore the journal tail ({bytes} garbage bytes)"),
+        );
     }
 
     // --- Phase 2 (down): the login session ends ------------------------

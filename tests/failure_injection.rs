@@ -3,7 +3,8 @@
 //! (fail-open bridging, TTL backstops, heartbeats) the architecture
 //! prescribes for each, on the relying service's own validation cache.
 //! Replica crashes are exercised where the real replicated log lives:
-//! `replication_failover.rs` and `oasis-store`'s `replicated` tests.
+//! the conformance matrix's `civ3` cells and `oasis-store`'s
+//! `replicated` tests.
 
 use std::cell::RefCell;
 use std::rc::Rc;
