@@ -11,6 +11,11 @@
 //!   append through `ReplicatedStore` (in-process `LocalMesh`
 //!   transport, so the number measures protocol + fan-out cost, not
 //!   the network).
+//! * **frames per round** — `Replicate` frames carrying entries per
+//!   committed round, counted by a transport wrapper around the mesh. A
+//!   round goes to quorum−1 followers, and a follower left out is
+//!   pulled back in once per repair batch, so the bench asserts ≤ 1.05
+//!   at 3 replicas and ≤ 2.1 at 5 (sending to every follower: 2 and 4).
 //! * **failover** — virtual milliseconds from leader kill to a new
 //!   leader among the survivors (heartbeat 50ms, election timeout
 //!   150ms + deterministic per-id skew; driven on a 25ms tick grid).
@@ -29,9 +34,10 @@
 //!   trait's sequential default over the same sockets.
 //!
 //! Reported (also emitted to `BENCH_replication.json`): append p50/p99
-//! per cluster size, failover p50/max, the gap, rounds and records per
+//! and frames per round per cluster size, failover p50/max, the gap, rounds and records per
 //! cascade, and the two fan-out round times.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -52,15 +58,38 @@ use oasis_bench::{percentile, table_header};
 /// Fixed record size so the journal length counts acked entries.
 const RECORD: &[u8] = b"0123456789abcdef";
 
-fn cluster(n: usize) -> (LocalMesh, Vec<Arc<ReplicaNode>>) {
-    cluster_with(n, |_| {})
+/// The mesh as the nodes see it, counting the `Replicate` frames that
+/// carry entries — commit rounds' frames, not heartbeats.
+struct CountingTransport {
+    mesh: LocalMesh,
+    entry_frames: Arc<AtomicU64>,
+}
+
+impl ReplicationTransport for CountingTransport {
+    fn call(&self, peer: &str, req: &PeerRequest) -> Result<PeerReply, StoreError> {
+        if matches!(req, PeerRequest::Replicate { entries, .. } if !entries.is_empty()) {
+            self.entry_frames.fetch_add(1, Ordering::Relaxed);
+        }
+        self.mesh.call(peer, req)
+    }
 }
 
 fn cluster_with(
     n: usize,
     tweak: impl Fn(&mut ReplicaConfig),
 ) -> (LocalMesh, Vec<Arc<ReplicaNode>>) {
+    let (mesh, nodes, _) = counted_cluster(n, tweak);
+    (mesh, nodes)
+}
+
+/// An `n`-node mesh cluster and the count of entry-carrying frames its
+/// nodes have sent.
+fn counted_cluster(
+    n: usize,
+    tweak: impl Fn(&mut ReplicaConfig),
+) -> (LocalMesh, Vec<Arc<ReplicaNode>>, Arc<AtomicU64>) {
     let mesh = LocalMesh::new();
+    let entry_frames = Arc::new(AtomicU64::new(0));
     let ids: Vec<String> = (0..n).map(|i| format!("civ{i}")).collect();
     let nodes: Vec<Arc<ReplicaNode>> = ids
         .iter()
@@ -69,12 +98,16 @@ fn cluster_with(
             let peers = ids.iter().filter(|p| *p != id).cloned().collect();
             let mut cfg = ReplicaConfig::new(id.clone(), peers, format!("10.0.0.{i}:7450"));
             tweak(&mut cfg);
-            let node = Arc::new(ReplicaNode::new(cfg, Arc::new(mesh.clone())));
+            let transport = CountingTransport {
+                mesh: mesh.clone(),
+                entry_frames: Arc::clone(&entry_frames),
+            };
+            let node = Arc::new(ReplicaNode::new(cfg, Arc::new(transport)));
             mesh.register(Arc::clone(&node));
             node
         })
         .collect();
-    (mesh, nodes)
+    (mesh, nodes, entry_frames)
 }
 
 fn settle(mesh: &LocalMesh) -> (Arc<ReplicaNode>, u64) {
@@ -88,18 +121,18 @@ fn settle(mesh: &LocalMesh) -> (Arc<ReplicaNode>, u64) {
     panic!("no leader elected after 400 steps");
 }
 
-fn leader_store(n: usize) -> (LocalMesh, Arc<ReplicaNode>, ReplicatedStore) {
-    let (mesh, _nodes) = cluster(n);
+fn leader_store(n: usize) -> (LocalMesh, Arc<ReplicaNode>, ReplicatedStore, Arc<AtomicU64>) {
+    let (mesh, _nodes, entry_frames) = counted_cluster(n, |_| {});
     let (leader, _) = settle(&mesh);
     let store = leader.replicated("journal");
-    (mesh, leader, store)
+    (mesh, leader, store, entry_frames)
 }
 
 /// One failover trial on a fresh `n`-node cluster: commit `pre`
 /// entries, kill the leader, and measure virtual time until a survivor
 /// leads, plus how many acked entries it is missing (the gap).
 fn failover_trial(n: usize, pre: usize) -> (u64, u64) {
-    let (mesh, leader, store) = leader_store(n);
+    let (mesh, leader, store, _) = leader_store(n);
     for _ in 0..pre {
         mesh.step(5);
         store.append(RECORD).expect("healthy append commits");
@@ -116,6 +149,7 @@ struct Series {
     quorum: usize,
     append_p50_us: f64,
     append_p99_us: f64,
+    entry_frames_per_round: f64,
     failover_p50_ms: Option<u64>,
     failover_max_ms: Option<u64>,
     recovery_gap_max: u64,
@@ -129,13 +163,14 @@ fn replication_table() -> String {
     table_header(
         "TAB-H replicated journal: append cost, failover, recovery gap",
         "quorum commit makes acked writes node-loss-safe at bounded cost",
-        "replicas  quorum  append p50  append p99  failover p50  gap",
+        "replicas  quorum  append p50  append p99  frames/round  failover p50  gap",
     );
 
     let us = |ns: u64| ns as f64 / 1_000.0;
     let mut series = Vec::new();
     for n in [1usize, 3, 5] {
-        let (_mesh, leader, store) = leader_store(n);
+        let (_mesh, leader, store, entry_frames) = leader_store(n);
+        let frames_before = entry_frames.load(Ordering::Relaxed);
         let mut lat: Vec<u64> = (0..APPENDS)
             .map(|_| {
                 let start = Instant::now();
@@ -145,6 +180,20 @@ fn replication_table() -> String {
             .collect();
         lat.sort_unstable();
         assert_eq!(leader.stats().committed, APPENDS as u64);
+        let frames_per_round =
+            (entry_frames.load(Ordering::Relaxed) - frames_before) as f64 / APPENDS as f64;
+        // A round goes to quorum−1 followers; the one(s) left out rejoin
+        // a round once per 64-entry repair batch.
+        let frames_bound = match n {
+            3 => 1.05,
+            5 => 2.1,
+            _ => 0.0,
+        };
+        assert!(
+            frames_per_round <= frames_bound,
+            "{n} replicas: {frames_per_round:.3} Replicate frames with entries per committed \
+             round, bound {frames_bound}"
+        );
 
         // Failover is meaningless at n=1: the only node IS the data.
         let (failovers, gaps): (Vec<u64>, Vec<u64>) = if n > 1 {
@@ -165,6 +214,7 @@ fn replication_table() -> String {
             quorum: n / 2 + 1,
             append_p50_us: us(percentile(&lat, 50.0)),
             append_p99_us: us(percentile(&lat, 99.0)),
+            entry_frames_per_round: frames_per_round,
             failover_p50_ms: (!sorted_failovers.is_empty())
                 .then(|| percentile(&sorted_failovers, 50.0)),
             failover_max_ms: sorted_failovers.last().copied(),
@@ -172,16 +222,26 @@ fn replication_table() -> String {
             trials: failovers.len(),
         };
         println!(
-            "{:>8} {:>7} {:>9.1}us {:>9.1}us {:>11} {:>4}",
+            "{:>8} {:>7} {:>9.1}us {:>9.1}us {:>13.3} {:>13} {:>4}",
             s.replicas,
             s.quorum,
             s.append_p50_us,
             s.append_p99_us,
+            s.entry_frames_per_round,
             s.failover_p50_ms
                 .map_or("n/a".to_string(), |ms| format!("{ms}ms")),
             s.recovery_gap_max,
         );
         series.push(s);
+    }
+    for s in series.iter().filter(|s| s.replicas > 1) {
+        println!(
+            "Replicate frames with entries per committed round, {} replicas: {:.3} \
+             (sending to every follower: {})",
+            s.replicas,
+            s.entry_frames_per_round,
+            s.replicas - 1
+        );
     }
 
     let json_series = series
@@ -190,12 +250,14 @@ fn replication_table() -> String {
             let fmt_opt = |v: Option<u64>| v.map_or("null".to_string(), |ms| ms.to_string());
             format!(
                 "    {{\"replicas\": {}, \"quorum\": {}, \"append_p50_us\": {:.2}, \
-                 \"append_p99_us\": {:.2}, \"failover_p50_ms\": {}, \
+                 \"append_p99_us\": {:.2}, \"entry_frames_per_round\": {:.3}, \
+                 \"failover_p50_ms\": {}, \
                  \"failover_max_ms\": {}, \"recovery_gap_max\": {}, \"failover_trials\": {}}}",
                 s.replicas,
                 s.quorum,
                 s.append_p50_us,
                 s.append_p99_us,
+                s.entry_frames_per_round,
                 fmt_opt(s.failover_p50_ms),
                 fmt_opt(s.failover_max_ms),
                 s.recovery_gap_max,
@@ -427,7 +489,7 @@ fn cascade_rounds_table() -> String {
     let ctx = EnvContext::new(1);
     let mut rows = Vec::new();
     for depth in [1usize, 4, 16] {
-        let (_mesh, leader, _) = leader_store(3);
+        let (_mesh, leader, _, _) = leader_store(3);
         let svc = chained_issuer(&leader, depth);
         let mut lat = Vec::with_capacity(TRIALS);
         let (mut records, mut rounds) = (0, 0);
@@ -587,7 +649,7 @@ fn bench_replication(c: &mut Criterion) {
         .measurement_time(Duration::from_secs(2));
     for n in [1usize, 3, 5] {
         group.bench_function(BenchmarkId::new("quorum_append", n), |b| {
-            let (_mesh, _leader, store) = leader_store(n);
+            let (_mesh, _leader, store, _) = leader_store(n);
             b.iter(|| store.append(RECORD).expect("append commits"));
         });
     }

@@ -28,10 +28,11 @@ pub const TWO_DOMAIN_FAULTS: [FaultRegime; 7] = [
 pub const REPLICATED_WORKLOADS: [Workload; 2] = [Workload::Steady, Workload::RevocationStorm];
 
 /// Fault regimes available on the replicated-CIV topology.
-pub const REPLICATED_FAULTS: [FaultRegime; 8] = [
+pub const REPLICATED_FAULTS: [FaultRegime; 9] = [
     FaultRegime::None,
     FaultRegime::KillLeader,
     FaultRegime::KillLeaderTwice,
+    FaultRegime::KillSyncFollower,
     FaultRegime::SubscriberCrashMidCatchup,
     FaultRegime::IsolateLeader,
     FaultRegime::FlappyLinkRepair,
@@ -40,7 +41,7 @@ pub const REPLICATED_FAULTS: [FaultRegime; 8] = [
 ];
 
 /// The full matrix, in a fixed, stable order (topology-major, then
-/// workload, then fault). 51 cells: 35 two-domain + 16 replicated.
+/// workload, then fault). 53 cells: 35 two-domain + 18 replicated.
 pub fn full_matrix() -> Vec<Scenario> {
     let mut cells = Vec::new();
     for workload in TWO_DOMAIN_WORKLOADS {

@@ -3,7 +3,8 @@
 //! subscriber catching up over the issuer's retained ring.
 //!
 //! The same storm runs straight through, across one or two leader
-//! kills, across a subscriber crash mid-catch-up, across a leader that
+//! kills, across the loss of the follower that acked the last commit
+//! round, across a subscriber crash mid-catch-up, across a leader that
 //! is deposed by partition rather than killed, and across the
 //! partition-hardening regimes (a flapping link healed by entry repair,
 //! a chunked sync interrupted mid-transfer, an isolated node's term
@@ -369,6 +370,33 @@ pub(crate) fn run_replicated(
             let (_, promoted2, _) = kill_and_promote(&mesh, &group, &facts, &trace);
             current = promoted2;
         }
+        FaultRegime::KillSyncFollower => {
+            // The follower that acked the last round holds the leader's
+            // head; the other was left out and trails. Killing the first
+            // makes the next round's sync set fail, so that same round
+            // must reach the follower left out — zero `NoQuorum`.
+            let leader = mesh.live_leader().expect("a live leader");
+            let sync = nodes
+                .iter()
+                .find(|n| n.id() != leader.id() && n.last_index() == leader.last_index())
+                .expect("a follower acked the last round");
+            mesh.kill(sync.id());
+            trace.log_kv(
+                mesh.now(),
+                "killed sync follower",
+                &[("victim", TraceValue::from(sync.id().to_string()))],
+            );
+            let no_quorum_before = leader.stats().no_quorum;
+            for rmc in certs.iter().skip(k_pre).take(remaining) {
+                revoke(&current, rmc, &mut acked);
+            }
+            remaining = 0;
+            assert_eq!(
+                leader.stats().no_quorum,
+                no_quorum_before,
+                "a round after the sync follower died missed its quorum"
+            );
+        }
         FaultRegime::SubscriberCrashMidCatchup => {
             // More storm lands while the subscriber is mid-catch-up: it
             // applies only a partial prefix (an interrupted resync), then
@@ -699,6 +727,11 @@ pub(crate) fn run_replicated(
         revoke(&current, rmc, &mut acked);
     }
     assert_eq!(acked.len(), REVOCATIONS);
+
+    // One heartbeat before the books close. Commit rounds reach only a
+    // quorum: the follower left out of the last rounds catches up on it,
+    // and a deposed leader that heard no frame of the new term learns it.
+    mesh.step(first_leader.config().heartbeat_ms + 1);
 
     // Every dead or deposed node rejoins and converges before the books
     // close.

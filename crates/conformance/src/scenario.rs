@@ -87,6 +87,12 @@ pub enum FaultRegime {
     /// (Replicated topology) two successive leader kills, the first
     /// victim revived before the second kill preserves quorum.
     KillLeaderTwice,
+    /// (Replicated topology) the follower that acked the last commit
+    /// round is killed mid-storm. Commit rounds reach only a quorum, so
+    /// the next round must fall back to the follower left out — which
+    /// repairs up to the in-flight entry and acks it — without a single
+    /// `NoQuorum`.
+    KillSyncFollower,
     /// (Replicated topology) the relying subscriber crashes midway
     /// through a catch-up resync and must resume from its durable
     /// watermark.
@@ -126,6 +132,7 @@ impl FaultRegime {
             FaultRegime::ByzantineCiv => "byzantine",
             FaultRegime::KillLeader => "kill-leader",
             FaultRegime::KillLeaderTwice => "kill-leader-2x",
+            FaultRegime::KillSyncFollower => "kill-sync-follower",
             FaultRegime::SubscriberCrashMidCatchup => "crash-mid-catchup",
             FaultRegime::IsolateLeader => "isolate-leader",
             FaultRegime::FlappyLinkRepair => "flappy-link",

@@ -16,11 +16,21 @@
 //! * **Single leader, term-based election.** Exactly one node accepts
 //!   writes per term. Followers answer [`StoreError::NotLeader`] with
 //!   the current leader's client address so callers can re-dial.
-//! * **Quorum commit.** A write is applied locally, fanned out as a
+//! * **Quorum commit.** A write is applied locally, sent as a
 //!   [`PeerRequest::Replicate`] frame, and acknowledged to the caller
 //!   only when `floor(n/2)+1` nodes (leader included) hold it —
 //!   otherwise [`StoreError::NoQuorum`]. An acknowledged issuance or
 //!   revocation therefore survives the loss of any single node.
+//! * **Thrifty rounds.** A round sends its entry only to a *sync set*:
+//!   the quorum−1 peers with the highest heads the leader last saw
+//!   acked (ties in config order), plus any peer whose head is unknown
+//!   or would trail the entry by a whole repair batch. The other peers
+//!   are called in the same round only when the sync set falls short of
+//!   a quorum. A follower left out catches up off the commit path —
+//!   through the lag-bound round or the next heartbeat's nack, by the
+//!   entry-level repair below — so its gap is never more than one
+//!   [`PeerReply::RepairChunk`]. The commit waits on the sync set's
+//!   round trip, not the slowest follower's.
 //! * **Chained log hash.** Every entry folds `(index, region, op,
 //!   bytes)` into a running 64-bit hash (first eight bytes of a
 //!   SHA-256 chain). Followers verify `(prev_index, prev_hash)` before
@@ -319,13 +329,16 @@ pub trait ReplicationTransport: Send + Sync {
     /// Delivers `req` to `peer` and returns its reply.
     fn call(&self, peer: &str, req: &PeerRequest) -> Result<PeerReply, StoreError>;
 
-    /// One fan-out round: delivers `req` to every peer and returns the
-    /// replies in `peers` order. Every peer is contacted before any
-    /// reply is acted on. The default calls the peers one after the
-    /// other, in order — what a deterministic in-process transport
-    /// wants; a networked transport overrides it to put the frame on
-    /// every link before it waits for the first reply, so a round costs
-    /// the slowest peer's round trip, not the sum of them.
+    /// One fan-out round: delivers `req` to each of `peers` and returns
+    /// the replies in `peers` order. Every listed peer is contacted
+    /// before any reply is acted on. The caller picks the peers: a
+    /// heartbeat or election lists all of them, a commit round only its
+    /// sync set (see [`ReplicaNode::replicate_op`]). The default calls
+    /// the peers one after the other, in order — what a deterministic
+    /// in-process transport wants; a networked transport overrides it
+    /// to put the frame on every link before it waits for the first
+    /// reply, so a round costs the slowest listed peer's round trip,
+    /// not the sum of them.
     fn call_all(&self, peers: &[String], req: &PeerRequest) -> Vec<Result<PeerReply, StoreError>> {
         peers.iter().map(|peer| self.call(peer, req)).collect()
     }
@@ -515,6 +528,11 @@ struct NodeState {
     fenced: bool,
     /// Inbound chunked sync in flight, if any.
     pending_sync: Option<PendingSync>,
+    /// Leader side: each peer's log head as its last `ReplicateAck`
+    /// reported it (heartbeat acks included). Absent means unknown —
+    /// never heard this term, or diverged and not yet re-synced. Cleared
+    /// on every election win; picks each commit round's sync set.
+    peer_heads: BTreeMap<String, u64>,
 }
 
 /// Leader-side record of an outbound chunked sync, keyed by peer. Kept
@@ -538,6 +556,15 @@ struct ChunkData {
 
 /// Max log entries per [`PeerReply::RepairChunk`].
 const REPAIR_BATCH: usize = 64;
+
+/// What one fan-out's `ReplicateAck`s added up to.
+#[derive(Default)]
+struct Tally {
+    /// Peers that hold the round (or were just state-transferred).
+    acks: usize,
+    /// Peers that answered at the round's term.
+    contacts: usize,
+}
 
 /// Folds one log entry into the running chained hash. The chain makes
 /// `(prev_index, prev_hash)` a commitment to the entire log contents,
@@ -576,6 +603,34 @@ fn push_tail(st: &mut NodeState, entry: LogEntry, hash: u64, retain: usize) {
         let (_, h) = st.tail.pop_front().expect("non-empty tail");
         st.tail_prev_hash = h;
     }
+}
+
+/// The retained tail's `(entry, chained hash after it)` at `index`, if
+/// the tail still holds that entry.
+fn tail_at(st: &NodeState, index: u64) -> Option<&(LogEntry, u64)> {
+    let first_covered = st.last_index - st.tail.len() as u64;
+    st.tail.get(index.checked_sub(first_covered + 1)? as usize)
+}
+
+/// The chained hash at `index`, when the retained tail (or its anchor)
+/// still covers it.
+fn hash_at(st: &NodeState, index: u64) -> Option<u64> {
+    if index == st.last_index - st.tail.len() as u64 {
+        Some(st.tail_prev_hash)
+    } else {
+        tail_at(st, index).map(|(_, hash)| *hash)
+    }
+}
+
+/// True when `st`'s log already holds a round's `entries` on top of
+/// `(prev_index, prev_hash)` — a lagging follower whose repair pull
+/// also fetched the round's in-flight entry, or a repeated frame.
+fn holds_round(st: &NodeState, prev_index: u64, prev_hash: u64, entries: &[LogEntry]) -> bool {
+    !entries.is_empty()
+        && hash_at(st, prev_index) == Some(prev_hash)
+        && entries
+            .iter()
+            .all(|e| tail_at(st, e.index).is_some_and(|(held, _)| held == e))
 }
 
 /// True when a leader's quorum lease has lapsed: it must stop acking
@@ -653,6 +708,7 @@ impl ReplicaNode {
                 clock_ms: 0,
                 fenced: false,
                 pending_sync: None,
+                peer_heads: BTreeMap::new(),
             }),
             write: Mutex::new(()),
             meta: None,
@@ -857,7 +913,9 @@ impl ReplicaNode {
     }
 
     /// The leader write path: reserve the next index, apply locally,
-    /// fan out, and require a majority of acks (self included).
+    /// send the entry to the round's sync set, and require a majority
+    /// of acks (self included). Only when the sync set falls short are
+    /// the remaining peers called, in the same round.
     ///
     /// On a follower this fails fast with [`StoreError::NotLeader`]
     /// carrying the current leader's client hint. Without quorum the
@@ -925,44 +983,29 @@ impl ReplicaNode {
             prev_hash,
             entries: vec![entry],
         };
+        let needed = self.quorum();
         let mut acks = 1usize; // self
         let mut contacts = 1usize; // peers that answered at our term
-        let replies = self.transport.call_all(&self.config.peers, &msg);
-        for (peer, reply) in self.config.peers.iter().zip(replies) {
-            if let Ok(PeerReply::ReplicateAck {
-                term: t,
-                ok,
-                last_index: peer_index,
-                log_hash: peer_hash,
-            }) = reply
-            {
-                if t > term {
-                    self.step_down(t);
-                    return Err(StoreError::NotLeader {
-                        hint: self.state.lock().leader_hint.clone(),
-                    });
-                }
-                contacts += 1;
-                if ok {
-                    self.sync_sessions.lock().remove(peer);
-                    acks += 1;
-                } else if self.lag_repairable(peer_index, peer_hash) {
-                    // Pure within-tail lag: the follower pulls the
-                    // missing suffix itself (it already did, inside its
-                    // nack path, unless the link dropped). Never fall
-                    // back to a full-state sync for this case.
-                } else if self.sync_peer(peer, term) {
-                    acks += 1;
-                }
+        let (sync_set, others) = self.sync_set(prev_index + 1);
+        for peers in [sync_set, others] {
+            if acks >= needed || peers.is_empty() {
+                continue;
             }
+            let replies = self.transport.call_all(&peers, &msg);
+            let Some(tally) = self.tally(term, &peers, replies) else {
+                return Err(StoreError::NotLeader {
+                    hint: self.state.lock().leader_hint.clone(),
+                });
+            };
+            acks += tally.acks;
+            contacts += tally.contacts;
         }
-        if contacts >= self.quorum() {
+        if contacts >= needed {
             let mut st = self.state.lock();
             if st.role == Role::Leader && st.term == term {
                 st.last_quorum_ms = st.last_quorum_ms.max(st.clock_ms);
             }
         }
-        let needed = self.quorum();
         if acks >= needed {
             self.stats.lock().committed += 1;
             if let Some((child, _)) = &append_scope {
@@ -979,26 +1022,94 @@ impl ReplicaNode {
         }
     }
 
+    /// Splits the peers for a round carrying entry `index` into the
+    /// sync set and the rest, each in config order. The sync set is the
+    /// quorum−1 peers with the highest known heads (ties in config
+    /// order), plus every peer whose head is unknown or trails `index`
+    /// by a whole repair batch: its pull of the gap, `index` included,
+    /// is then exactly one [`PeerReply::RepairChunk`]. The batch is
+    /// capped at the retained tail's length, so a peer left out can
+    /// always heal by entry repair.
+    fn sync_set(&self, index: u64) -> (Vec<String>, Vec<String>) {
+        let st = self.state.lock();
+        let batch = REPAIR_BATCH.min(self.config.retain_entries.max(1)) as u64;
+        let heads: Vec<Option<u64>> = self
+            .config
+            .peers
+            .iter()
+            .map(|peer| st.peer_heads.get(peer).copied())
+            .collect();
+        let mut ranked: Vec<usize> = (0..heads.len()).collect();
+        ranked.sort_by_key(|&i| (std::cmp::Reverse(heads[i]), i));
+        ranked.truncate(self.quorum() - 1);
+        let (mut sync_set, mut others) = (Vec::new(), Vec::new());
+        for (i, peer) in self.config.peers.iter().enumerate() {
+            let trailing = heads[i].is_none_or(|h| index.saturating_sub(h) >= batch);
+            if ranked.contains(&i) || trailing {
+                sync_set.push(peer.clone());
+            } else {
+                others.push(peer.clone());
+            }
+        }
+        (sync_set, others)
+    }
+
+    /// Reads one fan-out's replies at `term`: records each answering
+    /// peer's head, ends a finished sync session on an ack, and
+    /// state-transfers a peer whose nack is not plain within-tail lag
+    /// (a lagging follower pulls its own repair, so the leader must
+    /// never full-sync it). `None` when a reply carried a higher term
+    /// and this node stepped down. Caller holds the write lock.
+    fn tally(
+        &self,
+        term: u64,
+        peers: &[String],
+        replies: Vec<Result<PeerReply, StoreError>>,
+    ) -> Option<Tally> {
+        let mut tally = Tally::default();
+        for (peer, reply) in peers.iter().zip(replies) {
+            let Ok(PeerReply::ReplicateAck {
+                term: t,
+                ok,
+                last_index: peer_index,
+                log_hash: peer_hash,
+            }) = reply
+            else {
+                continue;
+            };
+            if t > term {
+                self.step_down(t);
+                return None;
+            }
+            tally.contacts += 1;
+            let head = if ok {
+                self.sync_sessions.lock().remove(peer);
+                tally.acks += 1;
+                Some(peer_index)
+            } else if self.lag_repairable(peer_index, peer_hash) {
+                Some(peer_index)
+            } else if self.sync_peer(peer, term) {
+                tally.acks += 1;
+                Some(self.state.lock().last_index)
+            } else {
+                None
+            };
+            let mut st = self.state.lock();
+            match head {
+                Some(head) => st.peer_heads.insert(peer.clone(), head),
+                None => st.peer_heads.remove(peer),
+            };
+        }
+        Some(tally)
+    }
+
     /// True when a nacking peer's `(last_index, log_hash)` sits on our
     /// retained tail — i.e. the peer is merely lagging and can heal by
     /// pulling the missing suffix. The leader must *not* full-sync such
     /// a peer: entry-level repair is strictly cheaper and the follower
     /// drives it.
     fn lag_repairable(&self, peer_index: u64, peer_hash: u64) -> bool {
-        let st = self.state.lock();
-        if peer_index > st.last_index {
-            return false;
-        }
-        let first_covered = st.last_index - st.tail.len() as u64;
-        if peer_index < first_covered {
-            return false; // compacted past the peer — needs sync
-        }
-        let expect = if peer_index == first_covered {
-            st.tail_prev_hash
-        } else {
-            st.tail[(peer_index - first_covered - 1) as usize].1
-        };
-        expect == peer_hash
+        hash_at(&self.state.lock(), peer_index) == Some(peer_hash)
     }
 
     /// Pushes a chunked full-state transfer to one peer, resuming a
@@ -1210,14 +1321,17 @@ impl ReplicaNode {
                 }
                 let mut st = self.state.lock();
                 if *prev_index != st.last_index || *prev_hash != st.log_hash {
-                    // Still mismatched (diverged, repair refused, or
-                    // the link dropped mid-pull). The leader reads our
-                    // head off this nack to classify lag vs divergence.
+                    // Not at the frame's head. A log that already holds
+                    // the round (the repair pull above also fetched the
+                    // in-flight entry) acks it. Otherwise we diverged,
+                    // repair was refused, or the link dropped mid-pull:
+                    // the leader reads our head off this nack to
+                    // classify lag vs divergence.
                     let reply = PeerReply::ReplicateAck {
                         term: st.term,
                         last_index: st.last_index,
                         log_hash: st.log_hash,
-                        ok: false,
+                        ok: holds_round(&st, *prev_index, *prev_hash, entries),
                     };
                     drop(st);
                     self.persist_meta();
@@ -1378,20 +1492,10 @@ impl ReplicaNode {
                 {
                     return refuse;
                 }
-                if *from_index > st.last_index {
+                // Past our head, compacted (the follower needs a sync),
+                // or diverged rather than lagging.
+                if hash_at(&st, *from_index) != Some(*from_hash) {
                     return refuse;
-                }
-                let first_covered = st.last_index - st.tail.len() as u64;
-                if *from_index < first_covered {
-                    return refuse; // compacted: follower needs a sync
-                }
-                let expect = if *from_index == first_covered {
-                    st.tail_prev_hash
-                } else {
-                    st.tail[(*from_index - first_covered - 1) as usize].1
-                };
-                if expect != *from_hash {
-                    return refuse; // diverged, not lagging
                 }
                 let entries: Vec<LogEntry> = st
                     .tail
@@ -1672,9 +1776,11 @@ impl ReplicaNode {
             st.leader_id = Some(self.config.id.clone());
             st.leader_hint = Some(self.config.client_hint.clone());
             st.last_heartbeat_ms = now_ms;
-            // A fresh mandate is a fresh lease.
+            // A fresh mandate is a fresh lease, and no peer head is
+            // known until the announcing heartbeat is answered.
             st.last_quorum_ms = now_ms;
             st.fenced = false;
+            st.peer_heads.clear();
         }
         self.stats.lock().elections_won += 1;
         // Announce immediately so follower election timers reset.
@@ -1714,8 +1820,15 @@ impl ReplicaNode {
         }
         self.stats.lock().pre_votes_blocked += 1;
         // Back off a full election timeout before probing again so an
-        // isolated node does not hammer the link every tick.
-        self.state.lock().last_heartbeat_ms = now_ms;
+        // isolated node does not hammer the link every tick. The backoff
+        // restarts the timer but is no word from a leader: forget the
+        // leader, or this node would refuse a peer's pre-vote as if it
+        // still heard one. (Commit rounds refresh only the sync set's
+        // timers, so after a leader loss the followers time out at
+        // different moments, each refusing the other's probe.)
+        let mut st = self.state.lock();
+        st.last_heartbeat_ms = now_ms;
+        st.leader_id = None;
         false
     }
 
@@ -1742,29 +1855,11 @@ impl ReplicaNode {
             prev_hash,
             entries: Vec::new(),
         };
-        let mut contacts = 1usize;
         let replies = self.transport.call_all(&self.config.peers, &msg);
-        for (peer, reply) in self.config.peers.iter().zip(replies) {
-            if let Ok(PeerReply::ReplicateAck {
-                term: t,
-                ok,
-                last_index: peer_index,
-                log_hash: peer_hash,
-            }) = reply
-            {
-                if t > term {
-                    self.step_down(t);
-                    return;
-                }
-                contacts += 1;
-                if ok {
-                    self.sync_sessions.lock().remove(peer);
-                } else if !self.lag_repairable(peer_index, peer_hash) {
-                    self.sync_peer(peer, term);
-                }
-            }
-        }
-        if contacts >= self.quorum() {
+        let Some(tally) = self.tally(term, &self.config.peers, replies) else {
+            return;
+        };
+        if 1 + tally.contacts >= self.quorum() {
             let mut st = self.state.lock();
             if st.role == Role::Leader && st.term == term {
                 st.last_quorum_ms = st.last_quorum_ms.max(now_ms);
@@ -2199,6 +2294,33 @@ mod tests {
         }
     }
 
+    /// The commit contract: a majority holds `bytes` in `region` when
+    /// the write returns, and every node holds it one heartbeat later.
+    fn assert_majority_then_all(
+        mesh: &LocalMesh,
+        nodes: &[Arc<ReplicaNode>],
+        leader: &ReplicaNode,
+        region: &str,
+        bytes: &[u8],
+    ) {
+        let holders = || {
+            nodes
+                .iter()
+                .filter(|n| {
+                    n.region(region).read().unwrap() == bytes
+                        && n.last_index() == leader.last_index()
+                })
+                .count()
+        };
+        assert!(holders() >= leader.quorum(), "a majority holds the write");
+        mesh.step(leader.config.heartbeat_ms + 1);
+        assert_eq!(
+            holders(),
+            nodes.len(),
+            "every node holds it after a heartbeat"
+        );
+    }
+
     #[test]
     fn quorum_append_replicates_to_all_nodes() {
         let (mesh, nodes) = cluster(3);
@@ -2206,10 +2328,8 @@ mod tests {
         let store = leader.replicated("journal");
         store.append(b"rec-1").unwrap();
         store.append(b"rec-2").unwrap();
-        for n in &nodes {
-            assert_eq!(n.region("journal").read().unwrap(), b"rec-1rec-2");
-            assert_eq!(n.last_index(), 2);
-        }
+        assert_majority_then_all(&mesh, &nodes, &leader, "journal", b"rec-1rec-2");
+        assert_eq!(leader.last_index(), 2);
         assert_eq!(leader.stats().committed, 2);
     }
 
@@ -2220,9 +2340,133 @@ mod tests {
         let store = leader.replicated("snapshot");
         store.append(b"old").unwrap();
         store.replace(b"new-snapshot").unwrap();
-        for n in &nodes {
-            assert_eq!(n.region("snapshot").read().unwrap(), b"new-snapshot");
+        assert_majority_then_all(&mesh, &nodes, &leader, "snapshot", b"new-snapshot");
+    }
+
+    #[test]
+    fn steady_rounds_contact_a_quorum_only() {
+        const APPENDS: u64 = 200;
+        let (mesh, nodes) = cluster(3);
+        let leader = settle(&mesh);
+        let store = leader.replicated("journal");
+        // No ticks: every frame below is a commit round's.
+        for i in 0..APPENDS {
+            store.append(format!("r{i};").as_bytes()).unwrap();
         }
+        assert_eq!(leader.stats().committed, APPENDS);
+        let lazy = nodes
+            .iter()
+            .find(|n| n.last_index() < leader.last_index())
+            .expect("one follower is left out of the rounds");
+        // It caught up by one repair pull per lag-bound round, each pull
+        // one chunk, never by a state transfer.
+        let pulls = lazy.stats().repairs_pulled;
+        let bound = APPENDS.div_ceil(REPAIR_BATCH as u64) + 1;
+        assert!(
+            pulls <= bound,
+            "{pulls} repair pulls for {APPENDS} rounds (bound {bound})"
+        );
+        assert!(pulls >= 1);
+        assert_eq!(leader.stats().repair_chunks_served, pulls);
+        assert_eq!(lazy.stats().syncs_applied, 0);
+        assert_eq!(leader.stats().sync_chunks_sent, 0);
+    }
+
+    #[test]
+    fn lazy_follower_never_trails_more_than_a_repair_batch() {
+        for n in [3, 5] {
+            let (_mesh, nodes) = cluster(n);
+            let leader = settle(&_mesh);
+            let store = leader.replicated("journal");
+            let mut max_trail = 0;
+            for i in 0..300 {
+                store.append(format!("r{i};").as_bytes()).unwrap();
+                for f in &nodes {
+                    max_trail = max_trail.max(leader.last_index() - f.last_index());
+                }
+            }
+            assert_eq!(
+                max_trail,
+                REPAIR_BATCH as u64 - 1,
+                "{n} nodes: a follower left out rejoins before it trails by a repair batch"
+            );
+            assert_eq!(leader.stats().no_quorum, 0);
+            assert_eq!(leader.stats().sync_chunks_sent, 0);
+        }
+    }
+
+    #[test]
+    fn killing_the_sync_follower_commits_on_the_next_round() {
+        let (mesh, nodes) = cluster(3);
+        let leader = settle(&mesh);
+        let store = leader.replicated("journal");
+        for i in 0..10 {
+            store.append(format!("r{i};").as_bytes()).unwrap();
+        }
+        let followers = || nodes.iter().filter(|n| n.id() != leader.id());
+        let sync = followers()
+            .find(|n| n.last_index() == leader.last_index())
+            .expect("the follower that acked the last round");
+        let lazy = followers().find(|n| n.id() != sync.id()).unwrap();
+        assert!(lazy.last_index() < leader.last_index(), "left out so far");
+        mesh.kill(sync.id());
+        // The sync set fails, so the same round calls the lazy follower,
+        // which repairs up to the in-flight entry and acks it.
+        store.append(b"after-kill;").unwrap();
+        assert_eq!(lazy.last_index(), leader.last_index());
+        store.append(b"and-on;").unwrap();
+        assert_eq!(leader.stats().no_quorum, 0);
+        assert_eq!(
+            lazy.region("journal").read().unwrap(),
+            leader.region("journal").read().unwrap()
+        );
+    }
+
+    #[test]
+    fn leader_loss_after_thrifty_rounds_fails_over_promptly() {
+        let (mesh, nodes) = cluster(3);
+        let leader = settle(&mesh);
+        let store = leader.replicated("journal");
+        for i in 0..8 {
+            mesh.step(5);
+            store.append(format!("r{i};").as_bytes()).unwrap();
+        }
+        // Only the sync follower heard the last rounds, so the two
+        // followers' election timers now expire apart. The one left out
+        // is refused (stale log); its refusal must not make it refuse
+        // the up-to-date follower's probe in turn.
+        mesh.kill(leader.id());
+        let killed_at = mesh.now();
+        let successor = settle(&mesh);
+        assert!(
+            mesh.now() - killed_at <= 400,
+            "failover took {} ms",
+            mesh.now() - killed_at
+        );
+        assert_eq!(successor.last_index(), leader.last_index());
+        assert!(nodes.iter().any(|n| Arc::ptr_eq(n, &successor)));
+    }
+
+    #[test]
+    fn lagging_follower_that_catches_up_acks_the_round() {
+        let (mesh, nodes) = cluster(3);
+        let leader = settle(&mesh);
+        let mut followers = nodes.iter().filter(|n| n.id() != leader.id());
+        let (f1, f2) = (followers.next().unwrap(), followers.next().unwrap());
+        let store = leader.replicated("journal");
+        mesh.partition(leader.id(), f2.id());
+        for i in 0..3 {
+            store.append(format!("r{i};").as_bytes()).unwrap();
+        }
+        mesh.heal_partition(leader.id(), f2.id());
+        mesh.kill(f1.id());
+        // F2 trails by three entries: its repair pull fetches those and
+        // the round's own entry, so its log holds the round and it must
+        // ack — F2 is the only other member of the quorum.
+        store.append(b"r3;").unwrap();
+        assert_eq!(f2.last_index(), 4);
+        assert_eq!(f2.last_index(), leader.last_index());
+        assert_eq!(leader.stats().no_quorum, 0);
     }
 
     #[test]

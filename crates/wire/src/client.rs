@@ -1,6 +1,6 @@
 //! The client side: a call/return connection to a [`WireServer`](crate::WireServer).
 
-use std::io::Write;
+use std::io::{ErrorKind, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -10,7 +10,7 @@ use oasis_core::{CertEvent, Credential, Crr, OasisService, PrincipalId, Value};
 use oasis_events::DeliveredEvent;
 
 use crate::error::WireError;
-use crate::frame::{encode_frame, read_frame};
+use crate::frame::{encode_frame, FrameBuf};
 use crate::proto::{EnvelopeRef, Request, Response};
 
 /// Deadlines for the blocking client's socket operations. `None` means
@@ -77,6 +77,10 @@ impl WireTimeouts {
 /// [`FailoverClient`](crate::FailoverClient) for a replicated cluster.
 pub struct WireClient {
     stream: TcpStream,
+    /// Answer bytes read but not yet returned. A read asks for at least
+    /// [`READ_CHUNK`] bytes, so one `read` usually carries a whole
+    /// answer, header and payload, and may carry the next one too.
+    inbound: FrameBuf,
     /// Default deadline budget attached to every call (see
     /// [`WireClient::set_deadline_ms`]).
     deadline_ms: Option<u64>,
@@ -84,6 +88,10 @@ pub struct WireClient {
     /// [`WireClient::set_trace`]).
     trace: Option<oasis_obs::TraceCtx>,
 }
+
+/// Bytes asked of the socket at least per `read` while an answer is
+/// incomplete (more when a larger answer's header is already in).
+const READ_CHUNK: usize = 4096;
 
 impl std::fmt::Debug for WireClient {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -149,6 +157,7 @@ impl WireClient {
         stream.set_write_timeout(timeouts.write)?;
         Ok(Self {
             stream,
+            inbound: FrameBuf::default(),
             deadline_ms: None,
             trace: None,
         })
@@ -250,17 +259,26 @@ impl WireClient {
     ///
     /// As [`WireClient::call`].
     pub fn recv(&mut self) -> Result<Response, WireError> {
-        match read_frame::<_, Response>(&mut self.stream)
-            .map_err(|e| e.normalise_timeout("read"))?
-        {
-            Some(Response::Error { message }) => Err(WireError::Remote(message)),
-            Some(Response::Overloaded { retry_after_ms }) => {
+        let response = loop {
+            if let Some(response) = self.inbound.next_frame::<Response>()? {
+                break response;
+            }
+            // Each read waits at most the read deadline, as before.
+            match self.inbound.read_from(&mut self.stream, READ_CHUNK) {
+                Ok(0) => return Err(WireError::Closed),
+                Ok(_) => {}
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => return Err(WireError::Io(e).normalise_timeout("read")),
+            }
+        };
+        match response {
+            Response::Error { message } => Err(WireError::Remote(message)),
+            Response::Overloaded { retry_after_ms } => {
                 Err(WireError::Overloaded { retry_after_ms })
             }
-            Some(Response::DeadlineExceeded) => Err(WireError::DeadlineExceeded),
-            Some(Response::NotLeader { hint }) => Err(WireError::NotLeader { hint }),
-            Some(response) => Ok(response),
-            None => Err(WireError::Closed),
+            Response::DeadlineExceeded => Err(WireError::DeadlineExceeded),
+            Response::NotLeader { hint } => Err(WireError::NotLeader { hint }),
+            response => Ok(response),
         }
     }
 
@@ -436,5 +454,69 @@ impl WireClient {
         let after = service.watermark_for(topic);
         let (events, complete) = self.resync(topic, after)?;
         Ok(service.catch_up_with(topic, &events, complete, now))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    /// A client connected to a socket the test writes raw bytes to.
+    fn pair(timeouts: WireTimeouts) -> (WireClient, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = WireClient::connect_with(listener.local_addr().unwrap(), timeouts).unwrap();
+        let (server, _) = listener.accept().unwrap();
+        server.set_nodelay(true).unwrap();
+        (client, server)
+    }
+
+    #[test]
+    fn recv_decodes_a_frame_split_across_two_writes() {
+        let (mut client, mut server) = pair(WireTimeouts {
+            read: Some(Duration::from_millis(50)),
+            ..WireTimeouts::default()
+        });
+        let frame = encode_frame(&Response::Revoked { was_active: true }).unwrap();
+        let (head, tail) = frame.split_at(6);
+        server.write_all(head).unwrap();
+        // The first half alone is no answer: the read deadline expires
+        // as before, and the bytes already read are kept.
+        assert!(matches!(
+            client.recv(),
+            Err(WireError::TimedOut { op: "read" })
+        ));
+        server.write_all(tail).unwrap();
+        assert_eq!(
+            client.recv().unwrap(),
+            Response::Revoked { was_active: true }
+        );
+    }
+
+    #[test]
+    fn recv_reads_an_answer_larger_than_a_chunk() {
+        let (mut client, mut server) = pair(WireTimeouts::default());
+        let snapshot = "x".repeat(5 * READ_CHUNK);
+        let frame = encode_frame(&Response::Metrics {
+            snapshot: snapshot.clone(),
+        })
+        .unwrap();
+        server.write_all(&frame).unwrap();
+        assert_eq!(client.recv().unwrap(), Response::Metrics { snapshot });
+    }
+
+    #[test]
+    fn recv_returns_two_frames_from_one_read_in_order() {
+        let (mut client, mut server) = pair(WireTimeouts::default());
+        let mut both = encode_frame(&Response::Pong).unwrap();
+        both.extend(encode_frame(&Response::Revoked { was_active: false }).unwrap());
+        server.write_all(&both).unwrap();
+        assert_eq!(client.recv().unwrap(), Response::Pong);
+        assert_eq!(
+            client.recv().unwrap(),
+            Response::Revoked { was_active: false }
+        );
+        drop(server);
+        assert!(matches!(client.recv(), Err(WireError::Closed)));
     }
 }

@@ -4,7 +4,7 @@
 //! bytes of JSON. Frames are capped at [`MAX_FRAME`] to keep a misbehaving
 //! peer from ballooning server memory.
 
-use std::io::{Read, Write};
+use std::io::{self, Read, Write};
 
 use oasis_json::{FromJson, ToJson};
 
@@ -108,6 +108,26 @@ impl FrameBuf {
 
     pub(crate) fn extend(&mut self, bytes: &[u8]) {
         self.0.extend_from_slice(bytes);
+    }
+
+    /// One `read` from `reader` straight into the buffer, asking for the
+    /// rest of the frame under way once its header is here, and for at
+    /// least `chunk` bytes either way. Returns the count read; 0 is the
+    /// end of the stream.
+    ///
+    /// # Errors
+    ///
+    /// The reader's error; the buffered bytes stay as they were.
+    pub(crate) fn read_from(&mut self, reader: &mut impl Read, chunk: usize) -> io::Result<usize> {
+        let rest = self.0.first_chunk::<4>().map_or(0, |header| {
+            let end = 4 + (u32::from_be_bytes(*header) as usize).min(MAX_FRAME);
+            end.saturating_sub(self.0.len())
+        });
+        let start = self.0.len();
+        self.0.resize(start + rest.max(chunk), 0);
+        let read = reader.read(&mut self.0[start..]);
+        self.0.truncate(start + *read.as_ref().unwrap_or(&0));
+        read
     }
 
     /// Removes and decodes the first frame if all of it has arrived. An
