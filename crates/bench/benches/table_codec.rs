@@ -351,7 +351,7 @@ fn main() {
         .collect();
     let json = format!(
         "{{\n  {},\n  \"messages\": [\n{}\n  ]\n}}\n",
-        provenance_fields("table_codec", ITERS, ROUNDS),
+        provenance_fields("table_codec", ITERS, ROUNDS, "median of rounds"),
         lines.join(",\n"),
     );
     let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_codec.json");

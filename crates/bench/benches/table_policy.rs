@@ -18,7 +18,11 @@
 //!   against `CheckPlan::eval` over the same retained bodies, and the
 //!   service's full membership sweep, cold (the fact epoch moved, every
 //!   check runs) and warm (unchanged epoch, fact-only checks skipped).
-//!   Each figure is the median of [`SWEEPS`] sweeps, with min and max.
+//!   Each figure is the median of [`SWEEPS`] sweeps, with min and max;
+//! * TAB-P, the policy pipeline (Sect. 1: formally expressed,
+//!   automatically deployed policy): parse + check + compile into a
+//!   fresh service for generated documents of 10 to 1 000 chained roles,
+//!   median of [`SWEEPS`] runs with min and max.
 //!
 //! Emits `BENCH_policy.json` at the repo root and asserts the headline
 //! acceptance bar: plans decide ≥10x faster than `solve` on the 100-rule
@@ -26,6 +30,7 @@
 //!
 //! Set `POLICY_BENCH_QUICK=1` (CI smoke) to shrink sizes and budgets.
 
+use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -286,6 +291,29 @@ fn recheck_world(certs: usize) -> (Arc<OasisService>, Vec<Vec<Atom>>) {
     (service, retained)
 }
 
+/// A valid policy with `roles` chained roles in one service: each role
+/// needs its predecessor and a fact, and gates one method.
+fn generate_policy(roles: usize) -> String {
+    let mut text = String::from("service generated {\n");
+    let _ = writeln!(text, "  initial role role0(u: id);");
+    for i in 1..roles {
+        let _ = writeln!(text, "  role role{i}(u: id);");
+    }
+    let _ = writeln!(text, "  rule role0(U) <- env fact0(U);");
+    for i in 1..roles {
+        let _ = writeln!(
+            text,
+            "  rule role{i}(U) <- prereq role{}(U), env fact{i}(U);",
+            i - 1
+        );
+    }
+    for i in 0..roles {
+        let _ = writeln!(text, "  invoke method{i}(U) <- prereq role{i}(U);");
+    }
+    text.push_str("}\n");
+    text
+}
+
 /// `[median, min, max]` wall-clock ms of [`SWEEPS`] runs of `sweep`;
 /// `before` runs untimed ahead of each, with the sweep's number.
 fn sweep_ms(mut before: impl FnMut(usize), mut sweep: impl FnMut(usize)) -> [f64; 3] {
@@ -393,6 +421,32 @@ fn series() -> String {
         format!("{{\"median\": {median:.2}, \"min\": {min:.2}, \"max\": {max:.2}}}")
     };
 
+    let role_counts: &[usize] = if quick {
+        &[10, 100]
+    } else {
+        &[10, 100, 500, 1_000]
+    };
+    table_header(
+        "TAB-P policy pipeline",
+        "parse+check+compile stays fast as policies grow (linear in document size)",
+        "roles  rules  pipeline ms",
+    );
+    let mut pipeline = Vec::new();
+    for &roles in role_counts {
+        let text = generate_policy(roles);
+        let ms = sweep_ms(
+            |_| {},
+            |_| {
+                let policy = Policy::parse(&text).unwrap();
+                let service =
+                    OasisService::new(ServiceConfig::new("generated"), Arc::new(FactStore::new()));
+                policy.apply_to(&service).unwrap();
+            },
+        );
+        println!("{roles:>5}  {:>5}  {}", roles * 2, show(ms));
+        pipeline.push(format!("{{\"roles\": {roles}, \"ms\": {}}}", json(ms)));
+    }
+
     let fmt = |xs: &[f64]| {
         xs.iter()
             .map(|v| format!("{v:.1}"))
@@ -400,8 +454,8 @@ fn series() -> String {
             .join(", ")
     };
     format!(
-        "{{\n  {},\n  \"quick\": {},\n  \"throughput_window_ms\": {},\n  \"rule_counts\": [{}],\n  \"presented_credentials\": {},\n  \"solve_decisions_per_sec\": [{}],\n  \"plan_decisions_per_sec\": [{}],\n  \"speedup\": [{}],\n  \"service_activations_per_sec\": [{}],\n  \"recheck_certs\": {},\n  \"recheck_solve_ms\": {},\n  \"recheck_plan_ms\": {},\n  \"recheck_service_cold_ms\": {},\n  \"recheck_service_warm_ms\": {}\n}}\n",
-        provenance_fields("table_policy", 1, SWEEPS),
+        "{{\n  {},\n  \"quick\": {},\n  \"throughput_window_ms\": {},\n  \"rule_counts\": [{}],\n  \"presented_credentials\": {},\n  \"solve_decisions_per_sec\": [{}],\n  \"plan_decisions_per_sec\": [{}],\n  \"speedup\": [{}],\n  \"service_activations_per_sec\": [{}],\n  \"recheck_certs\": {},\n  \"recheck_solve_ms\": {},\n  \"recheck_plan_ms\": {},\n  \"recheck_service_cold_ms\": {},\n  \"recheck_service_warm_ms\": {},\n  \"pipeline\": [{}]\n}}\n",
+        provenance_fields("table_policy", 1, SWEEPS, "median of rounds"),
         quick,
         budget.as_millis(),
         rule_counts
@@ -419,6 +473,7 @@ fn series() -> String {
         json(plan_sweep),
         json(cold_sweep),
         json(warm_sweep),
+        pipeline.join(", "),
     )
 }
 

@@ -33,7 +33,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use oasis::core::ServiceJournal;
 use oasis::prelude::*;
 use oasis::store::MemBackend;
-use oasis_bench::{percentile, table_header};
+use oasis_bench::{percentile, provenance_fields, table_header};
 
 /// One doctor activation (a `CertIssued` event) per this many journal
 /// events; the rest are validation-grant churn.
@@ -270,8 +270,12 @@ fn recovery_table() -> String {
         .collect::<Vec<_>>()
         .join(",\n");
     format!(
-        "{{\n  \"bench\": \"table_recovery\",\n  \"revoke_every\": {},\n  \"snapshot_tail\": {},\n  \"series\": [\n{}\n  ],\n  \"snapshot_speedup_p50\": {:.1}\n}}\n",
-        REVOKE_EVERY, TAIL, json_series, speedup,
+        "{{\n  {},\n  \"revoke_every\": {},\n  \"snapshot_tail\": {},\n  \"series\": [\n{}\n  ],\n  \"snapshot_speedup_p50\": {:.1}\n}}\n",
+        provenance_fields("table_recovery", 1, SAMPLES, "p50 and p99 of rounds"),
+        REVOKE_EVERY,
+        TAIL,
+        json_series,
+        speedup,
     )
 }
 

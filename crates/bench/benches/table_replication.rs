@@ -53,7 +53,7 @@ use oasis::store::{
     ReplicationTransport, StorageBackend, StoreError,
 };
 use oasis::wire::{WireServer, WireTransport};
-use oasis_bench::{percentile, table_header};
+use oasis_bench::{percentile, provenance_fields, table_header};
 
 /// Fixed record size so the journal length counts acked entries.
 const RECORD: &[u8] = b"0123456789abcdef";
@@ -267,8 +267,10 @@ fn replication_table() -> String {
         .collect::<Vec<_>>()
         .join(",\n");
     format!(
-        "{{\n  \"bench\": \"table_replication\",\n  \"appends_per_series\": {},\n  \"series\": [\n{}\n  ]\n}}\n",
-        APPENDS, json_series,
+        "{{\n  {},\n  \"appends_per_series\": {},\n  \"series\": [\n{}\n  ]\n}}\n",
+        provenance_fields("table_replication", 1, APPENDS, "p50 and p99 of rounds"),
+        APPENDS,
+        json_series,
     )
 }
 

@@ -271,10 +271,12 @@ pub fn table_header(experiment: &str, claim: &str, columns: &str) {
 /// The fields every `BENCH_*.json` opens with, so a table can be traced
 /// to the tree and the machine that produced it: the bench's name, the
 /// commit (`git rev-parse HEAD`, `-dirty` appended when the working tree
-/// differs from it, `unknown` outside a checkout), the CPU count, and how
-/// many rounds of how many iterations each reading is the median of.
-/// Returned without the enclosing braces, to splice in.
-pub fn provenance_fields(bench: &str, iterations: usize, rounds: usize) -> String {
+/// differs from it in anything but the `BENCH_*` outputs themselves,
+/// `unknown` outside a checkout), the CPU count, how many rounds of how
+/// many iterations each figure is read from, and how (`reading`, e.g.
+/// `"median of rounds"`). Returned without the enclosing braces, to
+/// splice in.
+pub fn provenance_fields(bench: &str, iterations: usize, rounds: usize, reading: &str) -> String {
     let git = |args: &[&str]| {
         std::process::Command::new("git")
             .args(args)
@@ -285,7 +287,10 @@ pub fn provenance_fields(bench: &str, iterations: usize, rounds: usize) -> Strin
     };
     let commit = match git(&["rev-parse", "HEAD"]) {
         Some(hash) => {
-            let clean = git(&["status", "--porcelain"]).is_some_and(|s| s.is_empty());
+            // `top`: benches run in the crate directory, the outputs sit
+            // at the root.
+            let status = git(&["status", "--porcelain", "--", ":(top,exclude)BENCH_*"]);
+            let clean = status.is_some_and(|s| s.is_empty());
             format!("{}{}", hash.trim(), if clean { "" } else { "-dirty" })
         }
         None => "unknown".to_string(),
@@ -293,6 +298,6 @@ pub fn provenance_fields(bench: &str, iterations: usize, rounds: usize) -> Strin
     let nproc = std::thread::available_parallelism().map_or(1, usize::from);
     format!(
         "\"bench\": \"{bench}\", \"commit\": \"{commit}\", \"nproc\": {nproc}, \
-         \"iterations\": {iterations}, \"rounds\": {rounds}, \"reading\": \"median of rounds\""
+         \"iterations\": {iterations}, \"rounds\": {rounds}, \"reading\": \"{reading}\""
     )
 }

@@ -55,14 +55,6 @@ impl Term {
     pub fn val(value: impl Into<Value>) -> Self {
         Term::Const(value.into())
     }
-
-    /// The variable name, if this term is a variable.
-    pub fn as_var(&self) -> Option<&VarName> {
-        match self {
-            Term::Var(v) => Some(v),
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for Term {

@@ -9,11 +9,14 @@
 //!   validation goes back to the issuer and fails;
 //! * activation / invocation / revocation racing across threads never
 //!   deadlocks, never loses a cascade, and leaves the record stores in a
-//!   consistent state at quiesce.
+//!   consistent state at quiesce;
+//! * no service lock is held across the issuer callback, so concurrent
+//!   foreign validations are all inside it at once.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
+use std::time::Duration;
 
 use oasis_core::{
     Atom, CredStatus, Credential, CredentialValidator, EnvContext, LocalRegistry, OasisError,
@@ -343,6 +346,96 @@ fn cached_activation_still_collapses_on_revocation() {
 
 const THREADS: usize = 8;
 const ROUNDS: usize = 20;
+
+/// Holds each callback until `expected` callbacks are inside at once,
+/// then delegates. If they never all arrive within five seconds, the
+/// waiting callback and every later one fail as an issuer timeout.
+struct Rendezvous {
+    inner: Arc<LocalRegistry>,
+    expected: usize,
+    /// Callbacks that have entered, and whether one gave up waiting.
+    state: Mutex<(usize, bool)>,
+    entered: Condvar,
+}
+
+impl CredentialValidator for Rendezvous {
+    fn validate(
+        &self,
+        credential: &Credential,
+        presenter: &PrincipalId,
+        now: u64,
+    ) -> Result<(), OasisError> {
+        let mut state = self.state.lock().unwrap();
+        state.0 += 1;
+        self.entered.notify_all();
+        let (mut state, _) = self
+            .entered
+            .wait_timeout_while(state, Duration::from_secs(5), |(n, gave_up)| {
+                *n < self.expected && !*gave_up
+            })
+            .unwrap();
+        if state.1 || state.0 < self.expected {
+            state.1 = true;
+            self.entered.notify_all();
+            return Err(OasisError::IssuerTimeout(credential.issuer().clone()));
+        }
+        drop(state);
+        self.inner.validate(credential, presenter, now)
+    }
+}
+
+#[test]
+fn concurrent_foreign_validations_are_all_inside_the_callback_at_once() {
+    // The issuer callback is a network round trip in a deployment: if the
+    // service held a shard or global lock across it, validations would
+    // queue behind one another instead of overlapping.
+    let w = cache_world(100);
+    let creds: Vec<(PrincipalId, Credential)> = (0..THREADS)
+        .map(|t| {
+            let me = PrincipalId::new(format!("dr-{t}"));
+            w.facts
+                .insert("password_ok", vec![Value::id(format!("dr-{t}"))])
+                .unwrap();
+            let rmc = w
+                .login
+                .activate_role(
+                    &me,
+                    &RoleName::new("logged_in"),
+                    &[Value::id(format!("dr-{t}"))],
+                    &[],
+                    &EnvContext::new(1),
+                )
+                .unwrap();
+            (me, Credential::Rmc(rmc))
+        })
+        .collect();
+    let rendezvous = Arc::new(Rendezvous {
+        inner: Arc::clone(&w.validator.inner),
+        expected: THREADS,
+        state: Mutex::new((0, false)),
+        entered: Condvar::new(),
+    });
+    w.hospital
+        .set_validator(Arc::clone(&rendezvous) as Arc<dyn CredentialValidator>);
+
+    let handles: Vec<_> = creds
+        .into_iter()
+        .map(|(me, cred)| {
+            let hospital = Arc::clone(&w.hospital);
+            thread::spawn(move || hospital.validate_credential(&cred, &me, 2))
+        })
+        .collect();
+    let results: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+    assert_eq!(
+        rendezvous.state.lock().unwrap().0,
+        THREADS,
+        "every validation reaches the issuer callback"
+    );
+    assert!(
+        results.iter().all(Result::is_ok),
+        "{THREADS} callbacks were never inside the validator at once: {results:?}"
+    );
+}
 
 #[test]
 fn concurrent_activate_invoke_revoke_is_consistent() {

@@ -1,12 +1,16 @@
 //! Integration: Fig 5's active security at scale — revocation cascades
-//! across services and domains, heartbeat-guarded caching, and the
-//! push-vs-poll comparison the architecture is built around.
+//! across services and domains, heartbeat-guarded caching, the
+//! push-vs-poll comparison the architecture is built around, and the
+//! causal span chain one traced revocation leaves.
 
 use std::sync::Arc;
 
+use oasis::core::ServiceJournal;
 use oasis::events::{HeartbeatMonitor, SourceHealth, SourceId};
 use oasis::prelude::*;
+use oasis::store::{LocalMesh, ReplicaConfig, ReplicaNode, StorageBackend};
 use oasis_core::CredentialKind;
+use oasis_obs::{Recorder, Registry, TraceCtx};
 
 /// Builds `depth` chained services, each in its own domain, where the
 /// role at service i+1 requires the role at service i. Returns the
@@ -235,4 +239,128 @@ fn fanout_cascade_event_counts_scale_linearly() {
     let published = bus.stats().published - before;
     assert_eq!(published, (n as u64) + 1);
     assert_eq!(leaf_svc.record_stats(), (0, n as usize, 0));
+}
+
+/// An integer field of a sorted-key span line.
+fn span_u64(line: &str, key: &str) -> u64 {
+    let pat = format!("\"{key}\":");
+    let rest = &line[line.find(&pat).unwrap() + pat.len()..];
+    rest[..rest.find([',', '}']).unwrap()].parse().unwrap()
+}
+
+/// A string field of a sorted-key span line.
+fn span_str<'a>(line: &'a str, key: &str) -> &'a str {
+    let pat = format!("\"{key}\":\"");
+    let rest = &line[line.find(&pat).unwrap() + pat.len()..];
+    &rest[..rest.find('"').unwrap()]
+}
+
+#[test]
+fn traced_revocation_is_one_causal_chain() {
+    // The login issuer journals on a settled 3-node CIV, and a hospital
+    // subscribes to its bus. One revocation under a client trace must
+    // link client -> svc.revoke -> civ.append -> civ.follower_ack /
+    // civ.commit, and svc.revoke -> svc.cascade, under one trace id.
+    const TRACE_ID: u64 = 7_001;
+    let registry = Arc::new(Registry::with_span_recording());
+    let mesh = LocalMesh::new();
+    let ids: Vec<String> = (0..3).map(|i| format!("civ{i}")).collect();
+    for (i, id) in ids.iter().enumerate() {
+        let peers = ids.iter().filter(|p| *p != id).cloned().collect();
+        let cfg = ReplicaConfig::new(id.clone(), peers, format!("10.0.0.{i}:7450"));
+        let node = Arc::new(ReplicaNode::new(cfg, Arc::new(mesh.clone())));
+        node.set_obs(registry.as_ref() as &dyn Recorder, &format!("{id}.replica"));
+        mesh.register(node);
+    }
+    let leader = (0..400)
+        .find_map(|_| {
+            mesh.step(25);
+            mesh.live_leader()
+        })
+        .expect("a leader within 400 steps");
+    let journal: Arc<dyn StorageBackend> = Arc::new(leader.replicated("journal"));
+    let snapshot: Arc<dyn StorageBackend> = Arc::new(leader.replicated("snapshot"));
+    let store = ServiceJournal::open(journal, snapshot).expect("replicated journal opens");
+
+    let facts = Arc::new(FactStore::new());
+    facts.define("password_ok", 1).unwrap();
+    facts
+        .insert("password_ok", vec![Value::id("alice")])
+        .unwrap();
+    let bus = EventBus::new();
+    let login = OasisService::new(
+        ServiceConfig::new("login")
+            .with_journal(store)
+            .with_bus(bus.clone()),
+        Arc::clone(&facts),
+    );
+    login
+        .define_role("logged_in", &[("u", ValueType::Id)], true)
+        .unwrap();
+    login
+        .add_activation_rule(
+            "logged_in",
+            vec![Term::var("U")],
+            vec![Atom::env_fact("password_ok", vec![Term::var("U")])],
+            vec![0],
+        )
+        .unwrap();
+    let hospital = OasisService::new(
+        ServiceConfig::new("hospital").with_bus(bus),
+        Arc::clone(&facts),
+    );
+    for svc in [&login, &hospital] {
+        svc.set_obs(Arc::clone(&registry) as Arc<dyn Recorder>);
+    }
+
+    let rmc = login
+        .activate_role(
+            &PrincipalId::new("alice"),
+            &RoleName::new("logged_in"),
+            &[Value::id("alice")],
+            &[],
+            &EnvContext::new(mesh.now()),
+        )
+        .unwrap();
+    let sink = (registry.as_ref() as &dyn Recorder).spans();
+    let before = sink.len();
+    mesh.step(1);
+    let t = mesh.now();
+    let client = sink.emit(TraceCtx::root(TRACE_ID), "client", "revoke.request", t, t);
+    let revoked = {
+        let _root = oasis_obs::scope(client);
+        login.revoke_certificate(rmc.crr.cert_id, "traced", t)
+    };
+    assert!(revoked);
+
+    let spans = sink.lines().split_off(before);
+    let ids: Vec<u64> = spans.iter().map(|l| span_u64(l, "span")).collect();
+    for line in &spans {
+        assert_eq!(span_u64(line, "trace"), TRACE_ID, "span off-trace: {line}");
+        let parent = span_u64(line, "parent");
+        assert!(
+            parent == 0 || ids.contains(&parent),
+            "span parented outside the revocation: {line}"
+        );
+    }
+    let mut hops: Vec<u64> = spans.iter().map(|l| span_u64(l, "hop")).collect();
+    hops.sort_unstable();
+    hops.dedup();
+    let ops: Vec<&str> = spans.iter().map(|l| span_str(l, "op")).collect();
+    assert!(hops.len() >= 4, "{} causal hops: {ops:?}", hops.len());
+    for op in [
+        "revoke.request",
+        "svc.revoke",
+        "civ.append",
+        "civ.commit",
+        "civ.follower_ack",
+        "svc.cascade",
+    ] {
+        assert!(ops.contains(&op), "no {op} span: {ops:?}");
+    }
+    assert_eq!(
+        ops.iter().filter(|&&op| op == "civ.append").count(),
+        1,
+        "one revocation, one quorum round: {ops:?}"
+    );
 }
