@@ -16,6 +16,8 @@
 //! buffer `read_frame` reads into plus no more than the decoded value
 //! owns — what its `clone` allocates, plus one per identifier (a clone of
 //! an `Arc<str>` identifier is a count bump; a decoder has to build it).
+//! Text parameter values (`Value::Id`, `Value::Str`) hold `Arc<str>` too,
+//! and count as identifiers.
 //!
 //! Emitted to `BENCH_codec.json`.
 
@@ -201,23 +203,34 @@ fn responses() -> Vec<(&'static str, Response)> {
     ]
 }
 
-/// Identifiers (`Arc<str>` newtypes) in a message: a decoder allocates
-/// each, a clone none.
+/// Text values (`Value::Id`, `Value::Str`) among `args`: each holds an
+/// `Arc<str>`, so it counts as an identifier.
+fn text_values(args: &[Value]) -> u64 {
+    args.iter()
+        .filter(|v| matches!(v, Value::Id(_) | Value::Str(_)))
+        .count() as u64
+}
+
+/// Identifiers (`Arc<str>` newtypes and text values) in a message: a
+/// decoder allocates each, a clone none.
 fn identifiers_in(credentials: &[Credential]) -> u64 {
     credentials
         .iter()
         .map(|c| match c {
             Credential::Rmc(_) => 2,         // issuer, role
             Credential::Appointment(_) => 1, // issuer
-        })
+        } + text_values(c.args()))
         .sum()
 }
 
 fn request_identifiers(request: &Request) -> u64 {
     match request {
-        Request::Activate { credentials, .. } | Request::Invoke { credentials, .. } => {
-            1 + identifiers_in(credentials)
+        Request::Activate {
+            args, credentials, ..
         }
+        | Request::Invoke {
+            args, credentials, ..
+        } => 1 + text_values(args) + identifiers_in(credentials),
         Request::Validate { credential, .. } => {
             1 + identifiers_in(std::slice::from_ref(credential))
         }
@@ -227,7 +240,7 @@ fn request_identifiers(request: &Request) -> u64 {
 
 fn response_identifiers(response: &Response) -> u64 {
     match response {
-        Response::Activated { .. } => 2,
+        Response::Activated { rmc } => 2 + text_values(&rmc.args),
         Response::Invoked { used } => used.len() as u64,
         _ => 0,
     }

@@ -366,7 +366,7 @@ fn series() -> String {
     let facts = world.facts();
     let plans: Vec<CheckPlan> = retained
         .iter()
-        .map(|body| CheckPlan::compile(world.id(), body.clone()))
+        .map(|body| CheckPlan::new(world.id(), body.clone()))
         .collect();
     let empty_index = CredIndex::build(&[]);
     let ctx_at = |i: usize| EnvContext::new(1 + i as u64);

@@ -20,7 +20,7 @@
 
 use std::fmt;
 
-use oasis_crypto::{MacSignature, PublicKey, SecretEpoch, SecretKey};
+use oasis_crypto::{FieldMac, MacSignature, PublicKey, SecretEpoch, SecretKey};
 
 use crate::ids::{CertId, PrincipalId, RoleName, ServiceId};
 use crate::value::Value;
@@ -85,46 +85,36 @@ struct MacFields<'a> {
 }
 
 impl MacFields<'_> {
-    /// Hands `mac` the canonical MAC input shared by both certificate
-    /// kinds. Field order is part of the format and must never change.
-    /// Only the args are encoded into fresh buffers; every other field
-    /// is the certificate's own bytes or a stack array. The other two
-    /// allocations are the list holding the args and the list of slices.
-    fn with<R>(&self, mac: impl FnOnce(&[&[u8]]) -> R) -> R {
-        let cert_id = self.crr.cert_id.0.to_le_bytes();
-        let issued_at = self.issued_at.to_le_bytes();
-        let mut expiry = [0u8; 9];
-        let expiry: &[u8] = match self.expires_at {
-            Some(t) => {
-                expiry[0] = 1;
-                expiry[1..].copy_from_slice(&t.to_le_bytes());
-                &expiry
-            }
-            None => &expiry[..1],
-        };
-        let args: Vec<Vec<u8>> = self.args.iter().map(Value::canonical_bytes).collect();
-        let mut fields: Vec<&[u8]> = Vec::with_capacity(7 + args.len());
-        fields.extend([
-            self.kind.as_str().as_bytes(),
-            self.crr.issuer.as_bytes(),
-            &cert_id,
-            self.name.as_bytes(),
-        ]);
-        fields.extend(args.iter().map(Vec::as_slice));
-        fields.extend([
-            &issued_at[..],
-            expiry,
-            self.holder_key.map_or(&[][..], |k| k.as_bytes()),
-        ]);
-        mac(&fields)
+    /// Streams the canonical MAC input shared by both certificate kinds
+    /// into a MAC, field by field, with no buffer in between. Field order
+    /// is part of the format and must never change. An arg is one field:
+    /// its [`Value::canonical_bytes`], fed as tag and payload.
+    fn mac(&self, secret: &SecretKey, principal: &PrincipalId) -> FieldMac {
+        let mut mac = FieldMac::new(secret, principal.as_bytes(), 7 + self.args.len());
+        mac.field(self.kind.as_str().as_bytes());
+        mac.field(self.crr.issuer.as_bytes());
+        mac.field(&self.crr.cert_id.0.to_le_bytes());
+        mac.field(self.name.as_bytes());
+        let mut number = [0; 8];
+        for arg in self.args {
+            let (tag, payload) = arg.canonical_parts(&mut number);
+            mac.field_parts(&[&[tag], payload]);
+        }
+        mac.field(&self.issued_at.to_le_bytes());
+        match self.expires_at {
+            Some(t) => mac.field_parts(&[&[1], &t.to_le_bytes()]),
+            None => mac.field(&[0]),
+        }
+        mac.field(self.holder_key.map_or(&[][..], |k| k.as_bytes()));
+        mac
     }
 
     fn sign(&self, secret: &SecretKey, principal: &PrincipalId) -> MacSignature {
-        self.with(|fields| oasis_crypto::sign_fields(secret, principal.as_bytes(), fields))
+        self.mac(secret, principal).sign()
     }
 
     fn verify(&self, secret: &SecretKey, principal: &PrincipalId, sig: &MacSignature) -> bool {
-        self.with(|fields| oasis_crypto::verify_fields(secret, principal.as_bytes(), fields, sig))
+        self.mac(secret, principal).verify(sig)
     }
 }
 

@@ -35,6 +35,7 @@
 //! them to that.
 
 use std::collections::{HashMap, HashSet};
+use std::sync::OnceLock;
 
 use oasis_facts::FactStore;
 
@@ -798,8 +799,11 @@ impl PlanStats {
 /// candidate a plan tries is the first `solve` would accept.
 pub struct CredIndex<'a> {
     creds: &'a [Credential],
-    buckets: HashMap<CredKey, Bucket<'a>>,
+    buckets: HashMap<BorrowedKey<'a>, Bucket<'a>>,
 }
+
+/// A [`CredKey`] borrowed from a presented credential.
+type BorrowedKey<'a> = (CredentialKind, &'a ServiceId, &'a str);
 
 #[derive(Default)]
 struct Bucket<'a> {
@@ -811,10 +815,11 @@ struct Bucket<'a> {
 impl<'a> CredIndex<'a> {
     /// Indexes a presented credential set.
     pub fn build(creds: &'a [Credential]) -> Self {
-        let mut buckets: HashMap<CredKey, Bucket<'a>> = HashMap::new();
+        let mut buckets: HashMap<BorrowedKey<'a>, Bucket<'a>> = HashMap::new();
         for (i, cred) in creds.iter().enumerate() {
-            let key = (cred.kind(), cred.issuer().clone(), cred.name().to_string());
-            let bucket = buckets.entry(key).or_default();
+            let bucket = buckets
+                .entry((cred.kind(), cred.issuer(), cred.name()))
+                .or_default();
             bucket.all.push(i as u32);
             if let Some(first) = cred.args().first() {
                 bucket.by_first.entry(first).or_default().push(i as u32);
@@ -835,8 +840,8 @@ impl<'a> CredIndex<'a> {
 
     /// Candidate credential positions for a key, discriminated by the
     /// resolved first argument when available.
-    fn candidates(&self, key: &CredKey, first: Option<&Value>) -> &[u32] {
-        match self.buckets.get(key) {
+    fn candidates<'s>(&'s self, key: &'s CredKey, first: Option<&Value>) -> &'s [u32] {
+        match self.buckets.get(&(key.0, &key.1, key.2.as_str())) {
             None => &[],
             Some(bucket) => match first {
                 Some(value) => bucket.by_first.get(value).map(Vec::as_slice).unwrap_or(&[]),
@@ -846,23 +851,30 @@ impl<'a> CredIndex<'a> {
     }
 }
 
-/// A compiled membership re-check: the retained (substituted) conditions
-/// of one issued certificate, compiled once at issuance instead of
-/// re-interpreted on every [`recheck_memberships`] sweep.
+/// A membership re-check: the retained (substituted) conditions of one
+/// issued certificate, compiled on first evaluation and then reused by
+/// every later [`recheck_memberships`] sweep. Issuance, snapshot restore
+/// and journal replay only record the atoms; nothing on the served path
+/// evaluates them.
 ///
 /// [`recheck_memberships`]: crate::service::OasisService::recheck_memberships
 #[derive(Debug, Clone)]
 pub struct CheckPlan {
+    self_service: ServiceId,
     atoms: Vec<Atom>,
-    plan: RulePlan,
+    plan: OnceLock<RulePlan>,
 }
 
 impl CheckPlan {
-    /// Compiles a retained-condition set (no head: retained atoms are
-    /// ground up to `$`-variables and wildcards).
-    pub fn compile(self_service: &ServiceId, atoms: Vec<Atom>) -> Self {
-        let plan = RulePlan::compile(self_service, &[], &atoms);
-        Self { atoms, plan }
+    /// A retained-condition set (no head: retained atoms are ground up to
+    /// `$`-variables and wildcards) of a certificate `self_service`
+    /// issued.
+    pub fn new(self_service: &ServiceId, atoms: Vec<Atom>) -> Self {
+        Self {
+            self_service: self_service.clone(),
+            atoms,
+            plan: OnceLock::new(),
+        }
     }
 
     /// The source atoms (the durable representation in snapshots and the
@@ -871,16 +883,21 @@ impl CheckPlan {
         &self.atoms
     }
 
+    fn plan(&self) -> &RulePlan {
+        self.plan
+            .get_or_init(|| RulePlan::compile(&self.self_service, &[], &self.atoms))
+    }
+
     /// Whether the checks read the clock, ambient values, or predicates.
     /// Fact-only checks cannot change while the fact epoch stands still.
     pub fn is_time_sensitive(&self) -> bool {
-        self.plan.is_time_sensitive()
+        self.plan().is_time_sensitive()
     }
 
     /// Evaluates the retained checks. `creds` is normally an empty index
     /// (credential dependencies are tracked by CRR, not re-checked here).
     pub fn eval(&self, creds: &CredIndex<'_>, facts: &FactStore<Value>, ctx: &EnvContext) -> bool {
-        self.plan.eval(&[], creds, facts, ctx).is_some()
+        self.plan().eval(&[], creds, facts, ctx).is_some()
     }
 }
 
@@ -1149,7 +1166,7 @@ mod tests {
     #[test]
     fn check_plan_time_sensitivity() {
         let sid = svc();
-        let fact_only = CheckPlan::compile(
+        let fact_only = CheckPlan::new(
             &sid,
             vec![Atom::env_fact(
                 "registered",
@@ -1157,7 +1174,7 @@ mod tests {
             )],
         );
         assert!(!fact_only.is_time_sensitive());
-        let timed = CheckPlan::compile(
+        let timed = CheckPlan::new(
             &sid,
             vec![Atom::compare(
                 Term::var("$now"),

@@ -57,7 +57,7 @@ use std::sync::{Arc, Weak};
 
 use parking_lot::{Mutex, RwLock};
 
-use oasis_crypto::{IssuerSecret, PublicKey, SecretEpoch};
+use oasis_crypto::{IssuerSecret, PublicKey, SecretEpoch, SecretKey};
 use oasis_events::{DeliveredEvent, EventBus, HeartbeatMonitor, SourceHealth, SourceId, Topic};
 use oasis_facts::{FactChange, FactStore};
 use oasis_store::JournalStats;
@@ -462,11 +462,12 @@ struct RecordState {
     /// Credentials (by CRR) retained by the membership rule.
     depends_on: Vec<Crr>,
     /// Ground environmental conditions retained by the membership rule,
-    /// compiled once here and re-evaluated on
-    /// [`OasisService::recheck_memberships`]; `None` when the rule retains
-    /// none. Shared with re-check sweeps via `Arc`, so a sweep clones a
-    /// pointer. The plan keeps its source atoms, and those are the only
-    /// copy: the journal event, the snapshot and the fact index all read
+    /// re-evaluated on [`OasisService::recheck_memberships`]; `None` when
+    /// the rule retains none. The plan compiles on the first sweep that
+    /// evaluates it, not here. Shared with re-check sweeps via `Arc`, so
+    /// a sweep clones a pointer and the compiled form outlives it. The
+    /// plan keeps its source atoms, and those are the only copy: the
+    /// journal event, the snapshot and the fact index all read
     /// [`RecordState::retained_checks`]. The plan itself is never
     /// serialised.
     check: Option<Arc<CheckPlan>>,
@@ -474,7 +475,7 @@ struct RecordState {
 
 impl RecordState {
     /// Every way a record comes to exist (live issuance, snapshot restore,
-    /// journal replay) builds it here, so each gets the compiled form.
+    /// journal replay) builds it here, so each gets the same check plan.
     fn new(
         issuer: &ServiceId,
         record: CredRecord,
@@ -485,7 +486,7 @@ impl RecordState {
             record,
             depends_on,
             check: (!retained_checks.is_empty())
-                .then(|| Arc::new(CheckPlan::compile(issuer, retained_checks))),
+                .then(|| Arc::new(CheckPlan::new(issuer, retained_checks))),
         }
     }
 
@@ -963,10 +964,11 @@ impl OasisService {
     // Durability: write-ahead journal, snapshots, recovery, catch-up
     // ------------------------------------------------------------------
 
-    /// Journals `event` (no-op without a journal, or while recovery is
-    /// replaying): buffered when this thread has a revocation scope open
-    /// for this service — the scope's flush appends it — and appended
-    /// right away otherwise.
+    /// Journals the event `event` builds (no-op without a journal, or
+    /// while recovery is replaying — the event is then never built):
+    /// buffered when this thread has a revocation scope open for this
+    /// service — the scope's flush appends it — and appended right away
+    /// otherwise.
     ///
     /// # Errors
     ///
@@ -974,14 +976,14 @@ impl OasisService {
     /// immediate append — the caller decides whether that aborts the
     /// operation (issuance: yes) or merely loses durability
     /// (validation memo, epoch marker: no). Buffering cannot fail.
-    fn journal(&self, event: SecurityEvent) -> Result<(), OasisError> {
+    fn journal(&self, event: impl FnOnce() -> SecurityEvent) -> Result<(), OasisError> {
         let Some(d) = &self.durable else {
             return Ok(());
         };
         if d.replaying.load(Ordering::Relaxed) {
             return Ok(());
         }
-        let Some(event) = durable::buffer_in_scope(self.scope_owner(), event) else {
+        let Some(event) = durable::buffer_in_scope(self.scope_owner(), event()) else {
             return Ok(());
         };
         d.store
@@ -1067,7 +1069,7 @@ impl OasisService {
     fn remember_validation(&self, crr: &Crr, presenter: &PrincipalId, now: u64) {
         if let Some(cache) = &self.vcache {
             cache.store(crr.clone(), presenter.clone(), now);
-            let _ = self.journal(SecurityEvent::ValidationGranted {
+            let _ = self.journal(|| SecurityEvent::ValidationGranted {
                 crr: crr.clone(),
                 presenter: presenter.clone(),
                 at: now,
@@ -1082,7 +1084,7 @@ impl OasisService {
     pub fn rotate_secret(&self, now: u64) -> SecretEpoch {
         self.last_now.store(now, Ordering::Relaxed);
         let epoch = self.secret.rotate();
-        let _ = self.journal(SecurityEvent::EpochChanged {
+        let _ = self.journal(|| SecurityEvent::EpochChanged {
             epoch: epoch.0,
             at: now,
         });
@@ -1568,7 +1570,7 @@ impl OasisService {
             .as_ref()
             .filter(|_| event.topic != revocation_topic(&self.id))
         {
-            let _ = self.journal(SecurityEvent::RevocationApplied {
+            let _ = self.journal(|| SecurityEvent::RevocationApplied {
                 topic: event.topic.as_str().to_string(),
                 topic_seq: event.topic_seq,
                 global_seq: event.global_seq,
@@ -1590,17 +1592,17 @@ impl OasisService {
     /// survive a crash or replica failover with its numbering intact.
     fn publish_revocation_event(&self, event: CertEvent, now: u64) {
         let topic = revocation_topic(&self.id);
-        let (topic_seq, global_seq, _delivered) =
-            self.bus.publish_at_tracked(&topic, event.clone(), now);
-        if self
+        let journalled = self
             .durable
             .as_ref()
             .is_some_and(|d| d.retain_publishes && !d.replaying.load(Ordering::Relaxed))
-        {
+            .then(|| event.clone());
+        let (topic_seq, global_seq, _delivered) = self.bus.publish_at_tracked(&topic, event, now);
+        if let Some(event) = journalled {
             // Best-effort, like the CertRevoked append itself: losing
             // the ring entry degrades catch-up completeness, never
             // blocks the revocation.
-            let _ = self.journal(SecurityEvent::RetainedPublished {
+            let _ = self.journal(|| SecurityEvent::RetainedPublished {
                 entry: RetainedEntry {
                     topic: topic.as_str().to_string(),
                     topic_seq,
@@ -1930,36 +1932,56 @@ impl OasisService {
         presenter: &PrincipalId,
         now: u64,
     ) -> Result<(), OasisError> {
-        let crr = credential.crr().clone();
+        let key = self.own_key(credential)?;
+        if !credential.verify(&key, presenter) {
+            return Err(OasisError::InvalidCredential {
+                crr: credential.crr().clone(),
+                reason: "signature check failed (tampered, forged, or stolen)".into(),
+            });
+        }
+        self.own_standing(credential, presenter, now)
+    }
+
+    /// The secret an own certificate was signed under: the credential
+    /// names this service as its issuer, and its epoch's secret has not
+    /// been retired.
+    fn own_key(&self, credential: &Credential) -> Result<SecretKey, OasisError> {
+        let crr = credential.crr();
         if crr.issuer != self.id {
             return Err(OasisError::InvalidCredential {
-                crr,
+                crr: crr.clone(),
                 reason: format!("not issued by `{}`", self.id),
             });
         }
-        let Some(key) = self.secret.key_for(credential.epoch()) else {
-            return Err(OasisError::InvalidCredential {
-                crr,
+        self.secret
+            .key_for(credential.epoch())
+            .ok_or_else(|| OasisError::InvalidCredential {
+                crr: crr.clone(),
                 reason: format!(
                     "secret {} retired; certificate must be re-issued",
                     credential.epoch()
                 ),
-            });
-        };
-        if !credential.verify(&key, presenter) {
-            return Err(OasisError::InvalidCredential {
-                crr,
-                reason: "signature check failed (tampered, forged, or stolen)".into(),
-            });
-        }
+            })
+    }
 
-        // Lazy expiry: an appointment certificate past its deadline is
-        // marked expired and its dependents collapse.
+    /// The standing of an own certificate whose MAC has been verified:
+    /// not past its expiry (lazy expiry: an appointment certificate past
+    /// its deadline is marked expired and its dependents collapse), its
+    /// record present, held by `presenter`, and active. Together with
+    /// `own_key` it is every check of [`OasisService::validate_own`] but
+    /// the MAC.
+    fn own_standing(
+        &self,
+        credential: &Credential,
+        presenter: &PrincipalId,
+        now: u64,
+    ) -> Result<(), OasisError> {
+        let crr = credential.crr();
         if let Credential::Appointment(appt) = credential {
             if appt.is_expired(now) {
                 self.expire_certificate(crr.cert_id, now);
                 return Err(OasisError::InvalidCredential {
-                    crr,
+                    crr: crr.clone(),
                     reason: "expired".into(),
                 });
             }
@@ -1968,18 +1990,18 @@ impl OasisService {
         let shard = self.record_shard(crr.cert_id).lock();
         let Some(rec) = shard.records.get(&crr.cert_id) else {
             drop(shard);
-            return Err(OasisError::UnknownCertificate(crr));
+            return Err(OasisError::UnknownCertificate(crr.clone()));
         };
         if rec.record.principal != *presenter {
             return Err(OasisError::InvalidCredential {
-                crr,
+                crr: crr.clone(),
                 reason: "presented by a different principal".into(),
             });
         }
         match &rec.record.status {
             CredStatus::Active => Ok(()),
             status => Err(OasisError::InvalidCredential {
-                crr,
+                crr: crr.clone(),
                 reason: status.to_string(),
             }),
         }
@@ -2349,7 +2371,7 @@ impl OasisService {
         let state = RecordState::new(&self.id, record, depends_on, retained_checks);
         {
             let _commit = self.durable.as_ref().map(|d| d.commit.read());
-            self.journal(SecurityEvent::CertIssued {
+            self.journal(|| SecurityEvent::CertIssued {
                 record: state.record.clone(),
                 depends_on: state.depends_on.clone(),
                 retained_checks: state.retained_checks().to_vec(),
@@ -2371,15 +2393,20 @@ impl OasisService {
         // credentials were validated *before* the dependency edges above
         // existed, so a revocation landing in between would have found no
         // dependents. Re-validate now that the edges are in place; any
-        // revocation from here on cascades normally.
+        // revocation from here on cascades normally. An own credential's
+        // MAC was verified on these same bytes moments ago, so only its
+        // standing is re-checked; a foreign one takes the full path.
         for dep in &retained_creds {
             let Some(cred) = creds.iter().find(|c| c.crr() == dep) else {
                 continue;
             };
-            if self
-                .validate_credential(cred, principal, ctx.now())
-                .is_err()
-            {
+            let revalidated = if cred.issuer() == &self.id {
+                self.own_key(cred)
+                    .and_then(|_| self.own_standing(cred, principal, ctx.now()))
+            } else {
+                self.validate_credential(cred, principal, ctx.now())
+            };
+            if revalidated.is_err() {
                 self.revoke_certificate(
                     cert_id,
                     &format!("supporting credential {dep} was revoked during activation"),
@@ -2582,7 +2609,7 @@ impl OasisService {
         };
         {
             let _commit = self.durable.as_ref().map(|d| d.commit.read());
-            self.journal(SecurityEvent::CertIssued {
+            self.journal(|| SecurityEvent::CertIssued {
                 record: record.clone(),
                 depends_on: Vec::new(),
                 retained_checks: Vec::new(),
@@ -2658,7 +2685,7 @@ impl OasisService {
             }
         }
         let crr = {
-            let _ = self.journal(SecurityEvent::CertRevoked {
+            let _ = self.journal(|| SecurityEvent::CertRevoked {
                 cert_id,
                 reason: reason.to_string(),
                 at: now,
@@ -2752,7 +2779,7 @@ impl OasisService {
             }
         }
         let crr = {
-            let _ = self.journal(SecurityEvent::CertExpired { cert_id, at: now });
+            let _ = self.journal(|| SecurityEvent::CertExpired { cert_id, at: now });
             if self.chaos_crash_pending() {
                 return;
             }
@@ -2883,12 +2910,13 @@ impl OasisService {
     /// custom predicates cannot be push-notified, so services sweep them —
     /// typically on a heartbeat). Returns the revoked certificates.
     ///
-    /// The sweep evaluates each record's [`CheckPlan`] (compiled once at
-    /// issuance), memoises identical check bodies within the sweep, and —
-    /// when the fact store's mutation epoch has not moved since the last
-    /// full sweep — skips fact-only checks entirely: an unchanged epoch
-    /// proves no fact changed, and every fact-only check either passed
-    /// the previous sweep or held at issuance, so it still holds.
+    /// The sweep evaluates each record's [`CheckPlan`] (compiled by the
+    /// first sweep that reaches it), memoises identical check bodies
+    /// within the sweep, and — when the fact store's mutation epoch has
+    /// not moved since the last full sweep — skips fact-only checks
+    /// entirely: an unchanged epoch proves no fact changed, and every
+    /// fact-only check either passed the previous sweep or held at
+    /// issuance, so it still holds.
     pub fn recheck_memberships(&self, ctx: &EnvContext) -> Vec<Crr> {
         self.recheck(ctx, None)
     }

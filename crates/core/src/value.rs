@@ -5,16 +5,24 @@
 //! numbers, and times. [`Value`] covers those shapes; [`ValueType`] is the
 //! schema side used by [`RoleDef`](crate::role::RoleDef) to type-check
 //! activation requests.
+//!
+//! Text values are `Arc<str>`, as the identifiers of [`crate::ids`] are:
+//! one activation repeats its role's parameters in the certificate, the
+//! credential record, the retained conditions, the fact index and the
+//! audit entry, and each of those copies is a count bump. Equality,
+//! ordering and hashing are the text's own, so maps and sorted output
+//! read as they would over `String`.
 
 use std::fmt;
+use std::sync::Arc;
 
 /// A concrete role/certificate parameter value.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Value {
     /// An opaque identifier (principal, patient, hospital, key hash…).
-    Id(String),
+    Id(Arc<str>),
     /// Free text.
-    Str(String),
+    Str(Arc<str>),
     /// A signed integer.
     Int(i64),
     /// A boolean flag.
@@ -25,13 +33,13 @@ pub enum Value {
 
 impl Value {
     /// Convenience constructor for [`Value::Id`].
-    pub fn id(s: impl Into<String>) -> Self {
-        Value::Id(s.into())
+    pub fn id(s: impl AsRef<str>) -> Self {
+        Value::Id(s.as_ref().into())
     }
 
     /// Convenience constructor for [`Value::Str`].
-    pub fn str(s: impl Into<String>) -> Self {
-        Value::Str(s.into())
+    pub fn str(s: impl AsRef<str>) -> Self {
+        Value::Str(s.as_ref().into())
     }
 
     /// The type of this value.
@@ -49,27 +57,32 @@ impl Value {
     /// payload. Distinct values never encode identically, and values of
     /// different types never collide (the tag differs).
     pub fn canonical_bytes(&self) -> Vec<u8> {
+        let mut number = [0; 8];
+        let (tag, payload) = self.canonical_parts(&mut number);
+        let mut bytes = Vec::with_capacity(1 + payload.len());
+        bytes.push(tag);
+        bytes.extend_from_slice(payload);
+        bytes
+    }
+
+    /// [`Value::canonical_bytes`] without the buffer: the type tag, and
+    /// the payload, which is the value's own text or its number written
+    /// into `number`. A MAC streams the two as one field.
+    pub(crate) fn canonical_parts<'a>(&'a self, number: &'a mut [u8; 8]) -> (u8, &'a [u8]) {
         match self {
-            Value::Id(s) => {
-                let mut b = vec![b'I'];
-                b.extend_from_slice(s.as_bytes());
-                b
-            }
-            Value::Str(s) => {
-                let mut b = vec![b'S'];
-                b.extend_from_slice(s.as_bytes());
-                b
-            }
+            Value::Id(s) => (b'I', s.as_bytes()),
+            Value::Str(s) => (b'S', s.as_bytes()),
             Value::Int(i) => {
-                let mut b = vec![b'N'];
-                b.extend_from_slice(&i.to_le_bytes());
-                b
+                *number = i.to_le_bytes();
+                (b'N', &number[..])
             }
-            Value::Bool(v) => vec![b'B', u8::from(*v)],
+            Value::Bool(v) => {
+                number[0] = u8::from(*v);
+                (b'B', &number[..1])
+            }
             Value::Time(t) => {
-                let mut b = vec![b'T'];
-                b.extend_from_slice(&t.to_le_bytes());
-                b
+                *number = t.to_le_bytes();
+                (b'T', &number[..])
             }
         }
     }
@@ -101,7 +114,7 @@ impl From<bool> for Value {
 
 impl From<&str> for Value {
     fn from(s: &str) -> Self {
-        Value::Id(s.to_string())
+        Value::Id(s.into())
     }
 }
 

@@ -6,8 +6,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use oasis_core::{
-    Atom, CmpOp, Credential, EnvContext, OasisService, PrincipalId, RoleName, ServiceConfig, Term,
-    Value, ValueType,
+    Atom, CmpOp, Credential, EnvContext, OasisError, OasisService, PrincipalId, RoleName,
+    ServiceConfig, Term, Value, ValueType,
 };
 use oasis_facts::FactStore;
 
@@ -238,6 +238,62 @@ fn concurrent_revocation_and_activation_do_not_deadlock() {
     }
     // Sanity: numbers add up (root + leaves in some split).
     assert!(active <= activated + 1);
+}
+
+/// A supporting credential revoked after the activation validated it but
+/// before the new certificate's dependency edges exist: the issue path's
+/// re-validation (the credential's standing; its MAC was checked moments
+/// earlier) must notice, or the new role outlives its prerequisite. A
+/// predicate in the rule body runs in exactly that window.
+#[test]
+fn prerequisite_revoked_mid_activation_is_caught_by_the_standing_recheck() {
+    let svc = service();
+    svc.define_role("root", &[], true).unwrap();
+    svc.add_activation_rule("root", vec![], vec![], vec![])
+        .unwrap();
+    svc.define_role("leaf", &[], false).unwrap();
+    svc.add_activation_rule(
+        "leaf",
+        vec![],
+        vec![
+            Atom::prereq("root", vec![]),
+            Atom::predicate("revoke_root", vec![]),
+        ],
+        vec![0],
+    )
+    .unwrap();
+    let alice = PrincipalId::new("alice");
+    let root = svc
+        .activate_role(
+            &alice,
+            &RoleName::new("root"),
+            &[],
+            &[],
+            &EnvContext::new(0),
+        )
+        .unwrap();
+
+    let revoker = Arc::clone(&svc);
+    let root_id = root.crr.cert_id;
+    let ctx = EnvContext::new(1).with_predicate("revoke_root", move |_, _| {
+        revoker.revoke_certificate(root_id, "revoked mid-activation", 1);
+        true
+    });
+    let leaf = svc.activate_role(
+        &alice,
+        &RoleName::new("leaf"),
+        &[],
+        &[Credential::Rmc(root)],
+        &ctx,
+    );
+    assert!(
+        matches!(leaf, Err(OasisError::ActivationDenied { .. })),
+        "{leaf:?}"
+    );
+    assert!(
+        svc.active_records().is_empty(),
+        "no certificate stays active on a revoked root"
+    );
 }
 
 #[test]

@@ -60,4 +60,4 @@ pub use error::CryptoError;
 pub use json::HexBytes;
 pub use keys::{KeyPair, PublicKey, SignatureBytes};
 pub use secret::{IssuerSecret, SecretEpoch, SecretKey};
-pub use sign::{sign_fields, verify_fields, MacSignature};
+pub use sign::{sign_fields, verify_fields, FieldMac, MacSignature};

@@ -51,15 +51,86 @@ impl std::fmt::Display for MacSignature {
     }
 }
 
-fn mac_of(key: &SecretKey, principal_id: &[u8], fields: &[&[u8]]) -> HmacSha256 {
-    let mut mac = key.mac();
-    // Canonical encoding: u64-LE length prefix before every component.
-    mac.update(&(principal_id.len() as u64).to_le_bytes());
-    mac.update(principal_id);
-    mac.update(&(fields.len() as u64).to_le_bytes());
+/// `F(principal_id, fields, SECRET)` fed one field at a time, for
+/// callers whose fields are not already one list of byte strings: the
+/// input is the canonical encoding [`sign_fields`] hashes, streamed into
+/// the HMAC with no buffer in between.
+///
+/// # Panics
+///
+/// Feeding more fields than announced panics, and so do
+/// [`FieldMac::sign`] and [`FieldMac::verify`] before every announced
+/// field was fed: the count is part of the MAC input.
+///
+/// # Example
+///
+/// ```
+/// use oasis_crypto::{secret::SecretKey, sign_fields, FieldMac};
+///
+/// let key = SecretKey::from_bytes([1; 32]);
+/// let mut mac = FieldMac::new(&key, b"alice", 2);
+/// mac.field(b"role");
+/// mac.field_parts(&[b"par", b"am"]);
+/// assert_eq!(mac.sign(), sign_fields(&key, b"alice", &[b"role", b"param"]));
+/// ```
+pub struct FieldMac {
+    mac: HmacSha256,
+    fields_left: u64,
+}
+
+impl FieldMac {
+    /// Starts the MAC of `fields` fields under `key` for `principal_id`.
+    pub fn new(key: &SecretKey, principal_id: &[u8], fields: usize) -> Self {
+        let mut mac = key.mac();
+        // Canonical encoding: u64-LE length prefix before every component.
+        mac.update(&(principal_id.len() as u64).to_le_bytes());
+        mac.update(principal_id);
+        let fields = fields as u64;
+        mac.update(&fields.to_le_bytes());
+        Self {
+            mac,
+            fields_left: fields,
+        }
+    }
+
+    /// Feeds the next field.
+    pub fn field(&mut self, bytes: &[u8]) {
+        self.field_parts(&[bytes]);
+    }
+
+    /// Feeds the next field, given as consecutive parts: the MAC is that
+    /// of one field holding their concatenation.
+    pub fn field_parts(&mut self, parts: &[&[u8]]) {
+        self.fields_left = self.fields_left.checked_sub(1).expect(ANNOUNCED);
+        let len: usize = parts.iter().map(|p| p.len()).sum();
+        self.mac.update(&(len as u64).to_le_bytes());
+        for part in parts {
+            self.mac.update(part);
+        }
+    }
+
+    fn finish(self) -> HmacSha256 {
+        assert_eq!(self.fields_left, 0, "{ANNOUNCED}");
+        self.mac
+    }
+
+    /// The signature.
+    pub fn sign(self) -> MacSignature {
+        MacSignature(self.finish().finalize())
+    }
+
+    /// Compares the MAC with `signature` in constant time.
+    pub fn verify(self, signature: &MacSignature) -> bool {
+        self.finish().verify(&signature.0)
+    }
+}
+
+const ANNOUNCED: &str = "a MAC must get every field it announced, and no more";
+
+fn mac_of(key: &SecretKey, principal_id: &[u8], fields: &[&[u8]]) -> FieldMac {
+    let mut mac = FieldMac::new(key, principal_id, fields.len());
     for field in fields {
-        mac.update(&(field.len() as u64).to_le_bytes());
-        mac.update(field);
+        mac.field(field);
     }
     mac
 }
@@ -80,7 +151,7 @@ fn mac_of(key: &SecretKey, principal_id: &[u8], fields: &[&[u8]]) -> HmacSha256 
 /// assert!(verify_fields(&key, b"alice", &[b"role", b"param"], &sig));
 /// ```
 pub fn sign_fields(key: &SecretKey, principal_id: &[u8], fields: &[&[u8]]) -> MacSignature {
-    MacSignature(mac_of(key, principal_id, fields).finalize())
+    mac_of(key, principal_id, fields).sign()
 }
 
 /// Verifies a signature in constant time.
@@ -90,7 +161,7 @@ pub fn verify_fields(
     fields: &[&[u8]],
     signature: &MacSignature,
 ) -> bool {
-    mac_of(key, principal_id, fields).verify(&signature.0)
+    mac_of(key, principal_id, fields).verify(signature)
 }
 
 #[cfg(test)]
@@ -153,6 +224,33 @@ mod tests {
         let a = sign_fields(&k, b"px", &[b"y"]);
         let b = sign_fields(&k, b"p", &[b"xy"]);
         assert_ne!(a, b);
+    }
+
+    #[test]
+    fn streamed_fields_mac_like_the_field_list() {
+        let k = key(4);
+        let sig = sign_fields(&k, b"p", &[b"kind", b"", b"Iward-3"]);
+        let mut mac = FieldMac::new(&k, b"p", 3);
+        mac.field_parts(&[b"ki", b"nd"]);
+        mac.field_parts(&[]);
+        mac.field_parts(&[b"I", b"ward-3"]);
+        assert!(mac.verify(&sig));
+    }
+
+    #[test]
+    #[should_panic(expected = "every field it announced")]
+    fn a_streamed_mac_must_get_every_announced_field() {
+        let mut mac = FieldMac::new(&key(4), b"p", 2);
+        mac.field(b"only one");
+        let _ = mac.sign();
+    }
+
+    #[test]
+    #[should_panic(expected = "and no more")]
+    fn a_streamed_mac_refuses_an_unannounced_field() {
+        let mut mac = FieldMac::new(&key(4), b"p", 1);
+        mac.field(b"one");
+        mac.field(b"two");
     }
 
     #[test]

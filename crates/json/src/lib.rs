@@ -35,6 +35,7 @@
 #![warn(missing_docs)]
 
 use std::fmt::{self, Write as _};
+use std::sync::Arc;
 
 mod macros;
 mod reader;
@@ -340,6 +341,20 @@ impl ToJson for String {
 impl FromJson for String {
     fn read_json(r: &mut Reader<'_>) -> Result<Self, JsonError> {
         r.str().map(|s| s.into_owned())
+    }
+}
+
+impl ToJson for Arc<str> {
+    fn write_json(&self, out: &mut String) {
+        write_str(out, self);
+    }
+}
+
+impl FromJson for Arc<str> {
+    /// One allocation, like `String`'s: the shared text is built straight
+    /// from the borrowed input.
+    fn read_json(r: &mut Reader<'_>) -> Result<Self, JsonError> {
+        r.str().map(|s| Arc::from(&*s))
     }
 }
 

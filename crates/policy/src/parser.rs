@@ -386,7 +386,7 @@ impl Parser {
             }
             Tok::Str(s) => {
                 self.next();
-                Ok(Term::Const(Value::Str(s)))
+                Ok(Term::Const(Value::Str(s.into())))
             }
             Tok::Ident(s) if s == "true" => {
                 self.next();
@@ -398,7 +398,7 @@ impl Parser {
             }
             Tok::Ident(s) => {
                 self.next();
-                Ok(Term::Const(Value::Id(s)))
+                Ok(Term::Const(Value::Id(s.into())))
             }
             _ => self.unexpected("a term (variable, `_`, or literal)"),
         }

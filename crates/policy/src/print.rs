@@ -93,7 +93,7 @@ fn term_text(term: &Term) -> String {
 
 fn value_text(v: &Value) -> String {
     match v {
-        Value::Id(s) => s.clone(),
+        Value::Id(s) => s.to_string(),
         Value::Str(s) => format!("{s:?}"),
         Value::Int(i) => i.to_string(),
         Value::Bool(b) => b.to_string(),

@@ -49,11 +49,11 @@ fn term() -> impl Strategy<Value = Term> {
     prop_oneof![
         var_name().prop_map(Term::var),
         Just(Term::Wildcard),
-        ident().prop_map(|s| Term::Const(Value::Id(s))),
+        ident().prop_map(|s| Term::Const(Value::id(s))),
         any::<i64>().prop_map(|i| Term::Const(Value::Int(i))),
         any::<bool>().prop_map(|b| Term::Const(Value::Bool(b))),
         any::<u64>().prop_map(|t| Term::Const(Value::Time(t))),
-        "[a-zA-Z0-9 ]{0,8}".prop_map(|s| Term::Const(Value::Str(s))),
+        "[a-zA-Z0-9 ]{0,8}".prop_map(|s| Term::Const(Value::str(s))),
     ]
 }
 
@@ -85,7 +85,7 @@ fn args() -> impl Strategy<Value = Vec<Term>> {
 /// bound (predicate arguments).
 fn const_term() -> impl Strategy<Value = Term> {
     prop_oneof![
-        ident().prop_map(|s| Term::Const(Value::Id(s))),
+        ident().prop_map(|s| Term::Const(Value::id(s))),
         any::<i64>().prop_map(|i| Term::Const(Value::Int(i))),
         any::<bool>().prop_map(|b| Term::Const(Value::Bool(b))),
         any::<u64>().prop_map(|t| Term::Const(Value::Time(t))),

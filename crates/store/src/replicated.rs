@@ -731,34 +731,40 @@ impl ReplicaNode {
 
     /// Persists election state (term, vote, log head) to `backend` and
     /// restores it now, so a restarted node cannot vote twice in a term
-    /// it already voted in.
-    pub fn with_meta(mut self, backend: Arc<dyn StorageBackend>) -> Self {
-        if let Ok(bytes) = backend.read() {
-            if let Ok(text) = std::str::from_utf8(&bytes) {
-                if let Ok(json) = Json::parse(text) {
-                    let st = self.state.get_mut();
-                    let u = |k: &str| json.get(k).and_then(Json::as_u64);
-                    if let Some(term) = u("term") {
-                        st.term = term;
-                    }
-                    if let Some(i) = u("last_index") {
-                        st.last_index = i;
-                    }
-                    if let Some(t) = u("last_term") {
-                        st.last_term = t;
-                    }
-                    if let Some(h) = u("log_hash") {
-                        st.log_hash = h;
-                    }
-                    st.voted_for = json
-                        .get("voted_for")
-                        .and_then(Json::as_str)
-                        .map(str::to_string);
-                }
+    /// it already voted in. An empty region is a node that never
+    /// persisted anything, and starts fresh.
+    ///
+    /// # Errors
+    ///
+    /// Whatever reading `backend` fails with, and [`StoreError::Codec`]
+    /// when its bytes are not the meta object this node writes (torn,
+    /// truncated or foreign bytes, or an object without `term`): starting
+    /// fresh from them would forget a vote already cast.
+    pub fn with_meta(mut self, backend: Arc<dyn StorageBackend>) -> Result<Self, StoreError> {
+        let bytes = backend.read()?;
+        if !bytes.is_empty() {
+            let torn = |why: &str| StoreError::Codec(format!("replica meta {why}"));
+            let text = std::str::from_utf8(&bytes).map_err(|_| torn("is not UTF-8"))?;
+            let json = Json::parse(text).map_err(|e| torn(&format!("is not JSON: {e}")))?;
+            let u = |k: &str| json.get(k).and_then(Json::as_u64);
+            let st = self.state.get_mut();
+            st.term = u("term").ok_or_else(|| torn("has no `term`"))?;
+            if let Some(i) = u("last_index") {
+                st.last_index = i;
             }
+            if let Some(t) = u("last_term") {
+                st.last_term = t;
+            }
+            if let Some(h) = u("log_hash") {
+                st.log_hash = h;
+            }
+            st.voted_for = json
+                .get("voted_for")
+                .and_then(Json::as_str)
+                .map(str::to_string);
         }
         self.meta = Some(backend);
-        self
+        Ok(self)
     }
 
     /// This node's id.
@@ -2892,7 +2898,8 @@ mod tests {
         // this test needs the term bump a lost election produces.
         cfg.pre_vote = false;
         let node = ReplicaNode::new(cfg.clone(), Arc::new(mesh.clone()))
-            .with_meta(Arc::clone(&meta) as Arc<dyn StorageBackend>);
+            .with_meta(Arc::clone(&meta) as Arc<dyn StorageBackend>)
+            .expect("the meta region reads");
         let node = Arc::new(node);
         mesh.register(Arc::clone(&node));
         // Losing an election still bumps and persists the term.
@@ -2903,7 +2910,8 @@ mod tests {
         // and its own vote, so it cannot vote for someone else in a
         // term it already voted in.
         let restarted = ReplicaNode::new(cfg, Arc::new(mesh.clone()))
-            .with_meta(Arc::clone(&meta) as Arc<dyn StorageBackend>);
+            .with_meta(Arc::clone(&meta) as Arc<dyn StorageBackend>)
+            .expect("the meta region reads");
         assert_eq!(restarted.term(), term);
         let vote = restarted.handle(
             &PeerRequest::LeaderClaim {
@@ -2930,7 +2938,8 @@ mod tests {
         let mesh = LocalMesh::new();
         let cfg = ReplicaConfig::new("n0", vec!["a".into(), "b".into()], "127.0.0.1:9100");
         let node = ReplicaNode::new(cfg.clone(), Arc::new(mesh.clone()))
-            .with_meta(Arc::clone(&meta) as Arc<dyn StorageBackend>);
+            .with_meta(Arc::clone(&meta) as Arc<dyn StorageBackend>)
+            .expect("the meta region reads");
         let claim = |candidate: &str| PeerRequest::LeaderClaim {
             term: 5,
             candidate: candidate.into(),
@@ -2948,7 +2957,8 @@ mod tests {
         );
         drop(node);
         let restarted = ReplicaNode::new(cfg, Arc::new(mesh.clone()))
-            .with_meta(Arc::clone(&meta) as Arc<dyn StorageBackend>);
+            .with_meta(Arc::clone(&meta) as Arc<dyn StorageBackend>)
+            .expect("the meta region reads");
         // The restarted node remembers its term-5 vote: `b` is refused…
         assert_eq!(
             restarted.handle(&claim("b"), 0),
@@ -2962,6 +2972,57 @@ mod tests {
             restarted.handle(&claim("a"), 0),
             PeerReply::Vote {
                 term: 5,
+                granted: true
+            }
+        );
+    }
+
+    #[test]
+    fn torn_or_foreign_meta_is_refused_at_startup() {
+        let cfg = ReplicaConfig::new("n0", vec!["a".into(), "b".into()], "127.0.0.1:9100");
+        let open = |bytes: &[u8]| {
+            let meta = Arc::new(MemBackend::new());
+            meta.replace(bytes)
+                .expect("a memory region takes any bytes");
+            ReplicaNode::new(cfg.clone(), Arc::new(LocalMesh::new()))
+                .with_meta(meta as Arc<dyn StorageBackend>)
+        };
+        let whole = br#"{"term":5,"voted_for":"a","last_index":0,"last_term":0,"log_hash":0}"#;
+        for (what, bytes) in [
+            ("torn JSON", &whole[..whole.len() / 2]),
+            ("garbage", &b"\xff\x00not meta"[..]),
+            ("an object without a term", &br#"{"voted_for":"a"}"#[..]),
+        ] {
+            match open(bytes) {
+                Err(StoreError::Codec(_)) => {}
+                Err(other) => panic!("{what}: refused with {other:?}, not a codec error"),
+                Ok(node) => panic!("{what}: started at term {}", node.term()),
+            }
+        }
+        let restored = open(whole).expect("the meta this node writes restores");
+        assert_eq!(restored.term(), 5);
+    }
+
+    #[test]
+    fn empty_meta_is_a_fresh_node() {
+        let cfg = ReplicaConfig::new("n0", vec!["a".into(), "b".into()], "127.0.0.1:9100");
+        let node = ReplicaNode::new(cfg, Arc::new(LocalMesh::new()))
+            .with_meta(Arc::new(MemBackend::new()) as Arc<dyn StorageBackend>)
+            .expect("an empty meta region is a fresh node");
+        assert_eq!(node.term(), 0);
+        assert_eq!(
+            node.handle(
+                &PeerRequest::LeaderClaim {
+                    term: 1,
+                    candidate: "a".into(),
+                    candidate_hint: "x".into(),
+                    last_index: 0,
+                    last_term: 0,
+                },
+                0,
+            ),
+            PeerReply::Vote {
+                term: 1,
                 granted: true
             }
         );

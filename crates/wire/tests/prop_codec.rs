@@ -70,8 +70,8 @@ fn array<const N: usize>(rng: &mut TestRng) -> [u8; N] {
 
 fn value(rng: &mut TestRng) -> Value {
     match rng.below(5) {
-        0 => Value::Id(text(rng)),
-        1 => Value::Str(text(rng)),
+        0 => Value::id(text(rng)),
+        1 => Value::str(text(rng)),
         2 => Value::Int(num(rng) as i64),
         3 => Value::Bool(flag(rng)),
         _ => Value::Time(num(rng)),
