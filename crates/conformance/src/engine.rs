@@ -31,6 +31,7 @@ use oasis_core::{
 };
 use oasis_events::SourceHealth;
 use oasis_facts::FactStore;
+use oasis_obs::Recorder;
 use oasis_sim::{Fault, FaultPlan, Latency, LinkConfig, SimNet, Simulation, Trace, TraceValue};
 use oasis_store::MemBackend;
 use oasis_trust::{
@@ -353,8 +354,8 @@ pub(crate) fn run_two_domain_scheduled(
     let obs = (workload == Workload::Steady)
         .then(|| Arc::new(oasis_obs::Registry::with_span_recording()));
     if let Some(reg) = &obs {
-        login.set_obs(Arc::clone(reg) as Arc<dyn oasis_obs::Recorder>);
-        hospital.set_obs(Arc::clone(reg) as Arc<dyn oasis_obs::Recorder>);
+        login.set_obs(Arc::clone(reg) as Arc<dyn Recorder>);
+        hospital.set_obs(Arc::clone(reg) as Arc<dyn Recorder>);
     }
 
     let registry = Arc::new(LocalRegistry::new());
@@ -968,39 +969,32 @@ pub(crate) fn run_two_domain_scheduled(
             if now == END {
                 let m = metrics.borrow();
                 let (sent, dropped) = net.borrow().stats();
+                // One registry over the cell's components: the bus, both
+                // admission controllers, the relying service's own series
+                // (degradation, validation cache, plans, requests) and the
+                // resilient validator.
+                let stats = oasis_obs::Registry::new();
+                stats.adopt("bus", hospital.bus().metrics());
+                stats.adopt("ctrl_login", ctrl_login.metrics());
+                stats.adopt("ctrl_validation", ctrl_hosp.metrics());
+                stats.adopt("hospital", hospital.metrics());
+                stats.adopt("resilient", resilient.metrics());
+                let stats = stats.snapshot_json().unwrap_or_else(|| "null".to_string());
                 trace.log_kv(
                     now,
                     "final state",
                     &[
-                        ("bus", TraceValue::Raw(hospital.bus().stats().trace_json())),
-                        (
-                            "ctrl_login",
-                            TraceValue::Raw(ctrl_login.stats().trace_json()),
-                        ),
-                        (
-                            "ctrl_validation",
-                            TraceValue::Raw(ctrl_hosp.stats().trace_json()),
-                        ),
-                        (
-                            "degradation",
-                            TraceValue::Raw(
-                                hospital
-                                    .degradation_stats()
-                                    .map(|d| d.trace_json())
-                                    .unwrap_or_else(|| "null".into()),
-                            ),
-                        ),
                         ("net_dropped", TraceValue::from(dropped)),
                         (
                             "net_duplicated",
                             TraceValue::from(net.borrow().duplicated()),
                         ),
                         ("net_sent", TraceValue::from(sent)),
-                        ("resilient", TraceValue::Raw(resilient.stats().trace_json())),
                         (
                             "revocations_executed",
                             TraceValue::from(executed.borrow().len()),
                         ),
+                        ("stats", TraceValue::Raw(stats)),
                         ("validations_ok", TraceValue::from(m.validations_ok)),
                         (
                             "validations_refused",
@@ -1010,13 +1004,8 @@ pub(crate) fn run_two_domain_scheduled(
                     ],
                 );
                 if let Some(reg) = &obs {
-                    let snapshot = oasis_obs::Recorder::snapshot_json(
-                        reg.as_ref() as &dyn oasis_obs::Recorder
-                    )
-                    .unwrap_or_else(|| "null".to_string());
-                    let spans =
-                        oasis_obs::Recorder::spans(reg.as_ref() as &dyn oasis_obs::Recorder)
-                            .lines();
+                    let snapshot = reg.snapshot_json().unwrap_or_else(|| "null".to_string());
+                    let spans = reg.spans().lines();
                     trace.log_kv(
                         now,
                         "metrics snapshot",
@@ -1267,11 +1256,9 @@ pub(crate) fn run_two_domain_scheduled(
     );
 
     if let Some(reg) = &obs {
-        let snap1 = oasis_obs::Recorder::snapshot_json(reg.as_ref() as &dyn oasis_obs::Recorder)
-            .unwrap_or_else(|| "null".to_string());
-        let snap2 = oasis_obs::Recorder::snapshot_json(reg.as_ref() as &dyn oasis_obs::Recorder)
-            .unwrap_or_else(|| "null".to_string());
-        let spans = oasis_obs::Recorder::spans(reg.as_ref() as &dyn oasis_obs::Recorder).len();
+        let snap1 = reg.snapshot_json().unwrap_or_else(|| "null".to_string());
+        let snap2 = reg.snapshot_json().unwrap_or_else(|| "null".to_string());
+        let spans = reg.spans().len();
         report.record(
             METRICS_DETERMINISTIC,
             snap1 == snap2 && snap1.starts_with("{\"counters\":") && spans > 0,

@@ -21,6 +21,7 @@ use oasis_core::{
 };
 use oasis_crypto::{IssuerSecret, SecretKey};
 use oasis_facts::FactStore;
+use oasis_obs::Recorder;
 use oasis_sim::{Fault, FaultPlan, Latency, LinkConfig, SimNet, Trace, TraceValue};
 use oasis_store::{LocalMesh, MemBackend, ReplicaConfig, ReplicaNode, StorageBackend};
 
@@ -266,7 +267,7 @@ pub(crate) fn run_replicated(
 
     let login = durable_login(&first_leader, &facts);
     if let Some(reg) = &obs {
-        login.set_obs(Arc::clone(reg) as Arc<dyn oasis_obs::Recorder>);
+        login.set_obs(Arc::clone(reg) as Arc<dyn Recorder>);
         for node in &nodes {
             node.set_obs(reg.as_ref(), &format!("{}.replica", node.id()));
         }
@@ -890,11 +891,9 @@ pub(crate) fn run_replicated(
     );
 
     if let Some(reg) = &obs {
-        let snap1 = oasis_obs::Recorder::snapshot_json(reg.as_ref() as &dyn oasis_obs::Recorder)
-            .unwrap_or_else(|| "null".to_string());
-        let snap2 = oasis_obs::Recorder::snapshot_json(reg.as_ref() as &dyn oasis_obs::Recorder)
-            .unwrap_or_else(|| "null".to_string());
-        let spans = oasis_obs::Recorder::spans(reg.as_ref() as &dyn oasis_obs::Recorder).lines();
+        let snap1 = reg.snapshot_json().unwrap_or_else(|| "null".to_string());
+        let snap2 = reg.snapshot_json().unwrap_or_else(|| "null".to_string());
+        let spans = reg.spans().lines();
         trace.log_kv(
             mesh.now(),
             "metrics snapshot",

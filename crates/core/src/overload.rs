@@ -45,7 +45,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use oasis_events::LoadTracker;
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 
 // ---------------------------------------------------------------------------
 // Clocks
@@ -321,88 +321,62 @@ impl OverloadConfig {
 // Stats
 // ---------------------------------------------------------------------------
 
-/// Point-in-time view of one lane.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LaneSnapshot {
-    /// Requests granted a permit.
-    pub admitted: u64,
-    /// Requests refused because the lane queue was full.
-    pub shed: u64,
-    /// Requests whose deadline passed before execution started.
-    pub expired: u64,
-    /// Queued requests abandoned by their caller (the ticket was dropped
-    /// without resolving) and pruned from the queue.
-    pub cancelled: u64,
-    /// Requests completed (permit dropped).
-    pub completed: u64,
-    /// Currently executing requests.
-    pub running: u32,
-    /// Currently queued requests.
-    pub queue_depth: usize,
-    /// Current AIMD concurrency limit (floor of the fractional limit).
-    pub limit: u32,
-    /// Smoothed observed *service* latency (permit grant to completion)
-    /// in clock ms — the AIMD feedback signal.
-    pub ewma_latency_ms: f64,
-    /// Smoothed time from submission to permit grant in clock ms. Queue
-    /// wait is tracked separately so a backlog cannot masquerade as slow
-    /// service and collapse the AIMD limit.
-    pub ewma_queue_wait_ms: f64,
+oasis_obs::stats_set! {
+    /// Point-in-time view of one lane. The counters count since the
+    /// controller was built; `running`, `queue_depth`, `limit` and the two
+    /// EWMAs are gauges the controller sets whenever the lane's state
+    /// changes, the EWMAs in microseconds.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct LaneSnapshot / LaneSeries {
+        /// Requests granted a permit.
+        admitted: u64 = counter,
+        /// Requests refused because the lane queue was full.
+        shed: u64 = counter,
+        /// Requests whose deadline passed before execution started.
+        expired: u64 = counter,
+        /// Queued requests abandoned by their caller (the ticket was dropped
+        /// without resolving) and pruned from the queue.
+        cancelled: u64 = counter,
+        /// Requests completed (permit dropped).
+        completed: u64 = counter,
+        /// Currently executing requests.
+        running: u32 = gauge,
+        /// Currently queued requests.
+        queue_depth: usize = gauge,
+        /// Current AIMD concurrency limit (floor of the fractional limit).
+        limit: u32 = gauge,
+        /// Smoothed observed *service* latency (permit grant to completion)
+        /// in clock ms — the AIMD feedback signal.
+        ewma_latency_ms: f64 = micros("ewma_latency_us"),
+        /// Smoothed time from submission to permit grant in clock ms. Queue
+        /// wait is tracked separately so a backlog cannot masquerade as slow
+        /// service and collapse the AIMD limit.
+        ewma_queue_wait_ms: f64 = micros("ewma_queue_wait_us"),
+    }
 }
 
-/// Snapshot of the whole admission controller, for stats plumbing and the
-/// chaos JSONL trace.
-#[derive(Debug, Clone, PartialEq)]
-pub struct OverloadStats {
-    /// Per-lane snapshots in [`Lane::ALL`] order.
-    pub lanes: [LaneSnapshot; 3],
-    /// Connections handed to the worker pool.
-    pub conns_accepted: u64,
-    /// Connections dropped because the accept queue was full.
-    pub conns_shed: u64,
-    /// Connections closed by the server's idle timeout
-    /// (`OverloadConfig::idle_conn_ms`).
-    pub conns_idle_closed: u64,
+oasis_obs::stats_set! {
+    /// Snapshot of the whole admission controller, read from its registry
+    /// series ([`AdmissionController::metrics`]).
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct OverloadStats / OverloadSeries {
+        /// Per-lane snapshots in [`Lane::ALL`] order, each lane's series
+        /// under its [`Lane::as_str`] name.
+        lanes: [LaneSnapshot; 3] = each(LaneSeries, Lane::ALL.map(|l| l.as_str())),
+        /// Connections handed to the worker pool.
+        conns_accepted: u64 = counter,
+        /// Connections dropped because the accept queue was full.
+        conns_shed: u64 = counter,
+        /// Connections closed by the server's idle timeout
+        /// (`OverloadConfig::idle_conn_ms`).
+        conns_idle_closed: u64 = counter,
+    }
 }
 
 impl OverloadStats {
     /// The snapshot for one lane.
     pub fn lane(&self, lane: Lane) -> &LaneSnapshot {
         &self.lanes[lane.idx()]
-    }
-
-    /// Compact single-line JSON for chaos traces, keys sorted (rendered
-    /// by the shared `oasis-obs` canonical encoder).
-    pub fn trace_json(&self) -> String {
-        use oasis_obs::TraceValue;
-        let lane_json = |s: &LaneSnapshot| {
-            oasis_obs::kv_json(&[
-                ("admitted", s.admitted.into()),
-                ("cancelled", s.cancelled.into()),
-                ("completed", s.completed.into()),
-                (
-                    "ewma_ms",
-                    TraceValue::Raw(format!("{:.1}", s.ewma_latency_ms)),
-                ),
-                ("expired", s.expired.into()),
-                ("limit", s.limit.into()),
-                ("queue_depth", s.queue_depth.into()),
-                (
-                    "queue_wait_ms",
-                    TraceValue::Raw(format!("{:.1}", s.ewma_queue_wait_ms)),
-                ),
-                ("shed", s.shed.into()),
-            ])
-        };
-        let mut pairs: Vec<(&str, TraceValue)> = vec![
-            ("conns_accepted", self.conns_accepted.into()),
-            ("conns_idle_closed", self.conns_idle_closed.into()),
-            ("conns_shed", self.conns_shed.into()),
-        ];
-        for lane in Lane::ALL.iter() {
-            pairs.push((lane.as_str(), TraceValue::Raw(lane_json(self.lane(*lane)))));
-        }
-        oasis_obs::kv_json(&pairs)
     }
 }
 
@@ -427,32 +401,38 @@ struct LaneState {
     earliest_deadline_ms: u64,
     next_ticket: u64,
     last_decrease_ms: u64,
-    admitted: u64,
-    shed: u64,
-    expired: u64,
-    cancelled: u64,
-    completed: u64,
     load: LoadTracker,
     queue_wait: LoadTracker,
+    series: LaneSeries,
 }
 
 impl LaneState {
-    fn new(cfg: &LaneConfig) -> Self {
-        Self {
+    fn new(cfg: &LaneConfig, series: LaneSeries) -> Self {
+        let state = Self {
             limit: cfg.initial_limit.max(1) as f64,
             running: 0,
             queue: VecDeque::new(),
             earliest_deadline_ms: u64::MAX,
             next_ticket: 0,
             last_decrease_ms: 0,
-            admitted: 0,
-            shed: 0,
-            expired: 0,
-            cancelled: 0,
-            completed: 0,
             load: LoadTracker::new(),
             queue_wait: LoadTracker::new(),
-        }
+            series,
+        };
+        state.publish();
+        state
+    }
+
+    /// Sets the lane's gauges from its state.
+    fn publish(&self) {
+        let micros = |ms: f64| (ms * 1000.0).round() as i64;
+        self.series.running.set(i64::from(self.running));
+        self.series.queue_depth.set(self.queue.len() as i64);
+        self.series.limit.set(self.limit as i64);
+        self.series.ewma_latency_ms.set(micros(self.load.ewma_ms()));
+        self.series
+            .ewma_queue_wait_ms
+            .set(micros(self.queue_wait.ewma_ms()));
     }
 
     /// Drop queued tickets whose deadline has passed. Their owners learn of
@@ -465,7 +445,7 @@ impl LaneState {
         let mut earliest = u64::MAX;
         self.queue.retain(|t| {
             if t.deadline.expired(now_ms) {
-                self.expired += 1;
+                self.series.expired.inc();
                 false
             } else {
                 earliest = earliest.min(t.deadline.at_ms().unwrap_or(u64::MAX));
@@ -473,6 +453,30 @@ impl LaneState {
             }
         });
         self.earliest_deadline_ms = earliest;
+    }
+}
+
+/// A locked lane. Dropping it publishes the lane's gauges, so they never
+/// drift from the state they mirror.
+struct LaneGuard<'a>(MutexGuard<'a, LaneState>);
+
+impl std::ops::Deref for LaneGuard<'_> {
+    type Target = LaneState;
+
+    fn deref(&self) -> &LaneState {
+        &self.0
+    }
+}
+
+impl std::ops::DerefMut for LaneGuard<'_> {
+    fn deref_mut(&mut self) -> &mut LaneState {
+        &mut self.0
+    }
+}
+
+impl Drop for LaneGuard<'_> {
+    fn drop(&mut self) {
+        self.0.publish();
     }
 }
 
@@ -534,12 +538,12 @@ impl Ticket {
 
 impl Drop for Ticket {
     fn drop(&mut self) {
-        let mut state = self.ctrl.lanes[self.lane.idx()].lock();
+        let mut state = self.ctrl.lane(self.lane);
         let before = state.queue.len();
         state.queue.retain(|t| t.id != self.id);
         // Unchanged length: already granted, expired, or pruned.
         if state.queue.len() < before {
-            state.cancelled += 1;
+            state.series.cancelled.inc();
         }
     }
 }
@@ -577,9 +581,8 @@ pub struct AdmissionController {
     config: OverloadConfig,
     clock: Arc<dyn Clock>,
     lanes: [Mutex<LaneState>; 3],
-    conns_accepted: AtomicU64,
-    conns_shed: AtomicU64,
-    conns_idle_closed: AtomicU64,
+    metrics: oasis_obs::Registry,
+    series: OverloadSeries,
 }
 
 impl AdmissionController {
@@ -590,24 +593,35 @@ impl AdmissionController {
 
     /// Controller on an explicit clock (virtual time in tests/sim).
     pub fn with_clock(config: OverloadConfig, clock: Arc<dyn Clock>) -> Arc<Self> {
-        let lanes = [
-            Mutex::new(LaneState::new(config.lane(Lane::Control))),
-            Mutex::new(LaneState::new(config.lane(Lane::Validation))),
-            Mutex::new(LaneState::new(config.lane(Lane::Issuance))),
-        ];
+        let metrics = oasis_obs::Registry::new();
+        let series = OverloadSeries::resolve(&metrics, "");
+        let lanes = Lane::ALL.map(|lane| {
+            let lane_series = series.lanes[lane.idx()].clone();
+            Mutex::new(LaneState::new(config.lane(lane), lane_series))
+        });
         Arc::new(Self {
             config,
             clock,
             lanes,
-            conns_accepted: AtomicU64::new(0),
-            conns_shed: AtomicU64::new(0),
-            conns_idle_closed: AtomicU64::new(0),
+            metrics,
+            series,
         })
     }
 
     /// The active configuration.
     pub fn config(&self) -> &OverloadConfig {
         &self.config
+    }
+
+    /// The controller's own registry, holding the [`OverloadStats`]
+    /// series; share it into a caller's recorder with
+    /// [`oasis_obs::Recorder::adopt`].
+    pub fn metrics(&self) -> &oasis_obs::Registry {
+        &self.metrics
+    }
+
+    fn lane(&self, lane: Lane) -> LaneGuard<'_> {
+        LaneGuard(self.lanes[lane.idx()].lock())
     }
 
     /// Current controller clock reading in ms.
@@ -634,20 +648,20 @@ impl AdmissionController {
     ) -> Submission {
         let now = self.clock.now_ms();
         let cfg = self.config.lane(lane);
-        let mut state = self.lanes[lane.idx()].lock();
+        let mut state = self.lane(lane);
         if deadline.expired(now) {
-            state.expired += 1;
+            state.series.expired.inc();
             return Submission::Expired;
         }
         state.prune_expired(now);
         if state.queue.is_empty() && (state.running as f64) < state.limit {
             state.running += 1;
-            state.admitted += 1;
+            state.series.admitted.inc();
             state.queue_wait.observe(0);
             return Submission::Admitted(self.permit(lane, now));
         }
         if state.queue.len() >= cfg.queue_cap {
-            state.shed += 1;
+            state.series.shed.inc();
             let hint = state
                 .load
                 .drain_estimate_ms(state.queue.len(), state.limit as u32);
@@ -671,13 +685,6 @@ impl AdmissionController {
         })
     }
 
-    /// Registers this controller's stats as a snapshot source named
-    /// `name` on `recorder`.
-    pub fn register_obs(self: &Arc<Self>, recorder: &dyn oasis_obs::Recorder, name: &str) {
-        let ctrl = Arc::clone(self);
-        recorder.register_source(name, Box::new(move || ctrl.stats().trace_json()));
-    }
-
     fn permit(self: &Arc<Self>, lane: Lane, granted_ms: u64) -> Permit {
         Permit {
             ctrl: Arc::clone(self),
@@ -691,14 +698,14 @@ impl AdmissionController {
     /// deadline passes, whether or not it is still queued.
     pub fn poll(self: &Arc<Self>, ticket: &Ticket) -> PollOutcome {
         let now = self.clock.now_ms();
-        let mut state = self.lanes[ticket.lane.idx()].lock();
+        let mut state = self.lane(ticket.lane);
         if ticket.deadline.expired(now) {
             // Count the expiry only if the ticket is still queued; a prune
             // pass may already have counted and removed it.
             let before = state.queue.len();
             state.queue.retain(|t| t.id != ticket.id);
             if state.queue.len() < before {
-                state.expired += 1;
+                state.series.expired.inc();
             }
             return PollOutcome::Expired;
         }
@@ -707,7 +714,7 @@ impl AdmissionController {
         if at_head && (state.running as f64) < state.limit {
             state.queue.pop_front();
             state.running += 1;
-            state.admitted += 1;
+            state.series.admitted.inc();
             state
                 .queue_wait
                 .observe(now.saturating_sub(ticket.submitted_ms));
@@ -722,8 +729,7 @@ impl AdmissionController {
     /// after its deadline (a racy admission at the deadline boundary). The
     /// caller must drop the permit without doing work.
     pub fn note_expired_after_admit(&self, lane: Lane) {
-        let mut state = self.lanes[lane.idx()].lock();
-        state.expired += 1;
+        self.series.lanes[lane.idx()].expired.inc();
     }
 
     /// Completion path: called from [`Permit::drop`]. The latency fed to
@@ -732,9 +738,9 @@ impl AdmissionController {
         let now = self.clock.now_ms();
         let latency = now.saturating_sub(granted_ms);
         let cfg = self.config.lane(lane);
-        let mut state = self.lanes[lane.idx()].lock();
+        let mut state = self.lane(lane);
         state.running = state.running.saturating_sub(1);
-        state.completed += 1;
+        state.series.completed.inc();
         state.load.observe(latency);
         if latency > cfg.target_latency_ms {
             // Multiplicative decrease, at most once per target window so
@@ -752,46 +758,22 @@ impl AdmissionController {
 
     /// Record a connection handed to the worker pool.
     pub fn note_conn_accepted(&self) {
-        self.conns_accepted.fetch_add(1, Ordering::Relaxed);
+        self.series.conns_accepted.inc();
     }
 
     /// Record a connection dropped because the accept queue was full.
     pub fn note_conn_shed(&self) {
-        self.conns_shed.fetch_add(1, Ordering::Relaxed);
+        self.series.conns_shed.inc();
     }
 
     /// Record a connection closed by the server's idle timeout.
     pub fn note_conn_idle_closed(&self) {
-        self.conns_idle_closed.fetch_add(1, Ordering::Relaxed);
+        self.series.conns_idle_closed.inc();
     }
 
-    /// Point-in-time stats snapshot.
+    /// Point-in-time stats snapshot, read from the controller's series.
     pub fn stats(&self) -> OverloadStats {
-        let snap = |lane: Lane| {
-            let state = self.lanes[lane.idx()].lock();
-            LaneSnapshot {
-                admitted: state.admitted,
-                shed: state.shed,
-                expired: state.expired,
-                cancelled: state.cancelled,
-                completed: state.completed,
-                running: state.running,
-                queue_depth: state.queue.len(),
-                limit: state.limit as u32,
-                ewma_latency_ms: state.load.ewma_ms(),
-                ewma_queue_wait_ms: state.queue_wait.ewma_ms(),
-            }
-        };
-        OverloadStats {
-            lanes: [
-                snap(Lane::Control),
-                snap(Lane::Validation),
-                snap(Lane::Issuance),
-            ],
-            conns_accepted: self.conns_accepted.load(Ordering::Relaxed),
-            conns_shed: self.conns_shed.load(Ordering::Relaxed),
-            conns_idle_closed: self.conns_idle_closed.load(Ordering::Relaxed),
-        }
+        self.series.read()
     }
 }
 
@@ -1080,15 +1062,5 @@ mod tests {
             "queue wait is tracked separately: {}",
             snap.ewma_queue_wait_ms
         );
-    }
-
-    #[test]
-    fn trace_json_is_well_formed() {
-        let (ctrl, _clock) = manual(tiny_config());
-        let _p = ctrl.submit(Lane::Control, Deadline::none());
-        let json = ctrl.stats().trace_json();
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"control\""));
-        assert!(json.contains("\"conns_shed\":0"));
     }
 }

@@ -752,42 +752,32 @@ impl Evaluator<'_> {
     }
 }
 
-/// Counts of compiled plans by compile-time property, from
-/// [`plan_stats`](../service/struct.OasisService.html#method.plan_stats).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PlanStats {
-    /// Plans compiled (activation + invocation).
-    pub total: usize,
-    /// Plans proved unsatisfiable at compile time.
-    pub always_fail: usize,
-    /// Plans eligible for the fully-ground fast path.
-    pub ground: usize,
-    /// Plans whose step order differs from the source order.
-    pub reordered: usize,
-    /// Plans whose outcome can change without a fact change.
-    pub time_sensitive: usize,
+oasis_obs::stats_set! {
+    /// Counts of compiled plans by compile-time property, from
+    /// [`plan_stats`](../service/struct.OasisService.html#method.plan_stats).
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct PlanStats / PlanSeries {
+        /// Plans compiled (activation + invocation).
+        total: u64 = counter,
+        /// Plans proved unsatisfiable at compile time.
+        always_fail: u64 = counter,
+        /// Plans eligible for the fully-ground fast path.
+        ground: u64 = counter,
+        /// Plans whose step order differs from the source order.
+        reordered: u64 = counter,
+        /// Plans whose outcome can change without a fact change.
+        time_sensitive: u64 = counter,
+    }
 }
 
-impl PlanStats {
-    /// Folds one plan's properties into the counters.
-    pub fn absorb(&mut self, plan: &RulePlan) {
-        self.total += 1;
-        self.always_fail += usize::from(plan.is_always_fail());
-        self.ground += usize::from(plan.is_ground());
-        self.reordered += usize::from(plan.was_reordered());
-        self.time_sensitive += usize::from(plan.is_time_sensitive());
-    }
-
-    /// Compact single-line JSON, keys sorted (rendered by the shared
-    /// `oasis-obs` canonical encoder).
-    pub fn trace_json(&self) -> String {
-        oasis_obs::kv_json(&[
-            ("always_fail", self.always_fail.into()),
-            ("ground", self.ground.into()),
-            ("reordered", self.reordered.into()),
-            ("time_sensitive", self.time_sensitive.into()),
-            ("total", self.total.into()),
-        ])
+impl PlanSeries {
+    /// Counts one installed plan by its properties.
+    pub(crate) fn count(&self, plan: &RulePlan) {
+        self.total.inc();
+        self.always_fail.add(u64::from(plan.is_always_fail()));
+        self.ground.add(u64::from(plan.is_ground()));
+        self.reordered.add(u64::from(plan.was_reordered()));
+        self.time_sensitive.add(u64::from(plan.is_time_sensitive()));
     }
 }
 

@@ -98,62 +98,34 @@ impl Default for BreakerState {
     }
 }
 
-/// Counters from a [`ResilientValidator`], the decorator-side complement
-/// of [`ValidationCacheStats`](crate::ValidationCacheStats).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ResilientStats {
-    /// `validate` calls received.
-    pub calls: u64,
-    /// Calls that ultimately succeeded.
-    pub successes: u64,
-    /// Individual retries performed (beyond first attempts).
-    pub retries: u64,
-    /// Attempts that failed with a transient error (excluding overload
-    /// sheds, which are counted separately — a shed is an answer from a
-    /// live service, not evidence of a broken transport).
-    pub transient_failures: u64,
-    /// Attempts the issuer shed with [`OasisError::Overloaded`]. These
-    /// never count toward opening the issuer's circuit breaker.
-    pub overload_sheds: u64,
-    /// Attempts that failed with a fatal (authoritative) error.
-    pub fatal_failures: u64,
-    /// Times a breaker transitioned to open.
-    pub breaker_opens: u64,
-    /// Calls answered instantly with [`OasisError::CircuitOpen`].
-    pub breaker_fast_fails: u64,
-    /// Times a breaker closed again (successful probe or answer).
-    pub breaker_closes: u64,
-}
-
-impl ResilientStats {
-    /// Compact single-line JSON for chaos/conformance traces, keys
-    /// sorted (rendered by the shared `oasis-obs` canonical encoder).
-    pub fn trace_json(&self) -> String {
-        oasis_obs::kv_json(&[
-            ("breaker_closes", self.breaker_closes.into()),
-            ("breaker_fast_fails", self.breaker_fast_fails.into()),
-            ("breaker_opens", self.breaker_opens.into()),
-            ("calls", self.calls.into()),
-            ("fatal_failures", self.fatal_failures.into()),
-            ("overload_sheds", self.overload_sheds.into()),
-            ("retries", self.retries.into()),
-            ("successes", self.successes.into()),
-            ("transient_failures", self.transient_failures.into()),
-        ])
+oasis_obs::stats_set! {
+    /// Counters from a [`ResilientValidator`], the decorator-side complement
+    /// of [`ValidationCacheStats`](crate::ValidationCacheStats), read from
+    /// its registry series ([`ResilientValidator::metrics`]).
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct ResilientStats / ResilientSeries {
+        /// `validate` calls received.
+        calls: u64 = counter,
+        /// Calls that ultimately succeeded.
+        successes: u64 = counter,
+        /// Individual retries performed (beyond first attempts).
+        retries: u64 = counter,
+        /// Attempts that failed with a transient error (excluding overload
+        /// sheds, which are counted separately — a shed is an answer from a
+        /// live service, not evidence of a broken transport).
+        transient_failures: u64 = counter,
+        /// Attempts the issuer shed with [`OasisError::Overloaded`]. These
+        /// never count toward opening the issuer's circuit breaker.
+        overload_sheds: u64 = counter,
+        /// Attempts that failed with a fatal (authoritative) error.
+        fatal_failures: u64 = counter,
+        /// Times a breaker transitioned to open.
+        breaker_opens: u64 = counter,
+        /// Calls answered instantly with [`OasisError::CircuitOpen`].
+        breaker_fast_fails: u64 = counter,
+        /// Times a breaker closed again (successful probe or answer).
+        breaker_closes: u64 = counter,
     }
-}
-
-#[derive(Default)]
-struct Counters {
-    calls: AtomicU64,
-    successes: AtomicU64,
-    retries: AtomicU64,
-    transient_failures: AtomicU64,
-    overload_sheds: AtomicU64,
-    fatal_failures: AtomicU64,
-    breaker_opens: AtomicU64,
-    breaker_fast_fails: AtomicU64,
-    breaker_closes: AtomicU64,
 }
 
 type Sleeper = dyn Fn(Duration) + Send + Sync;
@@ -180,7 +152,8 @@ pub struct ResilientValidator {
     breakers: Mutex<HashMap<ServiceId, BreakerState>>,
     sleeper: Box<Sleeper>,
     jitter_seed: AtomicU64,
-    counters: Counters,
+    metrics: oasis_obs::Registry,
+    counters: ResilientSeries,
 }
 
 impl std::fmt::Debug for ResilientValidator {
@@ -196,6 +169,7 @@ impl std::fmt::Debug for ResilientValidator {
 impl ResilientValidator {
     /// Wraps `inner` with the default retry policy and breaker tuning.
     pub fn new(inner: Arc<dyn CredentialValidator>) -> Self {
+        let metrics = oasis_obs::Registry::new();
         Self {
             inner,
             retry: RetryPolicy::default(),
@@ -207,7 +181,8 @@ impl ResilientValidator {
                 }
             }),
             jitter_seed: AtomicU64::new(0x5DEE_CE66_D001_u64),
-            counters: Counters::default(),
+            counters: ResilientSeries::resolve(&metrics, ""),
+            metrics,
         }
     }
 
@@ -235,17 +210,14 @@ impl ResilientValidator {
 
     /// A snapshot of the retry/breaker counters.
     pub fn stats(&self) -> ResilientStats {
-        ResilientStats {
-            calls: self.counters.calls.load(Ordering::Relaxed),
-            successes: self.counters.successes.load(Ordering::Relaxed),
-            retries: self.counters.retries.load(Ordering::Relaxed),
-            transient_failures: self.counters.transient_failures.load(Ordering::Relaxed),
-            overload_sheds: self.counters.overload_sheds.load(Ordering::Relaxed),
-            fatal_failures: self.counters.fatal_failures.load(Ordering::Relaxed),
-            breaker_opens: self.counters.breaker_opens.load(Ordering::Relaxed),
-            breaker_fast_fails: self.counters.breaker_fast_fails.load(Ordering::Relaxed),
-            breaker_closes: self.counters.breaker_closes.load(Ordering::Relaxed),
-        }
+        self.counters.read()
+    }
+
+    /// The validator's own registry, holding the [`ResilientStats`]
+    /// series; share it into a caller's recorder with
+    /// [`oasis_obs::Recorder::adopt`].
+    pub fn metrics(&self) -> &oasis_obs::Registry {
+        &self.metrics
     }
 
     /// The breaker state for `issuer`: `"closed"`, `"open"`, or
@@ -272,9 +244,7 @@ impl ResilientValidator {
                 Ok(())
             }
             BreakerState::Open { .. } | BreakerState::HalfOpen => {
-                self.counters
-                    .breaker_fast_fails
-                    .fetch_add(1, Ordering::Relaxed);
+                self.counters.breaker_fast_fails.inc();
                 Err(OasisError::CircuitOpen(issuer.clone()))
             }
         }
@@ -292,7 +262,7 @@ impl ResilientValidator {
             }
         ) {
             if matches!(*state, BreakerState::Open { .. } | BreakerState::HalfOpen) {
-                self.counters.breaker_closes.fetch_add(1, Ordering::Relaxed);
+                self.counters.breaker_closes.inc();
             }
             *state = BreakerState::default();
         }
@@ -323,7 +293,7 @@ impl ResilientValidator {
         };
         if open {
             *state = BreakerState::Open { since: now };
-            self.counters.breaker_opens.fetch_add(1, Ordering::Relaxed);
+            self.counters.breaker_opens.inc();
         }
     }
 }
@@ -336,7 +306,7 @@ impl CredentialValidator for ResilientValidator {
         now: u64,
     ) -> Result<(), OasisError> {
         let issuer = credential.issuer();
-        self.counters.calls.fetch_add(1, Ordering::Relaxed);
+        self.counters.calls.inc();
         self.admit(issuer, now)?;
 
         let seed = self.jitter_seed.fetch_add(1, Ordering::Relaxed);
@@ -344,13 +314,13 @@ impl CredentialValidator for ResilientValidator {
         loop {
             match self.inner.validate(credential, presenter, now) {
                 Ok(()) => {
-                    self.counters.successes.fetch_add(1, Ordering::Relaxed);
+                    self.counters.successes.inc();
                     self.record_answer(issuer);
                     return Ok(());
                 }
                 Err(error) => match classify_error(&error) {
                     ErrorClass::Fatal => {
-                        self.counters.fatal_failures.fetch_add(1, Ordering::Relaxed);
+                        self.counters.fatal_failures.inc();
                         // The issuer *answered*; its reachability is fine.
                         self.record_answer(issuer);
                         return Err(error);
@@ -361,15 +331,13 @@ impl CredentialValidator for ResilientValidator {
                             _ => None,
                         };
                         if shed_hint.is_some() {
-                            self.counters.overload_sheds.fetch_add(1, Ordering::Relaxed);
+                            self.counters.overload_sheds.inc();
                         } else {
-                            self.counters
-                                .transient_failures
-                                .fetch_add(1, Ordering::Relaxed);
+                            self.counters.transient_failures.inc();
                         }
                         match backoff.next_delay() {
                             Some(delay) => {
-                                self.counters.retries.fetch_add(1, Ordering::Relaxed);
+                                self.counters.retries.inc();
                                 // An overloaded issuer said exactly when to
                                 // come back: its hint replaces the generic
                                 // backoff delay, still bounded by the

@@ -76,7 +76,7 @@ use crate::error::OasisError;
 use crate::ids::{CertId, PrincipalId, RoleName, ServiceId};
 use crate::overload::{AdmissionController, OverloadStats};
 use crate::pattern::{Bindings, Term};
-use crate::plan::{CheckPlan, CredIndex, PlanStats, RulePlan};
+use crate::plan::{CheckPlan, CredIndex, PlanSeries, PlanStats, RulePlan};
 use crate::resilient::{classify_error, ErrorClass};
 use crate::role::RoleDef;
 use crate::rule::{ActivationRule, Atom, InvocationRule, RuleId, Solution};
@@ -144,58 +144,34 @@ impl Default for HeartbeatConfig {
     }
 }
 
-/// Counters from the failure-aware validation layer (see
-/// [`ServiceConfig::with_heartbeats`]), alongside
-/// [`ValidationCacheStats`] and the decorator-side
-/// [`ResilientStats`](crate::ResilientStats).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DegradationStats {
-    /// Validations forced to a fresh callback because the issuer was
-    /// late (the cache hit was suspect).
-    pub suspect_revalidations: u64,
-    /// Suspect cache entries served anyway under
-    /// [`DegradationPolicy::FailOpen`].
-    pub stale_served: u64,
-    /// Suspect cache entries *refused* (fail-safe, or older than the
-    /// fail-open bound) when the fresh callback failed.
-    pub stale_refused: u64,
-    /// Cache entries evicted because their issuer turned dead.
-    pub dead_evictions: u64,
-    /// Issuers whose dependent certificates were deactivated after the
-    /// grace period.
-    pub degraded_issuers: u64,
-    /// Certificates revoked by those degradations (directly; cascades
-    /// may collapse more).
-    pub degraded_certs: u64,
-    /// Dead issuers that heartbeated again and returned to service.
-    pub issuer_recoveries: u64,
-}
-
-impl DegradationStats {
-    /// Compact single-line JSON for chaos/conformance traces, keys
-    /// sorted (rendered by the shared `oasis-obs` canonical encoder).
-    pub fn trace_json(&self) -> String {
-        oasis_obs::kv_json(&[
-            ("dead_evictions", self.dead_evictions.into()),
-            ("degraded_certs", self.degraded_certs.into()),
-            ("degraded_issuers", self.degraded_issuers.into()),
-            ("issuer_recoveries", self.issuer_recoveries.into()),
-            ("stale_refused", self.stale_refused.into()),
-            ("stale_served", self.stale_served.into()),
-            ("suspect_revalidations", self.suspect_revalidations.into()),
-        ])
+oasis_obs::stats_set! {
+    /// Counters from the failure-aware validation layer (see
+    /// [`ServiceConfig::with_heartbeats`]), alongside
+    /// [`ValidationCacheStats`] and the decorator-side
+    /// [`ResilientStats`](crate::ResilientStats); series `degradation.*`
+    /// of the service's registry.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct DegradationStats / DegradationSeries {
+        /// Validations forced to a fresh callback because the issuer was
+        /// late (the cache hit was suspect).
+        suspect_revalidations: u64 = counter,
+        /// Suspect cache entries served anyway under
+        /// [`DegradationPolicy::FailOpen`].
+        stale_served: u64 = counter,
+        /// Suspect cache entries *refused* (fail-safe, or older than the
+        /// fail-open bound) when the fresh callback failed.
+        stale_refused: u64 = counter,
+        /// Cache entries evicted because their issuer turned dead.
+        dead_evictions: u64 = counter,
+        /// Issuers whose dependent certificates were deactivated after the
+        /// grace period.
+        degraded_issuers: u64 = counter,
+        /// Certificates revoked by those degradations (directly; cascades
+        /// may collapse more).
+        degraded_certs: u64 = counter,
+        /// Dead issuers that heartbeated again and returned to service.
+        issuer_recoveries: u64 = counter,
     }
-}
-
-#[derive(Default)]
-struct DegradationCounters {
-    suspect_revalidations: AtomicU64,
-    stale_served: AtomicU64,
-    stale_refused: AtomicU64,
-    dead_evictions: AtomicU64,
-    degraded_issuers: AtomicU64,
-    degraded_certs: AtomicU64,
-    issuer_recoveries: AtomicU64,
 }
 
 /// Per-dead-issuer bookkeeping: when death was first observed, and which
@@ -215,7 +191,7 @@ struct FailureAware {
     default_policy: DegradationPolicy,
     overrides: RwLock<HashMap<ServiceId, DegradationPolicy>>,
     dead: Mutex<HashMap<ServiceId, DeadIssuer>>,
-    counters: DegradationCounters,
+    counters: DegradationSeries,
 }
 
 impl FailureAware {
@@ -229,18 +205,6 @@ impl FailureAware {
 
     fn source(issuer: &ServiceId) -> SourceId {
         SourceId::new(issuer.as_str())
-    }
-
-    fn stats(&self) -> DegradationStats {
-        DegradationStats {
-            suspect_revalidations: self.counters.suspect_revalidations.load(Ordering::Relaxed),
-            stale_served: self.counters.stale_served.load(Ordering::Relaxed),
-            stale_refused: self.counters.stale_refused.load(Ordering::Relaxed),
-            dead_evictions: self.counters.dead_evictions.load(Ordering::Relaxed),
-            degraded_issuers: self.counters.degraded_issuers.load(Ordering::Relaxed),
-            degraded_certs: self.counters.degraded_certs.load(Ordering::Relaxed),
-            issuer_recoveries: self.counters.issuer_recoveries.load(Ordering::Relaxed),
-        }
     }
 }
 
@@ -539,28 +503,19 @@ struct CertShard {
     fact_index: FactIndex,
 }
 
-/// Counters from the foreign-credential validation cache (see
-/// [`ServiceConfig::with_validation_cache`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ValidationCacheStats {
-    /// Validations answered from the cache, with no issuer callback.
-    pub hits: u64,
-    /// Validations that went through to the issuer (and were cached on
-    /// success).
-    pub misses: u64,
-    /// Entries evicted by revocation events from the bus.
-    pub invalidations: u64,
-}
-
-impl ValidationCacheStats {
-    /// Compact single-line JSON, keys sorted (rendered by the shared
-    /// `oasis-obs` canonical encoder).
-    pub fn trace_json(&self) -> String {
-        oasis_obs::kv_json(&[
-            ("hits", self.hits.into()),
-            ("invalidations", self.invalidations.into()),
-            ("misses", self.misses.into()),
-        ])
+oasis_obs::stats_set! {
+    /// Counters from the foreign-credential validation cache (see
+    /// [`ServiceConfig::with_validation_cache`]); series `vcache.*` of the
+    /// service's registry.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct ValidationCacheStats / ValidationCacheSeries {
+        /// Validations answered from the cache, with no issuer callback.
+        hits: u64 = counter,
+        /// Validations that went through to the issuer (and were cached on
+        /// success).
+        misses: u64 = counter,
+        /// Entries evicted by revocation events from the bus.
+        invalidations: u64 = counter,
     }
 }
 
@@ -570,19 +525,15 @@ struct ValidationCache {
     ttl: u64,
     /// `(crr, presenter)` → virtual time the callback succeeded.
     entries: Mutex<HashMap<(Crr, PrincipalId), u64>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    invalidations: AtomicU64,
+    series: ValidationCacheSeries,
 }
 
 impl ValidationCache {
-    fn new(ttl: u64) -> Self {
+    fn new(ttl: u64, metrics: &oasis_obs::Registry) -> Self {
         Self {
             ttl,
             entries: Mutex::new(HashMap::new()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            invalidations: AtomicU64::new(0),
+            series: ValidationCacheSeries::resolve(metrics, "vcache"),
         }
     }
 
@@ -594,9 +545,9 @@ impl ValidationCache {
             .age(crr, presenter, now)
             .is_some_and(|age| age <= self.ttl);
         if fresh {
-            self.hits.fetch_add(1, Ordering::Relaxed);
+            self.series.hits.inc();
         } else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
+            self.series.misses.inc();
         }
         fresh
     }
@@ -627,7 +578,7 @@ impl ValidationCache {
         let evicted = (before - entries.len()) as u64;
         drop(entries);
         if evicted > 0 {
-            self.invalidations.fetch_add(evicted, Ordering::Relaxed);
+            self.series.invalidations.add(evicted);
         }
         evicted
     }
@@ -640,15 +591,7 @@ impl ValidationCache {
         let evicted = (before - entries.len()) as u64;
         drop(entries);
         if evicted > 0 {
-            self.invalidations.fetch_add(evicted, Ordering::Relaxed);
-        }
-    }
-
-    fn stats(&self) -> ValidationCacheStats {
-        ValidationCacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            invalidations: self.invalidations.load(Ordering::Relaxed),
+            self.series.invalidations.add(evicted);
         }
     }
 }
@@ -660,43 +603,42 @@ impl ValidationCache {
 /// the service subscribes itself to the event bus and the fact store for
 /// active security. See the [crate-level example](crate).
 ///
-/// Cached observability handles for the request hot path, refreshed by
-/// [`OasisService::set_obs`]. Handles encode "off" internally, so the
-/// default (a [`oasis_obs::NoopRecorder`]) costs one branch per counter
-/// bump and no allocation.
+/// The installed recorder and its span sink, replaced by
+/// [`OasisService::set_obs`]; a [`oasis_obs::NoopRecorder`] until then.
 struct ServiceObs {
-    /// Whether a real recorder has been installed via `set_obs` (late
-    /// surfaces — e.g. an admission controller installed afterwards —
-    /// register their sources into it on arrival).
-    installed: bool,
     recorder: Arc<dyn oasis_obs::Recorder>,
+    sink: oasis_obs::SpanSink,
+}
+
+impl ServiceObs {
+    fn attach(recorder: Arc<dyn oasis_obs::Recorder>) -> Self {
+        Self {
+            sink: recorder.spans(),
+            recorder,
+        }
+    }
+}
+
+/// Request outcomes, counted in the service's own registry as
+/// `activate.ok`, `activate.denied`, `invoke.ok`, `invoke.denied` and
+/// `revocations`.
+struct RequestCounters {
     activations_ok: oasis_obs::Counter,
     activations_denied: oasis_obs::Counter,
     invocations_ok: oasis_obs::Counter,
     invocations_denied: oasis_obs::Counter,
     revocations: oasis_obs::Counter,
-    sink: oasis_obs::SpanSink,
 }
 
-impl ServiceObs {
-    fn attach(recorder: Arc<dyn oasis_obs::Recorder>, id: &ServiceId) -> Self {
-        let name = |suffix: &str| format!("{}.{suffix}", id.as_str());
+impl RequestCounters {
+    fn resolve(metrics: &oasis_obs::Registry) -> Self {
+        use oasis_obs::Recorder;
         Self {
-            activations_ok: recorder.counter(&name("activate.ok")),
-            activations_denied: recorder.counter(&name("activate.denied")),
-            invocations_ok: recorder.counter(&name("invoke.ok")),
-            invocations_denied: recorder.counter(&name("invoke.denied")),
-            revocations: recorder.counter(&name("revocations")),
-            sink: recorder.spans(),
-            recorder,
-            installed: true,
-        }
-    }
-
-    fn noop() -> Self {
-        Self {
-            installed: false,
-            ..Self::attach(Arc::new(oasis_obs::NoopRecorder), &ServiceId::new("noop"))
+            activations_ok: metrics.counter("activate.ok"),
+            activations_denied: metrics.counter("activate.denied"),
+            invocations_ok: metrics.counter("invoke.ok"),
+            invocations_denied: metrics.counter("invoke.denied"),
+            revocations: metrics.counter("revocations"),
         }
     }
 }
@@ -724,6 +666,11 @@ pub struct OasisService {
     validator: RwLock<Option<Arc<dyn CredentialValidator>>>,
     overload: RwLock<Option<Arc<AdmissionController>>>,
     obs: RwLock<ServiceObs>,
+    /// The service's own registry: the request counters at its root and
+    /// the `plan.*`, `vcache.*` and `degradation.*` sets.
+    metrics: oasis_obs::Registry,
+    requests: RequestCounters,
+    plans: PlanSeries,
     next_cert: AtomicU64,
     next_rule: AtomicU64,
     /// Virtual time of the most recent operation; used to timestamp
@@ -751,6 +698,7 @@ impl OasisService {
     /// Creates a service and wires it to the event bus and fact store for
     /// active security (Fig 5).
     pub fn new(config: ServiceConfig, facts: Arc<FactStore<Value>>) -> Arc<Self> {
+        let metrics = oasis_obs::Registry::new();
         let service = Arc::new(Self {
             id: config.id,
             secret: config.secret.unwrap_or_else(IssuerSecret::random),
@@ -759,14 +707,16 @@ impl OasisService {
             audit: AuditLog::new(),
             policy: RwLock::new(PolicyTable::default()),
             shards: std::array::from_fn(|_| Mutex::new(CertShard::default())),
-            vcache: config.validation_cache_ttl.map(ValidationCache::new),
+            vcache: config
+                .validation_cache_ttl
+                .map(|ttl| ValidationCache::new(ttl, &metrics)),
             fa: config.heartbeats.map(|hb| FailureAware {
                 monitor: HeartbeatMonitor::new(hb.dead_after),
                 grace: hb.grace,
                 default_policy: hb.policy,
                 overrides: RwLock::new(HashMap::new()),
                 dead: Mutex::new(HashMap::new()),
-                counters: DegradationCounters::default(),
+                counters: DegradationSeries::resolve(&metrics, "degradation"),
             }),
             durable: config.journal.map(|store| Durable {
                 store,
@@ -781,7 +731,10 @@ impl OasisService {
             }),
             validator: RwLock::new(None),
             overload: RwLock::new(None),
-            obs: RwLock::new(ServiceObs::noop()),
+            obs: RwLock::new(ServiceObs::attach(Arc::new(oasis_obs::NoopRecorder))),
+            requests: RequestCounters::resolve(&metrics),
+            plans: PlanSeries::resolve(&metrics, "plan"),
+            metrics,
             next_cert: AtomicU64::new(1),
             next_rule: AtomicU64::new(1),
             last_now: AtomicU64::new(0),
@@ -850,7 +803,7 @@ impl OasisService {
     /// Counters from the validation cache, or `None` when the cache is
     /// not enabled (see [`ServiceConfig::with_validation_cache`]).
     pub fn validation_cache_stats(&self) -> Option<ValidationCacheStats> {
-        self.vcache.as_ref().map(ValidationCache::stats)
+        self.vcache.as_ref().map(|cache| cache.series.read())
     }
 
     /// Installs the validator used for credentials issued by *other*
@@ -862,20 +815,14 @@ impl OasisService {
 
     /// Installs the admission controller guarding this service's front
     /// door (normally done by `oasis-wire` when overload control is
-    /// enabled), making its stats visible through the service.
+    /// enabled), making its stats visible through the service. Its series
+    /// are adopted into the installed recorder as `<id>.overload.*`,
+    /// replacing a previous controller's.
     pub fn set_overload(&self, controller: Arc<AdmissionController>) {
-        // Installed after `set_obs`? Register the controller's stats
-        // into the recorder now (replacing any prior controller's
-        // source under the same name).
-        {
-            let obs = self.obs.read();
-            if obs.installed {
-                controller.register_obs(
-                    obs.recorder.as_ref(),
-                    &format!("{}.overload", self.id.as_str()),
-                );
-            }
-        }
+        self.obs.read().recorder.adopt(
+            &format!("{}.overload", self.id.as_str()),
+            controller.metrics(),
+        );
         *self.overload.write() = Some(controller);
     }
 
@@ -884,63 +831,34 @@ impl OasisService {
         self.overload.read().clone()
     }
 
-    /// Installs an observability recorder: request counters and causal
-    /// spans are recorded through it, and this service's stats surfaces
-    /// (degradation, validation cache, compiled plans, event bus, and —
-    /// when installed — the admission controller) are registered as
-    /// snapshot sources, so one [`oasis_obs::Recorder::snapshot_json`]
-    /// call returns the whole service.
-    ///
-    /// Source closures hold a [`Weak`] reference; a snapshot taken after
-    /// the service is dropped renders the source as `null`.
+    /// Installs an observability recorder: causal spans are recorded
+    /// through it, and it adopts the service's series — the request
+    /// counters and the `plan`, `vcache` and `degradation` sets as
+    /// `<id>.*`, the event bus as `<id>.bus.*` and, when installed, the
+    /// admission controller as `<id>.overload.*` — so one
+    /// [`oasis_obs::Recorder::snapshot_json`] call returns the whole
+    /// service. The series count from construction on, whether or not a
+    /// recorder is installed.
     pub fn set_obs(self: &Arc<Self>, recorder: Arc<dyn oasis_obs::Recorder>) {
-        let name = |suffix: &str| format!("{}.{suffix}", self.id.as_str());
-        let weak = Arc::downgrade(self);
-        recorder.register_source(
-            &name("plan"),
-            Box::new({
-                let weak = Weak::clone(&weak);
-                move || match Weak::upgrade(&weak) {
-                    Some(svc) => svc.plan_stats().trace_json(),
-                    None => "null".to_string(),
-                }
-            }),
-        );
-        if self.vcache.is_some() {
-            recorder.register_source(
-                &name("vcache"),
-                Box::new({
-                    let weak = Weak::clone(&weak);
-                    move || match Weak::upgrade(&weak).and_then(|s| s.validation_cache_stats()) {
-                        Some(stats) => stats.trace_json(),
-                        None => "null".to_string(),
-                    }
-                }),
-            );
-        }
-        if self.fa.is_some() {
-            recorder.register_source(
-                &name("degradation"),
-                Box::new({
-                    let weak = Weak::clone(&weak);
-                    move || match Weak::upgrade(&weak).and_then(|s| s.degradation_stats()) {
-                        Some(stats) => stats.trace_json(),
-                        None => "null".to_string(),
-                    }
-                }),
-            );
-        }
-        self.bus.register_obs(recorder.as_ref(), &name("bus"));
+        let id = self.id.as_str();
+        recorder.adopt(id, &self.metrics);
+        recorder.adopt(&format!("{id}.bus"), self.bus.metrics());
         if let Some(ctrl) = self.overload.read().as_ref() {
-            ctrl.register_obs(recorder.as_ref(), &name("overload"));
+            recorder.adopt(&format!("{id}.overload"), ctrl.metrics());
         }
-        *self.obs.write() = ServiceObs::attach(recorder, &self.id);
+        *self.obs.write() = ServiceObs::attach(recorder);
     }
 
     /// The installed observability recorder (a
     /// [`oasis_obs::NoopRecorder`] until [`OasisService::set_obs`]).
     pub fn obs_recorder(&self) -> Arc<dyn oasis_obs::Recorder> {
         Arc::clone(&self.obs.read().recorder)
+    }
+
+    /// The service's own registry (see [`OasisService::set_obs`] for its
+    /// series).
+    pub fn metrics(&self) -> &oasis_obs::Registry {
+        &self.metrics
     }
 
     /// Overload-control counters, or `None` when no admission controller
@@ -1662,9 +1580,7 @@ impl OasisService {
             return false;
         }
         if fa.dead.lock().remove(issuer).is_some() {
-            fa.counters
-                .issuer_recoveries
-                .fetch_add(1, Ordering::Relaxed);
+            fa.counters.issuer_recoveries.inc();
         }
         true
     }
@@ -1680,7 +1596,7 @@ impl OasisService {
 
     /// Counters from the failure-aware layer, or `None` when it is off.
     pub fn degradation_stats(&self) -> Option<DegradationStats> {
-        self.fa.as_ref().map(FailureAware::stats)
+        self.fa.as_ref().map(|fa| fa.counters.read())
     }
 
     /// Advances the failure-aware layer to `now`: issuers newly observed
@@ -1718,7 +1634,7 @@ impl OasisService {
         expired.sort();
         let mut revoked = Vec::new();
         for issuer in expired {
-            fa.counters.degraded_issuers.fetch_add(1, Ordering::Relaxed);
+            fa.counters.degraded_issuers.inc();
             revoked.extend(self.deactivate_issuer_dependents(&issuer, now));
         }
         revoked
@@ -1743,9 +1659,7 @@ impl OasisService {
         drop(dead);
         if let Some(cache) = &self.vcache {
             let evicted = cache.invalidate_issuer(issuer);
-            fa.counters
-                .dead_evictions
-                .fetch_add(evicted, Ordering::Relaxed);
+            fa.counters.dead_evictions.add(evicted);
         }
     }
 
@@ -1776,7 +1690,7 @@ impl OasisService {
         for crr in victims {
             // Cascades may have collapsed later victims already.
             if self.revoke_certificate(crr.cert_id, &reason, now) {
-                fa.counters.degraded_certs.fetch_add(1, Ordering::Relaxed);
+                fa.counters.degraded_certs.inc();
                 revoked.push(crr);
             }
         }
@@ -1863,6 +1777,7 @@ impl OasisService {
                 }
             }
         }
+        self.plans.count(&plan);
         Arc::make_mut(policy.activation_rules.entry(role).or_default())
             .push(CompiledRule { rule, plan });
         Ok(id)
@@ -1884,6 +1799,7 @@ impl OasisService {
             conditions,
         };
         let plan = RulePlan::compile(&self.id, &rule.head_args, &rule.conditions);
+        self.plans.count(&plan);
         let mut policy = self.policy.write();
         Arc::make_mut(policy.invocation_rules.entry(method).or_default())
             .push(CompiledRule { rule, plan });
@@ -2096,9 +2012,7 @@ impl OasisService {
         issuer: &ServiceId,
     ) -> Result<(), OasisError> {
         let fa = self.fa.as_ref().expect("suspect path requires heartbeats");
-        fa.counters
-            .suspect_revalidations
-            .fetch_add(1, Ordering::Relaxed);
+        fa.counters.suspect_revalidations.inc();
         let result = self.issuer_callback(credential, presenter, now);
         match result {
             Ok(()) => {
@@ -2114,11 +2028,11 @@ impl OasisService {
                     (DegradationPolicy::FailOpen { max_stale_ticks }, Some(age))
                         if age <= max_stale_ticks =>
                     {
-                        fa.counters.stale_served.fetch_add(1, Ordering::Relaxed);
+                        fa.counters.stale_served.inc();
                         Ok(())
                     }
                     (_, Some(_)) => {
-                        fa.counters.stale_refused.fetch_add(1, Ordering::Relaxed);
+                        fa.counters.stale_refused.inc();
                         Err(error)
                     }
                     (_, None) => Err(error),
@@ -2239,11 +2153,11 @@ impl OasisService {
         ctx: &EnvContext,
     ) -> Result<ActivationOutcome, OasisError> {
         let result = self.activate_role_inner(principal, role, args, presented, holder_key, ctx);
-        let obs = self.obs.read();
         match &result {
-            Ok(_) => obs.activations_ok.inc(),
-            Err(_) => obs.activations_denied.inc(),
+            Ok(_) => self.requests.activations_ok.inc(),
+            Err(_) => self.requests.activations_denied.inc(),
         }
+        let obs = self.obs.read();
         if obs.sink.is_recording() {
             if let Some(trace) = ctx.trace().or_else(oasis_obs::current) {
                 obs.sink.emit(
@@ -2466,11 +2380,11 @@ impl OasisService {
         ctx: &EnvContext,
     ) -> Result<Invocation, OasisError> {
         let result = self.invoke_inner(principal, method, args, presented, ctx);
-        let obs = self.obs.read();
         match &result {
-            Ok(_) => obs.invocations_ok.inc(),
-            Err(_) => obs.invocations_denied.inc(),
+            Ok(_) => self.requests.invocations_ok.inc(),
+            Err(_) => self.requests.invocations_denied.inc(),
         }
+        let obs = self.obs.read();
         if obs.sink.is_recording() {
             if let Some(trace) = ctx.trace().or_else(oasis_obs::current) {
                 obs.sink
@@ -2648,10 +2562,7 @@ impl OasisService {
     ///
     /// Returns `true` if the certificate was active.
     pub fn revoke_certificate(&self, cert_id: CertId, reason: &str, now: u64) -> bool {
-        let (sink, revocations) = {
-            let obs = self.obs.read();
-            (obs.sink.clone(), obs.revocations.clone())
-        };
+        let sink = self.obs.read().sink.clone();
         // When the caller is traced (ambient context set by the wire
         // server or a bench driver), emit the revocation span and pin
         // its child as the ambient context for the journal append (the
@@ -2668,7 +2579,7 @@ impl OasisService {
         let _batch = self.revocation_scope();
         let revoked = self.revoke_certificate_inner(cert_id, reason, now);
         if revoked {
-            revocations.inc();
+            self.requests.revocations.inc();
         }
         revoked
     }
@@ -3102,15 +3013,7 @@ impl OasisService {
     /// invocation), for diagnostics: a nonzero `always_fail` usually
     /// indicates a rule with a typo'd variable that can never bind.
     pub fn plan_stats(&self) -> PlanStats {
-        let policy = self.policy.read();
-        let mut stats = PlanStats::default();
-        for rules in policy.activation_rules.values() {
-            rules.iter().for_each(|r| stats.absorb(&r.plan));
-        }
-        for rules in policy.invocation_rules.values() {
-            rules.iter().for_each(|r| stats.absorb(&r.plan));
-        }
-        stats
+        self.plans.read()
     }
 
     /// Consistency warnings between role flags and installed rules.

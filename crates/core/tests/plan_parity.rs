@@ -18,8 +18,8 @@ use rand_chacha::ChaCha8Rng;
 use oasis_core::cert::{AppointmentCertificate, Credential, Crr, Rmc};
 use oasis_core::rule::solve;
 use oasis_core::{
-    Atom, Bindings, CertId, CmpOp, CredIndex, EnvContext, PrincipalId, RoleName, RulePlan,
-    ServiceId, Term, Value,
+    Atom, Bindings, CertId, CmpOp, CredIndex, EnvContext, OasisService, PlanStats, PrincipalId,
+    RoleName, RulePlan, ServiceConfig, ServiceId, Term, Value,
 };
 use oasis_crypto::{IssuerSecret, SecretEpoch};
 use oasis_facts::FactStore;
@@ -153,6 +153,15 @@ impl Gen {
         }
     }
 
+    /// A rule: head arguments and one to five conditions.
+    fn rule(&mut self) -> (Vec<Term>, Vec<Atom>) {
+        let head_arity = self.rng.random_range(0..3usize);
+        let head_args = self.terms(head_arity);
+        let nconds = self.rng.random_range(1..6usize);
+        let conditions = (0..nconds).map(|_| self.atom()).collect();
+        (head_args, conditions)
+    }
+
     fn facts(&mut self) -> Arc<FactStore<Value>> {
         let facts = FactStore::new();
         for (name, arity) in RELATIONS {
@@ -204,10 +213,8 @@ fn run_case(seed: u64) -> usize {
     let mut satisfied = 0;
     let nrules = g.rng.random_range(1..6usize);
     for _ in 0..nrules {
-        let head_arity = g.rng.random_range(0..3usize);
-        let head_args = g.terms(head_arity);
-        let nconds = g.rng.random_range(1..6usize);
-        let conditions: Vec<Atom> = (0..nconds).map(|_| g.atom()).collect();
+        let (head_args, conditions) = g.rule();
+        let head_arity = head_args.len();
         let plan = RulePlan::compile(&self_service, &head_args, &conditions);
 
         for _ in 0..QUERIES_PER_CASE {
@@ -248,6 +255,77 @@ fn compiled_plans_agree_with_reference_solver() {
     assert!(
         satisfied >= 50,
         "only {satisfied} satisfiable queries across {CASES} cases; generator degenerated"
+    );
+}
+
+/// The fold over a service's policy table that `plan_stats()` used to
+/// compute: every installed rule's plan, compiled again from the table.
+fn folded_plan_stats(svc: &OasisService, methods: &[&str]) -> PlanStats {
+    let mut stats = PlanStats::default();
+    let mut absorb = |head: &[Term], conditions: &[Atom]| {
+        let plan = RulePlan::compile(svc.id(), head, conditions);
+        stats.total += 1;
+        stats.always_fail += u64::from(plan.is_always_fail());
+        stats.ground += u64::from(plan.is_ground());
+        stats.reordered += u64::from(plan.was_reordered());
+        stats.time_sensitive += u64::from(plan.is_time_sensitive());
+    };
+    for role in ROLES {
+        for rule in svc.activation_rules(&RoleName::new(*role)) {
+            absorb(&rule.head_args, &rule.conditions);
+        }
+    }
+    for method in methods {
+        for rule in svc.invocation_rules(method) {
+            absorb(&rule.head_args, &rule.conditions);
+        }
+    }
+    stats
+}
+
+/// `plan_stats()` counts plans as `add_*_rule` installs them; over the
+/// generated rule sets it equals the fold over the policy table, and a
+/// rule the service refuses is counted by neither.
+#[test]
+fn plan_counts_equal_the_fold_over_the_policy_table() {
+    const METHODS: &[&str] = &["read", "write"];
+    let mut installed = 0;
+    for seed in 0..CASES {
+        let mut g = Gen {
+            rng: ChaCha8Rng::seed_from_u64(seed),
+        };
+        let svc = OasisService::new(ServiceConfig::new("svc"), g.facts());
+        // The last role stays undefined: rules for it are refused.
+        for role in &ROLES[..ROLES.len() - 1] {
+            svc.define_role(*role, &[], false).unwrap();
+        }
+        for _ in 0..g.rng.random_range(1..8usize) {
+            let (head, conditions) = g.rule();
+            if g.rng.random_bool(0.6) {
+                let role = *g.pick(ROLES);
+                let membership = if g.rng.random_bool(0.2) {
+                    vec![conditions.len()]
+                } else {
+                    vec![]
+                };
+                installed += usize::from(
+                    svc.add_activation_rule(role, head, conditions, membership)
+                        .is_ok(),
+                );
+            } else {
+                svc.add_invocation_rule(*g.pick(METHODS), head, conditions);
+                installed += 1;
+            }
+        }
+        assert_eq!(
+            svc.plan_stats(),
+            folded_plan_stats(&svc, METHODS),
+            "seed {seed}"
+        );
+    }
+    assert!(
+        installed >= CASES as usize,
+        "only {installed} rules installed"
     );
 }
 

@@ -22,7 +22,7 @@ use std::time::Duration;
 use parking_lot::{Condvar, Mutex, RwLock};
 
 use crate::error::EventError;
-use crate::stats::{BusStats, StatsCounters};
+use crate::stats::{BusSeries, BusStats};
 use crate::topic::{Topic, TopicPattern};
 
 /// Identifier of a queued subscription.
@@ -188,7 +188,8 @@ struct Inner<M> {
     next_sub: AtomicU64,
     next_cb: AtomicU64,
     global_seq: AtomicU64,
-    stats: StatsCounters,
+    metrics: oasis_obs::Registry,
+    stats: BusSeries,
 }
 
 /// A topic-based publish/subscribe bus carrying messages of type `M`.
@@ -238,6 +239,7 @@ impl<M> Default for EventBus<M> {
 impl<M> EventBus<M> {
     /// Creates an empty bus.
     pub fn new() -> Self {
+        let metrics = oasis_obs::Registry::new();
         Self {
             inner: Arc::new(Inner {
                 queued: RwLock::new(HashMap::new()),
@@ -248,7 +250,8 @@ impl<M> EventBus<M> {
                 next_sub: AtomicU64::new(1),
                 next_cb: AtomicU64::new(1),
                 global_seq: AtomicU64::new(0),
-                stats: StatsCounters::default(),
+                stats: BusSeries::resolve(&metrics, ""),
+                metrics,
             }),
         }
     }
@@ -410,7 +413,7 @@ impl<M> EventBus<M> {
             for sub in queued.values() {
                 if sub.pattern.matches(topic) {
                     if let Some(dropped) = sub.mailbox.push(event.clone()) {
-                        self.inner.stats.dropped.fetch_add(1, Ordering::Relaxed);
+                        self.inner.stats.dropped_overflow.inc();
                         overflowed.push(dropped);
                     }
                     delivered += 1;
@@ -427,26 +430,17 @@ impl<M> EventBus<M> {
             }
         }
 
-        self.inner.stats.published.fetch_add(1, Ordering::Relaxed);
-        self.inner
-            .stats
-            .delivered
-            .fetch_add(delivered as u64, Ordering::Relaxed);
+        self.inner.stats.published.inc();
+        self.inner.stats.delivered.add(delivered as u64);
         if delivered == 0 {
-            self.inner
-                .stats
-                .dead_letters
-                .fetch_add(1, Ordering::Relaxed);
+            self.inner.stats.dead_letters.inc();
         }
         // Announce drops after the delivery loops (no locks held), unless
         // the drop happened on an overflow topic itself — the announcement
         // stream must not amplify its own losses.
         if !topic.as_str().starts_with(OVERFLOW_TOPIC_PREFIX) {
             for dropped in overflowed {
-                self.inner
-                    .stats
-                    .overflow_events
-                    .fetch_add(1, Ordering::Relaxed);
+                self.inner.stats.overflow_events.inc();
                 self.publish_at(
                     &Topic::new(format!(
                         "{OVERFLOW_TOPIC_PREFIX}.{}",
@@ -477,10 +471,7 @@ impl<M> EventBus<M> {
         let ring = rings.entry(event.topic.clone()).or_default();
         if ring.len() >= capacity {
             ring.pop_front();
-            self.inner
-                .stats
-                .retained_evictions
-                .fetch_add(1, Ordering::Relaxed);
+            self.inner.stats.retained_evictions.inc();
         }
         ring.push_back(event.clone());
     }
@@ -587,10 +578,7 @@ impl<M> EventBus<M> {
         ring.insert(pos, event);
         while ring.len() > capacity {
             ring.pop_front();
-            self.inner
-                .stats
-                .retained_evictions
-                .fetch_add(1, Ordering::Relaxed);
+            self.inner.stats.retained_evictions.inc();
         }
     }
 
@@ -618,18 +606,13 @@ impl<M> EventBus<M> {
 
     /// A snapshot of delivery statistics.
     pub fn stats(&self) -> BusStats {
-        self.inner.stats.snapshot()
+        self.inner.stats.read()
     }
 
-    /// Registers this bus's stats as a snapshot source named `name` on
-    /// `recorder`, so one `Recorder::snapshot_json` call covers the bus
-    /// alongside every other subsystem.
-    pub fn register_obs(&self, recorder: &dyn oasis_obs::Recorder, name: &str)
-    where
-        M: Send + Sync + 'static,
-    {
-        let inner = Arc::clone(&self.inner);
-        recorder.register_source(name, Box::new(move || inner.stats.snapshot().trace_json()));
+    /// The bus's own registry, holding the [`BusStats`] series; share it
+    /// into a caller's recorder with [`oasis_obs::Recorder::adopt`].
+    pub fn metrics(&self) -> &oasis_obs::Registry {
+        &self.inner.metrics
     }
 }
 

@@ -1,62 +1,39 @@
 //! Delivery statistics for an [`EventBus`](crate::EventBus).
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Internal atomic counters; snapshotted into [`BusStats`].
-#[derive(Debug, Default)]
-pub(crate) struct StatsCounters {
-    pub(crate) published: AtomicU64,
-    pub(crate) delivered: AtomicU64,
-    pub(crate) dropped: AtomicU64,
-    pub(crate) dead_letters: AtomicU64,
-    pub(crate) overflow_events: AtomicU64,
-    pub(crate) retained_evictions: AtomicU64,
-}
-
-impl StatsCounters {
-    pub(crate) fn snapshot(&self) -> BusStats {
-        BusStats {
-            published: self.published.load(Ordering::Relaxed),
-            delivered: self.delivered.load(Ordering::Relaxed),
-            dropped_overflow: self.dropped.load(Ordering::Relaxed),
-            dead_letters: self.dead_letters.load(Ordering::Relaxed),
-            overflow_events: self.overflow_events.load(Ordering::Relaxed),
-            retained_evictions: self.retained_evictions.load(Ordering::Relaxed),
-        }
+oasis_obs::stats_set! {
+    /// A point-in-time snapshot of bus activity, read from the bus's
+    /// registry series ([`EventBus::metrics`](crate::EventBus::metrics)).
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use oasis_events::{EventBus, Topic};
+    ///
+    /// let bus: EventBus<u8> = EventBus::new();
+    /// bus.publish(&Topic::new("unheard"), 1);
+    /// let stats = bus.stats();
+    /// assert_eq!(stats.published, 1);
+    /// assert_eq!(stats.dead_letters, 1);
+    /// ```
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    pub struct BusStats / BusSeries {
+        /// Total `publish` calls.
+        published: u64 = counter,
+        /// Total subscriber deliveries (one event to three subscribers = 3).
+        delivered: u64 = counter,
+        /// Events discarded because a bounded mailbox overflowed.
+        dropped_overflow: u64 = counter,
+        /// Publications that matched no subscription at all.
+        dead_letters: u64 = counter,
+        /// `bus.overflow.*` self-events published to announce those drops
+        /// (see [`EventBus::publish_at`](crate::EventBus::publish_at)).
+        overflow_events: u64 = counter,
+        /// Events evicted from per-topic retained rings
+        /// ([`EventBus::retain`](crate::EventBus::retain)) to make room for
+        /// newer ones. A non-zero count means a sufficiently stale
+        /// subscriber's catch-up replay may be incomplete.
+        retained_evictions: u64 = counter,
     }
-}
-
-/// A point-in-time snapshot of bus activity.
-///
-/// # Example
-///
-/// ```
-/// use oasis_events::{EventBus, Topic};
-///
-/// let bus: EventBus<u8> = EventBus::new();
-/// bus.publish(&Topic::new("unheard"), 1);
-/// let stats = bus.stats();
-/// assert_eq!(stats.published, 1);
-/// assert_eq!(stats.dead_letters, 1);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct BusStats {
-    /// Total `publish` calls.
-    pub published: u64,
-    /// Total subscriber deliveries (one event to three subscribers = 3).
-    pub delivered: u64,
-    /// Events discarded because a bounded mailbox overflowed.
-    pub dropped_overflow: u64,
-    /// Publications that matched no subscription at all.
-    pub dead_letters: u64,
-    /// `bus.overflow.*` self-events published to announce those drops
-    /// (see [`EventBus::publish_at`](crate::EventBus::publish_at)).
-    pub overflow_events: u64,
-    /// Events evicted from per-topic retained rings
-    /// ([`EventBus::retain`](crate::EventBus::retain)) to make room for
-    /// newer ones. A non-zero count means a sufficiently stale
-    /// subscriber's catch-up replay may be incomplete.
-    pub retained_evictions: u64,
 }
 
 impl BusStats {
@@ -67,19 +44,6 @@ impl BusStats {
         } else {
             self.delivered as f64 / self.published as f64
         }
-    }
-
-    /// Compact single-line JSON for chaos/conformance traces, keys
-    /// sorted (rendered by the shared `oasis-obs` canonical encoder).
-    pub fn trace_json(&self) -> String {
-        oasis_obs::kv_json(&[
-            ("dead_letters", self.dead_letters.into()),
-            ("delivered", self.delivered.into()),
-            ("dropped_overflow", self.dropped_overflow.into()),
-            ("overflow_events", self.overflow_events.into()),
-            ("published", self.published.into()),
-            ("retained_evictions", self.retained_evictions.into()),
-        ])
     }
 }
 

@@ -1,9 +1,8 @@
 //! Canonical sorted-key JSON encoding.
 //!
 //! This is the single encoder behind every observability artifact in the
-//! workspace: trace lines (`oasis-sim::Trace` delegates here), span
-//! records, registry snapshots, and the `*Stats::trace_json` exports that
-//! used to be hand-rolled per subsystem. Canonical means:
+//! workspace: trace lines (`oasis-sim::Trace` delegates here) and span
+//! records; registry snapshots follow the same rules. Canonical means:
 //!
 //! * keys serialize in lexicographic order (two logically identical
 //!   records are textually identical regardless of call-site field order),
@@ -29,8 +28,8 @@ pub enum TraceValue {
     Bool(bool),
     /// A string; escaped on serialization.
     Str(String),
-    /// Pre-serialized canonical JSON (e.g. a stats `trace_json()`
-    /// snapshot) embedded verbatim as a nested value. The caller is
+    /// Pre-serialized canonical JSON (e.g. a registry snapshot or a span
+    /// list) embedded verbatim as a nested value. The caller is
     /// responsible for the fragment itself being canonical.
     Raw(String),
 }

@@ -10,6 +10,10 @@
 //!   [`Histogram`]s with p50/p90/p99/p999 readout; one
 //!   [`Recorder::snapshot_json`] returns the whole system as canonical
 //!   sorted-key JSON.
+//! * [`stats_set!`] — a component's stats as registry series: one field
+//!   list declares the typed read and the handles, resolved in the
+//!   component's own registry and shared into a caller's with
+//!   [`Recorder::adopt`].
 //! * [`TraceCtx`] / [`SpanSink`] — a three-integer causal context
 //!   propagated in the wire envelope next to the deadline frame, through
 //!   admission tickets, plan activation, quorum append, and cascade
@@ -28,9 +32,10 @@
 pub mod encode;
 pub mod hist;
 pub mod registry;
+pub mod set;
 pub mod span;
 
 pub use encode::{escape_json, kv_json, render_fields, TraceValue};
 pub use hist::Histogram;
-pub use registry::{Counter, Gauge, Histo, NoopRecorder, Recorder, Registry, StatsSource};
+pub use registry::{Counter, Gauge, Histo, NoopRecorder, Recorder, Registry};
 pub use span::{current, scope, ScopeGuard, SpanSink, TraceCtx};

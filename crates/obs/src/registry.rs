@@ -10,11 +10,15 @@
 //! gauges are single `AtomicI64`s, histograms are
 //! [`crate::Histogram`]s.
 //!
-//! [`Registry::snapshot_json`] renders everything — counters, gauges,
-//! histogram summaries, and registered legacy `*Stats` sources — as one
-//! canonical sorted-key JSON object. That snapshot is what the wire
-//! layer's `Request::Metrics` returns and what the conformance matrix
-//! byte-compares across replays.
+//! A component's stats are series too: it resolves its handles in a
+//! registry of its own at construction (see [`crate::stats_set!`]), so
+//! its counts never depend on wiring, and [`Recorder::adopt`] shares
+//! those series into a caller's registry under a prefix.
+//!
+//! [`Registry::snapshot_json`] renders everything — counters, gauges
+//! and histogram summaries — as one canonical sorted-key JSON object.
+//! That snapshot is what the wire layer's `Request::Metrics` returns and
+//! what the conformance matrix byte-compares across replays.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
@@ -24,11 +28,8 @@ use parking_lot::RwLock;
 
 use crate::encode::escape_json;
 use crate::hist::Histogram;
+use crate::set::series_name;
 use crate::span::SpanSink;
-
-/// A callback producing a canonical JSON fragment for a legacy stats
-/// struct; called at snapshot time.
-pub type StatsSource = Box<dyn Fn() -> String + Send + Sync>;
 
 const STRIPES: usize = 8;
 
@@ -155,9 +156,11 @@ pub trait Recorder: Send + Sync {
     fn gauge(&self, name: &str) -> Gauge;
     /// Named histogram handle (created on first request).
     fn histogram(&self, name: &str) -> Histo;
-    /// Registers a legacy stats source rendered into snapshots under
-    /// `name` (replacing any previous source of that name).
-    fn register_source(&self, name: &str, source: StatsSource);
+    /// Shares every series of `source` into this recorder as
+    /// `<prefix>.<name>`, replacing any series already under that name.
+    /// The series stay one: a bump through either registry shows in
+    /// both.
+    fn adopt(&self, prefix: &str, source: &Registry);
     /// The span sink for causal tracing.
     fn spans(&self) -> SpanSink;
     /// One canonical sorted-key JSON snapshot of everything, or `None`
@@ -182,7 +185,7 @@ impl Recorder for NoopRecorder {
         Histo::noop()
     }
 
-    fn register_source(&self, _name: &str, _source: StatsSource) {}
+    fn adopt(&self, _prefix: &str, _source: &Registry) {}
 
     fn spans(&self) -> SpanSink {
         SpanSink::noop()
@@ -198,7 +201,6 @@ pub struct Registry {
     counters: RwLock<BTreeMap<String, Arc<CounterCells>>>,
     gauges: RwLock<BTreeMap<String, Arc<AtomicI64>>>,
     histograms: RwLock<BTreeMap<String, Arc<Histogram>>>,
-    sources: RwLock<BTreeMap<String, StatsSource>>,
     sink: SpanSink,
 }
 
@@ -224,53 +226,34 @@ impl Registry {
             counters: RwLock::new(BTreeMap::new()),
             gauges: RwLock::new(BTreeMap::new()),
             histograms: RwLock::new(BTreeMap::new()),
-            sources: RwLock::new(BTreeMap::new()),
             sink,
         }
     }
 
     fn render_snapshot(&self) -> String {
-        let mut out = String::from("{\"counters\":{");
-        for (i, (name, cells)) in self.counters.read().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+        fn section<T>(
+            out: &mut String,
+            map: &RwLock<BTreeMap<String, T>>,
+            render: impl Fn(&T) -> String,
+        ) {
+            out.push('{');
+            for (i, (name, cell)) in map.read().iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                out.push_str(&format!("\"{}\":{}", escape_json(name), render(cell)));
             }
-            out.push('"');
-            out.push_str(&escape_json(name));
-            out.push_str("\":");
-            out.push_str(&cells.get().to_string());
+            out.push('}');
         }
-        out.push_str("},\"gauges\":{");
-        for (i, (name, cell)) in self.gauges.read().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('"');
-            out.push_str(&escape_json(name));
-            out.push_str("\":");
-            out.push_str(&cell.load(Ordering::Relaxed).to_string());
-        }
-        out.push_str("},\"histograms\":{");
-        for (i, (name, hist)) in self.histograms.read().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('"');
-            out.push_str(&escape_json(name));
-            out.push_str("\":");
-            out.push_str(&hist.summary_json());
-        }
-        out.push_str("},\"sources\":{");
-        for (i, (name, source)) in self.sources.read().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('"');
-            out.push_str(&escape_json(name));
-            out.push_str("\":");
-            out.push_str(&source());
-        }
-        out.push_str("}}");
+        let mut out = String::from("{\"counters\":");
+        section(&mut out, &self.counters, |cells| cells.get().to_string());
+        out.push_str(",\"gauges\":");
+        section(&mut out, &self.gauges, |cell| {
+            cell.load(Ordering::Relaxed).to_string()
+        });
+        out.push_str(",\"histograms\":");
+        section(&mut out, &self.histograms, |hist| hist.summary_json());
+        out.push('}');
         out
     }
 }
@@ -309,8 +292,28 @@ impl Recorder for Registry {
         Histo(Some(Arc::clone(hist)))
     }
 
-    fn register_source(&self, name: &str, source: StatsSource) {
-        self.sources.write().insert(name.to_string(), source);
+    fn adopt(&self, prefix: &str, source: &Registry) {
+        // Read the source first: adopting a registry into itself must
+        // not hold its read and write locks at once.
+        fn shared<T>(map: &RwLock<BTreeMap<String, Arc<T>>>) -> Vec<(String, Arc<T>)> {
+            map.read()
+                .iter()
+                .map(|(name, cell)| (name.clone(), Arc::clone(cell)))
+                .collect()
+        }
+        fn insert<T>(
+            prefix: &str,
+            into: &RwLock<BTreeMap<String, Arc<T>>>,
+            from: Vec<(String, Arc<T>)>,
+        ) {
+            let mut into = into.write();
+            for (name, cell) in from {
+                into.insert(series_name(prefix, &name), cell);
+            }
+        }
+        insert(prefix, &self.counters, shared(&source.counters));
+        insert(prefix, &self.gauges, shared(&source.gauges));
+        insert(prefix, &self.histograms, shared(&source.histograms));
     }
 
     fn spans(&self) -> SpanSink {
@@ -328,7 +331,6 @@ impl std::fmt::Debug for Registry {
             .field("counters", &self.counters.read().len())
             .field("gauges", &self.gauges.read().len())
             .field("histograms", &self.histograms.read().len())
-            .field("sources", &self.sources.read().len())
             .field("spans", &self.sink.is_recording())
             .finish()
     }
@@ -366,7 +368,6 @@ mod tests {
             reg.counter("alpha").inc();
             reg.gauge("g").set(-5);
             reg.histogram("h").observe(100);
-            reg.register_source("stats", Box::new(|| r#"{"ok":1}"#.to_string()));
             reg.snapshot_json().unwrap()
         };
         let (a, b) = (build(), build());
@@ -375,7 +376,32 @@ mod tests {
             a.starts_with(r#"{"counters":{"alpha":1,"zeta":2},"gauges":{"g":-5},"#),
             "{a}"
         );
-        assert!(a.contains(r#""sources":{"stats":{"ok":1}}"#), "{a}");
+        assert!(a.contains(r#"},"histograms":{"h":{"#), "{a}");
+        assert!(!a.contains("sources"), "{a}");
+    }
+
+    #[test]
+    fn adopted_series_are_shared_under_the_prefix() {
+        let own = Registry::new();
+        let hits = own.counter("hits");
+        own.gauge("depth").set(3);
+        hits.inc();
+        let caller = Registry::new();
+        caller.adopt("svc.cache", &own);
+        hits.inc();
+        assert_eq!(caller.counter("svc.cache.hits").get(), 2);
+        assert_eq!(caller.gauge("svc.cache.depth").get(), 3);
+        caller.counter("svc.cache.hits").inc();
+        assert_eq!(hits.get(), 3, "one series, two names");
+
+        // A later adoption under the same prefix replaces the series.
+        let fresh = Registry::new();
+        fresh.counter("hits").add(7);
+        caller.adopt("svc.cache", &fresh);
+        assert_eq!(caller.counter("svc.cache.hits").get(), 7);
+
+        own.adopt("self", &own);
+        assert_eq!(own.counter("self.hits").get(), 3);
     }
 
     #[test]

@@ -410,81 +410,55 @@ impl ReplicaConfig {
     }
 }
 
-/// Counters exposed for tests, benches, and chaos traces.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ReplicaStats {
-    /// Quorum rounds this node committed as leader — rounds, not
-    /// records: one [`RegionOp`] is one round however many journal
-    /// frames its bytes hold.
-    pub committed: u64,
-    /// Writes rejected because quorum was not reached.
-    pub no_quorum: u64,
-    /// Writes rejected because this node was not leader.
-    pub not_leader: u64,
-    /// Elections this node started.
-    pub elections_started: u64,
-    /// Elections this node won.
-    pub elections_won: u64,
-    /// Heartbeat rounds sent as leader.
-    pub heartbeats_sent: u64,
-    /// Full state transfers *completed* to diverged/compacted peers.
-    pub syncs_sent: u64,
-    /// Full state transfers applied as follower.
-    pub syncs_applied: u64,
-    /// Times this node observed a higher term and stepped down.
-    pub step_downs: u64,
-    /// Entry-level repair pulls this node initiated as a follower.
-    pub repairs_pulled: u64,
-    /// Log entries applied via entry-level repair (follower side).
-    pub repair_entries_applied: u64,
-    /// Repair batches served from the retained tail (leader side).
-    pub repair_chunks_served: u64,
-    /// Payload bytes served via entry-level repair (leader side).
-    pub repair_bytes_served: u64,
-    /// Sync chunk frames sent (including ones lost in transit).
-    pub sync_chunks_sent: u64,
-    /// Payload bytes shipped in sync chunk frames.
-    pub sync_bytes_sent: u64,
-    /// Sync sessions resumed from the last acked chunk after a
-    /// mid-transfer failure (rather than restarted).
-    pub sync_resumes: u64,
-    /// Pre-vote rounds this node started.
-    pub pre_votes_started: u64,
-    /// Pre-vote rounds that failed to reach a quorum of would-grants
-    /// (the node did not stand, and no term was consumed).
-    pub pre_votes_blocked: u64,
-    /// Transitions into the fenced state (lease expired as leader).
-    pub fencings: u64,
-    /// Writes rejected because this leader was fenced.
-    pub fenced_rejects: u64,
-}
-
-impl ReplicaStats {
-    /// Compact single-line JSON for chaos/conformance traces, keys
-    /// sorted (rendered by the shared `oasis-obs` canonical encoder).
-    pub fn trace_json(&self) -> String {
-        oasis_obs::kv_json(&[
-            ("committed", self.committed.into()),
-            ("elections_started", self.elections_started.into()),
-            ("elections_won", self.elections_won.into()),
-            ("fenced_rejects", self.fenced_rejects.into()),
-            ("fencings", self.fencings.into()),
-            ("heartbeats_sent", self.heartbeats_sent.into()),
-            ("no_quorum", self.no_quorum.into()),
-            ("not_leader", self.not_leader.into()),
-            ("pre_votes_blocked", self.pre_votes_blocked.into()),
-            ("pre_votes_started", self.pre_votes_started.into()),
-            ("repair_bytes_served", self.repair_bytes_served.into()),
-            ("repair_chunks_served", self.repair_chunks_served.into()),
-            ("repair_entries_applied", self.repair_entries_applied.into()),
-            ("repairs_pulled", self.repairs_pulled.into()),
-            ("step_downs", self.step_downs.into()),
-            ("sync_bytes_sent", self.sync_bytes_sent.into()),
-            ("sync_chunks_sent", self.sync_chunks_sent.into()),
-            ("sync_resumes", self.sync_resumes.into()),
-            ("syncs_applied", self.syncs_applied.into()),
-            ("syncs_sent", self.syncs_sent.into()),
-        ])
+oasis_obs::stats_set! {
+    /// Counters exposed for tests, benches, and chaos traces, read from the
+    /// node's registry series (shared by [`ReplicaNode::set_obs`]).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    pub struct ReplicaStats / ReplicaSeries {
+        /// Quorum rounds this node committed as leader — rounds, not
+        /// records: one [`RegionOp`] is one round however many journal
+        /// frames its bytes hold.
+        committed: u64 = counter,
+        /// Writes rejected because quorum was not reached.
+        no_quorum: u64 = counter,
+        /// Writes rejected because this node was not leader.
+        not_leader: u64 = counter,
+        /// Elections this node started.
+        elections_started: u64 = counter,
+        /// Elections this node won.
+        elections_won: u64 = counter,
+        /// Heartbeat rounds sent as leader.
+        heartbeats_sent: u64 = counter,
+        /// Full state transfers *completed* to diverged/compacted peers.
+        syncs_sent: u64 = counter,
+        /// Full state transfers applied as follower.
+        syncs_applied: u64 = counter,
+        /// Times this node observed a higher term and stepped down.
+        step_downs: u64 = counter,
+        /// Entry-level repair pulls this node initiated as a follower.
+        repairs_pulled: u64 = counter,
+        /// Log entries applied via entry-level repair (follower side).
+        repair_entries_applied: u64 = counter,
+        /// Repair batches served from the retained tail (leader side).
+        repair_chunks_served: u64 = counter,
+        /// Payload bytes served via entry-level repair (leader side).
+        repair_bytes_served: u64 = counter,
+        /// Sync chunk frames sent (including ones lost in transit).
+        sync_chunks_sent: u64 = counter,
+        /// Payload bytes shipped in sync chunk frames.
+        sync_bytes_sent: u64 = counter,
+        /// Sync sessions resumed from the last acked chunk after a
+        /// mid-transfer failure (rather than restarted).
+        sync_resumes: u64 = counter,
+        /// Pre-vote rounds this node started.
+        pre_votes_started: u64 = counter,
+        /// Pre-vote rounds that failed to reach a quorum of would-grants
+        /// (the node did not stand, and no term was consumed).
+        pre_votes_blocked: u64 = counter,
+        /// Transitions into the fenced state (lease expired as leader).
+        fencings: u64 = counter,
+        /// Writes rejected because this leader was fenced.
+        fenced_rejects: u64 = counter,
     }
 }
 
@@ -674,7 +648,8 @@ pub struct ReplicaNode {
     /// fan out) so entries replicate in index order.
     write: Mutex<()>,
     meta: Option<Arc<dyn StorageBackend>>,
-    stats: Mutex<ReplicaStats>,
+    metrics: oasis_obs::Registry,
+    stats: ReplicaSeries,
     /// Outbound chunked sync sessions by peer (leader side).
     sync_sessions: Mutex<BTreeMap<String, SyncSession>>,
     /// Monotonic source of sync session ids (no wall clock: session
@@ -687,6 +662,7 @@ pub struct ReplicaNode {
 impl ReplicaNode {
     /// Creates a node in the follower role at term 0.
     pub fn new(config: ReplicaConfig, transport: Arc<dyn ReplicationTransport>) -> Self {
+        let metrics = oasis_obs::Registry::new();
         Self {
             config,
             transport,
@@ -712,7 +688,8 @@ impl ReplicaNode {
             }),
             write: Mutex::new(()),
             meta: None,
-            stats: Mutex::new(ReplicaStats::default()),
+            stats: ReplicaSeries::resolve(&metrics, ""),
+            metrics,
             sync_sessions: Mutex::new(BTreeMap::new()),
             sync_session_seq: AtomicU64::new(0),
             obs_sink: Mutex::new(oasis_obs::SpanSink::noop()),
@@ -821,23 +798,16 @@ impl ReplicaNode {
 
     /// Counters.
     pub fn stats(&self) -> ReplicaStats {
-        *self.stats.lock()
+        self.stats.read()
     }
 
-    /// Installs an observability recorder: this node's counters are
-    /// registered as snapshot source `name` and the leader write path
+    /// Installs an observability recorder: this node's series are
+    /// adopted into it under `name` and the leader write path
     /// emits causal spans (`civ.append`, `civ.follower_ack`,
     /// `civ.commit`) into the recorder's span sink whenever the caller
     /// carries an ambient [`oasis_obs::TraceCtx`].
     pub fn set_obs(self: &Arc<Self>, recorder: &dyn oasis_obs::Recorder, name: &str) {
-        let node = Arc::downgrade(self);
-        recorder.register_source(
-            name,
-            Box::new(move || match node.upgrade() {
-                Some(node) => node.stats().trace_json(),
-                None => "null".to_string(),
-            }),
-        );
+        recorder.adopt(name, &self.metrics);
         *self.obs_sink.lock() = recorder.spans();
     }
 
@@ -870,8 +840,14 @@ impl ReplicaNode {
         }
     }
 
-    fn persist_meta(&self) {
-        let Some(backend) = &self.meta else { return };
+    /// Writes term, vote and log head to the meta region, if the node
+    /// has one. A granted vote or a successful append ack leaves the node
+    /// only after this succeeded; other callers send nothing that depends
+    /// on it and leave a failure for the next write to retry.
+    fn persist_meta(&self) -> Result<(), StoreError> {
+        let Some(backend) = &self.meta else {
+            return Ok(());
+        };
         let json = {
             let st = self.state.lock();
             Json::obj(vec![
@@ -888,10 +864,7 @@ impl ReplicaNode {
                 ("log_hash", Json::U64(st.log_hash)),
             ])
         };
-        // Meta persistence is best-effort: a failed write degrades the
-        // node to at-most-once voting per process lifetime, it does not
-        // block replication.
-        let _ = backend.replace(oasis_json::to_string(&json).as_bytes());
+        backend.replace(oasis_json::to_string(&json).as_bytes())
     }
 
     fn apply_op(&self, region: &str, op: &RegionOp) -> Result<(), StoreError> {
@@ -911,11 +884,11 @@ impl ReplicaNode {
         }
         if st.role != Role::Follower {
             st.role = Role::Follower;
-            self.stats.lock().step_downs += 1;
+            self.stats.step_downs.inc();
         }
         st.leader_id = None;
         drop(st);
-        self.persist_meta();
+        let _ = self.persist_meta();
     }
 
     /// The leader write path: reserve the next index, apply locally,
@@ -947,7 +920,7 @@ impl ReplicaNode {
         let (term, prev_index, prev_hash, entry) = {
             let mut st = self.state.lock();
             if st.role != Role::Leader {
-                self.stats.lock().not_leader += 1;
+                self.stats.not_leader.inc();
                 return Err(StoreError::NotLeader {
                     hint: st.leader_hint.clone(),
                 });
@@ -957,7 +930,7 @@ impl ReplicaNode {
             // asymmetric partition the rest of the cluster can have
             // elected a successor it cannot hear.
             if fenced_now(&st, &self.config, st.clock_ms) {
-                self.stats.lock().fenced_rejects += 1;
+                self.stats.fenced_rejects.inc();
                 return Err(StoreError::NotLeader { hint: None });
             }
             let prev_index = st.last_index;
@@ -979,7 +952,7 @@ impl ReplicaNode {
             push_tail(&mut st, entry.clone(), h, self.config.retain_entries);
             (st.term, prev_index, prev_hash, entry)
         };
-        self.persist_meta();
+        self.persist_meta()?;
 
         let msg = PeerRequest::Replicate {
             term,
@@ -1013,14 +986,14 @@ impl ReplicaNode {
             }
         }
         if acks >= needed {
-            self.stats.lock().committed += 1;
+            self.stats.committed.inc();
             if let Some((child, _)) = &append_scope {
                 let now = self.state.lock().clock_ms;
                 sink.emit(*child, &self.config.id, "civ.commit", now, now);
             }
             Ok(())
         } else {
-            self.stats.lock().no_quorum += 1;
+            self.stats.no_quorum.inc();
             Err(StoreError::NoQuorum {
                 needed,
                 acked: acks,
@@ -1129,7 +1102,7 @@ impl ReplicaNode {
             let keep = sessions.get(peer).is_some_and(|s| s.term == term);
             if keep {
                 if sessions.get(peer).expect("kept session").next > 0 {
-                    self.stats.lock().sync_resumes += 1;
+                    self.stats.sync_resumes.inc();
                 }
             } else {
                 sessions.remove(peer);
@@ -1222,12 +1195,9 @@ impl ReplicaNode {
                     s.chunks.len(),
                 )
             };
-            {
-                let mut stats = self.stats.lock();
-                stats.sync_chunks_sent += 1;
-                if let PeerRequest::SyncChunk { bytes, .. } = &msg {
-                    stats.sync_bytes_sent += bytes.len() as u64;
-                }
+            self.stats.sync_chunks_sent.inc();
+            if let PeerRequest::SyncChunk { bytes, .. } = &msg {
+                self.stats.sync_bytes_sent.add(bytes.len() as u64);
             }
             match self.transport.call(peer, &msg) {
                 Ok(PeerReply::ChunkAck {
@@ -1252,7 +1222,7 @@ impl ReplicaNode {
                         if s.next >= total {
                             sessions.remove(peer);
                             drop(sessions);
-                            self.stats.lock().syncs_sent += 1;
+                            self.stats.syncs_sent.inc();
                             return true;
                         }
                     } else {
@@ -1266,7 +1236,7 @@ impl ReplicaNode {
             }
         }
         self.sync_sessions.lock().remove(peer);
-        self.stats.lock().syncs_sent += 1;
+        self.stats.syncs_sent.inc();
         true
     }
 
@@ -1304,7 +1274,7 @@ impl ReplicaNode {
                     }
                     if st.role != Role::Follower {
                         st.role = Role::Follower;
-                        self.stats.lock().step_downs += 1;
+                        self.stats.step_downs.inc();
                     }
                     st.leader_id = Some(leader.clone());
                     st.leader_hint = Some(leader_hint.clone());
@@ -1317,7 +1287,7 @@ impl ReplicaNode {
                         Head::Diverged
                     }
                 };
-                self.persist_meta();
+                let _ = self.persist_meta();
                 if matches!(head, Head::Lag) {
                     // Behind the leader's frame: pull the missing
                     // suffix from its retained tail before deciding to
@@ -1333,15 +1303,16 @@ impl ReplicaNode {
                     // repair was refused, or the link dropped mid-pull:
                     // the leader reads our head off this nack to
                     // classify lag vs divergence.
-                    let reply = PeerReply::ReplicateAck {
-                        term: st.term,
-                        last_index: st.last_index,
-                        log_hash: st.log_hash,
-                        ok: holds_round(&st, *prev_index, *prev_hash, entries),
-                    };
+                    let holds = holds_round(&st, *prev_index, *prev_hash, entries);
+                    let (term, last_index, log_hash) = (st.term, st.last_index, st.log_hash);
                     drop(st);
-                    self.persist_meta();
-                    return reply;
+                    let persisted = self.persist_meta().is_ok();
+                    return PeerReply::ReplicateAck {
+                        term,
+                        last_index,
+                        log_hash,
+                        ok: holds && persisted,
+                    };
                 }
                 for entry in entries {
                     if self.apply_op(&entry.region, &entry.op).is_err() {
@@ -1352,7 +1323,7 @@ impl ReplicaNode {
                             ok: false,
                         };
                         drop(st);
-                        self.persist_meta();
+                        let _ = self.persist_meta();
                         return reply;
                     }
                     let h = chain(st.log_hash, entry);
@@ -1361,15 +1332,15 @@ impl ReplicaNode {
                     st.last_term = entry.term;
                     push_tail(&mut st, entry.clone(), h, self.config.retain_entries);
                 }
-                let reply = PeerReply::ReplicateAck {
-                    term: st.term,
-                    last_index: st.last_index,
-                    log_hash: st.log_hash,
-                    ok: true,
-                };
+                let (term, last_index, log_hash) = (st.term, st.last_index, st.log_hash);
                 let ack_now = st.clock_ms;
                 drop(st);
-                self.persist_meta();
+                let reply = PeerReply::ReplicateAck {
+                    term,
+                    last_index,
+                    log_hash,
+                    ok: self.persist_meta().is_ok(),
+                };
                 if !entries.is_empty() {
                     // Follower hop of a traced append: under an
                     // in-process transport the leader's ambient scope is
@@ -1403,7 +1374,7 @@ impl ReplicaNode {
                     st.voted_for = None;
                     if st.role != Role::Follower {
                         st.role = Role::Follower;
-                        self.stats.lock().step_downs += 1;
+                        self.stats.step_downs.inc();
                     }
                 }
                 // Election restriction: only vote for candidates whose
@@ -1420,13 +1391,15 @@ impl ReplicaNode {
                     st.leader_hint = Some(candidate_hint.clone());
                     st.last_heartbeat_ms = now_ms;
                 }
-                let reply = PeerReply::Vote {
-                    term: st.term,
-                    granted,
-                };
+                let term = st.term;
                 drop(st);
-                self.persist_meta();
-                reply
+                // A vote the meta region did not take is refused: after a
+                // restart this node could grant the term again.
+                let persisted = self.persist_meta().is_ok();
+                PeerReply::Vote {
+                    term,
+                    granted: granted && persisted,
+                }
             }
             PeerRequest::PreVote {
                 term,
@@ -1470,7 +1443,7 @@ impl ReplicaNode {
                     st.voted_for = None;
                     if st.role != Role::Follower {
                         st.role = Role::Follower;
-                        self.stats.lock().step_downs += 1;
+                        self.stats.step_downs.inc();
                     }
                     st.leader_id = None;
                     let reply = PeerReply::RepairChunk {
@@ -1480,7 +1453,7 @@ impl ReplicaNode {
                         last_index: st.last_index,
                     };
                     drop(st);
-                    self.persist_meta();
+                    let _ = self.persist_meta();
                     return reply;
                 }
                 let refuse = PeerReply::RepairChunk {
@@ -1516,11 +1489,8 @@ impl ReplicaNode {
                         RegionOp::Append(b) | RegionOp::Replace(b) => b.len() as u64,
                     })
                     .sum();
-                {
-                    let mut stats = self.stats.lock();
-                    stats.repair_chunks_served += 1;
-                    stats.repair_bytes_served += bytes;
-                }
+                self.stats.repair_chunks_served.inc();
+                self.stats.repair_bytes_served.add(bytes);
                 PeerReply::RepairChunk {
                     term: st.term,
                     ok: true,
@@ -1558,7 +1528,7 @@ impl ReplicaNode {
                 }
                 if st.role != Role::Follower {
                     st.role = Role::Follower;
-                    self.stats.lock().step_downs += 1;
+                    self.stats.step_downs.inc();
                 }
                 st.leader_id = Some(leader.clone());
                 st.leader_hint = Some(leader_hint.clone());
@@ -1572,7 +1542,7 @@ impl ReplicaNode {
                     st.pending_sync = None;
                     let reply = nack(&st);
                     drop(st);
-                    self.persist_meta();
+                    let _ = self.persist_meta();
                     return reply;
                 }
                 let continues = st.pending_sync.as_ref().is_some_and(|p| {
@@ -1592,7 +1562,7 @@ impl ReplicaNode {
                         st.pending_sync = None;
                         let reply = nack(&st);
                         drop(st);
-                        self.persist_meta();
+                        let _ = self.persist_meta();
                         return reply;
                     }
                 }
@@ -1611,7 +1581,7 @@ impl ReplicaNode {
                         st.pending_sync = None;
                         let reply = nack(&st);
                         drop(st);
-                        self.persist_meta();
+                        let _ = self.persist_meta();
                         return reply;
                     }
                     let p = st.pending_sync.as_mut().expect("pending sync present");
@@ -1639,7 +1609,7 @@ impl ReplicaNode {
                     if !applied {
                         let reply = nack(&st);
                         drop(st);
-                        self.persist_meta();
+                        let _ = self.persist_meta();
                         return reply;
                     }
                     st.last_index = *last_index;
@@ -1649,16 +1619,15 @@ impl ReplicaNode {
                     // empty tail at the new head.
                     st.tail.clear();
                     st.tail_prev_hash = *last_hash;
-                    self.stats.lock().syncs_applied += 1;
+                    self.stats.syncs_applied.inc();
                 }
-                let reply = PeerReply::ChunkAck {
-                    term: st.term,
-                    seq: *seq,
-                    ok: true,
-                };
+                let term = st.term;
                 drop(st);
-                self.persist_meta();
-                reply
+                PeerReply::ChunkAck {
+                    term,
+                    seq: *seq,
+                    ok: self.persist_meta().is_ok(),
+                }
             }
         }
     }
@@ -1667,7 +1636,7 @@ impl ReplicaNode {
     /// `leader`'s retained tail in bounded batches until caught up or
     /// the link fails. Called with no locks held.
     fn pull_repair(&self, leader: &str, term: u64) {
-        self.stats.lock().repairs_pulled += 1;
+        self.stats.repairs_pulled.inc();
         loop {
             let (from_index, from_hash) = {
                 let st = self.state.lock();
@@ -1711,7 +1680,7 @@ impl ReplicaNode {
                             applied += 1;
                         }
                     }
-                    self.stats.lock().repair_entries_applied += applied;
+                    self.stats.repair_entries_applied.add(applied);
                     if applied == 0 {
                         break;
                     }
@@ -1722,7 +1691,7 @@ impl ReplicaNode {
                 _ => break,
             }
         }
-        self.persist_meta();
+        let _ = self.persist_meta();
     }
 
     /// Starts an election for the next term. Returns true when this
@@ -1747,8 +1716,12 @@ impl ReplicaNode {
             st.last_heartbeat_ms = now_ms;
             (st.term, st.last_index, st.last_term)
         };
-        self.stats.lock().elections_started += 1;
-        self.persist_meta();
+        self.stats.elections_started.inc();
+        // The claim carries this node's own vote: it leaves only once the
+        // vote is on disk.
+        if self.persist_meta().is_err() {
+            return false;
+        }
         let msg = PeerRequest::LeaderClaim {
             term,
             candidate: self.config.id.clone(),
@@ -1788,7 +1761,7 @@ impl ReplicaNode {
             st.fenced = false;
             st.peer_heads.clear();
         }
-        self.stats.lock().elections_won += 1;
+        self.stats.elections_won.inc();
         // Announce immediately so follower election timers reset.
         self.heartbeat_round(now_ms);
         true
@@ -1801,7 +1774,7 @@ impl ReplicaNode {
             let st = self.state.lock();
             (st.term, st.term + 1, st.last_index, st.last_term)
         };
-        self.stats.lock().pre_votes_started += 1;
+        self.stats.pre_votes_started.inc();
         let msg = PeerRequest::PreVote {
             term: proposed,
             candidate: self.config.id.clone(),
@@ -1813,7 +1786,7 @@ impl ReplicaNode {
             if let Ok(PeerReply::PreVoteAck { term: t, granted }) = reply {
                 if t > current {
                     self.step_down(t);
-                    self.stats.lock().pre_votes_blocked += 1;
+                    self.stats.pre_votes_blocked.inc();
                     return false;
                 }
                 if granted {
@@ -1824,7 +1797,7 @@ impl ReplicaNode {
         if grants >= self.quorum() {
             return true;
         }
-        self.stats.lock().pre_votes_blocked += 1;
+        self.stats.pre_votes_blocked.inc();
         // Back off a full election timeout before probing again so an
         // isolated node does not hammer the link every tick. The backoff
         // restarts the timer but is no word from a leader: forget the
@@ -1852,7 +1825,7 @@ impl ReplicaNode {
             st.last_heartbeat_ms = now_ms;
             (st.term, st.last_index, st.log_hash)
         };
-        self.stats.lock().heartbeats_sent += 1;
+        self.stats.heartbeats_sent.inc();
         let msg = PeerRequest::Replicate {
             term,
             leader: self.config.id.clone(),
@@ -1892,7 +1865,7 @@ impl ReplicaNode {
                 let f = fenced_now(&st, &self.config, now_ms);
                 if f && !st.fenced {
                     st.fenced = true;
-                    self.stats.lock().fencings += 1;
+                    self.stats.fencings.inc();
                 }
                 if !f {
                     st.fenced = false;
@@ -2975,6 +2948,61 @@ mod tests {
                 granted: true
             }
         );
+    }
+
+    #[test]
+    fn a_vote_the_meta_region_refuses_is_not_granted() {
+        let meta = Arc::new(MemBackend::new());
+        let cfg = ReplicaConfig::new("n0", vec!["a".into(), "b".into()], "127.0.0.1:9100");
+        let node = ReplicaNode::new(cfg, Arc::new(LocalMesh::new()))
+            .with_meta(Arc::clone(&meta) as Arc<dyn StorageBackend>)
+            .expect("an empty meta region is a fresh node");
+        let claim = PeerRequest::LeaderClaim {
+            term: 3,
+            candidate: "a".into(),
+            candidate_hint: "x".into(),
+            last_index: 0,
+            last_term: 0,
+        };
+        meta.poison("disk full");
+        assert_eq!(
+            node.handle(&claim, 0),
+            PeerReply::Vote {
+                term: 3,
+                granted: false
+            },
+            "a vote that did not reach the meta region must not leave"
+        );
+        meta.heal();
+        assert_eq!(
+            node.handle(&claim, 0),
+            PeerReply::Vote {
+                term: 3,
+                granted: true
+            }
+        );
+        assert!(
+            std::str::from_utf8(&meta.read().unwrap())
+                .unwrap()
+                .contains(r#""voted_for":"a""#),
+            "the granted vote is on disk"
+        );
+
+        // The same rule for an append ack: the heartbeat of the leader
+        // it voted for is acked only once the meta region takes it.
+        let heartbeat = PeerRequest::Replicate {
+            term: 3,
+            leader: "a".into(),
+            leader_hint: "x".into(),
+            prev_index: 0,
+            prev_hash: 0,
+            entries: Vec::new(),
+        };
+        let acked = |reply: PeerReply| matches!(reply, PeerReply::ReplicateAck { ok: true, .. });
+        meta.poison("disk full");
+        assert!(!acked(node.handle(&heartbeat, 1)));
+        meta.heal();
+        assert!(acked(node.handle(&heartbeat, 2)));
     }
 
     #[test]

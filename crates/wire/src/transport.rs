@@ -199,19 +199,6 @@ pub struct FailoverStats {
     pub rotations: u64,
 }
 
-impl FailoverStats {
-    /// Compact single-line JSON for chaos/conformance traces, keys
-    /// sorted (shared `oasis-obs` encoder).
-    pub fn trace_json(&self) -> String {
-        oasis_obs::kv_json(&[
-            ("dials", self.dials.into()),
-            ("hint_follows", self.hint_follows.into()),
-            ("not_leader_answers", self.not_leader_answers.into()),
-            ("rotations", self.rotations.into()),
-        ])
-    }
-}
-
 impl std::fmt::Debug for FailoverClient {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FailoverClient")

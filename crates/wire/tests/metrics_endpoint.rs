@@ -94,13 +94,20 @@ fn flooded_server_still_answers_metrics_within_budget() {
         elapsed < Duration::from_secs(2),
         "metrics under flood took {elapsed:?}"
     );
+    // The snapshot explains the flood: the overload controller's lane
+    // series are adopted under the service's name.
+    for lane in ["control", "validation", "issuance"] {
+        for series in [
+            format!("\"login.overload.{lane}.shed\":"),
+            format!("\"login.overload.{lane}.running\":1"),
+        ] {
+            assert!(snapshot.contains(&series), "{series} missing: {snapshot}");
+        }
+    }
     assert!(
-        snapshot.contains("\"sources\"") && snapshot.contains("login.overload"),
-        "snapshot should carry the registered sources: {snapshot}"
+        snapshot.contains("\"login.overload.control.shed\":1"),
+        "the shed ping is counted: {snapshot}"
     );
-    // The snapshot is canonical: rendering the registry locally gives
-    // byte-identical output for the source structure (counters may move
-    // between renders, so compare the stable prefix shape only).
     assert!(snapshot.starts_with("{\"counters\":"), "{snapshot}");
 }
 
