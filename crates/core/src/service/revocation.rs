@@ -119,16 +119,24 @@ impl OasisService {
         } else {
             None
         };
-        let _batch = self.revocation_scope();
-        let revoked = self.revoke_certificate_inner(cert_id, reason, now);
+        self.last_now.store(now, Ordering::Relaxed);
+        let status = CredStatus::Revoked {
+            reason: reason.to_string(),
+            at: now,
+        };
+        let revoked = self.end_certificate(cert_id, status, now);
         if revoked {
             self.requests.revocations.inc();
         }
         revoked
     }
 
-    fn revoke_certificate_inner(&self, cert_id: CertId, reason: &str, now: u64) -> bool {
-        self.last_now.store(now, Ordering::Relaxed);
+    /// Ends an active certificate with `status` (revoked or expired):
+    /// journals the change, marks the record, audits it and publishes
+    /// the revocation event, whose subscribers collapse the dependents.
+    /// Returns `false` when the certificate was not active.
+    pub(super) fn end_certificate(&self, cert_id: CertId, status: CredStatus, now: u64) -> bool {
+        let _batch = self.revocation_scope();
         // Check without mutating first: the journal entry must only be
         // written for a revocation that will actually happen.
         {
@@ -139,10 +147,13 @@ impl OasisService {
             }
         }
         let crr = {
-            let _ = self.journal(|| SecurityEvent::CertRevoked {
-                cert_id,
-                reason: reason.to_string(),
-                at: now,
+            let _ = self.journal(|| match &status {
+                CredStatus::Revoked { reason, .. } => SecurityEvent::CertRevoked {
+                    cert_id,
+                    reason: reason.clone(),
+                    at: now,
+                },
+                _ => SecurityEvent::CertExpired { cert_id, at: now },
             });
             // The scope still flushes on the way out: journalled, not
             // applied.
@@ -158,28 +169,31 @@ impl OasisService {
                 // journal entry replays as a no-op.
                 return false;
             }
-            rec.record.status = CredStatus::Revoked {
-                reason: reason.to_string(),
-                at: now,
-            };
+            rec.record.status = status.clone();
             rec.record.crr.clone()
         };
-        self.audit.record(
-            now,
-            AuditKind::CertRevoked {
-                crr: crr.clone(),
-                reason: reason.to_string(),
-            },
-        );
+        let reason = match status {
+            CredStatus::Revoked { reason, .. } => {
+                let audit = AuditKind::CertRevoked {
+                    crr: crr.clone(),
+                    reason: reason.clone(),
+                };
+                self.audit.record(now, audit);
+                reason
+            }
+            _ => {
+                self.audit
+                    .record(now, AuditKind::CertExpired { crr: crr.clone() });
+                "expired".into()
+            }
+        };
         // Publishing triggers dependent collapse synchronously (subscribed
         // callbacks run on this thread, with no shard lock held) — the
         // "active security" property.
         self.publish_revocation_event(
             CertEvent {
                 crr,
-                kind: CertEventKind::Revoked {
-                    reason: reason.to_string(),
-                },
+                kind: CertEventKind::Revoked { reason },
             },
             now,
         );
@@ -221,45 +235,6 @@ impl OasisService {
         revoked
     }
 
-    /// Marks a certificate expired and collapses its dependents, exactly
-    /// like a revocation but recorded as expiry.
-    pub(super) fn expire_certificate(&self, cert_id: CertId, now: u64) {
-        let _batch = self.revocation_scope();
-        {
-            let shard = self.record_shard(cert_id).lock();
-            match shard.records.get(&cert_id) {
-                Some(rec) if rec.record.status.is_active() => {}
-                _ => return,
-            }
-        }
-        let crr = {
-            let _ = self.journal(|| SecurityEvent::CertExpired { cert_id, at: now });
-            if self.chaos_crash_pending() {
-                return;
-            }
-            let mut shard = self.record_shard(cert_id).lock();
-            let Some(rec) = shard.records.get_mut(&cert_id) else {
-                return;
-            };
-            if !rec.record.status.is_active() {
-                return;
-            }
-            rec.record.status = CredStatus::Expired { at: now };
-            rec.record.crr.clone()
-        };
-        self.audit
-            .record(now, AuditKind::CertExpired { crr: crr.clone() });
-        self.publish_revocation_event(
-            CertEvent {
-                crr,
-                kind: CertEventKind::Revoked {
-                    reason: "expired".into(),
-                },
-            },
-            now,
-        );
-    }
-
     /// Proactively expires every appointment certificate past its deadline
     /// at `now`; returns how many lapsed. (Expiry is otherwise noticed
     /// lazily at validation time.)
@@ -279,7 +254,7 @@ impl OasisService {
             );
         }
         for cert_id in &due {
-            self.expire_certificate(*cert_id, now);
+            self.end_certificate(*cert_id, CredStatus::Expired { at: now }, now);
         }
         due.len()
     }

@@ -195,7 +195,7 @@ impl OasisService {
         let crr = credential.crr();
         if let Credential::Appointment(appt) = credential {
             if appt.is_expired(now) {
-                self.expire_certificate(crr.cert_id, now);
+                self.end_certificate(crr.cert_id, CredStatus::Expired { at: now }, now);
                 return Err(OasisError::InvalidCredential {
                     crr: crr.clone(),
                     reason: "expired".into(),
