@@ -224,21 +224,10 @@ impl OasisService {
     /// transitive dependents as for any other revocation.
     fn deactivate_issuer_dependents(&self, issuer: &ServiceId, now: u64) -> Vec<Crr> {
         let _batch = self.revocation_scope();
-        let mut victims: Vec<Crr> = Vec::new();
-        // Ascending shard order, one lock at a time.
-        for shard in &self.shards {
-            let shard = shard.lock();
-            victims.extend(
-                shard
-                    .records
-                    .values()
-                    .filter(|r| {
-                        r.record.status.is_active()
-                            && r.depends_on.iter().any(|dep| dep.issuer == *issuer)
-                    })
-                    .map(|r| r.record.crr.clone()),
-            );
-        }
+        let mut victims = self.scan(|r| {
+            (r.record.status.is_active() && r.depends_on.iter().any(|dep| dep.issuer == *issuer))
+                .then(|| r.record.crr.clone())
+        });
         victims.sort_by_key(|crr| crr.cert_id.0);
         let fa = self.fa.as_ref().expect("degradation requires heartbeats");
         let reason = format!("issuer `{issuer}` dead: fail-safe degradation");

@@ -172,15 +172,13 @@ impl OasisService {
         // event ≤ covered_seq can still be unapplied while we scan.
         let commit = d.commit.write();
         let covered = d.store.last_seq();
-        let mut records: Vec<SnapshotRecord> = Vec::new();
-        for shard in &self.shards {
-            let shard = shard.lock();
-            records.extend(shard.records.values().map(|r| SnapshotRecord {
+        let mut records = self.scan(|r| {
+            Some(SnapshotRecord {
                 record: r.record.clone(),
                 depends_on: r.depends_on.clone(),
                 retained_checks: r.retained_checks().to_vec(),
-            }));
-        }
+            })
+        });
         drop(commit);
         records.sort_by_key(|r| r.record.crr.cert_id.0);
         let watermarks = self.watermarks();

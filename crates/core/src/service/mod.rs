@@ -663,6 +663,18 @@ impl OasisService {
         &self.shards[shard_of_cert(cert_id)]
     }
 
+    /// Visits every record and collects what `pick` returns for it. The
+    /// shards are visited in ascending order, one lock at a time, and no
+    /// lock is held once it returns, so the caller may revoke what it
+    /// found.
+    fn scan<T>(&self, mut pick: impl FnMut(&RecordState) -> Option<T>) -> Vec<T> {
+        let mut found = Vec::new();
+        for shard in &self.shards {
+            found.extend(shard.lock().records.values().filter_map(&mut pick));
+        }
+        found
+    }
+
     /// Inserts a record and its dependency/fact edges — edges first,
     /// then the record, one shard lock at a time (same ordering as
     /// live issuance). Inactive records get no edges: nothing may

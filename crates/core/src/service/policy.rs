@@ -195,16 +195,15 @@ impl OasisService {
     /// Number of records in each status: `(active, revoked, expired)`.
     pub fn record_stats(&self) -> (usize, usize, usize) {
         let mut counts = (0, 0, 0);
-        for shard in &self.shards {
-            let shard = shard.lock();
-            for r in shard.records.values() {
-                match r.record.status {
-                    CredStatus::Active => counts.0 += 1,
-                    CredStatus::Revoked { .. } => counts.1 += 1,
-                    CredStatus::Expired { .. } => counts.2 += 1,
-                }
+        // Counts as it visits, so it collects nothing.
+        self.scan(|r| {
+            match r.record.status {
+                CredStatus::Active => counts.0 += 1,
+                CredStatus::Revoked { .. } => counts.1 += 1,
+                CredStatus::Expired { .. } => counts.2 += 1,
             }
-        }
+            None::<()>
+        });
         counts
     }
 
@@ -293,17 +292,7 @@ impl OasisService {
 
     /// All active credential records (for operator tooling).
     pub fn active_records(&self) -> Vec<CredRecord> {
-        let mut records: Vec<CredRecord> = Vec::new();
-        for shard in &self.shards {
-            let shard = shard.lock();
-            records.extend(
-                shard
-                    .records
-                    .values()
-                    .filter(|r| r.record.status.is_active())
-                    .map(|r| r.record.clone()),
-            );
-        }
+        let mut records = self.scan(|r| r.record.status.is_active().then(|| r.record.clone()));
         records.sort_by_key(|r| r.crr.cert_id);
         records
     }

@@ -16,7 +16,7 @@ use crate::cert::{
 use crate::durable::{RetainedEntry, SecurityEvent};
 use crate::env::EnvContext;
 use crate::ids::{CertId, PrincipalId, RoleName};
-use crate::plan::{CheckPlan, CredIndex};
+use crate::plan::CredIndex;
 use crate::rule::Atom;
 use crate::value::Value;
 
@@ -209,22 +209,12 @@ impl OasisService {
     /// sessions. Returns how many certificates were revoked directly.
     pub fn end_session(&self, principal: &PrincipalId, reason: &str, now: u64) -> usize {
         let _batch = self.revocation_scope();
-        let mut to_revoke: Vec<CertId> = Vec::new();
-        // Ascending shard order, one lock at a time.
-        for shard in &self.shards {
-            let shard = shard.lock();
-            to_revoke.extend(
-                shard
-                    .records
-                    .values()
-                    .filter(|r| {
-                        r.record.status.is_active()
-                            && r.record.kind == CredentialKind::Rmc
-                            && r.record.principal == *principal
-                    })
-                    .map(|r| r.record.crr.cert_id),
-            );
-        }
+        let to_revoke = self.scan(|r| {
+            (r.record.status.is_active()
+                && r.record.kind == CredentialKind::Rmc
+                && r.record.principal == *principal)
+                .then_some(r.record.crr.cert_id)
+        });
         let mut revoked = 0;
         for cert_id in to_revoke {
             // Cascades may have revoked later entries already.
@@ -240,19 +230,10 @@ impl OasisService {
     /// lazily at validation time.)
     pub fn expire_certificates(&self, now: u64) -> usize {
         let _batch = self.revocation_scope();
-        let mut due: Vec<CertId> = Vec::new();
-        for shard in &self.shards {
-            let shard = shard.lock();
-            due.extend(
-                shard
-                    .records
-                    .iter()
-                    .filter(|(_, r)| {
-                        r.record.status.is_active() && r.record.expires_at.is_some_and(|d| now > d)
-                    })
-                    .map(|(id, _)| *id),
-            );
-        }
+        let due = self.scan(|r| {
+            (r.record.status.is_active() && r.record.expires_at.is_some_and(|d| now > d))
+                .then_some(r.record.crr.cert_id)
+        });
         for cert_id in &due {
             self.end_certificate(*cert_id, CredStatus::Expired { at: now }, now);
         }
@@ -346,6 +327,8 @@ impl OasisService {
     /// entirely: an unchanged epoch proves no fact changed, and every
     /// fact-only check either passed the previous sweep or held at
     /// issuance, so it still holds.
+    ///
+    /// [`CheckPlan`]: crate::plan::CheckPlan
     pub fn recheck_memberships(&self, ctx: &EnvContext) -> Vec<Crr> {
         self.recheck(ctx, None)
     }
@@ -380,32 +363,22 @@ impl OasisService {
         let sweep_epoch = self.facts.epoch();
         let skip_fact_only = self.last_sweep_epoch.load(Ordering::Acquire) == sweep_epoch;
 
-        let mut to_check: Vec<(CertId, Arc<CheckPlan>)> = Vec::new();
-        // Ascending shard order, one lock at a time; checks are evaluated
-        // after the locks are released (evaluation may be arbitrarily
-        // slow).
-        for shard in &self.shards {
-            let shard = shard.lock();
-            for (id, r) in &shard.records {
-                if !r.record.status.is_active() {
-                    continue;
+        // Checks are evaluated after the scan has released its locks
+        // (evaluation may be arbitrarily slow).
+        let to_check = self.scan(|r| {
+            let plan = r.check.as_ref().filter(|_| r.record.status.is_active())?;
+            if let Some(filter) = roles {
+                let covered = r.record.kind == CredentialKind::Rmc
+                    && filter.contains(&RoleName::new(r.record.name.clone()));
+                if !covered {
+                    return None;
                 }
-                let Some(plan) = &r.check else {
-                    continue;
-                };
-                if let Some(filter) = roles {
-                    let covered = r.record.kind == CredentialKind::Rmc
-                        && filter.contains(&RoleName::new(r.record.name.clone()));
-                    if !covered {
-                        continue;
-                    }
-                }
-                if skip_fact_only && !plan.is_time_sensitive() {
-                    continue;
-                }
-                to_check.push((*id, Arc::clone(plan)));
             }
-        }
+            if skip_fact_only && !plan.is_time_sensitive() {
+                return None;
+            }
+            Some((r.record.crr.cert_id, Arc::clone(plan)))
+        });
 
         let no_creds: [Credential; 0] = [];
         let empty_index = CredIndex::build(&no_creds);
