@@ -24,7 +24,7 @@ struct Tally {
 /// follower's pre-append check. The entry term is folded too: repair
 /// replays old-term entries under a newer leader's frames, and the
 /// hash must pin which term wrote each entry.
-pub(super) fn chain(prev: u64, entry: &LogEntry) -> u64 {
+fn chain(prev: u64, entry: &LogEntry) -> u64 {
     let mut hash = Sha256::new();
     hash.update(&prev.to_le_bytes());
     hash.update(&entry.index.to_le_bytes());
@@ -43,7 +43,7 @@ pub(super) fn chain(prev: u64, entry: &LogEntry) -> u64 {
 
 /// Pushes an applied entry onto the retained tail, compacting the
 /// front past `retain` entries and advancing the anchor hash.
-pub(super) fn push_tail(st: &mut NodeState, entry: LogEntry, hash: u64, retain: usize) {
+fn push_tail(st: &mut NodeState, entry: LogEntry, hash: u64, retain: usize) {
     st.tail.push_back((entry, hash));
     while st.tail.len() > retain.max(1) {
         let (_, h) = st.tail.pop_front().expect("non-empty tail");
@@ -80,6 +80,41 @@ fn holds_round(st: &NodeState, prev_index: u64, prev_hash: u64, entries: &[LogEn
 }
 
 impl ReplicaNode {
+    /// Appends `entry` to this node's log: applies its op to the local
+    /// region, then advances the chained hash, the head and the retained
+    /// tail. Every append goes through here: the leader's write, a
+    /// follower's replicated entries, and repair. An entry that does not
+    /// continue the log, or whose op the region rejects, leaves the log
+    /// as it was.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::Codec`] when `entry.index` is not `last_index + 1`;
+    /// otherwise whatever the region's backend fails with.
+    pub(super) fn append_entry(
+        &self,
+        st: &mut NodeState,
+        entry: &LogEntry,
+    ) -> Result<(), StoreError> {
+        if entry.index != st.last_index + 1 {
+            return Err(StoreError::Codec(format!(
+                "log entry {} does not follow index {}",
+                entry.index, st.last_index
+            )));
+        }
+        let backend = self.region(&entry.region);
+        match &entry.op {
+            RegionOp::Append(b) => backend.append(b)?,
+            RegionOp::Replace(b) => backend.replace(b)?,
+        }
+        let h = chain(st.log_hash, entry);
+        st.log_hash = h;
+        st.last_index = entry.index;
+        st.last_term = entry.term;
+        push_tail(st, entry.clone(), h, self.config.retain_entries);
+        Ok(())
+    }
+
     /// The leader write path: reserve the next index, apply locally,
     /// send the entry to the round's sync set, and require a majority
     /// of acks (self included). Only when the sync set falls short are
@@ -133,12 +168,7 @@ impl ReplicaNode {
             // Apply locally before fan-out: the leader is always a
             // member of the commit quorum. A local failure aborts the
             // write before any peer sees it.
-            self.apply_op(region, &entry.op)?;
-            st.last_index = entry.index;
-            st.last_term = st.term;
-            let h = chain(prev_hash, &entry);
-            st.log_hash = h;
-            push_tail(&mut st, entry.clone(), h, self.config.retain_entries);
+            self.append_entry(&mut st, &entry)?;
             (st.term, prev_index, prev_hash, entry)
         };
         self.persist_meta()?;
@@ -357,7 +387,7 @@ impl ReplicaNode {
             };
         }
         for entry in entries {
-            if self.apply_op(&entry.region, &entry.op).is_err() {
+            if self.append_entry(&mut st, entry).is_err() {
                 let reply = PeerReply::ReplicateAck {
                     term: st.term,
                     last_index: st.last_index,
@@ -368,11 +398,6 @@ impl ReplicaNode {
                 let _ = self.persist_meta();
                 return reply;
             }
-            let h = chain(st.log_hash, entry);
-            st.log_hash = h;
-            st.last_index = entry.index;
-            st.last_term = entry.term;
-            push_tail(&mut st, entry.clone(), h, self.config.retain_entries);
         }
         let (term, last_index, log_hash) = (st.term, st.last_index, st.log_hash);
         let ack_now = st.clock_ms;

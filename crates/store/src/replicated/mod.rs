@@ -526,14 +526,6 @@ impl ReplicaNode {
         backend.replace(oasis_json::to_string(&json).as_bytes())
     }
 
-    fn apply_op(&self, region: &str, op: &RegionOp) -> Result<(), StoreError> {
-        let backend = self.region(region);
-        match op {
-            RegionOp::Append(b) => backend.append(b),
-            RegionOp::Replace(b) => backend.replace(b),
-        }
-    }
-
     /// Steps down to follower because a higher term was observed.
     fn step_down(&self, term: u64) {
         let mut st = self.state.lock();

@@ -1,7 +1,7 @@
 //! Entry-level repair: a lagging follower pulls the missing suffix from
 //! the leader's retained tail.
 
-use super::log::{chain, hash_at, push_tail};
+use super::log::hash_at;
 use super::{
     fenced_now, LogEntry, PeerReply, PeerRequest, RegionOp, ReplicaNode, Role, REPAIR_BATCH,
 };
@@ -113,17 +113,9 @@ impl ReplicaNode {
                     {
                         let mut st = self.state.lock();
                         for entry in &entries {
-                            if entry.index != st.last_index + 1 {
+                            if self.append_entry(&mut st, entry).is_err() {
                                 break;
                             }
-                            if self.apply_op(&entry.region, &entry.op).is_err() {
-                                break;
-                            }
-                            let h = chain(st.log_hash, entry);
-                            st.log_hash = h;
-                            st.last_index = entry.index;
-                            st.last_term = entry.term;
-                            push_tail(&mut st, entry.clone(), h, self.config.retain_entries);
                             applied += 1;
                         }
                     }

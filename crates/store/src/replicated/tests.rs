@@ -198,6 +198,32 @@ fn replace_replicates_too() {
 }
 
 #[test]
+fn replicate_with_an_index_gap_is_nacked() {
+    let (_mesh, nodes) = cluster(3);
+    let follower = &nodes[0];
+    let frame = PeerRequest::Replicate {
+        term: 1,
+        leader: "n1".into(),
+        leader_hint: "127.0.0.1:9101".into(),
+        prev_index: 0,
+        prev_hash: 0,
+        entries: vec![LogEntry {
+            index: 7,
+            term: 1,
+            region: "journal".into(),
+            op: RegionOp::Append(b"rec-7".to_vec()),
+        }],
+    };
+    let PeerReply::ReplicateAck { ok, last_index, .. } = follower.handle(&frame, 0) else {
+        panic!("a Replicate frame is answered with a ReplicateAck");
+    };
+    assert!(!ok, "an entry that does not continue the log is nacked");
+    assert_eq!(last_index, 0);
+    assert_eq!(follower.last_index(), 0);
+    assert!(follower.region("journal").read().unwrap().is_empty());
+}
+
+#[test]
 fn steady_rounds_contact_a_quorum_only() {
     const APPENDS: u64 = 200;
     let (mesh, nodes) = cluster(3);
