@@ -331,8 +331,7 @@ impl ReplicaNode {
         }
         let head = {
             let mut st = self.state.lock();
-            st.clock_ms = st.clock_ms.max(now_ms);
-            if *term < st.term || (*term == st.term && st.role == Role::Leader) {
+            if !self.accept_leader(&mut st, *term, leader, leader_hint, now_ms) {
                 return PeerReply::ReplicateAck {
                     term: st.term,
                     last_index: st.last_index,
@@ -340,17 +339,6 @@ impl ReplicaNode {
                     ok: false,
                 };
             }
-            if *term > st.term {
-                st.term = *term;
-                st.voted_for = None;
-            }
-            if st.role != Role::Follower {
-                st.role = Role::Follower;
-                self.stats.step_downs.inc();
-            }
-            st.leader_id = Some(leader.clone());
-            st.leader_hint = Some(leader_hint.clone());
-            st.last_heartbeat_ms = now_ms;
             if *prev_index == st.last_index && *prev_hash == st.log_hash {
                 Head::Match
             } else if *prev_index > st.last_index {

@@ -542,6 +542,38 @@ impl ReplicaNode {
         let _ = self.persist_meta();
     }
 
+    /// Takes a frame from the leader of `term` (a
+    /// [`PeerRequest::Replicate`] or a [`PeerRequest::SyncChunk`]):
+    /// refuses a stale term, or a rival leader's frame in this node's own
+    /// term; otherwise adopts a higher term, steps down to follower, and
+    /// records the leader, its client hint and the heartbeat. Returns
+    /// whether the frame was accepted.
+    fn accept_leader(
+        &self,
+        st: &mut NodeState,
+        term: u64,
+        leader: &str,
+        leader_hint: &str,
+        now_ms: u64,
+    ) -> bool {
+        st.clock_ms = st.clock_ms.max(now_ms);
+        if term < st.term || (term == st.term && st.role == Role::Leader) {
+            return false;
+        }
+        if term > st.term {
+            st.term = term;
+            st.voted_for = None;
+        }
+        if st.role != Role::Follower {
+            st.role = Role::Follower;
+            self.stats.step_downs.inc();
+        }
+        st.leader_id = Some(leader.to_string());
+        st.leader_hint = Some(leader_hint.to_string());
+        st.last_heartbeat_ms = now_ms;
+        true
+    }
+
     /// Handles one peer request, returning the reply. `now_ms` is the
     /// caller's clock, used to reset the election timer.
     pub fn handle(&self, req: &PeerRequest, now_ms: u64) -> PeerReply {

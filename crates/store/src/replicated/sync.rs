@@ -5,7 +5,7 @@ use std::sync::atomic::Ordering;
 
 use oasis_crypto::hash::Sha256;
 
-use super::{NodeState, PeerReply, PeerRequest, ReplicaNode, Role};
+use super::{NodeState, PeerReply, PeerRequest, ReplicaNode};
 
 /// A follower's in-progress inbound chunked sync session.
 pub(super) struct PendingSync {
@@ -215,30 +215,14 @@ impl ReplicaNode {
             unreachable!("`handle` dispatches by variant");
         };
         let mut st = self.state.lock();
-        st.clock_ms = st.clock_ms.max(now_ms);
-        if *term < st.term || (*term == st.term && st.role == Role::Leader) {
-            return PeerReply::ChunkAck {
-                term: st.term,
-                seq: *seq,
-                ok: false,
-            };
-        }
-        if *term > st.term {
-            st.term = *term;
-            st.voted_for = None;
-        }
-        if st.role != Role::Follower {
-            st.role = Role::Follower;
-            self.stats.step_downs.inc();
-        }
-        st.leader_id = Some(leader.clone());
-        st.leader_hint = Some(leader_hint.clone());
-        st.last_heartbeat_ms = now_ms;
         let nack = |st: &NodeState| PeerReply::ChunkAck {
             term: st.term,
             seq: *seq,
             ok: false,
         };
+        if !self.accept_leader(&mut st, *term, leader, leader_hint, now_ms) {
+            return nack(&st);
+        }
         if checksum64(bytes) != *checksum {
             st.pending_sync = None;
             let reply = nack(&st);
