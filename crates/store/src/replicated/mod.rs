@@ -289,8 +289,6 @@ fn fenced_now(st: &NodeState, cfg: &ReplicaConfig, now_ms: u64) -> bool {
         && now_ms.saturating_sub(st.last_quorum_ms) > cfg.lease_ms
 }
 
-type RegionFactory = Box<dyn Fn(&str) -> Arc<dyn StorageBackend> + Send + Sync>;
-
 /// One member of a replication group.
 ///
 /// The node is clock-free: callers supply `now_ms` (real time in the
@@ -301,7 +299,6 @@ pub struct ReplicaNode {
     config: ReplicaConfig,
     transport: Arc<dyn ReplicationTransport>,
     regions: Mutex<BTreeMap<String, Arc<dyn StorageBackend>>>,
-    region_factory: RegionFactory,
     state: Mutex<NodeState>,
     /// Serialises the leader write path (reserve index → apply local →
     /// fan out) so entries replicate in index order.
@@ -326,7 +323,6 @@ impl ReplicaNode {
             config,
             transport,
             regions: Mutex::new(BTreeMap::new()),
-            region_factory: Box::new(|_| Arc::new(MemBackend::new())),
             state: Mutex::new(NodeState {
                 term: 0,
                 role: Role::Follower,
@@ -353,16 +349,6 @@ impl ReplicaNode {
             sync_session_seq: AtomicU64::new(0),
             obs_sink: Mutex::new(oasis_obs::SpanSink::noop()),
         }
-    }
-
-    /// Replaces the factory used to create region backends on demand
-    /// (default: fresh in-memory regions).
-    pub fn with_region_factory<F>(mut self, factory: F) -> Self
-    where
-        F: Fn(&str) -> Arc<dyn StorageBackend> + Send + Sync + 'static,
-    {
-        self.region_factory = Box::new(factory);
-        self
     }
 
     /// Persists election state (term, vote, log head) to `backend` and
@@ -470,22 +456,16 @@ impl ReplicaNode {
         *self.obs_sink.lock() = recorder.spans();
     }
 
-    /// The local backend for `region`, created via the factory on
-    /// first use. Reads through a [`ReplicatedStore`] resolve here.
+    /// The local backend for `region`, a fresh in-memory one on first
+    /// use. Reads through a [`ReplicatedStore`] resolve here.
     pub fn region(&self, name: &str) -> Arc<dyn StorageBackend> {
         let mut regions = self.regions.lock();
         if let Some(b) = regions.get(name) {
             return Arc::clone(b);
         }
-        let backend = (self.region_factory)(name);
+        let backend: Arc<dyn StorageBackend> = Arc::new(MemBackend::new());
         regions.insert(name.to_string(), Arc::clone(&backend));
         backend
-    }
-
-    /// Registers an explicit local backend for `region` (e.g. a
-    /// `FileBackend`); otherwise the factory creates one on demand.
-    pub fn register_region(&self, name: &str, backend: Arc<dyn StorageBackend>) {
-        self.regions.lock().insert(name.to_string(), backend);
     }
 
     /// The quorum-replicated facade for `region`, usable anywhere a
