@@ -179,6 +179,13 @@ impl StorageBackend for FileBackend {
             f.sync_data()?;
         }
         fs::rename(&tmp, &self.path)?;
+        // The rename is an entry in the directory: until the directory is
+        // synced, a crash can bring the old region back.
+        #[cfg(unix)]
+        {
+            let dir = self.path.parent().filter(|d| !d.as_os_str().is_empty());
+            File::open(dir.unwrap_or(Path::new(".")))?.sync_all()?;
+        }
         Ok(())
     }
 }
