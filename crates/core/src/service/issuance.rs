@@ -266,31 +266,18 @@ impl OasisService {
             status: CredStatus::Active,
         };
 
-        // Journal before acknowledging: a journal failure aborts the
-        // issuance (the certificate must never outlive a crash its
-        // issuer cannot remember). The commit guard keeps a concurrent
-        // snapshot from covering this append before the record lands.
         let retained_creds = depends_on.clone();
-        let state = RecordState::new(&self.id, record, depends_on, retained_checks);
-        {
-            let _commit = self.durable.as_ref().map(|d| d.commit.read());
-            self.journal(|| SecurityEvent::CertIssued {
-                record: state.record.clone(),
-                depends_on: state.depends_on.clone(),
-                retained_checks: state.retained_checks().to_vec(),
-            })?;
-            if self.chaos_crash_pending() {
-                return Err(OasisError::Journal(
-                    "chaos: crashed between journal append and apply".into(),
-                ));
-            }
-            // Dependency and fact edges go in first (one shard lock at a
-            // time), then the record itself. A revocation racing this
-            // window may find an edge pointing at a record that does not
-            // exist yet and drop the cascade — the re-validation below
-            // closes exactly that hole.
-            self.install_record(state);
-        }
+        // Dependency and fact edges go in first (one shard lock at a
+        // time), then the record itself. A revocation racing this window
+        // may find an edge pointing at a record that does not exist yet
+        // and drop the cascade — the re-validation below closes exactly
+        // that hole.
+        self.commit_record(RecordState::new(
+            &self.id,
+            record,
+            depends_on,
+            retained_checks,
+        ))?;
 
         // Close the race with concurrent revocation: the supporting
         // credentials were validated *before* the dependency edges above
@@ -346,6 +333,27 @@ impl OasisService {
             rule: rule.id,
             bindings: solution.bindings,
         })
+    }
+
+    /// Journals a new certificate's record, then installs it. Write
+    /// ahead: a journal failure aborts the issuance, because the
+    /// certificate must never outlive a crash its issuer cannot
+    /// remember. The commit guard keeps a concurrent snapshot from
+    /// covering this append before the record lands.
+    fn commit_record(&self, state: RecordState) -> Result<(), OasisError> {
+        let _commit = self.durable.as_ref().map(|d| d.commit.read());
+        self.journal(|| SecurityEvent::CertIssued {
+            record: state.record.clone(),
+            depends_on: state.depends_on.clone(),
+            retained_checks: state.retained_checks().to_vec(),
+        })?;
+        if self.chaos_crash_pending() {
+            return Err(OasisError::Journal(
+                "chaos: crashed between journal append and apply".into(),
+            ));
+        }
+        self.install_record(state);
+        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -510,23 +518,7 @@ impl OasisService {
             expires_at,
             status: CredStatus::Active,
         };
-        {
-            let _commit = self.durable.as_ref().map(|d| d.commit.read());
-            self.journal(|| SecurityEvent::CertIssued {
-                record: record.clone(),
-                depends_on: Vec::new(),
-                retained_checks: Vec::new(),
-            })?;
-            if self.chaos_crash_pending() {
-                return Err(OasisError::Journal(
-                    "chaos: crashed between journal append and apply".into(),
-                ));
-            }
-            self.record_shard(cert_id).lock().records.insert(
-                cert_id,
-                RecordState::new(&self.id, record, Vec::new(), Vec::new()),
-            );
-        }
+        self.commit_record(RecordState::new(&self.id, record, Vec::new(), Vec::new()))?;
 
         self.audit.record(
             ctx.now(),

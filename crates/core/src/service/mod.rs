@@ -385,13 +385,6 @@ struct CertShard {
     fact_index: FactIndex,
 }
 
-/// A service secured by OASIS access control (Fig 2), owning its roles,
-/// policy, credential records, and audit log.
-///
-/// Constructed with [`OasisService::new`], which returns an `Arc` because
-/// the service subscribes itself to the event bus and the fact store for
-/// active security. See the [crate-level example](crate).
-///
 /// The installed recorder and its span sink, replaced by
 /// [`OasisService::set_obs`]; a [`oasis_obs::NoopRecorder`] until then.
 struct ServiceObs {

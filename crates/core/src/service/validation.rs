@@ -119,21 +119,6 @@ impl OasisService {
         self.vcache.as_ref().map(|cache| cache.series.read())
     }
 
-    /// Memoises a successful foreign validation and journals it, so a
-    /// recovered service restores its cache warmth instead of
-    /// stampeding issuers with callbacks.
-    fn remember_validation(&self, crr: &Crr, presenter: &PrincipalId, now: u64) {
-        if let Some(cache) = &self.vcache {
-            cache.store(crr.clone(), presenter.clone(), now);
-            let _ = self.journal(|| SecurityEvent::ValidationGranted {
-                crr: crr.clone(),
-                presenter: presenter.clone(),
-                at: now,
-            });
-            self.maybe_autosnapshot();
-        }
-    }
-
     /// Validates a certificate *this service issued*: signature (against
     /// the presenting principal), issuer record, status, and expiry.
     /// This is the issuer side of the validation callback (Sect. 4).
@@ -260,11 +245,7 @@ impl OasisService {
             if self.fa.is_some() {
                 return self.validate_suspect(credential, presenter, now, &issuer);
             }
-            let result = self.issuer_callback(credential, presenter, now);
-            if result.is_ok() {
-                self.remember_validation(credential.crr(), presenter, now);
-            }
-            return result;
+            return self.issuer_callback(credential, presenter, now);
         }
         let health = self
             .fa
@@ -279,24 +260,14 @@ impl OasisService {
                         return Ok(());
                     }
                 }
-                let result = self.issuer_callback(credential, presenter, now);
-                if result.is_ok() {
-                    self.remember_validation(credential.crr(), presenter, now);
-                }
-                result
+                self.issuer_callback(credential, presenter, now)
             }
             // Late: cached authority is suspect; require a fresh answer.
             Some(SourceHealth::Late) => self.validate_suspect(credential, presenter, now, &issuer),
             // Dead: cached authority is void; only a live answer grants.
             Some(SourceHealth::Dead) => {
                 self.note_issuer_dead(&issuer, now);
-                let result = self.issuer_callback(credential, presenter, now);
-                if result.is_ok() {
-                    // The issuer answered, so only its heartbeat path is
-                    // broken; fresh authority is safe to memoise.
-                    self.remember_validation(credential.crr(), presenter, now);
-                }
-                result
+                self.issuer_callback(credential, presenter, now)
             }
         }
     }
@@ -315,12 +286,8 @@ impl OasisService {
     ) -> Result<(), OasisError> {
         let fa = self.fa.as_ref().expect("suspect path requires heartbeats");
         fa.counters.suspect_revalidations.inc();
-        let result = self.issuer_callback(credential, presenter, now);
-        match result {
-            Ok(()) => {
-                self.remember_validation(credential.crr(), presenter, now);
-                Ok(())
-            }
+        match self.issuer_callback(credential, presenter, now) {
+            Ok(()) => Ok(()),
             Err(error) if classify_error(&error) == ErrorClass::Transient => {
                 let age = self
                     .vcache
@@ -345,7 +312,11 @@ impl OasisService {
     }
 
     /// Performs the callback to a foreign issuer through the configured
-    /// validator.
+    /// validator. A success is memoised in the validation cache and
+    /// journalled, so a recovered service restores its cache warmth
+    /// instead of stampeding issuers with callbacks. A fresh answer is
+    /// safe to memoise whatever the issuer's heartbeat health: the issuer
+    /// answered, so at worst its heartbeat path is broken.
     fn issuer_callback(
         &self,
         credential: &Credential,
@@ -353,9 +324,20 @@ impl OasisService {
         now: u64,
     ) -> Result<(), OasisError> {
         let validator = self.validator.read().clone();
-        match validator {
+        let result = match validator {
             Some(v) => v.validate(credential, presenter, now),
             None => Err(OasisError::NoValidator(credential.issuer().clone())),
+        };
+        if let (Ok(()), Some(cache)) = (&result, &self.vcache) {
+            let crr = credential.crr();
+            cache.store(crr.clone(), presenter.clone(), now);
+            let _ = self.journal(|| SecurityEvent::ValidationGranted {
+                crr: crr.clone(),
+                presenter: presenter.clone(),
+                at: now,
+            });
+            self.maybe_autosnapshot();
         }
+        result
     }
 }
