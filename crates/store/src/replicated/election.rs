@@ -39,12 +39,7 @@ impl ReplicaNode {
             };
         }
         if *term > st.term {
-            st.term = *term;
-            st.voted_for = None;
-            if st.role != Role::Follower {
-                st.role = Role::Follower;
-                self.stats.step_downs.inc();
-            }
+            self.follow(&mut st, *term);
         }
         // Election restriction: only vote for candidates whose
         // log is at least as complete as ours, so the winner

@@ -356,50 +356,27 @@ impl ReplicaNode {
             self.pull_repair(leader, *term);
         }
         let mut st = self.state.lock();
-        if *prev_index != st.last_index || *prev_hash != st.log_hash {
-            // Not at the frame's head. A log that already holds
-            // the round (the repair pull above also fetched the
-            // in-flight entry) acks it. Otherwise we diverged,
-            // repair was refused, or the link dropped mid-pull:
-            // the leader reads our head off this nack to
-            // classify lag vs divergence.
-            let holds = holds_round(&st, *prev_index, *prev_hash, entries);
-            let (term, last_index, log_hash) = (st.term, st.last_index, st.log_hash);
-            drop(st);
-            let persisted = self.persist_meta().is_ok();
-            return PeerReply::ReplicateAck {
-                term,
-                last_index,
-                log_hash,
-                ok: holds && persisted,
-            };
-        }
-        for entry in entries {
-            if self.append_entry(&mut st, entry).is_err() {
-                let reply = PeerReply::ReplicateAck {
-                    term: st.term,
-                    last_index: st.last_index,
-                    log_hash: st.log_hash,
-                    ok: false,
-                };
-                drop(st);
-                let _ = self.persist_meta();
-                return reply;
-            }
-        }
+        let at_head = *prev_index == st.last_index && *prev_hash == st.log_hash;
+        let ok = if at_head {
+            entries
+                .iter()
+                .all(|entry| self.append_entry(&mut st, entry).is_ok())
+        } else {
+            // Not at the frame's head. A log that already holds the
+            // round (the repair pull above also fetched the in-flight
+            // entry) acks it. Otherwise we diverged, repair was refused,
+            // or the link dropped mid-pull: the leader reads our head off
+            // this nack to classify lag vs divergence.
+            holds_round(&st, *prev_index, *prev_hash, entries)
+        };
         let (term, last_index, log_hash) = (st.term, st.last_index, st.log_hash);
         let ack_now = st.clock_ms;
         drop(st);
-        let reply = PeerReply::ReplicateAck {
-            term,
-            last_index,
-            log_hash,
-            ok: self.persist_meta().is_ok(),
-        };
-        if !entries.is_empty() {
-            // Follower hop of a traced append: under an
-            // in-process transport the leader's ambient scope is
-            // still live on this thread.
+        let persisted = self.persist_meta().is_ok();
+        if at_head && ok && !entries.is_empty() {
+            // Follower hop of a traced append: under an in-process
+            // transport the leader's ambient scope is still live on this
+            // thread.
             let sink = self.obs_sink.lock().clone();
             if sink.is_recording() {
                 if let Some(trace) = oasis_obs::current() {
@@ -407,7 +384,12 @@ impl ReplicaNode {
                 }
             }
         }
-        reply
+        PeerReply::ReplicateAck {
+            term,
+            last_index,
+            log_hash,
+            ok: ok && persisted,
+        }
     }
 
     /// One heartbeat fan-out round (leader only). Lagging followers

@@ -120,16 +120,7 @@ impl LocalMesh {
     /// order (deterministic).
     pub fn tick_all(&self) {
         let now = self.now();
-        let nodes: Vec<Arc<ReplicaNode>> = {
-            let inner = self.inner.lock();
-            inner
-                .nodes
-                .iter()
-                .filter(|(id, _)| !inner.down.contains(*id))
-                .map(|(_, n)| Arc::clone(n))
-                .collect()
-        };
-        for node in nodes {
+        for node in self.live_nodes() {
             node.tick(now);
         }
     }
@@ -143,20 +134,22 @@ impl LocalMesh {
 
     /// The current leader among live nodes, if exactly one exists.
     pub fn live_leader(&self) -> Option<Arc<ReplicaNode>> {
+        let mut leaders = self.live_nodes().into_iter().filter(|n| n.is_leader());
+        match (leaders.next(), leaders.next()) {
+            (Some(one), None) => Some(one),
+            _ => None,
+        }
+    }
+
+    /// The nodes not marked crashed, in id order.
+    fn live_nodes(&self) -> Vec<Arc<ReplicaNode>> {
         let inner = self.inner.lock();
-        let leaders: Vec<Arc<ReplicaNode>> = inner
+        inner
             .nodes
             .iter()
             .filter(|(id, _)| !inner.down.contains(*id))
             .map(|(_, n)| Arc::clone(n))
-            .collect::<Vec<_>>()
-            .into_iter()
-            .filter(|n| n.is_leader())
-            .collect();
-        match leaders.as_slice() {
-            [one] => Some(Arc::clone(one)),
-            _ => None,
-        }
+            .collect()
     }
 }
 

@@ -509,6 +509,15 @@ impl ReplicaNode {
     /// Steps down to follower because a higher term was observed.
     fn step_down(&self, term: u64) {
         let mut st = self.state.lock();
+        self.follow(&mut st, term);
+        st.leader_id = None;
+        drop(st);
+        let _ = self.persist_meta();
+    }
+
+    /// Adopts `term` if it is higher than this node's (forgetting the
+    /// vote cast in the old one) and becomes a follower.
+    fn follow(&self, st: &mut NodeState, term: u64) {
         if term > st.term {
             st.term = term;
             st.voted_for = None;
@@ -517,9 +526,6 @@ impl ReplicaNode {
             st.role = Role::Follower;
             self.stats.step_downs.inc();
         }
-        st.leader_id = None;
-        drop(st);
-        let _ = self.persist_meta();
     }
 
     /// Takes a frame from the leader of `term` (a
@@ -540,14 +546,7 @@ impl ReplicaNode {
         if term < st.term || (term == st.term && st.role == Role::Leader) {
             return false;
         }
-        if term > st.term {
-            st.term = term;
-            st.voted_for = None;
-        }
-        if st.role != Role::Follower {
-            st.role = Role::Follower;
-            self.stats.step_downs.inc();
-        }
+        self.follow(st, term);
         st.leader_id = Some(leader.to_string());
         st.leader_hint = Some(leader_hint.to_string());
         st.last_heartbeat_ms = now_ms;

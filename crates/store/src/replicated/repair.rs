@@ -21,23 +21,10 @@ impl ReplicaNode {
         };
         let mut st = self.state.lock();
         st.clock_ms = st.clock_ms.max(now_ms);
-        if *term > st.term {
-            st.term = *term;
-            st.voted_for = None;
-            if st.role != Role::Follower {
-                st.role = Role::Follower;
-                self.stats.step_downs.inc();
-            }
+        let behind = *term > st.term;
+        if behind {
+            self.follow(&mut st, *term);
             st.leader_id = None;
-            let reply = PeerReply::RepairChunk {
-                term: st.term,
-                ok: false,
-                entries: Vec::new(),
-                last_index: st.last_index,
-            };
-            drop(st);
-            let _ = self.persist_meta();
-            return reply;
         }
         let refuse = PeerReply::RepairChunk {
             term: st.term,
@@ -45,6 +32,11 @@ impl ReplicaNode {
             entries: Vec::new(),
             last_index: st.last_index,
         };
+        if behind {
+            drop(st);
+            let _ = self.persist_meta();
+            return refuse;
+        }
         // Serve only as the current-term, unfenced leader — a
         // stale or fenced leader replaying its tail could feed
         // a follower entries the real cluster has moved past.

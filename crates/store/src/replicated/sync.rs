@@ -5,7 +5,7 @@ use std::sync::atomic::Ordering;
 
 use oasis_crypto::hash::Sha256;
 
-use super::{NodeState, PeerReply, PeerRequest, ReplicaNode};
+use super::{PeerReply, PeerRequest, ReplicaNode};
 
 /// A follower's in-progress inbound chunked sync session.
 pub(super) struct PendingSync {
@@ -73,16 +73,9 @@ impl ReplicaNode {
                 let chunk_len = self.config.sync_chunk_bytes.max(1);
                 let mut chunks = Vec::new();
                 for (name, bytes) in &snapshot {
-                    if bytes.is_empty() {
-                        chunks.push(ChunkData {
-                            region: name.clone(),
-                            offset: 0,
-                            bytes: Vec::new(),
-                        });
-                        continue;
-                    }
-                    let mut offset = 0usize;
-                    while offset < bytes.len() {
+                    // An empty region still ships one (empty) chunk.
+                    let mut offset = 0;
+                    loop {
                         let end = (offset + chunk_len).min(bytes.len());
                         chunks.push(ChunkData {
                             region: name.clone(),
@@ -90,6 +83,9 @@ impl ReplicaNode {
                             bytes: bytes[offset..end].to_vec(),
                         });
                         offset = end;
+                        if offset == bytes.len() {
+                            break;
+                        }
                     }
                 }
                 if chunks.is_empty() {
@@ -118,7 +114,7 @@ impl ReplicaNode {
             }
         }
         loop {
-            let (msg, seq, total) = {
+            let (msg, seq) = {
                 let sessions = self.sync_sessions.lock();
                 let Some(s) = sessions.get(peer) else {
                     return false;
@@ -128,6 +124,8 @@ impl ReplicaNode {
                     break;
                 }
                 let c = &s.chunks[seq];
+                self.stats.sync_chunks_sent.inc();
+                self.stats.sync_bytes_sent.add(c.bytes.len() as u64);
                 (
                     PeerRequest::SyncChunk {
                         term,
@@ -145,13 +143,8 @@ impl ReplicaNode {
                         last_term: s.last_term,
                     },
                     seq,
-                    s.chunks.len(),
                 )
             };
-            self.stats.sync_chunks_sent.inc();
-            if let PeerRequest::SyncChunk { bytes, .. } = &msg {
-                self.stats.sync_bytes_sent.add(bytes.len() as u64);
-            }
             match self.transport.call(peer, &msg) {
                 Ok(PeerReply::ChunkAck {
                     term: t,
@@ -169,18 +162,13 @@ impl ReplicaNode {
                         self.sync_sessions.lock().remove(peer);
                         return false;
                     }
+                    // The next turn sends the following chunk, or ends
+                    // the transfer after the last one.
                     let mut sessions = self.sync_sessions.lock();
-                    if let Some(s) = sessions.get_mut(peer) {
-                        s.next = seq + 1;
-                        if s.next >= total {
-                            sessions.remove(peer);
-                            drop(sessions);
-                            self.stats.syncs_sent.inc();
-                            return true;
-                        }
-                    } else {
+                    let Some(s) = sessions.get_mut(peer) else {
                         return false;
-                    }
+                    };
+                    s.next = seq + 1;
                 }
                 // Transport failure mid-transfer: keep the session so
                 // the next round resumes from `next` instead of
@@ -215,104 +203,75 @@ impl ReplicaNode {
             unreachable!("`handle` dispatches by variant");
         };
         let mut st = self.state.lock();
-        let nack = |st: &NodeState| PeerReply::ChunkAck {
-            term: st.term,
-            seq: *seq,
-            ok: false,
-        };
         if !self.accept_leader(&mut st, *term, leader, leader_hint, now_ms) {
-            return nack(&st);
+            return PeerReply::ChunkAck {
+                term: st.term,
+                seq: *seq,
+                ok: false,
+            };
         }
-        if checksum64(bytes) != *checksum {
-            st.pending_sync = None;
-            let reply = nack(&st);
-            drop(st);
-            let _ = self.persist_meta();
-            return reply;
-        }
-        let continues = st
-            .pending_sync
-            .as_ref()
-            .is_some_and(|p| p.leader == *leader && p.session == *session && p.next_seq == *seq);
-        if !continues {
-            if *seq == 0 {
+        let staged = 'stage: {
+            let continues = st.pending_sync.as_ref().is_some_and(|p| {
+                p.leader == *leader && p.session == *session && p.next_seq == *seq
+            });
+            if checksum64(bytes) != *checksum || (!continues && *seq != 0) {
+                // A corrupt chunk, or a mid-session chunk for a session
+                // we are not tracking: nack so the leader restarts.
+                st.pending_sync = None;
+                break 'stage false;
+            }
+            if !continues {
                 st.pending_sync = Some(PendingSync {
                     leader: leader.clone(),
                     session: *session,
                     next_seq: 0,
                     staged: Vec::new(),
                 });
-            } else {
-                // Mid-session chunk for a session we are not
-                // tracking: nack so the leader restarts.
-                st.pending_sync = None;
-                let reply = nack(&st);
-                drop(st);
-                let _ = self.persist_meta();
-                return reply;
-            }
-        }
-        // Region-name "" is the head-only sentinel; real
-        // chunks must extend their region contiguously.
-        if !region.is_empty() {
-            let staged_len = st
-                .pending_sync
-                .as_ref()
-                .expect("pending sync present")
-                .staged
-                .iter()
-                .find(|(n, _)| n == region)
-                .map_or(0, |(_, b)| b.len() as u64);
-            if staged_len != *offset {
-                st.pending_sync = None;
-                let reply = nack(&st);
-                drop(st);
-                let _ = self.persist_meta();
-                return reply;
             }
             let p = st.pending_sync.as_mut().expect("pending sync present");
-            if let Some((_, buf)) = p.staged.iter_mut().find(|(n, _)| n == region) {
-                buf.extend_from_slice(bytes);
-            } else {
-                p.staged.push((region.clone(), bytes.clone()));
-            }
-        }
-        st.pending_sync
-            .as_mut()
-            .expect("pending sync present")
-            .next_seq = *seq + 1;
-        if *seq + 1 == *total {
-            // Final chunk: install the staged snapshot
-            // atomically with the shipped log head.
-            let staged = st.pending_sync.take().expect("pending sync present").staged;
-            let mut applied = true;
-            for (name, b) in &staged {
-                if self.region(name).replace(b).is_err() {
-                    applied = false;
-                    break;
+            // Region-name "" is the head-only sentinel; real chunks must
+            // extend their region contiguously.
+            if !region.is_empty() {
+                let buf = p.staged.iter_mut().find(|(n, _)| n == region);
+                if buf.as_ref().map_or(0, |(_, b)| b.len() as u64) != *offset {
+                    st.pending_sync = None;
+                    break 'stage false;
+                }
+                match buf {
+                    Some((_, buf)) => buf.extend_from_slice(bytes),
+                    None => p.staged.push((region.clone(), bytes.clone())),
                 }
             }
-            if !applied {
-                let reply = nack(&st);
-                drop(st);
-                let _ = self.persist_meta();
-                return reply;
+            p.next_seq = *seq + 1;
+            if *seq + 1 < *total {
+                break 'stage true;
+            }
+            // Final chunk: install the staged snapshot atomically with
+            // the shipped log head.
+            let staged = st.pending_sync.take().expect("pending sync present").staged;
+            if staged
+                .iter()
+                .any(|(name, b)| self.region(name).replace(b).is_err())
+            {
+                break 'stage false;
             }
             st.last_index = *last_index;
             st.last_term = *last_term;
             st.log_hash = *last_hash;
-            // The tail does not cover synced history: anchor an
-            // empty tail at the new head.
+            // The tail does not cover synced history: anchor an empty
+            // tail at the new head.
             st.tail.clear();
             st.tail_prev_hash = *last_hash;
             self.stats.syncs_applied.inc();
-        }
+            true
+        };
         let term = st.term;
         drop(st);
+        let persisted = self.persist_meta().is_ok();
         PeerReply::ChunkAck {
             term,
             seq: *seq,
-            ok: self.persist_meta().is_ok(),
+            ok: staged && persisted,
         }
     }
 }
