@@ -21,6 +21,22 @@ fn cluster_with(
     (mesh, nodes)
 }
 
+/// A vote request from `candidate` for `term`, with an empty log.
+fn claim(term: u64, candidate: &str) -> PeerRequest {
+    PeerRequest::LeaderClaim {
+        term,
+        candidate: candidate.into(),
+        candidate_hint: "x".into(),
+        last_index: 0,
+        last_term: 0,
+    }
+}
+
+/// A vote reply at `term`.
+fn vote(term: u64, granted: bool) -> PeerReply {
+    PeerReply::Vote { term, granted }
+}
+
 fn cluster(n: usize) -> (LocalMesh, Vec<Arc<ReplicaNode>>) {
     cluster_with(n, |_| {})
 }
@@ -787,23 +803,7 @@ fn meta_backend_restores_term_and_vote() {
         .with_meta(Arc::clone(&meta) as Arc<dyn StorageBackend>)
         .expect("the meta region reads");
     assert_eq!(restarted.term(), term);
-    let vote = restarted.handle(
-        &PeerRequest::LeaderClaim {
-            term,
-            candidate: "n1".into(),
-            candidate_hint: "x".into(),
-            last_index: 0,
-            last_term: 0,
-        },
-        0,
-    );
-    assert_eq!(
-        vote,
-        PeerReply::Vote {
-            term,
-            granted: false
-        }
-    );
+    assert_eq!(restarted.handle(&claim(term, "n1"), 0), vote(term, false));
 }
 
 #[test]
@@ -814,41 +814,16 @@ fn restart_mid_election_does_not_double_vote() {
     let node = ReplicaNode::new(cfg.clone(), Arc::new(mesh.clone()))
         .with_meta(Arc::clone(&meta) as Arc<dyn StorageBackend>)
         .expect("the meta region reads");
-    let claim = |candidate: &str| PeerRequest::LeaderClaim {
-        term: 5,
-        candidate: candidate.into(),
-        candidate_hint: "x".into(),
-        last_index: 0,
-        last_term: 0,
-    };
     // Vote for `a` in term 5, then crash before the election ends.
-    assert_eq!(
-        node.handle(&claim("a"), 0),
-        PeerReply::Vote {
-            term: 5,
-            granted: true
-        }
-    );
+    assert_eq!(node.handle(&claim(5, "a"), 0), vote(5, true));
     drop(node);
     let restarted = ReplicaNode::new(cfg, Arc::new(mesh.clone()))
         .with_meta(Arc::clone(&meta) as Arc<dyn StorageBackend>)
         .expect("the meta region reads");
     // The restarted node remembers its term-5 vote: `b` is refused…
-    assert_eq!(
-        restarted.handle(&claim("b"), 0),
-        PeerReply::Vote {
-            term: 5,
-            granted: false
-        }
-    );
+    assert_eq!(restarted.handle(&claim(5, "b"), 0), vote(5, false));
     // …while `a` re-asking (a retransmit) is still granted.
-    assert_eq!(
-        restarted.handle(&claim("a"), 0),
-        PeerReply::Vote {
-            term: 5,
-            granted: true
-        }
-    );
+    assert_eq!(restarted.handle(&claim(5, "a"), 0), vote(5, true));
 }
 
 #[test]
@@ -858,30 +833,15 @@ fn a_vote_the_meta_region_refuses_is_not_granted() {
     let node = ReplicaNode::new(cfg, Arc::new(LocalMesh::new()))
         .with_meta(Arc::clone(&meta) as Arc<dyn StorageBackend>)
         .expect("an empty meta region is a fresh node");
-    let claim = PeerRequest::LeaderClaim {
-        term: 3,
-        candidate: "a".into(),
-        candidate_hint: "x".into(),
-        last_index: 0,
-        last_term: 0,
-    };
+    let claim = claim(3, "a");
     meta.poison("disk full");
     assert_eq!(
         node.handle(&claim, 0),
-        PeerReply::Vote {
-            term: 3,
-            granted: false
-        },
+        vote(3, false),
         "a vote that did not reach the meta region must not leave"
     );
     meta.heal();
-    assert_eq!(
-        node.handle(&claim, 0),
-        PeerReply::Vote {
-            term: 3,
-            granted: true
-        }
-    );
+    assert_eq!(node.handle(&claim, 0), vote(3, true));
     assert!(
         std::str::from_utf8(&meta.read().unwrap())
             .unwrap()
@@ -939,22 +899,7 @@ fn empty_meta_is_a_fresh_node() {
         .with_meta(Arc::new(MemBackend::new()) as Arc<dyn StorageBackend>)
         .expect("an empty meta region is a fresh node");
     assert_eq!(node.term(), 0);
-    assert_eq!(
-        node.handle(
-            &PeerRequest::LeaderClaim {
-                term: 1,
-                candidate: "a".into(),
-                candidate_hint: "x".into(),
-                last_index: 0,
-                last_term: 0,
-            },
-            0,
-        ),
-        PeerReply::Vote {
-            term: 1,
-            granted: true
-        }
-    );
+    assert_eq!(node.handle(&claim(1, "a"), 0), vote(1, true));
 }
 
 #[test]
@@ -964,39 +909,14 @@ fn no_meta_region_falls_back_to_per_process_voting() {
     // that weaker fallback semantic.
     let mesh = LocalMesh::new();
     let cfg = ReplicaConfig::new("n0", vec!["a".into(), "b".into()], "127.0.0.1:9100");
-    let claim = |candidate: &str| PeerRequest::LeaderClaim {
-        term: 5,
-        candidate: candidate.into(),
-        candidate_hint: "x".into(),
-        last_index: 0,
-        last_term: 0,
-    };
     let node = ReplicaNode::new(cfg.clone(), Arc::new(mesh.clone()));
-    assert_eq!(
-        node.handle(&claim("a"), 0),
-        PeerReply::Vote {
-            term: 5,
-            granted: true
-        }
-    );
+    assert_eq!(node.handle(&claim(5, "a"), 0), vote(5, true));
     // Same process: the second candidate is still refused.
-    assert_eq!(
-        node.handle(&claim("b"), 0),
-        PeerReply::Vote {
-            term: 5,
-            granted: false
-        }
-    );
+    assert_eq!(node.handle(&claim(5, "b"), 0), vote(5, false));
     drop(node);
     // After a restart with no meta the vote is forgotten.
     let restarted = ReplicaNode::new(cfg, Arc::new(mesh.clone()));
-    assert_eq!(
-        restarted.handle(&claim("b"), 0),
-        PeerReply::Vote {
-            term: 5,
-            granted: true
-        }
-    );
+    assert_eq!(restarted.handle(&claim(5, "b"), 0), vote(5, true));
 }
 
 #[test]
