@@ -324,12 +324,7 @@ impl ReplicaNode {
         else {
             unreachable!("`handle` dispatches by variant");
         };
-        enum Head {
-            Match,
-            Lag,
-            Diverged,
-        }
-        let head = {
+        let behind = {
             let mut st = self.state.lock();
             if !self.accept_leader(&mut st, *term, leader, leader_hint, now_ms) {
                 return PeerReply::ReplicateAck {
@@ -339,16 +334,10 @@ impl ReplicaNode {
                     ok: false,
                 };
             }
-            if *prev_index == st.last_index && *prev_hash == st.log_hash {
-                Head::Match
-            } else if *prev_index > st.last_index {
-                Head::Lag
-            } else {
-                Head::Diverged
-            }
+            *prev_index > st.last_index
         };
         let _ = self.persist_meta();
-        if matches!(head, Head::Lag) {
+        if behind {
             // Behind the leader's frame: pull the missing
             // suffix from its retained tail before deciding to
             // nack. On success the head check below passes and
