@@ -11,17 +11,8 @@ pub enum EventError {
         reason: String,
     },
 
-    /// A receive was attempted on a subscription with no pending events.
-    Empty,
-
-    /// The channel or bus side this endpoint talks to has been dropped.
-    Disconnected,
-
-    /// A subscription id did not name a live subscription.
+    /// A callback id did not name a live callback subscription.
     UnknownSubscription(u64),
-
-    /// A bounded subscription mailbox overflowed and the event was dropped.
-    Overflow,
 
     /// A retention ring was requested with capacity zero.
     InvalidCapacity,
@@ -31,10 +22,7 @@ impl std::fmt::Display for EventError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Self::InvalidTopic { topic, reason } => write!(f, "invalid topic `{topic}`: {reason}"),
-            Self::Empty => write!(f, "no event pending"),
-            Self::Disconnected => write!(f, "peer disconnected"),
             Self::UnknownSubscription(x0) => write!(f, "unknown subscription {x0}"),
-            Self::Overflow => write!(f, "subscription mailbox overflow; event dropped"),
             Self::InvalidCapacity => write!(f, "retention capacity must be at least 1"),
         }
     }

@@ -6,12 +6,14 @@
 //! their environment without polling. Two mechanisms from the paper are
 //! modelled here:
 //!
-//! * **Event channels** (Fig 1, Fig 5): when service *C* issues a role
+//! * **Revocation push** (Fig 1, Fig 5): when service *C* issues a role
 //!   membership certificate whose activation depended on credentials issued
-//!   by services *A* and *B*, it subscribes to channels on which *A* and *B*
-//!   publish revocation or change events. Should a supporting credential be
-//!   invalidated, *C* learns immediately and can collapse the dependent role
-//!   subtree.
+//!   by services *A* and *B*, it subscribes to the topics on which *A* and
+//!   *B* publish revocation or change events. A subscription is a callback
+//!   ([`EventBus::subscribe_fn`]) that runs inline on the publisher's
+//!   thread, so should a supporting credential be invalidated, *C* has
+//!   collapsed the dependent role subtree before the publisher proceeds.
+//!   Callbacks run in subscription order.
 //! * **Heartbeats** (Fig 5): issuers emit periodic heartbeats; a verifier
 //!   that misses heartbeats treats cached validation results as stale.
 //!
@@ -19,18 +21,6 @@
 //! and time is *virtual* (caller-supplied `u64` ticks) so that the
 //! deterministic simulator in `oasis-sim` and the benchmarks can drive it
 //! reproducibly.
-//!
-//! # Overflow self-events (`bus.overflow.<topic>`)
-//!
-//! A bounded mailbox that overflows silently would turn a dropped
-//! revocation notice into an invisible security hole. The bus therefore
-//! *announces every drop*: when a bounded subscription on topic `t`
-//! discards an event, the discarded payload is republished on
-//! `bus.overflow.t` (the [`OVERFLOW_TOPIC_PREFIX`]). Monitors subscribe
-//! to `bus.overflow.#` to observe exactly which events were lost, and
-//! [`BusStats::overflow_events`] counts the announcements. Drops on an
-//! overflow topic itself are counted but never re-announced, so the
-//! announcement stream cannot amplify its own losses.
 //!
 //! # Retained rings and catch-up replay
 //!
@@ -47,31 +37,32 @@
 //! # Example
 //!
 //! ```
+//! use std::sync::{Arc, Mutex};
+//!
 //! use oasis_events::{EventBus, Topic};
 //!
 //! let bus: EventBus<String> = EventBus::new();
-//! let sub = bus.subscribe("cred.revoked.*").unwrap();
+//! let revoked = Arc::new(Mutex::new(Vec::new()));
+//! let sink = Arc::clone(&revoked);
+//! bus.subscribe_fn("cred.revoked.*", move |event| {
+//!     sink.lock().unwrap().push(event.payload.clone());
+//! })
+//! .unwrap();
 //! bus.publish(&Topic::new("cred.revoked.hospital"), "rmc-42".to_string());
-//! let event = sub.try_recv().unwrap();
-//! assert_eq!(event.payload, "rmc-42");
+//! assert_eq!(*revoked.lock().unwrap(), ["rmc-42"]);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod bus;
-mod channel;
 mod error;
 mod heartbeat;
 mod load;
 mod stats;
 mod topic;
 
-pub use bus::{
-    CallbackId, DeliveredEvent, EventBus, OverflowPolicy, Subscription, SubscriptionId,
-    OVERFLOW_TOPIC_PREFIX,
-};
-pub use channel::{channel, ChannelReceiver, ChannelSender};
+pub use bus::{CallbackId, DeliveredEvent, EventBus};
 pub use error::EventError;
 pub use heartbeat::{HeartbeatMonitor, SourceHealth, SourceId};
 pub use load::LoadTracker;

@@ -19,15 +19,10 @@ oasis_obs::stats_set! {
     pub struct BusStats / BusSeries {
         /// Total `publish` calls.
         published: u64 = counter,
-        /// Total subscriber deliveries (one event to three subscribers = 3).
+        /// Total callback runs (one event to three subscribers = 3).
         delivered: u64 = counter,
-        /// Events discarded because a bounded mailbox overflowed.
-        dropped_overflow: u64 = counter,
         /// Publications that matched no subscription at all.
         dead_letters: u64 = counter,
-        /// `bus.overflow.*` self-events published to announce those drops
-        /// (see [`EventBus::publish_at`](crate::EventBus::publish_at)).
-        overflow_events: u64 = counter,
         /// Events evicted from per-topic retained rings
         /// ([`EventBus::retain`](crate::EventBus::retain)) to make room for
         /// newer ones. A non-zero count means a sufficiently stale

@@ -2,6 +2,8 @@
 //! agree with a naive reference implementation, and the bus must deliver
 //! exactly to matching subscribers.
 
+use std::sync::{Arc, Mutex};
+
 use proptest::prelude::*;
 
 use oasis_events::{EventBus, Topic, TopicPattern};
@@ -74,15 +76,21 @@ proptest! {
         topics in proptest::collection::vec(topic_strategy(), 1..10),
     ) {
         let bus: EventBus<usize> = EventBus::new();
-        let subs: Vec<_> = patterns
+        let seen: Vec<Arc<Mutex<Vec<usize>>>> = patterns
             .iter()
-            .map(|p| bus.subscribe(p).unwrap())
+            .map(|p| {
+                let seen = Arc::new(Mutex::new(Vec::new()));
+                let sink = Arc::clone(&seen);
+                bus.subscribe_fn(p, move |e| sink.lock().unwrap().push(e.payload))
+                    .unwrap();
+                seen
+            })
             .collect();
         for (i, topic) in topics.iter().enumerate() {
             bus.publish(&Topic::new(topic.clone()), i);
         }
-        for (pattern, sub) in patterns.iter().zip(&subs) {
-            let got: Vec<usize> = sub.drain().into_iter().map(|e| e.payload).collect();
+        for (pattern, seen) in patterns.iter().zip(&seen) {
+            let got = seen.lock().unwrap().clone();
             let expected: Vec<usize> = topics
                 .iter()
                 .enumerate()

@@ -7,7 +7,7 @@
 //! | Crate | Contents |
 //! |-------|----------|
 //! | [`core`] | the OASIS model and engine: parametrised roles, Horn-clause activation rules, sessions, appointment, active security |
-//! | [`events`] | the event middleware substrate: topics, channels, heartbeats |
+//! | [`events`] | the event middleware substrate: topics, inline callbacks, retained rings, heartbeats |
 //! | [`crypto`] | certificate MACs, issuer secret rotation, Ed25519 challenge–response |
 //! | [`facts`] | the environmental predicate database |
 //! | [`policy`] | the textual policy language, checker, and compiler |
