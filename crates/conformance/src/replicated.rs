@@ -22,7 +22,7 @@ use oasis_core::{
 use oasis_crypto::{IssuerSecret, SecretKey};
 use oasis_facts::FactStore;
 use oasis_obs::Recorder;
-use oasis_sim::{Fault, FaultPlan, Latency, LinkConfig, SimNet, Trace, TraceValue};
+use oasis_sim::{Trace, TraceValue};
 use oasis_store::{LocalMesh, MemBackend, ReplicaConfig, ReplicaNode, StorageBackend};
 
 use crate::engine::ScenarioRun;
@@ -67,35 +67,23 @@ fn cluster_with(
     (mesh, nodes)
 }
 
-/// Flaps (or, with `window == 0`, steadies) the `a`↔`b` link through the
-/// scripted fault path: the plan fires a [`Fault::FlappyPeerLink`] the
-/// driver resolves against the live mesh, exactly as `kill_and_promote`
-/// resolves leader kills.
-fn flap_via_plan(mesh: &LocalMesh, a: &str, b: &str, window: u64, trace: &Trace) {
-    let mut dummy_net = SimNet::new(LinkConfig::clean(Latency::Constant(1)));
-    let mut plan = FaultPlan::new();
-    let at = mesh.now() + 1;
-    plan.flap_link_at(at, a, b, window);
-    for fault in plan.apply_due(at, &mut dummy_net) {
-        if let Fault::FlappyPeerLink { .. } = fault {
-            for (a, b, window) in plan.take_link_flaps() {
-                if window == 0 {
-                    mesh.clear_flappy(&a, &b);
-                } else {
-                    mesh.set_flappy(&a, &b, window);
-                }
-                trace.log_kv(
-                    at,
-                    "link flap",
-                    &[
-                        ("a", TraceValue::from(a.to_string())),
-                        ("b", TraceValue::from(b.to_string())),
-                        ("window", TraceValue::from(window)),
-                    ],
-                );
-            }
-        }
+/// Flaps (or, with `window == 0`, steadies) the `a`↔`b` link, logged at
+/// the next tick.
+fn flap(mesh: &LocalMesh, a: &str, b: &str, window: u64, trace: &Trace) {
+    if window == 0 {
+        mesh.clear_flappy(a, b);
+    } else {
+        mesh.set_flappy(a, b, window);
     }
+    trace.log_kv(
+        mesh.now() + 1,
+        "link flap",
+        &[
+            ("a", TraceValue::from(a.to_string())),
+            ("b", TraceValue::from(b.to_string())),
+            ("window", TraceValue::from(window)),
+        ],
+    );
 }
 
 /// Steps virtual time until exactly one live leader exists.
@@ -148,36 +136,21 @@ fn durable_hospital(
     )
 }
 
-/// Kills the current live leader via the scripted fault path and
-/// returns the promoted service over the new leader's regions.
+/// Kills the current live leader and returns the promoted service over
+/// the new leader's regions.
 fn kill_and_promote(
     mesh: &LocalMesh,
-    group: &[String],
     facts: &Arc<FactStore<Value>>,
     trace: &Trace,
 ) -> (Arc<ReplicaNode>, Arc<OasisService>, String) {
-    let mut dummy_net = SimNet::new(LinkConfig::clean(Latency::Constant(1)));
-    let mut plan = FaultPlan::new();
-    let at = mesh.now() + 1;
-    plan.kill_leader_at(at, group.to_vec());
-    let mut victim_id = String::new();
-    for fault in plan.apply_due(at, &mut dummy_net) {
-        if let Fault::KillLeader { .. } = fault {
-            for group in plan.take_leader_kills() {
-                let victim = mesh
-                    .live_leader()
-                    .filter(|l| group.iter().any(|id| id == l.id()))
-                    .expect("a live leader to kill");
-                victim_id = victim.id().to_string();
-                mesh.kill(victim.id());
-                trace.log_kv(
-                    at,
-                    "killed leader",
-                    &[("victim", TraceValue::from(victim_id.clone()))],
-                );
-            }
-        }
-    }
+    let victim = mesh.live_leader().expect("a live leader to kill");
+    let victim_id = victim.id().to_string();
+    mesh.kill(&victim_id);
+    trace.log_kv(
+        mesh.now() + 1,
+        "killed leader",
+        &[("victim", TraceValue::from(victim_id.clone()))],
+    );
     let new_leader = settle(mesh);
     let promoted = durable_login(&new_leader, facts);
     let report = promoted.recover(mesh.now()).unwrap();
@@ -240,7 +213,6 @@ pub(crate) fn run_replicated(
             cfg.sync_chunk_bytes = 256;
         }
     });
-    let group: Vec<String> = nodes.iter().map(|n| n.id().to_string()).collect();
     let first_leader = settle(&mesh);
     trace.log_kv(
         mesh.now(),
@@ -348,11 +320,11 @@ pub(crate) fn run_replicated(
             // The victim rejoins only after the storm finishes (the
             // generic rejoin sweep below), so the kill actually costs
             // the cluster a node while writes continue.
-            let (_, promoted, _) = kill_and_promote(&mesh, &group, &facts, &trace);
+            let (_, promoted, _) = kill_and_promote(&mesh, &facts, &trace);
             current = promoted;
         }
         FaultRegime::KillLeaderTwice => {
-            let (new_leader, promoted, victim1) = kill_and_promote(&mesh, &group, &facts, &trace);
+            let (new_leader, promoted, victim1) = kill_and_promote(&mesh, &facts, &trace);
             // Two more quorum-acked revocations on the first promotion...
             for rmc in certs.iter().skip(k_pre).take(2) {
                 revoke(&promoted, rmc, &mut acked);
@@ -368,7 +340,7 @@ pub(crate) fn run_replicated(
                 &[("node", TraceValue::from(victim1))],
             );
             drop(promoted);
-            let (_, promoted2, _) = kill_and_promote(&mesh, &group, &facts, &trace);
+            let (_, promoted2, _) = kill_and_promote(&mesh, &facts, &trace);
             current = promoted2;
         }
         FaultRegime::KillSyncFollower => {
@@ -479,7 +451,7 @@ pub(crate) fn run_replicated(
             let before = follower.stats();
             let chunks_before = leader.stats().sync_chunks_sent;
             let term_before = leader.term();
-            flap_via_plan(&mesh, leader.id(), follower.id(), 4, &trace);
+            flap(&mesh, leader.id(), follower.id(), 4, &trace);
             for rmc in certs.iter().skip(k_pre).take(remaining) {
                 revoke(&current, rmc, &mut acked);
             }
@@ -492,7 +464,7 @@ pub(crate) fn run_replicated(
                     .expect("scratch append through the quorum");
                 mesh.step(5);
             }
-            flap_via_plan(&mesh, leader.id(), follower.id(), 0, &trace);
+            flap(&mesh, leader.id(), follower.id(), 0, &trace);
             for _ in 0..40 {
                 if follower.last_index() == leader.last_index() {
                     break;
@@ -569,14 +541,14 @@ pub(crate) fn run_replicated(
             let before = follower.stats();
             let leader_before = leader.stats();
             mesh.heal_partition(leader.id(), follower.id());
-            flap_via_plan(&mesh, leader.id(), follower.id(), 3, &trace);
+            flap(&mesh, leader.id(), follower.id(), 3, &trace);
             for _ in 0..200 {
                 if follower.last_index() == leader.last_index() {
                     break;
                 }
                 mesh.step(leader.config().heartbeat_ms + 1);
             }
-            flap_via_plan(&mesh, leader.id(), follower.id(), 0, &trace);
+            flap(&mesh, leader.id(), follower.id(), 0, &trace);
             let after = follower.stats();
             let leader_after = leader.stats();
             assert!(

@@ -1,14 +1,14 @@
 //! Scripted fault injection for chaos experiments.
 //!
 //! A [`FaultPlan`] is a deterministic schedule of faults — partitions,
-//! heals, crashes, recoveries, clock skews, a Byzantine CIV, leader
-//! kills, flapping links and torn journal tails — applied as virtual
-//! time advances. Scripting the faults (rather than sampling them)
-//! makes chaos runs exactly repeatable and lets a test assert on *when*
-//! degradation and recovery must happen. The conformance matrix
-//! (`oasis-conformance`) runs the plans: its two-domain runner schedules
-//! the network, clock and CIV faults, its replicated runner the leader
-//! kills and link flaps, and `tests/durable_recovery.rs` the torn tail.
+//! heals, crashes, recoveries, clock skews and a Byzantine CIV — applied
+//! as virtual time advances. Scripting the faults (rather than sampling
+//! them) makes chaos runs exactly repeatable and lets a test assert on
+//! *when* degradation and recovery must happen. The conformance matrix
+//! (`oasis-conformance`) runs the plans in its two-domain runner. Faults
+//! that act on something the plan cannot reach — a replica mesh's leader
+//! or links, a storage backend's bytes — are applied by their driver
+//! directly (the replicated runner, `tests/durable_recovery.rs`).
 //!
 //! # Crash durability
 //!
@@ -18,14 +18,6 @@
 //! this by dropping the service instance while keeping a cloned handle
 //! to its storage backend, then handing the same handle to the
 //! restarted instance after [`Fault::Recover`].
-//!
-//! Real crashes also tear the last disk write. [`Fault::TearJournalTail`]
-//! scripts that: it accumulates as a [`JournalDamage`] descriptor which
-//! the driver drains ([`FaultPlan::take_journal_damage`]) and applies
-//! to the crashed node's backend (e.g. `MemBackend::append_garbage` in
-//! `oasis-store`) *before* restarting it. Recovery must then heal the
-//! tail: stop at the last valid record, never panic, never resurrect a
-//! record past the damage point.
 
 use std::collections::HashMap;
 
@@ -58,27 +50,6 @@ pub enum Fault {
         /// The node that comes back.
         node: NodeId,
     },
-    /// Chop bytes off the end of a node's durability journal — the torn
-    /// final write of a crash mid-append. Accumulates as
-    /// [`JournalDamage::TornTail`] for the driver to apply to the
-    /// node's storage backend.
-    TearJournalTail {
-        /// The node whose journal is torn.
-        node: NodeId,
-        /// How many bytes the torn write loses.
-        bytes: u64,
-    },
-    /// Kill whichever member of `group` is the replication leader at
-    /// the moment the fault fires. The plan cannot know the leader at
-    /// scripting time (an earlier fault may already have forced a
-    /// failover), so this accumulates as a pending kill that the
-    /// driver resolves against live cluster state via
-    /// [`FaultPlan::take_leader_kills`] and applies itself (e.g.
-    /// `LocalMesh::kill` in `oasis-store`).
-    KillLeader {
-        /// The replication group to decapitate.
-        group: Vec<NodeId>,
-    },
     /// Skew `node`'s wall clock by `offset_ms` relative to virtual
     /// time — a cross-domain NTP drift. This has no direct network
     /// effect; the caller consults
@@ -100,34 +71,6 @@ pub enum Fault {
     ByzantineCiv {
         /// The CIV that goes rogue.
         node: NodeId,
-    },
-    /// Make the link between `a` and `b` flap: alternate between
-    /// delivering and dropping in runs of `window` calls — the
-    /// half-dead cable that keeps interrupting a long transfer. A
-    /// `window` of zero steadies the link again. Like [`Fault::KillLeader`]
-    /// this is driver-resolved: the plan cannot reach into a replica
-    /// mesh, so flaps accumulate for the driver to drain via
-    /// [`FaultPlan::take_link_flaps`] and apply (e.g.
-    /// `LocalMesh::set_flappy` in `oasis-store`).
-    FlappyPeerLink {
-        /// One endpoint of the flapping link.
-        a: NodeId,
-        /// The other endpoint.
-        b: NodeId,
-        /// Calls per up/down run; zero restores a steady link.
-        window: u64,
-    },
-}
-
-/// Scripted damage to one node's durability journal, drained by the
-/// driver via [`FaultPlan::take_journal_damage`] and applied to the
-/// node's storage backend before restart.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum JournalDamage {
-    /// The tail of the journal is missing `bytes` bytes.
-    TornTail {
-        /// How many bytes to truncate from the end.
-        bytes: u64,
     },
 }
 
@@ -162,9 +105,6 @@ pub struct FaultPlan {
     /// ticks: insertion order breaks ties, so a same-tick crash+heal
     /// sequence applies in the order it was scripted).
     scheduled: Vec<(u64, Fault)>,
-    journal_damage: Vec<(NodeId, JournalDamage)>,
-    leader_kills: Vec<Vec<NodeId>>,
-    link_flaps: Vec<(NodeId, NodeId, u64)>,
     skews: HashMap<NodeId, i64>,
 }
 
@@ -212,34 +152,6 @@ impl FaultPlan {
         self.schedule(tick, Fault::Recover { node: node.into() });
     }
 
-    /// Schedules a torn journal tail at `tick` — usually the same tick
-    /// as a [`FaultPlan::crash_at`] on the same node.
-    pub fn tear_journal_at(&mut self, tick: u64, node: impl Into<NodeId>, bytes: u64) {
-        self.schedule(
-            tick,
-            Fault::TearJournalTail {
-                node: node.into(),
-                bytes,
-            },
-        );
-    }
-
-    /// Schedules the kill of whichever member of `group` leads the
-    /// replication group when the tick fires (driver-resolved — see
-    /// [`Fault::KillLeader`]).
-    pub fn kill_leader_at<I, N>(&mut self, tick: u64, group: I)
-    where
-        I: IntoIterator<Item = N>,
-        N: Into<NodeId>,
-    {
-        self.schedule(
-            tick,
-            Fault::KillLeader {
-                group: group.into_iter().map(Into::into).collect(),
-            },
-        );
-    }
-
     /// Schedules a clock skew on `node` at `tick`; `offset_ms == 0`
     /// clears a previous skew.
     pub fn skew_clock_at(&mut self, tick: u64, node: impl Into<NodeId>, offset_ms: i64) {
@@ -257,31 +169,10 @@ impl FaultPlan {
         self.schedule(tick, Fault::ByzantineCiv { node: node.into() });
     }
 
-    /// Schedules the link between `a` and `b` to start flapping at
-    /// `tick` in runs of `window` calls (driver-resolved — see
-    /// [`Fault::FlappyPeerLink`]).
-    pub fn flap_link_at(
-        &mut self,
-        tick: u64,
-        a: impl Into<NodeId>,
-        b: impl Into<NodeId>,
-        window: u64,
-    ) {
-        self.schedule(
-            tick,
-            Fault::FlappyPeerLink {
-                a: a.into(),
-                b: b.into(),
-                window,
-            },
-        );
-    }
-
     /// Applies (and consumes) every fault scheduled at or before `now`,
     /// in schedule order, returning what was applied. Network faults act
-    /// on `net`; the rest update the plan's own ledgers (journal damage,
-    /// leader kills, link flaps, clock skews) or, like
-    /// [`Fault::ByzantineCiv`], only reach the caller through the
+    /// on `net`; a clock skew updates the plan's own ledger, and
+    /// [`Fault::ByzantineCiv`] only reaches the caller through the
     /// returned list.
     pub fn apply_due(&mut self, now: u64, net: &mut SimNet) -> Vec<Fault> {
         let due = self.scheduled.partition_point(|(t, _)| *t <= now);
@@ -292,13 +183,6 @@ impl FaultPlan {
                 Fault::Heal { a, b } => net.heal(a.clone(), b.clone()),
                 Fault::Crash { node } => net.crash(node.clone()),
                 Fault::Recover { node } => net.recover(node.clone()),
-                Fault::TearJournalTail { node, bytes } => {
-                    self.journal_damage
-                        .push((node.clone(), JournalDamage::TornTail { bytes: *bytes }));
-                }
-                Fault::KillLeader { group } => {
-                    self.leader_kills.push(group.clone());
-                }
                 Fault::ClockSkew { node, offset_ms } => {
                     if *offset_ms == 0 {
                         self.skews.remove(node);
@@ -307,34 +191,9 @@ impl FaultPlan {
                     }
                 }
                 Fault::ByzantineCiv { .. } => {}
-                Fault::FlappyPeerLink { a, b, window } => {
-                    self.link_flaps.push((a.clone(), b.clone(), *window));
-                }
             }
         }
         applied
-    }
-
-    /// Drains the journal damage applied so far: `(node, damage)` in
-    /// application order. The driver applies each to the node's storage
-    /// backend before restarting the node.
-    pub fn take_journal_damage(&mut self) -> Vec<(NodeId, JournalDamage)> {
-        std::mem::take(&mut self.journal_damage)
-    }
-
-    /// Drains the pending leader kills: one group per fired
-    /// [`Fault::KillLeader`], in application order. The driver looks
-    /// up which group member currently leads and crashes it — the plan
-    /// stays deterministic while the victim is resolved live.
-    pub fn take_leader_kills(&mut self) -> Vec<Vec<NodeId>> {
-        std::mem::take(&mut self.leader_kills)
-    }
-
-    /// Drains the pending link flaps: `(a, b, window)` per fired
-    /// [`Fault::FlappyPeerLink`], in application order. A zero window
-    /// means the driver should steady the link.
-    pub fn take_link_flaps(&mut self) -> Vec<(NodeId, NodeId, u64)> {
-        std::mem::take(&mut self.link_flaps)
     }
 
     /// The current clock skew of `node` in milliseconds (0 = in sync).
@@ -446,47 +305,6 @@ mod tests {
     }
 
     #[test]
-    fn journal_damage_accumulates_and_drains() {
-        let mut net = net();
-        let mut plan = FaultPlan::new();
-        plan.crash_at(5, "issuer");
-        plan.tear_journal_at(5, "issuer", 3);
-
-        plan.apply_due(4, &mut net);
-        assert!(plan.take_journal_damage().is_empty());
-
-        plan.apply_due(6, &mut net);
-        assert!(net.is_crashed("issuer"));
-        let damage = plan.take_journal_damage();
-        assert_eq!(
-            damage,
-            vec![("issuer".into(), JournalDamage::TornTail { bytes: 3 })]
-        );
-        assert!(plan.take_journal_damage().is_empty(), "drained");
-        assert_eq!(net.stats(), (0, 0), "no traffic side effects");
-    }
-
-    #[test]
-    fn kill_leader_accumulates_for_the_driver_to_resolve() {
-        let mut net = net();
-        let mut plan = FaultPlan::new();
-        plan.kill_leader_at(10, ["n0", "n1", "n2"]);
-
-        plan.apply_due(9, &mut net);
-        assert!(plan.take_leader_kills().is_empty());
-
-        let applied = plan.apply_due(10, &mut net);
-        assert_eq!(applied.len(), 1);
-        // The plan does not pick a victim; the driver resolves the
-        // live leader from the drained group.
-        let kills = plan.take_leader_kills();
-        let group: Vec<NodeId> = vec!["n0".into(), "n1".into(), "n2".into()];
-        assert_eq!(kills, vec![group]);
-        assert!(plan.take_leader_kills().is_empty(), "drained");
-        assert_eq!(net.stats(), (0, 0), "no direct net side effects");
-    }
-
-    #[test]
     fn clock_skew_is_tracked_and_clearable() {
         let mut net = net();
         let mut plan = FaultPlan::new();
@@ -503,32 +321,6 @@ mod tests {
         plan.apply_due(12, &mut net);
         assert_eq!(plan.clock_skew("domB"), 0, "zero offset clears");
         assert_eq!(net.stats(), (0, 0), "no traffic side effects");
-    }
-
-    #[test]
-    fn link_flaps_accumulate_for_the_driver_to_resolve() {
-        let mut net = net();
-        let mut plan = FaultPlan::new();
-        plan.flap_link_at(5, "leader", "f1", 3);
-        plan.flap_link_at(9, "leader", "f1", 0);
-
-        plan.apply_due(4, &mut net);
-        assert!(plan.take_link_flaps().is_empty());
-
-        plan.apply_due(5, &mut net);
-        assert_eq!(
-            plan.take_link_flaps(),
-            vec![("leader".into(), "f1".into(), 3)]
-        );
-        assert!(plan.take_link_flaps().is_empty(), "drained");
-
-        // A steady is a zero-window flap for the driver to clear.
-        plan.apply_due(9, &mut net);
-        assert_eq!(
-            plan.take_link_flaps(),
-            vec![("leader".into(), "f1".into(), 0)]
-        );
-        assert_eq!(net.stats(), (0, 0), "no direct net side effects");
     }
 
     #[test]

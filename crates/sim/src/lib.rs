@@ -12,9 +12,8 @@
 //! * [`Latency`] / [`LinkConfig`] / [`SimNet`] — network modelling with
 //!   per-link latency distributions, loss, duplication, jitter,
 //!   partitions, and node crashes.
-//! * [`FaultPlan`] — scripted chaos: partitions, crashes, clock skews,
-//!   Byzantine CIV turns, leader kills, link flaps and torn journal
-//!   tails applied at fixed virtual times.
+//! * [`FaultPlan`] — scripted chaos: partitions, crashes, clock skews
+//!   and Byzantine CIV turns applied at fixed virtual times.
 //! * [`Trace`] — canonical sorted-key JSONL event traces, the shared
 //!   recorder behind the conformance harness's byte-identical replay
 //!   parity.
@@ -51,7 +50,7 @@ mod seed;
 mod sim;
 mod trace;
 
-pub use fault::{Fault, FaultPlan, JournalDamage};
+pub use fault::{Fault, FaultPlan};
 pub use histogram::Histogram;
 pub use latency::Latency;
 pub use net::{LinkConfig, NodeId, SimNet};

@@ -12,7 +12,6 @@
 
 use std::sync::Arc;
 
-use oasis::sim::{FaultPlan, JournalDamage, Latency, LinkConfig, SimNet};
 use oasis::store::MemBackend;
 use oasis_core::{
     Atom, CredStatus, Credential, EnvContext, LocalRegistry, OasisService, PrincipalId, RoleName,
@@ -141,24 +140,14 @@ fn crash_revocation_while_down_recover_catch_up() {
         // cache, the bus subscription — is gone; the journal survives.
     }
 
-    // The crash tears the journal's final write: a scripted fault whose
-    // seed-sized garbage models an append that never completed framing.
-    let mut net = SimNet::new(LinkConfig::clean(Latency::Constant(1)));
-    let mut plan = FaultPlan::new();
-    plan.crash_at(4, "hospital");
-    plan.tear_journal_at(4, "hospital", seed % 24 + 1);
-    plan.apply_due(4, &mut net);
-    for (node, damage) in plan.take_journal_damage() {
-        assert_eq!(node.as_str(), "hospital");
-        let JournalDamage::TornTail { bytes } = damage;
-        // Model the torn write as garbage past the last good frame (the
-        // crash interrupted an append mid-flight).
-        journal.append_garbage(&vec![0xA5u8; bytes as usize]);
-        log(
-            4,
-            &format!("crash tore the journal tail ({bytes} garbage bytes)"),
-        );
-    }
+    // The crash tears the journal's final write: seed-sized garbage past
+    // the last good frame models an append that never completed framing.
+    let bytes = seed % 24 + 1;
+    journal.append_garbage(&vec![0xA5u8; bytes as usize]);
+    log(
+        4,
+        &format!("crash tore the journal tail ({bytes} garbage bytes)"),
+    );
 
     // --- Phase 2 (down): the login session ends ------------------------
     // Nobody is subscribed; only the retained ring hears this.
