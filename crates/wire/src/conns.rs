@@ -8,6 +8,13 @@
 //! wait without a timeout unless a ticket is queued ([`QUEUE_POLL`]) or an
 //! idle/stall deadline is pending (then exactly until it falls due).
 //! Readiness is `epoll` behind the `epoll` shim crate: Linux only.
+//!
+//! A connection is re-armed under the slab lock ([`ConnTable::put_back`]),
+//! so its next event can fire while the lock is held. The workers run
+//! under `SCHED_BATCH` (see the server's "Connections"): the worker that
+//! event wakes does not preempt the one still inside `epoll_ctl`, and so
+//! does not park on the lock it holds. The turn runs to completion, and
+//! the worker that finishes it usually takes the event itself.
 
 use std::io::{self, ErrorKind, Read, Write};
 use std::net::TcpStream;

@@ -23,6 +23,16 @@
 //! idle past [`OverloadConfig::idle_conn_ms`] are closed to reclaim their
 //! slot (`conns_idle_closed`). Linux only (epoll).
 //!
+//! Turns run to completion: every worker runs under Linux `SCHED_BATCH`
+//! (`epoll::set_batch_policy`), so a worker woken for the next request
+//! never preempts one that is mid-turn on the same core. Preempted, the
+//! running worker could be holding the connection table's lock inside
+//! `epoll_ctl`, and the woken one would only park on it; instead the
+//! running turn finishes, and the finishing worker's `epoll_wait` picks
+//! up the ready event without sleeping. The acceptor and a replica's
+//! ticker keep `SCHED_OTHER`, so a new connection and an outgoing
+//! heartbeat or election timeout still preempt a worker.
+//!
 //! # Overload behaviour
 //!
 //! Every request passes the service's [`AdmissionController`]: it is
@@ -168,8 +178,9 @@ impl WireServer {
 
     /// Accepts and serves connections until a fatal listener error, then
     /// stops its threads and returns. Connections are multiplexed across
-    /// a fixed, named worker pool (`oasis-wire-worker-N`, plus
-    /// `oasis-wire-ticker` on a replica); a protocol error terminates
+    /// a fixed, named worker pool (`oasis-wire-worker-N`, each under
+    /// `SCHED_BATCH`, plus `oasis-wire-ticker` on a replica, which keeps
+    /// `SCHED_OTHER` like the acceptor); a protocol error terminates
     /// only its own connection. Transient `accept` failures are retried
     /// with capped backoff and audited; only fatal errors return.
     ///
@@ -316,8 +327,13 @@ impl Pool {
 
     /// One worker: wait for a readable connection, own it for one turn,
     /// put it back; then poll the tickets queued in the lanes, which this
-    /// turn's permit may have unblocked.
+    /// turn's permit may have unblocked. Workers run under `SCHED_BATCH`,
+    /// so a worker woken for the next request never preempts one that is
+    /// mid-turn on the same core (see "Connections").
     fn worker(&self) {
+        // An `Err` leaves this worker on `SCHED_OTHER`: every turn is still
+        // served correctly, only with the preemptions this call avoids.
+        let _ = epoll::set_batch_policy();
         let mut scratch = [0u8; READ_CHUNK];
         while self.open.load(SeqCst) {
             let Ok(woke) = self.table.next() else {

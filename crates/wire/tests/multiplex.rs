@@ -1,7 +1,9 @@
 //! The readiness-driven connection multiplexing, over real TCP: parked
 //! connections cost an active one nothing, a half-sent frame holds no
 //! worker, a request queued in its lane is resumed (or expired) without a
-//! worker waiting on it, and an idle server does not wake up.
+//! worker waiting on it, an idle server does not wake up, and the workers
+//! run their turns to completion under `SCHED_BATCH` while the acceptor
+//! and the replica ticker keep the default policy.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -15,9 +17,10 @@ use oasis_core::{
 };
 use oasis_facts::FactStore;
 use oasis_obs::{Recorder, Registry};
+use oasis_store::{ReplicaConfig, ReplicaNode};
 use oasis_wire::frame::{encode_frame, read_frame};
 use oasis_wire::proto::{Request, Response};
-use oasis_wire::{WireClient, WireError, WireServer};
+use oasis_wire::{WireClient, WireError, WireServer, WireTransport};
 
 fn login_service() -> Arc<OasisService> {
     let facts = Arc::new(FactStore::new());
@@ -268,4 +271,72 @@ fn idle_server_with_parked_connections_makes_no_wakeups() {
         assert!(snapshot.contains(name), "{name} missing from {snapshot}");
     }
     assert_eq!(registry.gauge("login.wire.conns_open").get(), 16);
+}
+
+/// The `(name, scheduling policy)` of a thread from its `stat` line:
+/// the name (at most 15 bytes) between the parentheses, the policy in
+/// field 41, counted after the last `)` since a name may hold spaces or
+/// parentheses.
+fn name_and_policy(stat: &str) -> (String, u32) {
+    let (open, close) = (stat.find('(').unwrap(), stat.rfind(')').unwrap());
+    let policy = stat[close + 1..].split_whitespace().nth(41 - 3).unwrap();
+    (stat[open + 1..close].to_string(), policy.parse().unwrap())
+}
+
+/// [`name_and_policy`] of every thread of this process.
+fn thread_policies() -> Vec<(String, u32)> {
+    std::fs::read_dir("/proc/self/task")
+        .unwrap()
+        // A thread that exits between the listing and the read is gone.
+        .filter_map(|task| std::fs::read_to_string(task.unwrap().path().join("stat")).ok())
+        .map(|stat| name_and_policy(&stat))
+        .collect()
+}
+
+#[test]
+fn workers_run_under_sched_batch_and_the_ticker_keeps_the_default() {
+    const SCHED_OTHER: u32 = 0;
+    const SCHED_BATCH: u32 = 3;
+    let node = ReplicaNode::new(
+        ReplicaConfig::new("solo", Vec::new(), "127.0.0.1:0"),
+        Arc::new(WireTransport::new(Vec::new())),
+    );
+    let server = WireServer::bind(login_service(), "127.0.0.1:0")
+        .unwrap()
+        .with_replica(Arc::new(node))
+        .with_overload(OverloadConfig {
+            workers: 3,
+            ..Default::default()
+        });
+    let addr = server.serve_in_background().unwrap();
+    WireClient::connect(addr).unwrap().ping().unwrap();
+
+    // A worker of this or another test's server may have been named but
+    // not yet have reached its first line: wait for the pool to settle.
+    let settled = |threads: &[(String, u32)]| {
+        let of = |prefix: &str| -> Vec<u32> {
+            let named = threads.iter().filter(|(name, _)| name.starts_with(prefix));
+            named.map(|(_, policy)| *policy).collect()
+        };
+        let (workers, tickers) = (of("oasis-wire-work"), of("oasis-wire-tick"));
+        workers.len() >= 3
+            && workers.iter().all(|policy| *policy == SCHED_BATCH)
+            && !tickers.is_empty()
+            && tickers.iter().all(|policy| *policy == SCHED_OTHER)
+    };
+    let started = Instant::now();
+    let mut threads = thread_policies();
+    while !settled(&threads) && started.elapsed() < Duration::from_secs(5) {
+        std::thread::sleep(Duration::from_millis(1));
+        threads = thread_policies();
+    }
+    assert!(
+        settled(&threads),
+        "workers on SCHED_BATCH, the ticker on SCHED_OTHER: {threads:?}"
+    );
+    let own = name_and_policy(&std::fs::read_to_string("/proc/thread-self/stat").unwrap());
+    assert_eq!(
+        own.1, SCHED_OTHER,
+        "the test's own thread keeps SCHED_OTHER"
+    );
 }

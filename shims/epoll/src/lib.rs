@@ -1,13 +1,21 @@
-//! Safe one-shot read readiness over Linux `epoll`.
+//! Safe one-shot read readiness over Linux `epoll`, and the scheduling
+//! policy of the threads that wait on it.
 //!
 //! The workspace has no crate registry (so no `libc`, `mio` or `tokio`)
 //! and every other crate is `#![forbid(unsafe_code)]`; the three epoll
-//! syscalls are declared by hand here and wrapped in [`Poller`], which
-//! owns the epoll descriptor and takes only borrowed, open descriptors.
-//! Every registration is `EPOLLIN | EPOLLONESHOT`: a descriptor that
-//! becomes readable (data, end of stream, error or hang-up) is reported
-//! by exactly one [`Poller::wait`], to exactly one waiting thread, and
-//! stays silent until [`Poller::rearm`]. Linux only.
+//! syscalls and `sched_setscheduler` are declared by hand here. The epoll
+//! calls are wrapped in [`Poller`], which owns the epoll descriptor and
+//! takes only borrowed, open descriptors. Every registration is
+//! `EPOLLIN | EPOLLONESHOT`: a descriptor that becomes readable (data,
+//! end of stream, error or hang-up) is reported by exactly one
+//! [`Poller::wait`], to exactly one waiting thread, and stays silent until
+//! [`Poller::rearm`].
+//!
+//! [`set_batch_policy`] moves the calling thread to `SCHED_BATCH`: a
+//! thread woken by an event then never preempts one that is mid-turn on
+//! the same core, so a pool of waiters runs each turn to completion and
+//! the finishing thread picks up the next event without sleeping. Linux
+//! only.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 #![deny(clippy::undocumented_unsafe_blocks)]
@@ -33,6 +41,13 @@ extern "C" {
     fn epoll_create1(flags: c_int) -> c_int;
     fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
     fn epoll_wait(epfd: c_int, events: *mut EpollEvent, maxevents: c_int, timeout: c_int) -> c_int;
+    fn sched_setscheduler(pid: c_int, policy: c_int, param: *const SchedParam) -> c_int;
+}
+
+/// The kernel's `struct sched_param`.
+#[repr(C)]
+struct SchedParam {
+    sched_priority: c_int,
 }
 
 const EPOLL_CLOEXEC: c_int = 0o2_000_000;
@@ -41,6 +56,25 @@ const EPOLL_CTL_DEL: c_int = 2;
 const EPOLL_CTL_MOD: c_int = 3;
 const EPOLLIN: u32 = 1;
 const EPOLLONESHOT: u32 = 1 << 30;
+const SCHED_BATCH: c_int = 3;
+
+/// Moves the calling thread (only it: pid 0 names the caller) to
+/// `SCHED_BATCH` at its current nice value. Such a thread gets the same
+/// fair share of the CPU as a `SCHED_OTHER` one, but waking it never
+/// preempts the running thread: it waits for the next tick or for the
+/// running thread to block. Threads it spawns later inherit the policy.
+/// Returns the syscall's error (none is expected: lowering a thread's
+/// claim on the CPU needs no privilege).
+pub fn set_batch_policy() -> io::Result<()> {
+    let param = SchedParam { sched_priority: 0 };
+    // SAFETY: `param` is a live `sched_param` the kernel only reads for
+    // the duration of the call; pid 0 names the calling thread.
+    let rc = unsafe { sched_setscheduler(0, SCHED_BATCH, &param) };
+    if rc < 0 {
+        return Err(io::Error::last_os_error());
+    }
+    Ok(())
+}
 
 /// An epoll instance; shareable between threads (`&self` everywhere).
 #[derive(Debug)]
@@ -170,6 +204,30 @@ mod tests {
         poller.add(&a, 3).unwrap();
         drop(b);
         assert_eq!(poller.wait(None).unwrap(), Some(3));
+    }
+
+    /// The calling thread's `policy` (field 41 of its `stat` line, counted
+    /// after the command name's closing parenthesis: the name may hold
+    /// spaces).
+    fn own_policy() -> c_int {
+        let stat = std::fs::read_to_string("/proc/thread-self/stat").unwrap();
+        let fields = &stat[stat.rfind(')').unwrap() + 1..];
+        fields
+            .split_whitespace()
+            .nth(41 - 3)
+            .unwrap()
+            .parse()
+            .unwrap()
+    }
+
+    #[test]
+    fn batch_policy_applies_to_the_calling_thread_only() {
+        let spawned = std::thread::spawn(|| {
+            set_batch_policy().unwrap();
+            own_policy()
+        });
+        assert_eq!(spawned.join().unwrap(), SCHED_BATCH);
+        assert_eq!(own_policy(), 0, "the spawning thread keeps SCHED_OTHER");
     }
 
     #[test]
