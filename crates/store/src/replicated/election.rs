@@ -167,7 +167,7 @@ impl ReplicaNode {
             // known until the announcing heartbeat is answered.
             st.last_quorum_ms = now_ms;
             st.fenced = false;
-            st.peer_heads.clear();
+            st.peer_heads.fill(None);
         }
         self.stats.elections_won.inc();
         // Announce immediately so follower election timers reset.

@@ -1,11 +1,13 @@
 //! The replicated log: the hash chain and retained tail, the leader's
 //! write path and heartbeat, and the follower's append.
 
+use std::cmp::Reverse;
+
 use oasis_crypto::hash::Sha256;
 
 use super::{
     fenced_now, LogEntry, NodeState, PeerReply, PeerRequest, RegionOp, ReplicaNode, Role,
-    REPAIR_BATCH,
+    RoundPeers, REPAIR_BATCH,
 };
 use crate::error::StoreError;
 
@@ -126,7 +128,7 @@ impl ReplicaNode {
     /// from the true leader overwrites it, which is exactly the
     /// semantics callers get from a torn write today.
     pub fn replicate_op(&self, region: &str, op: RegionOp) -> Result<(), StoreError> {
-        let _write = self.write.lock();
+        let mut round = self.write.lock();
         // Causal hop: when the caller is traced (ambient context from
         // the service's revocation path), record the append and pin its
         // child context so follower acks — which run synchronously on
@@ -184,13 +186,13 @@ impl ReplicaNode {
         let needed = self.quorum();
         let mut acks = 1usize; // self
         let mut contacts = 1usize; // peers that answered at our term
-        let (sync_set, others) = self.sync_set(prev_index + 1);
-        for peers in [sync_set, others] {
+        self.sync_set(&mut round, prev_index + 1);
+        for peers in [&round.sync_set, &round.others] {
             if acks >= needed || peers.is_empty() {
                 continue;
             }
-            let replies = self.transport.call_all(&peers, &msg);
-            let Some(tally) = self.tally(term, &peers, replies) else {
+            let replies = self.transport.call_all(peers, &msg);
+            let Some(tally) = self.tally(term, peers, replies) else {
                 return Err(StoreError::NotLeader {
                     hint: self.state.lock().leader_hint.clone(),
                 });
@@ -220,7 +222,7 @@ impl ReplicaNode {
         }
     }
 
-    /// Splits the peers for a round carrying entry `index` into the
+    /// Splits the peers for a round carrying entry `index` into `round`'s
     /// sync set and the rest, each in config order. The sync set is the
     /// quorum−1 peers with the highest known heads (ties in config
     /// order), plus every peer whose head is unknown or trails `index`
@@ -228,28 +230,24 @@ impl ReplicaNode {
     /// is then exactly one [`PeerReply::RepairChunk`]. The batch is
     /// capped at the retained tail's length, so a peer left out can
     /// always heal by entry repair.
-    fn sync_set(&self, index: u64) -> (Vec<String>, Vec<String>) {
+    fn sync_set(&self, round: &mut RoundPeers, index: u64) {
         let st = self.state.lock();
         let batch = REPAIR_BATCH.min(self.config.retain_entries.max(1)) as u64;
-        let heads: Vec<Option<u64>> = self
-            .config
-            .peers
-            .iter()
-            .map(|peer| st.peer_heads.get(peer).copied())
-            .collect();
-        let mut ranked: Vec<usize> = (0..heads.len()).collect();
-        ranked.sort_by_key(|&i| (std::cmp::Reverse(heads[i]), i));
-        ranked.truncate(self.quorum() - 1);
-        let (mut sync_set, mut others) = (Vec::new(), Vec::new());
-        for (i, peer) in self.config.peers.iter().enumerate() {
-            let trailing = heads[i].is_none_or(|h| index.saturating_sub(h) >= batch);
-            if ranked.contains(&i) || trailing {
-                sync_set.push(peer.clone());
-            } else {
-                others.push(peer.clone());
-            }
-        }
-        (sync_set, others)
+        let heads = &st.peer_heads;
+        let key = |i: usize| (Reverse(heads[i]), i);
+        // A peer's place in the ranking, counted rather than sorted.
+        let rank = |i: usize| (0..heads.len()).filter(|&j| key(j) < key(i)).count();
+        let in_sync = |i: usize| {
+            rank(i) < self.quorum() - 1 || heads[i].is_none_or(|h| index.saturating_sub(h) >= batch)
+        };
+        let split = |wanted: bool| {
+            let peers = self.config.peers.iter().enumerate();
+            peers
+                .filter(move |&(i, _)| in_sync(i) == wanted)
+                .map(|(_, peer)| peer)
+        };
+        assign(&mut round.sync_set, split(true));
+        assign(&mut round.others, split(false));
     }
 
     /// Reads one fan-out's replies at `term`: records each answering
@@ -292,11 +290,9 @@ impl ReplicaNode {
             } else {
                 None
             };
-            let mut st = self.state.lock();
-            match head {
-                Some(head) => st.peer_heads.insert(peer.clone(), head),
-                None => st.peer_heads.remove(peer),
-            };
+            if let Some(slot) = self.config.peers.iter().position(|p| p == peer) {
+                self.state.lock().peer_heads[slot] = head;
+            }
         }
         Some(tally)
     }
@@ -414,5 +410,13 @@ impl ReplicaNode {
                 st.last_quorum_ms = st.last_quorum_ms.max(now_ms);
             }
         }
+    }
+}
+
+/// Makes `names` hold `wanted`, cloning the names only when it differs.
+fn assign<'a>(names: &mut Vec<String>, wanted: impl Iterator<Item = &'a String> + Clone) {
+    if !names.iter().eq(wanted.clone()) {
+        names.clear();
+        names.extend(wanted.cloned());
     }
 }

@@ -272,10 +272,21 @@ struct NodeState {
     /// Inbound chunked sync in flight, if any.
     pending_sync: Option<PendingSync>,
     /// Leader side: each peer's log head as its last `ReplicateAck`
-    /// reported it (heartbeat acks included). Absent means unknown —
-    /// never heard this term, or diverged and not yet re-synced. Cleared
-    /// on every election win; picks each commit round's sync set.
-    peer_heads: BTreeMap<String, u64>,
+    /// reported it (heartbeat acks included), in `config.peers` order.
+    /// `None` means unknown — never heard this term, or diverged and not
+    /// yet re-synced. Cleared on every election win; picks each commit
+    /// round's sync set.
+    peer_heads: Vec<Option<u64>>,
+}
+
+/// The peers of a commit round, split as [`ReplicaNode`]'s `sync_set`
+/// picks them, each in config order. Kept from round to round under the
+/// write lock and rewritten only when the split changes, so a steady
+/// round clones no peer name.
+#[derive(Default)]
+struct RoundPeers {
+    sync_set: Vec<String>,
+    others: Vec<String>,
 }
 
 /// Max log entries per [`PeerReply::RepairChunk`].
@@ -302,7 +313,7 @@ pub struct ReplicaNode {
     state: Mutex<NodeState>,
     /// Serialises the leader write path (reserve index → apply local →
     /// fan out) so entries replicate in index order.
-    write: Mutex<()>,
+    write: Mutex<RoundPeers>,
     meta: Option<Arc<dyn StorageBackend>>,
     metrics: oasis_obs::Registry,
     stats: ReplicaSeries,
@@ -319,6 +330,7 @@ impl ReplicaNode {
     /// Creates a node in the follower role at term 0.
     pub fn new(config: ReplicaConfig, transport: Arc<dyn ReplicationTransport>) -> Self {
         let metrics = oasis_obs::Registry::new();
+        let peer_heads = vec![None; config.peers.len()];
         Self {
             config,
             transport,
@@ -339,9 +351,9 @@ impl ReplicaNode {
                 clock_ms: 0,
                 fenced: false,
                 pending_sync: None,
-                peer_heads: BTreeMap::new(),
+                peer_heads,
             }),
-            write: Mutex::new(()),
+            write: Mutex::default(),
             meta: None,
             stats: ReplicaSeries::resolve(&metrics, ""),
             metrics,
@@ -547,8 +559,15 @@ impl ReplicaNode {
             return false;
         }
         self.follow(st, term);
-        st.leader_id = Some(leader.to_string());
-        st.leader_hint = Some(leader_hint.to_string());
+        // Every heartbeat lands here: allocate only for a new leader.
+        for (slot, value) in [
+            (&mut st.leader_id, leader),
+            (&mut st.leader_hint, leader_hint),
+        ] {
+            if slot.as_deref() != Some(value) {
+                *slot = Some(value.to_string());
+            }
+        }
         st.last_heartbeat_ms = now_ms;
         true
     }

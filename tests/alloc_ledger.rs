@@ -11,12 +11,18 @@
 //! single call jump now and then, so the ledger is the *fewest*
 //! allocations any call of a step made over the last lifecycles, and the
 //! test holds each step to a ceiling.
+//!
+//! A second ledger row counts one quorum commit: a leader's
+//! `replicate_op` of a journal-sized record on a three-node `LocalMesh`,
+//! whose transport runs the follower's side of the round on the calling
+//! thread, so the count covers both ends.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
 use oasis::prelude::*;
+use oasis::store::{LocalMesh, RegionOp, ReplicaConfig, ReplicaNode};
 
 /// The system allocator, counting the calls that hand out a new block
 /// (`alloc`, `alloc_zeroed`, `realloc`) on the calling thread.
@@ -237,4 +243,48 @@ fn one_lifecycle_allocates_within_its_ledger() {
             step.ceiling()
         );
     }
+}
+
+/// Bytes per replicated record: a journal frame of one lifecycle step.
+const RECORD_BYTES: usize = 300;
+const APPENDS: usize = 300;
+/// The fewest allocations one `replicate_op` may make.
+const APPEND_CEILING: u64 = 10;
+
+#[test]
+fn replicated_append_allocates_within_its_ledger() {
+    let mesh = LocalMesh::new();
+    let ids = ["civ0", "civ1", "civ2"].map(String::from);
+    for (i, id) in ids.iter().enumerate() {
+        let peers = ids.iter().filter(|p| *p != id).cloned().collect();
+        let config = ReplicaConfig::new(id.clone(), peers, format!("127.0.0.1:{}", 9100 + i));
+        mesh.register(Arc::new(ReplicaNode::new(config, Arc::new(mesh.clone()))));
+    }
+    let leader = (0..200)
+        .find_map(|_| {
+            mesh.step(25);
+            mesh.live_leader()
+        })
+        .expect("the mesh elects a leader");
+
+    let mut fewest = u64::MAX;
+    for i in 0..APPENDS {
+        let op = RegionOp::Append(vec![i as u8; RECORD_BYTES]);
+        let (n, committed) = counted(|| leader.replicate_op("journal", op));
+        committed.expect("a healthy mesh commits");
+        if i >= WARMUP {
+            fewest = fewest.min(n);
+        }
+    }
+    println!(
+        "allocation ledger: fewest allocations per `replicate_op` over appends {WARMUP}..{APPENDS}"
+    );
+    println!(
+        "  {:<24} {fewest:>3}  (ceiling {APPEND_CEILING})",
+        "replicated append"
+    );
+    assert!(
+        fewest <= APPEND_CEILING,
+        "replicated append: {fewest} allocations, ceiling {APPEND_CEILING}"
+    );
 }
