@@ -43,24 +43,45 @@ impl CredentialValidator for CountedCallbacks {
     }
 }
 
-/// Callbacks issued by a burst of `burst` request-EHR calls presenting
-/// one credential, with the national service's cache on or off.
-fn callbacks_for(burst: usize, cached: bool) -> u64 {
+/// Callbacks issued by a burst of `burst` validations of one credential
+/// at the national service, with its cache on or off: of the SLA-covered
+/// `treating_doctor` RMC through request-EHR, or (`covered == false`) of
+/// a `clerk` RMC no agreement covers. The counter sits under the SLA gate,
+/// where a call leaves for the issuer's domain.
+fn callbacks_for(burst: usize, cached: bool, covered: bool) -> u64 {
     let world = CrossDomainWorld::new(cached.then_some(u64::MAX));
+    let issuer = Arc::new(LocalRegistry::new());
+    issuer.register(&world.records);
     let callbacks = Arc::new(CountedCallbacks {
-        inner: world.federation.validator_for("national"),
+        inner: issuer,
         calls: AtomicU64::new(0),
     });
-    world.ehr.set_validator(callbacks.clone());
-    let rmc = world.issue_treating("dr-a", "p-1");
+    world
+        .ehr
+        .set_validator(world.federation.gate("national", callbacks.clone()));
     let dr = PrincipalId::new("dr-a");
     let ctx = EnvContext::new(1);
-    let creds = [Credential::Rmc(rmc)];
+    let creds = [Credential::Rmc(world.issue_treating("dr-a", "p-1"))];
+    world.records.define_role("clerk", &[], true).unwrap();
+    world
+        .records
+        .add_activation_rule("clerk", vec![], vec![], vec![])
+        .unwrap();
+    let clerk = world
+        .records
+        .activate_role(&dr, &RoleName::new("clerk"), &[], &[], &ctx)
+        .map(Credential::Rmc)
+        .unwrap();
     for _ in 0..burst {
-        world
-            .ehr
-            .invoke(&dr, "request_ehr", &[Value::id("p-1")], &creds, &ctx)
-            .unwrap();
+        if covered {
+            world
+                .ehr
+                .invoke(&dr, "request_ehr", &[Value::id("p-1")], &creds, &ctx)
+                .unwrap();
+        } else {
+            let refused = world.ehr.validate_credential(&clerk, &dr, 1).unwrap_err();
+            assert!(refused.to_string().contains("service-level agreement"));
+        }
     }
     callbacks.calls.load(Ordering::Relaxed)
 }
@@ -68,15 +89,21 @@ fn callbacks_for(burst: usize, cached: bool) -> u64 {
 fn print_callback_series() {
     table_header(
         "FIG-3 cross-domain calls (callback amortisation)",
-        "an ECR cache pays one validation callback per credential, not per call",
-        "burst  callbacks(uncached)  callbacks(cached)",
+        "an ECR cache pays one validation callback per credential, not per call; \
+         a credential no SLA covers pays none",
+        "burst  callbacks(uncached)  callbacks(cached)  no_sla(uncached)  no_sla(cached)",
     );
     for burst in [1usize, 10, 100, 1_000] {
-        let uncached = callbacks_for(burst, false);
-        let cached = callbacks_for(burst, true);
-        println!("{burst:>5}  {uncached:>19}  {cached:>17}");
+        let uncached = callbacks_for(burst, false, true);
+        let cached = callbacks_for(burst, true, true);
+        let no_sla = [false, true].map(|cached| callbacks_for(burst, cached, false));
+        println!(
+            "{burst:>5}  {uncached:>19}  {cached:>17}  {:>16}  {:>14}",
+            no_sla[0], no_sla[1]
+        );
         assert_eq!(uncached, burst as u64, "no cache: one callback per call");
         assert_eq!(cached, 1, "cache: one callback per credential");
+        assert_eq!(no_sla, [0, 0], "no SLA: refused before any callback");
     }
 }
 

@@ -167,10 +167,8 @@ impl CrossDomainWorld {
     /// leaves it off, so every call pays the callback.
     pub fn new(ehr_cache: Option<u64>) -> Self {
         let federation = Federation::new();
-        let hospital = Domain::new("hospital", federation.bus().clone());
-        let national = Domain::new("national", federation.bus().clone());
-        federation.register(&hospital);
-        federation.register(&national);
+        let hospital = Domain::new("hospital", &federation);
+        let national = Domain::new("national", &federation);
 
         let records = hospital.create_service("hospital.records");
         records.set_validator(federation.validator_for("hospital"));

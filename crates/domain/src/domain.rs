@@ -1,58 +1,34 @@
 //! An administrative domain: a named group of services sharing an event
 //! bus and a fact store.
 
-use std::collections::HashMap;
-use std::fmt;
 use std::sync::Arc;
 
-use parking_lot::RwLock;
-
-use oasis_core::{CertEvent, DomainId, OasisService, ServiceConfig, ServiceId, Value};
-use oasis_events::EventBus;
+use oasis_core::{DomainId, OasisService, ServiceConfig, ServiceId, Value};
 use oasis_facts::FactStore;
+
+use crate::sla::Federation;
 
 /// An administrative domain (a hospital, a research institute, the
 /// national EHR service…).
 ///
 /// All services of a domain share one fact store (the domain's
-/// environmental database) and one event bus. The bus may also be shared
-/// *across* domains — that sharing is the stand-in for the wide-area
-/// event channels of Fig 5.
+/// environmental database) and the federation's event bus — that sharing
+/// is the stand-in for the wide-area event channels of Fig 5.
+#[derive(Debug)]
 pub struct Domain {
     id: DomainId,
-    bus: EventBus<CertEvent>,
+    federation: Arc<Federation>,
     facts: Arc<FactStore<Value>>,
-    services: RwLock<HashMap<ServiceId, Arc<OasisService>>>,
-}
-
-impl fmt::Debug for Domain {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Domain")
-            .field("id", &self.id)
-            .field("services", &self.service_ids())
-            .finish()
-    }
 }
 
 impl Domain {
-    /// Creates a domain on the given (possibly shared) event bus.
-    pub fn new(id: impl Into<DomainId>, bus: EventBus<CertEvent>) -> Arc<Self> {
+    /// Creates a domain inside `federation`, on its shared event bus.
+    pub fn new(id: impl Into<DomainId>, federation: &Arc<Federation>) -> Arc<Self> {
         Arc::new(Self {
             id: id.into(),
-            bus,
+            federation: Arc::clone(federation),
             facts: Arc::new(FactStore::new()),
-            services: RwLock::new(HashMap::new()),
         })
-    }
-
-    /// The domain's identity.
-    pub fn id(&self) -> &DomainId {
-        &self.id
-    }
-
-    /// The domain's event bus.
-    pub fn bus(&self) -> &EventBus<CertEvent> {
-        &self.bus
     }
 
     /// The domain's environmental fact store, shared by its services.
@@ -61,58 +37,65 @@ impl Domain {
     }
 
     /// Creates a service inside this domain: it shares the domain bus and
-    /// fact store, and the domain's validators can call back to it.
+    /// fact store, the federation places it here, and the federation's
+    /// validators can call back to it.
+    ///
+    /// # Panics
+    ///
+    /// If the federation already places a service of this id in another
+    /// domain (see [`Federation::place`]).
     pub fn create_service(&self, name: impl Into<ServiceId>) -> Arc<OasisService> {
         self.create_service_with(ServiceConfig::new(name))
     }
 
-    /// As [`Domain::create_service`], from a caller-built configuration
-    /// (a relying service switching on its validation cache or issuer
-    /// heartbeats, say). The domain sets only the bus.
+    /// As [`Domain::create_service`], and panicking alike, from a
+    /// caller-built configuration (a relying service switching on its
+    /// validation cache or issuer heartbeats, say). The domain sets only
+    /// the bus.
     pub fn create_service_with(&self, config: ServiceConfig) -> Arc<OasisService> {
-        let service = OasisService::new(config.with_bus(self.bus.clone()), Arc::clone(&self.facts));
-        self.services
-            .write()
-            .insert(service.id().clone(), Arc::clone(&service));
+        let service = OasisService::new(
+            config.with_bus(self.federation.bus().clone()),
+            Arc::clone(&self.facts),
+        );
+        self.federation.join(&self.id, &service);
         service
-    }
-
-    /// Looks up a service by id.
-    pub fn service(&self, id: &ServiceId) -> Option<Arc<OasisService>> {
-        self.services.read().get(id).cloned()
-    }
-
-    /// Ids of the domain's services, sorted.
-    pub fn service_ids(&self) -> Vec<ServiceId> {
-        let mut ids: Vec<ServiceId> = self.services.read().keys().cloned().collect();
-        ids.sort();
-        ids
-    }
-
-    /// Whether the given service belongs to this domain.
-    pub fn owns(&self, id: &ServiceId) -> bool {
-        self.services.read().contains_key(id)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use oasis_core::{CredentialValidator, PrincipalId};
 
     #[test]
     fn create_service_registers_everything() {
-        let bus = EventBus::new();
-        let domain = Domain::new("hospital", bus);
+        let federation = Federation::new();
+        let domain = Domain::new("hospital", &federation);
         let svc = domain.create_service("records");
-        assert!(domain.owns(svc.id()));
-        assert_eq!(domain.service_ids(), vec![ServiceId::new("records")]);
-        assert!(domain.service(&ServiceId::new("records")).is_some());
-        assert!(domain.service(&ServiceId::new("ghost")).is_none());
+        // Placed here: again in this domain is a no-op, elsewhere refused.
+        assert_eq!(federation.place("records", "hospital"), Ok(()));
+        assert_eq!(
+            federation.place("records", "national"),
+            Err(DomainId::new("hospital"))
+        );
+        // Registered: the domain's validator calls back to it.
+        let p = PrincipalId::new("p");
+        let rmc = crate::sla::tests::issue(&svc, "clerk", &p);
+        let validator = federation.validator_for("hospital");
+        assert!(validator.validate(&rmc, &p, 1).is_ok());
+    }
+
+    #[test]
+    #[should_panic(expected = "`records` already lives in domain `hospital`")]
+    fn a_service_id_has_one_home() {
+        let federation = Federation::new();
+        Domain::new("hospital", &federation).create_service("records");
+        Domain::new("national", &federation).create_service("records");
     }
 
     #[test]
     fn services_share_the_domain_fact_store() {
-        let domain = Domain::new("d", EventBus::new());
+        let domain = Domain::new("d", &Federation::new());
         let a = domain.create_service("a");
         let b = domain.create_service("b");
         a.facts().define("shared", 1).unwrap();

@@ -14,12 +14,10 @@ use std::sync::Arc;
 use parking_lot::RwLock;
 
 use oasis_core::{
-    CertEvent, Credential, CredentialKind, CredentialValidator, DomainId, OasisError, PrincipalId,
-    ServiceId,
+    CertEvent, Credential, CredentialKind, CredentialValidator, DomainId, LocalRegistry,
+    OasisError, OasisService, PrincipalId, ServiceId,
 };
 use oasis_events::EventBus;
-
-use crate::domain::Domain;
 
 /// One credential shape a consumer domain agrees to accept.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -63,10 +61,12 @@ impl Sla {
     }
 
     /// Whether this agreement covers the given credential.
-    pub fn covers(&self, issuer: &ServiceId, name: &str, kind: CredentialKind) -> bool {
-        self.clauses
-            .iter()
-            .any(|c| c.issuer == *issuer && c.name == name && c.kind == kind)
+    pub fn covers(&self, credential: &Credential) -> bool {
+        self.clauses.iter().any(|c| {
+            c.issuer == *credential.issuer()
+                && c.name == credential.name()
+                && c.kind == credential.kind()
+        })
     }
 }
 
@@ -80,34 +80,16 @@ impl fmt::Display for Sla {
     }
 }
 
-/// The registry of domains and the SLA graph between them.
-///
-/// The federation also owns the shared inter-domain event bus — the
-/// wide-area event channels of Fig 5 — which member domains join so that
-/// revocations propagate across domain boundaries.
+/// The SLA graph between domains, the domain each service lives in, the
+/// in-process directory of those services, and the shared inter-domain
+/// event bus (Fig 5's wide-area event channels) on which revocations cross
+/// domain boundaries.
+#[derive(Debug, Default)]
 pub struct Federation {
     bus: EventBus<CertEvent>,
-    domains: RwLock<HashMap<DomainId, Arc<Domain>>>,
+    registry: Arc<LocalRegistry>,
+    homes: RwLock<HashMap<ServiceId, DomainId>>,
     slas: RwLock<Vec<Sla>>,
-}
-
-impl fmt::Debug for Federation {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Federation")
-            .field("domains", &self.domain_ids())
-            .field("slas", &self.slas.read().len())
-            .finish()
-    }
-}
-
-impl Default for Federation {
-    fn default() -> Self {
-        Self {
-            bus: EventBus::new(),
-            domains: RwLock::new(HashMap::new()),
-            slas: RwLock::new(Vec::new()),
-        }
-    }
 }
 
 impl Federation {
@@ -116,18 +98,42 @@ impl Federation {
         Arc::new(Self::default())
     }
 
-    /// The shared inter-domain event bus. Create member domains on this
-    /// bus (`Domain::new(id, federation.bus().clone())`) so revocation
-    /// events cross domain boundaries.
+    /// The shared inter-domain event bus.
     pub fn bus(&self) -> &EventBus<CertEvent> {
         &self.bus
     }
 
-    /// Adds a domain to the federation.
-    pub fn register(&self, domain: &Arc<Domain>) {
-        self.domains
-            .write()
-            .insert(domain.id().clone(), Arc::clone(domain));
+    /// Places `service` in `domain`.
+    /// [`Domain::create_service`](crate::Domain::create_service) does this
+    /// for the services it creates; a remote issuer reached over the wire
+    /// is placed by hand, as deployment data beside its address.
+    ///
+    /// # Errors
+    ///
+    /// The domain already holding `service`, if that is another domain:
+    /// an id has one home. Placing it again in the same domain is a no-op.
+    pub fn place(
+        &self,
+        service: impl Into<ServiceId>,
+        domain: impl Into<DomainId>,
+    ) -> Result<(), DomainId> {
+        let domain = domain.into();
+        let mut homes = self.homes.write();
+        let home = homes.entry(service.into()).or_insert(domain.clone());
+        if *home != domain {
+            return Err(home.clone());
+        }
+        Ok(())
+    }
+
+    /// Places `service` in `domain` and makes it reachable for in-process
+    /// callbacks.
+    pub(crate) fn join(&self, domain: &DomainId, service: &Arc<OasisService>) {
+        if let Err(home) = self.place(service.id().clone(), domain.clone()) {
+            let id = service.id();
+            panic!("service `{id}` already lives in domain `{home}`");
+        }
+        self.registry.register(service);
     }
 
     /// Records an agreement.
@@ -135,158 +141,127 @@ impl Federation {
         self.slas.write().push(sla);
     }
 
-    /// Registered domain ids, sorted.
-    pub fn domain_ids(&self) -> Vec<DomainId> {
-        let mut ids: Vec<DomainId> = self.domains.read().keys().cloned().collect();
-        ids.sort();
-        ids
-    }
-
-    /// Looks up a domain.
-    pub fn domain(&self, id: &DomainId) -> Option<Arc<Domain>> {
-        self.domains.read().get(id).cloned()
-    }
-
-    /// Which domain a service belongs to.
-    pub fn home_of(&self, service: &ServiceId) -> Option<Arc<Domain>> {
-        self.domains
-            .read()
-            .values()
-            .find(|d| d.owns(service))
-            .cloned()
-    }
-
-    /// Whether `consumer` may accept this credential shape from `issuer`'s
-    /// domain under some SLA.
-    pub fn allows(
-        &self,
-        consumer: &DomainId,
-        producer: &DomainId,
-        issuer: &ServiceId,
-        name: &str,
-        kind: CredentialKind,
-    ) -> bool {
-        self.slas.read().iter().any(|sla| {
-            sla.consumer == *consumer && sla.producer == *producer && sla.covers(issuer, name, kind)
+    /// Whether a service of `home` may present `credential` to its issuer:
+    /// the issuer is placed, and is either at home or covered by an SLA.
+    fn admits(&self, home: &DomainId, credential: &Credential) -> Result<(), OasisError> {
+        let issuer = credential.issuer();
+        let homes = self.homes.read();
+        let producer = homes
+            .get(issuer)
+            .ok_or_else(|| OasisError::NoValidator(issuer.clone()))?;
+        let covered = |sla: &Sla| {
+            sla.consumer == *home && sla.producer == *producer && sla.covers(credential)
+        };
+        if producer == home || self.slas.read().iter().any(covered) {
+            return Ok(());
+        }
+        Err(OasisError::InvalidCredential {
+            crr: credential.crr().clone(),
+            reason: format!(
+                "no service-level agreement lets `{home}` accept `{}` from `{producer}`",
+                credential.name()
+            ),
         })
     }
 
-    /// A validator for services of `home`: local credentials validate at
-    /// their issuer directly; foreign credentials require a covering SLA
-    /// and then validate by callback to the issuer in its own domain.
-    pub fn validator_for(self: &Arc<Self>, home: impl Into<DomainId>) -> Arc<FederationValidator> {
-        Arc::new(FederationValidator {
+    /// The gate for services of `home` in front of `inner`, the callback
+    /// path to the issuers (a `RemoteValidator` behind a
+    /// `ResilientValidator` on the wire, say).
+    pub fn gate(
+        self: &Arc<Self>,
+        home: impl Into<DomainId>,
+        inner: Arc<dyn CredentialValidator>,
+    ) -> Arc<SlaGate> {
+        Arc::new(SlaGate {
             federation: Arc::clone(self),
             home: home.into(),
+            inner,
         })
     }
-}
 
-/// The SLA-enforcing cross-domain validator produced by
-/// [`Federation::validator_for`].
-pub struct FederationValidator {
-    // A strong reference: services hold their validator, and the validator
-    // must keep the federation (and its SLA graph) reachable. No cycle —
-    // the federation does not refer back to validators.
-    federation: Arc<Federation>,
-    home: DomainId,
-}
-
-impl fmt::Debug for FederationValidator {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("FederationValidator")
-            .field("home", &self.home)
-            .finish()
+    /// The gate for services of `home` in front of the federation's own
+    /// directory: callbacks go straight to the issuing service.
+    pub fn validator_for(self: &Arc<Self>, home: impl Into<DomainId>) -> Arc<SlaGate> {
+        self.gate(home, self.registry.clone())
     }
 }
 
-impl CredentialValidator for FederationValidator {
+/// The cross-domain gate: a [`CredentialValidator`] that refuses a foreign
+/// credential no SLA covers *before* its inner validator calls back to the
+/// issuer. Built by [`Federation::gate`] or [`Federation::validator_for`].
+///
+/// * an issuer the federation has not placed: [`OasisError::NoValidator`];
+/// * a foreign credential no clause covers: [`OasisError::InvalidCredential`];
+/// * otherwise: whatever the inner validator answers.
+pub struct SlaGate {
+    // The federation holds services only weakly (its registry), so this
+    // strong reference closes no cycle through a service's validator.
+    federation: Arc<Federation>,
+    home: DomainId,
+    inner: Arc<dyn CredentialValidator>,
+}
+
+impl CredentialValidator for SlaGate {
     fn validate(
         &self,
         credential: &Credential,
         presenter: &PrincipalId,
         now: u64,
     ) -> Result<(), OasisError> {
-        let federation = &self.federation;
-        let issuer = credential.issuer();
-        let Some(issuer_domain) = federation.home_of(issuer) else {
-            return Err(OasisError::NoValidator(issuer.clone()));
-        };
-
-        if *issuer_domain.id() != self.home {
-            // Cross-domain: only under a covering agreement.
-            if !federation.allows(
-                &self.home,
-                issuer_domain.id(),
-                issuer,
-                credential.name(),
-                credential.kind(),
-            ) {
-                return Err(OasisError::InvalidCredential {
-                    crr: credential.crr().clone(),
-                    reason: format!(
-                        "no service-level agreement lets `{}` accept `{}` from `{}`",
-                        self.home,
-                        credential.name(),
-                        issuer_domain.id()
-                    ),
-                });
-            }
-        }
-
-        issuer_domain
-            .service(issuer)
-            .ok_or_else(|| OasisError::NoValidator(issuer.clone()))?
-            .validate_own(credential, presenter, now)
+        self.federation.admits(&self.home, credential)?;
+        self.inner.validate(credential, presenter, now)
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use oasis_core::{EnvContext, RoleName, Term, Value, ValueType};
+    use crate::Domain;
+    use oasis_core::{EnvContext, RoleName};
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    /// Defines a parameterless `role` on `service` and issues it to `dr`.
+    pub(crate) fn issue(service: &OasisService, role: &str, dr: &PrincipalId) -> Credential {
+        service.define_role(role, &[], true).unwrap();
+        service
+            .add_activation_rule(role, vec![], vec![], vec![])
+            .unwrap();
+        let role = RoleName::new(role);
+        let ctx = EnvContext::new(0);
+        Credential::Rmc(service.activate_role(dr, &role, &[], &[], &ctx).unwrap())
+    }
+
+    /// `cred` as if issued by a service the federation never placed.
+    fn from_nowhere(cred: Credential) -> Credential {
+        let Credential::Rmc(mut rmc) = cred else {
+            unreachable!()
+        };
+        rmc.crr.issuer = ServiceId::new("nowhere");
+        Credential::Rmc(rmc)
+    }
 
     /// Two domains: a hospital issuing `treating_doctor` RMCs and a
     /// national EHR domain that accepts them only under an SLA.
-    fn setup() -> (Arc<Federation>, Credential, PrincipalId) {
+    fn setup() -> (Arc<Federation>, Arc<OasisService>, Credential, PrincipalId) {
         let federation = Federation::new();
-        let hospital = Domain::new("hospital", federation.bus().clone());
-        let national = Domain::new("national", federation.bus().clone());
-        federation.register(&hospital);
-        federation.register(&national);
-
-        let records = hospital.create_service("records");
-        records
-            .define_role(
-                "treating_doctor",
-                &[("d", ValueType::Id), ("p", ValueType::Id)],
-                true,
-            )
-            .unwrap();
-        records
-            .add_activation_rule(
-                "treating_doctor",
-                vec![Term::var("D"), Term::var("P")],
-                vec![],
-                vec![],
-            )
-            .unwrap();
+        let records = Domain::new("hospital", &federation).create_service("records");
         let dr = PrincipalId::new("dr-jones");
-        let rmc = records
-            .activate_role(
-                &dr,
-                &RoleName::new("treating_doctor"),
-                &[Value::id("dr-jones"), Value::id("p1")],
-                &[],
-                &EnvContext::new(0),
-            )
-            .unwrap();
-        (federation, Credential::Rmc(rmc), dr)
+        let rmc = issue(&records, "treating_doctor", &dr);
+        (federation, records, rmc, dr)
+    }
+
+    /// `consumer` accepts `records`' `name` RMCs from `producer`.
+    fn sla(consumer: &str, producer: &str, name: &str) -> Sla {
+        Sla::between(consumer, producer).accept(SlaClause {
+            issuer: "records".into(),
+            name: name.into(),
+            kind: CredentialKind::Rmc,
+        })
     }
 
     #[test]
     fn foreign_credential_refused_without_sla() {
-        let (federation, cred, dr) = setup();
+        let (federation, _records, cred, dr) = setup();
         let validator = federation.validator_for("national");
         let err = validator.validate(&cred, &dr, 1).unwrap_err();
         assert!(err.to_string().contains("service-level agreement"), "{err}");
@@ -294,12 +269,8 @@ mod tests {
 
     #[test]
     fn sla_clause_admits_exactly_the_named_shape() {
-        let (federation, cred, dr) = setup();
-        federation.add_sla(Sla::between("national", "hospital").accept(SlaClause {
-            issuer: "records".into(),
-            name: "treating_doctor".into(),
-            kind: CredentialKind::Rmc,
-        }));
+        let (federation, _records, cred, dr) = setup();
+        federation.add_sla(sla("national", "hospital", "treating_doctor"));
         let validator = federation.validator_for("national");
         assert!(validator.validate(&cred, &dr, 1).is_ok());
         // The MAC still binds the principal: a thief fails even with an SLA.
@@ -310,39 +281,31 @@ mod tests {
 
     #[test]
     fn sla_does_not_cover_other_names_or_kinds() {
-        let (federation, cred, dr) = setup();
-        federation.add_sla(Sla::between("national", "hospital").accept(SlaClause {
-            issuer: "records".into(),
-            name: "nurse".into(), // different role
-            kind: CredentialKind::Rmc,
-        }));
+        let (federation, _records, cred, dr) = setup();
+        federation.add_sla(sla("national", "hospital", "nurse")); // different role
         let validator = federation.validator_for("national");
         assert!(validator.validate(&cred, &dr, 1).is_err());
     }
 
     #[test]
     fn sla_is_directional() {
-        let (federation, cred, dr) = setup();
+        let (federation, _records, cred, dr) = setup();
         // The *reverse* agreement does not help.
-        federation.add_sla(Sla::between("hospital", "national").accept(SlaClause {
-            issuer: "records".into(),
-            name: "treating_doctor".into(),
-            kind: CredentialKind::Rmc,
-        }));
+        federation.add_sla(sla("hospital", "national", "treating_doctor"));
         let validator = federation.validator_for("national");
         assert!(validator.validate(&cred, &dr, 1).is_err());
     }
 
     #[test]
     fn home_credentials_need_no_sla() {
-        let (federation, cred, dr) = setup();
+        let (federation, _records, cred, dr) = setup();
         let validator = federation.validator_for("hospital");
         assert!(validator.validate(&cred, &dr, 1).is_ok());
     }
 
     #[test]
     fn home_callback_binds_the_presenter_and_needs_a_federated_issuer() {
-        let (federation, cred, dr) = setup();
+        let (federation, _records, cred, dr) = setup();
         let validator = federation.validator_for("hospital");
         // The callback ends at the issuing service itself: the right
         // presenter is accepted, a thief is refused.
@@ -352,19 +315,10 @@ mod tests {
             Err(OasisError::InvalidCredential { .. })
         ));
 
-        // A live service on the same bus that no registered domain owns:
-        // its (perfectly valid) credential has nobody to call back to.
-        let lab = oasis_core::OasisService::new(
-            oasis_core::ServiceConfig::new("lab").with_bus(federation.bus().clone()),
-            Arc::new(oasis_facts::FactStore::new()),
-        );
-        lab.define_role("tech", &[], true).unwrap();
-        lab.add_activation_rule("tech", vec![], vec![], vec![])
-            .unwrap();
-        let tech = lab
-            .activate_role(&dr, &RoleName::new("tech"), &[], &[], &EnvContext::new(0))
-            .unwrap();
-        let tech = Credential::Rmc(tech);
+        // A live service that the federation has not placed: its (perfectly valid) credential has nobody to call
+        // back to.
+        let lab = OasisService::new(oasis_core::ServiceConfig::new("lab"), Arc::default());
+        let tech = issue(&lab, "tech", &dr);
         assert!(lab.validate_own(&tech, &dr, 1).is_ok());
         assert!(matches!(
             validator.validate(&tech, &dr, 1),
@@ -374,19 +328,13 @@ mod tests {
 
     #[test]
     fn cross_domain_revocation_propagates_through_shared_bus() {
-        let (federation, cred, dr) = setup();
-        federation.add_sla(Sla::between("national", "hospital").accept(SlaClause {
-            issuer: "records".into(),
-            name: "treating_doctor".into(),
-            kind: CredentialKind::Rmc,
-        }));
+        let (federation, records, cred, dr) = setup();
+        federation.add_sla(sla("national", "hospital", "treating_doctor"));
         let validator = federation.validator_for("national");
         validator.validate(&cred, &dr, 1).unwrap();
 
         // The hospital revokes; the event crosses on the federation's
         // shared bus and the next callback is refused at the issuer.
-        let hospital = federation.domain(&DomainId::new("hospital")).unwrap();
-        let records = hospital.service(&ServiceId::new("records")).unwrap();
         let before = federation.bus().stats().published;
         records.revoke_certificate(cred.crr().cert_id, "shift over", 2);
 
@@ -397,17 +345,71 @@ mod tests {
 
     #[test]
     fn unknown_issuer_domain_fails() {
-        let (federation, cred, dr) = setup();
-        let mut foreign = match cred {
-            Credential::Rmc(rmc) => rmc,
-            _ => unreachable!(),
-        };
-        foreign.crr.issuer = ServiceId::new("nowhere");
+        let (federation, _records, cred, dr) = setup();
         let validator = federation.validator_for("national");
         assert!(matches!(
-            validator.validate(&Credential::Rmc(foreign), &dr, 1),
+            validator.validate(&from_nowhere(cred), &dr, 1),
             Err(OasisError::NoValidator(_))
         ));
+    }
+
+    /// An inner validator that counts the callbacks the gate lets through.
+    struct Counting {
+        inner: Arc<dyn CredentialValidator>,
+        calls: AtomicU64,
+    }
+
+    impl CredentialValidator for Counting {
+        fn validate(
+            &self,
+            credential: &Credential,
+            presenter: &PrincipalId,
+            now: u64,
+        ) -> Result<(), OasisError> {
+            self.calls.fetch_add(1, Ordering::Relaxed);
+            self.inner.validate(credential, presenter, now)
+        }
+    }
+
+    #[test]
+    fn gate_refuses_before_any_callback() {
+        let (federation, _records, cred, dr) = setup();
+        let counting = Arc::new(Counting {
+            inner: federation.registry.clone(),
+            calls: AtomicU64::new(0),
+        });
+        let gate = federation.gate("national", counting.clone());
+        let calls = || counting.calls.load(Ordering::Relaxed);
+
+        // Uncovered foreign credential: refused, no callback.
+        assert!(matches!(
+            gate.validate(&cred, &dr, 1),
+            Err(OasisError::InvalidCredential { .. })
+        ));
+        assert_eq!(calls(), 0);
+
+        // Covered: exactly one callback.
+        federation.add_sla(sla("national", "hospital", "treating_doctor"));
+        assert!(gate.validate(&cred, &dr, 1).is_ok());
+        assert_eq!(calls(), 1);
+
+        // Unplaced issuer: `NoValidator`, no callback.
+        assert!(matches!(
+            gate.validate(&from_nowhere(cred), &dr, 1),
+            Err(OasisError::NoValidator(_))
+        ));
+        assert_eq!(calls(), 1);
+    }
+
+    #[test]
+    fn federated_services_are_freed() {
+        let federation = Federation::new();
+        let records = Domain::new("hospital", &federation).create_service("records");
+        records.set_validator(federation.validator_for("hospital"));
+        let weak = Arc::downgrade(&records);
+        drop(records);
+        drop(federation);
+        assert!(weak.upgrade().is_none(), "a service outlived every handle");
     }
 
     #[test]

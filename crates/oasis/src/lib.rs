@@ -11,7 +11,7 @@
 //! | [`crypto`] | certificate MACs, issuer secret rotation, Ed25519 challenge–response |
 //! | [`facts`] | the environmental predicate database |
 //! | [`policy`] | the textual policy language, checker, and compiler |
-//! | [`domain`] | domains, service-level agreements, the federation and its SLA-enforcing cross-domain validators |
+//! | [`domain`] | domains, service-level agreements, the federation and its SLA gate in front of any cross-domain validator |
 //! | [`trust`] | audit certificates, interaction histories, risk assessment |
 //! | [`sim`] | deterministic discrete-event simulation of distributed deployments |
 //! | [`store`] | the durability layer: checksummed security-event journal and snapshots |

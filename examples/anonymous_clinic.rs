@@ -24,10 +24,8 @@ use oasis_core::CredentialKind;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let federation = Federation::new();
-    let insurer = Domain::new("mutual-life", federation.bus().clone());
-    let clinic = Domain::new("helix-clinic", federation.bus().clone());
-    federation.register(&insurer);
-    federation.register(&clinic);
+    let insurer = Domain::new("mutual-life", &federation);
+    let clinic = Domain::new("helix-clinic", &federation);
 
     // --- The insurance company -------------------------------------------
     let membership = insurer.create_service("mutual-life.membership");

@@ -18,10 +18,8 @@ use oasis_core::CredentialKind;
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- Two domains on a federated event fabric -------------------------
     let federation = Federation::new();
-    let hospital = Domain::new("st-marys", federation.bus().clone());
-    let national = Domain::new("national-ehr", federation.bus().clone());
-    federation.register(&hospital);
-    federation.register(&national);
+    let hospital = Domain::new("st-marys", &federation);
+    let national = Domain::new("national-ehr", &federation);
 
     // --- The hospital domain ---------------------------------------------
     let records = hospital.create_service("st-marys.records");

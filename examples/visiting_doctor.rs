@@ -19,10 +19,8 @@ use oasis_core::CredentialKind;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let federation = Federation::new();
-    let hospital = Domain::new("st-marys", federation.bus().clone());
-    let institute = Domain::new("crick-institute", federation.bus().clone());
-    federation.register(&hospital);
-    federation.register(&institute);
+    let hospital = Domain::new("st-marys", &federation);
+    let institute = Domain::new("crick-institute", &federation);
 
     // --- Home domain: the hospital's administrative service -----------------
     let admin = hospital.create_service("st-marys.admin");
@@ -157,10 +155,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // "The identity of the principal is not needed if proof of membership
     // is securely provable." The membership card certificate names the
     // organisation and period only.
-    let tate_london = Domain::new("tate-london", federation.bus().clone());
-    let tate_stives = Domain::new("tate-st-ives", federation.bus().clone());
-    federation.register(&tate_london);
-    federation.register(&tate_stives);
+    let tate_london = Domain::new("tate-london", &federation);
+    let tate_stives = Domain::new("tate-st-ives", &federation);
 
     let london_desk = tate_london.create_service("tate-london.desk");
     london_desk.set_validator(federation.validator_for("tate-london"));

@@ -22,10 +22,8 @@ fn build() -> World {
 /// As [`build`], with the national EHR service built from `ehr_config`.
 fn build_with(ehr_config: ServiceConfig) -> World {
     let federation = Federation::new();
-    let hospital = Domain::new("st-marys", federation.bus().clone());
-    let national = Domain::new("national-ehr", federation.bus().clone());
-    federation.register(&hospital);
-    federation.register(&national);
+    let hospital = Domain::new("st-marys", &federation);
+    let national = Domain::new("national-ehr", &federation);
 
     let records = hospital.create_service("st-marys.records");
     records.set_validator(federation.validator_for("st-marys"));
@@ -203,10 +201,8 @@ fn patient_exclusion_enforced_at_national_service() {
 fn without_sla_the_same_request_is_refused() {
     // Build a parallel world with no SLA.
     let federation = Federation::new();
-    let hospital = Domain::new("st-marys", federation.bus().clone());
-    let national = Domain::new("national-ehr", federation.bus().clone());
-    federation.register(&hospital);
-    federation.register(&national);
+    let hospital = Domain::new("st-marys", &federation);
+    let national = Domain::new("national-ehr", &federation);
     let records = hospital.create_service("st-marys.records");
     records
         .define_role("treating_doctor", &[("d", ValueType::Id)], true)

@@ -15,14 +15,8 @@ use oasis::prelude::*;
 use oasis::sim::{Latency, LinkConfig, SimNet, Simulation};
 use oasis_core::{DegradationPolicy, HeartbeatConfig};
 
-fn guest_world() -> (
-    Arc<Domain>,
-    Arc<oasis_core::OasisService>,
-    Credential,
-    PrincipalId,
-) {
-    let domain = Domain::new("d", EventBus::new());
-    let svc = domain.create_service("svc");
+fn guest_world() -> (Arc<oasis_core::OasisService>, Credential, PrincipalId) {
+    let svc = Domain::new("d", &Federation::new()).create_service("svc");
     svc.define_role("guest", &[("u", ValueType::Id)], true)
         .unwrap();
     svc.add_activation_rule("guest", vec![Term::var("U")], vec![], vec![])
@@ -37,7 +31,7 @@ fn guest_world() -> (
             &EnvContext::new(0),
         )
         .unwrap();
-    (domain, svc, Credential::Rmc(rmc), alice)
+    (svc, Credential::Rmc(rmc), alice)
 }
 
 /// A relying service that calls back to `issuer`. Built outside the
@@ -68,11 +62,11 @@ fn issuer_outage_bridged_by_replica_memory_then_revocation_still_wins() {
     // The memory that bridges an outage is the relying service's cache
     // under a fail-open policy; the revocation that must still win
     // arrives over the domain bus while the callback path is down.
-    let (domain, svc, cred, alice) = guest_world();
+    let (svc, cred, alice) = guest_world();
     let relying = relying_on(
         &svc,
         ServiceConfig::new("relying")
-            .with_bus(domain.bus().clone())
+            .with_bus(svc.bus().clone())
             .with_validation_cache(100)
             .with_heartbeats(HeartbeatConfig {
                 dead_after: 3,
@@ -104,7 +98,7 @@ fn lost_revocation_event_is_bounded_by_ttl_backstop() {
     // A cache whose push channel is gone (a lost event / partitioned
     // event fabric) keeps serving a revoked credential — but only until
     // its TTL, which bounds the damage.
-    let (_domain, svc, cred, alice) = guest_world();
+    let (svc, cred, alice) = guest_world();
     let ttl = 50;
     let relying = relying_on(
         &svc,
@@ -193,7 +187,7 @@ fn heartbeat_guarded_cache_closes_the_lost_event_window() {
     // channel fails silently (here: the relying service sits on a bus
     // the issuer does not publish to, modelling a partition), the
     // missing heartbeats alone stop the cache from vouching.
-    let (_domain, svc, cred, alice) = guest_world();
+    let (svc, cred, alice) = guest_world();
     let relying = relying_on(
         &svc,
         ServiceConfig::new("relying")

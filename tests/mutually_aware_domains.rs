@@ -12,10 +12,8 @@ struct World {
 
 fn build() -> World {
     let federation = Federation::new();
-    let hospital = Domain::new("hospital", federation.bus().clone());
-    let institute = Domain::new("institute", federation.bus().clone());
-    federation.register(&hospital);
-    federation.register(&institute);
+    let hospital = Domain::new("hospital", &federation);
+    let institute = Domain::new("institute", &federation);
 
     let admin = hospital.create_service("hospital.admin");
     admin.set_validator(federation.validator_for("hospital"));

@@ -51,10 +51,8 @@ fn build() -> World {
     let policy = Policy::parse(WORLD_POLICY).expect("policy parses and checks");
 
     let federation = Federation::new();
-    let hospital = Domain::new("hospital", federation.bus().clone());
-    let national = Domain::new("national", federation.bus().clone());
-    federation.register(&hospital);
-    federation.register(&national);
+    let hospital = Domain::new("hospital", &federation);
+    let national = Domain::new("national", &federation);
 
     let login = hospital.create_service("hospital.login");
     let records = hospital.create_service("hospital.records");
@@ -255,8 +253,7 @@ fn printed_policy_builds_an_equivalent_world() {
     let policy = Policy::parse(&printed).unwrap();
 
     let federation = Federation::new();
-    let hospital = Domain::new("hospital", federation.bus().clone());
-    federation.register(&hospital);
+    let hospital = Domain::new("hospital", &federation);
     let login = hospital.create_service("hospital.login");
     policy.apply_to(&login).unwrap();
     hospital

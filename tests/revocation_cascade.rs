@@ -25,8 +25,7 @@ fn chain(
     let federation = Federation::new();
     let mut services = Vec::new();
     for i in 0..depth {
-        let domain = Domain::new(format!("domain-{i}"), federation.bus().clone());
-        federation.register(&domain);
+        let domain = Domain::new(format!("domain-{i}"), &federation);
         let svc = domain.create_service(format!("svc-{i}"));
         svc.set_validator(federation.validator_for(format!("domain-{i}")));
         svc.define_role("link", &[("u", ValueType::Id)], i == 0)
@@ -132,10 +131,12 @@ fn push_invalidation_beats_ttl_polling() {
     let alice = PrincipalId::new("alice");
     let root = Credential::Rmc(rmcs[0].clone());
 
-    let with_push = federation
-        .domain(&oasis_core::DomainId::new("domain-1"))
-        .unwrap()
-        .create_service_with(ServiceConfig::new("relying-push").with_validation_cache(1_000));
+    let with_push = OasisService::new(
+        ServiceConfig::new("relying-push")
+            .with_validation_cache(1_000)
+            .with_bus(federation.bus().clone()),
+        Arc::new(FactStore::new()),
+    );
     let ttl_only = OasisService::new(
         ServiceConfig::new("relying-ttl").with_validation_cache(1_000),
         Arc::new(FactStore::new()),
