@@ -49,6 +49,35 @@
 //! national.validate(&rmc, &dr, 1)?;
 //! # Ok::<(), oasis_core::OasisError>(())
 //! ```
+//!
+//! # Over the wire
+//!
+//! A remote issuer is placed by hand, beside its address; the gate then
+//! stands in front of the callback path to its wire server, so a
+//! credential no agreement covers never leaves the domain.
+//!
+//! ```no_run
+//! use std::sync::Arc;
+//! use oasis_core::{CredentialKind, ResilientValidator};
+//! use oasis_domain::{Domain, Federation, Sla, SlaClause};
+//! use oasis_wire::RemoteValidator;
+//!
+//! let federation = Federation::new();
+//! federation.place("hospital.records", "hospital").expect("one home");
+//! let remote = RemoteValidator::new();
+//! remote.add_issuer("hospital.records", "10.0.0.7:7000".parse()?);
+//! let callbacks = ResilientValidator::new(Arc::new(remote));
+//!
+//! let national = Domain::new("national-ehr", &federation);
+//! let ehr = national.create_service("national.ehr");
+//! ehr.set_validator(federation.gate("national-ehr", Arc::new(callbacks)));
+//! federation.add_sla(Sla::between("national-ehr", "hospital").accept(SlaClause {
+//!     issuer: "hospital.records".into(),
+//!     name: "treating_doctor".into(),
+//!     kind: CredentialKind::Rmc,
+//! }));
+//! # Ok::<(), Box<dyn std::error::Error>>(())
+//! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
