@@ -36,8 +36,7 @@ use crate::error::StoreError;
 /// Frame header size: u32 len + u64 seq + u64 checksum.
 const HEADER: usize = 4 + 8 + 8;
 
-/// Hard cap on a single record's payload, so a corrupted length field
-/// cannot make the scanner attempt a multi-gigabyte read.
+/// Hard cap on a single record's payload (see [`read_frame`]).
 const MAX_PAYLOAD: usize = 16 * 1024 * 1024;
 
 /// What the tail scan found when the journal was opened or loaded.
@@ -106,7 +105,7 @@ fn checksum(seq: u64, payload: &[u8]) -> u64 {
 }
 
 /// Appends one frame to `out`.
-fn push_frame(out: &mut Vec<u8>, seq: u64, payload: &[u8]) {
+pub(crate) fn push_frame(out: &mut Vec<u8>, seq: u64, payload: &[u8]) {
     out.reserve(HEADER + payload.len());
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     out.extend_from_slice(&seq.to_le_bytes());
@@ -114,56 +113,63 @@ fn push_frame(out: &mut Vec<u8>, seq: u64, payload: &[u8]) {
     out.extend_from_slice(payload);
 }
 
-/// One raw frame recovered by the scanner.
-struct RawFrame<'a> {
-    seq: u64,
-    payload: &'a [u8],
+/// One raw frame recovered by [`read_frame`].
+pub(crate) struct RawFrame<'a> {
+    pub(crate) seq: u64,
+    pub(crate) payload: &'a [u8],
 }
 
 /// Bounds-checked little-endian u32 read; `None` when the buffer is
 /// too short — a torn tail, never a panic.
-pub(crate) fn read_u32_le(bytes: &[u8], pos: usize) -> Option<u32> {
+fn read_u32_le(bytes: &[u8], pos: usize) -> Option<u32> {
     let raw = bytes.get(pos..pos.checked_add(4)?)?;
     Some(u32::from_le_bytes(raw.try_into().ok()?))
 }
 
 /// Bounds-checked little-endian u64 read; `None` when short.
-pub(crate) fn read_u64_le(bytes: &[u8], pos: usize) -> Option<u64> {
+fn read_u64_le(bytes: &[u8], pos: usize) -> Option<u64> {
     let raw = bytes.get(pos..pos.checked_add(8)?)?;
     Some(u64::from_le_bytes(raw.try_into().ok()?))
 }
 
+/// Reads the frame starting at `pos`, returning it and the offset just
+/// past it. `None` when the frame is truncated, declares a payload over
+/// `max_payload` bytes (so a corrupted length field cannot make the
+/// reader attempt a multi-gigabyte read), or fails its checksum. Every
+/// header field and the payload slice is read through a bounds-checked
+/// path, so a buffer shorter than its declared frame is a torn tail,
+/// never a panic.
+pub(crate) fn read_frame(
+    bytes: &[u8],
+    pos: usize,
+    max_payload: usize,
+) -> Option<(RawFrame<'_>, usize)> {
+    let len = read_u32_le(bytes, pos)? as usize;
+    if len > max_payload {
+        return None;
+    }
+    let seq = read_u64_le(bytes, pos.checked_add(4)?)?;
+    let sum = read_u64_le(bytes, pos.checked_add(12)?)?;
+    let start = pos.checked_add(HEADER)?;
+    let end = start.checked_add(len)?;
+    let payload = bytes.get(start..end)?;
+    (checksum(seq, payload) == sum).then_some((RawFrame { seq, payload }, end))
+}
+
 /// Scans `bytes`, returning the valid frames and the byte length of
 /// the valid prefix. Stops (without failing) at the first frame that
-/// is truncated, has an implausible length, fails its checksum, or
-/// regresses the sequence number. Every header field and the payload
-/// slice is read through a bounds-checked path, so a buffer shorter
-/// than its declared frame is a torn tail, never a panic.
+/// [`read_frame`] rejects or that regresses the sequence number.
 fn scan(bytes: &[u8]) -> (Vec<RawFrame<'_>>, usize) {
     let mut frames = Vec::new();
     let mut pos = 0usize;
     let mut last_seq = 0u64;
-    while let Some(len) = read_u32_le(bytes, pos).map(|l| l as usize) {
-        if len > MAX_PAYLOAD {
+    while let Some((frame, end)) = read_frame(bytes, pos, MAX_PAYLOAD) {
+        if last_seq != 0 && frame.seq <= last_seq {
             break;
         }
-        let (Some(seq), Some(sum)) = (read_u64_le(bytes, pos + 4), read_u64_le(bytes, pos + 12))
-        else {
-            break;
-        };
-        let Some(payload) = pos
-            .checked_add(HEADER)
-            .and_then(|start| Some(start..start.checked_add(len)?))
-            .and_then(|range| bytes.get(range))
-        else {
-            break;
-        };
-        if checksum(seq, payload) != sum || (last_seq != 0 && seq <= last_seq) {
-            break;
-        }
-        frames.push(RawFrame { seq, payload });
-        last_seq = seq;
-        pos += HEADER + len;
+        last_seq = frame.seq;
+        frames.push(frame);
+        pos = end;
     }
     (frames, pos)
 }

@@ -1,24 +1,26 @@
 //! Snapshot storage: one checksummed blob holding the full state as
 //! of a journal sequence number.
 //!
-//! A snapshot frame mirrors the journal's record frame —
-//! `[len: u32][covered_seq: u64][checksum: u64][payload]` — where
-//! `covered_seq` is the last journal sequence number the snapshot
-//! subsumes. Writing a new snapshot atomically replaces the previous
-//! one; there is never more than one. A snapshot that fails its
-//! checksum is *ignored*, not trusted: recovery reports it and falls
-//! back to replaying the full journal.
+//! A snapshot is one frame of the journal's codec —
+//! `[len: u32][covered_seq: u64][checksum: u64][payload]`, written by
+//! its `push_frame` and read by its `read_frame` — where `covered_seq`
+//! is the last journal sequence number the snapshot subsumes. Writing a
+//! new snapshot atomically replaces the previous one; there is never
+//! more than one. A snapshot that fails its checksum is *ignored*, not
+//! trusted: recovery reports it and falls back to replaying the full
+//! journal.
 
 use std::marker::PhantomData;
 use std::sync::Arc;
 
-use oasis_crypto::hash::Sha256;
 use oasis_json::{FromJson, ToJson};
 
 use crate::backend::StorageBackend;
 use crate::error::StoreError;
+use crate::journal::{push_frame, read_frame};
 
-const HEADER: usize = 4 + 8 + 8;
+/// Hard cap on the snapshot's payload: a snapshot holds the whole state,
+/// so it may be far larger than one journal record.
 const MAX_PAYLOAD: usize = 256 * 1024 * 1024;
 
 /// Result of reading the snapshot region.
@@ -46,14 +48,6 @@ impl<S> Clone for SnapshotStore<S> {
     }
 }
 
-fn checksum(covered_seq: u64, payload: &[u8]) -> u64 {
-    let mut hash = Sha256::new();
-    hash.update(&covered_seq.to_le_bytes());
-    hash.update(payload);
-    let digest = hash.finalize();
-    u64::from_le_bytes(digest[..8].try_into().expect("8-byte prefix"))
-}
-
 impl<S: ToJson + FromJson> SnapshotStore<S> {
     /// Wraps `backend` as the snapshot region.
     pub fn new(backend: Arc<dyn StorageBackend>) -> Self {
@@ -67,11 +61,8 @@ impl<S: ToJson + FromJson> SnapshotStore<S> {
     /// journal records up to and including `covered_seq`.
     pub fn write(&self, covered_seq: u64, state: &S) -> Result<(), StoreError> {
         let payload = oasis_json::to_string(state).into_bytes();
-        let mut out = Vec::with_capacity(HEADER + payload.len());
-        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(&covered_seq.to_le_bytes());
-        out.extend_from_slice(&checksum(covered_seq, &payload).to_le_bytes());
-        out.extend_from_slice(&payload);
+        let mut out = Vec::new();
+        push_frame(&mut out, covered_seq, &payload);
         self.backend.replace(&out)
     }
 
@@ -89,31 +80,11 @@ impl<S: ToJson + FromJson> SnapshotStore<S> {
             snapshot: None,
             corrupt: true,
         };
-        // Every header field and the payload slice is read through a
-        // bounds-checked path: a blob shorter than its declared frame
-        // is corrupt, never a panic.
-        let Some(len) = crate::journal::read_u32_le(&bytes, 0).map(|l| l as usize) else {
+        // Bytes after the frame are ignored.
+        let Some((frame, _)) = read_frame(&bytes, 0, MAX_PAYLOAD) else {
             return Ok(corrupt);
         };
-        if len > MAX_PAYLOAD {
-            return Ok(corrupt);
-        }
-        let (Some(covered_seq), Some(sum)) = (
-            crate::journal::read_u64_le(&bytes, 4),
-            crate::journal::read_u64_le(&bytes, 12),
-        ) else {
-            return Ok(corrupt);
-        };
-        let Some(payload) = HEADER
-            .checked_add(len)
-            .and_then(|end| bytes.get(HEADER..end))
-        else {
-            return Ok(corrupt);
-        };
-        if checksum(covered_seq, payload) != sum {
-            return Ok(corrupt);
-        }
-        let text = match std::str::from_utf8(payload) {
+        let text = match std::str::from_utf8(frame.payload) {
             Ok(t) => t,
             Err(_) => return Ok(corrupt),
         };
@@ -122,7 +93,7 @@ impl<S: ToJson + FromJson> SnapshotStore<S> {
             Err(_) => return Ok(corrupt),
         };
         Ok(SnapshotLoad {
-            snapshot: Some((covered_seq, state)),
+            snapshot: Some((frame.seq, state)),
             corrupt: false,
         })
     }

@@ -44,16 +44,6 @@ impl Default for WireTimeouts {
 }
 
 impl WireTimeouts {
-    /// No deadlines at all: every operation blocks indefinitely (the
-    /// pre-timeout behaviour).
-    pub fn none() -> Self {
-        Self {
-            connect: None,
-            read: None,
-            write: None,
-        }
-    }
-
     /// The same deadline for connect, read, and write.
     pub fn all(deadline: Duration) -> Self {
         Self {
@@ -438,9 +428,9 @@ impl WireClient {
     /// One attempt, like every call on this client. A failed catch-up
     /// leaves the service's watermark and suspect cache as they were, so
     /// it can simply be run again;
-    /// [`FailoverClient::catch_up`](crate::FailoverClient::catch_up)
-    /// retries under a backoff schedule and follows a replicated issuer's
-    /// leader.
+    /// `failover.call(|c| c.catch_up(service, topic, now))` on a
+    /// [`FailoverClient`](crate::FailoverClient) retries under a backoff
+    /// schedule and follows a replicated issuer's leader.
     ///
     /// # Errors
     ///

@@ -16,7 +16,9 @@
 //! * [`proto`] — the request/response message types.
 //! * [`WireServer`] — hosts an [`OasisService`](oasis_core::OasisService).
 //! * [`WireClient`] — a blocking client for principals and for remote
-//!   validation callbacks.
+//!   validation callbacks: one typed call per request.
+//! * [`FailoverClient`] — runs any [`WireClient`] call on the current
+//!   leader of a replicated cluster.
 //!
 //! # Example
 //!
@@ -44,6 +46,6 @@ mod transport;
 
 pub use client::{WireClient, WireTimeouts};
 pub use error::WireError;
-pub use server::{ContextFactory, WireServer};
+pub use server::WireServer;
 pub use sync_client::RemoteValidator;
 pub use transport::{FailoverClient, FailoverStats, WireTransport};

@@ -1,9 +1,12 @@
 //! The request/response protocol.
 //!
 //! One request, one response, in order, per connection (pipelining is
-//! permitted by the framing but the bundled client is call/return). The
-//! four operations mirror Fig 2 plus the issuer-side revocation entry
-//! point of Fig 5.
+//! permitted by the framing but the bundled client is call/return). There
+//! are eight operations: `Activate`, `Invoke` and `Validate` are the paths
+//! of Fig 2 and `Revoke` is the issuer-side revocation entry point of
+//! Fig 5; `Resync` replays retained revocations after a watermark, `Peer`
+//! carries replication traffic between CIV replicas, and `Ping` and
+//! `Metrics` are liveness and the metrics snapshot.
 //!
 //! # Deadline envelope
 //!

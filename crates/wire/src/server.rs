@@ -76,15 +76,10 @@ use crate::proto::{Envelope, Request, Response};
 /// stack; a request is a few hundred.
 const READ_CHUNK: usize = 4096;
 
-/// Builds the evaluation context for a given client-supplied virtual
-/// time. Servers install ambient values and custom predicates here.
-pub type ContextFactory = Arc<dyn Fn(u64) -> EnvContext + Send + Sync>;
-
 /// Hosts one OASIS service over TCP.
 pub struct WireServer {
     service: Arc<OasisService>,
     listener: TcpListener,
-    context: ContextFactory,
     controller: Arc<AdmissionController>,
     replica: Option<Arc<ReplicaNode>>,
 }
@@ -98,34 +93,21 @@ impl std::fmt::Debug for WireServer {
 }
 
 impl WireServer {
-    /// Binds to `addr` and prepares to serve `service` with a default
-    /// context (no ambient values or predicates) and the default
-    /// [`OverloadConfig`].
+    /// Binds to `addr` and prepares to serve `service` with the default
+    /// [`OverloadConfig`]. Each request is evaluated in an
+    /// [`EnvContext`] at the virtual time the client sent, with no
+    /// ambient values or predicates.
     ///
     /// # Errors
     ///
     /// [`WireError::Io`] if the address cannot be bound.
     pub fn bind(service: Arc<OasisService>, addr: &str) -> Result<Self, WireError> {
-        Self::bind_with_context(service, addr, Arc::new(EnvContext::new))
-    }
-
-    /// As [`WireServer::bind`], with a custom [`ContextFactory`].
-    ///
-    /// # Errors
-    ///
-    /// [`WireError::Io`] if the address cannot be bound.
-    pub fn bind_with_context(
-        service: Arc<OasisService>,
-        addr: &str,
-        context: ContextFactory,
-    ) -> Result<Self, WireError> {
         let listener = TcpListener::bind(addr)?;
         let controller = AdmissionController::new(OverloadConfig::default());
         service.set_overload(Arc::clone(&controller));
         Ok(Self {
             service,
             listener,
-            context,
             controller,
             replica: None,
         })
@@ -196,7 +178,6 @@ impl WireServer {
             requests: recorder.counter(&format!("{id}.wire.requests")),
             handle_us: recorder.histogram(&format!("{id}.wire.handle_us")),
             service: self.service,
-            context: self.context,
             controller: self.controller,
             replica: self.replica,
             open: AtomicBool::new(true),
@@ -250,7 +231,6 @@ fn transient_accept_error(e: &std::io::Error) -> bool {
 /// [`WireServer::serve`] runs.
 struct Pool {
     service: Arc<OasisService>,
-    context: ContextFactory,
     controller: Arc<AdmissionController>,
     replica: Option<Arc<ReplicaNode>>,
     table: ConnTable,
@@ -418,7 +398,7 @@ impl Pool {
         // answerable by any node exactly while the lanes are saturated, and
         // a follower's registry is as interesting as the leader's.
         if matches!(envelope.request, Request::Metrics) {
-            let response = handle_request(&self.service, &self.context, Request::Metrics);
+            let response = handle_request(&self.service, Request::Metrics);
             return self.respond(conn, &response);
         }
         if let Some(node) = &self.replica {
@@ -489,7 +469,7 @@ impl Pool {
         let _trace_scope = trace.map(oasis_obs::scope);
         self.requests.inc();
         let started = Instant::now();
-        let response = handle_request(&self.service, &self.context, request);
+        let response = handle_request(&self.service, request);
         self.handle_us.observe(started.elapsed().as_micros() as u64);
         drop(permit);
         response
@@ -503,11 +483,7 @@ impl Pool {
     }
 }
 
-fn handle_request(
-    service: &Arc<OasisService>,
-    context: &ContextFactory,
-    request: Request,
-) -> Response {
+fn handle_request(service: &Arc<OasisService>, request: Request) -> Response {
     match request {
         Request::Ping => Response::Pong,
         Request::Activate {
@@ -517,7 +493,7 @@ fn handle_request(
             credentials,
             now,
         } => {
-            let ctx = context(now);
+            let ctx = EnvContext::new(now);
             match service.activate_role(&principal, &RoleName::new(role), &args, &credentials, &ctx)
             {
                 Ok(rmc) => Response::Activated { rmc: Box::new(rmc) },
@@ -533,7 +509,7 @@ fn handle_request(
             credentials,
             now,
         } => {
-            let ctx = context(now);
+            let ctx = EnvContext::new(now);
             match service.invoke(&principal, &method, &args, &credentials, &ctx) {
                 Ok(invocation) => Response::Invoked {
                     used: invocation.used,

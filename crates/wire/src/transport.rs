@@ -5,32 +5,29 @@
 //!
 //! * [`WireTransport`] — the cluster-internal side: implements
 //!   [`ReplicationTransport`] by dialling each peer's `WireServer` and
-//!   exchanging [`Request::Peer`]/[`Response::PeerAck`] frames. Give one
-//!   to [`ReplicaNode::new`](oasis_store::ReplicaNode::new) and the
+//!   exchanging [`Request::Peer`](crate::proto::Request::Peer) and
+//!   [`Response::PeerAck`] frames. Give one to
+//!   [`ReplicaNode::new`](oasis_store::ReplicaNode::new) and the
 //!   quorum-replicated journal works across processes and hosts.
-//! * [`FailoverClient`] — the client side: wraps a [`WireClient`] over a
-//!   list of candidate replica addresses, follows
-//!   [`Response::NotLeader`] hints to the current leader, and retries
-//!   through elections under a capped-backoff
-//!   [`RetryPolicy`](oasis_core::retry::RetryPolicy), so a caller sees
-//!   one logical service instead of N nodes.
+//! * [`FailoverClient`] — the client side: runs any [`WireClient`] call
+//!   (`client.call(|c| c.ping())`) on the current leader of a list of
+//!   candidate replica addresses, following [`Response::NotLeader`]
+//!   hints and retrying through elections under one capped-backoff
+//!   [`RetryPolicy`](oasis_core::retry::RetryPolicy) per call, so a
+//!   caller sees one logical service instead of N nodes.
 
 use std::collections::HashMap;
 use std::net::{SocketAddr, ToSocketAddrs};
 
 use parking_lot::Mutex;
 
-use oasis_core::cert::Rmc;
-use oasis_core::durable::CatchUpReport;
 use oasis_core::retry::{Backoff, RetryPolicy};
-use oasis_core::{CertEvent, Credential, OasisService, PrincipalId, Value};
-use oasis_events::DeliveredEvent;
 use oasis_store::{PeerReply, PeerRequest, ReplicationTransport, StoreError};
 
 use crate::client::{WireClient, WireTimeouts};
 use crate::error::WireError;
 use crate::frame::encode_frame;
-use crate::proto::{PeerFrame, Request, Response};
+use crate::proto::{PeerFrame, Response};
 
 /// [`ReplicationTransport`] over TCP: resolves peer node ids to
 /// addresses through a static directory and keeps one cached
@@ -165,15 +162,18 @@ impl ReplicationTransport for WireTransport {
 /// A client over a replicated CIV cluster that always talks to the
 /// leader.
 ///
-/// Holds the candidate addresses of every replica. Each call dials (or
-/// reuses) a connection; a [`WireError::NotLeader`] answer re-dials the
-/// hinted leader address immediately, an unhinted one (mid-election)
-/// rotates to the next candidate after a backoff delay, and transport
-/// errors (dead node) likewise rotate. The whole chase is bounded by the
-/// configured [`RetryPolicy`] — when the cluster genuinely has no
-/// quorum, the caller gets the last error instead of an infinite loop.
-/// This is the one retry owner for a cluster's clients: the
-/// [`WireClient`] underneath makes one attempt per call.
+/// Holds the candidate addresses of every replica. Each
+/// [`call`](FailoverClient::call) dials (or reuses) a connection and
+/// runs a [`WireClient`] call on it. The first hinted
+/// [`WireError::NotLeader`] answer of a call re-dials the hinted leader
+/// immediately; every further hint, an unhinted answer (mid-election)
+/// and a transport error (dead node) each wait a backoff delay first,
+/// the last two rotating to the next candidate. The configured
+/// [`RetryPolicy`] bounds the whole chase — whether the cluster has no
+/// quorum or its nodes' hints lead in a circle, the caller gets the last
+/// error instead of an infinite loop. This is the one retry owner for a
+/// cluster's clients: the [`WireClient`] underneath makes one attempt
+/// per call.
 pub struct FailoverClient {
     candidates: Vec<String>,
     /// Index into `candidates` to try next when no hint is available.
@@ -279,22 +279,31 @@ impl FailoverClient {
         addr
     }
 
-    /// One request against the current leader, chasing `NotLeader` hints
-    /// and rotating candidates under the retry schedule.
+    /// Runs `op` on the current leader's connection, chasing
+    /// `NotLeader` hints and rotating candidates under the retry
+    /// schedule. `op` is any [`WireClient`] call —
+    /// `client.call(|c| c.revoke(cert_id, "logout", now))`, or
+    /// `client.call(|c| c.call(&request))` for a raw request — and runs
+    /// once per attempt, so it must be safe to repeat after a failure.
     ///
     /// # Errors
     ///
     /// The final error once the schedule is exhausted: transport errors,
-    /// [`WireError::NotLeader`] when no leader emerged in time, or any
+    /// or [`WireError::NotLeader`] when no leader emerged in time. An
     /// authoritative server answer ([`WireError::Remote`],
-    /// [`WireError::Overloaded`], [`WireError::DeadlineExceeded`]) which
-    /// is returned immediately without retrying.
-    pub fn call(&mut self, request: &Request) -> Result<Response, WireError> {
+    /// [`WireError::Overloaded`], [`WireError::DeadlineExceeded`],
+    /// [`WireError::UnexpectedResponse`]) is returned at once, never
+    /// retried.
+    pub fn call<T>(
+        &mut self,
+        mut op: impl FnMut(&mut WireClient) -> Result<T, WireError>,
+    ) -> Result<T, WireError> {
         assert!(
             !self.candidates.is_empty(),
             "FailoverClient needs at least one candidate address"
         );
         let mut backoff = Backoff::with_seed(self.retry, self.jitter_seed());
+        let mut hint_is_free = true;
         loop {
             // Ensure a connection, rotating candidates on dial failure.
             if self.conn.is_none() {
@@ -307,22 +316,31 @@ impl FailoverClient {
                 }
             }
             let conn = self.conn.as_mut().expect("connection established above");
-            match conn.call(request) {
-                Ok(response) => return Ok(response),
+            match op(conn) {
+                Ok(value) => return Ok(value),
                 Err(WireError::NotLeader { hint }) => {
                     // The follower is alive; only the *role* is wrong.
-                    // A hint is followed for free (no backoff charge —
-                    // it names the leader); without one the election is
-                    // still settling, so wait before probing the next
-                    // candidate.
                     self.stats.not_leader_answers += 1;
                     self.conn = None;
-                    // Hinted leader unreachable falls through to the
-                    // normal rotation below.
-                    if hint.is_some_and(|leader| self.dial(&leader).is_ok()) {
-                        self.stats.hint_follows += 1;
-                        continue;
+                    if let Some(leader) = hint {
+                        // The chase's first hint is followed at once: it
+                        // names the leader. Every further one waits its
+                        // turn on the schedule like a rotation, so nodes
+                        // that name each other (or themselves) cannot
+                        // keep the client dialling.
+                        if !std::mem::take(&mut hint_is_free) && !Self::wait_for_retry(&mut backoff)
+                        {
+                            return Err(WireError::NotLeader { hint: Some(leader) });
+                        }
+                        // An unreachable hinted leader falls through to
+                        // the normal rotation below.
+                        if self.dial(&leader).is_ok() {
+                            self.stats.hint_follows += 1;
+                            continue;
+                        }
                     }
+                    // Without a usable hint the election is still
+                    // settling: wait before probing the next candidate.
                     if !Self::wait_for_retry(&mut backoff) {
                         return Err(WireError::NotLeader { hint: None });
                     }
@@ -345,101 +363,6 @@ impl FailoverClient {
             }
         }
     }
-
-    /// Liveness check against whichever node answers.
-    ///
-    /// # Errors
-    ///
-    /// As [`FailoverClient::call`].
-    pub fn ping(&mut self) -> Result<(), WireError> {
-        match self.call(&Request::Ping)? {
-            Response::Pong => Ok(()),
-            other => Err(WireError::UnexpectedResponse(format!("{other:?}"))),
-        }
-    }
-
-    /// Activates a role at the cluster leader.
-    ///
-    /// # Errors
-    ///
-    /// As [`FailoverClient::call`].
-    pub fn activate(
-        &mut self,
-        principal: &PrincipalId,
-        role: &str,
-        args: Vec<Value>,
-        credentials: Vec<Credential>,
-        now: u64,
-    ) -> Result<Rmc, WireError> {
-        let request = Request::Activate {
-            principal: principal.clone(),
-            role: role.to_string(),
-            args,
-            credentials,
-            now,
-        };
-        match self.call(&request)? {
-            Response::Activated { rmc } => Ok(*rmc),
-            other => Err(WireError::UnexpectedResponse(format!("{other:?}"))),
-        }
-    }
-
-    /// Revokes a certificate at the cluster leader.
-    ///
-    /// # Errors
-    ///
-    /// As [`FailoverClient::call`].
-    pub fn revoke(&mut self, cert_id: u64, reason: &str, now: u64) -> Result<bool, WireError> {
-        let request = Request::Revoke {
-            cert_id,
-            reason: reason.to_string(),
-            now,
-        };
-        match self.call(&request)? {
-            Response::Revoked { was_active } => Ok(was_active),
-            other => Err(WireError::UnexpectedResponse(format!("{other:?}"))),
-        }
-    }
-
-    /// Replays the leader's retained revocation ring after a watermark.
-    ///
-    /// # Errors
-    ///
-    /// As [`FailoverClient::call`].
-    pub fn resync(
-        &mut self,
-        topic: &str,
-        after_topic_seq: u64,
-    ) -> Result<(Vec<DeliveredEvent<CertEvent>>, bool), WireError> {
-        let request = Request::Resync {
-            topic: topic.to_string(),
-            after_topic_seq,
-        };
-        match self.call(&request)? {
-            Response::Resynced { events, complete } => {
-                Ok((events.into_iter().map(Into::into).collect(), complete))
-            }
-            other => Err(WireError::UnexpectedResponse(format!("{other:?}"))),
-        }
-    }
-
-    /// One full catch-up cycle against the cluster: fetch the missed
-    /// revocations after `service`'s watermark from whichever node leads
-    /// and apply them (see [`WireClient::catch_up`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`FailoverClient::call`].
-    pub fn catch_up(
-        &mut self,
-        service: &OasisService,
-        topic: &str,
-        now: u64,
-    ) -> Result<CatchUpReport, WireError> {
-        let after = service.watermark_for(topic);
-        let (events, complete) = self.resync(topic, after)?;
-        Ok(service.catch_up_with(topic, &events, complete, now))
-    }
 }
 
 /// Resolves a `host:port` hint string to a socket address.
@@ -450,7 +373,22 @@ pub(crate) fn resolve_hint(hint: &str) -> Option<SocketAddr> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Instant;
+    use crate::frame::{read_frame, write_frame};
+    use crate::proto::Envelope;
+    use std::net::TcpListener;
+    use std::time::{Duration, Instant};
+
+    /// Three attempts with millisecond delays: a chase that honours it
+    /// ends in a few milliseconds.
+    fn three_attempts() -> RetryPolicy {
+        RetryPolicy {
+            max_attempts: 3,
+            base_delay: Duration::from_millis(1),
+            max_delay: Duration::from_millis(2),
+            total_delay_cap: Duration::from_millis(20),
+            jitter: 0.25,
+        }
+    }
 
     /// A permanently partitioned leader looks like candidates that
     /// never answer. The hint chase must terminate with a bounded
@@ -459,38 +397,113 @@ mod tests {
     #[test]
     fn hint_chase_terminates_when_leader_is_unreachable() {
         // Reserved port that nothing listens on: dials fail fast.
-        let dead = {
-            let l = std::net::TcpListener::bind("127.0.0.1:0").expect("reserve");
-            l.local_addr().expect("addr").to_string()
-        };
-        let policy = RetryPolicy {
-            max_attempts: 3,
-            base_delay: std::time::Duration::from_millis(1),
-            max_delay: std::time::Duration::from_millis(2),
-            total_delay_cap: std::time::Duration::from_millis(20),
-            jitter: 0.25,
-        };
+        let (_, dead) = listener();
         let mut client = FailoverClient::new([dead.clone(), dead])
-            .with_timeouts(WireTimeouts {
-                connect: Some(std::time::Duration::from_millis(50)),
-                read: Some(std::time::Duration::from_millis(50)),
-                write: Some(std::time::Duration::from_millis(50)),
-            })
-            .with_retry(policy);
+            .with_timeouts(WireTimeouts::all(Duration::from_millis(50)))
+            .with_retry(three_attempts());
         let started = Instant::now();
-        let err = client.ping().expect_err("no leader can ever answer");
+        let err = client
+            .call(|c| c.ping())
+            .expect_err("no leader can ever answer");
         assert!(
             matches!(err, WireError::Io(_) | WireError::TimedOut { .. }),
             "bounded transport error, got {err:?}"
         );
         assert!(
-            started.elapsed() < std::time::Duration::from_secs(5),
+            started.elapsed() < Duration::from_secs(5),
             "chase must terminate promptly, took {:?}",
             started.elapsed()
         );
         // max_attempts dials happened (one per schedule slot, then the
         // schedule ran dry) — no unbounded spin.
         assert_eq!(client.stats().dials, 3);
+    }
+
+    /// A fake replica that answers every request with `NotLeader` naming
+    /// `hint`, serving one connection at a time on one thread; dropping
+    /// it stops the thread.
+    struct NotLeaderNode {
+        addr: String,
+        thread: Option<std::thread::JoinHandle<()>>,
+    }
+
+    impl NotLeaderNode {
+        fn spawn(listener: TcpListener, hint: &str) -> Self {
+            let addr = listener.local_addr().expect("addr").to_string();
+            let answer = Response::NotLeader {
+                hint: Some(hint.to_string()),
+            };
+            let thread = std::thread::spawn(move || {
+                for mut stream in listener.incoming().flatten() {
+                    stream.set_read_timeout(Some(Duration::from_secs(1))).ok();
+                    let mut served = false;
+                    while let Ok(Some(_)) = read_frame::<_, Envelope>(&mut stream) {
+                        served = true;
+                        if write_frame(&mut stream, &answer).is_err() {
+                            break;
+                        }
+                    }
+                    // A client always sends once it has dialled; a
+                    // connection that hangs up without a request is the
+                    // stop signal from `drop`.
+                    if !served {
+                        break;
+                    }
+                }
+            });
+            Self {
+                addr,
+                thread: Some(thread),
+            }
+        }
+    }
+
+    impl Drop for NotLeaderNode {
+        fn drop(&mut self) {
+            drop(std::net::TcpStream::connect(&self.addr));
+            if let Some(thread) = self.thread.take() {
+                let _ = thread.join();
+            }
+        }
+    }
+
+    fn listener() -> (TcpListener, String) {
+        let l = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = l.local_addr().expect("addr").to_string();
+        (l, addr)
+    }
+
+    /// Nodes that name each other, or a node that names itself, would
+    /// keep a chase that follows every hint at once dialling forever.
+    /// Only the first hint is free; `max_attempts` bounds the rest.
+    #[test]
+    fn hint_chase_is_bounded_by_the_retry_policy() {
+        let ((a, a_addr), (b, b_addr), (c, c_addr)) = (listener(), listener(), listener());
+        let _nodes = [
+            NotLeaderNode::spawn(a, &b_addr),
+            NotLeaderNode::spawn(b, &a_addr),
+            NotLeaderNode::spawn(c, &c_addr),
+        ];
+        for (case, candidates) in [
+            ("two nodes naming each other", vec![a_addr, b_addr]),
+            ("a node naming itself", vec![c_addr]),
+        ] {
+            let (tx, rx) = std::sync::mpsc::channel();
+            let chaser = std::thread::spawn(move || {
+                let mut client = FailoverClient::new(candidates).with_retry(three_attempts());
+                let result = client.call(|c| c.ping());
+                let _ = tx.send((result, client.stats()));
+            });
+            let (result, stats) = rx
+                .recv_timeout(Duration::from_secs(5))
+                .unwrap_or_else(|_| panic!("{case}: no return within the 5 s watchdog"));
+            chaser.join().expect("the chase thread finishes cleanly");
+            assert!(
+                matches!(result, Err(WireError::NotLeader { .. })),
+                "{case}: {result:?}"
+            );
+            assert!(stats.hint_follows <= 3, "{case}: {stats:?}");
+        }
     }
 
     /// The jitter seed is a pure function of the candidate list.

@@ -12,8 +12,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use oasis_core::{
-    Atom, EnvContext, Lane, LaneConfig, OasisService, OverloadConfig, PrincipalId, ServiceConfig,
-    Term, Value, ValueType,
+    Atom, Credential, CredentialValidator, EnvContext, Lane, LaneConfig, OasisError, OasisService,
+    OverloadConfig, PrincipalId, RoleName, ServiceConfig, Term, Value, ValueType,
 };
 use oasis_facts::FactStore;
 use oasis_obs::{Recorder, Registry};
@@ -171,37 +171,65 @@ fn frames_are_answered_however_the_bytes_arrive() {
     assert_eq!(pong, Some(Response::Pong));
 }
 
+/// A validation callback that takes 400 ms, counting the calls.
+struct SlowValidator(Arc<AtomicUsize>);
+
+impl CredentialValidator for SlowValidator {
+    fn validate(&self, _: &Credential, _: &PrincipalId, _: u64) -> Result<(), OasisError> {
+        self.0.fetch_add(1, Ordering::SeqCst);
+        std::thread::sleep(Duration::from_millis(400));
+        Ok(())
+    }
+}
+
 #[test]
 fn queued_request_is_resumed_when_the_permit_frees_and_expired_at_its_deadline() {
     let service = login_service();
     let mut cfg = OverloadConfig::default();
     *cfg.lane_mut(Lane::Issuance) = LaneConfig::fixed(1, 8, 10_000);
-    // Every activation takes 400 ms, so the single issuance slot is held
-    // long enough to queue behind.
+    // Every activation presents a foreign credential whose callback takes
+    // 400 ms, so the single issuance slot is held long enough to queue
+    // behind.
+    let hr = OasisService::new(ServiceConfig::new("hr"), Arc::new(FactStore::new()));
+    hr.define_role("staff", &[], true).unwrap();
+    hr.add_activation_rule("staff", vec![], vec![], vec![])
+        .unwrap();
+    let alice = PrincipalId::new("alice");
+    let badge = hr
+        .activate_role(
+            &alice,
+            &RoleName::new("staff"),
+            &[],
+            &[],
+            &EnvContext::new(0),
+        )
+        .unwrap();
+    service.define_role("on_shift", &[], false).unwrap();
+    service
+        .add_activation_rule(
+            "on_shift",
+            vec![],
+            vec![Atom::prereq_at("hr", "staff", vec![])],
+            // Checked at activation only: one callback per activation.
+            vec![],
+        )
+        .unwrap();
     let executed = Arc::new(AtomicUsize::new(0));
-    let counter = Arc::clone(&executed);
-    let server = WireServer::bind_with_context(
-        Arc::clone(&service),
-        "127.0.0.1:0",
-        Arc::new(move |now| {
-            counter.fetch_add(1, Ordering::SeqCst);
-            std::thread::sleep(Duration::from_millis(400));
-            EnvContext::new(now)
-        }),
-    )
-    .unwrap()
-    .with_overload(cfg);
+    service.set_validator(Arc::new(SlowValidator(Arc::clone(&executed))));
+    let server = WireServer::bind(Arc::clone(&service), "127.0.0.1:0")
+        .unwrap()
+        .with_overload(cfg);
     let controller = server.controller();
     let addr = server.serve_in_background().unwrap();
     let issuance = move || controller.stats().lane(Lane::Issuance).clone();
 
     let activate = move |deadline_ms: u64| {
+        let (alice, badge) = (alice.clone(), Credential::Rmc(badge.clone()));
         std::thread::spawn(move || {
             let mut client = WireClient::connect(addr)
                 .unwrap()
                 .with_deadline_ms(deadline_ms);
-            let alice = PrincipalId::new("alice");
-            let result = client.activate(&alice, "logged_in", vec![Value::id("alice")], vec![], 1);
+            let result = client.activate(&alice, "on_shift", vec![], vec![badge], 1);
             (result, Instant::now())
         })
     };

@@ -30,7 +30,8 @@ use oasis_crypto::{IssuerSecret, SecretKey};
 use oasis_facts::FactStore;
 use oasis_store::{MemBackend, ReplicaConfig, ReplicaNode, StorageBackend};
 use oasis_wire::{
-    FailoverClient, RemoteValidator, WireClient, WireError, WireServer, WireTransport,
+    FailoverClient, FailoverStats, RemoteValidator, WireClient, WireError, WireServer,
+    WireTransport,
 };
 
 fn alice() -> PrincipalId {
@@ -216,8 +217,19 @@ fn cluster_elects_replicates_and_fails_over_on_tcp() {
     ])
     .with_retry(RetryPolicy::default());
     let rmc = client
-        .activate(&alice(), "logged_in", vec![Value::id("alice")], vec![], 2)
+        .call(|c| c.activate(&alice(), "logged_in", vec![Value::id("alice")], vec![], 2))
         .expect("activation reaches the leader via hint");
+    // The chase's first hint costs no backoff: one dial to the follower,
+    // one straight to the leader it named.
+    assert_eq!(
+        client.stats(),
+        FailoverStats {
+            dials: 2,
+            not_leader_answers: 1,
+            hint_follows: 1,
+            rotations: 1,
+        }
+    );
 
     // The issuance journalled through the quorum path: both followers'
     // journal regions converge to the leader's bytes.
@@ -250,17 +262,20 @@ fn cluster_elects_replicates_and_fails_over_on_tcp() {
     );
 
     // The same client keeps working across the failover: its cached
-    // connection answers NotLeader with the new hint, and the revoke
-    // lands on the promoted node.
+    // connection answers NotLeader with the new hint, and the validation
+    // lands on the promoted node, which vouches for the recovered record.
+    client
+        .call(|c| c.validate(&Credential::Rmc(rmc.clone()), &alice(), 3))
+        .expect("the recovered record validates through the chase");
     let was_active = client
-        .revoke(rmc.crr.cert_id.0, "deposed-leader test", 3)
+        .call(|c| c.revoke(rmc.crr.cert_id.0, "deposed-leader test", 3))
         .expect("revoke survives the leadership change");
     assert!(was_active, "promoted node recovered the issuance");
 
     // And the promoted node serves a gap-free resync of a revocation
     // the original leader never journalled.
     let (events, complete) = client
-        .resync("cred.revoked.login", 0)
+        .call(|c| c.resync("cred.revoked.login", 0))
         .expect("resync from promoted node");
     assert!(complete, "promoted ring replays complete");
     assert_eq!(events.len(), 1);

@@ -4,9 +4,7 @@
 
 use std::sync::Arc;
 
-use oasis_core::{
-    Atom, Credential, EnvContext, OasisService, ServiceConfig, Term, Value, ValueType,
-};
+use oasis_core::{Atom, Credential, OasisService, ServiceConfig, Term, Value, ValueType};
 use oasis_facts::FactStore;
 use oasis_wire::{WireClient, WireError, WireServer};
 
@@ -194,8 +192,8 @@ fn many_concurrent_clients() {
 
 #[test]
 fn server_side_context_factory_applies() {
-    // A role gated on $now < 100, activated through the wire: the server's
-    // context factory controls the clock the rule sees.
+    // A role gated on $now < 100, activated through the wire: the server
+    // evaluates the rule at the virtual time the client sent.
     let facts = Arc::new(FactStore::new());
     let svc = OasisService::new(ServiceConfig::new("timed"), facts);
     svc.define_role("day_role", &[], true).unwrap();
@@ -210,7 +208,7 @@ fn server_side_context_factory_applies() {
         vec![],
     )
     .unwrap();
-    let addr = WireServer::bind_with_context(svc, "127.0.0.1:0", Arc::new(EnvContext::new))
+    let addr = WireServer::bind(svc, "127.0.0.1:0")
         .unwrap()
         .serve_in_background()
         .unwrap();
