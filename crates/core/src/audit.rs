@@ -198,15 +198,6 @@ impl AuditLog {
         self.entries_where(|e| e.kind.tag() == tag)
     }
 
-    /// Entries with sequence number `from` or later — the incremental
-    /// read used by trace recorders that drain the log once per tick
-    /// without re-scanning history.
-    pub fn entries_since(&self, from: u64) -> Vec<AuditEntry> {
-        let entries = self.entries.lock();
-        let start = (from as usize).min(entries.len());
-        entries[start..].to_vec()
-    }
-
     /// Number of entries.
     pub fn len(&self) -> usize {
         self.entries.lock().len()
@@ -264,23 +255,6 @@ mod tests {
         log.record(10, AuditKind::CertExpired { crr: crr(1) });
         log.record(20, AuditKind::CertExpired { crr: crr(2) });
         assert_eq!(log.entries_where(|e| e.at >= 15).len(), 1);
-    }
-
-    #[test]
-    fn entries_since_drains_incrementally() {
-        let log = AuditLog::new();
-        for i in 0..4 {
-            log.record(i, AuditKind::CertExpired { crr: crr(i) });
-        }
-        assert_eq!(log.entries_since(0).len(), 4);
-        let tail = log.entries_since(2);
-        assert_eq!(tail.len(), 2);
-        assert_eq!(tail[0].seq, 2);
-        assert!(log.entries_since(4).is_empty());
-        assert!(
-            log.entries_since(99).is_empty(),
-            "past-end is empty, not a panic"
-        );
     }
 
     #[test]

@@ -110,7 +110,6 @@ pub struct EnvContext {
     now: u64,
     ambient: HashMap<String, Value>,
     predicates: HashMap<String, PredicateFn>,
-    trace: Option<oasis_obs::TraceCtx>,
 }
 
 impl EnvContext {
@@ -120,21 +119,7 @@ impl EnvContext {
             now,
             ambient: HashMap::new(),
             predicates: HashMap::new(),
-            trace: None,
         }
-    }
-
-    /// Attaches a causal trace context; the service parents the spans of
-    /// the operation evaluated under this environment on it.
-    #[must_use]
-    pub fn with_trace(mut self, trace: oasis_obs::TraceCtx) -> Self {
-        self.trace = Some(trace);
-        self
-    }
-
-    /// The causal trace context, if the request is traced.
-    pub fn trace(&self) -> Option<oasis_obs::TraceCtx> {
-        self.trace
     }
 
     /// Adds an ambient named value (host, location, …).
@@ -187,11 +172,6 @@ impl EnvContext {
             Some(p) => p(args, self),
             None => false,
         }
-    }
-
-    /// Whether a predicate with this name is registered.
-    pub fn has_predicate(&self, name: &str) -> bool {
-        self.predicates.contains_key(name)
     }
 }
 
@@ -253,7 +233,6 @@ mod tests {
     fn unknown_predicate_denies() {
         let ctx = EnvContext::new(0);
         assert!(!ctx.eval_predicate("ghost", &[]));
-        assert!(!ctx.has_predicate("ghost"));
     }
 
     #[test]

@@ -15,7 +15,9 @@
 //! * **Deadlines** ([`Deadline`]): clients propagate a budget with each
 //!   request; the [`AdmissionController`] drops requests whose deadline
 //!   passed while queued *before* doing any work, and never grants a permit
-//!   past the deadline.
+//!   past the deadline. A queued [`Ticket`] holds its request's deadline
+//!   and nothing else of the request: the wire server keeps the request
+//!   itself, with its causal trace context, beside the ticket.
 //! * **Adaptive concurrency** (AIMD): each lane's limit grows additively
 //!   while observed *service* latency (permit grant → completion) stays
 //!   under the lane's target and backs off multiplicatively when it
@@ -25,15 +27,21 @@
 //!   the limiter, any backlog would read as slow service and shrink the
 //!   limit exactly when work is queued.
 //! * **Shed hints**: rejected requests carry a `retry_after_ms` estimate
-//!   derived from the lane's queue depth and EWMA service time
-//!   ([`oasis_events::LoadTracker`]), so clients back off proportionally to
-//!   real load instead of guessing.
+//!   derived from the lane's queue depth and EWMA service time, so clients
+//!   back off proportionally to real load instead of guessing.
 //!
 //! Admission never blocks: [`AdmissionController::submit`] admits, queues,
 //! sheds or refuses at once, and the owner of a queued [`Ticket`] resolves
 //! it with [`AdmissionController::poll`] (the wire server polls its parked
 //! tickets after every turn). That is the only admission path, and the
 //! limits are always enforced.
+//!
+//! The controller belongs to the server that admits through it
+//! (`WireServer` in `oasis-wire` builds one per server); the service it
+//! guards holds no reference to it. Its stats are read from the
+//! controller itself ([`AdmissionController::stats`]) or from its
+//! registry ([`AdmissionController::metrics`]), which the server adopts
+//! into the service's recorder as `<id>.overload`.
 //!
 //! Time is abstracted behind [`Clock`] so the deterministic simulator and
 //! the virtual-clock tests can drive queue-expiry logic tick by tick
@@ -44,7 +52,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use oasis_events::LoadTracker;
 use parking_lot::{Mutex, MutexGuard};
 
 // ---------------------------------------------------------------------------
@@ -384,6 +391,52 @@ impl OverloadStats {
 // Controller internals
 // ---------------------------------------------------------------------------
 
+/// Exponentially weighted moving average of one lane's observed latency
+/// (service time or queue wait), in clock ms. The lane lock gives it
+/// exterior mutability.
+#[derive(Default)]
+struct LoadTracker {
+    ewma_ms: f64,
+    samples: u64,
+}
+
+impl LoadTracker {
+    /// Smoothing factor: recent samples dominate quickly, so a lane that
+    /// suddenly slows raises its hints within a handful of completions.
+    const ALPHA: f64 = 0.2;
+
+    /// Records one latency sample; the first seeds the average exactly.
+    fn observe(&mut self, latency_ms: u64) {
+        self.samples += 1;
+        if self.samples == 1 {
+            self.ewma_ms = latency_ms as f64;
+        } else {
+            self.ewma_ms += Self::ALPHA * (latency_ms as f64 - self.ewma_ms);
+        }
+    }
+
+    /// Current smoothed latency (0.0 until the first sample).
+    fn ewma_ms(&self) -> f64 {
+        self.ewma_ms
+    }
+
+    /// How long a newly arrived request would wait before *starting*
+    /// service, given `queued` requests ahead of it and `concurrency`
+    /// parallel executors: `ceil((queued + 1) / concurrency) * ewma`,
+    /// floored at 1 so a shed client never retries in a zero-ms tight
+    /// loop.
+    fn drain_estimate_ms(&self, queued: usize, concurrency: u32) -> u64 {
+        let conc = concurrency.max(1) as u64;
+        let waves = (queued as u64 + 1).div_ceil(conc);
+        let per_wave = if self.samples == 0 {
+            1.0
+        } else {
+            self.ewma_ms.max(1.0)
+        };
+        ((waves as f64 * per_wave).ceil() as u64).max(1)
+    }
+}
+
 struct QueuedTicket {
     id: u64,
     deadline: Deadline,
@@ -415,8 +468,8 @@ impl LaneState {
             earliest_deadline_ms: u64::MAX,
             next_ticket: 0,
             last_decrease_ms: 0,
-            load: LoadTracker::new(),
-            queue_wait: LoadTracker::new(),
+            load: LoadTracker::default(),
+            queue_wait: LoadTracker::default(),
             series,
         };
         state.publish();
@@ -515,7 +568,6 @@ pub struct Ticket {
     id: u64,
     deadline: Deadline,
     submitted_ms: u64,
-    trace: Option<oasis_obs::TraceCtx>,
 }
 
 impl Ticket {
@@ -527,12 +579,6 @@ impl Ticket {
     /// The deadline carried by the queued request.
     pub fn deadline(&self) -> Deadline {
         self.deadline
-    }
-
-    /// The causal trace context carried by the queued request, if the
-    /// caller was traced ([`AdmissionController::submit_traced`]).
-    pub fn trace(&self) -> Option<oasis_obs::TraceCtx> {
-        self.trace
     }
 }
 
@@ -634,18 +680,6 @@ impl AdmissionController {
     /// is at its bound, and refuses outright when the deadline has already
     /// passed.
     pub fn submit(self: &Arc<Self>, lane: Lane, deadline: Deadline) -> Submission {
-        self.submit_traced(lane, deadline, None)
-    }
-
-    /// [`AdmissionController::submit`] carrying a causal trace context;
-    /// a queued [`Ticket`] keeps the context so the executor can resume
-    /// the causal chain when the ticket resolves.
-    pub fn submit_traced(
-        self: &Arc<Self>,
-        lane: Lane,
-        deadline: Deadline,
-        trace: Option<oasis_obs::TraceCtx>,
-    ) -> Submission {
         let now = self.clock.now_ms();
         let cfg = self.config.lane(lane);
         let mut state = self.lane(lane);
@@ -681,7 +715,6 @@ impl AdmissionController {
             id,
             deadline,
             submitted_ms: now,
-            trace,
         })
     }
 
@@ -1017,6 +1050,48 @@ mod tests {
         drop(granted);
         drop(expired);
         assert_eq!(ctrl.stats().lane(Lane::Validation).cancelled, 0);
+    }
+
+    #[test]
+    fn first_sample_seeds_ewma_exactly() {
+        let mut t = LoadTracker::default();
+        assert_eq!(t.ewma_ms(), 0.0);
+        t.observe(40);
+        assert_eq!(t.ewma_ms(), 40.0);
+        assert_eq!(t.samples, 1);
+    }
+
+    #[test]
+    fn ewma_converges_toward_recent_latency() {
+        let mut t = LoadTracker::default();
+        t.observe(10);
+        for _ in 0..50 {
+            t.observe(100);
+        }
+        assert!(
+            t.ewma_ms() > 90.0,
+            "ewma {} should approach 100",
+            t.ewma_ms()
+        );
+    }
+
+    #[test]
+    fn drain_estimate_scales_with_queue_and_concurrency() {
+        let mut t = LoadTracker::default();
+        t.observe(20);
+        // 7 ahead + self = 8 requests, 4 lanes => 2 waves of ~20ms.
+        assert_eq!(t.drain_estimate_ms(7, 4), 40);
+        // Single executor: 8 waves.
+        assert_eq!(t.drain_estimate_ms(7, 1), 160);
+    }
+
+    #[test]
+    fn drain_estimate_never_zero() {
+        let t = LoadTracker::default();
+        assert!(t.drain_estimate_ms(0, 8) >= 1);
+        let mut t = LoadTracker::default();
+        t.observe(0);
+        assert!(t.drain_estimate_ms(0, 8) >= 1);
     }
 
     #[test]

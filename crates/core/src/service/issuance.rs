@@ -148,7 +148,7 @@ impl OasisService {
         }
         let obs = self.obs.read();
         if obs.sink.is_recording() {
-            if let Some(trace) = ctx.trace().or_else(oasis_obs::current) {
+            if let Some(trace) = oasis_obs::current() {
                 obs.sink.emit(
                     trace,
                     self.id.as_str(),
@@ -383,7 +383,7 @@ impl OasisService {
         }
         let obs = self.obs.read();
         if obs.sink.is_recording() {
-            if let Some(trace) = ctx.trace().or_else(oasis_obs::current) {
+            if let Some(trace) = oasis_obs::current() {
                 obs.sink
                     .emit(trace, self.id.as_str(), "svc.invoke", ctx.now(), ctx.now());
             }

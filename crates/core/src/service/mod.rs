@@ -64,7 +64,6 @@ use crate::audit::AuditLog;
 use crate::cert::{revocation_topic, CertEvent, CredRecord, Crr};
 use crate::durable::ServiceJournal;
 use crate::ids::{CertId, RoleName, ServiceId};
-use crate::overload::{AdmissionController, OverloadStats};
 use crate::pattern::Term;
 use crate::plan::{CheckPlan, PlanSeries, RulePlan};
 use crate::role::RoleDef;
@@ -446,7 +445,6 @@ pub struct OasisService {
     fa: Option<FailureAware>,
     durable: Option<Durable>,
     validator: RwLock<Option<Arc<dyn CredentialValidator>>>,
-    overload: RwLock<Option<Arc<AdmissionController>>>,
     obs: RwLock<ServiceObs>,
     /// The service's own registry: the request counters at its root and
     /// the `plan.*`, `vcache.*` and `degradation.*` sets.
@@ -512,7 +510,6 @@ impl OasisService {
                 retain_publishes: config.revocation_retention.is_some(),
             }),
             validator: RwLock::new(None),
-            overload: RwLock::new(None),
             obs: RwLock::new(ServiceObs::attach(Arc::new(oasis_obs::NoopRecorder))),
             requests: RequestCounters::resolve(&metrics),
             plans: PlanSeries::resolve(&metrics, "plan"),
@@ -589,39 +586,22 @@ impl OasisService {
         *self.validator.write() = Some(validator);
     }
 
-    /// Installs the admission controller guarding this service's front
-    /// door (normally done by `oasis-wire` when overload control is
-    /// enabled), making its stats visible through the service. Its series
-    /// are adopted into the installed recorder as `<id>.overload.*`,
-    /// replacing a previous controller's.
-    pub fn set_overload(&self, controller: Arc<AdmissionController>) {
-        self.obs.read().recorder.adopt(
-            &format!("{}.overload", self.id.as_str()),
-            controller.metrics(),
-        );
-        *self.overload.write() = Some(controller);
-    }
-
-    /// The installed admission controller, if any.
-    pub fn overload(&self) -> Option<Arc<AdmissionController>> {
-        self.overload.read().clone()
-    }
-
     /// Installs an observability recorder: causal spans are recorded
     /// through it, and it adopts the service's series — the request
     /// counters and the `plan`, `vcache` and `degradation` sets as
-    /// `<id>.*`, the event bus as `<id>.bus.*` and, when installed, the
-    /// admission controller as `<id>.overload.*` — so one
+    /// `<id>.*` and the event bus as `<id>.bus.*` — so one
     /// [`oasis_obs::Recorder::snapshot_json`] call returns the whole
     /// service. The series count from construction on, whether or not a
     /// recorder is installed.
+    ///
+    /// A server serving the service (`WireServer` in `oasis-wire`) adds
+    /// its own series to the recorder installed when it starts serving,
+    /// its admission controller's as `<id>.overload.*` among them; install
+    /// the recorder before serving.
     pub fn set_obs(self: &Arc<Self>, recorder: Arc<dyn oasis_obs::Recorder>) {
         let id = self.id.as_str();
         recorder.adopt(id, &self.metrics);
         recorder.adopt(&format!("{id}.bus"), self.bus.metrics());
-        if let Some(ctrl) = self.overload.read().as_ref() {
-            recorder.adopt(&format!("{id}.overload"), ctrl.metrics());
-        }
         *self.obs.write() = ServiceObs::attach(recorder);
     }
 
@@ -635,12 +615,6 @@ impl OasisService {
     /// series).
     pub fn metrics(&self) -> &oasis_obs::Registry {
         &self.metrics
-    }
-
-    /// Overload-control counters, or `None` when no admission controller
-    /// is installed (see [`OasisService::set_overload`]).
-    pub fn overload_stats(&self) -> Option<OverloadStats> {
-        self.overload.read().as_ref().map(|c| c.stats())
     }
 
     /// Virtual time of the most recent operation this service handled.

@@ -110,29 +110,6 @@ impl HeartbeatMonitor {
         );
     }
 
-    /// Removes a source from monitoring, returning whether it was present.
-    pub fn deregister(&self, source: &SourceId) -> bool {
-        self.sources.write().remove(source).is_some()
-    }
-
-    /// Changes a source's expected interval without touching its last
-    /// beat — unlike [`HeartbeatMonitor::register`], which also resets the
-    /// beat clock. Returns `false` if the source is unknown.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `interval` is zero.
-    pub fn set_interval(&self, source: &SourceId, interval: u64) -> bool {
-        assert!(interval >= 1, "interval must be at least 1");
-        match self.sources.write().get_mut(source) {
-            Some(state) => {
-                state.interval = interval;
-                true
-            }
-            None => false,
-        }
-    }
-
     /// Records a heartbeat from `source` at time `now`. Beats older than the
     /// last recorded beat are ignored (late-arriving network messages).
     /// Returns `false` if the source is unknown.
@@ -255,15 +232,6 @@ mod tests {
     }
 
     #[test]
-    fn deregistered_source_disappears() {
-        let (m, s) = monitor();
-        assert!(m.deregister(&s));
-        assert!(!m.deregister(&s));
-        assert_eq!(m.health(&s, 0), None);
-        assert_eq!(m.source_count(), 0);
-    }
-
-    #[test]
     #[should_panic(expected = "interval")]
     fn zero_interval_rejected() {
         let m = HeartbeatMonitor::new(1);
@@ -292,20 +260,6 @@ mod tests {
     }
 
     #[test]
-    fn set_interval_reclassifies_without_resetting_beat() {
-        let (m, s) = monitor();
-        m.beat(&s, 10);
-        assert_eq!(m.health(&s, 25), Some(SourceHealth::Late));
-        // Widening the interval mid-flight forgives the same silence...
-        assert!(m.set_interval(&s, 20));
-        assert_eq!(m.health(&s, 25), Some(SourceHealth::Healthy));
-        // ...and narrowing it condemns it, still against the old beat.
-        assert!(m.set_interval(&s, 4));
-        assert_eq!(m.health(&s, 25), Some(SourceHealth::Dead));
-        assert!(!m.set_interval(&SourceId::new("ghost"), 5));
-    }
-
-    #[test]
     fn reregister_resets_the_beat_clock() {
         let (m, s) = monitor();
         assert_eq!(m.health(&s, 40), Some(SourceHealth::Dead));
@@ -325,12 +279,5 @@ mod tests {
         assert_eq!(m.health(&s, 131), Some(SourceHealth::Dead));
         assert!(m.beat(&s, 140));
         assert_eq!(m.health(&s, 141), Some(SourceHealth::Healthy));
-    }
-
-    #[test]
-    #[should_panic(expected = "interval")]
-    fn set_interval_rejects_zero() {
-        let (m, s) = monitor();
-        m.set_interval(&s, 0);
     }
 }

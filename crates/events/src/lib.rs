@@ -58,13 +58,11 @@
 mod bus;
 mod error;
 mod heartbeat;
-mod load;
 mod stats;
 mod topic;
 
 pub use bus::{CallbackId, DeliveredEvent, EventBus};
 pub use error::EventError;
 pub use heartbeat::{HeartbeatMonitor, SourceHealth, SourceId};
-pub use load::LoadTracker;
 pub use stats::BusStats;
 pub use topic::{Topic, TopicPattern};

@@ -30,34 +30,3 @@ oasis_obs::stats_set! {
         retained_evictions: u64 = counter,
     }
 }
-
-impl BusStats {
-    /// Average fan-out per publication, or 0.0 when nothing was published.
-    pub fn fan_out(&self) -> f64 {
-        if self.published == 0 {
-            0.0
-        } else {
-            self.delivered as f64 / self.published as f64
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fan_out_handles_zero_publications() {
-        assert_eq!(BusStats::default().fan_out(), 0.0);
-    }
-
-    #[test]
-    fn fan_out_is_average_deliveries() {
-        let stats = BusStats {
-            published: 2,
-            delivered: 6,
-            ..BusStats::default()
-        };
-        assert_eq!(stats.fan_out(), 3.0);
-    }
-}

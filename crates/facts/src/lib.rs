@@ -45,4 +45,4 @@ mod relation;
 mod store;
 
 pub use error::FactError;
-pub use store::{FactChange, FactStore, WatchId};
+pub use store::{FactChange, FactStore};

@@ -11,10 +11,6 @@ use parking_lot::RwLock;
 use crate::error::FactError;
 use crate::relation::Relation;
 
-/// Identifier of a registered watcher.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct WatchId(pub u64);
-
 /// A change applied to the store, as seen by watchers.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FactChange<V> {
@@ -60,8 +56,8 @@ type Watcher<V> = Arc<dyn Fn(&FactChange<V>) + Send + Sync>;
 /// OASIS environmental constraints, and an example.
 pub struct FactStore<V> {
     relations: RwLock<HashMap<String, Relation<V>>>,
-    watchers: RwLock<HashMap<WatchId, Watcher<V>>>,
-    next_watch: AtomicU64,
+    /// In registration order, which is the order they run in.
+    watchers: RwLock<Vec<Watcher<V>>>,
     /// Bumped on every effective insert/retract, before watchers run.
     /// Readers that cache derived state (e.g. compiled membership
     /// re-checks) compare epochs to skip work when nothing changed.
@@ -81,8 +77,7 @@ impl<V> Default for FactStore<V> {
     fn default() -> Self {
         Self {
             relations: RwLock::new(HashMap::new()),
-            watchers: RwLock::new(HashMap::new()),
-            next_watch: AtomicU64::new(1),
+            watchers: RwLock::new(Vec::new()),
             epoch: AtomicU64::new(0),
         }
     }
@@ -339,22 +334,16 @@ impl<V: Clone + Eq + Hash> FactStore<V> {
         Ok(store)
     }
 
-    /// Registers a watcher invoked synchronously on every effective change.
-    pub fn watch(&self, watcher: impl Fn(&FactChange<V>) + Send + Sync + 'static) -> WatchId {
-        let id = WatchId(self.next_watch.fetch_add(1, Ordering::Relaxed));
-        self.watchers.write().insert(id, Arc::new(watcher));
-        id
-    }
-
-    /// Removes a watcher; returns whether it existed.
-    pub fn unwatch(&self, id: WatchId) -> bool {
-        self.watchers.write().remove(&id).is_some()
+    /// Registers a watcher invoked synchronously on every effective
+    /// change, after the watchers registered before it.
+    pub fn watch(&self, watcher: impl Fn(&FactChange<V>) + Send + Sync + 'static) {
+        self.watchers.write().push(Arc::new(watcher));
     }
 
     fn notify(&self, change: &FactChange<V>) {
         // Clone the watcher list out so watchers may themselves mutate the
         // store (e.g. a revocation cascade retracting further facts).
-        let watchers: Vec<Watcher<V>> = self.watchers.read().values().cloned().collect();
+        let watchers: Vec<Watcher<V>> = self.watchers.read().clone();
         for watcher in watchers {
             watcher(change);
         }
@@ -464,16 +453,15 @@ mod tests {
     }
 
     #[test]
-    fn unwatch_stops_notifications() {
+    fn watchers_run_in_registration_order() {
         let s = store();
-        let count = Arc::new(Mutex::new(0));
-        let count2 = Arc::clone(&count);
-        let id = s.watch(move |_| *count2.lock() += 1);
-        s.insert("registered", t2("a", "b")).unwrap();
-        assert!(s.unwatch(id));
-        assert!(!s.unwatch(id));
-        s.insert("registered", t2("c", "d")).unwrap();
-        assert_eq!(*count.lock(), 1);
+        let order = Arc::new(Mutex::new(Vec::new()));
+        for i in 0..8 {
+            let order = Arc::clone(&order);
+            s.watch(move |_| order.lock().push(i));
+        }
+        s.insert("registered", t2("d", "p")).unwrap();
+        assert_eq!(*order.lock(), (0..8).collect::<Vec<_>>());
     }
 
     #[test]

@@ -15,9 +15,11 @@
 //!   component's own registry and shared into a caller's with
 //!   [`Recorder::adopt`].
 //! * [`TraceCtx`] / [`SpanSink`] — a three-integer causal context
-//!   propagated in the wire envelope next to the deadline frame, through
-//!   admission tickets, plan activation, quorum append, and cascade
-//!   fan-out; spans serialize as sorted-key JSONL and are
+//!   propagated in the wire envelope next to the deadline frame and in
+//!   delivered bus events; inside a process it is the ambient context
+//!   ([`scope`] pins it, [`current`] reads it), which the wire server
+//!   pins around each request and plan activation, quorum append and
+//!   cascade fan-out read. Spans serialize as sorted-key JSONL and are
 //!   byte-deterministic under a virtual clock, so the conformance matrix
 //!   replays them.
 //! * [`encode`] — the canonical JSON encoder everything above (and

@@ -81,29 +81,9 @@ impl Trace {
         self.lines.borrow_mut().push(render(&map));
     }
 
-    /// Records a record built purely from `fields` (summary lines that
-    /// have no single tick).
-    pub fn push_fields(&self, fields: &[(&str, TraceValue)]) {
-        let mut map: BTreeMap<&str, TraceValue> = BTreeMap::new();
-        for (key, value) in fields {
-            map.insert(key, value.clone());
-        }
-        self.lines.borrow_mut().push(render(&map));
-    }
-
     /// A snapshot of the recorded lines.
     pub fn lines(&self) -> Vec<String> {
         self.lines.borrow().clone()
-    }
-
-    /// The whole trace as one newline-terminated JSONL document.
-    pub fn to_jsonl(&self) -> String {
-        let lines = self.lines.borrow();
-        if lines.is_empty() {
-            String::new()
-        } else {
-            lines.join("\n") + "\n"
-        }
     }
 
     /// Number of recorded lines.
@@ -178,13 +158,14 @@ mod tests {
     #[test]
     fn raw_values_embed_verbatim() {
         let trace = Trace::new();
-        trace.push_fields(&[
-            ("stats", TraceValue::Raw(r#"{"a":1}"#.to_string())),
-            ("tick", 9u64.into()),
-        ]);
+        trace.log_kv(
+            9,
+            "final state",
+            &[("stats", TraceValue::Raw(r#"{"a":1}"#.to_string()))],
+        );
         assert_eq!(
             trace.lines(),
-            vec![r#"{"stats":{"a":1},"tick":9}"#.to_string()]
+            vec![r#"{"event":"final state","stats":{"a":1},"tick":9}"#.to_string()]
         );
     }
 
@@ -209,7 +190,10 @@ mod tests {
         handle.log(1, "via clone");
         assert_eq!(trace.len(), 1);
         assert!(!trace.is_empty());
-        assert_eq!(trace.to_jsonl(), "{\"event\":\"via clone\",\"tick\":1}\n");
+        assert_eq!(
+            trace.lines(),
+            vec![r#"{"event":"via clone","tick":1}"#.to_string()]
+        );
     }
 
     #[test]
@@ -217,11 +201,11 @@ mod tests {
         let record = |t: &Trace| {
             t.log(1, "start");
             t.log_kv(2, "step", &[("n", 4u64.into())]);
-            t.push_fields(&[("done", true.into())]);
+            t.log_kv(3, "end", &[("done", true.into())]);
         };
         let (a, b) = (Trace::new(), Trace::new());
         record(&a);
         record(&b);
-        assert_eq!(a.to_jsonl(), b.to_jsonl());
+        assert_eq!(a.lines(), b.lines());
     }
 }

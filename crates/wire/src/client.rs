@@ -13,46 +13,10 @@ use crate::error::WireError;
 use crate::frame::{encode_frame, FrameBuf};
 use crate::proto::{EnvelopeRef, Request, Response};
 
-/// Deadlines for the blocking client's socket operations. `None` means
-/// block indefinitely for that operation.
-///
-/// Expired deadlines surface as [`WireError::TimedOut`] naming the
-/// operation, so callers (notably
-/// [`RemoteValidator`](crate::RemoteValidator)) can classify the failure
-/// as transient.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WireTimeouts {
-    /// Deadline for establishing the TCP connection.
-    pub connect: Option<Duration>,
-    /// Deadline for each read from the stream.
-    pub read: Option<Duration>,
-    /// Deadline for each write to the stream.
-    pub write: Option<Duration>,
-}
-
-impl Default for WireTimeouts {
-    /// Five seconds for each operation — generous for a LAN callback,
-    /// bounded enough that a partitioned issuer cannot hang a validation
-    /// forever.
-    fn default() -> Self {
-        Self {
-            connect: Some(Duration::from_secs(5)),
-            read: Some(Duration::from_secs(5)),
-            write: Some(Duration::from_secs(5)),
-        }
-    }
-}
-
-impl WireTimeouts {
-    /// The same deadline for connect, read, and write.
-    pub fn all(deadline: Duration) -> Self {
-        Self {
-            connect: Some(deadline),
-            read: Some(deadline),
-            write: Some(deadline),
-        }
-    }
-}
+/// The default socket deadline of a connection: five seconds, generous
+/// for a LAN callback, bounded enough that a partitioned issuer cannot
+/// hang a validation forever.
+pub(crate) const DEFAULT_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// A blocking OASIS client over TCP.
 ///
@@ -71,7 +35,7 @@ pub struct WireClient {
     /// [`READ_CHUNK`] bytes, so one `read` usually carries a whole
     /// answer, header and payload, and may carry the next one too.
     inbound: FrameBuf,
-    /// Default deadline budget attached to every call (see
+    /// Deadline budget attached to every call (see
     /// [`WireClient::set_deadline_ms`]).
     deadline_ms: Option<u64>,
     /// Causal trace context attached to every call (see
@@ -92,59 +56,49 @@ impl std::fmt::Debug for WireClient {
 }
 
 impl WireClient {
-    /// Connects to a serving address with the default deadlines
-    /// ([`WireTimeouts::default`]: 5 s per operation).
+    /// Connects to a serving address with the default socket deadline
+    /// (5 s).
     ///
     /// # Errors
     ///
     /// [`WireError::Io`] if the connection fails, or
     /// [`WireError::TimedOut`] if it does not complete in time.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Self, WireError> {
-        Self::connect_with(addr, WireTimeouts::default())
+        Self::connect_with(addr, DEFAULT_TIMEOUT)
     }
 
-    /// Connects with explicit deadlines. With `timeouts.connect` set,
-    /// each resolved address is tried in turn under that deadline.
+    /// Connects with an explicit socket deadline: each resolved address
+    /// is tried in turn under it, and it bounds every later read and
+    /// write. An expired deadline surfaces as [`WireError::TimedOut`]
+    /// naming the operation, so callers (notably
+    /// [`RemoteValidator`](crate::RemoteValidator)) can classify the
+    /// failure as transient.
     ///
     /// # Errors
     ///
-    /// [`WireError::TimedOut`] when a deadline expires, [`WireError::Io`]
-    /// for other socket failures.
-    pub fn connect_with(
-        addr: impl ToSocketAddrs,
-        timeouts: WireTimeouts,
-    ) -> Result<Self, WireError> {
-        let stream = match timeouts.connect {
-            None => TcpStream::connect(addr)?,
-            Some(deadline) => {
-                let mut last: Option<std::io::Error> = None;
-                let mut connected = None;
-                for candidate in addr.to_socket_addrs()? {
-                    match TcpStream::connect_timeout(&candidate, deadline) {
-                        Ok(s) => {
-                            connected = Some(s);
-                            break;
-                        }
-                        Err(e) => last = Some(e),
-                    }
+    /// [`WireError::TimedOut`] when the deadline expires, [`WireError::Io`]
+    /// for other socket failures (a zero `timeout` among them).
+    pub fn connect_with(addr: impl ToSocketAddrs, timeout: Duration) -> Result<Self, WireError> {
+        let mut last: Option<std::io::Error> = None;
+        let mut connected = None;
+        for candidate in addr.to_socket_addrs()? {
+            match TcpStream::connect_timeout(&candidate, timeout) {
+                Ok(s) => {
+                    connected = Some(s);
+                    break;
                 }
-                match connected {
-                    Some(s) => s,
-                    None => {
-                        let err = last.unwrap_or_else(|| {
-                            std::io::Error::new(
-                                std::io::ErrorKind::AddrNotAvailable,
-                                "address resolved to nothing",
-                            )
-                        });
-                        return Err(WireError::Io(err).normalise_timeout("connect"));
-                    }
-                }
+                Err(e) => last = Some(e),
             }
+        }
+        let Some(stream) = connected else {
+            let err = last.unwrap_or_else(|| {
+                std::io::Error::new(ErrorKind::AddrNotAvailable, "address resolved to nothing")
+            });
+            return Err(WireError::Io(err).normalise_timeout("connect"));
         };
         stream.set_nodelay(true).ok();
-        stream.set_read_timeout(timeouts.read)?;
-        stream.set_write_timeout(timeouts.write)?;
+        stream.set_read_timeout(Some(timeout))?;
+        stream.set_write_timeout(Some(timeout))?;
         Ok(Self {
             stream,
             inbound: FrameBuf::default(),
@@ -153,11 +107,11 @@ impl WireClient {
         })
     }
 
-    /// Sets the default deadline budget (in ms) propagated with every
-    /// subsequent call; `None` removes it. The server computes the
-    /// absolute deadline when it reads the frame, counts queueing time
-    /// against it, and answers [`WireError::DeadlineExceeded`] instead of
-    /// executing a request whose budget ran out.
+    /// Sets the deadline budget (in ms) propagated with every subsequent
+    /// call; `None` removes it. The server computes the absolute deadline
+    /// when it reads the frame, counts queueing time against it, and
+    /// answers [`WireError::DeadlineExceeded`] instead of executing a
+    /// request whose budget ran out.
     pub fn set_deadline_ms(&mut self, deadline_ms: Option<u64>) {
         self.deadline_ms = deadline_ms;
     }
@@ -184,8 +138,8 @@ impl WireClient {
         self
     }
 
-    /// One request/response exchange, carrying the client's default
-    /// deadline budget (if any).
+    /// One request/response exchange, carrying the client's deadline
+    /// budget (if any).
     ///
     /// # Errors
     ///
@@ -195,26 +149,13 @@ impl WireClient {
     /// out server-side, or [`WireError::Remote`] for an application error
     /// reported by the server.
     pub fn call(&mut self, request: &Request) -> Result<Response, WireError> {
-        self.call_with_deadline(request, self.deadline_ms)
-    }
-
-    /// As [`WireClient::call`], with an explicit per-call deadline budget
-    /// overriding the client default.
-    ///
-    /// # Errors
-    ///
-    /// As [`WireClient::call`].
-    pub fn call_with_deadline(
-        &mut self,
-        request: &Request,
-        deadline_ms: Option<u64>,
-    ) -> Result<Response, WireError> {
-        self.send(request, deadline_ms)?;
+        self.send(request)?;
         self.recv()
     }
 
-    /// The first half of an exchange: writes `request` as one frame and
-    /// returns without waiting for the answer, which the next
+    /// The first half of an exchange: writes `request` as one frame,
+    /// with the client's deadline budget and trace context, and returns
+    /// without waiting for the answer, which the next
     /// [`WireClient::recv`] reads. A caller with several connections
     /// sends on all of them before it receives on any.
     ///
@@ -222,11 +163,11 @@ impl WireClient {
     ///
     /// [`WireError::FrameTooLarge`], or transport errors
     /// ([`WireError::TimedOut`] when the write deadline expires).
-    pub fn send(&mut self, request: &Request, deadline_ms: Option<u64>) -> Result<(), WireError> {
+    pub fn send(&mut self, request: &Request) -> Result<(), WireError> {
         // With neither a deadline nor a trace this is the bare request,
         // byte-identical to the pre-deadline format.
         let frame = encode_frame(&EnvelopeRef {
-            deadline_ms,
+            deadline_ms: self.deadline_ms,
             request,
             trace: self.trace,
         })?;
@@ -453,9 +394,9 @@ mod tests {
     use std::net::TcpListener;
 
     /// A client connected to a socket the test writes raw bytes to.
-    fn pair(timeouts: WireTimeouts) -> (WireClient, TcpStream) {
+    fn pair(timeout: Duration) -> (WireClient, TcpStream) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let client = WireClient::connect_with(listener.local_addr().unwrap(), timeouts).unwrap();
+        let client = WireClient::connect_with(listener.local_addr().unwrap(), timeout).unwrap();
         let (server, _) = listener.accept().unwrap();
         server.set_nodelay(true).unwrap();
         (client, server)
@@ -463,10 +404,7 @@ mod tests {
 
     #[test]
     fn recv_decodes_a_frame_split_across_two_writes() {
-        let (mut client, mut server) = pair(WireTimeouts {
-            read: Some(Duration::from_millis(50)),
-            ..WireTimeouts::default()
-        });
+        let (mut client, mut server) = pair(Duration::from_millis(50));
         let frame = encode_frame(&Response::Revoked { was_active: true }).unwrap();
         let (head, tail) = frame.split_at(6);
         server.write_all(head).unwrap();
@@ -485,7 +423,7 @@ mod tests {
 
     #[test]
     fn recv_reads_an_answer_larger_than_a_chunk() {
-        let (mut client, mut server) = pair(WireTimeouts::default());
+        let (mut client, mut server) = pair(DEFAULT_TIMEOUT);
         let snapshot = "x".repeat(5 * READ_CHUNK);
         let frame = encode_frame(&Response::Metrics {
             snapshot: snapshot.clone(),
@@ -497,7 +435,7 @@ mod tests {
 
     #[test]
     fn recv_returns_two_frames_from_one_read_in_order() {
-        let (mut client, mut server) = pair(WireTimeouts::default());
+        let (mut client, mut server) = pair(DEFAULT_TIMEOUT);
         let mut both = encode_frame(&Response::Pong).unwrap();
         both.extend(encode_frame(&Response::Revoked { was_active: false }).unwrap());
         server.write_all(&both).unwrap();

@@ -24,7 +24,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use epoll::Poller;
-use oasis_core::{AdmissionController, Deadline, OasisService, Ticket};
+use oasis_core::{AdmissionController, OasisService, Ticket};
 use oasis_json::FromJson;
 use parking_lot::Mutex;
 
@@ -62,9 +62,11 @@ pub(crate) struct Conn {
     frame_started_ms: u64,
 }
 
+/// A request waiting in a lane queue: its ticket (which holds its
+/// deadline), and the request with its causal trace context, re-established
+/// as the ambient scope when the ticket is granted.
 pub(crate) struct PendingRequest {
     pub(crate) ticket: Ticket,
-    pub(crate) deadline: Deadline,
     pub(crate) request: Request,
     pub(crate) trace: Option<oasis_obs::TraceCtx>,
 }

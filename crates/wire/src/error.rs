@@ -20,9 +20,10 @@ pub enum WireError {
     /// The peer closed the connection mid-exchange.
     Closed,
 
-    /// A connect, read, or write exceeded its configured deadline (see
-    /// [`WireTimeouts`](crate::WireTimeouts)). Transient: the peer may be
-    /// slow, partitioned, or restarting — retry with backoff.
+    /// A connect, read, or write exceeded the connection's socket
+    /// deadline ([`WireClient::connect_with`](crate::WireClient::connect_with)).
+    /// Transient: the peer may be slow, partitioned, or restarting —
+    /// retry with backoff.
     TimedOut {
         /// The operation that timed out (`"connect"`, `"read"`, `"write"`).
         op: &'static str,

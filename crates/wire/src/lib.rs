@@ -44,7 +44,7 @@ mod server;
 mod sync_client;
 mod transport;
 
-pub use client::{WireClient, WireTimeouts};
+pub use client::WireClient;
 pub use error::WireError;
 pub use server::WireServer;
 pub use sync_client::RemoteValidator;

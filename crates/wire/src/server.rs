@@ -35,7 +35,7 @@
 //!
 //! # Overload behaviour
 //!
-//! Every request passes the service's [`AdmissionController`]: it is
+//! Every request passes the server's [`AdmissionController`]: it is
 //! classified into a priority lane ([`Request::lane`]) —
 //! revocation/resync/ping above validation above issuance — and either
 //! granted an execution permit, queued in its lane's bounded queue, shed
@@ -103,12 +103,10 @@ impl WireServer {
     /// [`WireError::Io`] if the address cannot be bound.
     pub fn bind(service: Arc<OasisService>, addr: &str) -> Result<Self, WireError> {
         let listener = TcpListener::bind(addr)?;
-        let controller = AdmissionController::new(OverloadConfig::default());
-        service.set_overload(Arc::clone(&controller));
         Ok(Self {
             service,
             listener,
-            controller,
+            controller: AdmissionController::new(OverloadConfig::default()),
             replica: None,
         })
     }
@@ -133,17 +131,18 @@ impl WireServer {
     }
 
     /// Replaces the overload configuration (worker-pool size, accept
-    /// queue bound, idle timeout, per-lane limits). The fresh controller is
-    /// installed into the service so its stats stay reachable via
-    /// [`OasisService::overload_stats`].
+    /// queue bound, idle timeout, per-lane limits) with a fresh
+    /// controller; its stats are read through
+    /// [`controller`](Self::controller).
     #[must_use]
     pub fn with_overload(mut self, config: OverloadConfig) -> Self {
         self.controller = AdmissionController::new(config);
-        self.service.set_overload(Arc::clone(&self.controller));
         self
     }
 
-    /// The admission controller guarding this server. Grab a clone before
+    /// The admission controller guarding this server, the one owner of
+    /// request admission and its stats
+    /// ([`AdmissionController::stats`]). Grab a clone before
     /// [`serve`](Self::serve) consumes the server if you need live stats.
     pub fn controller(&self) -> Arc<AdmissionController> {
         Arc::clone(&self.controller)
@@ -166,6 +165,11 @@ impl WireServer {
     /// only its own connection. Transient `accept` failures are retried
     /// with capped backoff and audited; only fatal errors return.
     ///
+    /// The server's series — `<id>.wire.*` and its admission controller's
+    /// as `<id>.overload.*` — go to the recorder the service holds when
+    /// serving starts, so install it ([`OasisService::set_obs`]) before
+    /// serving; a recorder installed later sees neither.
+    ///
     /// # Errors
     ///
     /// [`WireError::Io`] carrying the fatal `accept` error, or the failure
@@ -173,6 +177,7 @@ impl WireServer {
     pub fn serve(self) -> Result<(), WireError> {
         let recorder = self.service.obs_recorder();
         let id = self.service.id().as_str();
+        recorder.adopt(&format!("{id}.overload"), self.controller.metrics());
         let pool = Pool {
             table: ConnTable::new(&self.service, Arc::clone(&self.controller))?,
             requests: recorder.counter(&format!("{id}.wire.requests")),
@@ -348,9 +353,12 @@ impl Pool {
                     return true;
                 }
                 PollOutcome::Expired => Response::DeadlineExceeded,
-                PollOutcome::Ready(permit) => {
-                    self.execute(permit, pending.deadline, pending.request, pending.trace)
-                }
+                PollOutcome::Ready(permit) => self.execute(
+                    permit,
+                    pending.ticket.deadline(),
+                    pending.request,
+                    pending.trace,
+                ),
             };
             if !self.respond(conn, &response) {
                 return false;
@@ -437,7 +445,6 @@ impl Pool {
             Submission::Queued(ticket) => {
                 conn.pending = Some(PendingRequest {
                     ticket,
-                    deadline,
                     request: envelope.request,
                     trace: envelope.trace,
                 });

@@ -15,12 +15,13 @@
 use std::collections::HashMap;
 use std::io::ErrorKind;
 use std::net::SocketAddr;
+use std::time::Duration;
 
 use parking_lot::Mutex;
 
 use oasis_core::{Credential, CredentialValidator, OasisError, PrincipalId, ServiceId};
 
-use crate::client::{WireClient, WireTimeouts};
+use crate::client::{WireClient, DEFAULT_TIMEOUT};
 use crate::error::WireError;
 use crate::transport::resolve_hint;
 
@@ -54,20 +55,20 @@ struct Issuer {
 ///   becomes the issuer's address. An unhinted `NotLeader` (an election
 ///   in progress) is [`OasisError::NoValidator`].
 ///
-/// Every callback carries a deadline budget equal to the read deadline of
-/// its [`WireTimeouts`], the point at which this validator stops
-/// listening: a saturated issuer drops a callback nobody waits for
+/// Every callback carries a deadline budget equal to the socket deadline
+/// ([`RemoteValidator::with_timeout`]), the point at which this validator
+/// stops listening: a saturated issuer drops a callback nobody waits for
 /// instead of executing it.
 pub struct RemoteValidator {
     issuers: Mutex<HashMap<ServiceId, Issuer>>,
-    timeouts: WireTimeouts,
+    timeout: Duration,
 }
 
 impl std::fmt::Debug for RemoteValidator {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RemoteValidator")
             .field("issuers", &self.issuers.lock().len())
-            .field("timeouts", &self.timeouts)
+            .field("timeout", &self.timeout)
             .finish()
     }
 }
@@ -79,20 +80,20 @@ impl Default for RemoteValidator {
 }
 
 impl RemoteValidator {
-    /// Creates an empty directory with the default socket deadlines
-    /// ([`WireTimeouts::default`]: 5 s each).
+    /// Creates an empty directory with the default socket deadline (5 s).
     pub fn new() -> Self {
         Self {
             issuers: Mutex::new(HashMap::new()),
-            timeouts: WireTimeouts::default(),
+            timeout: DEFAULT_TIMEOUT,
         }
     }
 
-    /// Replaces the socket deadlines used for new connections. The read
-    /// deadline is also the budget every callback carries.
+    /// Replaces the socket deadline of new connections (connect, each
+    /// read and each write). It is also the budget every callback
+    /// carries.
     #[must_use]
-    pub fn with_timeouts(mut self, timeouts: WireTimeouts) -> Self {
-        self.timeouts = timeouts;
+    pub fn with_timeout(mut self, timeout: Duration) -> Self {
+        self.timeout = timeout;
         self
     }
 
@@ -107,8 +108,8 @@ impl RemoteValidator {
     }
 
     fn dial(&self, addr: SocketAddr) -> Result<WireClient, WireError> {
-        let mut client = WireClient::connect_with(addr, self.timeouts)?;
-        client.set_deadline_ms(self.timeouts.read.map(|read| read.as_millis() as u64));
+        let mut client = WireClient::connect_with(addr, self.timeout)?;
+        client.set_deadline_ms(Some(self.timeout.as_millis() as u64));
         Ok(client)
     }
 

@@ -18,13 +18,14 @@
 
 use std::collections::HashMap;
 use std::net::{SocketAddr, ToSocketAddrs};
+use std::time::Duration;
 
 use parking_lot::Mutex;
 
 use oasis_core::retry::{Backoff, RetryPolicy};
 use oasis_store::{PeerReply, PeerRequest, ReplicationTransport, StoreError};
 
-use crate::client::{WireClient, WireTimeouts};
+use crate::client::{WireClient, DEFAULT_TIMEOUT};
 use crate::error::WireError;
 use crate::frame::encode_frame;
 use crate::proto::{PeerFrame, Response};
@@ -51,7 +52,6 @@ pub struct WireTransport {
     /// returns the ones that still work, so this lock is never held
     /// across socket I/O or a dial.
     connections: Mutex<HashMap<String, WireClient>>,
-    timeouts: WireTimeouts,
 }
 
 impl std::fmt::Debug for WireTransport {
@@ -62,24 +62,18 @@ impl std::fmt::Debug for WireTransport {
     }
 }
 
-impl WireTransport {
-    /// Builds a transport over a `node id -> address` directory, using
-    /// short per-operation deadlines (one second): replication rounds
-    /// run on the leader's heartbeat cadence, so a slow peer must cost
-    /// bounded time, not a default five-second stall per round.
-    pub fn new(peers: impl IntoIterator<Item = (String, SocketAddr)>) -> Self {
-        Self::with_timeouts(peers, WireTimeouts::all(std::time::Duration::from_secs(1)))
-    }
+/// The socket deadline of a peer connection: replication rounds run on
+/// the leader's heartbeat cadence, so a slow peer must cost bounded time,
+/// not the default five-second stall per round.
+const PEER_TIMEOUT: Duration = Duration::from_secs(1);
 
-    /// As [`WireTransport::new`] with explicit socket deadlines.
-    pub fn with_timeouts(
-        peers: impl IntoIterator<Item = (String, SocketAddr)>,
-        timeouts: WireTimeouts,
-    ) -> Self {
+impl WireTransport {
+    /// Builds a transport over a `node id -> address` directory, with a
+    /// one-second socket deadline on every peer connection.
+    pub fn new(peers: impl IntoIterator<Item = (String, SocketAddr)>) -> Self {
         Self {
             peers: peers.into_iter().collect(),
             connections: Mutex::new(HashMap::new()),
-            timeouts,
         }
     }
 
@@ -98,7 +92,7 @@ impl WireTransport {
                     .peers
                     .get(peer)
                     .ok_or_else(|| StoreError::Io(format!("unknown peer `{peer}`")))?;
-                WireClient::connect_with(addr, self.timeouts).map_err(|e| peer_error(peer, &e))?
+                WireClient::connect_with(addr, PEER_TIMEOUT).map_err(|e| peer_error(peer, &e))?
             }
         };
         client.send_frame(frame).map_err(|e| peer_error(peer, &e))?;
@@ -179,7 +173,7 @@ pub struct FailoverClient {
     /// Index into `candidates` to try next when no hint is available.
     cursor: usize,
     conn: Option<WireClient>,
-    timeouts: WireTimeouts,
+    timeout: Duration,
     retry: RetryPolicy,
     stats: FailoverStats,
 }
@@ -210,13 +204,14 @@ impl std::fmt::Debug for FailoverClient {
 
 impl FailoverClient {
     /// A client over `candidates` (replica client addresses, any order)
-    /// with default timeouts and the default retry schedule.
+    /// with the default socket deadline (5 s) and the default retry
+    /// schedule.
     pub fn new(candidates: impl IntoIterator<Item = impl Into<String>>) -> Self {
         Self {
             candidates: candidates.into_iter().map(Into::into).collect(),
             cursor: 0,
             conn: None,
-            timeouts: WireTimeouts::default(),
+            timeout: DEFAULT_TIMEOUT,
             retry: RetryPolicy::default(),
             stats: FailoverStats::default(),
         }
@@ -227,10 +222,10 @@ impl FailoverClient {
         self.stats
     }
 
-    /// Replaces the socket deadlines used when dialling.
+    /// Replaces the socket deadline of the connections it dials.
     #[must_use]
-    pub fn with_timeouts(mut self, timeouts: WireTimeouts) -> Self {
-        self.timeouts = timeouts;
+    pub fn with_timeout(mut self, timeout: Duration) -> Self {
+        self.timeout = timeout;
         self
     }
 
@@ -261,7 +256,7 @@ impl FailoverClient {
     /// Connects to `addr`, replacing any cached connection.
     fn dial(&mut self, addr: &str) -> Result<(), WireError> {
         self.stats.dials += 1;
-        self.conn = Some(WireClient::connect_with(addr, self.timeouts)?);
+        self.conn = Some(WireClient::connect_with(addr, self.timeout)?);
         Ok(())
     }
 
@@ -376,7 +371,7 @@ mod tests {
     use crate::frame::{read_frame, write_frame};
     use crate::proto::Envelope;
     use std::net::TcpListener;
-    use std::time::{Duration, Instant};
+    use std::time::Instant;
 
     /// Three attempts with millisecond delays: a chase that honours it
     /// ends in a few milliseconds.
@@ -399,7 +394,7 @@ mod tests {
         // Reserved port that nothing listens on: dials fail fast.
         let (_, dead) = listener();
         let mut client = FailoverClient::new([dead.clone(), dead])
-            .with_timeouts(WireTimeouts::all(Duration::from_millis(50)))
+            .with_timeout(Duration::from_millis(50))
             .with_retry(three_attempts());
         let started = Instant::now();
         let err = client

@@ -155,19 +155,14 @@ fn zero_budget_is_deadline_exceeded_over_the_wire() {
 
 #[test]
 fn per_call_deadline_overrides_client_default() {
-    let service = login_service();
-    let addr = WireServer::bind(Arc::clone(&service), "127.0.0.1:0")
-        .unwrap()
-        .serve_in_background()
-        .unwrap();
+    let server = WireServer::bind(login_service(), "127.0.0.1:0").unwrap();
+    let controller = server.controller();
+    let addr = server.serve_in_background().unwrap();
     let mut client = WireClient::connect(addr).unwrap().with_deadline_ms(60_000);
-    let err = client
-        .call_with_deadline(&oasis_wire::proto::Request::Ping, Some(0))
-        .unwrap_err();
+    // A budget set for the next call replaces the builder's default.
+    client.set_deadline_ms(Some(0));
+    let err = client.ping().unwrap_err();
     assert!(matches!(err, WireError::DeadlineExceeded), "{err}");
     // The expired request was dropped before work: counted per lane.
-    let stats = service
-        .overload_stats()
-        .expect("server installs controller");
-    assert_eq!(stats.lane(Lane::Control).expired, 1);
+    assert_eq!(controller.stats().lane(Lane::Control).expired, 1);
 }

@@ -2,7 +2,7 @@
 //! lane admission entirely, so a server whose every lane is saturated
 //! still answers the snapshot that explains the saturation — and a
 //! client-supplied trace context turns into server-side spans sharing
-//! the client's trace id.
+//! the client's trace id, also when the request waited in a lane queue.
 //!
 //! Determinism: as in `overload_e2e`, the flood is not raced — the tests
 //! hold the saturated lanes' only permits through the server's own
@@ -12,8 +12,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use oasis_core::{
-    Atom, Deadline, Lane, LaneConfig, OasisService, OverloadConfig, PrincipalId, ServiceConfig,
-    Submission, Term, Value, ValueType,
+    Atom, Credential, Deadline, Lane, LaneConfig, OasisService, OverloadConfig, PrincipalId,
+    ServiceConfig, Submission, Term, Value, ValueType,
 };
 use oasis_facts::FactStore;
 use oasis_obs::{Recorder, Registry, TraceCtx};
@@ -116,6 +116,11 @@ fn client_trace_context_parents_server_side_spans() {
     let service = login_service();
     let registry: Arc<Registry> = Arc::new(Registry::with_span_recording());
     service.set_obs(registry.clone());
+    service.add_invocation_rule(
+        "whoami",
+        vec![Term::var("U")],
+        vec![Atom::prereq("logged_in", vec![Term::var("U")])],
+    );
     let server = WireServer::bind(Arc::clone(&service), "127.0.0.1:0").unwrap();
     let addr = server.serve_in_background().unwrap();
 
@@ -128,7 +133,16 @@ fn client_trace_context_parents_server_side_spans() {
     let rmc = client
         .activate(&alice, "logged_in", vec![Value::id("alice")], vec![], 1)
         .unwrap();
-    assert!(client.revoke(rmc.crr.cert_id.0, "logout", 2).unwrap());
+    client
+        .invoke(
+            &alice,
+            "whoami",
+            vec![Value::id("alice")],
+            vec![Credential::Rmc(rmc.clone())],
+            2,
+        )
+        .unwrap();
+    assert!(client.revoke(rmc.crr.cert_id.0, "logout", 3).unwrap());
 
     let lines = registry.spans().lines();
     let ours: Vec<&String> = lines
@@ -140,6 +154,10 @@ fn client_trace_context_parents_server_side_spans() {
         "activation span should carry the client's trace id: {lines:?}"
     );
     assert!(
+        ours.iter().any(|l| l.contains("\"op\":\"svc.invoke\"")),
+        "invocation span should carry the client's trace id: {lines:?}"
+    );
+    assert!(
         ours.iter().any(|l| l.contains("\"op\":\"svc.revoke\"")),
         "revocation span should carry the client's trace id: {lines:?}"
     );
@@ -149,4 +167,53 @@ fn client_trace_context_parents_server_side_spans() {
     let mut plain = WireClient::connect(addr).unwrap();
     plain.ping().unwrap();
     assert_eq!(registry.spans().len(), before);
+}
+
+#[test]
+fn queued_request_keeps_the_client_trace_context() {
+    let service = login_service();
+    let registry: Arc<Registry> = Arc::new(Registry::with_span_recording());
+    service.set_obs(registry.clone());
+    let mut cfg = OverloadConfig::default();
+    *cfg.lane_mut(Lane::Issuance) = LaneConfig::fixed(1, 4, 1_000);
+    let server = WireServer::bind(Arc::clone(&service), "127.0.0.1:0")
+        .unwrap()
+        .with_overload(cfg);
+    let controller = server.controller();
+    let addr = server.serve_in_background().unwrap();
+
+    // Hold the issuance lane's only permit, so the activation queues.
+    let permit = match controller.submit(Lane::Issuance, Deadline::none()) {
+        Submission::Admitted(p) => p,
+        _ => panic!("free issuance lane must admit"),
+    };
+    let activation = std::thread::spawn(move || {
+        let mut client = WireClient::connect(addr).unwrap().with_trace(TraceCtx {
+            trace_id: 515_151,
+            parent_span: 0,
+            hop: 0,
+        });
+        client.activate(
+            &PrincipalId::new("alice"),
+            "logged_in",
+            vec![Value::id("alice")],
+            vec![],
+            1,
+        )
+    });
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while controller.stats().lane(Lane::Issuance).queue_depth != 1 {
+        assert!(Instant::now() < deadline, "the activation never queued");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    drop(permit);
+    activation.join().unwrap().unwrap();
+
+    let lines = registry.spans().lines();
+    assert!(
+        lines
+            .iter()
+            .any(|l| l.contains("\"trace\":515151") && l.contains("\"op\":\"svc.activate\"")),
+        "the queued activation's span should carry the client's trace id: {lines:?}"
+    );
 }

@@ -63,6 +63,7 @@ fn parked_connections_do_not_slow_an_active_one() {
     let server = WireServer::bind(Arc::clone(&service), "127.0.0.1:0")
         .unwrap()
         .with_overload(cfg);
+    let controller = server.controller();
     let addr = server.serve_in_background().unwrap();
 
     let mut parked: Vec<WireClient> = (0..48)
@@ -94,7 +95,7 @@ fn parked_connections_do_not_slow_an_active_one() {
             .ping()
             .unwrap_or_else(|e| panic!("parked connection {i}: {e}"));
     }
-    assert_eq!(service.overload_stats().unwrap().conns_shed, 0);
+    assert_eq!(controller.stats().conns_shed, 0);
 }
 
 #[test]
@@ -109,6 +110,7 @@ fn half_sent_frames_hold_no_worker_and_are_closed_at_the_deadline() {
     let server = WireServer::bind(Arc::clone(&service), "127.0.0.1:0")
         .unwrap()
         .with_overload(cfg);
+    let controller = server.controller();
     let addr = server.serve_in_background().unwrap();
 
     // Twice as many stalled peers as workers: two bytes of header, then
@@ -143,7 +145,7 @@ fn half_sent_frames_hold_no_worker_and_are_closed_at_the_deadline() {
     }
     assert!(started.elapsed() >= Duration::from_secs(4));
     assert_eq!(registry.counter("login.wire.stalled_closed").get(), 4);
-    assert_eq!(service.overload_stats().unwrap().conns_idle_closed, 0);
+    assert_eq!(controller.stats().conns_idle_closed, 0);
     client.ping().unwrap();
     wait_until("slots reclaimed", || conns_open.get() == 1);
 }

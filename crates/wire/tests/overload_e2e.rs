@@ -87,7 +87,7 @@ fn saturated_lane_sheds_while_control_keeps_answering() {
     assert!(client.revoke(rmc.crr.cert_id.0, "logout", 4).unwrap());
 
     // Shedding freed no permit and did no work: stats say shed, not run.
-    let stats = service.overload_stats().unwrap();
+    let stats = controller.stats();
     assert_eq!(stats.lane(Lane::Validation).shed, 1);
     assert_eq!(stats.lane(Lane::Control).shed, 0);
     assert!(stats.lane(Lane::Control).admitted >= 2);
@@ -141,10 +141,10 @@ fn remote_validator_surfaces_overload_and_keeps_its_connection() {
 
     // The shed did not poison the cached connection: the next call reuses
     // it and succeeds (conns_accepted would grow on a re-dial).
-    let conns_before = service.overload_stats().unwrap().conns_accepted;
+    let conns_before = controller.stats().conns_accepted;
     drop(permit);
     validator.validate(&cred, &alice, 4).unwrap();
-    let conns_after = service.overload_stats().unwrap().conns_accepted;
+    let conns_after = controller.stats().conns_accepted;
     assert_eq!(conns_before, conns_after, "no re-dial after a shed");
 }
 
@@ -222,6 +222,7 @@ fn idle_connections_are_closed_and_counted() {
     let server = WireServer::bind(Arc::clone(&service), "127.0.0.1:0")
         .unwrap()
         .with_overload(cfg);
+    let controller = server.controller();
     let addr = server.serve_in_background().unwrap();
 
     let mut client = WireClient::connect(addr).unwrap();
@@ -235,5 +236,5 @@ fn idle_connections_are_closed_and_counted() {
         matches!(err, WireError::Closed | WireError::Io(_)),
         "expected a closed connection, got {err}"
     );
-    assert!(service.overload_stats().unwrap().conns_idle_closed >= 1);
+    assert!(controller.stats().conns_idle_closed >= 1);
 }

@@ -381,9 +381,9 @@ fn cross_domain_service_series_match_its_typed_reads() {
     let obs = Arc::new(Registry::new());
     login.set_obs(Arc::clone(&obs) as Arc<dyn Recorder>);
     hospital.set_obs(Arc::clone(&obs) as Arc<dyn Recorder>);
-    // Installed after `set_obs`: adopted on arrival.
+    // The controller a server would adopt as `hospital.overload`.
     let ctrl = AdmissionController::new(OverloadConfig::default());
-    hospital.set_overload(Arc::clone(&ctrl));
+    obs.adopt("hospital.overload", ctrl.metrics());
     obs.adopt("resilient", resilient.metrics());
 
     let mut sessions: Vec<(usize, Rmc)> = Vec::new();
@@ -474,11 +474,7 @@ fn cross_domain_service_series_match_its_typed_reads() {
             &hospital.degradation_stats().unwrap(),
         ),
         assert_parity(&obs, "hospital.bus", &hospital.bus().stats()),
-        assert_parity(
-            &obs,
-            "hospital.overload",
-            &hospital.overload_stats().unwrap(),
-        ),
+        assert_parity(&obs, "hospital.overload", &ctrl.stats()),
         assert_parity(&obs, "resilient", &resilient.stats()),
     ];
     // Every set but the idle controller saw the workload.
