@@ -367,7 +367,14 @@ fn main() {
         provenance_fields("table_codec", ITERS, ROUNDS, "median of rounds"),
         lines.join(",\n"),
     );
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_codec.json");
-    std::fs::write(out, json).expect("write BENCH_codec.json");
+    // Resolved at run time: a copy of the tree that reuses a copied
+    // `target/` writes its own table, not the original's.
+    let out = std::env::var_os("CARGO_MANIFEST_DIR")
+        .map_or_else(
+            || env!("CARGO_MANIFEST_DIR").into(),
+            std::path::PathBuf::from,
+        )
+        .join("../../BENCH_codec.json");
+    std::fs::write(&out, json).expect("write BENCH_codec.json");
     println!("\nwrote BENCH_codec.json");
 }

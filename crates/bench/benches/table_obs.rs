@@ -126,7 +126,14 @@ fn main() {
         instr.p50(),
         instr.mean(),
     );
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_obs.json");
-    std::fs::write(out, json).expect("write BENCH_obs.json");
-    println!("wrote {out}");
+    // Resolved at run time: a copy of the tree that reuses a copied
+    // `target/` writes its own table, not the original's.
+    let out = std::env::var_os("CARGO_MANIFEST_DIR")
+        .map_or_else(
+            || env!("CARGO_MANIFEST_DIR").into(),
+            std::path::PathBuf::from,
+        )
+        .join("../../BENCH_obs.json");
+    std::fs::write(&out, json).expect("write BENCH_obs.json");
+    println!("wrote {}", out.display());
 }

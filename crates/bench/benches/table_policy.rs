@@ -479,9 +479,16 @@ fn series() -> String {
 
 fn bench(c: &mut Criterion) {
     let json = series();
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_policy.json");
-    std::fs::write(out, json).expect("write BENCH_policy.json");
-    println!("wrote {out}");
+    // Resolved at run time: a copy of the tree that reuses a copied
+    // `target/` writes its own table, not the original's.
+    let out = std::env::var_os("CARGO_MANIFEST_DIR")
+        .map_or_else(
+            || env!("CARGO_MANIFEST_DIR").into(),
+            std::path::PathBuf::from,
+        )
+        .join("../../BENCH_policy.json");
+    std::fs::write(&out, json).expect("write BENCH_policy.json");
+    println!("wrote {}", out.display());
 
     // Criterion timings for the headline per-operation costs.
     let mut group = c.benchmark_group("policy_activation");

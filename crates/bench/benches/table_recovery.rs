@@ -281,9 +281,16 @@ fn recovery_table() -> String {
 
 fn bench_recovery(c: &mut Criterion) {
     let json = recovery_table();
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_recovery.json");
-    std::fs::write(out, json).expect("write BENCH_recovery.json");
-    println!("wrote {out}");
+    // Resolved at run time: a copy of the tree that reuses a copied
+    // `target/` writes its own table, not the original's.
+    let out = std::env::var_os("CARGO_MANIFEST_DIR")
+        .map_or_else(
+            || env!("CARGO_MANIFEST_DIR").into(),
+            std::path::PathBuf::from,
+        )
+        .join("../../BENCH_recovery.json");
+    std::fs::write(&out, json).expect("write BENCH_recovery.json");
+    println!("wrote {}", out.display());
 
     let mut group = c.benchmark_group("recovery");
     group

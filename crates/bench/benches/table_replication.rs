@@ -640,9 +640,16 @@ fn bench_replication(c: &mut Criterion) {
         &format!("\n{addenda},\n  \"series\": ["),
         1,
     );
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_replication.json");
-    std::fs::write(out, json).expect("write BENCH_replication.json");
-    println!("wrote {out}");
+    // Resolved at run time: a copy of the tree that reuses a copied
+    // `target/` writes its own table, not the original's.
+    let out = std::env::var_os("CARGO_MANIFEST_DIR")
+        .map_or_else(
+            || env!("CARGO_MANIFEST_DIR").into(),
+            std::path::PathBuf::from,
+        )
+        .join("../../BENCH_replication.json");
+    std::fs::write(&out, json).expect("write BENCH_replication.json");
+    println!("wrote {}", out.display());
 
     let mut group = c.benchmark_group("replication");
     group

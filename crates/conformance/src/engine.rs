@@ -426,10 +426,16 @@ pub(crate) fn run_two_domain_scheduled(
     // --- Admission control (virtual clock) ---------------------------
     let clock = Arc::new(ManualClock::new(0));
     let mut hosp_cfg = OverloadConfig::default();
-    *hosp_cfg.lane_mut(Lane::Validation) = LaneConfig::fixed(2, 16, 1_000);
+    *hosp_cfg.lane_mut(Lane::Validation) = LaneConfig {
+        limit: 2,
+        queue_cap: 16,
+    };
     let ctrl_hosp = AdmissionController::with_clock(hosp_cfg, Arc::clone(&clock) as Arc<dyn Clock>);
     let mut login_cfg = OverloadConfig::default();
-    *login_cfg.lane_mut(Lane::Control) = LaneConfig::fixed(2, 256, 1_000);
+    *login_cfg.lane_mut(Lane::Control) = LaneConfig {
+        limit: 2,
+        queue_cap: 256,
+    };
     let ctrl_login =
         AdmissionController::with_clock(login_cfg, Arc::clone(&clock) as Arc<dyn Clock>);
 

@@ -1,4 +1,4 @@
-//! Overload control: priority lanes, deadlines, and adaptive admission.
+//! Overload control: priority lanes, deadlines, and bounded admission.
 //!
 //! OASIS's active-security guarantee — revocation takes effect immediately
 //! (§5 of the paper) — is only as strong as the service's behaviour under
@@ -18,17 +18,14 @@
 //!   past the deadline. A queued [`Ticket`] holds its request's deadline
 //!   and nothing else of the request: the wire server keeps the request
 //!   itself, with its causal trace context, beside the ticket.
-//! * **Adaptive concurrency** (AIMD): each lane's limit grows additively
-//!   while observed *service* latency (permit grant → completion) stays
-//!   under the lane's target and backs off multiplicatively when it
-//!   overshoots, so the limit tracks the service's actual capacity
-//!   instead of a hand-tuned constant. Queue wait is tracked as a
-//!   separate signal ([`LaneSnapshot::ewma_queue_wait_ms`]): if it fed
-//!   the limiter, any backlog would read as slow service and shrink the
-//!   limit exactly when work is queued.
+//! * **One limit per lane** ([`LaneConfig`]): a lane runs at most its
+//!   configured number of requests at once and queues the rest. The
+//!   limit does not move at run time.
 //! * **Shed hints**: rejected requests carry a `retry_after_ms` estimate
-//!   derived from the lane's queue depth and EWMA service time, so clients
-//!   back off proportionally to real load instead of guessing.
+//!   derived from the lane's queue depth and EWMA *service* time (permit
+//!   grant → completion), so clients back off proportionally to real load
+//!   instead of guessing. Queue wait is smoothed apart
+//!   ([`LaneSnapshot::ewma_queue_wait_ms`]) and only reported.
 //!
 //! Admission never blocks: [`AdmissionController::submit`] admits, queues,
 //! sheds or refuses at once, and the owner of a queued [`Ticket`] resolves
@@ -226,31 +223,11 @@ impl Deadline {
 /// Per-lane admission parameters.
 #[derive(Debug, Clone)]
 pub struct LaneConfig {
-    /// Starting concurrency limit (AIMD adjusts from here).
-    pub initial_limit: u32,
-    /// Floor the multiplicative decrease never goes below.
-    pub min_limit: u32,
-    /// Ceiling the additive increase never exceeds.
-    pub max_limit: u32,
+    /// Concurrency limit: requests the lane runs at once (a `0` admits
+    /// one). It holds for the controller's lifetime.
+    pub limit: u32,
     /// Bounded queue depth; arrivals beyond this are shed.
     pub queue_cap: usize,
-    /// Latency target in clock ms; completions above it trigger a
-    /// multiplicative decrease, completions at or below it an additive
-    /// increase.
-    pub target_latency_ms: u64,
-}
-
-impl LaneConfig {
-    /// A fixed-concurrency lane: AIMD pinned at `limit`, queue bound `cap`.
-    pub fn fixed(limit: u32, cap: usize, target_latency_ms: u64) -> Self {
-        Self {
-            initial_limit: limit,
-            min_limit: limit,
-            max_limit: limit,
-            queue_cap: cap,
-            target_latency_ms,
-        }
-    }
 }
 
 /// Full overload-control configuration for a service front door.
@@ -285,27 +262,18 @@ impl Default for OverloadConfig {
             lanes: [
                 // Control: generous queue, never starved by other lanes.
                 LaneConfig {
-                    initial_limit: 4,
-                    min_limit: 2,
-                    max_limit: 16,
+                    limit: 4,
                     queue_cap: 256,
-                    target_latency_ms: 50,
                 },
                 // Validation: first to shed under a storm.
                 LaneConfig {
-                    initial_limit: 4,
-                    min_limit: 1,
-                    max_limit: 16,
+                    limit: 4,
                     queue_cap: 64,
-                    target_latency_ms: 50,
                 },
                 // Issuance: cheapest to retry end-to-end.
                 LaneConfig {
-                    initial_limit: 4,
-                    min_limit: 1,
-                    max_limit: 16,
+                    limit: 4,
                     queue_cap: 32,
-                    target_latency_ms: 100,
                 },
             ],
         }
@@ -350,14 +318,14 @@ oasis_obs::stats_set! {
         running: u32 = gauge,
         /// Currently queued requests.
         queue_depth: usize = gauge,
-        /// Current AIMD concurrency limit (floor of the fractional limit).
+        /// The lane's configured concurrency limit (at least 1).
         limit: u32 = gauge,
         /// Smoothed observed *service* latency (permit grant to completion)
-        /// in clock ms — the AIMD feedback signal.
+        /// in clock ms; it sizes the shed hint's `retry_after_ms`.
         ewma_latency_ms: f64 = micros("ewma_latency_us"),
-        /// Smoothed time from submission to permit grant in clock ms. Queue
-        /// wait is tracked separately so a backlog cannot masquerade as slow
-        /// service and collapse the AIMD limit.
+        /// Smoothed time from submission to permit grant in clock ms,
+        /// tracked apart from service time so a backlog never inflates the
+        /// per-request estimate behind the shed hint.
         ewma_queue_wait_ms: f64 = micros("ewma_queue_wait_us"),
     }
 }
@@ -443,7 +411,7 @@ struct QueuedTicket {
 }
 
 struct LaneState {
-    limit: f64,
+    limit: u32,
     running: u32,
     queue: VecDeque<QueuedTicket>,
     /// Lower bound on the earliest deadline among queued tickets
@@ -453,7 +421,6 @@ struct LaneState {
     /// the bound too low, which costs one walk and nothing else.
     earliest_deadline_ms: u64,
     next_ticket: u64,
-    last_decrease_ms: u64,
     load: LoadTracker,
     queue_wait: LoadTracker,
     series: LaneSeries,
@@ -462,12 +429,11 @@ struct LaneState {
 impl LaneState {
     fn new(cfg: &LaneConfig, series: LaneSeries) -> Self {
         let state = Self {
-            limit: cfg.initial_limit.max(1) as f64,
+            limit: cfg.limit.max(1),
             running: 0,
             queue: VecDeque::new(),
             earliest_deadline_ms: u64::MAX,
             next_ticket: 0,
-            last_decrease_ms: 0,
             load: LoadTracker::default(),
             queue_wait: LoadTracker::default(),
             series,
@@ -481,7 +447,7 @@ impl LaneState {
         let micros = |ms: f64| (ms * 1000.0).round() as i64;
         self.series.running.set(i64::from(self.running));
         self.series.queue_depth.set(self.queue.len() as i64);
-        self.series.limit.set(self.limit as i64);
+        self.series.limit.set(i64::from(self.limit));
         self.series.ewma_latency_ms.set(micros(self.load.ewma_ms()));
         self.series
             .ewma_queue_wait_ms
@@ -596,10 +562,9 @@ impl Drop for Ticket {
 
 /// An RAII execution permit. Holding it counts against the lane's
 /// concurrency limit; dropping it records the *service* latency measured
-/// from the grant (feeding the AIMD limiter), and the freed capacity goes
-/// to the queue head on its next [`AdmissionController::poll`]. Queue wait
-/// is deliberately excluded from that signal: a backlog must not read as
-/// slow service, or the limit would decay exactly when work is queued.
+/// from the grant (the shed hint's per-request estimate), and the freed
+/// capacity goes to the queue head on its next
+/// [`AdmissionController::poll`].
 pub struct Permit {
     ctrl: Arc<AdmissionController>,
     lane: Lane,
@@ -620,9 +585,9 @@ impl Drop for Permit {
 }
 
 /// Priority-aware admission controller with per-lane bounded queues,
-/// deadline enforcement, and AIMD concurrency adaptation. See the module
-/// docs for the model; see `WireServer::with_overload` in `oasis-wire` for
-/// the deployment point.
+/// deadline enforcement, and one fixed concurrency limit per lane. See the
+/// module docs for the model; see `WireServer::with_overload` in
+/// `oasis-wire` for the deployment point.
 pub struct AdmissionController {
     config: OverloadConfig,
     clock: Arc<dyn Clock>,
@@ -688,7 +653,7 @@ impl AdmissionController {
             return Submission::Expired;
         }
         state.prune_expired(now);
-        if state.queue.is_empty() && (state.running as f64) < state.limit {
+        if state.queue.is_empty() && state.running < state.limit {
             state.running += 1;
             state.series.admitted.inc();
             state.queue_wait.observe(0);
@@ -696,9 +661,7 @@ impl AdmissionController {
         }
         if state.queue.len() >= cfg.queue_cap {
             state.series.shed.inc();
-            let hint = state
-                .load
-                .drain_estimate_ms(state.queue.len(), state.limit as u32);
+            let hint = state.load.drain_estimate_ms(state.queue.len(), state.limit);
             return Submission::Shed {
                 retry_after_ms: hint,
             };
@@ -744,7 +707,7 @@ impl AdmissionController {
         }
         state.prune_expired(now);
         let at_head = state.queue.front().is_some_and(|t| t.id == ticket.id);
-        if at_head && (state.running as f64) < state.limit {
+        if at_head && state.running < state.limit {
             state.queue.pop_front();
             state.running += 1;
             state.series.admitted.inc();
@@ -752,7 +715,7 @@ impl AdmissionController {
                 .queue_wait
                 .observe(now.saturating_sub(ticket.submitted_ms));
             // The grant timestamp is *now*: service latency starts here,
-            // not at submission, so queue wait never feeds the AIMD loop.
+            // not at submission, so queue wait never counts as service.
             return PollOutcome::Ready(self.permit(ticket.lane, now));
         }
         PollOutcome::Waiting
@@ -765,28 +728,15 @@ impl AdmissionController {
         self.series.lanes[lane.idx()].expired.inc();
     }
 
-    /// Completion path: called from [`Permit::drop`]. The latency fed to
-    /// the limiter is pure service time (grant → completion).
+    /// Completion path: called from [`Permit::drop`]. Frees the permit's
+    /// slot and records its pure service time (grant → completion) for the
+    /// shed hint.
     fn finish(&self, lane: Lane, granted_ms: u64) {
-        let now = self.clock.now_ms();
-        let latency = now.saturating_sub(granted_ms);
-        let cfg = self.config.lane(lane);
+        let latency = self.clock.now_ms().saturating_sub(granted_ms);
         let mut state = self.lane(lane);
         state.running = state.running.saturating_sub(1);
         state.series.completed.inc();
         state.load.observe(latency);
-        if latency > cfg.target_latency_ms {
-            // Multiplicative decrease, at most once per target window so
-            // a burst of slow completions does not collapse the limit to
-            // the floor in one step.
-            if now.saturating_sub(state.last_decrease_ms) >= cfg.target_latency_ms {
-                state.limit = (state.limit * 0.7).max(cfg.min_limit.max(1) as f64);
-                state.last_decrease_ms = now;
-            }
-        } else {
-            let step = 1.0 / state.limit.max(1.0);
-            state.limit = (state.limit + step).min(cfg.max_limit.max(1) as f64);
-        }
     }
 
     /// Record a connection handed to the worker pool.
@@ -818,11 +768,8 @@ mod tests {
         let mut cfg = OverloadConfig::default();
         for lane in Lane::ALL {
             *cfg.lane_mut(lane) = LaneConfig {
-                initial_limit: 1,
-                min_limit: 1,
-                max_limit: 4,
+                limit: 1,
                 queue_cap: 2,
-                target_latency_ms: 10,
             };
         }
         cfg
@@ -960,43 +907,43 @@ mod tests {
     }
 
     #[test]
-    fn aimd_decreases_on_slow_completions_and_recovers() {
-        let mut cfg = tiny_config();
-        *cfg.lane_mut(Lane::Validation) = LaneConfig {
-            initial_limit: 8,
-            min_limit: 1,
-            max_limit: 16,
-            queue_cap: 64,
-            target_latency_ms: 10,
+    fn default_lane_limit_holds_under_slow_and_fast_service() {
+        let (ctrl, clock) = manual(OverloadConfig::default());
+        let serial = |n: usize, held_ms: u64| {
+            for _ in 0..n {
+                let p = match ctrl.submit(Lane::Validation, Deadline::none()) {
+                    Submission::Admitted(p) => p,
+                    _ => panic!("serial requests stay within the limit"),
+                };
+                clock.advance(held_ms);
+                drop(p);
+            }
         };
-        let (ctrl, clock) = manual(cfg);
-        // Slow completions: each takes 30ms > 10ms target.
-        for _ in 0..20 {
-            let p = match ctrl.submit(Lane::Validation, Deadline::none()) {
-                Submission::Admitted(p) => p,
-                _ => panic!("limit should not be exhausted by serial requests"),
-            };
-            clock.advance(30);
-            drop(p);
-        }
-        let squeezed = ctrl.stats().lane(Lane::Validation).limit;
-        assert!(squeezed < 8, "limit should shrink under slow completions");
-        assert!(squeezed >= 1, "limit must respect the floor");
-        // Fast completions: limit grows back (but stays capped).
-        for _ in 0..400 {
-            let p = match ctrl.submit(Lane::Validation, Deadline::none()) {
-                Submission::Admitted(p) => p,
-                _ => panic!("serial requests stay within limit"),
-            };
-            clock.advance(1);
-            drop(p);
-        }
-        let recovered = ctrl.stats().lane(Lane::Validation).limit;
-        assert!(
-            recovered > squeezed,
-            "limit should grow under fast completions"
-        );
-        assert!(recovered <= 16);
+        let limit_binds_at_four = |phase: &str| {
+            assert_eq!(
+                ctrl.stats().lane(Lane::Validation).limit,
+                4,
+                "limit after {phase} service"
+            );
+            let held: Vec<Permit> = (0..4)
+                .map(|_| match ctrl.submit(Lane::Validation, Deadline::none()) {
+                    Submission::Admitted(p) => p,
+                    _ => panic!("a free slot must admit after {phase} service"),
+                })
+                .collect();
+            assert!(
+                matches!(
+                    ctrl.submit(Lane::Validation, Deadline::none()),
+                    Submission::Queued(_)
+                ),
+                "a fifth request must queue after {phase} service"
+            );
+            drop(held);
+        };
+        serial(20, 200);
+        limit_binds_at_four("slow");
+        serial(400, 1);
+        limit_binds_at_four("fast");
     }
 
     #[test]
@@ -1095,9 +1042,9 @@ mod tests {
     }
 
     #[test]
-    fn aimd_measures_service_time_not_queue_wait() {
-        // limit 1, target 10ms: one long-held permit forces a queued
-        // ticket to wait far past the target before its grant.
+    fn queue_wait_is_tracked_apart_from_service_time() {
+        // Limit 1: one long-held permit makes a queued ticket wait 1050ms
+        // before its grant, then it is served in 5ms.
         let (ctrl, clock) = manual(tiny_config());
         let holder = match ctrl.submit(Lane::Validation, Deadline::none()) {
             Submission::Admitted(p) => p,
@@ -1108,27 +1055,14 @@ mod tests {
             _ => panic!("must queue"),
         };
         clock.set(1_000);
-        drop(holder); // slow completion; may trigger one decrease
-        clock.set(1_050); // past the decrease window
-        let limit_before = {
-            let state = ctrl.lanes[Lane::Validation.idx()].lock();
-            state.limit
-        };
+        drop(holder);
+        clock.set(1_050);
         let permit = match ctrl.poll(&queued) {
             PollOutcome::Ready(p) => p,
             _ => panic!("freed lane must grant the head"),
         };
-        clock.advance(5); // service time 5ms, well under the 10ms target
+        clock.advance(5);
         drop(permit);
-        let state = ctrl.lanes[Lane::Validation.idx()].lock();
-        assert!(
-            state.limit > limit_before,
-            "a fast completion after a long queue wait must increase the \
-             limit ({} -> {}), not decay it toward the floor",
-            limit_before,
-            state.limit
-        );
-        drop(state);
         // Queue wait surfaced through its own EWMA (samples: 0ms for the
         // immediate grant, then 1050ms for the queued one).
         let snap = ctrl.stats().lane(Lane::Validation).clone();

@@ -10,8 +10,8 @@
 //!
 //! * [`Simulation`] — the event loop: schedule closures at virtual times.
 //! * [`Latency`] / [`LinkConfig`] / [`SimNet`] — network modelling with
-//!   per-link latency distributions, loss, duplication, jitter,
-//!   partitions, and node crashes.
+//!   one latency distribution, loss, duplication and jitter for every
+//!   link, plus partitions and node crashes.
 //! * [`FaultPlan`] — scripted chaos: partitions, crashes, clock skews
 //!   and Byzantine CIV turns applied at fixed virtual times.
 //! * [`Trace`] — canonical sorted-key JSONL event traces, the shared

@@ -1,6 +1,6 @@
-//! Network modelling: per-link latency, loss, and partitions.
+//! Network modelling: latency, loss, and partitions.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 use crate::latency::Latency;
 use crate::sim::Simulation;
@@ -8,7 +8,7 @@ use crate::sim::Simulation;
 /// A network node name (a domain or service in OASIS scenarios).
 pub type NodeId = String;
 
-/// Per-link behaviour.
+/// The behaviour of every link in a [`SimNet`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkConfig {
     /// Delivery latency distribution.
@@ -78,8 +78,7 @@ impl LinkConfig {
 /// ```
 #[derive(Debug)]
 pub struct SimNet {
-    default: LinkConfig,
-    links: HashMap<(NodeId, NodeId), LinkConfig>,
+    link: LinkConfig,
     partitioned: HashSet<(NodeId, NodeId)>,
     crashed: HashSet<NodeId>,
     sent: u64,
@@ -88,23 +87,16 @@ pub struct SimNet {
 }
 
 impl SimNet {
-    /// Creates a network where every link uses `default` unless
-    /// overridden.
-    pub fn new(default: LinkConfig) -> Self {
+    /// Creates a network where every link uses `link`.
+    pub fn new(link: LinkConfig) -> Self {
         Self {
-            default,
-            links: HashMap::new(),
+            link,
             partitioned: HashSet::new(),
             crashed: HashSet::new(),
             sent: 0,
             dropped: 0,
             duplicated: 0,
         }
-    }
-
-    /// Overrides the directed link `from → to`.
-    pub fn set_link(&mut self, from: impl Into<NodeId>, to: impl Into<NodeId>, config: LinkConfig) {
-        self.links.insert((from.into(), to.into()), config);
     }
 
     /// Cuts both directions between `a` and `b`.
@@ -144,7 +136,7 @@ impl SimNet {
         self.crashed.contains(node)
     }
 
-    /// Sends a message: schedules `deliver` on `sim` after the link's
+    /// Sends a message: schedules `deliver` on `sim` after the network's
     /// sampled latency (plus jitter). Returns `false` if the message was
     /// lost, the link is partitioned, or either endpoint is crashed (in
     /// which case `deliver` never runs). A duplicating link may schedule
@@ -162,11 +154,7 @@ impl SimNet {
             self.dropped += 1;
             return false;
         }
-        let config = self
-            .links
-            .get(&(from.to_string(), to.to_string()))
-            .copied()
-            .unwrap_or(self.default);
+        let config = self.link;
         if config.loss > 0.0 && sim.rng().next_u64() as f64 / u64::MAX as f64 <= config.loss {
             self.dropped += 1;
             return false;
@@ -216,23 +204,6 @@ mod tests {
         assert!(net.send(&mut sim, "x", "y", move |s| a.set(s.now())));
         sim.run();
         assert_eq!(at.get(), 4);
-    }
-
-    #[test]
-    fn link_override_beats_default() {
-        let mut sim = Simulation::new(0);
-        let mut net = lossless(Latency::Constant(4));
-        net.set_link("x", "y", LinkConfig::clean(Latency::Constant(40)));
-        let at = Rc::new(Cell::new(0));
-        let a = Rc::clone(&at);
-        net.send(&mut sim, "x", "y", move |s| a.set(s.now()));
-        // Reverse direction still uses the default.
-        let back = Rc::new(Cell::new(0));
-        let b = Rc::clone(&back);
-        net.send(&mut sim, "y", "x", move |s| b.set(s.now()));
-        sim.run();
-        assert_eq!(at.get(), 40);
-        assert_eq!(back.get(), 4);
     }
 
     #[test]

@@ -110,7 +110,12 @@ impl Trace {
 /// `Vec<String>` traces (e.g. returned across a scenario boundary for a
 /// determinism comparison) and only need the shared output convention.
 pub fn write_lines(name: &str, seed: u64, lines: &[String]) -> Option<PathBuf> {
-    let dir = PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../../target/chaos"));
+    // Resolved at run time from the running package's manifest (every
+    // workspace package sits two levels under the root): a copy of the
+    // tree that reuses a copied `target/` writes under itself.
+    let dir = std::env::var_os("CARGO_MANIFEST_DIR")
+        .map_or_else(|| env!("CARGO_MANIFEST_DIR").into(), PathBuf::from)
+        .join("../../target/chaos");
     std::fs::create_dir_all(&dir).ok()?;
     let path = dir.join(format!("{name}-{seed}.jsonl"));
     let body = if lines.is_empty() {

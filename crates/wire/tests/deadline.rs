@@ -74,7 +74,10 @@ fn deadline_boundaries() {
 
 #[test]
 fn already_expired_deadline_is_refused_at_admission() {
-    let (ctrl, clock) = controller_with_clock(LaneConfig::fixed(4, 16, 50));
+    let (ctrl, clock) = controller_with_clock(LaneConfig {
+        limit: 4,
+        queue_cap: 16,
+    });
     clock.set(1_000);
     // An absolute deadline in the past...
     assert!(matches!(
@@ -92,7 +95,10 @@ fn already_expired_deadline_is_refused_at_admission() {
 
 #[test]
 fn deadline_expires_while_queued_virtual_clock() {
-    let (ctrl, clock) = controller_with_clock(LaneConfig::fixed(1, 16, 50));
+    let (ctrl, clock) = controller_with_clock(LaneConfig {
+        limit: 1,
+        queue_cap: 16,
+    });
     // Occupy the lane's single slot with an unbounded request.
     let permit = match ctrl.submit(Lane::Control, Deadline::none()) {
         Submission::Admitted(p) => p,

@@ -564,8 +564,16 @@ fn for_each_case(v: &mut impl Visitor) {
 }
 
 fn golden(file: &str) -> Vec<u8> {
-    let path = format!("{}/tests/golden/{file}", env!("CARGO_MANIFEST_DIR"));
-    std::fs::read(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
+    // Resolved at run time: a copy of the tree that reuses a copied
+    // `target/` reads its own frames.
+    let path = std::env::var_os("CARGO_MANIFEST_DIR")
+        .map_or_else(
+            || env!("CARGO_MANIFEST_DIR").into(),
+            std::path::PathBuf::from,
+        )
+        .join("tests/golden")
+        .join(file);
+    std::fs::read(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
 }
 
 fn golden_lines(file: &str) -> Vec<String> {

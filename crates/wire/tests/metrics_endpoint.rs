@@ -44,11 +44,8 @@ fn all_lanes_tight() -> OverloadConfig {
     let mut cfg = OverloadConfig::default();
     for lane in [Lane::Control, Lane::Validation, Lane::Issuance] {
         *cfg.lane_mut(lane) = LaneConfig {
-            initial_limit: 1,
-            min_limit: 1,
-            max_limit: 1,
+            limit: 1,
             queue_cap: 0,
-            target_latency_ms: 1_000,
         };
     }
     cfg
@@ -175,7 +172,10 @@ fn queued_request_keeps_the_client_trace_context() {
     let registry: Arc<Registry> = Arc::new(Registry::with_span_recording());
     service.set_obs(registry.clone());
     let mut cfg = OverloadConfig::default();
-    *cfg.lane_mut(Lane::Issuance) = LaneConfig::fixed(1, 4, 1_000);
+    *cfg.lane_mut(Lane::Issuance) = LaneConfig {
+        limit: 1,
+        queue_cap: 4,
+    };
     let server = WireServer::bind(Arc::clone(&service), "127.0.0.1:0")
         .unwrap()
         .with_overload(cfg);

@@ -188,7 +188,10 @@ impl CredentialValidator for SlowValidator {
 fn queued_request_is_resumed_when_the_permit_frees_and_expired_at_its_deadline() {
     let service = login_service();
     let mut cfg = OverloadConfig::default();
-    *cfg.lane_mut(Lane::Issuance) = LaneConfig::fixed(1, 8, 10_000);
+    *cfg.lane_mut(Lane::Issuance) = LaneConfig {
+        limit: 1,
+        queue_cap: 8,
+    };
     // Every activation presents a foreign credential whose callback takes
     // 400 ms, so the single issuance slot is held long enough to queue
     // behind.

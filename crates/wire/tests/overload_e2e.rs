@@ -40,11 +40,8 @@ fn login_service() -> Arc<OasisService> {
 fn tight_validation_config() -> OverloadConfig {
     let mut cfg = OverloadConfig::default();
     *cfg.lane_mut(Lane::Validation) = LaneConfig {
-        initial_limit: 1,
-        min_limit: 1,
-        max_limit: 1,
+        limit: 1,
         queue_cap: 0,
-        target_latency_ms: 1_000,
     };
     cfg
 }

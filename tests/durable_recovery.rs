@@ -246,10 +246,17 @@ fn crash_revocation_while_down_recover_catch_up() {
     ));
     log(10, "live cascade works after recovery");
 
-    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../target/chaos");
-    if std::fs::create_dir_all(dir).is_ok() {
+    // Resolved at run time: a copy of the tree that reuses a copied
+    // `target/` writes under itself.
+    let dir = std::env::var_os("CARGO_MANIFEST_DIR")
+        .map_or_else(
+            || env!("CARGO_MANIFEST_DIR").into(),
+            std::path::PathBuf::from,
+        )
+        .join("../../target/chaos");
+    if std::fs::create_dir_all(&dir).is_ok() {
         let _ = std::fs::write(
-            format!("{dir}/durable-trace-{seed}.jsonl"),
+            dir.join(format!("durable-trace-{seed}.jsonl")),
             trace.join("\n") + "\n",
         );
     }

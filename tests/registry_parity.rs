@@ -200,11 +200,8 @@ fn overload_gauges_track_every_lane_transition() {
     let mut config = OverloadConfig::default();
     for lane in Lane::ALL {
         *config.lane_mut(lane) = LaneConfig {
-            initial_limit: 1,
-            min_limit: 1,
-            max_limit: 4,
+            limit: 1,
             queue_cap: 2,
-            target_latency_ms: 10,
         };
     }
     let clock = Arc::new(ManualClock::new(0));
@@ -265,7 +262,7 @@ fn overload_gauges_track_every_lane_transition() {
     check("cancel", (1, 0, 1));
     clock.advance(3);
     drop(permit);
-    check("complete fast", (0, 0, 2));
+    check("complete fast", (0, 0, 1));
     assert!(matches!(
         ctrl.submit(
             Lane::Control,
@@ -277,7 +274,7 @@ fn overload_gauges_track_every_lane_transition() {
     ctrl.note_conn_accepted();
     ctrl.note_conn_shed();
     ctrl.note_conn_idle_closed();
-    check("expired at admission, connections", (0, 0, 2));
+    check("expired at admission, connections", (0, 0, 1));
 
     let snap = ctrl.stats();
     let v = snap.lane(lane);
