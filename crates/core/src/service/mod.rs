@@ -51,7 +51,7 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64};
 use std::sync::{Arc, Weak};
 
 use parking_lot::{Mutex, RwLock};
@@ -615,15 +615,6 @@ impl OasisService {
     /// series).
     pub fn metrics(&self) -> &oasis_obs::Registry {
         &self.metrics
-    }
-
-    /// Virtual time of the most recent operation this service handled.
-    /// Event- and transport-driven code paths (which arrive without an
-    /// [`EnvContext`]) use it to timestamp audit entries.
-    ///
-    /// [`EnvContext`]: crate::env::EnvContext
-    pub fn last_seen_now(&self) -> u64 {
-        self.last_now.load(Ordering::Relaxed)
     }
 
     fn record_shard(&self, cert_id: CertId) -> &Mutex<CertShard> {

@@ -19,16 +19,6 @@ use crate::error::EventError;
 use crate::stats::{BusSeries, BusStats};
 use crate::topic::{Topic, TopicPattern};
 
-/// Identifier of a callback subscription.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct CallbackId(pub u64);
-
-impl fmt::Display for CallbackId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "cb-{}", self.0)
-    }
-}
-
 /// An event as delivered to a subscriber.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeliveredEvent<M> {
@@ -53,7 +43,6 @@ pub struct DeliveredEvent<M> {
 type Callback<M> = Box<dyn Fn(&DeliveredEvent<M>) + Send + Sync>;
 
 struct CallbackSub<M> {
-    id: CallbackId,
     pattern: TopicPattern,
     callback: Callback<M>,
 }
@@ -72,7 +61,6 @@ struct Inner<M> {
     topic_seq: Mutex<HashMap<Topic, u64>>,
     retention: RwLock<Vec<RetentionCfg>>,
     rings: Mutex<HashMap<Topic, VecDeque<DeliveredEvent<M>>>>,
-    next_cb: AtomicU64,
     global_seq: AtomicU64,
     metrics: oasis_obs::Registry,
     stats: BusSeries,
@@ -139,7 +127,6 @@ impl<M> EventBus<M> {
                 topic_seq: Mutex::new(HashMap::new()),
                 retention: RwLock::new(Vec::new()),
                 rings: Mutex::new(HashMap::new()),
-                next_cb: AtomicU64::new(1),
                 global_seq: AtomicU64::new(0),
                 stats: BusSeries::resolve(&metrics, ""),
                 metrics,
@@ -161,29 +148,12 @@ impl<M> EventBus<M> {
         &self,
         pattern: impl AsRef<str>,
         callback: impl Fn(&DeliveredEvent<M>) + Send + Sync + 'static,
-    ) -> Result<CallbackId, EventError> {
+    ) -> Result<(), EventError> {
         let pattern = TopicPattern::parse(pattern.as_ref())?;
-        let id = CallbackId(self.inner.next_cb.fetch_add(1, Ordering::Relaxed));
         self.inner.callbacks.write().push(CallbackSub {
-            id,
             pattern,
             callback: Box::new(callback),
         });
-        Ok(id)
-    }
-
-    /// Removes a callback subscription.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EventError::UnknownSubscription`] if `id` is not live.
-    pub fn remove_callback(&self, id: CallbackId) -> Result<(), EventError> {
-        let mut callbacks = self.inner.callbacks.write();
-        let before = callbacks.len();
-        callbacks.retain(|sub| sub.id != id);
-        if callbacks.len() == before {
-            return Err(EventError::UnknownSubscription(id.0));
-        }
         Ok(())
     }
 
@@ -386,7 +356,8 @@ impl<M> EventBus<M> {
     }
 
     /// How many events the retained ring of `topic` currently holds.
-    pub fn retained_len(&self, topic: &Topic) -> usize {
+    #[cfg(test)]
+    fn retained_len(&self, topic: &Topic) -> usize {
         self.inner
             .rings
             .lock()
@@ -502,26 +473,6 @@ mod tests {
             bus.publish(&Topic::new("t"), 0);
             assert_eq!(*order.lock(), vec![0, 1, 2]);
         }
-    }
-
-    #[test]
-    fn removed_callback_no_longer_fires() {
-        let bus: EventBus<u8> = EventBus::new();
-        let hits = Arc::new(AtomicU64::new(0));
-        let hits2 = Arc::clone(&hits);
-        let id = bus
-            .subscribe_fn("r", move |_| {
-                hits2.fetch_add(1, Ordering::Relaxed);
-            })
-            .unwrap();
-        bus.publish(&Topic::new("r"), 0);
-        bus.remove_callback(id).unwrap();
-        bus.publish(&Topic::new("r"), 0);
-        assert_eq!(hits.load(Ordering::Relaxed), 1);
-        assert_eq!(
-            bus.remove_callback(id),
-            Err(EventError::UnknownSubscription(id.0))
-        );
     }
 
     #[test]

@@ -11,9 +11,6 @@ pub enum EventError {
         reason: String,
     },
 
-    /// A callback id did not name a live callback subscription.
-    UnknownSubscription(u64),
-
     /// A retention ring was requested with capacity zero.
     InvalidCapacity,
 }
@@ -22,7 +19,6 @@ impl std::fmt::Display for EventError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Self::InvalidTopic { topic, reason } => write!(f, "invalid topic `{topic}`: {reason}"),
-            Self::UnknownSubscription(x0) => write!(f, "unknown subscription {x0}"),
             Self::InvalidCapacity => write!(f, "retention capacity must be at least 1"),
         }
     }

@@ -160,11 +160,6 @@ impl HeartbeatMonitor {
         out.sort_by(|a, b| a.0.cmp(&b.0));
         out
     }
-
-    /// Number of registered sources.
-    pub fn source_count(&self) -> usize {
-        self.sources.read().len()
-    }
 }
 
 #[cfg(test)]
@@ -265,7 +260,7 @@ mod tests {
         assert_eq!(m.health(&s, 40), Some(SourceHealth::Dead));
         m.register(s.clone(), 10, 40);
         assert_eq!(m.health(&s, 45), Some(SourceHealth::Healthy));
-        assert_eq!(m.source_count(), 1, "re-registration is idempotent");
+        assert_eq!(m.sources.read().len(), 1, "re-registration is idempotent");
     }
 
     #[test]

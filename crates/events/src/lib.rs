@@ -61,7 +61,7 @@ mod heartbeat;
 mod stats;
 mod topic;
 
-pub use bus::{CallbackId, DeliveredEvent, EventBus};
+pub use bus::{DeliveredEvent, EventBus};
 pub use error::EventError;
 pub use heartbeat::{HeartbeatMonitor, SourceHealth, SourceId};
 pub use stats::BusStats;

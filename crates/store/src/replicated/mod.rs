@@ -413,7 +413,7 @@ impl ReplicaNode {
     }
 
     /// The cluster size (peers plus this node).
-    pub fn cluster_size(&self) -> usize {
+    fn cluster_size(&self) -> usize {
         self.config.peers.len() + 1
     }
 

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use oasis_core::{PrincipalId, ServiceId};
-
 use crate::cert::{AuditCertificate, Outcome};
 
 /// The audit certificates a party has accumulated and can present as
@@ -28,22 +26,6 @@ impl InteractionHistory {
     /// All certificates, in acquisition order.
     pub fn certificates(&self) -> &[AuditCertificate] {
         &self.certificates
-    }
-
-    /// Certificates in which `client` was the client party.
-    pub fn as_client(&self, client: &PrincipalId) -> Vec<&AuditCertificate> {
-        self.certificates
-            .iter()
-            .filter(|c| c.client == *client)
-            .collect()
-    }
-
-    /// Certificates in which `provider` was the provider party.
-    pub fn as_provider(&self, provider: &ServiceId) -> Vec<&AuditCertificate> {
-        self.certificates
-            .iter()
-            .filter(|c| c.provider == *provider)
-            .collect()
     }
 
     /// Keeps only certificates the given verifier accepts (e.g. "validated
@@ -107,6 +89,7 @@ impl fmt::Display for InteractionHistory {
 mod tests {
     use super::*;
     use crate::cert::CivNotary;
+    use oasis_core::{PrincipalId, ServiceId};
 
     fn certs() -> (CivNotary, InteractionHistory, PrincipalId, ServiceId) {
         let notary = CivNotary::new("civ");
@@ -123,13 +106,6 @@ mod tests {
             3,
         ));
         (notary, history, alice, library)
-    }
-
-    #[test]
-    fn filters_by_party() {
-        let (_n, history, alice, library) = certs();
-        assert_eq!(history.as_client(&alice).len(), 2);
-        assert_eq!(history.as_provider(&library).len(), 3);
     }
 
     #[test]

@@ -241,6 +241,9 @@ impl WireClient {
 
     /// Activates a role at the remote service, returning the RMC.
     ///
+    /// `now` is sent but not read: the server evaluates the request at its
+    /// own clock.
+    ///
     /// # Errors
     ///
     /// [`WireError::Remote`] carrying the service's denial, or transport
@@ -269,6 +272,9 @@ impl WireClient {
     /// Invokes a method at the remote service; returns the credentials
     /// that authorised it.
     ///
+    /// `now` is sent but not read: the server evaluates the request at its
+    /// own clock.
+    ///
     /// # Errors
     ///
     /// [`WireError::Remote`] carrying the denial, or transport errors.
@@ -296,6 +302,9 @@ impl WireClient {
     /// Validation callback: asks the issuer whether `credential` is good
     /// for `presenter`.
     ///
+    /// `now` is sent but not read: the issuer judges expiry at its own
+    /// clock.
+    ///
     /// # Errors
     ///
     /// [`WireError::Remote`] with the rejection reason, or transport
@@ -319,6 +328,9 @@ impl WireClient {
 
     /// Asks the issuer to revoke a certificate; returns whether it had
     /// been active.
+    ///
+    /// `now` is sent but not read: the issuer stamps the revocation with its
+    /// own clock.
     ///
     /// # Errors
     ///

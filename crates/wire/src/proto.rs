@@ -51,7 +51,8 @@ pub enum Request {
         args: Vec<Value>,
         /// Presented credentials.
         credentials: Vec<Credential>,
-        /// Client's virtual time.
+        /// Decoded but not read: the server's clock is the request's time.
+        /// Kept because the golden frames and the frozen benchmark encode it.
         now: u64,
     },
     /// Invoke `method(args)` (paths 3–4 of Fig 2).
@@ -64,7 +65,8 @@ pub enum Request {
         args: Vec<Value>,
         /// Presented credentials.
         credentials: Vec<Credential>,
-        /// Client's virtual time.
+        /// Decoded but not read: the server's clock is the request's time.
+        /// Kept because the golden frames and the frozen benchmark encode it.
         now: u64,
     },
     /// Validation callback: is this credential (still) good for this
@@ -74,7 +76,8 @@ pub enum Request {
         credential: Box<Credential>,
         /// Who presented it.
         presenter: PrincipalId,
-        /// Verifier's virtual time.
+        /// Decoded but not read: the server's clock is the request's time.
+        /// Kept because the golden frames and the frozen benchmark encode it.
         now: u64,
     },
     /// Revoke a certificate this service issued.
@@ -83,7 +86,8 @@ pub enum Request {
         cert_id: u64,
         /// Reason, recorded for audit.
         reason: String,
-        /// Virtual time.
+        /// Decoded but not read: the server's clock is the request's time.
+        /// Kept because the golden frames and the frozen benchmark encode it.
         now: u64,
     },
     /// Catch-up resync (Fig 5 across a crash): replay the revocation

@@ -95,8 +95,12 @@ impl std::fmt::Debug for WireServer {
 impl WireServer {
     /// Binds to `addr` and prepares to serve `service` with the default
     /// [`OverloadConfig`]. Each request is evaluated in an
-    /// [`EnvContext`] at the virtual time the client sent, with no
-    /// ambient values or predicates.
+    /// [`EnvContext`] at the server's own clock, with no ambient values or
+    /// predicates: the one clock that times admission and deadlines is
+    /// also `$now` in every rule, the expiry clock and the audit stamp.
+    /// It reads milliseconds since the admission controller was made
+    /// (here, or by [`with_overload`](Self::with_overload)). The `now` a
+    /// request carries is decoded and ignored.
     ///
     /// # Errors
     ///
@@ -302,7 +306,7 @@ impl Pool {
 
     fn audit_fault(&self, op: &str, error: &std::io::Error) {
         self.service.audit().record(
-            self.service.last_seen_now(),
+            self.controller.now_ms(),
             AuditKind::TransportFault {
                 op: op.to_string(),
                 detail: error.to_string(),
@@ -406,7 +410,8 @@ impl Pool {
         // answerable by any node exactly while the lanes are saturated, and
         // a follower's registry is as interesting as the leader's.
         if matches!(envelope.request, Request::Metrics) {
-            let response = handle_request(&self.service, Request::Metrics);
+            let response =
+                handle_request(&self.service, Request::Metrics, self.controller.now_ms());
             return self.respond(conn, &response);
         }
         if let Some(node) = &self.replica {
@@ -458,7 +463,8 @@ impl Pool {
 
     /// Run a granted request, re-checking the deadline so no request ever
     /// executes past it — the permit may have been granted in the same
-    /// instant the deadline lapsed.
+    /// instant the deadline lapsed. The clock is read once: that reading
+    /// is both the re-check's and the request's `now`.
     fn execute(
         &self,
         permit: Permit,
@@ -466,7 +472,8 @@ impl Pool {
         request: Request,
         trace: Option<oasis_obs::TraceCtx>,
     ) -> Response {
-        if deadline.expired(self.controller.now_ms()) {
+        let now = self.controller.now_ms();
+        if deadline.expired(now) {
             self.controller.note_expired_after_admit(permit.lane());
             return Response::DeadlineExceeded;
         }
@@ -476,7 +483,7 @@ impl Pool {
         let _trace_scope = trace.map(oasis_obs::scope);
         self.requests.inc();
         let started = Instant::now();
-        let response = handle_request(&self.service, request);
+        let response = handle_request(&self.service, request, now);
         self.handle_us.observe(started.elapsed().as_micros() as u64);
         drop(permit);
         response
@@ -490,7 +497,9 @@ impl Pool {
     }
 }
 
-fn handle_request(service: &Arc<OasisService>, request: Request) -> Response {
+/// Serves one request at `now`, the server's clock. The `now` a request
+/// carries is never read: a caller's clock would decide `$now` and expiry.
+fn handle_request(service: &Arc<OasisService>, request: Request, now: u64) -> Response {
     match request {
         Request::Ping => Response::Pong,
         Request::Activate {
@@ -498,7 +507,7 @@ fn handle_request(service: &Arc<OasisService>, request: Request) -> Response {
             role,
             args,
             credentials,
-            now,
+            ..
         } => {
             let ctx = EnvContext::new(now);
             match service.activate_role(&principal, &RoleName::new(role), &args, &credentials, &ctx)
@@ -514,7 +523,7 @@ fn handle_request(service: &Arc<OasisService>, request: Request) -> Response {
             method,
             args,
             credentials,
-            now,
+            ..
         } => {
             let ctx = EnvContext::new(now);
             match service.invoke(&principal, &method, &args, &credentials, &ctx) {
@@ -529,7 +538,7 @@ fn handle_request(service: &Arc<OasisService>, request: Request) -> Response {
         Request::Validate {
             credential,
             presenter,
-            now,
+            ..
         } => match service.validate_own(&credential, &presenter, now) {
             Ok(()) => Response::Valid,
             Err(e) => Response::Error {
@@ -537,9 +546,7 @@ fn handle_request(service: &Arc<OasisService>, request: Request) -> Response {
             },
         },
         Request::Revoke {
-            cert_id,
-            reason,
-            now,
+            cert_id, reason, ..
         } => Response::Revoked {
             was_active: service.revoke_certificate(CertId(cert_id), &reason, now),
         },

@@ -11,6 +11,11 @@
 //! belong to the [`ResilientValidator`](oasis_core::ResilientValidator)
 //! layered on top: a failed validation dials the issuer once per attempt
 //! that layer schedules.
+//!
+//! The relying service's `now` rides in the callback, but the issuer does
+//! not read it: it judges an appointment's expiry by its own server
+//! clock, so a verifier's clock can neither revive an expired certificate
+//! nor expire a live one.
 
 use std::collections::HashMap;
 use std::io::ErrorKind;

@@ -3,8 +3,13 @@
 //! revocation all crossing the socket.
 
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
-use oasis_core::{Atom, Credential, OasisService, ServiceConfig, Term, Value, ValueType};
+use oasis_core::cert::Rmc;
+use oasis_core::{
+    Atom, CredStatus, Credential, EnvContext, OasisService, PrincipalId, RoleName, ServiceConfig,
+    Term, Value, ValueType,
+};
 use oasis_facts::FactStore;
 use oasis_wire::{WireClient, WireError, WireServer};
 
@@ -190,10 +195,17 @@ fn many_concurrent_clients() {
     assert_eq!(cert_ids.len(), 20);
 }
 
+/// Sleeps until a server bound before `bound` reads more than `ms` on
+/// its clock, which starts at 0 when the server binds.
+fn sleep_past(bound: Instant, ms: u64) {
+    let due = bound + Duration::from_millis(ms + 1);
+    std::thread::sleep(due.saturating_duration_since(Instant::now()));
+}
+
 #[test]
-fn server_side_context_factory_applies() {
-    // A role gated on $now < 100, activated through the wire: the server
-    // evaluates the rule at the virtual time the client sent.
+fn now_is_the_server_clock_not_the_request_field() {
+    // A role gated on $now < 1000, activated through the wire: the server
+    // evaluates the rule at its own clock, whatever time the client sends.
     let facts = Arc::new(FactStore::new());
     let svc = OasisService::new(ServiceConfig::new("timed"), facts);
     svc.define_role("day_role", &[], true).unwrap();
@@ -203,20 +215,116 @@ fn server_side_context_factory_applies() {
         vec![Atom::compare(
             Term::var("$now"),
             oasis_core::CmpOp::Lt,
-            Term::val(Value::Time(100)),
+            Term::val(Value::Time(1_000)),
         )],
         vec![],
     )
     .unwrap();
-    let addr = WireServer::bind(svc, "127.0.0.1:0")
-        .unwrap()
-        .serve_in_background()
+    let addr = start_server(svc);
+    let bound = Instant::now();
+
+    let mut client = WireClient::connect(addr).unwrap();
+    let p = PrincipalId::new("p");
+    client
+        .activate(&p, "day_role", vec![], vec![], u64::MAX)
+        .unwrap();
+    sleep_past(bound, 1_000);
+    let err = client
+        .activate(&p, "day_role", vec![], vec![], 0)
+        .unwrap_err();
+    assert!(
+        matches!(err, WireError::Remote(ref m) if m.contains("denied")),
+        "{err}"
+    );
+}
+
+/// A service where a `duty` member may appoint a `standin`, and `cover`
+/// is held only while its holder keeps a `standin` appointment. Returns
+/// the service with a `duty` RMC for alice.
+fn rota() -> (Arc<OasisService>, Rmc) {
+    let svc = OasisService::new(ServiceConfig::new("rota"), Arc::new(FactStore::new()));
+    svc.define_role("duty", &[], true).unwrap();
+    svc.add_activation_rule("duty", vec![], vec![], vec![])
+        .unwrap();
+    svc.grant_appointer("duty", "standin").unwrap();
+    svc.define_role("cover", &[], true).unwrap();
+    svc.add_activation_rule(
+        "cover",
+        vec![],
+        vec![Atom::appointment("standin", vec![])],
+        vec![0],
+    )
+    .unwrap();
+    let duty = svc
+        .activate_role(
+            &PrincipalId::new("alice"),
+            &RoleName::new("duty"),
+            &[],
+            &[],
+            &EnvContext::new(0),
+        )
+        .unwrap();
+    (svc, duty)
+}
+
+/// Alice appoints bob a `standin` until `expires_at`, in-process.
+fn appoint(svc: &OasisService, duty: &Rmc, expires_at: u64) -> Credential {
+    let cert = svc
+        .issue_appointment(
+            &PrincipalId::new("alice"),
+            &[Credential::Rmc(duty.clone())],
+            "standin",
+            vec![],
+            &PrincipalId::new("bob"),
+            Some(expires_at),
+            None,
+            &EnvContext::new(0),
+        )
+        .unwrap();
+    Credential::Appointment(cert)
+}
+
+#[test]
+fn an_expired_appointment_stays_expired_whatever_now_the_verifier_sends() {
+    let (svc, duty) = rota();
+    let addr = start_server(Arc::clone(&svc));
+    let bound = Instant::now();
+    let standin = appoint(&svc, &duty, 200);
+
+    sleep_past(bound, 200);
+    let mut client = WireClient::connect(addr).unwrap();
+    let err = client
+        .validate(&standin, &PrincipalId::new("bob"), 0)
+        .unwrap_err();
+    assert!(
+        matches!(err, WireError::Remote(ref m) if m.contains("expired")),
+        "{err}"
+    );
+    assert!(matches!(
+        svc.record(standin.crr().cert_id).unwrap().status,
+        CredStatus::Expired { .. }
+    ));
+}
+
+#[test]
+fn a_verifier_clock_cannot_expire_a_live_appointment() {
+    let (svc, duty) = rota();
+    let addr = start_server(Arc::clone(&svc));
+    let standin = appoint(&svc, &duty, 3_600_000);
+    let bob = PrincipalId::new("bob");
+    let cover = svc
+        .activate_role(
+            &bob,
+            &RoleName::new("cover"),
+            &[],
+            std::slice::from_ref(&standin),
+            &EnvContext::new(0),
+        )
         .unwrap();
 
     let mut client = WireClient::connect(addr).unwrap();
-    let p = oasis_core::PrincipalId::new("p");
-    assert!(client.activate(&p, "day_role", vec![], vec![], 50).is_ok());
-    assert!(client
-        .activate(&p, "day_role", vec![], vec![], 150)
-        .is_err());
+    client.validate(&standin, &bob, u64::MAX).unwrap();
+    for cert_id in [standin.crr().cert_id, cover.crr.cert_id] {
+        assert_eq!(svc.record(cert_id).unwrap().status, CredStatus::Active);
+    }
 }
