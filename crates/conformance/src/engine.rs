@@ -23,11 +23,10 @@ use std::sync::Arc;
 use oasis_core::cert::Rmc;
 use oasis_core::retry::RetryPolicy;
 use oasis_core::{
-    AdmissionController, Atom, BreakerConfig, Clock, CredStatus, Credential, CredentialValidator,
-    Deadline, DegradationPolicy, EnvContext, HeartbeatConfig, Lane, LaneConfig, LocalRegistry,
-    ManualClock, OasisError, OasisService, OverloadConfig, Permit, PollOutcome, PrincipalId,
-    ResilientValidator, RoleName, ServiceConfig, ServiceId, ServiceJournal, Submission, Term,
-    Ticket, Value, ValueType,
+    AdmissionController, Atom, Clock, CredStatus, Credential, CredentialValidator, Deadline,
+    EnvContext, Lane, LaneConfig, LocalRegistry, ManualClock, OasisError, OasisService,
+    OverloadConfig, Permit, PollOutcome, PrincipalId, ResilientValidator, RoleName, ServiceConfig,
+    ServiceId, ServiceJournal, Submission, Term, Ticket, Value, ValueType,
 };
 use oasis_events::SourceHealth;
 use oasis_facts::FactStore;
@@ -328,11 +327,7 @@ pub(crate) fn run_two_domain_scheduled(
         ServiceConfig::new("hospital")
             .with_journal(store)
             .with_validation_cache(5)
-            .with_heartbeats(HeartbeatConfig {
-                dead_after: 3,
-                grace: 10,
-                policy: DegradationPolicy::FailSafe,
-            }),
+            .with_heartbeats(),
         Arc::clone(&facts),
     );
     hospital
@@ -366,11 +361,7 @@ pub(crate) fn run_two_domain_scheduled(
     });
     let resilient = Arc::new(
         ResilientValidator::new(gate.clone() as Arc<dyn CredentialValidator>)
-            .with_retry(RetryPolicy::immediate(2))
-            .with_breaker(BreakerConfig {
-                failure_threshold: 3,
-                cooldown_ticks: 30,
-            }),
+            .with_retry(RetryPolicy::immediate(2)),
     );
     hospital.set_validator(resilient.clone());
     hospital.watch_issuer(&login_id(), 10, 0);
@@ -1141,16 +1132,15 @@ pub(crate) fn run_two_domain_scheduled(
     };
     report.record(
         DEGRADATION_CONSISTENT,
-        ds.stale_served == 0
-            && m.settled.is_some()
+        m.settled.is_some()
             && probe_ok
             && breaker == "closed"
             && queues_drained
             && regime_consistent,
         format!(
-            "stale_served={} settled_at=t{settle_tick} probe_ok={probe_ok} breaker={breaker} \
+            "settled_at=t{settle_tick} probe_ok={probe_ok} breaker={breaker} \
              queues_drained={queues_drained} degraded_issuers={} recoveries={} dead_seen={:?}",
-            ds.stale_served, ds.degraded_issuers, ds.issuer_recoveries, m.dead_seen
+            ds.degraded_issuers, ds.issuer_recoveries, m.dead_seen
         ),
     );
 

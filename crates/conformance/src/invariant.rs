@@ -34,9 +34,9 @@ pub const GAP_FREE_RECOVERY: &str = "gap-free-recovery";
 /// deliveries: it is present at the relying side after final catch-up
 /// and its dependent certificates are collapsed.
 pub const NO_ACKED_EVENT_LOST: &str = "no-acked-event-lost";
-/// The degradation and breaker state machines end consistent: nothing
-/// stale was ever served, the breaker is closed, queues are drained,
-/// and degradation engaged exactly when the regime warranted it.
+/// The degradation and breaker state machines end consistent: the
+/// breaker is closed, queues are drained, and degradation engaged
+/// exactly when the regime warranted it.
 pub const DEGRADATION_CONSISTENT: &str = "degradation-consistent";
 /// Evidence from a Byzantine CIV never earns unsecured trust: forged
 /// certificates fail validation and fabricated histories are held

@@ -106,15 +106,12 @@ pub use overload::{
 };
 pub use pattern::{Bindings, Term, VarName};
 pub use plan::{CheckPlan, CredIndex, PlanStats, RulePlan};
-pub use resilient::{
-    classify_error, BreakerConfig, ErrorClass, ResilientStats, ResilientValidator,
-};
+pub use resilient::{classify_error, ErrorClass, ResilientStats, ResilientValidator};
 pub use retry::{Backoff, RetryPolicy};
 pub use role::{ParamSchema, RoleDef};
 pub use rule::{ActivationRule, Atom, InvocationRule, RuleId};
 pub use service::{
-    ActivationOutcome, DegradationPolicy, DegradationStats, HeartbeatConfig, OasisService,
-    ServiceConfig, ValidationCacheStats,
+    ActivationOutcome, DegradationStats, OasisService, ServiceConfig, ValidationCacheStats,
 };
 pub use session::{Session, SessionView};
 pub use validate::{CredentialValidator, LocalRegistry};

@@ -24,10 +24,12 @@
 //! * **Constant folding** — comparisons over two constants are evaluated
 //!   at compile time; a test reading a variable no generator can ever
 //!   bind marks the whole plan [always-fail](RulePlan::is_always_fail).
-//! * **Ground fast path** — when every variable a body reads is bound by
-//!   the head or the ambient environment, evaluation degenerates to a
-//!   linear sequence of indexed membership checks with no unification
-//!   machinery at all.
+//!
+//! One backtracking evaluator runs every plan. On a body whose every
+//! variable the head or the ambient environment binds, it makes only
+//! membership checks: each credential candidate is compared against
+//! bound slots, and a fact lookup with no unbound slot asks the store
+//! whether a matching row exists instead of enumerating rows.
 //!
 //! Plans return the same [`Solution`] (bindings *and* per-condition
 //! credential choices, in original condition order) as `solve` on every
@@ -219,9 +221,6 @@ pub struct RulePlan {
     /// The body contains a test no generator can ever satisfy: the rule
     /// is unsatisfiable and evaluation returns `None` immediately.
     always_fail: bool,
-    /// Every slot the body reads is bound by the head or the ambient
-    /// environment — eligible for the linear no-unification fast path.
-    ground: bool,
     /// Result depends on the clock, an ambient value, or a predicate (as
     /// opposed to fact state only).
     time_sensitive: bool,
@@ -385,10 +384,6 @@ impl RulePlan {
         }
         let reordered = steps.windows(2).any(|w| w[0].orig() > w[1].orig());
 
-        let ground = steps
-            .iter()
-            .flat_map(|s| s.slot_args())
-            .all(|s| head_slots.contains(&s) || ambient_slots.contains(&s));
         let time_sensitive = !ambient.is_empty()
             || steps
                 .iter()
@@ -400,7 +395,6 @@ impl RulePlan {
             slot_names: alloc.names,
             ambient,
             always_fail,
-            ground,
             time_sensitive,
             reordered,
         }
@@ -411,9 +405,13 @@ impl RulePlan {
         self.always_fail
     }
 
-    /// Whether the body qualifies for the fully-ground fast path.
-    pub fn is_ground(&self) -> bool {
-        self.ground
+    /// Whether the head and the ambient environment bind every slot the
+    /// body reads, so that the evaluator makes membership checks only.
+    fn fully_bound(&self) -> bool {
+        let bound = |s: usize| {
+            self.head.contains(&PlanTerm::Slot(s)) || self.ambient.iter().any(|(a, _)| *a == s)
+        };
+        self.steps.iter().flat_map(PlanStep::slot_args).all(bound)
     }
 
     /// Whether the compiled order differs from the source order.
@@ -470,99 +468,16 @@ impl RulePlan {
             }
         }
 
-        let mut used: Vec<(usize, Crr)> = Vec::new();
-        let satisfied = if self.ground && slots.iter().all(Option::is_some) {
-            self.eval_ground(&slots, &mut used, creds, facts, ctx)
-        } else {
-            let eval = Evaluator {
-                plan: self,
-                creds,
-                facts,
-                ctx,
-            };
-            let mut trail: Vec<usize> = Vec::new();
-            eval.solve(0, &mut slots, &mut trail, &mut used)
+        let eval = Evaluator {
+            plan: self,
+            creds,
+            facts,
+            ctx,
         };
-        satisfied.then(|| self.solution(&slots, used, ctx))
-    }
-
-    /// Linear evaluation for a body whose every slot is already bound:
-    /// each step is a pure membership check; nothing binds, so nothing
-    /// backtracks.
-    fn eval_ground(
-        &self,
-        slots: &[Option<Value>],
-        used: &mut Vec<(usize, Crr)>,
-        creds: &CredIndex<'_>,
-        facts: &FactStore<Value>,
-        ctx: &EnvContext,
-    ) -> bool {
-        for step in &self.steps {
-            match step {
-                PlanStep::Credential { orig, key, args } => {
-                    let first = args.first().and_then(|t| resolve(slots, t));
-                    let found = creds
-                        .candidates(key, first)
-                        .iter()
-                        .map(|&i| &creds.creds[i as usize])
-                        .find(|c| {
-                            c.args().len() == args.len()
-                                && args
-                                    .iter()
-                                    .zip(c.args())
-                                    .all(|(t, v)| resolve(slots, t).is_none_or(|r| r == v))
-                        });
-                    match found {
-                        Some(cred) => used.push((*orig, cred.crr().clone())),
-                        None => return false,
-                    }
-                }
-                PlanStep::Fact {
-                    relation,
-                    args,
-                    negated,
-                    ..
-                } => {
-                    let pattern: Vec<Option<Value>> =
-                        args.iter().map(|t| resolve(slots, t).cloned()).collect();
-                    if *negated {
-                        let Some(tuple) = pattern.into_iter().collect::<Option<Vec<Value>>>()
-                        else {
-                            return false;
-                        };
-                        if !matches!(facts.contains(relation, &tuple), Ok(false)) {
-                            return false;
-                        }
-                    } else if !matches!(facts.exists(relation, &pattern), Ok(true)) {
-                        return false;
-                    }
-                }
-                PlanStep::Compare {
-                    left, op, right, ..
-                } => {
-                    let (Some(l), Some(r)) = (resolve(slots, left), resolve(slots, right)) else {
-                        return false;
-                    };
-                    if !op.eval(l, r) {
-                        return false;
-                    }
-                }
-                PlanStep::Predicate { name, args, .. } => {
-                    let Some(values) = args
-                        .iter()
-                        .map(|t| resolve(slots, t).cloned())
-                        .collect::<Option<Vec<Value>>>()
-                    else {
-                        return false;
-                    };
-                    if !ctx.eval_predicate(name, &values) {
-                        return false;
-                    }
-                }
-            }
-        }
-        used.sort_by_key(|(i, _)| *i);
-        true
+        let mut used: Vec<(usize, Crr)> = Vec::new();
+        let mut trail: Vec<usize> = Vec::new();
+        eval.solve(0, &mut slots, &mut trail, &mut used)
+            .then(|| self.solution(&slots, used, ctx))
     }
 
     /// Reconstructs the `solve`-shaped [`Solution`]: `$now`, every
@@ -761,7 +676,8 @@ oasis_obs::stats_set! {
         total: u64 = counter,
         /// Plans proved unsatisfiable at compile time.
         always_fail: u64 = counter,
-        /// Plans eligible for the fully-ground fast path.
+        /// Plans whose body reads only slots the head or the ambient
+        /// environment binds: decided by membership checks alone.
         ground: u64 = counter,
         /// Plans whose step order differs from the source order.
         reordered: u64 = counter,
@@ -775,7 +691,7 @@ impl PlanSeries {
     pub(crate) fn count(&self, plan: &RulePlan) {
         self.total.inc();
         self.always_fail.add(u64::from(plan.is_always_fail()));
-        self.ground.add(u64::from(plan.is_ground()));
+        self.ground.add(u64::from(plan.fully_bound()));
         self.reordered.add(u64::from(plan.was_reordered()));
         self.time_sensitive.add(u64::from(plan.is_time_sensitive()));
     }
@@ -947,6 +863,8 @@ mod tests {
         compiled.is_some()
     }
 
+    /// A body the head binds completely: the evaluator makes membership
+    /// checks only.
     #[test]
     fn ground_fast_path_matches_solve() {
         let f = facts();
@@ -958,8 +876,6 @@ mod tests {
             Atom::prereq("doctor", vec![Term::var("D")]),
         ];
         let creds = [rmc("svc", 1, "doctor", vec![Value::id("d1")])];
-        let plan = RulePlan::compile(&svc(), &head, &conds);
-        assert!(plan.is_ground());
         assert!(assert_parity(
             &head,
             &conds,

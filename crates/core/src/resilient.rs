@@ -13,15 +13,16 @@
 //!   capped exponential backoff with deterministic jitter, bounded by a
 //!   total-delay budget;
 //! * each issuer gets a circuit breaker (closed → open → half-open):
-//!   after `failure_threshold` consecutive exhausted retry sequences the
-//!   breaker opens and calls fast-fail with
-//!   [`OasisError::CircuitOpen`] instead of burning a timeout each,
-//!   until a cooldown (in virtual ticks) admits a single half-open probe.
+//!   after 3 consecutive exhausted retry sequences the breaker opens and
+//!   calls fast-fail with [`OasisError::CircuitOpen`] instead of burning
+//!   a timeout each, until a cooldown of 30 ticks admits a single
+//!   half-open probe.
 //!
-//! The breaker is timed in *virtual* ticks — the `now` already threaded
-//! through every `validate` call — so it composes with the deterministic
-//! simulator and the heartbeat machinery in
-//! [`OasisService`](crate::OasisService).
+//! Both numbers are fixed. A tick is the caller's clock: the `now`
+//! already threaded through every `validate` call, a virtual tick in the
+//! deterministic simulator and a millisecond of the server's clock on a
+//! wire server. The breaker thus composes with the heartbeat machinery
+//! in [`OasisService`](crate::OasisService).
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -64,24 +65,12 @@ pub fn classify_error(error: &OasisError) -> ErrorClass {
     }
 }
 
-/// Circuit breaker tuning.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BreakerConfig {
-    /// Consecutive exhausted retry sequences before the breaker opens.
-    pub failure_threshold: u32,
-    /// Virtual ticks the breaker stays open before admitting one
-    /// half-open probe.
-    pub cooldown_ticks: u64,
-}
+/// Consecutive exhausted retry sequences before a breaker opens.
+const FAILURE_THRESHOLD: u32 = 3;
 
-impl Default for BreakerConfig {
-    fn default() -> Self {
-        Self {
-            failure_threshold: 3,
-            cooldown_ticks: 30,
-        }
-    }
-}
+/// Ticks of the caller's clock a breaker stays open before admitting one
+/// half-open probe.
+const COOLDOWN_TICKS: u64 = 30;
 
 #[derive(Debug, Clone, Copy)]
 enum BreakerState {
@@ -148,7 +137,6 @@ type Sleeper = dyn Fn(Duration) + Send + Sync;
 pub struct ResilientValidator {
     inner: Arc<dyn CredentialValidator>,
     retry: RetryPolicy,
-    breaker: BreakerConfig,
     breakers: Mutex<HashMap<ServiceId, BreakerState>>,
     sleeper: Box<Sleeper>,
     jitter_seed: AtomicU64,
@@ -160,20 +148,18 @@ impl std::fmt::Debug for ResilientValidator {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ResilientValidator")
             .field("retry", &self.retry)
-            .field("breaker", &self.breaker)
             .field("stats", &self.stats())
             .finish()
     }
 }
 
 impl ResilientValidator {
-    /// Wraps `inner` with the default retry policy and breaker tuning.
+    /// Wraps `inner` with the default retry policy.
     pub fn new(inner: Arc<dyn CredentialValidator>) -> Self {
         let metrics = oasis_obs::Registry::new();
         Self {
             inner,
             retry: RetryPolicy::default(),
-            breaker: BreakerConfig::default(),
             breakers: Mutex::new(HashMap::new()),
             sleeper: Box::new(|d| {
                 if d > Duration::ZERO {
@@ -190,13 +176,6 @@ impl ResilientValidator {
     #[must_use]
     pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
         self.retry = retry;
-        self
-    }
-
-    /// Replaces the breaker tuning.
-    #[must_use]
-    pub fn with_breaker(mut self, breaker: BreakerConfig) -> Self {
-        self.breaker = breaker;
         self
     }
 
@@ -237,9 +216,7 @@ impl ResilientValidator {
         let state = breakers.entry(issuer.clone()).or_default();
         match *state {
             BreakerState::Closed { .. } => Ok(()),
-            BreakerState::Open { since }
-                if now >= since.saturating_add(self.breaker.cooldown_ticks) =>
-            {
+            BreakerState::Open { since } if now >= since.saturating_add(COOLDOWN_TICKS) => {
                 *state = BreakerState::HalfOpen;
                 Ok(())
             }
@@ -278,7 +255,7 @@ impl ResilientValidator {
                 consecutive_failures,
             } => {
                 let failures = consecutive_failures + 1;
-                if failures >= self.breaker.failure_threshold {
+                if failures >= FAILURE_THRESHOLD {
                     true
                 } else {
                     *state = BreakerState::Closed {
@@ -402,11 +379,7 @@ mod tests {
             fail_first,
         });
         let validator = ResilientValidator::new(Arc::clone(&flaky) as Arc<dyn CredentialValidator>)
-            .with_retry(RetryPolicy::immediate(3))
-            .with_breaker(BreakerConfig {
-                failure_threshold: 2,
-                cooldown_ticks: 10,
-            });
+            .with_retry(RetryPolicy::immediate(3));
         let secret = oasis_crypto::IssuerSecret::random();
         let rmc = crate::cert::Rmc::issue(
             &secret.current(),
@@ -438,14 +411,16 @@ mod tests {
     fn breaker_opens_after_threshold_and_fast_fails() {
         let (flaky, validator, cred) = world(false, 0);
         let alice = PrincipalId::new("alice");
-        // Two exhausted sequences (threshold) open the breaker.
+        // Three exhausted sequences (the threshold) open the breaker.
         assert!(validator.validate(&cred, &alice, 0).is_err());
         assert!(validator.validate(&cred, &alice, 1).is_err());
+        assert_eq!(validator.breaker_state(cred.issuer()), "closed");
+        assert!(validator.validate(&cred, &alice, 2).is_err());
         assert_eq!(validator.breaker_state(cred.issuer()), "open");
         let attempts_before = flaky.attempts.load(Ordering::Relaxed);
 
         // While open, calls never reach the inner validator.
-        let err = validator.validate(&cred, &alice, 2).unwrap_err();
+        let err = validator.validate(&cred, &alice, 3).unwrap_err();
         assert!(matches!(err, OasisError::CircuitOpen(_)));
         assert_eq!(flaky.attempts.load(Ordering::Relaxed), attempts_before);
         assert_eq!(validator.stats().breaker_fast_fails, 1);
@@ -456,32 +431,46 @@ mod tests {
     fn half_open_probe_closes_breaker_on_recovery() {
         let (flaky, validator, cred) = world(false, 0);
         let alice = PrincipalId::new("alice");
-        assert!(validator.validate(&cred, &alice, 0).is_err());
-        assert!(validator.validate(&cred, &alice, 0).is_err());
+        for _ in 0..FAILURE_THRESHOLD {
+            assert!(validator.validate(&cred, &alice, 0).is_err());
+        }
         assert_eq!(validator.breaker_state(cred.issuer()), "open");
 
-        // Cooldown (10 ticks) passes and the issuer recovers.
+        // Still open one tick short of the cooldown.
+        let err = validator.validate(&cred, &alice, COOLDOWN_TICKS - 1);
+        assert!(matches!(err, Err(OasisError::CircuitOpen(_))));
+
+        // Cooldown (30 ticks) passes and the issuer recovers.
         flaky.up.store(true, Ordering::Relaxed);
-        validator.validate(&cred, &alice, 11).unwrap();
+        validator
+            .validate(&cred, &alice, COOLDOWN_TICKS + 1)
+            .unwrap();
         assert_eq!(validator.breaker_state(cred.issuer()), "closed");
         assert_eq!(validator.stats().breaker_closes, 1);
 
         // And stays closed for subsequent traffic.
-        validator.validate(&cred, &alice, 12).unwrap();
+        validator
+            .validate(&cred, &alice, COOLDOWN_TICKS + 2)
+            .unwrap();
     }
 
     #[test]
     fn failed_half_open_probe_reopens() {
         let (_flaky, validator, cred) = world(false, 0);
         let alice = PrincipalId::new("alice");
-        assert!(validator.validate(&cred, &alice, 0).is_err());
-        assert!(validator.validate(&cred, &alice, 0).is_err());
+        for _ in 0..FAILURE_THRESHOLD {
+            assert!(validator.validate(&cred, &alice, 0).is_err());
+        }
         // Probe after cooldown fails: re-open, counted as another open.
-        assert!(validator.validate(&cred, &alice, 20).is_err());
+        assert!(validator
+            .validate(&cred, &alice, 2 * COOLDOWN_TICKS)
+            .is_err());
         assert_eq!(validator.breaker_state(cred.issuer()), "open");
         assert_eq!(validator.stats().breaker_opens, 2);
         // And the fresh open means fast-fail again before the next cooldown.
-        let err = validator.validate(&cred, &alice, 21).unwrap_err();
+        let err = validator
+            .validate(&cred, &alice, 2 * COOLDOWN_TICKS + 1)
+            .unwrap_err();
         assert!(matches!(err, OasisError::CircuitOpen(_)));
     }
 
@@ -498,14 +487,11 @@ mod tests {
                 Err(OasisError::UnknownCertificate(credential.crr().clone()))
             }
         }
-        let validator = ResilientValidator::new(Arc::new(Rejecting))
-            .with_retry(RetryPolicy::immediate(5))
-            .with_breaker(BreakerConfig {
-                failure_threshold: 1,
-                cooldown_ticks: 10,
-            });
+        let validator =
+            ResilientValidator::new(Arc::new(Rejecting)).with_retry(RetryPolicy::immediate(5));
         let (_, _, cred) = world(true, 0);
         let alice = PrincipalId::new("alice");
+        // More fatal answers than the breaker's threshold.
         for now in 0..5 {
             let err = validator.validate(&cred, &alice, now).unwrap_err();
             assert!(matches!(err, OasisError::UnknownCertificate(_)));
@@ -583,15 +569,11 @@ mod tests {
     #[test]
     fn overload_sheds_counted_separately_and_spare_the_breaker() {
         let validator = ResilientValidator::new(Arc::new(Shedding { retry_after_ms: 5 }))
-            .with_retry(RetryPolicy::immediate(2))
-            .with_breaker(BreakerConfig {
-                failure_threshold: 1,
-                cooldown_ticks: 10,
-            });
+            .with_retry(RetryPolicy::immediate(2));
         let (_, _, cred) = world(true, 0);
         let alice = PrincipalId::new("alice");
-        // Threshold is 1: a single exhausted *transport* sequence would
-        // open the breaker. Exhausted shed sequences must not.
+        // Threshold is 3: three exhausted *transport* sequences would
+        // open the breaker. Four exhausted shed sequences must not.
         for now in 0..4 {
             let err = validator.validate(&cred, &alice, now).unwrap_err();
             assert!(matches!(err, OasisError::Overloaded { .. }));

@@ -1,68 +1,21 @@
-//! Failure awareness: issuer heartbeats, and the degradation policies
-//! that decide what a silent issuer's cached validations are still worth.
+//! Failure awareness: issuer heartbeats, and fail-safe degradation of a
+//! silent issuer's cached validations and dependent roles.
 
 use std::sync::atomic::Ordering;
 
 use oasis_events::SourceHealth;
 
-use super::{DeadIssuer, FailureAware, OasisService};
+use super::{DeadIssuer, FailureAware, OasisService, WatchedIssuer};
 use crate::cert::Crr;
 use crate::ids::ServiceId;
-
-/// What a service does with cached validations for a foreign issuer
-/// whose heartbeats have stopped (Fig 5: "silence means missed
-/// revocations").
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum DegradationPolicy {
-    /// Refuse to grant on authority that cannot be freshly confirmed: a
-    /// suspect cache entry is never served, and once the issuer is dead
-    /// for the configured grace period, dependent roles are deactivated
-    /// through the revocation cascade. The default.
-    #[default]
-    FailSafe,
-    /// Availability over safety: while the issuer is late, a cached
-    /// validation up to `max_stale_ticks` old may still be served when a
-    /// fresh callback fails. Dead issuers are still evicted — staleness
-    /// beyond the late window is never tolerated.
-    FailOpen {
-        /// Maximum cache-entry age (virtual ticks) servable while the
-        /// issuer is late and unreachable.
-        max_stale_ticks: u64,
-    },
-}
-
-/// Tuning for the failure-aware validation layer
-/// ([`ServiceConfig::with_heartbeats`]).
-///
-/// [`ServiceConfig::with_heartbeats`]: super::ServiceConfig::with_heartbeats
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HeartbeatConfig {
-    /// Missed intervals before an issuer is classified dead (≥ 1; the
-    /// window between one interval and this many is the *late* state).
-    pub dead_after: u64,
-    /// Virtual ticks an issuer must remain dead before a fail-safe
-    /// service deactivates the roles depending on its credentials.
-    pub grace: u64,
-    /// Default policy for issuers without a per-issuer override.
-    pub policy: DegradationPolicy,
-}
-
-impl Default for HeartbeatConfig {
-    fn default() -> Self {
-        Self {
-            dead_after: 3,
-            grace: 10,
-            policy: DegradationPolicy::FailSafe,
-        }
-    }
-}
 
 oasis_obs::stats_set! {
     /// Counters from the failure-aware validation layer (see
     /// [`ServiceConfig::with_heartbeats`]), alongside
     /// [`ValidationCacheStats`] and the decorator-side
     /// [`ResilientStats`](crate::ResilientStats); series `degradation.*`
-    /// of the service's registry.
+    /// of the service's registry. The layer is fail-safe: a suspect cache
+    /// entry is never served.
     ///
     /// [`ServiceConfig::with_heartbeats`]: super::ServiceConfig::with_heartbeats
     #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -70,11 +23,8 @@ oasis_obs::stats_set! {
         /// Validations forced to a fresh callback because the issuer was
         /// late (the cache hit was suspect).
         suspect_revalidations: u64 = counter,
-        /// Suspect cache entries served anyway under
-        /// [`DegradationPolicy::FailOpen`].
-        stale_served: u64 = counter,
-        /// Suspect cache entries *refused* (fail-safe, or older than the
-        /// fail-open bound) when the fresh callback failed.
+        /// Suspect cache entries refused because the fresh callback
+        /// failed.
         stale_refused: u64 = counter,
         /// Cache entries evicted because their issuer turned dead.
         dead_evictions: u64 = counter,
@@ -91,10 +41,12 @@ oasis_obs::stats_set! {
 
 impl OasisService {
     /// Starts monitoring `issuer` as a heartbeat source expected to beat
-    /// every `interval` ticks, with an implicit first beat at `now`.
-    /// Re-watching a known issuer resets its beat clock and clears any
-    /// dead-issuer state. Returns `false` when the failure-aware layer is
-    /// off ([`ServiceConfig::with_heartbeats`] not configured).
+    /// every `interval` ticks, with an implicit first beat at `now`. The
+    /// same interval is the grace a dead issuer gets before its dependent
+    /// roles are deactivated. Re-watching a known issuer resets its beat
+    /// clock and clears any dead-issuer state. Returns `false` when the
+    /// failure-aware layer is off ([`ServiceConfig::with_heartbeats`] not
+    /// configured).
     ///
     /// [`ServiceConfig::with_heartbeats`]: super::ServiceConfig::with_heartbeats
     pub fn watch_issuer(&self, issuer: &ServiceId, interval: u64, now: u64) -> bool {
@@ -102,20 +54,13 @@ impl OasisService {
             Some(fa) => {
                 fa.monitor
                     .register(FailureAware::source(issuer), interval, now);
-                fa.dead.lock().remove(issuer);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Overrides the [`DegradationPolicy`] for one issuer (others keep the
-    /// [`HeartbeatConfig::policy`] default). Returns `false` when the
-    /// failure-aware layer is off.
-    pub fn set_issuer_policy(&self, issuer: &ServiceId, policy: DegradationPolicy) -> bool {
-        match &self.fa {
-            Some(fa) => {
-                fa.overrides.write().insert(issuer.clone(), policy);
+                fa.watched.lock().insert(
+                    issuer.clone(),
+                    WatchedIssuer {
+                        interval,
+                        dead: None,
+                    },
+                );
                 true
             }
             None => false,
@@ -135,7 +80,13 @@ impl OasisService {
         if !fa.monitor.beat(&FailureAware::source(issuer), now) {
             return false;
         }
-        if fa.dead.lock().remove(issuer).is_some() {
+        let recovered = fa
+            .watched
+            .lock()
+            .get_mut(issuer)
+            .and_then(|w| w.dead.take())
+            .is_some();
+        if recovered {
             fa.counters.issuer_recoveries.inc();
         }
         true
@@ -156,12 +107,12 @@ impl OasisService {
     }
 
     /// Advances the failure-aware layer to `now`: issuers newly observed
-    /// dead get their cached validations evicted, and dead issuers past
-    /// the [`HeartbeatConfig::grace`] period under
-    /// [`DegradationPolicy::FailSafe`] have their dependent certificates
-    /// deactivated through the ordinary revocation cascade. Call this
-    /// periodically (each simulator tick, or on a maintenance timer).
-    /// Returns the CRRs revoked directly by degradation.
+    /// dead get their cached validations evicted, and issuers dead for
+    /// one heartbeat interval (the one [`OasisService::watch_issuer`]
+    /// registered) have their dependent certificates deactivated through
+    /// the ordinary revocation cascade. Call this periodically (each
+    /// simulator tick, or on a maintenance timer). Returns the CRRs
+    /// revoked directly by degradation.
     pub fn tick_heartbeats(&self, now: u64) -> Vec<Crr> {
         let Some(fa) = &self.fa else {
             return Vec::new();
@@ -172,19 +123,16 @@ impl OasisService {
                 self.note_issuer_dead(&ServiceId::new(source.0), now);
             }
         }
-        // Collect grace-expired fail-safe issuers under the ledger lock,
-        // then revoke with no lock held (cascades re-enter the shards).
+        // Collect grace-expired issuers under the ledger lock, then
+        // revoke with no lock held (cascades re-enter the shards).
         let mut expired: Vec<ServiceId> = Vec::new();
-        {
-            let mut dead = fa.dead.lock();
-            for (issuer, entry) in dead.iter_mut() {
-                if entry.degraded || now.saturating_sub(entry.since) < fa.grace {
-                    continue;
-                }
-                if fa.policy_for(issuer) == DegradationPolicy::FailSafe {
-                    entry.degraded = true;
-                    expired.push(issuer.clone());
-                }
+        for (issuer, watched) in fa.watched.lock().iter_mut() {
+            let Some(dead) = &mut watched.dead else {
+                continue;
+            };
+            if !dead.degraded && now.saturating_sub(dead.since) >= watched.interval {
+                dead.degraded = true;
+                expired.push(issuer.clone());
             }
         }
         expired.sort();
@@ -196,23 +144,25 @@ impl OasisService {
         revoked
     }
 
-    /// Enters `issuer` in the dead ledger (first observation stamps
+    /// Marks the watched `issuer` dead (the first observation stamps
     /// `since`) and evicts its cached validations, once.
     pub(super) fn note_issuer_dead(&self, issuer: &ServiceId, now: u64) {
         let Some(fa) = &self.fa else {
             return;
         };
-        let mut dead = fa.dead.lock();
-        let entry = dead.entry(issuer.clone()).or_insert(DeadIssuer {
-            since: now,
-            evicted: false,
-            degraded: false,
-        });
-        if entry.evicted {
-            return;
+        {
+            let mut watched = fa.watched.lock();
+            let Some(watched) = watched.get_mut(issuer) else {
+                return;
+            };
+            if watched.dead.is_some() {
+                return;
+            }
+            watched.dead = Some(DeadIssuer {
+                since: now,
+                degraded: false,
+            });
         }
-        entry.evicted = true;
-        drop(dead);
         if let Some(cache) = &self.vcache {
             let evicted = cache.invalidate_issuer(issuer);
             fa.counters.dead_evictions.add(evicted);

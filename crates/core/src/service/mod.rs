@@ -79,7 +79,7 @@ mod recovery;
 mod revocation;
 mod validation;
 
-pub use degradation::{DegradationPolicy, DegradationStats, HeartbeatConfig};
+pub use degradation::DegradationStats;
 pub use issuance::{ActivationOutcome, Invocation};
 pub use validation::ValidationCacheStats;
 
@@ -101,35 +101,34 @@ fn shard_of_cert(cert_id: CertId) -> usize {
     (cert_id.0 as usize) & (SHARD_COUNT - 1)
 }
 
-/// Per-dead-issuer bookkeeping: when death was first observed, and which
-/// irreversible steps have already run.
-#[derive(Debug, Clone, Copy)]
+/// Missed heartbeat intervals before a watched issuer is classified dead;
+/// between one interval and this many it is late.
+const DEAD_AFTER: u64 = 3;
+
+/// A watched issuer: its heartbeat interval, which is also the grace it
+/// gets once dead before its dependent roles are deactivated, and its
+/// death, once observed.
+struct WatchedIssuer {
+    interval: u64,
+    dead: Option<DeadIssuer>,
+}
+
+/// When an issuer's death was first observed (its cached validations
+/// were evicted then), and whether its dependents have been deactivated.
 struct DeadIssuer {
     since: u64,
-    evicted: bool,
     degraded: bool,
 }
 
-/// The failure-aware half of the service: issuer heartbeats, degradation
-/// policies, and the dead-issuer ledger.
+/// The failure-aware half of the service: issuer heartbeats and the
+/// watched-issuer ledger.
 struct FailureAware {
     monitor: HeartbeatMonitor,
-    grace: u64,
-    default_policy: DegradationPolicy,
-    overrides: RwLock<HashMap<ServiceId, DegradationPolicy>>,
-    dead: Mutex<HashMap<ServiceId, DeadIssuer>>,
+    watched: Mutex<HashMap<ServiceId, WatchedIssuer>>,
     counters: DegradationSeries,
 }
 
 impl FailureAware {
-    fn policy_for(&self, issuer: &ServiceId) -> DegradationPolicy {
-        self.overrides
-            .read()
-            .get(issuer)
-            .copied()
-            .unwrap_or(self.default_policy)
-    }
-
     fn source(issuer: &ServiceId) -> SourceId {
         SourceId::new(issuer.as_str())
     }
@@ -178,7 +177,7 @@ pub struct ServiceConfig {
     bus: Option<EventBus<CertEvent>>,
     secret: Option<IssuerSecret>,
     validation_cache_ttl: Option<u64>,
-    heartbeats: Option<HeartbeatConfig>,
+    heartbeats: bool,
     journal: Option<ServiceJournal>,
     snapshot_every: Option<u64>,
     revocation_retention: Option<usize>,
@@ -205,7 +204,7 @@ impl ServiceConfig {
             bus: None,
             secret: None,
             validation_cache_ttl: None,
-            heartbeats: None,
+            heartbeats: false,
             journal: None,
             snapshot_every: None,
             revocation_retention: None,
@@ -250,15 +249,20 @@ impl ServiceConfig {
     ///
     /// * **healthy** — cache hits behave as configured by
     ///   [`ServiceConfig::with_validation_cache`];
-    /// * **late** — hits are *suspect*: a fresh callback is required, and
-    ///   on callback failure the [`DegradationPolicy`] decides;
-    /// * **dead** — the issuer's cache entries are evicted, and under
-    ///   [`DegradationPolicy::FailSafe`] its dependent roles are
-    ///   deactivated once [`HeartbeatConfig::grace`] ticks pass (driven
-    ///   by [`OasisService::tick_heartbeats`]).
+    /// * **late** (more than one interval since the last beat) — hits
+    ///   are *suspect*: a fresh callback is required, and if it fails the
+    ///   suspect entry is refused, never served;
+    /// * **dead** (more than three intervals) — the issuer's cache
+    ///   entries are evicted, and once it has stayed dead for one more
+    ///   interval its dependent roles are deactivated through the
+    ///   revocation cascade (driven by
+    ///   [`OasisService::tick_heartbeats`]).
+    ///
+    /// The layer has no settings: it is fail-safe, and every duration is
+    /// a multiple of the interval each issuer was watched with.
     #[must_use]
-    pub fn with_heartbeats(mut self, config: HeartbeatConfig) -> Self {
-        self.heartbeats = Some(config);
+    pub fn with_heartbeats(mut self) -> Self {
+        self.heartbeats = true;
         self
     }
 
@@ -490,12 +494,9 @@ impl OasisService {
             vcache: config
                 .validation_cache_ttl
                 .map(|ttl| ValidationCache::new(ttl, &metrics)),
-            fa: config.heartbeats.map(|hb| FailureAware {
-                monitor: HeartbeatMonitor::new(hb.dead_after),
-                grace: hb.grace,
-                default_policy: hb.policy,
-                overrides: RwLock::new(HashMap::new()),
-                dead: Mutex::new(HashMap::new()),
+            fa: config.heartbeats.then(|| FailureAware {
+                monitor: HeartbeatMonitor::new(DEAD_AFTER),
+                watched: Mutex::new(HashMap::new()),
                 counters: DegradationSeries::resolve(&metrics, "degradation"),
             }),
             durable: config.journal.map(|store| Durable {

@@ -8,7 +8,7 @@ use parking_lot::Mutex;
 use oasis_crypto::SecretKey;
 use oasis_events::SourceHealth;
 
-use super::{DegradationPolicy, FailureAware, OasisService};
+use super::{FailureAware, OasisService};
 use crate::cert::{CredStatus, Credential, Crr};
 use crate::durable::SecurityEvent;
 use crate::error::OasisError;
@@ -217,8 +217,8 @@ impl OasisService {
     /// ([`ServiceConfig::with_heartbeats`]) and the credential's issuer is
     /// a watched heartbeat source, the cache is only authoritative while
     /// the issuer is healthy: a *late* issuer forces a fresh callback
-    /// (with the [`DegradationPolicy`] deciding what a callback failure
-    /// means), and a *dead* issuer's entries are evicted outright.
+    /// (whose failure refuses the credential, cached or not), and a
+    /// *dead* issuer's entries are evicted outright.
     ///
     /// # Errors
     ///
@@ -243,7 +243,7 @@ impl OasisService {
         // grants: the entry may predate a revocation we did not see.
         if self.catchup_pending() {
             if self.fa.is_some() {
-                return self.validate_suspect(credential, presenter, now, &issuer);
+                return self.validate_suspect(credential, presenter, now);
             }
             return self.issuer_callback(credential, presenter, now);
         }
@@ -263,7 +263,7 @@ impl OasisService {
                 self.issuer_callback(credential, presenter, now)
             }
             // Late: cached authority is suspect; require a fresh answer.
-            Some(SourceHealth::Late) => self.validate_suspect(credential, presenter, now, &issuer),
+            Some(SourceHealth::Late) => self.validate_suspect(credential, presenter, now),
             // Dead: cached authority is void; only a live answer grants.
             Some(SourceHealth::Dead) => {
                 self.note_issuer_dead(&issuer, now);
@@ -273,42 +273,30 @@ impl OasisService {
     }
 
     /// The late-issuer validation path: a cache hit alone no longer
-    /// grants. A fresh callback is attempted; if it fails *transiently*,
-    /// the degradation policy decides whether the suspect cache entry may
-    /// still be served. A fatal answer (revoked, bad signature) always
-    /// wins — stale cache never overrides an authoritative rejection.
+    /// grants, and only a fresh answer from the issuer does. A suspect
+    /// cache entry whose callback failed *transiently* is refused and
+    /// counted; a fatal answer (revoked, bad signature) is returned as
+    /// it came.
     fn validate_suspect(
         &self,
         credential: &Credential,
         presenter: &PrincipalId,
         now: u64,
-        issuer: &ServiceId,
     ) -> Result<(), OasisError> {
         let fa = self.fa.as_ref().expect("suspect path requires heartbeats");
         fa.counters.suspect_revalidations.inc();
-        match self.issuer_callback(credential, presenter, now) {
-            Ok(()) => Ok(()),
-            Err(error) if classify_error(&error) == ErrorClass::Transient => {
-                let age = self
-                    .vcache
-                    .as_ref()
-                    .and_then(|cache| cache.age(credential.crr(), presenter, now));
-                match (fa.policy_for(issuer), age) {
-                    (DegradationPolicy::FailOpen { max_stale_ticks }, Some(age))
-                        if age <= max_stale_ticks =>
-                    {
-                        fa.counters.stale_served.inc();
-                        Ok(())
-                    }
-                    (_, Some(_)) => {
-                        fa.counters.stale_refused.inc();
-                        Err(error)
-                    }
-                    (_, None) => Err(error),
-                }
+        let result = self.issuer_callback(credential, presenter, now);
+        if let Err(error) = &result {
+            let cached = self
+                .vcache
+                .as_ref()
+                .and_then(|cache| cache.age(credential.crr(), presenter, now))
+                .is_some();
+            if cached && classify_error(error) == ErrorClass::Transient {
+                fa.counters.stale_refused.inc();
             }
-            Err(error) => Err(error),
         }
+        result
     }
 
     /// Performs the callback to a foreign issuer through the configured

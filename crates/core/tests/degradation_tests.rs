@@ -1,15 +1,14 @@
 //! Behavioural tests of the failure-aware validation layer: heartbeat
-//! health driving cache trust, degradation policies, grace-period
-//! deactivation, and issuer recovery.
+//! health driving cache trust, fail-safe refusal of suspect entries,
+//! grace-period deactivation, and issuer recovery.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use oasis_core::cert::Rmc;
 use oasis_core::{
-    Atom, Credential, CredentialValidator, DegradationPolicy, EnvContext, HeartbeatConfig,
-    LocalRegistry, OasisError, OasisService, PrincipalId, RoleName, ServiceConfig, ServiceId, Term,
-    Value, ValueType,
+    Atom, Credential, CredentialValidator, EnvContext, LocalRegistry, OasisError, OasisService,
+    PrincipalId, RoleName, ServiceConfig, ServiceId, Term, Value, ValueType,
 };
 use oasis_events::SourceHealth;
 use oasis_facts::FactStore;
@@ -57,10 +56,10 @@ struct World {
     login_rmc: Rmc,
 }
 
-/// A login issuer and a failure-aware hospital watching it: cache TTL 100,
-/// heartbeat interval 10, dead after 3 missed intervals (dead from tick
-/// 31 with no beats), grace 10.
-fn world(policy: DegradationPolicy) -> World {
+/// A login issuer and a failure-aware hospital watching it every
+/// `interval` ticks: cache TTL 100, dead after 3 missed intervals (from
+/// tick 31 with no beats at interval 10), grace one interval.
+fn world(interval: u64) -> World {
     let facts = Arc::new(FactStore::new());
     facts.define("password_ok", 1).unwrap();
     facts
@@ -83,11 +82,7 @@ fn world(policy: DegradationPolicy) -> World {
     let hospital = OasisService::new(
         ServiceConfig::new("hospital")
             .with_validation_cache(100)
-            .with_heartbeats(HeartbeatConfig {
-                dead_after: 3,
-                grace: 10,
-                policy,
-            }),
+            .with_heartbeats(),
         Arc::clone(&facts),
     );
     hospital
@@ -110,7 +105,7 @@ fn world(policy: DegradationPolicy) -> World {
         up: AtomicBool::new(true),
     });
     hospital.set_validator(gate.clone());
-    hospital.watch_issuer(&login_id(), 10, 0);
+    hospital.watch_issuer(&login_id(), interval, 0);
 
     let login_rmc = login
         .activate_role(
@@ -132,7 +127,7 @@ fn world(policy: DegradationPolicy) -> World {
 
 #[test]
 fn healthy_issuer_serves_cache_hits_without_callback() {
-    let w = world(DegradationPolicy::FailSafe);
+    let w = world(10);
     let cred = Credential::Rmc(w.login_rmc.clone());
     assert!(w.hospital.validate_credential(&cred, &alice(), 1).is_ok());
     // With the issuer down but healthy (beating), the cache answers.
@@ -152,7 +147,7 @@ fn healthy_issuer_serves_cache_hits_without_callback() {
 
 #[test]
 fn late_issuer_forces_fresh_callback() {
-    let w = world(DegradationPolicy::FailSafe);
+    let w = world(10);
     let cred = Credential::Rmc(w.login_rmc.clone());
     assert!(w.hospital.validate_credential(&cred, &alice(), 1).is_ok());
     // No beats: from tick 11 the issuer is late, so the cached success is
@@ -173,47 +168,12 @@ fn late_issuer_forces_fresh_callback() {
         .unwrap_err();
     assert!(matches!(err, OasisError::IssuerTimeout(_)));
     let ds = w.hospital.degradation_stats().unwrap();
-    assert_eq!((ds.stale_refused, ds.stale_served), (1, 0));
-}
-
-#[test]
-fn fail_open_serves_bounded_staleness() {
-    let w = world(DegradationPolicy::FailOpen {
-        max_stale_ticks: 20,
-    });
-    let cred = Credential::Rmc(w.login_rmc.clone());
-    assert!(w.hospital.validate_credential(&cred, &alice(), 1).is_ok());
-    w.gate.set_up(false);
-    // Late + unreachable, entry 14 ticks old: inside the bound, served.
-    assert!(w.hospital.validate_credential(&cred, &alice(), 15).is_ok());
-    assert_eq!(w.hospital.degradation_stats().unwrap().stale_served, 1);
-    // Entry 24 ticks old: beyond the bound, refused.
-    assert!(w.hospital.validate_credential(&cred, &alice(), 25).is_err());
-    let ds = w.hospital.degradation_stats().unwrap();
-    assert_eq!((ds.stale_served, ds.stale_refused), (1, 1));
-}
-
-#[test]
-fn per_issuer_policy_override_wins() {
-    let w = world(DegradationPolicy::FailSafe);
-    w.hospital.set_issuer_policy(
-        &login_id(),
-        DegradationPolicy::FailOpen {
-            max_stale_ticks: 50,
-        },
-    );
-    let cred = Credential::Rmc(w.login_rmc.clone());
-    assert!(w.hospital.validate_credential(&cred, &alice(), 1).is_ok());
-    w.gate.set_up(false);
-    assert!(
-        w.hospital.validate_credential(&cred, &alice(), 15).is_ok(),
-        "override to fail-open serves the suspect entry"
-    );
+    assert_eq!(ds.stale_refused, 1);
 }
 
 #[test]
 fn dead_issuer_evicts_cache_and_requires_live_answer() {
-    let w = world(DegradationPolicy::FailSafe);
+    let w = world(10);
     let cred = Credential::Rmc(w.login_rmc.clone());
     assert!(w.hospital.validate_credential(&cred, &alice(), 1).is_ok());
     w.gate.set_up(false);
@@ -232,7 +192,7 @@ fn dead_issuer_evicts_cache_and_requires_live_answer() {
 
 #[test]
 fn fail_safe_degradation_revokes_dependents_after_grace() {
-    let w = world(DegradationPolicy::FailSafe);
+    let w = world(10);
     let duty = w
         .hospital
         .activate_role(
@@ -289,9 +249,9 @@ fn fail_safe_degradation_revokes_dependents_after_grace() {
 }
 
 #[test]
-fn fail_open_issuer_is_never_degraded() {
-    let w = world(DegradationPolicy::FailOpen { max_stale_ticks: 5 });
-    let _duty = w
+fn grace_is_one_heartbeat_interval() {
+    let w = world(5);
+    let duty = w
         .hospital
         .activate_role(
             &alice(),
@@ -301,24 +261,29 @@ fn fail_open_issuer_is_never_degraded() {
             &EnvContext::new(0),
         )
         .unwrap();
-    assert!(w.hospital.tick_heartbeats(35).is_empty());
+
+    // Interval 5: dead from tick 16, first observed dead at 20, so the
+    // dependents collapse 5 ticks later.
+    assert!(w.hospital.tick_heartbeats(15).is_empty(), "still late");
     assert!(
-        w.hospital.tick_heartbeats(100).is_empty(),
-        "fail-open never deactivates dependents"
+        w.hospital.tick_heartbeats(20).is_empty(),
+        "dead, inside grace"
     );
-    // But dead-issuer cache eviction still applies.
-    assert_eq!(w.hospital.degradation_stats().unwrap().degraded_issuers, 0);
+    assert!(w.hospital.tick_heartbeats(24).is_empty(), "grace not over");
+    assert_eq!(w.hospital.tick_heartbeats(25), vec![duty.crr.clone()]);
+    let ds = w.hospital.degradation_stats().unwrap();
+    assert_eq!((ds.degraded_issuers, ds.degraded_certs), (1, 1));
 }
 
 #[test]
 fn unwatched_issuer_keeps_plain_cache_semantics() {
-    let w = world(DegradationPolicy::FailSafe);
+    let w = world(10);
     // Deregistering is not exposed; use a hospital that never watched.
     let facts = Arc::new(FactStore::new());
     let plain = OasisService::new(
         ServiceConfig::new("plain")
             .with_validation_cache(100)
-            .with_heartbeats(HeartbeatConfig::default()),
+            .with_heartbeats(),
         facts,
     );
     let registry = Arc::new(LocalRegistry::new());
@@ -340,7 +305,6 @@ fn heartbeat_api_is_inert_without_configuration() {
     let svc = OasisService::new(ServiceConfig::new("bare"), facts);
     assert!(!svc.watch_issuer(&login_id(), 10, 0));
     assert!(!svc.issuer_beat(&login_id(), 1));
-    assert!(!svc.set_issuer_policy(&login_id(), DegradationPolicy::FailSafe));
     assert_eq!(svc.issuer_health(&login_id(), 1), None);
     assert_eq!(svc.degradation_stats(), None);
     assert!(svc.tick_heartbeats(100).is_empty());

@@ -258,6 +258,24 @@ fn compiled_plans_agree_with_reference_solver() {
     );
 }
 
+/// The source-level reading of `PlanStats::ground`: the head and the
+/// `$`-ambient names bind every variable the body reads. A body proved
+/// unsatisfiable keeps no steps, so it counts as well.
+fn fully_bound(head: &[Term], conditions: &[Atom], always_fail: bool) -> bool {
+    let bound = |t: &Term| match t {
+        Term::Var(v) => v.0.starts_with('$') || head.contains(t),
+        _ => true,
+    };
+    always_fail
+        || conditions.iter().all(|atom| match atom {
+            Atom::Prereq { args, .. }
+            | Atom::Appointment { args, .. }
+            | Atom::EnvFact { args, .. }
+            | Atom::EnvPredicate { args, .. } => args.iter().all(bound),
+            Atom::EnvCompare { left, right, .. } => bound(left) && bound(right),
+        })
+}
+
 /// The fold over a service's policy table that `plan_stats()` used to
 /// compute: every installed rule's plan, compiled again from the table.
 fn folded_plan_stats(svc: &OasisService, methods: &[&str]) -> PlanStats {
@@ -266,7 +284,7 @@ fn folded_plan_stats(svc: &OasisService, methods: &[&str]) -> PlanStats {
         let plan = RulePlan::compile(svc.id(), head, conditions);
         stats.total += 1;
         stats.always_fail += u64::from(plan.is_always_fail());
-        stats.ground += u64::from(plan.is_ground());
+        stats.ground += u64::from(fully_bound(head, conditions, plan.is_always_fail()));
         stats.reordered += u64::from(plan.was_reordered());
         stats.time_sensitive += u64::from(plan.is_time_sensitive());
     };

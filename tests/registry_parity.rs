@@ -23,7 +23,7 @@ use oasis::prelude::*;
 use oasis::sim::derive_seed;
 use oasis::store::{LocalMesh, ReplicaConfig, ReplicaNode, StorageBackend};
 use oasis_core::retry::RetryPolicy;
-use oasis_core::{DegradationPolicy, HeartbeatConfig, OasisError};
+use oasis_core::OasisError;
 use oasis_obs::{Recorder, Registry};
 
 const SEED: u64 = 42;
@@ -333,13 +333,7 @@ fn cross_domain_service_series_match_its_typed_reads() {
         ServiceConfig::new("hospital")
             .with_bus(login.bus().clone())
             .with_validation_cache(20)
-            .with_heartbeats(HeartbeatConfig {
-                dead_after: 3,
-                grace: 10,
-                policy: DegradationPolicy::FailOpen {
-                    max_stale_ticks: 15,
-                },
-            }),
+            .with_heartbeats(),
         Arc::clone(&facts),
     );
     hospital
