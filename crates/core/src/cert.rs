@@ -20,6 +20,7 @@
 
 use std::fmt;
 
+use oasis_crypto::hmac::constant_time_eq;
 use oasis_crypto::{FieldMac, MacSignature, PublicKey, SecretEpoch, SecretKey};
 
 use crate::ids::{CertId, PrincipalId, RoleName, ServiceId};
@@ -49,7 +50,7 @@ impl fmt::Display for Crr {
 }
 
 /// Which kind of certificate a credential record describes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum CredentialKind {
     /// A role membership certificate.
     Rmc,
@@ -361,6 +362,65 @@ impl Credential {
             Credential::Appointment(c) => c.holder_key.as_ref(),
         }
     }
+
+    fn mac_fields(&self) -> MacFields<'_> {
+        match self {
+            Credential::Rmc(c) => c.mac_fields(),
+            Credential::Appointment(c) => c.mac_fields(),
+        }
+    }
+
+    fn signature(&self) -> &MacSignature {
+        match self {
+            Credential::Rmc(c) => &c.signature,
+            Credential::Appointment(c) => &c.signature,
+        }
+    }
+
+    /// Whether this certificate, presented by `presenter`, is exactly the
+    /// one its issuer signed for `record` and `seal`: every MAC input
+    /// (the hidden principal included), the epoch and the MAC itself
+    /// (compared in constant time) equal what was signed. Then
+    /// [`verify`](Self::verify) under that epoch's key would succeed, so
+    /// a match may stand in for it. The CRR is not compared: `record` is
+    /// the one its cert id names, and the caller has checked the issuer.
+    pub(crate) fn is_sealed(
+        &self,
+        record: &CredRecord,
+        seal: &Seal,
+        presenter: &PrincipalId,
+    ) -> bool {
+        let MacFields {
+            kind,
+            crr: _,
+            name,
+            args,
+            issued_at,
+            expires_at,
+            holder_key,
+        } = self.mac_fields();
+        record.principal == *presenter
+            && kind == record.kind
+            && name == record.name
+            && args == record.args
+            && issued_at == record.issued_at
+            && expires_at == record.expires_at
+            && holder_key == seal.holder_key.as_ref()
+            && self.epoch() == seal.epoch
+            && constant_time_eq(self.signature().as_bytes(), seal.mac.as_bytes())
+    }
+}
+
+/// What an issuer signed for a certificate beyond its [`CredRecord`]: the
+/// secret epoch, the holder key and the MAC. Together with the record it
+/// is the whole certificate (see [`Credential::is_sealed`]). It exists
+/// only in the memory of the process that issued the certificate: a MAC
+/// is a bearer secret, so neither journal nor snapshot may carry one.
+#[derive(Debug, Clone)]
+pub(crate) struct Seal {
+    pub(crate) epoch: SecretEpoch,
+    pub(crate) holder_key: Option<PublicKey>,
+    pub(crate) mac: MacSignature,
 }
 
 impl From<Rmc> for Credential {

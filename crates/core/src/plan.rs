@@ -697,41 +697,43 @@ impl PlanSeries {
     }
 }
 
-/// A per-request index over the presented (validated) credentials:
-/// buckets by `(kind, issuer, name)` with a first-argument discrimination
-/// level. Built once per activation/invocation and shared by every rule
-/// plan tried, where the reference solver scans the whole set per rule.
-/// Bucket order preserves presentation order, so the first
-/// candidate a plan tries is the first `solve` would accept.
+/// A per-request index over the presented (validated) credentials: two
+/// position lists, one sorted by `(kind, issuer, name)` and one, of the
+/// credentials with ≥ 1 argument, by that key and then the first
+/// argument, each searched by bisection. Built once per
+/// activation/invocation and shared by every rule plan tried, where the
+/// reference solver scans the whole set per rule. Positions that tie on
+/// the sort key stay in presentation order, so the first candidate a plan
+/// tries is the first `solve` would accept.
 pub struct CredIndex<'a> {
     creds: &'a [Credential],
-    buckets: HashMap<BorrowedKey<'a>, Bucket<'a>>,
+    /// Every position, by key.
+    by_key: Vec<u32>,
+    /// The positions of credentials with arguments, by key and first
+    /// argument.
+    by_first: Vec<u32>,
 }
 
 /// A [`CredKey`] borrowed from a presented credential.
 type BorrowedKey<'a> = (CredentialKind, &'a ServiceId, &'a str);
 
-#[derive(Default)]
-struct Bucket<'a> {
-    all: Vec<u32>,
-    /// Credentials with ≥ 1 argument, keyed by their first argument.
-    by_first: HashMap<&'a Value, Vec<u32>>,
-}
-
 impl<'a> CredIndex<'a> {
     /// Indexes a presented credential set.
     pub fn build(creds: &'a [Credential]) -> Self {
-        let mut buckets: HashMap<BorrowedKey<'a>, Bucket<'a>> = HashMap::new();
-        for (i, cred) in creds.iter().enumerate() {
-            let bucket = buckets
-                .entry((cred.kind(), cred.issuer(), cred.name()))
-                .or_default();
-            bucket.all.push(i as u32);
-            if let Some(first) = cred.args().first() {
-                bucket.by_first.entry(first).or_default().push(i as u32);
-            }
+        let mut by_key: Vec<u32> = (0..creds.len() as u32).collect();
+        let mut by_first: Vec<u32> = by_key
+            .iter()
+            .copied()
+            .filter(|&i| !creds[i as usize].args().is_empty())
+            .collect();
+        // Stable sorts of ascending positions: ties keep presentation order.
+        by_key.sort_by_key(|&i| key_of(&creds[i as usize]));
+        by_first.sort_by_key(|&i| key_first_of(&creds[i as usize]));
+        Self {
+            creds,
+            by_key,
+            by_first,
         }
-        Self { creds, buckets }
     }
 
     /// Number of indexed credentials.
@@ -747,14 +749,30 @@ impl<'a> CredIndex<'a> {
     /// Candidate credential positions for a key, discriminated by the
     /// resolved first argument when available.
     fn candidates<'s>(&'s self, key: &'s CredKey, first: Option<&Value>) -> &'s [u32] {
-        match self.buckets.get(&(key.0, &key.1, key.2.as_str())) {
-            None => &[],
-            Some(bucket) => match first {
-                Some(value) => bucket.by_first.get(value).map(Vec::as_slice).unwrap_or(&[]),
-                None => &bucket.all,
-            },
+        let cred = |i: u32| &self.creds[i as usize];
+        let key = (key.0, &key.1, key.2.as_str());
+        match first {
+            Some(value) => equal_run(&self.by_first, |i| key_first_of(cred(i)).cmp(&(key, value))),
+            None => equal_run(&self.by_key, |i| key_of(cred(i)).cmp(&key)),
         }
     }
+}
+
+fn key_of(cred: &Credential) -> BorrowedKey<'_> {
+    (cred.kind(), cred.issuer(), cred.name())
+}
+
+/// The key and first argument of a credential that has arguments.
+fn key_first_of(cred: &Credential) -> (BorrowedKey<'_>, &Value) {
+    (key_of(cred), &cred.args()[0])
+}
+
+/// The run of `sorted` whose entries `order` places equal to the sought
+/// key (`order` compares an entry with it).
+fn equal_run(sorted: &[u32], order: impl Fn(u32) -> std::cmp::Ordering) -> &[u32] {
+    let start = sorted.partition_point(|&i| order(i).is_lt());
+    let len = sorted[start..].partition_point(|&i| order(i).is_eq());
+    &sorted[start..start + len]
 }
 
 /// A membership re-check: the retained (substituted) conditions of one

@@ -9,7 +9,7 @@ use oasis_crypto::PublicKey;
 use super::{CompiledRule, OasisService, RecordState};
 use crate::audit::AuditKind;
 use crate::cert::{
-    AppointmentCertificate, CredRecord, CredStatus, Credential, CredentialKind, Crr, Rmc,
+    AppointmentCertificate, CredRecord, CredStatus, Credential, CredentialKind, Crr, Rmc, Seal,
 };
 use crate::durable::SecurityEvent;
 use crate::env::EnvContext;
@@ -228,9 +228,10 @@ impl OasisService {
     ) -> Result<ActivationOutcome, OasisError> {
         let cert_id = CertId(self.next_cert.fetch_add(1, Ordering::Relaxed));
         let crr = Crr::new(self.id.clone(), cert_id);
+        let (epoch, key) = self.secret.signing();
         let rmc = Rmc::issue(
-            &self.secret.current(),
-            self.secret.current_epoch(),
+            &key,
+            epoch,
             principal,
             crr.clone(),
             role.clone(),
@@ -272,11 +273,17 @@ impl OasisService {
         // may find an edge pointing at a record that does not exist yet
         // and drop the cascade — the re-validation below closes exactly
         // that hole.
+        let seal = Seal {
+            epoch: rmc.epoch,
+            holder_key: rmc.holder_key,
+            mac: rmc.signature,
+        };
         self.commit_record(RecordState::new(
             &self.id,
             record,
             depends_on,
             retained_checks,
+            Some(seal),
         ))?;
 
         // Close the race with concurrent revocation: the supporting
@@ -496,9 +503,10 @@ impl OasisService {
 
         let cert_id = CertId(self.next_cert.fetch_add(1, Ordering::Relaxed));
         let crr = Crr::new(self.id.clone(), cert_id);
+        let (epoch, key) = self.secret.signing();
         let cert = AppointmentCertificate::issue(
-            &self.secret.current(),
-            self.secret.current_epoch(),
+            &key,
+            epoch,
             appointee,
             crr.clone(),
             name.to_string(),
@@ -518,7 +526,18 @@ impl OasisService {
             expires_at,
             status: CredStatus::Active,
         };
-        self.commit_record(RecordState::new(&self.id, record, Vec::new(), Vec::new()))?;
+        let seal = Seal {
+            epoch: cert.epoch,
+            holder_key: cert.holder_key,
+            mac: cert.signature,
+        };
+        self.commit_record(RecordState::new(
+            &self.id,
+            record,
+            Vec::new(),
+            Vec::new(),
+            Some(seal),
+        ))?;
 
         self.audit.record(
             ctx.now(),

@@ -61,7 +61,7 @@ use oasis_events::{EventBus, HeartbeatMonitor, SourceId};
 use oasis_facts::FactStore;
 
 use crate::audit::AuditLog;
-use crate::cert::{revocation_topic, CertEvent, CredRecord, Crr};
+use crate::cert::{revocation_topic, CertEvent, CredRecord, Crr, Seal};
 use crate::durable::ServiceJournal;
 use crate::ids::{CertId, RoleName, ServiceId};
 use crate::pattern::Term;
@@ -320,22 +320,32 @@ struct RecordState {
     /// [`RecordState::retained_checks`]. The plan itself is never
     /// serialised.
     check: Option<Arc<CheckPlan>>,
+    /// What this process signed for the certificate, when it issued it:
+    /// a presented certificate that matches the record and the seal is
+    /// validated without recomputing its MAC
+    /// ([`OasisService::validate_own`]). `None` for every record restored
+    /// by recovery, whose certificates take the HMAC check: the seal is
+    /// never journalled or snapshotted.
+    seal: Option<Seal>,
 }
 
 impl RecordState {
     /// Every way a record comes to exist (live issuance, snapshot restore,
     /// journal replay) builds it here, so each gets the same check plan.
+    /// Only live issuance has a `seal`.
     fn new(
         issuer: &ServiceId,
         record: CredRecord,
         depends_on: Vec<Crr>,
         retained_checks: Vec<Atom>,
+        seal: Option<Seal>,
     ) -> Self {
         Self {
             record,
             depends_on,
             check: (!retained_checks.is_empty())
                 .then(|| Arc::new(CheckPlan::new(issuer, retained_checks))),
+            seal,
         }
     }
 

@@ -99,6 +99,7 @@ impl OasisService {
                 entry.record,
                 entry.depends_on,
                 entry.retained_checks,
+                None,
             ));
             report.records_restored += 1;
         }
@@ -142,6 +143,7 @@ impl OasisService {
                     record.clone(),
                     depends_on.clone(),
                     retained_checks.clone(),
+                    None,
                 ));
                 self.next_cert.fetch_max(cert_id.0 + 1, Ordering::Relaxed);
                 report.records_restored += 1;

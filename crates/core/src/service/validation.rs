@@ -8,7 +8,7 @@ use parking_lot::Mutex;
 use oasis_crypto::SecretKey;
 use oasis_events::SourceHealth;
 
-use super::{FailureAware, OasisService};
+use super::{FailureAware, OasisService, RecordState};
 use crate::cert::{CredStatus, Credential, Crr};
 use crate::durable::SecurityEvent;
 use crate::error::OasisError;
@@ -110,6 +110,24 @@ impl ValidationCache {
     }
 }
 
+/// The standing a present record gives the certificate `crr`: held by
+/// `presenter`, and active.
+fn standing(rec: &RecordState, crr: &Crr, presenter: &PrincipalId) -> Result<(), OasisError> {
+    if rec.record.principal != *presenter {
+        return Err(OasisError::InvalidCredential {
+            crr: crr.clone(),
+            reason: "presented by a different principal".into(),
+        });
+    }
+    match &rec.record.status {
+        CredStatus::Active => Ok(()),
+        status => Err(OasisError::InvalidCredential {
+            crr: crr.clone(),
+            reason: status.to_string(),
+        }),
+    }
+}
+
 impl OasisService {
     /// Counters from the validation cache, or `None` when the cache is
     /// not enabled (see [`ServiceConfig::with_validation_cache`]).
@@ -123,6 +141,15 @@ impl OasisService {
     /// the presenting principal), issuer record, status, and expiry.
     /// This is the issuer side of the validation callback (Sect. 4).
     ///
+    /// The issuer validates against the record it keeps (Fig 4): when
+    /// this process issued the certificate and it is presented unaltered
+    /// by its holder, every MAC input, the epoch and the MAC equal what
+    /// was signed, so the match stands in for recomputing the MAC, and
+    /// the record's standing is read under the same shard lock.
+    /// Everything else (a record restored by recovery, any altered field,
+    /// another presenter, an appointment past its expiry) takes the HMAC
+    /// check. Either way the answer is the one the HMAC check gives.
+    ///
     /// # Errors
     ///
     /// [`OasisError::InvalidCredential`] or
@@ -134,9 +161,22 @@ impl OasisService {
         now: u64,
     ) -> Result<(), OasisError> {
         let key = self.own_key(credential)?;
+        let crr = credential.crr();
+        if !matches!(credential, Credential::Appointment(appt) if appt.is_expired(now)) {
+            let shard = self.record_shard(crr.cert_id).lock();
+            if let Some(rec) = shard.records.get(&crr.cert_id) {
+                if rec
+                    .seal
+                    .as_ref()
+                    .is_some_and(|seal| credential.is_sealed(&rec.record, seal, presenter))
+                {
+                    return standing(rec, crr, presenter);
+                }
+            }
+        }
         if !credential.verify(&key, presenter) {
             return Err(OasisError::InvalidCredential {
-                crr: credential.crr().clone(),
+                crr: crr.clone(),
                 reason: "signature check failed (tampered, forged, or stolen)".into(),
             });
         }
@@ -193,19 +233,7 @@ impl OasisService {
             drop(shard);
             return Err(OasisError::UnknownCertificate(crr.clone()));
         };
-        if rec.record.principal != *presenter {
-            return Err(OasisError::InvalidCredential {
-                crr: crr.clone(),
-                reason: "presented by a different principal".into(),
-            });
-        }
-        match &rec.record.status {
-            CredStatus::Active => Ok(()),
-            status => Err(OasisError::InvalidCredential {
-                crr: crr.clone(),
-                reason: status.to_string(),
-            }),
-        }
+        standing(rec, crr, presenter)
     }
 
     /// Validates any credential: own certificates directly, foreign ones
@@ -327,5 +355,251 @@ impl OasisService {
             self.maybe_autosnapshot();
         }
         result
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Arc;
+
+    use oasis_crypto::{IssuerSecret, PublicKey, SecretEpoch, SecretKey};
+    use oasis_facts::FactStore;
+    use oasis_store::MemBackend;
+
+    use super::*;
+    use crate::cert::AppointmentCertificate;
+    use crate::durable::ServiceJournal;
+    use crate::ids::RoleName;
+    use crate::pattern::Term;
+    use crate::{EnvContext, ServiceConfig, Value, ValueType};
+
+    fn alice() -> PrincipalId {
+        PrincipalId::new("alice")
+    }
+
+    fn bob() -> PrincipalId {
+        PrincipalId::new("bob")
+    }
+
+    /// A service over `journal` whose secret is the same in every
+    /// process, with a parametrised initial role whose holders appoint.
+    fn service(journal: ServiceJournal) -> Arc<OasisService> {
+        let secret = IssuerSecret::from_key(SecretKey::from_bytes([7; 32]));
+        let svc = OasisService::new(
+            ServiceConfig::new("svc")
+                .with_secret(secret)
+                .with_journal(journal),
+            Arc::new(FactStore::new()),
+        );
+        svc.define_role(
+            "boss",
+            &[("unit", ValueType::Id), ("level", ValueType::Int)],
+            true,
+        )
+        .unwrap();
+        svc.add_activation_rule("boss", vec![Term::var("U"), Term::var("L")], vec![], vec![])
+            .unwrap();
+        svc.grant_appointer("boss", "deputy").unwrap();
+        svc
+    }
+
+    fn journal(backends: &(MemBackend, MemBackend)) -> ServiceJournal {
+        ServiceJournal::open(Arc::new(backends.0.clone()), Arc::new(backends.1.clone())).unwrap()
+    }
+
+    /// `validate_own` as it was before the record match: the issuer and
+    /// epoch checks, the HMAC, then the record's standing.
+    fn with_the_mac(
+        svc: &OasisService,
+        credential: &Credential,
+        presenter: &PrincipalId,
+        now: u64,
+    ) -> Result<(), OasisError> {
+        let key = svc.own_key(credential)?;
+        if !credential.verify(&key, presenter) {
+            return Err(OasisError::InvalidCredential {
+                crr: credential.crr().clone(),
+                reason: "signature check failed (tampered, forged, or stolen)".into(),
+            });
+        }
+        svc.own_standing(credential, presenter, now)
+    }
+
+    /// The certificate as issued, then every single alteration of what
+    /// its MAC covers, each labelled.
+    fn variants(issued: &Credential, live_epoch: SecretEpoch) -> Vec<(String, Credential)> {
+        let mut out = vec![("as issued".to_string(), issued.clone())];
+        let mut push = |label: String, change: &dyn Fn(&mut Credential)| {
+            let mut c = issued.clone();
+            change(&mut c);
+            out.push((label, c));
+        };
+        fn fields(
+            c: &mut Credential,
+        ) -> (
+            &mut Crr,
+            &mut Vec<Value>,
+            &mut u64,
+            &mut Option<PublicKey>,
+            &mut SecretEpoch,
+            &mut [u8; 32],
+        ) {
+            match c {
+                Credential::Rmc(r) => (
+                    &mut r.crr,
+                    &mut r.args,
+                    &mut r.issued_at,
+                    &mut r.holder_key,
+                    &mut r.epoch,
+                    &mut r.signature.0,
+                ),
+                Credential::Appointment(a) => (
+                    &mut a.crr,
+                    &mut a.args,
+                    &mut a.issued_at,
+                    &mut a.holder_key,
+                    &mut a.epoch,
+                    &mut a.signature.0,
+                ),
+            }
+        }
+        push("kind".into(), &|c| {
+            *c = match c.clone() {
+                Credential::Rmc(r) => Credential::Appointment(AppointmentCertificate {
+                    crr: r.crr,
+                    name: r.role.as_str().to_string(),
+                    args: r.args,
+                    issued_at: r.issued_at,
+                    expires_at: None,
+                    holder_key: r.holder_key,
+                    epoch: r.epoch,
+                    signature: r.signature,
+                }),
+                Credential::Appointment(a) => Credential::Rmc(crate::cert::Rmc {
+                    crr: a.crr,
+                    role: RoleName::new(a.name),
+                    args: a.args,
+                    issued_at: a.issued_at,
+                    holder_key: a.holder_key,
+                    epoch: a.epoch,
+                    signature: a.signature,
+                }),
+            }
+        });
+        push("issuer".into(), &|c| {
+            fields(c).0.issuer = ServiceId::new("other")
+        });
+        push("cert id".into(), &|c| fields(c).0.cert_id.0 += 1);
+        push("name".into(), &|c| match c {
+            Credential::Rmc(r) => r.role = RoleName::new("bosss"),
+            Credential::Appointment(a) => a.name.push('s'),
+        });
+        for i in 0..issued.args().len() {
+            push(format!("arg {i}"), &|c| {
+                let arg = &mut fields(c).1[i];
+                *arg = match arg {
+                    Value::Int(n) => Value::Int(*n + 1),
+                    _ => Value::id("elsewhere"),
+                }
+            });
+        }
+        push("one arg more".into(), &|c| fields(c).1.push(Value::Int(0)));
+        push("one arg fewer".into(), &|c| {
+            fields(c).1.pop();
+        });
+        push("issued_at".into(), &|c| *fields(c).2 += 1);
+        if let Credential::Appointment(a) = issued {
+            let deadline = a.expires_at.expect("issued with an expiry");
+            for (label, expires_at) in [("later", Some(deadline + 1)), ("none", None)] {
+                push(format!("expires_at {label}"), &|c| {
+                    if let Credential::Appointment(a) = c {
+                        a.expires_at = expires_at;
+                    }
+                });
+            }
+        }
+        push("holder key".into(), &|c| {
+            *fields(c).3 = Some(PublicKey([9; 32]))
+        });
+        push("no holder key".into(), &|c| *fields(c).3 = None);
+        push("live epoch".into(), &|c| *fields(c).4 = live_epoch);
+        push("unknown epoch".into(), &|c| *fields(c).4 = SecretEpoch(99));
+        for byte in 0..32 {
+            push(format!("MAC byte {byte}"), &|c| fields(c).5[byte] ^= 1);
+        }
+        out
+    }
+
+    /// Every case gives the same answer from `validate_own` as from the
+    /// HMAC pipeline: the issued certificate, each single alteration of a
+    /// MAC input, another live epoch, each MAC byte, and another
+    /// presenter; active, revoked and expired. A service recovered from
+    /// the journal has no seals and accepts the issued certificates by
+    /// their MACs.
+    #[test]
+    fn record_match_agrees_with_the_mac() {
+        let backends = (MemBackend::new(), MemBackend::new());
+        let svc = service(journal(&backends));
+        let ctx = EnvContext::new(10);
+        let boss: Credential = svc
+            .activate_role_with_key(
+                &alice(),
+                &RoleName::new("boss"),
+                &[Value::id("ward"), Value::Int(3)],
+                &[],
+                PublicKey([1; 32]),
+                &ctx,
+            )
+            .unwrap()
+            .into();
+        let deputy: Credential = svc
+            .issue_appointment(
+                &alice(),
+                std::slice::from_ref(&boss),
+                "deputy",
+                vec![Value::id("ward"), Value::Int(4)],
+                &bob(),
+                Some(50),
+                Some(PublicKey([2; 32])),
+                &ctx,
+            )
+            .unwrap()
+            .into();
+        let live_epoch = svc.rotate_secret(10);
+
+        let check = |svc: &OasisService, holder: &PrincipalId, issued: &Credential, now: u64| {
+            for (label, credential) in variants(issued, live_epoch) {
+                for presenter in [holder.clone(), PrincipalId::new("mallory")] {
+                    let got = svc.validate_own(&credential, &presenter, now);
+                    let want = with_the_mac(svc, &credential, &presenter, now);
+                    assert_eq!(got, want, "{label}, presented by {presenter} at {now}");
+                }
+            }
+        };
+        for (holder, issued) in [(alice(), &boss), (bob(), &deputy)] {
+            assert_eq!(svc.validate_own(issued, &holder, 20), Ok(()));
+            check(&svc, &holder, issued, 20);
+        }
+
+        // A recovered process holds no seal: its answers come from the MAC.
+        let recovered = service(journal(&backends));
+        recovered.recover(20).unwrap();
+        for (holder, issued) in [(alice(), &boss), (bob(), &deputy)] {
+            let cert_id = issued.crr().cert_id;
+            let shard = recovered.record_shard(cert_id).lock();
+            assert!(
+                shard.records[&cert_id].seal.is_none(),
+                "no seal is journalled"
+            );
+            drop(shard);
+            assert_eq!(recovered.validate_own(issued, &holder, 20), Ok(()));
+            check(&recovered, &holder, issued, 20);
+        }
+
+        svc.revoke_certificate(boss.crr().cert_id, "shift over", 30);
+        check(&svc, &alice(), &boss, 30);
+        // Past its expiry the appointment ends, whichever path sees it.
+        check(&svc, &bob(), &deputy, 60);
+        assert!(svc.validate_own(&deputy, &bob(), 20).is_err());
     }
 }

@@ -45,11 +45,18 @@ const NIBBLES: [u8; 256] = {
 };
 const NOT_HEX: u8 = 0xff;
 
-/// The byte two hex digits spell.
-fn byte_of(pair: &[u8]) -> Option<u8> {
-    let (hi, lo) = (NIBBLES[usize::from(pair[0])], NIBBLES[usize::from(pair[1])]);
-    // A valid nibble has no high bits; `NOT_HEX` has them all.
-    ((hi | lo) & 0xf0 == 0).then_some(hi << 4 | lo)
+/// Writes the bytes `digits` spell into `out`, one per pair, and whether
+/// every digit was hex. The loop has no early exit: the digits' high bits
+/// (clear on a valid nibble, all set on `NOT_HEX`) are collected and
+/// checked once at the end.
+fn decode_into(digits: &[u8], out: &mut [u8]) -> bool {
+    let mut high = 0;
+    for (byte, pair) in out.iter_mut().zip(digits.chunks_exact(2)) {
+        let (hi, lo) = (NIBBLES[usize::from(pair[0])], NIBBLES[usize::from(pair[1])]);
+        high |= hi | lo;
+        *byte = hi << 4 | lo;
+    }
+    high & 0xf0 == 0
 }
 
 /// Decodes lowercase or uppercase hexadecimal into bytes.
@@ -66,11 +73,8 @@ pub fn decode(s: &str) -> Option<Vec<u8>> {
     if !s.len().is_multiple_of(2) {
         return None;
     }
-    let mut out = Vec::with_capacity(s.len() / 2);
-    for pair in s.as_bytes().chunks_exact(2) {
-        out.push(byte_of(pair)?);
-    }
-    Some(out)
+    let mut out = vec![0; s.len() / 2];
+    decode_into(s.as_bytes(), &mut out).then_some(out)
 }
 
 /// Decodes exactly `N` bytes of hexadecimal, either case, without
@@ -80,10 +84,7 @@ pub fn decode_array<const N: usize>(s: &str) -> Option<[u8; N]> {
         return None;
     }
     let mut out = [0u8; N];
-    for (byte, pair) in out.iter_mut().zip(s.as_bytes().chunks_exact(2)) {
-        *byte = byte_of(pair)?;
-    }
-    Some(out)
+    decode_into(s.as_bytes(), &mut out).then_some(out)
 }
 
 #[cfg(test)]
@@ -168,6 +169,24 @@ mod tests {
                     let text = String::from_utf8(text).expect("ascii");
                     prop_assert_eq!(decode(&text), None);
                 }
+            }
+
+            #[test]
+            fn any_non_hex_byte_anywhere_is_rejected(
+                bytes in proptest::collection::vec(any::<u8>(), 0..40),
+                at in any::<usize>(),
+                bad in 0usize..8,
+            ) {
+                // Kept at an even length, so only the bad digit can refuse
+                // it; the multi-byte characters shift every later pair.
+                let bad = ["g", "G", " ", "\0", "\u{7f}", "é", "中", "😀"][bad];
+                let text = encode(&bytes);
+                let at = at % (text.len() + 1);
+                let mut text = format!("{}{bad}{}", &text[..at], &text[at..]);
+                if text.len() % 2 == 1 {
+                    text.push('0');
+                }
+                prop_assert_eq!(decode(&text), None);
             }
         }
     }

@@ -136,6 +136,15 @@ impl IssuerSecret {
             .clone()
     }
 
+    /// The current epoch and its key, read together: what a new signature
+    /// is issued under. Reading them apart could pair one epoch with the
+    /// key of the next, across a concurrent [`rotate`](Self::rotate).
+    pub fn signing(&self) -> (SecretEpoch, SecretKey) {
+        let epochs = self.epochs.read();
+        let (epoch, key) = epochs.live.last().expect("at least one live epoch");
+        (*epoch, key.clone())
+    }
+
     /// The key for a specific epoch, if that epoch is still live.
     pub fn key_for(&self, epoch: SecretEpoch) -> Option<SecretKey> {
         let epochs = self.epochs.read();
@@ -197,6 +206,7 @@ mod tests {
         assert_eq!(e1, SecretEpoch(1));
         assert_eq!(s.current_epoch(), e1);
         assert_ne!(s.current(), k0);
+        assert_eq!(s.signing(), (e1, s.current()));
     }
 
     #[test]

@@ -123,6 +123,9 @@ impl<'a> Reader<'a> {
     /// Reads an integer that fits `u64`; a fraction, an exponent or a
     /// minus sign on anything but zero is refused.
     pub fn u64(&mut self) -> Result<u64, JsonError> {
+        if let Some(value) = self.plain_integer(u64::MAX)? {
+            return Ok(value);
+        }
         self.number()?
             .as_u64()
             .ok_or_else(|| JsonError::expected("u64"))
@@ -131,9 +134,39 @@ impl<'a> Reader<'a> {
     /// Reads an integer that fits `i64`; fractions and exponents are
     /// refused.
     pub fn i64(&mut self) -> Result<i64, JsonError> {
+        if let Some(value) = self.plain_integer(i64::MAX as u64)? {
+            return Ok(value as i64);
+        }
         self.number()?
             .as_i64()
             .ok_or_else(|| JsonError::expected("i64"))
+    }
+
+    /// The common integer read straight from the text: an unsigned run of
+    /// digits, without a leading zero, a fraction or an exponent, whose
+    /// value is at most `max`. Anything else (a sign, `01`, `1.0`, `1e3`,
+    /// a larger value, no digit at all) is left where it is, for
+    /// [`number`](Self::number) to read or refuse exactly as it always
+    /// has.
+    fn plain_integer(&mut self, max: u64) -> Result<Option<u64>, JsonError> {
+        self.value_start()?;
+        let rest = &self.text.as_bytes()[self.pos..];
+        let run = rest.iter().take_while(|b| b.is_ascii_digit()).count();
+        // Nineteen digits always fit a `u64`; twenty may not.
+        if run == 0 || run > 19 || (run > 1 && rest[0] == b'0') {
+            return Ok(None);
+        }
+        if let Some(b'.' | b'e' | b'E') = rest.get(run) {
+            return Ok(None);
+        }
+        let value = rest[..run]
+            .iter()
+            .fold(0u64, |n, d| n * 10 + u64::from(d - b'0'));
+        if value > max {
+            return Ok(None);
+        }
+        self.pos += run;
+        Ok(Some(value))
     }
 
     /// Reads any number.
@@ -273,11 +306,7 @@ impl<'a> Reader<'a> {
         let mut owned: Option<String> = None;
         loop {
             let start = self.pos;
-            let rest = &self.text.as_bytes()[start..];
-            self.pos += rest
-                .iter()
-                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
-                .unwrap_or(rest.len());
+            self.pos += special_offset(&self.text.as_bytes()[start..]);
             // A run ends before an ASCII byte or at the end of the text:
             // on a character boundary.
             let run = &self.text[start..self.pos];
@@ -416,5 +445,224 @@ impl<'a> Reader<'a> {
         text.parse::<f64>()
             .map(Json::F64)
             .map_err(|_| JsonError::new(format!("unparseable number `{text}`")))
+    }
+}
+
+/// Whether a string literal's run of plain text ends at `b`: a quote, a
+/// backslash or a control character.
+fn is_special(b: u8) -> bool {
+    b == b'"' || b == b'\\' || b < 0x20
+}
+
+/// The offset of the first [special](is_special) byte of `bytes`, or its
+/// length when there is none. Eight bytes are tested at a time: a byte
+/// `b` of the word `w` sets its high bit in `(w - 0x01..01) & !w & 0x80..80`
+/// when it is zero, so `w` XOR a repeated quote or backslash flags those,
+/// and `(w - 0x20..20) & !w & 0x80..80` flags every byte below `0x20`. A
+/// borrow can only flag a byte above one already flagged, so the lowest
+/// flag (little-endian: the lowest set bit) is the first special byte.
+fn special_offset(bytes: &[u8]) -> usize {
+    const ONES: u64 = u64::from_le_bytes([0x01; 8]);
+    const HIGH: u64 = u64::from_le_bytes([0x80; 8]);
+    let zero_bytes = |w: u64| w.wrapping_sub(ONES) & !w;
+    let mut chunks = bytes.chunks_exact(8);
+    let mut offset = 0;
+    for chunk in &mut chunks {
+        let w = u64::from_le_bytes(chunk.try_into().expect("chunks of eight"));
+        let flags = (zero_bytes(w ^ (ONES * u64::from(b'"')))
+            | zero_bytes(w ^ (ONES * u64::from(b'\\')))
+            | (w.wrapping_sub(ONES * 0x20) & !w))
+            & HIGH;
+        if flags != 0 {
+            return offset + (flags.trailing_zeros() / 8) as usize;
+        }
+        offset += 8;
+    }
+    let tail = chunks.remainder();
+    offset
+        + tail
+            .iter()
+            .position(|&b| is_special(b))
+            .unwrap_or(tail.len())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The string reader as it was before the word-at-a-time scan: the
+    /// reference the scan must agree with, byte for byte.
+    fn bytewise_string<'a>(r: &mut Reader<'a>) -> Result<Cow<'a, str>, JsonError> {
+        r.eat(b'"')?;
+        let mut owned: Option<String> = None;
+        loop {
+            let start = r.pos;
+            let rest = &r.text.as_bytes()[start..];
+            r.pos += rest
+                .iter()
+                .position(|&b| is_special(b))
+                .unwrap_or(rest.len());
+            let run = &r.text[start..r.pos];
+            match r.byte() {
+                Some(b'"') => {
+                    r.pos += 1;
+                    return Ok(match owned {
+                        None => Cow::Borrowed(run),
+                        Some(mut out) => {
+                            out.push_str(run);
+                            Cow::Owned(out)
+                        }
+                    });
+                }
+                Some(b'\\') => {
+                    r.pos += 1;
+                    let out = owned.get_or_insert_with(String::new);
+                    out.push_str(run);
+                    out.push(r.escape()?);
+                }
+                Some(_) => return Err(r.error_here("control character in string")),
+                None => return Err(JsonError::new("unterminated string")),
+            }
+        }
+    }
+
+    /// What a read left behind: the value and where the cursor stopped, or
+    /// the error's text.
+    fn outcome<T>(r: &Reader<'_>, read: Result<T, JsonError>) -> Result<(T, usize), String> {
+        read.map(|v| (v, r.pos)).map_err(|e| e.to_string())
+    }
+
+    /// Pieces a generated string literal is built from: plain ASCII,
+    /// quotes, valid and invalid escapes, control bytes and multi-byte
+    /// UTF-8, so every kind of byte lands at every offset of a word.
+    const PIECES: [&str; 20] = [
+        "a",
+        "bcdefgh",
+        "\"",
+        "\\",
+        "\\\"",
+        "\\\\",
+        "\\n",
+        "\\/",
+        "\\u00e9",
+        "\\ud83d\\ude00",
+        "\\ud83d",
+        "\\udc00",
+        "\\x",
+        "\\u12g4",
+        "\u{1}",
+        "\u{1f}",
+        "\t",
+        "é",
+        "中",
+        "😀",
+    ];
+
+    proptest! {
+        #[test]
+        fn string_scan_agrees_with_the_bytewise_scan(
+            pad in 0usize..8,
+            pieces in proptest::collection::vec(0usize..PIECES.len(), 0..24),
+            close in any::<bool>(),
+        ) {
+            let mut text = String::from("\"");
+            text.push_str(&"~".repeat(pad));
+            for &i in &pieces {
+                text.push_str(PIECES[i]);
+            }
+            if close {
+                text.push_str("\" ,");
+            }
+            let mut fast = Reader::new(&text);
+            let got = fast.string();
+            let mut slow = Reader::new(&text);
+            let want = bytewise_string(&mut slow);
+            prop_assert_eq!(outcome(&fast, got), outcome(&slow, want));
+        }
+
+        #[test]
+        fn word_scan_finds_the_first_special_byte(
+            bytes in proptest::collection::vec(any::<u8>(), 0..40),
+        ) {
+            let want = bytes.iter().position(|&b| is_special(b)).unwrap_or(bytes.len());
+            prop_assert_eq!(special_offset(&bytes), want);
+        }
+
+        #[test]
+        fn integer_reads_agree_with_the_number_grammar(
+            sign in 0usize..3,
+            digits in proptest::collection::vec(0u8..10, 0..22),
+            suffix in 0usize..5,
+        ) {
+            let mut text = ["", "-", " "][sign].to_string();
+            text.extend(digits.iter().map(|d| char::from(b'0' + d)));
+            text.push_str(["", ".5", "e3", ",", "x"][suffix]);
+            assert_integer_reads_unchanged(&text);
+        }
+    }
+
+    /// `u64` and `i64` give the value, the cursor and the error they gave
+    /// when every integer went through [`Reader::number`].
+    fn assert_integer_reads_unchanged(text: &str) {
+        let mut r = Reader::new(text);
+        let got = r.u64();
+        let mut reference = Reader::new(text);
+        let want = reference
+            .number()
+            .and_then(|n| n.as_u64().ok_or_else(|| JsonError::expected("u64")));
+        assert_eq!(
+            outcome(&r, got),
+            outcome(&reference, want),
+            "u64 of {text:?}"
+        );
+
+        let mut r = Reader::new(text);
+        let got = r.i64();
+        let mut reference = Reader::new(text);
+        let want = reference
+            .number()
+            .and_then(|n| n.as_i64().ok_or_else(|| JsonError::expected("i64")));
+        assert_eq!(
+            outcome(&r, got),
+            outcome(&reference, want),
+            "i64 of {text:?}"
+        );
+    }
+
+    #[test]
+    fn integer_edge_cases_keep_their_answers() {
+        let cases = [
+            "0",
+            "00",
+            "-0",
+            "-1",
+            "01",
+            "1.0",
+            "1e3",
+            "1E3",
+            "7,",
+            " 42 ",
+            "",
+            "-",
+            "x",
+            "1000000000000000000",
+            "9999999999999999999",
+            "10000000000000000000",
+            "99999999999999999999",
+            "9223372036854775807",
+            "9223372036854775808",
+            "-9223372036854775808",
+            "18446744073709551615",
+            "18446744073709551616",
+        ];
+        for text in cases {
+            assert_integer_reads_unchanged(text);
+        }
+        assert_eq!(Reader::new("18446744073709551615").u64().unwrap(), u64::MAX);
+        assert!(Reader::new("18446744073709551616").u64().is_err());
+        assert_eq!(Reader::new("-0").u64().unwrap(), 0);
+        assert!(Reader::new("00").u64().is_err());
+        assert!(Reader::new("1.0").i64().is_err());
     }
 }

@@ -1,6 +1,7 @@
 //! The client side: a call/return connection to a [`WireServer`](crate::WireServer).
 
-use std::io::{ErrorKind, Write};
+use std::cell::RefCell;
+use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -31,9 +32,10 @@ pub(crate) const DEFAULT_TIMEOUT: Duration = Duration::from_secs(5);
 /// [`FailoverClient`](crate::FailoverClient) for a replicated cluster.
 pub struct WireClient {
     stream: TcpStream,
-    /// Answer bytes read but not yet returned. A read asks for at least
-    /// [`READ_CHUNK`] bytes, so one `read` usually carries a whole
-    /// answer, header and payload, and may carry the next one too.
+    /// Answer bytes read but not yet returned: an answer that has started
+    /// to arrive, or answers behind the one returned. Empty, and holding
+    /// no allocation, between answers: a read with nothing buffered lands
+    /// in the thread's [`READ_BUF`].
     inbound: FrameBuf,
     /// Deadline budget attached to every call (see
     /// [`WireClient::set_deadline_ms`]).
@@ -46,6 +48,17 @@ pub struct WireClient {
 /// Bytes asked of the socket at least per `read` while an answer is
 /// incomplete (more when a larger answer's header is already in).
 const READ_CHUNK: usize = 4096;
+
+thread_local! {
+    /// Where a client's read lands while nothing is buffered, kept for
+    /// the thread's life: [`READ_CHUNK`] bytes, so one `read` usually
+    /// carries a whole answer, header and payload, which is decoded where
+    /// it landed, and may carry the next one too. One per thread, not per
+    /// connection, because a thread waits on one answer at a time and
+    /// bytes left over are copied out; so an idle connection holds no
+    /// buffer at all.
+    static READ_BUF: RefCell<Box<[u8]>> = RefCell::new(vec![0; READ_CHUNK].into_boxed_slice());
+}
 
 impl std::fmt::Debug for WireClient {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -194,12 +207,8 @@ impl WireClient {
             if let Some(response) = self.inbound.next_frame::<Response>()? {
                 break response;
             }
-            // Each read waits at most the read deadline, as before.
-            match self.inbound.read_from(&mut self.stream, READ_CHUNK) {
-                Ok(0) => return Err(WireError::Closed),
-                Ok(_) => {}
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(e) => return Err(WireError::Io(e).normalise_timeout("read")),
+            if let Some(response) = self.read_answer()? {
+                break response;
             }
         };
         match response {
@@ -211,6 +220,28 @@ impl WireClient {
             Response::NotLeader { hint } => Err(WireError::NotLeader { hint }),
             response => Ok(response),
         }
+    }
+
+    /// One read of the answer stream, and the answer it completed, if
+    /// any. With nothing buffered the read lands in [`READ_BUF`] and an
+    /// answer is decoded where it landed; the rest of an answer under way
+    /// goes straight into the buffer that holds its start, asking for all
+    /// of it at once. Each read waits at most the read deadline.
+    fn read_answer(&mut self) -> Result<Option<Response>, WireError> {
+        let landed = |read: std::io::Result<usize>| match read {
+            Ok(0) => Err(WireError::Closed),
+            Ok(n) => Ok(n),
+            Err(e) if e.kind() == ErrorKind::Interrupted => Ok(0),
+            Err(e) => Err(WireError::Io(e).normalise_timeout("read")),
+        };
+        if !self.inbound.is_empty() {
+            landed(self.inbound.read_from(&mut self.stream, READ_CHUNK))?;
+            return Ok(None);
+        }
+        READ_BUF.with_borrow_mut(|buf| {
+            let n = landed(self.stream.read(buf))?;
+            self.inbound.next_frame_after(&buf[..n])
+        })
     }
 
     /// Liveness check.

@@ -55,8 +55,10 @@ pub(crate) struct Conn {
     /// from it (the protocol is call/return, so the client is waiting on
     /// this answer anyway).
     pub(crate) pending: Option<PendingRequest>,
-    /// The bytes of a frame that has started to arrive. Empty, and holding
-    /// no allocation, between requests.
+    /// Bytes read but not yet decoded: a frame that has started to arrive,
+    /// or frames that came behind one still being served. A read that
+    /// finds it empty is decoded where it landed, in the worker's scratch,
+    /// so this stays empty, and holds no allocation, between requests.
     inbuf: FrameBuf,
     /// Controller-clock timestamp at which `inbuf` last started a frame.
     frame_started_ms: u64,
@@ -87,40 +89,43 @@ impl Conn {
         }
     }
 
-    /// Removes and decodes the first buffered frame, if all of it has
-    /// arrived; that counts as activity.
+    /// Decodes the connection's next frame, if all of it has arrived: the
+    /// first buffered one, else the first of `fresh`, the bytes of the
+    /// latest read (see [`FrameBuf::next_frame_after`]). A frame counts as
+    /// activity.
     ///
     /// # Errors
     ///
     /// As [`FrameBuf::next_frame`]: the stream cannot be trusted afterwards.
-    pub(crate) fn next_frame<M: FromJson>(&mut self, now_ms: u64) -> Result<Option<M>, WireError> {
-        let frame = self.inbuf.next_frame()?;
+    pub(crate) fn next_frame<M: FromJson>(
+        &mut self,
+        fresh: &[u8],
+        now_ms: u64,
+    ) -> Result<Option<M>, WireError> {
+        let starts_frame = self.inbuf.is_empty() && !fresh.is_empty();
+        let frame = self.inbuf.next_frame_after(fresh)?;
         if frame.is_some() {
             self.last_active_ms = now_ms;
-            // Part of the next frame may be here already: its clock starts.
+        }
+        if frame.is_some() || starts_frame {
+            // A frame is under way from here: its clock starts.
             self.frame_started_ms = now_ms;
         }
         Ok(frame)
     }
 
-    /// Moves what the socket holds (at most `scratch`) into `inbuf`
-    /// without blocking. `Ok(false)` when there is nothing to read now.
+    /// Reads what the socket holds (at most `scratch`) without blocking,
+    /// and returns it. `Ok(None)` when there is nothing to read now.
     ///
     /// # Errors
     ///
     /// The socket error; `UnexpectedEof` for a hang-up, clean or mid-frame.
-    pub(crate) fn fill(&mut self, scratch: &mut [u8], now_ms: u64) -> io::Result<bool> {
+    pub(crate) fn read<'s>(&mut self, scratch: &'s mut [u8]) -> io::Result<Option<&'s [u8]>> {
         loop {
             match self.stream.read(scratch) {
                 Ok(0) => return Err(ErrorKind::UnexpectedEof.into()),
-                Ok(n) => {
-                    if self.inbuf.is_empty() {
-                        self.frame_started_ms = now_ms;
-                    }
-                    self.inbuf.extend(&scratch[..n]);
-                    return Ok(true);
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(false),
+                Ok(n) => return Ok(Some(&scratch[..n])),
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(None),
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
                 Err(e) => return Err(e),
             }

@@ -106,7 +106,7 @@ impl FrameBuf {
         self.0.is_empty()
     }
 
-    pub(crate) fn extend(&mut self, bytes: &[u8]) {
+    fn extend(&mut self, bytes: &[u8]) {
         self.0.extend_from_slice(bytes);
     }
 
@@ -139,27 +139,63 @@ impl FrameBuf {
     /// [`WireError::FrameTooLarge`] or [`WireError::Malformed`]; the
     /// stream cannot be resynchronised after either.
     pub(crate) fn next_frame<M: FromJson>(&mut self) -> Result<Option<M>, WireError> {
-        let Some(header) = self.0.first_chunk::<4>() else {
-            return Ok(None);
-        };
-        let len = u32::from_be_bytes(*header) as usize;
-        if len > MAX_FRAME {
-            return Err(WireError::FrameTooLarge {
-                got: len,
-                limit: MAX_FRAME,
-            });
+        let mut rest = self.0.as_slice();
+        let message = take_frame(&mut rest)?;
+        if message.is_some() {
+            if rest.is_empty() {
+                self.0 = Vec::new();
+            } else {
+                let used = self.0.len() - rest.len();
+                self.0.drain(..used);
+            }
         }
-        let Some(payload) = self.0.get(4..4 + len) else {
-            return Ok(None);
-        };
-        let message = decode_payload(payload);
-        if self.0.len() == 4 + len {
-            self.0 = Vec::new();
-        } else {
-            self.0.drain(..4 + len);
-        }
-        message.map(Some)
+        Ok(message)
     }
+
+    /// The next frame of a stream whose unread bytes are this buffer's
+    /// followed by `fresh`, the bytes of the latest read. While nothing is
+    /// buffered, a frame is decoded straight from `fresh`: only what is
+    /// left over (an incomplete frame, or the frames behind the first) is
+    /// copied in.
+    ///
+    /// # Errors
+    ///
+    /// As [`next_frame`](Self::next_frame).
+    pub(crate) fn next_frame_after<M: FromJson>(
+        &mut self,
+        mut fresh: &[u8],
+    ) -> Result<Option<M>, WireError> {
+        if self.is_empty() {
+            if let Some(message) = take_frame(&mut fresh)? {
+                self.extend(fresh);
+                return Ok(Some(message));
+            }
+        }
+        self.extend(fresh);
+        self.next_frame()
+    }
+}
+
+/// Decodes the first frame of `bytes` and moves `bytes` past it, if all
+/// of it is there. An oversized length is refused from its four header
+/// bytes, whatever follows them.
+fn take_frame<M: FromJson>(bytes: &mut &[u8]) -> Result<Option<M>, WireError> {
+    let Some(header) = bytes.first_chunk::<4>() else {
+        return Ok(None);
+    };
+    let len = u32::from_be_bytes(*header) as usize;
+    if len > MAX_FRAME {
+        return Err(WireError::FrameTooLarge {
+            got: len,
+            limit: MAX_FRAME,
+        });
+    }
+    let Some(payload) = bytes.get(4..4 + len) else {
+        return Ok(None);
+    };
+    let message = decode_payload(payload)?;
+    *bytes = &bytes[4 + len..];
+    Ok(Some(message))
 }
 
 #[cfg(test)]
@@ -256,6 +292,33 @@ mod tests {
         );
         assert_eq!(buf.next_frame::<Vec<u32>>().unwrap(), Some(vec![1, 2]));
         assert!(buf.next_frame::<String>().unwrap().is_none() && buf.is_empty());
+    }
+
+    #[test]
+    fn frames_of_a_read_are_decoded_in_place_and_only_the_rest_is_buffered() {
+        let first = encode_frame(&"first".to_string()).unwrap();
+        let second = encode_frame(&"second".to_string()).unwrap();
+        let mut read = first.clone();
+        read.extend(&second[..5]);
+        let mut buf = FrameBuf::default();
+        // Nothing buffered: the first frame comes from the read itself, and
+        // only the start of the second is kept.
+        let got = buf.next_frame_after::<String>(&read).unwrap();
+        assert_eq!(got.as_deref(), Some("first"));
+        assert_eq!(buf.0, second[..5]);
+        // Buffered bytes come first: the next read completes them.
+        let got = buf.next_frame_after::<String>(&second[5..]).unwrap();
+        assert_eq!(got.as_deref(), Some("second"));
+        assert_eq!(buf.0.capacity(), 0, "drained buffer is released");
+        // A whole frame alone in a read leaves nothing behind.
+        let got = buf.next_frame_after::<String>(&first).unwrap();
+        assert_eq!(got.as_deref(), Some("first"));
+        assert_eq!(buf.0.capacity(), 0, "nothing was buffered");
+        assert!(buf.next_frame_after::<String>(&[]).unwrap().is_none());
+        assert!(matches!(
+            buf.next_frame_after::<String>(&u32::MAX.to_be_bytes()),
+            Err(WireError::FrameTooLarge { .. })
+        ));
     }
 
     #[test]

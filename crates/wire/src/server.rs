@@ -369,9 +369,13 @@ impl Pool {
             }
             served = true;
         }
+        // The bytes of this turn's read, decoded where they landed.
+        let mut fresh: &[u8] = &[];
         loop {
             loop {
-                match conn.next_frame::<Envelope>(self.controller.now_ms()) {
+                match conn
+                    .next_frame::<Envelope>(std::mem::take(&mut fresh), self.controller.now_ms())
+                {
                     Ok(Some(envelope)) => {
                         if !self.admit_one(conn, envelope) {
                             return false;
@@ -393,9 +397,9 @@ impl Pool {
             if served {
                 return true;
             }
-            match conn.fill(scratch, self.controller.now_ms()) {
-                Ok(true) => {}
-                Ok(false) => return true,
+            match conn.read(scratch) {
+                Ok(Some(bytes)) => fresh = bytes,
+                Ok(None) => return true,
                 Err(_) => return false,
             }
         }
